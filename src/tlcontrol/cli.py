@@ -46,6 +46,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--min-iters", dest="min_iters", type=int)
+    p.add_argument("--gate-iters", dest="gate_iters", type=int)
+    p.add_argument("--gate-sigma", dest="gate_sigma", type=float)
     p.add_argument("--reset-trace-on-restart", dest="reset_trace_on_restart",
                    action="store_true", default=None)
     p.add_argument("--solve-with-updated-stats", dest="solve_with_updated_stats",

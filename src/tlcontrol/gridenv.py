@@ -26,7 +26,6 @@ the other feasible forward outcomes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -408,7 +407,7 @@ class GridTransitionSource:
     """Lazy, memoized transition probabilities over pair-state indices.
 
     Each distinct (state, action) pair is computed once; the counter only
-    moves on first computation. Reads are lock-free, insertion is exclusive.
+    moves on first computation.
     """
 
     def __init__(self, env: EnvMap, noise: NoiseModel):
@@ -417,7 +416,6 @@ class GridTransitionSource:
         self._pairs = pair_states(env)
         self._index = {pair: i for i, pair in enumerate(self._pairs)}
         self._memo: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-        self._lock = threading.Lock()
 
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
         key = (state, action)
@@ -425,10 +423,8 @@ class GridTransitionSource:
         if row is None:
             dist = transition_probs(self._env, self._noise,
                                     self._pairs[state], ACTIONS[action])
-            row = tuple(sorted((self._index[succ], p) for succ, p in dist))
-            with self._lock:
-                self._memo.setdefault(key, row)
-        return self._memo[key]
+            row = self._memo[key] = tuple(sorted((self._index[succ], p) for succ, p in dist))
+        return row
 
     @property
     def pairs_computed(self) -> int:

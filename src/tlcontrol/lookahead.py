@@ -11,13 +11,15 @@ log-policy gradient has the closed form
 
 with expectations under the sequence softmax. Features do not depend on
 theta, so per-state tables are built once (lazily) and reused as theta
-moves.
+moves. A whole-policy request (``policy_rows``) concatenates the tables
+of every non-terminal state into flat arrays once; each later request is
+then one matmul and a segment softmax over them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -121,6 +123,17 @@ def action_sequences(
     return out
 
 
+class _Sweep(NamedTuple):
+    """Every non-terminal state's sequence table as flat arrays."""
+
+    seq_start: np.ndarray  # first sequence of each state
+    seq_count: np.ndarray
+    group_start: np.ndarray  # first sequence of each (state, first action) group
+    state_group_start: np.ndarray  # first group of each state
+    state_group_count: np.ndarray
+    feats: np.ndarray  # feature pair of each sequence
+
+
 class LookaheadPolicy:
     """Randomized stationary policy parameterized by theta = [theta1, theta2].
 
@@ -151,6 +164,9 @@ class LookaheadPolicy:
         self._safe: dict[int, float] = {}
         self._nbhd: dict[int, frozenset[int]] = {}
         self._tables: dict[int, tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]] = {}
+        # state -> (first actions ascending, bounds of each one's sequences)
+        self._groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._sweep: _Sweep | None = None
 
     # -- score tables -------------------------------------------------------
 
@@ -191,6 +207,17 @@ class LookaheadPolicy:
         self._tables[state] = table
         return table
 
+    def _groups_of(self, state: int, first: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """(first actions, group bounds) of the state's sequence table, whose
+        first-action column is ``first``: the table lists sequences
+        lexicographically, so the sequences of the k-th first action are the
+        contiguous rows bounds[k]:bounds[k + 1]."""
+        groups = self._groups.get(state)
+        if groups is None:
+            starts = np.flatnonzero(np.diff(first, prepend=-1))
+            groups = self._groups[state] = (first[starts], starts.tolist() + [len(first)])
+        return groups
+
     def features(self, state: int, sequence: tuple[int, ...]) -> np.ndarray:
         seqs, _first, feats = self.sequence_table(state)
         return feats[seqs.index(sequence)].copy()
@@ -214,10 +241,38 @@ class LookaheadPolicy:
             acts = np.arange(len(self.model.actions))
             return acts, np.full(len(acts), 1.0 / len(acts))
         first, _feats, w = self._weights(state)
-        acts = np.unique(first)
-        probs = np.array([w[first == u].sum() for u in acts])
+        acts, bounds = self._groups_of(state, first)
+        probs = np.array([w[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
         probs /= probs.sum()
         return acts, probs
+
+    def policy_rows(self) -> np.ndarray:
+        """The whole policy at the current theta: one probability per
+        (state, first action) group, non-terminal states in order and
+        actions ascending, which is the order of those states' rows in the
+        model. Matches ``action_distribution`` state by state."""
+        sweep = self._sweep
+        if sweep is None:
+            sweep = self._sweep = self._build_sweep()
+        logits = sweep.feats @ self.theta
+        top = np.maximum.reduceat(logits, sweep.seq_start)
+        w = np.exp(logits - np.repeat(top, sweep.seq_count))
+        mass = np.add.reduceat(w, sweep.group_start)
+        total = np.add.reduceat(mass, sweep.state_group_start)
+        return mass / np.repeat(total, sweep.state_group_count)
+
+    def _build_sweep(self) -> _Sweep:
+        states = [s for s in range(self.model.n_states) if s != self.ssp.terminal]
+        bounds = [self._groups_of(s, self.sequence_table(s)[1])[1] for s in states]
+        seq_count = np.array([b[-1] for b in bounds])
+        seq_start = np.cumsum(seq_count) - seq_count
+        group_count = np.array([len(b) - 1 for b in bounds])
+        return _Sweep(
+            seq_start=seq_start, seq_count=seq_count,
+            group_start=np.concatenate([np.add(b[:-1], lo) for b, lo in zip(bounds, seq_start)]),
+            state_group_start=np.cumsum(group_count) - group_count,
+            state_group_count=group_count,
+            feats=np.concatenate([self._tables[s][2] for s in states]))
 
     def action_probability(self, state: int, action: int) -> float:
         acts, probs = self.action_distribution(state)

@@ -28,7 +28,6 @@ from .models import (
     LabeledModel,
     ModelError,
     RabinAutomaton,
-    StationaryPolicy,
     nts_from_mdp,
     parse_dra,
     parse_model,
@@ -177,16 +176,26 @@ def load_task(cfg: RunConfig) -> TaskContext:
                        goal=goal, bad=bad)
 
 
-def rsp_product_policy(policy: LookaheadPolicy, ssp: SspModel) -> StationaryPolicy:
-    """The lookahead policy's distribution re-indexed over product states
-    (goal states need no entry: they are evaluation boundary)."""
-    table = {}
-    for state, old in enumerate(ssp.origin):
-        if old < 0:
-            continue
-        acts, probs = policy.action_distribution(state)
-        table[old] = {int(u): float(p) for u, p in zip(acts, probs)}
-    return StationaryPolicy(kind="randomized", table=table)
+def _to_product_rows(ssp: SspModel, m: LabeledModel, probs: np.ndarray) -> np.ndarray:
+    """Re-index probabilities over the SSP's non-terminal rows (states in
+    order, actions ascending) onto the rows of the product model ``m``.
+
+    ``mrp_to_ssp`` keeps every state's enabled actions, so the rows of SSP
+    state s line up one to one with those of product state origin[s]. Goal
+    rows stay 0: goal states are evaluation boundary.
+    """
+    s, p = exact.flat_rows(ssp.base), exact.flat_rows(m)
+    ssp_rows = np.flatnonzero(s.row_state != ssp.terminal)
+    state = s.row_state[ssp_rows]
+    out = np.zeros(len(p.row_state))
+    out[p.state_ptr[np.asarray(ssp.origin)[state]] + ssp_rows - s.state_ptr[state]] = probs
+    return out
+
+
+def rsp_product_policy(policy: LookaheadPolicy, ssp: SspModel, m: LabeledModel) -> np.ndarray:
+    """The lookahead policy at its current theta as one probability per row
+    of the product model ``m``."""
+    return _to_product_rows(ssp, m, policy.policy_rows())
 
 
 @dataclass
@@ -199,6 +208,7 @@ class Report:
     theta: tuple[float, float] | None = None
     final_probability: float | None = None
     optimal_probability: float | None = None
+    optimal_values: np.ndarray | None = None
 
     def summary_text(self) -> str:
         out = [f"{key}: {value}" for key, value in self.lines]
@@ -255,13 +265,13 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
                                  ctx.base_source)
 
     evaluator = None
-    optimal = None
+    optimal = values = None
     if ctx.product_mdp is not None:
         pm = ctx.product_mdp
 
         def evaluator(theta, _pm=pm, _ssp=ssp, _pol=policy):
             _pol.theta = np.array(theta, dtype=float)
-            product_policy = rsp_product_policy(_pol, _ssp)
+            product_policy = rsp_product_policy(_pol, _ssp, _pm.base)
             return exact.eval_policy_reach(_pm.base, product_policy, ctx.goal, ctx.bad)
 
         if cfg.exact_reference:
@@ -295,7 +305,8 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     report = Report(cfg=cfg, exit_code=EXIT_CONVERGED if trace.converged else EXIT_CAPPED,
                     status=status, lines=lines, trace=trace,
                     theta=(float(theta[0]), float(theta[1])),
-                    final_probability=final_prob, optimal_probability=optimal)
+                    final_probability=final_prob, optimal_probability=optimal,
+                    optimal_values=values)
     (outdir / "summary.txt").write_text(report.summary_text())
     return report
 
@@ -309,17 +320,17 @@ def compare(cfg: RunConfig) -> Report:
     outdir = Path(cfg.outdir)
     if report.exit_code == EXIT_ZERO_PROBABILITY or ctx.trivial:
         return report
+    values = report.optimal_values
+    if values is None:
+        values, _ = exact.max_reach(ctx.product_mdp.base, ctx.goal, ctx.bad)
+        report.optimal_probability = float(values[ctx.product_mdp.base.initial])
     optimal = report.optimal_probability
-    values, _ = exact.max_reach(ctx.product_mdp.base, ctx.goal, ctx.bad)
-    if optimal is None:
-        optimal = float(values[ctx.product_mdp.base.initial])
     with open(outdir / "values.csv", "w") as f:
         exact.write_value_csv(f, values)
     with open(outdir / "curve.csv", "w") as f:
         f.write("k,rsp_probability,optimal_probability\n")
         for k in sorted(report.trace.exact):
             f.write(f"{k},{report.trace.exact[k]!r},{optimal!r}\n")
-    report.optimal_probability = optimal
     return report
 
 
@@ -334,13 +345,10 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
         return 1.0
     ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
     pol = parse_policy(Path(policy_path).read_text(), ssp.base)
-    table = {}
-    for state, old in enumerate(ssp.origin):
-        if old >= 0 and state in pol.table:
-            table[old] = dict(pol.table[state])
-    product_policy = StationaryPolicy(kind=pol.kind, table=table)
-    return exact.eval_policy_reach(ctx.product_mdp.base, product_policy,
-                                   ctx.goal, ctx.bad)
+    probs = exact.row_probabilities(ssp.base, pol)
+    probs = probs[exact.flat_rows(ssp.base).row_state != ssp.terminal]
+    m = ctx.product_mdp.base
+    return exact.eval_policy_reach(m, _to_product_rows(ssp, m, probs), ctx.goal, ctx.bad)
 
 
 def write_models(cfg: RunConfig) -> list[Path]:

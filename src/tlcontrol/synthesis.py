@@ -10,7 +10,6 @@ zero-probability states restart at the initial state with unit cost.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -506,13 +505,10 @@ class ModelTransitionSource:
             raise ModelError("transition source needs an MDP-mode model")
         self._model = model
         self._seen: set[tuple[int, int]] = set()
-        self._lock = threading.Lock()
 
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
         key = (state, action)
-        if key not in self._seen:
-            with self._lock:
-                self._seen.add(key)
+        self._seen.add(key)
         return self._model.transitions[key]
 
     @property

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlcontrol.exact import (
     PolicyDivergence,
@@ -180,13 +183,70 @@ def test_enumerate_policies_counts(rng):
         list(enumerate_policies(mixed, limit=5))
 
 
-def test_gauss_seidel_matches_dense(rng):
+def test_fixed_point_matches_dense(rng):
+    # A dense limit of 2 sends every policy solve of the polish through the
+    # vectorized fixed-point iteration.
     m = random_mdp(rng, n_states=6, n_actions=2)
     targets = frozenset({4, 5})
     zeros = support_zeros(m, targets) - targets
     v_dense, _ = max_reach(m, targets, zeros)
-    v_gs, _ = max_reach(m, targets, zeros, dense_limit=2)
-    assert np.abs(v_dense - v_gs).max() <= 1e-9
+    v_fixed, _ = max_reach(m, targets, zeros, dense_limit=2)
+    assert np.abs(v_dense - v_fixed).max() <= 1e-9
+
+
+def test_value_iteration_cap_is_loud():
+    m = parse_model("states 3\ninitial 0\nmode mdp\n"
+                    "trans 0 a 1 0.5\ntrans 0 a 2 0.5\ntrans 1 a 1 1.0\ntrans 2 a 2 1.0")
+    with pytest.raises(ModelError, match="within 1 sweeps"):
+        max_reach(m, frozenset({1}), frozenset(), max_sweeps=1)
+
+
+def _random_policy(rng, m):
+    """Randomized policy that drops each action with probability 0.4 but
+    keeps at least one per state."""
+    table = {}
+    for q in range(m.n_states):
+        acts = m.enabled[q]
+        w = rng.random(len(acts)) * (rng.random(len(acts)) > 0.4)
+        if not w.any():
+            w[rng.integers(len(acts))] = 1.0
+        table[q] = {u: float(p) for u, p in zip(acts, w / w.sum())}
+    return StationaryPolicy(kind="randomized", table=table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n_states=st.integers(3, 8))
+def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=3)
+    # The last state becomes an absorbing trap outside the target set and no
+    # zero set is given, so the support preprocessing alone removes the
+    # states whose policy support cannot reach the target.
+    trap = n_states - 1
+    transitions = {k: row for k, row in m.transitions.items() if k[0] != trap}
+    transitions[(trap, 0)] = ((trap, 1.0),)
+    m = dataclasses.replace(m, transitions=transitions,
+                            enabled=m.enabled[:trap] + ((0,),))
+    targets = frozenset({int(rng.integers(trap))})
+    pol = _random_policy(rng, m)
+    v_dense = policy_reach_vector(m, pol, targets, frozenset())
+    v_fixed = policy_reach_vector(m, pol, targets, frozenset(), dense_limit=0)
+    assert v_dense[trap] == 0.0 and v_fixed[trap] == 0.0
+    assert np.abs(v_dense - v_fixed).max() <= 1e-9
+
+    # Restart SSP: the last state is the goal, the one before it restarts.
+    m = random_mdp(rng, n_states=n_states, n_actions=3)
+    product = ProductModel(base=m, projection=tuple((q, 0) for q in range(n_states)),
+                           pairs=((frozenset(), frozenset({trap})),), unpruned_states=n_states)
+    ssp = mrp_to_ssp(product, frozenset({trap}), frozenset({trap - 1}))
+    pol = _random_policy(rng, ssp.base)
+    try:
+        dense = expected_total_cost(ssp, pol)
+    except PolicyDivergence:
+        with pytest.raises(PolicyDivergence):
+            expected_total_cost(ssp, pol, dense_limit=0)
+        return
+    assert abs(expected_total_cost(ssp, pol, dense_limit=0) - dense) <= 1e-9 * max(1.0, dense)
 
 
 def test_value_csv_round_trip(tmp_path):
@@ -201,12 +261,12 @@ def test_value_csv_round_trip(tmp_path):
 
 def test_value_iteration_sweeps_are_monotone(rng):
     # From the zero initialization every sweep is pointwise non-decreasing.
-    from tlcontrol.exact import _flat_rows
+    from tlcontrol.exact import flat_rows
 
     m = random_mdp(rng, n_states=6, n_actions=2)
     targets = frozenset({5})
     zeros = support_zeros(m, targets) - targets
-    rows, _rs, _ra, row_ptr, state_ptr, cols, vals = _flat_rows(m)
+    _er, _rs, _ra, row_ptr, state_ptr, cols, vals = flat_rows(m)
     free = np.ones(m.n_states, dtype=bool)
     for q in targets | zeros:
         free[q] = False

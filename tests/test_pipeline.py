@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tlcontrol import exact
-from tlcontrol.cli import main
+from tlcontrol.cli import _add_common, main
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.models import ModelError, dra_step, parse_model
 from tlcontrol.pipeline import (
@@ -162,10 +165,42 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
         t1, t2, exact_col = by_k[int(k)]
         pol = LookaheadPolicy(ssp, horizon=tiny_task.horizon, theta=(t1, t2))
         replayed = exact.eval_policy_reach(
-            ctx.product_mdp.base, rsp_product_policy(pol, ssp), ctx.goal, ctx.bad)
+            ctx.product_mdp.base, rsp_product_policy(pol, ssp, ctx.product_mdp.base),
+            ctx.goal, ctx.bad)
         assert abs(replayed - float(rsp_val)) <= 1e-12
         assert float(exact_col) == float(rsp_val)
         assert float(opt_val) >= float(rsp_val) - 1e-9
+
+
+@pytest.mark.parametrize("theta", [(5.0, -0.5), (0.0, 0.0), (800.0, -800.0)])
+@pytest.mark.parametrize("task", ["tiny", "desk"])
+def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
+    cfg = tiny_task if task == "tiny" else RunConfig.from_file("tasks/desk.json")
+    ctx = load_task(cfg)
+    ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+    pol = LookaheadPolicy(ssp, horizon=cfg.horizon, theta=theta)
+    per_state = [pol.action_distribution(s) for s in range(ssp.base.n_states)
+                 if s != ssp.terminal]
+    sweep = pol.policy_rows()
+    assert np.all(np.isfinite(sweep))
+    assert np.abs(sweep - np.concatenate([probs for _acts, probs in per_state])).max() <= 1e-15
+    # Re-indexed onto the product: every state's distribution lands on the
+    # rows of its product state, and goal rows stay empty.
+    m = ctx.product_mdp.base
+    rows = exact.flat_rows(m)
+    product = rsp_product_policy(pol, ssp, m)
+    for state, (acts, probs) in enumerate(per_state):
+        lo, hi = rows.state_ptr[ssp.origin[state]], rows.state_ptr[ssp.origin[state] + 1]
+        assert list(rows.row_action[lo:hi]) == list(acts)
+        assert np.abs(product[lo:hi] - probs).max() <= 1e-15
+    assert not product[np.isin(rows.row_state, list(ctx.goal))].any()
+
+
+def test_every_config_key_has_a_flag():
+    parser = argparse.ArgumentParser()
+    _add_common(parser)
+    dests = {action.dest for action in parser._actions}
+    assert {f.name for f in dataclasses.fields(RunConfig)} <= dests
 
 
 def test_eval_subcommand_round_trip(tiny_task):
