@@ -22,6 +22,11 @@ in corridors, while intersections offer turn controls named relative to the
 direction of travel. The noise model sends each control to its intended
 adjacent region with probability eta and spreads the rest uniformly over
 the other feasible forward outcomes.
+
+``parse_map`` indexes every open cell by its region once
+(``EnvMap.cell_region``); region lookups during the model builds and the
+lazy per-step queries read that index, so a model build costs a constant
+per motion state and control.
 """
 
 from __future__ import annotations
@@ -58,16 +63,11 @@ class Region:
 class EnvMap:
     grid: tuple[str, ...]
     regions: tuple[Region, ...]
+    cell_region: Mapping[tuple[int, int], int]  # open cell -> region ident
     adjacency: Mapping[int, tuple[int, ...]]
     region_obs: Mapping[int, frozenset[str]]
     props: tuple[str, ...]
     start: tuple[int, int] | None  # (previous region, current region)
-
-    def region_at(self, cell: tuple[int, int]) -> int:
-        for region in self.regions:
-            if cell in region.cells:
-                return region.ident
-        raise MapError(f"cell {cell} belongs to no region")
 
 
 def parse_map(text: str) -> EnvMap:
@@ -185,7 +185,7 @@ def parse_map(text: str) -> EnvMap:
     start = None
     if start_cells is not None:
         prev_cell, cur_cell = start_cells
-        if prev_cell not in open_cells or cur_cell not in open_cells:
+        if prev_cell not in where or cur_cell not in where:
             raise MapError(f"start cells {start_cells} are not both open")
         prev_region, cur_region = where[prev_cell], where[cur_cell]
         if prev_region == cur_region:
@@ -197,6 +197,7 @@ def parse_map(text: str) -> EnvMap:
     return EnvMap(
         grid=tuple(grid),
         regions=tuple(regions),
+        cell_region=where,
         adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
         region_obs={k: frozenset(v) for k, v in region_obs.items()},
         props=props,
@@ -223,12 +224,11 @@ def pair_states(env: EnvMap) -> list[tuple[int, int]]:
 
 def _arms(env: EnvMap, region: Region) -> dict[tuple[int, int], int]:
     (r, c) = region.cells[0]
-    where = {cell: reg.ident for reg in env.regions for cell in reg.cells}
     arms = {}
     for d in _DIRS:
-        nb = (r + d[0], c + d[1])
-        if nb in where:
-            arms[d] = where[nb]
+        nb = env.cell_region.get((r + d[0], c + d[1]))
+        if nb is not None:
+            arms[d] = nb
     return arms
 
 
@@ -377,10 +377,11 @@ def transition_probs(env: EnvMap, noise: NoiseModel, pair: tuple[int, int],
     return tuple(sorted(dist))
 
 
-def build_mdp(env: EnvMap, noise: NoiseModel) -> LabeledModel:
+def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel:
     """Materialize the full probabilistic model (for the exact oracles; the
-    lazy path never needs it)."""
-    nts = build_nts(env, noise.confusion)
+    lazy path never needs it). States, enabled actions and labels come from
+    ``nts``, the map's ``build_nts`` model; the rows come from the noise
+    model."""
     pairs = pair_states(env)
     index = {pair: i for i, pair in enumerate(pairs)}
     transitions = {}

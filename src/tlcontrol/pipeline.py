@@ -157,7 +157,7 @@ def load_task(cfg: RunConfig) -> TaskContext:
         noise = gridenv.NoiseModel(eta=cfg.eta, confusion=cfg.confusion,
                                    mc_runs=cfg.mc_runs, seed=cfg.noise_seed)
         base_nts = gridenv.build_nts(env, cfg.confusion)
-        base_mdp = gridenv.build_mdp(env, noise) if cfg.exact_reference else None
+        base_mdp = gridenv.build_mdp(env, noise, base_nts) if cfg.exact_reference else None
         base_source = gridenv.GridTransitionSource(env, noise)
     else:
         base = parse_model(Path(cfg.model).read_text())

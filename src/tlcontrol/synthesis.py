@@ -209,52 +209,111 @@ def max_end_components(
 ) -> list[tuple[frozenset[int], dict[int, tuple[int, ...]]]]:
     """All maximal end components of a possibilistic model.
 
-    Iterative refinement: within each candidate set, drop actions whose
-    possible successors leave the set, drop states left without actions,
-    split what remains into strongly connected components, and repeat until
-    each surviving candidate is stable. Returns (state set, retained
-    actions) entries sorted by smallest state; the sets are pairwise
-    disjoint, closed under their retained actions, and strongly connected.
+    Worklist decomposition (Baier & Katoen, *Principles of Model Checking*,
+    Alg. 47, with attractor-style removals). The successor supports of the
+    candidate states' (state, action) rows, and a predecessor index over
+    the rows whose support stays in the candidate set, are built once. Rows whose support leaves the candidate
+    set start disabled; a state left without an enabled row is removed,
+    which disables exactly the rows that can reach it, and the removals
+    cascade. Each component on the worklist is split into strongly connected
+    components under its enabled rows; if there is more than one, only the
+    rows that cross a border are disabled, removals cascade from the states
+    left empty, and every part that lost a row goes back on the worklist.
+    A single component, or a part that lost no row, is final.
+
+    Cost: building the index and all cascades together are linear in the
+    rows and their supports; each worklist round adds one linear SCC pass
+    over its component, so the total is O(states x edges) in the worst case
+    and a few linear passes when the components nest shallowly.
+
+    Returns (state set, retained actions in enabled order) entries sorted
+    by smallest state; the sets are pairwise disjoint, closed under their
+    retained actions, and strongly connected.
     """
     if n.mode != NTS:
         raise ModelError("end components are computed on NTS-mode models")
-    start = frozenset(range(n.n_states) if within is None else within)
-    work = [start]
-    out = []
+    states = sorted(set(range(n.n_states) if within is None else within))
+    part = [-1] * n.n_states  # component label; -1: outside or removed
+    for q in states:
+        part[q] = 0
+    row_state: list[int] = []
+    row_action: list[int] = []
+    row_succ: list[tuple[int, ...]] = []
+    live: list[bool] = []
+    rows_of: dict[int, range] = {}
+    preds: dict[int, list[int]] = {q: [] for q in states}
+    n_live = [0] * n.n_states
+    empty: list[int] = []
+    for q in states:
+        first = len(row_succ)
+        for u in n.enabled[q]:
+            succ = n.support(q, u)
+            inside = all(part[s] == 0 for s in succ)
+            if inside:
+                for s in succ:
+                    preds[s].append(len(row_succ))
+                n_live[q] += 1
+            row_state.append(q)
+            row_action.append(u)
+            row_succ.append(succ)
+            live.append(inside)
+        rows_of[q] = range(first, len(row_succ))
+        if not n_live[q]:
+            empty.append(q)
+
+    touched: set[int] = set()  # labels of components that lost a row
+
+    def disable(r: int) -> None:
+        live[r] = False
+        q = row_state[r]
+        touched.add(part[q])
+        n_live[q] -= 1
+        if not n_live[q]:
+            empty.append(q)
+
+    def cascade() -> None:
+        while empty:
+            q = empty.pop()
+            part[q] = -1
+            for r in preds[q]:
+                if live[r]:
+                    disable(r)
+
+    def successors(q: int) -> set[int]:
+        return {s for r in rows_of[q] if live[r] for s in row_succ[r]}
+
+    cascade()
+    survivors = [q for q in states if part[q] == 0]
+    work = [survivors] if survivors else []
+    final: list[list[int]] = []
+    label = 0
     while work:
-        cand = set(work.pop())
-        retained: dict[int, tuple[int, ...]] = {}
-        while True:
-            retained = {}
-            dead = []
-            for q in cand:
-                keep = tuple(u for u in n.enabled[q]
-                             if all(s in cand for s in n.support(q, u)))
-                if keep:
-                    retained[q] = keep
-                else:
-                    dead.append(q)
-            if not dead:
-                break
-            cand.difference_update(dead)
-            if not cand:
-                break
-        if not cand:
-            continue
-        sccs = _strongly_connected(cand, lambda q: _possible_successors(n, q, retained[q]))
+        comp = work.pop()
+        sccs = _strongly_connected(set(comp), successors)
         if len(sccs) == 1:
-            out.append((frozenset(cand), retained))
-        else:
-            work.extend(frozenset(c) for c in sccs)
+            final.append(comp)
+            continue
+        parts = []
+        for scc in sccs:
+            label += 1
+            parts.append((label, scc))
+            for q in scc:
+                part[q] = label
+        touched.clear()
+        for q in comp:
+            for r in rows_of[q]:
+                if live[r] and any(part[s] != part[q] for s in row_succ[r]):
+                    disable(r)
+        cascade()
+        for lab, scc in parts:
+            rest = sorted(q for q in scc if part[q] != -1)
+            if rest:
+                (work if lab in touched else final).append(rest)
+    out = [(frozenset(comp),
+            {q: tuple(row_action[r] for r in rows_of[q] if live[r]) for q in comp})
+           for comp in final]
     out.sort(key=lambda item: min(item[0]))
     return out
-
-
-def _possible_successors(n: LabeledModel, q: int, actions: Iterable[int]) -> set[int]:
-    succ: set[int] = set()
-    for u in actions:
-        succ.update(n.support(q, u))
-    return succ
 
 
 def _strongly_connected(states: set[int], succ_of) -> list[set[int]]:

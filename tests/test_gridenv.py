@@ -100,7 +100,7 @@ start 2,1 2,2
 def test_dead_end_follow_road_turns_around():
     env = parse_map(TEE)
     node = next(r for r in env.regions if r.kind == "intersection")
-    stub = env.region_at((2, 2))
+    stub = env.cell_region[(2, 2)]
     assert enabled_actions(env, (node.ident, stub)) == ["FollowRoad"]
     intended, wrong = outcome_support(env, (node.ident, stub), "FollowRoad")
     assert intended == node.ident and wrong == ()
@@ -111,15 +111,15 @@ def test_dead_end_follow_road_turns_around():
 def test_four_way_enabled_and_uniform_confusion():
     env = parse_map(FOURWAY)
     node = next(r for r in env.regions if r.kind == "intersection")
-    south = env.region_at((4, 3))   # arm the robot came from
+    south = env.cell_region[(4, 3)]   # arm the robot came from
     pair = (south, node.ident)
     assert enabled_actions(env, pair) == ["GoLeft", "GoRight", "GoStraight"]
     # Uniform mode: intended 0.9, uniform slip over the 2 wrong arms.
     noise = NoiseModel(eta=0.9, confusion="uniform")
     dist = dict(transition_probs(env, noise, pair, "GoLeft"))
-    west = env.region_at((3, 1))
-    east = env.region_at((3, 5))
-    north = env.region_at((1, 3))
+    west = env.cell_region[(3, 1)]
+    east = env.cell_region[(3, 5)]
+    north = env.cell_region[(1, 3)]
     assert dist[(node.ident, west)] == pytest.approx(0.9)
     assert dist[(node.ident, east)] == pytest.approx(0.05)
     assert dist[(node.ident, north)] == pytest.approx(0.05)
@@ -128,10 +128,10 @@ def test_four_way_enabled_and_uniform_confusion():
 def test_undershoot_confusion_distinguishes_controls():
     env = parse_map(FOURWAY)
     node = next(r for r in env.regions if r.kind == "intersection")
-    south = env.region_at((4, 3))
+    south = env.cell_region[(4, 3)]
     pair = (south, node.ident)
-    west = env.region_at((3, 1))
-    north = env.region_at((1, 3))
+    west = env.cell_region[(3, 1)]
+    north = env.cell_region[(1, 3)]
     noise = NoiseModel(eta=0.9, confusion="undershoot")
     left = dict(transition_probs(env, noise, pair, "GoLeft"))
     assert left == {(node.ident, west): 0.9, (node.ident, north): pytest.approx(0.1)}
@@ -142,7 +142,7 @@ def test_undershoot_confusion_distinguishes_controls():
 def test_disabled_action_rejected():
     env = parse_map(FOURWAY)
     node = next(r for r in env.regions if r.kind == "intersection")
-    south = env.region_at((4, 3))
+    south = env.cell_region[(4, 3)]
     with pytest.raises(MapError, match="not enabled"):
         outcome_support(env, (south, node.ident), "FollowRoad")
 
@@ -155,6 +155,12 @@ def test_desk_map_golden_counts():
     assert nts.n_states == 144
     assert nts.n_enabled_pairs() == 244
     assert sorted(env.props) == ["rd", "ri", "un", "up", "vd"]
+    # The cell index covers every open cell, each in the region holding it.
+    open_cells = {(r, c) for r, row in enumerate(env.grid)
+                  for c, ch in enumerate(row) if ch != "#"}
+    assert env.cell_region == {cell: reg.ident for reg in env.regions
+                               for cell in reg.cells}
+    assert env.cell_region.keys() == open_cells
     # No intersection pair is adjacent to another intersection.
     for r in env.regions:
         if r.kind == "intersection":
@@ -193,7 +199,8 @@ def test_markov_pair_encoding():
 def test_build_mdp_rows_sum_to_one():
     env = parse_map(open("tasks/desk.map").read())
     for mc in (None, 500):
-        m = build_mdp(env, NoiseModel(eta=0.9, confusion="undershoot", mc_runs=mc))
+        m = build_mdp(env, NoiseModel(eta=0.9, confusion="undershoot", mc_runs=mc),
+                      build_nts(env, "undershoot"))
         for key, row in m.transitions.items():
             assert abs(sum(w for _, w in row) - 1.0) <= 1e-9
 

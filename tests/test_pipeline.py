@@ -1,12 +1,13 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tlcontrol import exact
+from tlcontrol import exact, gridenv
 from tlcontrol.cli import _add_common, main
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.models import ModelError, dra_step, parse_model
@@ -216,6 +217,35 @@ def test_build_writes_parseable_models(tiny_task):
     assert m.mode == "nts"
     ssp = parse_ssp(Path(paths[1]).read_text())
     assert ssp.terminal == ssp.base.n_states - 1
+
+
+def test_load_task_builds_the_nts_once(monkeypatch):
+    calls = []
+    build_nts = gridenv.build_nts
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_nts(*args, **kwargs)
+
+    monkeypatch.setattr(gridenv, "build_nts", counting)
+    ctx = load_task(RunConfig.from_file("tasks/desk.json"))
+    assert len(calls) == 1
+    assert ctx.base_mdp is not None
+
+
+# sha256 of the desk task's `build` output (product and SSP model files):
+# any change to the bytes of either file fails here.
+DESK_MODEL_DIGESTS = {
+    "product.model": "2720a8d18b51e32dda75fd2b285d520b78244b8289ad236e8c5f3099ad7ff91e",
+    "ssp.model": "17664f04bb4603bd607cfff5c1158e8be2a2c198e60d9f60de1862892ccf4c24",
+}
+
+
+def test_desk_build_output_is_byte_identical(tmp_path):
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path))
+    paths = write_models(cfg)
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in paths} == DESK_MODEL_DIGESTS
 
 
 def test_multi_seed_aggregation(tiny_task):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlcontrol.models import MDP, LabeledModel, ModelError, parse_dra, parse_model
 from tlcontrol.synthesis import (
@@ -192,6 +193,34 @@ def test_mecs_match_brute_force(rng):
         got = max_end_components(n)
         want = brute_force_mecs(n)
         assert [(s, r) for s, r in got] == [(s, r) for s, r in want]
+
+
+def test_mec_split_resplits_a_part_that_lost_a_row():
+    # {0, 1} is strongly connected only through action a of state 0, whose
+    # support also reaches the absorbing state 2; dropping that border row
+    # disconnects the part, so state 1 belongs to no end component.
+    n = parse_model("states 3\ninitial 0\nmode nts\n"
+                    "trans 0 a 1 1\ntrans 0 a 2 1\ntrans 0 b 0 1\n"
+                    "trans 1 a 0 1\ntrans 2 a 2 1")
+    assert max_end_components(n) == [(frozenset({0}), {0: (1,)}),
+                                     (frozenset({2}), {2: (0,)})]
+    assert max_end_components(n) == brute_force_mecs(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), n_states=st.integers(3, 8),
+       n_actions=st.integers(1, 3), max_succ=st.integers(1, 3),
+       restrict=st.booleans())
+def test_worklist_mecs_match_brute_force(seed, n_states, n_actions, max_succ, restrict):
+    rng = np.random.default_rng(seed)
+    n = random_nts(rng, n_states=n_states, n_actions=n_actions, max_succ=max_succ)
+    within = None
+    if restrict:
+        within = {q for q in range(n_states) if rng.random() < 0.7}
+    got = max_end_components(n, within=within)
+    want = brute_force_mecs(n, within=within)
+    # Retained actions are compared as tuples, so their order counts too.
+    assert [(s, r) for s, r in got] == [(s, r) for s, r in want]
 
 
 def test_amecs_trivial_and_brute_force(rng):
