@@ -14,13 +14,22 @@ and refreshes its solution r = -A^{-1} b once the statistics are usable;
 the actor then descends theta along (r . psi') psi'. The published update
 uses the pre-update z, A, b and the pre-update r throughout; a flag switches
 the solve to the post-update statistics.
+
+The statistics are usable once the smallest singular value of the 2x2
+solve target reaches ``gate_sigma``. ``gate_open`` takes it in closed form
+and asks the SVD only when the closed form lies within a rounding band of
+the threshold, so the decision is always the SVD's. The elementwise z, b, A
+and theta updates run on Python floats, which are the same IEEE operations
+in the same order as numpy's; dot products, norms' inner products and the
+solve stay in numpy, whose BLAS and LAPACK kernels decide their last bits.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -105,19 +114,39 @@ class RunTrace:
         self.pairs.append(pairs)
 
     def write_csv(self, f) -> None:
+        exact = self.exact
         f.write("k,theta1,theta2,r1,r2,cost,episodes,pairs_computed,exact_prob\n")
-        for i, k in enumerate(self.ks):
-            t1, t2 = self.thetas[i]
-            r1, r2 = self.rs[i]
-            ex = self.exact.get(k)
-            tail = "" if ex is None else repr(ex)
-            f.write(f"{k},{t1!r},{t2!r},{r1!r},{r2!r},{self.costs[i]!r},"
-                    f"{self.episodes[i]},{self.pairs[i]},{tail}\n")
+        f.writelines(
+            f"{k},{t1!r},{t2!r},{r1!r},{r2!r},{cost!r},{episodes},{pairs},"
+            f"{'' if (ex := exact.get(k)) is None else repr(ex)}\n"
+            for k, (t1, t2), (r1, r2), cost, episodes, pairs in zip(
+                self.ks, self.thetas, self.rs, self.costs, self.episodes, self.pairs))
 
     def csv_text(self) -> str:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
+
+
+# Closed-form singular values of a 2x2 matrix are within a few ulps of
+# sigma_max of the exact ones, and so is LAPACK's SVD (backward stable): a
+# closed-form sigma_min farther than this from the threshold is on the same
+# side of it as the SVD's. The absolute floor covers subnormal rounding.
+_GATE_BAND_REL = 1e-13
+_GATE_BAND_ABS = 1e-300
+
+
+def gate_open(A: np.ndarray, gate_sigma: float) -> bool:
+    """``np.linalg.svd(A, compute_uv=False)[-1] >= gate_sigma`` for a 2x2
+    ``A``, with the SVD run only near the threshold or on non-finite input."""
+    (a, b), (c, d) = A.tolist()
+    q = math.hypot(a + d, c - b)
+    r = math.hypot(a - d, c + b)
+    sigma_min = 0.5 * abs(q - r)
+    band = _GATE_BAND_REL * 0.5 * (q + r) + _GATE_BAND_ABS
+    if abs(sigma_min - gate_sigma) > band:
+        return sigma_min >= gate_sigma
+    return bool(np.linalg.svd(A, compute_uv=False)[-1] >= gate_sigma)
 
 
 def critic_update(c: CriticState, psi_now: np.ndarray, psi_next: np.ndarray,
@@ -128,18 +157,26 @@ def critic_update(c: CriticState, psi_now: np.ndarray, psi_next: np.ndarray,
     """One critic step; returns the new state and whether r was refreshed."""
     if gamma_k <= 0:
         raise ValueError("critic step size must be positive")
-    z_new = c.lam * c.z + psi_now
-    b_new = c.b + gamma_k * (cost * c.z - c.b)
-    A_new = c.A + gamma_k * (np.outer(c.z, psi_next - psi_now) - c.A)
+    lam = c.lam
+    z0, z1 = c.z.tolist()
+    b0, b1 = c.b.tolist()
+    (a00, a01), (a10, a11) = c.A.tolist()
+    p0, p1 = psi_now.tolist()
+    n0, n1 = psi_next.tolist()
+    d0, d1 = n0 - p0, n1 - p1
+    z_new = np.array((lam * z0 + p0, lam * z1 + p1))
+    b_new = np.array((b0 + gamma_k * (cost * z0 - b0), b1 + gamma_k * (cost * z1 - b1)))
+    A_new = np.array(((a00 + gamma_k * (z0 * d0 - a00), a01 + gamma_k * (z0 * d1 - a01)),
+                      (a10 + gamma_k * (z1 * d0 - a10), a11 + gamma_k * (z1 * d1 - a11))))
     A_solve, b_solve = (A_new, b_new) if solve_with_updated_stats else (c.A, c.b)
     r_new, solved = c.r, False
-    if k >= gate_iters and np.linalg.svd(A_solve, compute_uv=False)[-1] >= gate_sigma:
+    if k >= gate_iters and gate_open(A_solve, gate_sigma):
         try:
             r_new = -np.linalg.solve(A_solve, b_solve)
             solved = True
         except np.linalg.LinAlgError:
             pass
-    return CriticState(z=z_new, b=b_new, A=A_new, r=r_new, lam=c.lam), solved
+    return CriticState(z=z_new, b=b_new, A=A_new, r=r_new, lam=lam), solved
 
 
 def actor_update(a: ActorState, r: np.ndarray, psi_next: np.ndarray, beta_k: float,
@@ -148,20 +185,12 @@ def actor_update(a: ActorState, r: np.ndarray, psi_next: np.ndarray, beta_k: flo
     if beta_k <= 0:
         raise ValueError("actor step size must be positive")
     direction = float(r @ psi_next) * psi_next
-    r_norm = float(np.linalg.norm(r))
-    gain = 1.0 if r_norm <= clip else clip / r_norm
-    theta = a.theta - beta_k * gain * direction
-    ema = ema_decay * a.grad_ema + (1.0 - ema_decay) * float(np.linalg.norm(direction))
-    return ActorState(theta=theta, grad_ema=ema)
-
-
-def gradient_norm_estimate(magnitudes: Sequence[float], decay: float = 0.99) -> float:
-    """EMA of update-direction magnitudes; the stopping-rule surrogate for
-    the objective's gradient norm."""
-    ema = 0.0
-    for m in magnitudes:
-        ema = decay * ema + (1.0 - decay) * float(m)
-    return ema
+    r_norm = math.sqrt(r.dot(r))  # np.linalg.norm of a 1-D float vector
+    step = beta_k * (1.0 if r_norm <= clip else clip / r_norm)
+    t0, t1 = a.theta.tolist()
+    d0, d1 = direction.tolist()
+    ema = ema_decay * a.grad_ema + (1.0 - ema_decay) * math.sqrt(direction.dot(direction))
+    return ActorState(theta=np.array((t0 - step * d0, t1 - step * d1)), grad_ema=ema)
 
 
 def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,

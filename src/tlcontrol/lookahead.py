@@ -11,9 +11,23 @@ log-policy gradient has the closed form
 
 with expectations under the sequence softmax. Features do not depend on
 theta, so per-state tables are built once (lazily) and reused as theta
-moves. A whole-policy request (``policy_rows``) concatenates the tables
-of every non-terminal state into flat arrays once; each later request is
-then one matmul and a segment softmax over them.
+moves. Sequences are listed lexicographically, so each first action's
+sequences are one contiguous slice of its state's table; a static
+per-state index maps an action to that slice.
+
+A state's softmax weights at one theta form a record that
+``action_distribution``, ``sample_action`` and ``log_policy_gradient`` all
+read: the actor-critic asks for the same state two or three times at one
+theta. Records are keyed on theta's bytes, so in-place edits of ``theta``
+are seen, and only the current theta's last two states are held, so a
+sweep over every state leaves nothing behind. The overall feature mean and
+the action probabilities are computed on first request. Every number is
+formed by the same floating-point operations, in the same order, as a
+fresh computation would use.
+
+A whole-policy request (``policy_rows``) concatenates the tables of every
+non-terminal state into flat arrays once; each later request is then one
+matmul and a segment softmax over them.
 """
 
 from __future__ import annotations
@@ -83,12 +97,6 @@ def neighborhood(m: LabeledModel, state: int, radius: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def safety_score(m: LabeledModel, state: int, radius: int, bad: frozenset[int]) -> float:
-    """Fraction of the state's neighborhood lying outside ``bad``."""
-    nb = neighborhood(m, state, radius)
-    return sum(1 for j in nb if j not in bad) / len(nb)
-
-
 def action_sequences(
     m: LabeledModel, state: int, horizon: int, cap: int = 10_000
 ) -> list[tuple[tuple[int, ...], frozenset[int]]]:
@@ -134,6 +142,35 @@ class _Sweep(NamedTuple):
     feats: np.ndarray  # feature pair of each sequence
 
 
+class _Groups(NamedTuple):
+    """A state's sequence table split by first action: the k-th action of
+    ``acts`` (ascending) owns the contiguous rows bounds[k]:bounds[k + 1]."""
+
+    acts: np.ndarray  # read-only, as ``action_distribution`` returns it
+    lookup: tuple[int, ...]  # the same actions, for membership and position
+    bounds: tuple[int, ...]
+
+
+class _Softmax:
+    """One state's sequence softmax at one theta."""
+
+    __slots__ = ("feats", "groups", "w", "mean_all", "probs")
+
+    def __init__(self, feats: np.ndarray, groups: _Groups, w: np.ndarray):
+        self.feats = feats
+        self.groups = groups
+        self.w = w  # exp(logits - max logit), one weight per sequence
+        self.mean_all: np.ndarray | None = None  # E[f], on first gradient
+        self.probs: np.ndarray | None = None  # per action, on first distribution
+
+
+# The kernels of ndarray.sum and ndarray.max, without their Python wrappers.
+_sum, _max = np.add.reduce, np.maximum.reduce
+
+# A step of the actor-critic reads two states at each theta.
+_RECORDS_HELD = 2
+
+
 class LookaheadPolicy:
     """Randomized stationary policy parameterized by theta = [theta1, theta2].
 
@@ -164,8 +201,9 @@ class LookaheadPolicy:
         self._safe: dict[int, float] = {}
         self._nbhd: dict[int, frozenset[int]] = {}
         self._tables: dict[int, tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]] = {}
-        # state -> (first actions ascending, bounds of each one's sequences)
-        self._groups: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._groups: dict[int, _Groups] = {}
+        self._records: dict[int, _Softmax] = {}  # at theta bytes _records_theta
+        self._records_theta = b""
         self._sweep: _Sweep | None = None
 
     # -- score tables -------------------------------------------------------
@@ -207,44 +245,53 @@ class LookaheadPolicy:
         self._tables[state] = table
         return table
 
-    def _groups_of(self, state: int, first: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """(first actions, group bounds) of the state's sequence table, whose
-        first-action column is ``first``: the table lists sequences
-        lexicographically, so the sequences of the k-th first action are the
-        contiguous rows bounds[k]:bounds[k + 1]."""
+    def _groups_of(self, state: int, first: np.ndarray) -> _Groups:
+        """The groups of the state's sequence table, whose first-action
+        column is ``first`` (listed lexicographically, so each first
+        action's sequences are contiguous)."""
         groups = self._groups.get(state)
         if groups is None:
             starts = np.flatnonzero(np.diff(first, prepend=-1))
-            groups = self._groups[state] = (first[starts], starts.tolist() + [len(first)])
+            acts = first[starts]
+            acts.flags.writeable = False
+            groups = self._groups[state] = _Groups(
+                acts, tuple(acts.tolist()), tuple(starts.tolist()) + (len(first),))
         return groups
 
-    def features(self, state: int, sequence: tuple[int, ...]) -> np.ndarray:
-        seqs, _first, feats = self.sequence_table(state)
-        return feats[seqs.index(sequence)].copy()
-
-    def sequence_score(self, state: int, sequence: tuple[int, ...]) -> float:
-        """exp(theta . f) for one sequence (may overflow to inf for extreme
-        theta; distributions are always formed in log space)."""
-        return float(np.exp(self.features(state, sequence) @ self.theta))
+    def _softmax(self, state: int) -> _Softmax:
+        """The state's record at the current theta, built on first use."""
+        key = self.theta.tobytes()
+        records = self._records
+        if key != self._records_theta:
+            records.clear()
+            self._records_theta = key
+        rec = records.get(state)
+        if rec is None:
+            _seqs, first, feats = self.sequence_table(state)
+            logits = feats @ self.theta
+            rec = _Softmax(feats, self._groups_of(state, first), np.exp(logits - _max(logits)))
+            if len(records) >= _RECORDS_HELD:
+                del records[next(iter(records))]
+            records[state] = rec
+        return rec
 
     # -- distributions ------------------------------------------------------
 
-    def _weights(self, state: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        _seqs, first, feats = self.sequence_table(state)
-        logits = feats @ self.theta
-        w = np.exp(logits - logits.max())
-        return first, feats, w
-
     def action_distribution(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """(action ids, probabilities), actions sorted ascending."""
+        """(action ids, probabilities), actions sorted ascending. A
+        non-terminal state's arrays are read-only: calls at one theta share
+        them."""
         if state == self.ssp.terminal:
             acts = np.arange(len(self.model.actions))
             return acts, np.full(len(acts), 1.0 / len(acts))
-        first, _feats, w = self._weights(state)
-        acts, bounds = self._groups_of(state, first)
-        probs = np.array([w[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])])
-        probs /= probs.sum()
-        return acts, probs
+        rec = self._softmax(state)
+        if rec.probs is None:
+            w, bounds = rec.w, rec.groups.bounds
+            probs = np.array([_sum(w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+            probs /= _sum(probs)
+            probs.flags.writeable = False
+            rec.probs = probs
+        return rec.groups.acts, rec.probs
 
     def policy_rows(self) -> np.ndarray:
         """The whole policy at the current theta: one probability per
@@ -263,41 +310,62 @@ class LookaheadPolicy:
 
     def _build_sweep(self) -> _Sweep:
         states = [s for s in range(self.model.n_states) if s != self.ssp.terminal]
-        bounds = [self._groups_of(s, self.sequence_table(s)[1])[1] for s in states]
-        seq_count = np.array([b[-1] for b in bounds])
+        tables = [self.sequence_table(s) for s in states]
+        seq_count = np.array([len(first) for _seqs, first, _feats in tables])
         seq_start = np.cumsum(seq_count) - seq_count
-        group_count = np.array([len(b) - 1 for b in bounds])
+        first = np.concatenate([first for _seqs, first, _feats in tables])
+        # A group starts at each state's first sequence and wherever the
+        # first action changes within a state.
+        new_group = np.empty(len(first), dtype=bool)
+        new_group[1:] = first[1:] != first[:-1]
+        new_group[seq_start] = True
+        group_start = np.flatnonzero(new_group)
+        state_group_start = np.searchsorted(group_start, seq_start)
         return _Sweep(
-            seq_start=seq_start, seq_count=seq_count,
-            group_start=np.concatenate([np.add(b[:-1], lo) for b, lo in zip(bounds, seq_start)]),
-            state_group_start=np.cumsum(group_count) - group_count,
-            state_group_count=group_count,
-            feats=np.concatenate([self._tables[s][2] for s in states]))
+            seq_start=seq_start, seq_count=seq_count, group_start=group_start,
+            state_group_start=state_group_start,
+            state_group_count=np.diff(state_group_start, append=len(group_start)),
+            feats=np.concatenate([feats for _seqs, _first, feats in tables]))
 
     def action_probability(self, state: int, action: int) -> float:
         acts, probs = self.action_distribution(state)
-        hit = np.nonzero(acts == action)[0]
-        return float(probs[hit[0]]) if hit.size else 0.0
+        if state == self.ssp.terminal:
+            return float(probs[action]) if 0 <= action < len(acts) else 0.0
+        lookup = self._groups[state].lookup
+        return float(probs[lookup.index(action)]) if action in lookup else 0.0
 
     def log_policy_gradient(self, state: int, action: int) -> np.ndarray:
         """Gradient of ln mu_theta(state, action) with respect to theta."""
         if state == self.ssp.terminal:
             return np.zeros(2)
-        first, feats, w = self._weights(state)
-        mask = first == action
-        wu = w[mask].sum()
+        rec = self._softmax(state)
+        _acts, lookup, bounds = rec.groups
+        wu = 0.0
+        if action in lookup:
+            k = lookup.index(action)
+            lo, hi = bounds[k], bounds[k + 1]
+            wg = rec.w[lo:hi]
+            wu = _sum(wg)
         if wu <= 0.0:
             raise ModelError(f"action {action} has zero probability at state {state}")
-        mean_given = (w[mask] @ feats[mask]) / wu
-        mean_all = (w @ feats) / w.sum()
-        return mean_given - mean_all
+        if rec.mean_all is None:
+            rec.mean_all = (rec.w @ rec.feats) / _sum(rec.w)
+        return (wg @ rec.feats[lo:hi]) / wu - rec.mean_all
 
     def sample_action(self, state: int, rng: np.random.Generator) -> int:
+        """Inverse-CDF draw: the first action whose running probability sum
+        exceeds a uniform draw; the last action if none does."""
         acts, probs = self.action_distribution(state)
         if len(acts) == 1:
             return int(acts[0])
-        idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        return int(acts[min(idx, len(acts) - 1)])
+        x = rng.random()
+        acc = 0.0
+        for k, p in enumerate(probs.tolist()):
+            acc += p
+            # x < acc, except that a NaN sum sorts above x, as in np.searchsorted.
+            if not acc <= x:
+                return int(acts[k])
+        return int(acts[-1])
 
     def as_policy_table(self):
         """Full per-state action distribution at the current theta."""

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tlcontrol import actor_critic
 from tlcontrol.actor_critic import (
     ActorCriticConfig,
     ActorState,
     CriticState,
     actor_update,
     critic_update,
-    gradient_norm_estimate,
+    gate_open,
     run,
 )
 from tlcontrol.lookahead import LookaheadPolicy
@@ -98,16 +100,96 @@ def test_actor_clip_bounds_large_r():
     assert np.allclose(out.theta, -np.array([10.0, 0.0]))
 
 
+def _svd_gate(A, gate_sigma):
+    return bool(np.linalg.svd(A, compute_uv=False)[-1] >= gate_sigma)
+
+
+@st.composite
+def gate_cases(draw):
+    """A 2x2 matrix and a threshold: random, diagonal, rank-one or zero
+    matrices at unit, 1e-8 and 1e8 scale, or a matrix whose smallest
+    singular value lies within 1e-6 (relative) of the threshold."""
+    kind = draw(st.sampled_from(["random", "diagonal", "rank_one", "zero", "near"]))
+    scale = draw(st.sampled_from([1.0, 1e-8, 1e8]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    if kind == "random":
+        A = np.array([[draw(unit), draw(unit)], [draw(unit), draw(unit)]])
+    elif kind == "diagonal":
+        A = np.diag([draw(unit), draw(unit)])
+    elif kind == "rank_one":
+        A = np.outer([draw(unit), draw(unit)], [draw(unit), draw(unit)])
+    elif kind == "zero":
+        A = np.zeros((2, 2))
+    else:
+        s_min = draw(st.floats(1e-9, 1.0))
+        s_max = s_min * draw(st.floats(1.0, 1e6))
+        a, b = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(0.0, 2 * np.pi))
+        rot = lambda t: np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        A = rot(a) @ np.diag([s_max, s_min]) @ rot(b)
+        gate = s_min * scale * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+        return A * scale, gate
+    A = A * scale
+    gate = draw(st.sampled_from(["default", "zero", "free", "at_svd", "above_svd", "below_svd"]))
+    s_svd = float(np.linalg.svd(A, compute_uv=False)[-1])
+    return A, {"default": 1e-8, "zero": 0.0,
+               "free": draw(st.floats(0.0, 2.0)) * scale,
+               "at_svd": s_svd,
+               "above_svd": np.nextafter(s_svd, np.inf),
+               "below_svd": np.nextafter(s_svd, -np.inf)}[gate]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=gate_cases())
+def test_closed_form_gate_decides_like_the_svd(case):
+    A, gate_sigma = case
+    assert gate_open(A, gate_sigma) == _svd_gate(A, gate_sigma)
+
+
+def test_gate_runs_the_svd_only_near_the_threshold(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD called away from the threshold")
+
+    monkeypatch.setattr(actor_critic.np.linalg, "svd", no_svd)
+    A = np.array([[2.0, 0.5], [-0.3, 1.0]])
+    assert gate_open(A, 1e-8)
+    assert not gate_open(A, 10.0)
+    assert not gate_open(np.zeros((2, 2)), 1e-8)
+    assert not gate_open(np.outer([1.0, 2.0], [3.0, -1.0]), 1e-8)
+
+
+def test_gate_falls_back_to_the_svd_on_non_finite_input():
+    for bad in (np.nan, np.inf):
+        A = np.array([[1.0, bad], [0.0, 1.0]])
+        try:
+            want = _svd_gate(A, 1e-8)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                gate_open(A, 1e-8)
+        else:
+            assert gate_open(A, 1e-8) == want
+
+
+def _ema_after(magnitudes, decay=0.99):
+    """The actor's gradient EMA after one step per magnitude: with r = (m, 0)
+    and psi' = (1, 0), the update direction (r . psi') psi' has norm m."""
+    a = ActorState(theta=np.zeros(2))
+    for m in magnitudes:
+        a = actor_update(a, np.array([m, 0.0]), np.array([1.0, 0.0]), 0.01,
+                         clip=1e9, ema_decay=decay)
+    return a.grad_ema
+
+
 def test_gradient_norm_estimate():
-    assert gradient_norm_estimate([0.0] * 50) == 0.0
+    assert _ema_after([0.0] * 50) == 0.0
     m = 3.0
-    est = gradient_norm_estimate([m] * 5000)
+    est = _ema_after([m] * 5000)
     assert abs(est - m) <= 1e-15 * 5000 + m * 0.99 ** 5000 + 1e-9
     mags = [1.0, 2.0, 0.5, 4.0]
-    ema = 0.0
-    for x in mags:
-        ema = 0.99 * ema + (1.0 - 0.99) * x
-    assert gradient_norm_estimate(mags) == pytest.approx(ema, rel=1e-12)
+    for decay in (0.99, 0.5):
+        ema = 0.0
+        for x in mags:
+            ema = decay * ema + (1.0 - decay) * x
+        assert _ema_after(mags, decay) == pytest.approx(ema, rel=1e-12)
 
 
 def _two_route_ssp():

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +10,10 @@ from tlcontrol.lookahead import (
     action_sequences,
     min_distances,
     neighborhood,
-    safety_score,
 )
 from tlcontrol.models import ModelError, parse_model
-from tlcontrol.synthesis import SspModel
+from tlcontrol.pipeline import RunConfig, load_task
+from tlcontrol.synthesis import SspModel, mrp_to_ssp
 from conftest import make_random_ssp, random_nts
 
 F_P_DRA = """
@@ -97,16 +99,21 @@ def test_safety_score_cases(rng):
     n = parse_model("states 4\ninitial 0\nmode nts\n"
                     "trans 0 a 1 1\ntrans 0 a 2 1\ntrans 0 a 3 1\n"
                     "trans 1 a 1 1\ntrans 2 a 2 1\ntrans 3 a 3 1")
-    assert safety_score(n, 0, 1, frozenset()) == 1.0
+
+    def safe(model, radius, bad, state):
+        ssp = SspModel(base=model, terminal=0, bad=bad, origin=tuple(range(model.n_states)))
+        return LookaheadPolicy(ssp, horizon=radius).safe(state)
+
+    assert safe(n, 1, frozenset(), 0) == 1.0
     # Neighborhood of 0 at radius 1 is {0,1,2,3}; one of four is flagged.
-    assert safety_score(n, 0, 1, frozenset({3})) == 0.75
+    assert safe(n, 1, frozenset({3}), 0) == 0.75
     for _ in range(5):
         m = random_nts(rng, n_states=8, n_actions=2)
         bad = frozenset(int(s) for s in rng.choice(8, size=2, replace=False))
         for state in range(8):
             nb = neighborhood(m, state, 2)
             want = sum(1 for j in nb if j not in bad) / len(nb)
-            assert safety_score(m, state, 2, bad) == want
+            assert safe(m, 2, bad, state) == want
 
 
 # -- sequence enumeration -----------------------------------------------------
@@ -205,7 +212,10 @@ def test_sequence_scores_and_distribution_against_brute_force(rng):
             scores = []
             for e, reach in action_sequences(ssp.base, state, 2):
                 inside = reach & nb
-                f1 = sum(safety_score(ssp.base, j, 2, ssp.bad) for j in inside)
+                f1 = 0.0
+                for j in inside:
+                    nb_j = neighborhood(ssp.base, j, 2)
+                    f1 += sum(1 for i in nb_j if i not in ssp.bad) / len(nb_j)
                 f2 = 0.0
                 for j in inside:
                     pj = pol.progress[j]
@@ -221,16 +231,21 @@ def test_sequence_scores_and_distribution_against_brute_force(rng):
                 assert abs(by_action[int(u)] - p) <= 1e-9
             # Raw scores agree where finite.
             for e, s in scores:
-                assert np.isclose(pol.sequence_score(state, e), s, rtol=1e-9)
+                f = feats[seqs.index(e)]
+                assert np.isclose(np.exp(f @ pol.theta), s, rtol=1e-9)
 
 
 def test_sequence_score_exp_of_dot_product():
     pol = LookaheadPolicy(three_sequence_policy(), horizon=2, theta=(5.0, -0.5))
     seqs, first, feats = pol.sequence_table(0)
-    # Direct substitution at the default parameter vector: a unit safety
-    # feature with zero progress change scores exp(5).
-    pol._tables[0] = (seqs, first, np.array([[1.0, 0.0]] * len(seqs)))
-    assert np.isclose(pol.sequence_score(0, seqs[0]), np.exp(5.0))
+    assert seqs == ((0, 0), (0, 1), (1, 0))
+    # Direct substitution at the default parameter vector: sequence scores
+    # exp(5), exp(0) and exp(-0.5), the first two on action 0.
+    pol._tables[0] = (seqs, first, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    acts, probs = pol.action_distribution(0)
+    total = np.exp(5.0) + 1.0 + np.exp(-0.5)
+    assert list(acts) == [0, 1]
+    assert np.allclose(probs, [(np.exp(5.0) + 1.0) / total, np.exp(-0.5) / total])
 
 
 def test_gradient_trivial_cases():
@@ -322,8 +337,9 @@ def test_softmax_shift_invariance(rng):
     acts, probs = pol.action_distribution(state)
     seqs, first, feats = pol.sequence_table(state)
     # Translating every feature row by a constant leaves the softmax alone.
-    pol._tables[state] = (seqs, first, feats + np.array([3.7, -1.2]))
-    acts2, probs2 = pol.action_distribution(state)
+    shifted = LookaheadPolicy(ssp, horizon=2, theta=(1.5, -0.5))
+    shifted._tables[state] = (seqs, first, feats + np.array([3.7, -1.2]))
+    acts2, probs2 = shifted.action_distribution(state)
     assert list(acts) == list(acts2)
     assert np.allclose(probs, probs2, atol=1e-12)
 
@@ -376,3 +392,72 @@ def test_progress_is_infinite_exactly_on_bad_states(rng):
             else:
                 assert np.isfinite(pol.progress[state])
         assert pol.progress[ssp.terminal] == 0.0
+
+
+# -- per-(state, theta) records ------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def desk_ssp():
+    ctx = load_task(RunConfig.from_file("tasks/desk.json"))
+    return mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+
+
+def _call(pol, op, state):
+    """One policy query as comparable bytes (or the error it raises)."""
+    kind, _state, arg = op
+    if kind == "distribution":
+        acts, probs = pol.action_distribution(state)
+        return acts.tobytes(), probs.tobytes()
+    if kind == "probability":
+        acts, _probs = pol.action_distribution(state)
+        return pol.action_probability(state, arg % (len(acts) + 2) - 1)
+    if kind == "gradient":
+        acts, _probs = pol.action_distribution(state)
+        # One index past the enabled actions asks for an absent action.
+        i = arg % (len(acts) + 1)
+        u = int(acts[i]) if i < len(acts) else 99
+        try:
+            return pol.log_policy_gradient(state, u).tobytes()
+        except ModelError as err:
+            return str(err)
+    r = np.random.default_rng(arg)
+    return [pol.sample_action(state, r) for _ in range(3)], r.random()
+
+
+theta_part = st.floats(-30, 30, allow_nan=False)
+policy_ops = st.lists(st.one_of(
+    st.tuples(st.just("assign"), theta_part, theta_part),
+    st.tuples(st.just("edit"), st.integers(0, 1), st.floats(-2, 2, allow_nan=False)),
+    st.tuples(st.sampled_from(["distribution", "probability", "gradient", "sample"]),
+              st.integers(0, 10 ** 6), st.integers(0, 2 ** 32 - 1)),
+), min_size=1, max_size=14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(task=st.one_of(st.just("desk"), st.integers(0, 40)), ops=policy_ops)
+def test_records_match_a_fresh_policy(task, ops):
+    """After any sequence of theta assignments and in-place edits, every
+    query answers bitwise as a freshly built policy at that theta does."""
+    ssp = desk_ssp() if task == "desk" else make_random_ssp(np.random.default_rng(task))
+    pol = LookaheadPolicy(ssp, horizon=2, theta=(5.0, -0.5))
+    for op in ops:
+        if op[0] == "assign":
+            pol.theta = np.array(op[1:])
+        elif op[0] == "edit":
+            pol.theta[op[1]] += op[2]
+        else:
+            state = op[1] % ssp.base.n_states
+            fresh = LookaheadPolicy(ssp, horizon=2, theta=pol.theta.copy())
+            assert _call(pol, op, state) == _call(fresh, op, state)
+
+
+def test_records_hold_only_the_last_states_at_the_current_theta():
+    ssp = desk_ssp()
+    pol = LookaheadPolicy(ssp, horizon=2, theta=(5.0, -0.5))
+    pol.as_policy_table()
+    assert len(pol._records) <= 2
+    state = next(s for s in range(ssp.base.n_states) if s != ssp.terminal)
+    before = pol.action_distribution(state)[1]
+    pol.theta[0] += 1.0
+    assert pol.action_distribution(state)[1] is not before
+    assert len(pol._records) == 1
