@@ -16,10 +16,25 @@ ties, lowest action id), which keeps the policy proper. Both loops raise
 ``ModelError`` when they reach their caps.
 
 Policy evaluation first drops the states whose policy support cannot
-reach the targets, which keeps (I - P) x = b nonsingular on the rest. Up
-to ``DENSE_LIMIT`` unknowns the system is solved densely; above it by the
-fixed-point iteration x <- b + P x, stopped once no component moves by
-more than ``VALUE_TOL``.
+reach the targets, which keeps (I - P) x = b nonsingular on the rest. The
+work that depends only on the policy's support (the entries of positive
+weight) is a plan: the unknown states, and how to solve for them. A
+``ReachEvaluator`` keeps the plan of the last support it saw and reuses it
+only when the next policy's support is equal to it, checked on every call;
+the lookahead policy's support does not move with theta, so a run of
+periodic evaluations builds one plan.
+
+Up to ``DENSE_LIMIT`` unknowns the plan orders the unknowns by the
+strongly connected components of their subgraph, sinks first (Tarjan's
+algorithm lists them in that order), so (I - P) is block lower triangular
+and every component only depends on components solved before it.
+Consecutive components are merged into groups of at most sqrt(n) states,
+and a larger component forms a group of its own; each group is one dense
+solve whose right-hand side first takes in the values of the groups it
+steps into. Above ``DENSE_LIMIT`` unknowns no components are formed, and
+the fixed-point iteration x <- b + P x runs until no component moves by
+more than ``VALUE_TOL``. Expected total costs use the same plans, built
+per call.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .models import LabeledModel, MDP, ModelError, StationaryPolicy
-from .synthesis import SspModel
+from .synthesis import SspModel, _strongly_connected
 
 VALUE_TOL = 1e-12
 DENSE_LIMIT = 5000
@@ -143,13 +158,11 @@ def _require_defined(flat: FlatRows, probs: np.ndarray, needed: np.ndarray) -> N
         raise ModelError(f"policy undefined at states {missing[:5].tolist()}")
 
 
-def _kernel(flat: FlatRows, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Policy-averaged kernel as COO arrays (source, successor, weight) with
-    zero-weight entries dropped; entries of one (source, successor) pair are
-    not merged."""
-    w = probs[flat.entry_row] * flat.vals
-    keep = w > 0
-    return flat.row_state[flat.entry_row[keep]], flat.cols[keep], w[keep]
+def _edges(flat: FlatRows, support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, sources and successors of the entries in the ``support`` mask,
+    in entry order; entries of one (source, successor) pair are not merged."""
+    ids = np.flatnonzero(support)
+    return ids, flat.row_state[flat.entry_row[ids]], flat.cols[ids]
 
 
 def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -169,40 +182,155 @@ def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _solve(unknown: np.ndarray, src: np.ndarray, dst: np.ndarray, w: np.ndarray,
-           rhs: np.ndarray, n_states: int, dense_limit: int) -> np.ndarray:
-    """Solve (I - P) x = rhs restricted to the ``unknown`` states."""
-    n = len(unknown)
-    pos = np.full(n_states, -1)
-    pos[unknown] = np.arange(n)
-    i, j = pos[src], pos[dst]
-    inner = (i >= 0) & (j >= 0)
-    i, j, w = i[inner], j[inner], w[inner]
-    if n <= dense_limit:
-        a = np.eye(n)
-        np.add.at(a, (i, j), -w)
-        return np.linalg.solve(a, rhs)
-    x = np.zeros(n)
-    for _ in range(MAX_SWEEPS):
-        nxt = rhs + np.bincount(i, weights=w * x[j], minlength=n)
-        delta = np.abs(nxt - x).max()
-        x = nxt
-        if delta <= VALUE_TOL:
-            return x
-    raise ModelError(f"fixed-point iteration did not converge within {MAX_SWEEPS} sweeps")
+class _Plan:
+    """How to solve (I - P) x = b on ``unknown`` for every policy with one
+    support, given as the positive kernel entries ``ids`` with their
+    sources ``src`` and successors ``dst``.
+
+    ``unknown`` is kept in solve order, the order of ``solve``'s result.
+    Entries from an unknown into ``is_target`` make up ``target_rhs``.
+    ``groups`` is None above ``dense_limit`` unknowns, where ``solve``
+    iterates x <- b + P x instead.
+    """
+
+    def __init__(self, unknown: np.ndarray, ids: np.ndarray, src: np.ndarray,
+                 dst: np.ndarray, is_target: np.ndarray, dense_limit: int):
+        n = len(unknown)
+        pos = np.full(len(is_target), -1)
+        pos[unknown] = np.arange(n)
+        i, j = pos[src], pos[dst]
+        into = (i >= 0) & is_target[dst]
+        self.into_pos, self.into_ids = i[into], ids[into]
+        inner = (i >= 0) & (j >= 0)
+        i, j, ids = i[inner], j[inner], ids[inner]
+        self.unknown, self.groups = unknown, None
+        if n > dense_limit:
+            self.i, self.j, self.ids = i, j, ids
+            return
+        rank = self._split(n, i, j, ids)
+        self.unknown = np.empty_like(unknown)
+        self.unknown[rank] = unknown
+        self.into_pos = rank[self.into_pos]
+
+    def _split(self, n: int, i: np.ndarray, j: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Group the unknowns (positions 0..n-1, inner entries i -> j) for a
+        block-triangular solve; returns each position's rank in solve
+        order."""
+        # Tarjan's algorithm lists the components sinks first, so every
+        # edge leaving a component enters one listed before it.
+        order = np.argsort(i, kind="stable")
+        succ, ptr = j[order], np.searchsorted(i[order], np.arange(n + 1))
+        sccs = _strongly_connected(set(range(n)), lambda q: succ[ptr[q]:ptr[q + 1]].tolist())
+        # Consecutive components merge while the group stays within
+        # sqrt(n) states, so a run of singletons takes about sqrt(n)
+        # groups; a larger component is a group of its own.
+        cap = math.isqrt(n)
+        sizes: list[int] = []
+        for c in sccs:
+            if sizes and sizes[-1] + len(c) <= cap:
+                sizes[-1] += len(c)
+            else:
+                sizes.append(len(c))
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.fromiter(itertools.chain.from_iterable(map(sorted, sccs)),
+                         dtype=np.int64, count=n)] = np.arange(n)
+        size = np.array(sizes, dtype=np.int64)
+        start = np.cumsum(size) - size
+        offset = np.cumsum(size * size) - size * size
+        group = np.repeat(np.arange(len(sizes)), size)
+        local = np.arange(n) - start[group]
+        i, j = rank[i], rank[j]
+        gi = group[i]
+        same = gi == group[j]
+        # Every group's dense block is a slice of one flat buffer, which
+        # keeps its zeros between solves; a solve rewrites the pattern of
+        # the diagonal and the in-group entries (which entries may share).
+        at = np.concatenate(((offset[gi] + local[i] * size[gi] + local[j])[same],
+                             offset[group] + local * (size[group] + 1)))
+        self.pattern, slot = np.unique(at, return_inverse=True)
+        n_in = int(same.sum())
+        self.block_slot, self.block_ids = slot[:n_in], ids[same]
+        self.ident = np.zeros(len(self.pattern))
+        self.ident[slot[n_in:]] = 1.0
+        self.blocks = np.zeros(int((size * size).sum()))
+        # Entries into earlier groups, grouped by their source's group.
+        dep = np.flatnonzero(~same)
+        dep = dep[np.argsort(gi[dep], kind="stable")]
+        self.dep_i, self.dep_j, self.dep_ids = local[i[dep]], j[dep], ids[dep]
+        dep_ptr = np.searchsorted(gi[dep], np.arange(len(sizes) + 1)).tolist()
+        self.groups = list(zip(start.tolist(), sizes, offset.tolist(), dep_ptr, dep_ptr[1:]))
+        return rank
+
+    def target_rhs(self, w: np.ndarray) -> np.ndarray:
+        """Probability of stepping into a target, per unknown."""
+        return np.bincount(self.into_pos, weights=w[self.into_ids], minlength=len(self.unknown))
+
+    def solve(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """x with (I - P) x = rhs, where P has weight ``w[e]`` on entry e."""
+        n = len(self.unknown)
+        if self.groups is None:
+            i, j, w = self.i, self.j, w[self.ids]
+            x = np.zeros(n)
+            for _ in range(MAX_SWEEPS):
+                nxt = rhs + np.bincount(i, weights=w * x[j], minlength=n)
+                delta = np.abs(nxt - x).max()
+                x = nxt
+                if delta <= VALUE_TOL:
+                    return x
+            raise ModelError(f"fixed-point iteration did not converge within {MAX_SWEEPS} sweeps")
+        blocks = self.blocks
+        blocks[self.pattern] = self.ident - np.bincount(
+            self.block_slot, weights=w[self.block_ids], minlength=len(self.pattern))
+        dep_i, dep_j, dep_w = self.dep_i, self.dep_j, w[self.dep_ids]
+        x = np.empty(n)
+        for lo, k, off, d0, d1 in self.groups:
+            b = rhs[lo:lo + k]
+            if d0 < d1:
+                b = b + np.bincount(dep_i[d0:d1], weights=dep_w[d0:d1] * x[dep_j[d0:d1]],
+                                    minlength=k)
+            x[lo:lo + k] = np.linalg.solve(blocks[off:off + k * k].reshape(k, k), b)
+        return x
 
 
-def _reach_values(m: LabeledModel, probs: np.ndarray, is_target: np.ndarray,
-                  is_zero: np.ndarray, dense_limit: int) -> np.ndarray:
-    src, dst, w = _kernel(flat_rows(m), probs)
-    v = is_target.astype(float)
-    unknown = np.flatnonzero(_closure(src, dst, is_target) & ~is_target & ~is_zero)
-    if not unknown.size:
-        return v
-    into = is_target[dst]
-    rhs = np.bincount(src[into], weights=w[into], minlength=m.n_states)[unknown]
-    v[unknown] = _solve(unknown, src, dst, w, rhs, m.n_states, dense_limit)
-    return np.clip(v, 0.0, 1.0)
+class ReachEvaluator:
+    """Exact reachability values of fixed policies on one MDP-mode model
+    for one (targets, zeros) pair.
+
+    The plan of the last policy support is kept, and reused for the next
+    policy only when that policy's support is the same.
+    """
+
+    def __init__(self, m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
+                 *, dense_limit: int = DENSE_LIMIT):
+        if m.mode != MDP:
+            raise ModelError("policy evaluation needs an MDP-mode model")
+        self.model, self.targets, self.zeros = m, targets, zeros
+        self.flat = flat_rows(m)
+        self.is_target = _mask(m.n_states, targets)
+        is_zero = _mask(m.n_states, zeros)
+        self.free = ~(self.is_target | is_zero)
+        self.dense_limit = dense_limit
+        self._support: np.ndarray | None = None
+        self._plan: _Plan | None = None
+
+    def values(self, policy: StationaryPolicy | np.ndarray) -> np.ndarray:
+        """Reachability value of ``policy`` at every state (see
+        ``policy_reach_vector``)."""
+        probs = row_probabilities(self.model, policy)
+        _require_defined(self.flat, probs, self.free)
+        w = probs[self.flat.entry_row] * self.flat.vals
+        support = w > 0
+        if self._support is None or not np.array_equal(support, self._support):
+            ids, src, dst = _edges(self.flat, support)
+            unknown = np.flatnonzero(_closure(src, dst, self.is_target) & self.free)
+            self._plan = _Plan(unknown, ids, src, dst, self.is_target, self.dense_limit)
+            self._support = support
+        plan = self._plan
+        v = self.is_target.astype(float)
+        if not plan.unknown.size:
+            return v
+        v[plan.unknown] = plan.solve(w, plan.target_rhs(w))
+        return np.clip(v, 0.0, 1.0)
 
 
 def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
@@ -214,10 +342,8 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
         raise ModelError("max_reach needs an MDP-mode model")
     if targets & zeros:
         raise ModelError("target and zero sets intersect")
-    flat = flat_rows(m)
-    is_target = _mask(m.n_states, targets)
-    is_zero = _mask(m.n_states, zeros)
-    free = ~(is_target | is_zero)
+    reach = ReachEvaluator(m, targets, zeros, dense_limit=dense_limit)
+    flat, is_target, free = reach.flat, reach.is_target, reach.free
 
     v = is_target.astype(float)
     for _ in range(max_sweeps):
@@ -236,7 +362,7 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
     def evaluate(choice: np.ndarray) -> np.ndarray:
         probs = np.zeros(len(flat.row_state))
         probs[choice] = 1.0
-        return _reach_values(m, probs, is_target, is_zero, dense_limit)
+        return reach.values(probs)
 
     prev = None
     choice = _attractor_greedy(flat, v, free, is_target)
@@ -298,19 +424,20 @@ def policy_reach_vector(m: LabeledModel, policy: StationaryPolicy | np.ndarray,
     policy support cannot reach the targets are 0 as well (that
     preprocessing is what keeps the linear system nonsingular).
     """
-    if m.mode != MDP:
-        raise ModelError("policy evaluation needs an MDP-mode model")
-    probs = row_probabilities(m, policy)
-    is_target = _mask(m.n_states, targets)
-    is_zero = _mask(m.n_states, zeros)
-    _require_defined(flat_rows(m), probs, ~(is_target | is_zero))
-    return _reach_values(m, probs, is_target, is_zero, dense_limit)
+    return ReachEvaluator(m, targets, zeros, dense_limit=dense_limit).values(policy)
 
 
 def eval_policy_reach(m: LabeledModel, policy: StationaryPolicy | np.ndarray,
-                      targets: frozenset[int], zeros: frozenset[int]) -> float:
-    """Probability that ``policy`` reaches ``targets`` from the initial state."""
-    return float(policy_reach_vector(m, policy, targets, zeros)[m.initial])
+                      targets: frozenset[int], zeros: frozenset[int],
+                      *, evaluator: ReachEvaluator | None = None) -> float:
+    """Probability that ``policy`` reaches ``targets`` from the initial
+    state. Repeated calls pass one ``evaluator`` built for the same model,
+    targets and zeros, which keeps its plan while the support repeats."""
+    if evaluator is None:
+        evaluator = ReachEvaluator(m, targets, zeros)
+    elif evaluator.model is not m or evaluator.targets != targets or evaluator.zeros != zeros:
+        raise ModelError("the evaluator was built for another model, targets or zeros")
+    return float(evaluator.values(policy)[m.initial])
 
 
 def expected_total_cost(ssp: SspModel, policy: StationaryPolicy | np.ndarray,
@@ -326,7 +453,8 @@ def expected_total_cost(ssp: SspModel, policy: StationaryPolicy | np.ndarray,
         raise ModelError("expected cost needs an MDP-mode model")
     flat = flat_rows(m)
     probs = row_probabilities(m, policy)
-    src, dst, w = _kernel(flat, probs)
+    w = probs[flat.entry_row] * flat.vals
+    ids, src, dst = _edges(flat, w > 0)
     live = src != ssp.terminal
     reachable = _closure(dst[live], src[live], _mask(m.n_states, [m.initial]))
     reachable[ssp.terminal] = False
@@ -339,9 +467,10 @@ def expected_total_cost(ssp: SspModel, policy: StationaryPolicy | np.ndarray,
     unknown = np.flatnonzero(reachable)
     if not unknown.size:
         return 0.0
-    rhs = np.array([ssp.cost(q) for q in unknown.tolist()])
-    sol = _solve(unknown, src, dst, w, rhs, m.n_states, dense_limit)
-    return float(sol[np.searchsorted(unknown, m.initial)])
+    # No targets: the terminal's value is 0 and each state pays its own cost.
+    plan = _Plan(unknown, ids, src, dst, np.zeros(m.n_states, dtype=bool), dense_limit)
+    sol = plan.solve(w, np.array([ssp.cost(q) for q in plan.unknown.tolist()]))
+    return float(sol[np.flatnonzero(plan.unknown == m.initial)[0]])
 
 
 def enumerate_policies(m: LabeledModel, limit: int = 10 ** 6) -> Iterator[StationaryPolicy]:

@@ -13,6 +13,11 @@ naming one cell in the previous region and one in the current region:
     @1,1: unsafe
     start 1,1 1,2
 
+The legend is read first. Before it, a line is a comment when it starts
+with ``#``, holds a character other than ``#``, ``.`` and the legend's
+markers, and does not end with ``#``; after it, when it starts with ``#``.
+Blank lines are skipped.
+
 Cells with at least three open neighbors are intersections (always
 single-cell regions); the remaining open cells form corridor regions as
 maximal straight runs, horizontal runs first, so an L-bend splits into two
@@ -70,21 +75,21 @@ class EnvMap:
     start: tuple[int, int] | None  # (previous region, current region)
 
 
+def _is_comment(line: str, grid_chars: set[str]) -> bool:
+    """Whether a line before the legend is a comment: it starts with '#',
+    holds a character that is neither wall, open floor nor a marker, and
+    does not end in a wall. A walled row with a mistyped marker therefore
+    stays a grid row, and fails as one."""
+    body = line.rstrip()
+    return body.startswith("#") and not body.endswith("#") and not set(body) <= grid_chars
+
+
 def parse_map(text: str) -> EnvMap:
     lines = text.splitlines()
     try:
         split = next(i for i, ln in enumerate(lines) if ln.strip() == "legend")
     except StopIteration:
         raise MapError("missing 'legend' section") from None
-    # Comment lines start with '#' and contain a space; wall rows never do.
-    grid = [ln.rstrip("\n") for ln in lines[:split]
-            if ln.strip() and not (ln.startswith("#") and " " in ln.strip())]
-    if not grid:
-        raise MapError("empty grid")
-    width = len(grid[0])
-    if any(len(row) != width for row in grid):
-        raise MapError("grid is not rectangular")
-
     marker_obs: dict[str, frozenset[str]] = {}
     cell_obs: dict[tuple[int, int], frozenset[str]] = {}
     start_cells = None
@@ -109,6 +114,14 @@ def parse_map(text: str) -> EnvMap:
             marker_obs[head] = obs
         else:
             raise MapError(f"bad legend key {head!r}")
+
+    grid = [ln for ln in lines[:split]
+            if ln.strip() and not _is_comment(ln, {"#", "."} | marker_obs.keys())]
+    if not grid:
+        raise MapError("empty grid")
+    width = len(grid[0])
+    if any(len(row) != width for row in grid):
+        raise MapError("grid is not rectangular")
 
     open_cells = set()
     for r, row in enumerate(grid):

@@ -199,8 +199,8 @@ class LookaheadPolicy:
         self.progress_penalty = (
             float(self.model.n_states) if progress_penalty is None else float(progress_penalty))
         self._safe: dict[int, float] = {}
-        self._nbhd: dict[int, frozenset[int]] = {}
-        self._tables: dict[int, tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]] = {}
+        self._nbhd: dict[int, frozenset[int]] = {}  # until the state's table is built
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._groups: dict[int, _Groups] = {}
         self._records: dict[int, _Softmax] = {}  # at theta bytes _records_theta
         self._records_theta = b""
@@ -208,32 +208,35 @@ class LookaheadPolicy:
 
     # -- score tables -------------------------------------------------------
 
-    def neighborhood_of(self, state: int) -> frozenset[int]:
+    def _neighborhood(self, state: int) -> frozenset[int]:
+        """The state's neighborhood, computed once: its safety score is
+        taken at the same time, and the set is dropped once the state's
+        table is built."""
         nb = self._nbhd.get(state)
         if nb is None:
-            nb = neighborhood(self.model, state, self.radius)
-            self._nbhd[state] = nb
+            nb = self._nbhd[state] = neighborhood(self.model, state, self.radius)
+            self._safe[state] = sum(1 for j in nb if j not in self.ssp.bad) / len(nb)
         return nb
 
     def safe(self, state: int) -> float:
         val = self._safe.get(state)
         if val is None:
-            nb = self.neighborhood_of(state)
-            val = sum(1 for j in nb if j not in self.ssp.bad) / len(nb)
-            self._safe[state] = val
+            self._neighborhood(state)
+            val = self._safe[state]
         return val
 
     def _clamped_progress(self, state: int) -> float:
         d = self.progress[state]
         return self.progress_penalty if not np.isfinite(d) else float(d)
 
-    def sequence_table(self, state: int):
-        """Sequences from ``state`` with first actions and feature pairs."""
+    def sequence_table(self, state: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first action and the feature pair of each of the sequences
+        from ``state``, listed as ``action_sequences`` lists them."""
         cached = self._tables.get(state)
         if cached is not None:
             return cached
         seqs = action_sequences(self.model, state, self.horizon, self.sequence_cap)
-        nb = self.neighborhood_of(state)
+        nb = self._neighborhood(state)
         here = self._clamped_progress(state)
         first = np.fromiter((e[0] for e, _ in seqs), dtype=np.int64, count=len(seqs))
         feats = np.zeros((len(seqs), 2))
@@ -241,8 +244,8 @@ class LookaheadPolicy:
             inside = reach & nb
             feats[k, 0] = sum(self.safe(j) for j in inside)
             feats[k, 1] = sum(self._clamped_progress(j) - here for j in inside)
-        table = (tuple(e for e, _ in seqs), first, feats)
-        self._tables[state] = table
+        del self._nbhd[state]
+        table = self._tables[state] = (first, feats)
         return table
 
     def _groups_of(self, state: int, first: np.ndarray) -> _Groups:
@@ -267,7 +270,7 @@ class LookaheadPolicy:
             self._records_theta = key
         rec = records.get(state)
         if rec is None:
-            _seqs, first, feats = self.sequence_table(state)
+            first, feats = self.sequence_table(state)
             logits = feats @ self.theta
             rec = _Softmax(feats, self._groups_of(state, first), np.exp(logits - _max(logits)))
             if len(records) >= _RECORDS_HELD:
@@ -311,9 +314,9 @@ class LookaheadPolicy:
     def _build_sweep(self) -> _Sweep:
         states = [s for s in range(self.model.n_states) if s != self.ssp.terminal]
         tables = [self.sequence_table(s) for s in states]
-        seq_count = np.array([len(first) for _seqs, first, _feats in tables])
+        seq_count = np.array([len(first) for first, _feats in tables])
         seq_start = np.cumsum(seq_count) - seq_count
-        first = np.concatenate([first for _seqs, first, _feats in tables])
+        first = np.concatenate([first for first, _feats in tables])
         # A group starts at each state's first sequence and wherever the
         # first action changes within a state.
         new_group = np.empty(len(first), dtype=bool)
@@ -325,7 +328,7 @@ class LookaheadPolicy:
             seq_start=seq_start, seq_count=seq_count, group_start=group_start,
             state_group_start=state_group_start,
             state_group_count=np.diff(state_group_start, append=len(group_start)),
-            feats=np.concatenate([feats for _seqs, _first, feats in tables]))
+            feats=np.concatenate([feats for _first, feats in tables]))
 
     def action_probability(self, state: int, action: int) -> float:
         acts, probs = self.action_distribution(state)

@@ -176,26 +176,38 @@ def load_task(cfg: RunConfig) -> TaskContext:
                        goal=goal, bad=bad)
 
 
-def _to_product_rows(ssp: SspModel, m: LabeledModel, probs: np.ndarray) -> np.ndarray:
-    """Re-index probabilities over the SSP's non-terminal rows (states in
-    order, actions ascending) onto the rows of the product model ``m``.
+def _product_row_index(ssp: SspModel, m: LabeledModel) -> np.ndarray:
+    """The row of the product model ``m`` that each of the SSP's
+    non-terminal rows (states in order, actions ascending) stands for.
 
     ``mrp_to_ssp`` keeps every state's enabled actions, so the rows of SSP
-    state s line up one to one with those of product state origin[s]. Goal
-    rows stay 0: goal states are evaluation boundary.
+    state s line up one to one with those of product state origin[s].
     """
     s, p = exact.flat_rows(ssp.base), exact.flat_rows(m)
     ssp_rows = np.flatnonzero(s.row_state != ssp.terminal)
     state = s.row_state[ssp_rows]
-    out = np.zeros(len(p.row_state))
-    out[p.state_ptr[np.asarray(ssp.origin)[state]] + ssp_rows - s.state_ptr[state]] = probs
+    return p.state_ptr[np.asarray(ssp.origin)[state]] + ssp_rows - s.state_ptr[state]
+
+
+def _to_product_rows(ssp: SspModel, m: LabeledModel, probs: np.ndarray,
+                     index: np.ndarray | None = None) -> np.ndarray:
+    """Re-index probabilities over the SSP's non-terminal rows onto the
+    rows of the product model ``m``, through ``index`` (from
+    ``_product_row_index``, built here when not given). Goal rows stay 0:
+    goal states are evaluation boundary.
+    """
+    if index is None:
+        index = _product_row_index(ssp, m)
+    out = np.zeros(len(exact.flat_rows(m).row_state))
+    out[index] = probs
     return out
 
 
-def rsp_product_policy(policy: LookaheadPolicy, ssp: SspModel, m: LabeledModel) -> np.ndarray:
+def rsp_product_policy(policy: LookaheadPolicy, ssp: SspModel, m: LabeledModel,
+                       index: np.ndarray | None = None) -> np.ndarray:
     """The lookahead policy at its current theta as one probability per row
-    of the product model ``m``."""
-    return _to_product_rows(ssp, m, policy.policy_rows())
+    of the product model ``m``; ``index`` as in ``_to_product_rows``."""
+    return _to_product_rows(ssp, m, policy.policy_rows(), index)
 
 
 @dataclass
@@ -268,11 +280,14 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     optimal = values = None
     if ctx.product_mdp is not None:
         pm = ctx.product_mdp
+        reach = exact.ReachEvaluator(pm.base, ctx.goal, ctx.bad)
+        index = _product_row_index(ssp, pm.base)
 
-        def evaluator(theta, _pm=pm, _ssp=ssp, _pol=policy):
+        def evaluator(theta, _pm=pm, _ssp=ssp, _pol=policy, _reach=reach, _index=index):
             _pol.theta = np.array(theta, dtype=float)
-            product_policy = rsp_product_policy(_pol, _ssp, _pm.base)
-            return exact.eval_policy_reach(_pm.base, product_policy, ctx.goal, ctx.bad)
+            product_policy = rsp_product_policy(_pol, _ssp, _pm.base, _index)
+            return exact.eval_policy_reach(_pm.base, product_policy, ctx.goal, ctx.bad,
+                                           evaluator=_reach)
 
         if cfg.exact_reference:
             values, _ = exact.max_reach(pm.base, ctx.goal, ctx.bad)

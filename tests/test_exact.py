@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tlcontrol import exact
 from tlcontrol.exact import (
     PolicyDivergence,
+    ReachEvaluator,
     enumerate_policies,
     eval_policy_reach,
     expected_total_cost,
@@ -13,7 +15,7 @@ from tlcontrol.exact import (
     policy_reach_vector,
     write_value_csv,
 )
-from tlcontrol.models import ModelError, StationaryPolicy, parse_model
+from tlcontrol.models import MDP, LabeledModel, ModelError, StationaryPolicy, parse_model
 from tlcontrol.synthesis import ProductModel, mrp_to_ssp
 from conftest import random_mdp, support_zeros
 
@@ -278,3 +280,145 @@ def test_value_iteration_sweeps_are_monotone(rng):
         v_next = np.where(free, best, v)
         assert (v_next >= v - 1e-15).all()
         v = v_next
+
+
+def _component_mdp(rng):
+    """A random MDP whose policies' graphs split into several strongly
+    connected components. State 0 is the target and state 1 an absorbing
+    trap, both absorbing. Then come clusters of 1-6 states, each state
+    stepping within its cluster (self-loops included) and sometimes into
+    an earlier cluster, the target or the trap, and last a chain of
+    singletons, each falling back to the state before it or looping."""
+    sizes = [int(k) for k in rng.integers(1, 7, size=int(rng.integers(2, 5)))]
+    sizes.append(0)
+    chain = int(rng.integers(1, 5))
+    n = 2 + sum(sizes) + chain
+    enabled, transitions = [(0,), (0,)], {(0, 0): ((0, 1.0),), (1, 0): ((1, 1.0),)}
+    lo = 2
+    for k in sizes[:-1]:
+        cluster = np.arange(lo, lo + k)
+        for q in cluster:
+            acts = tuple(sorted(rng.choice(3, size=int(rng.integers(1, 4)), replace=False).tolist()))
+            enabled.append(acts)
+            for u in acts:
+                succ = set(rng.choice(cluster, size=int(rng.integers(1, k + 1))).tolist())
+                if rng.random() < 0.5:
+                    succ.add(int(rng.integers(lo)))
+                succ = sorted(succ)
+                w = rng.random(len(succ)) + 0.2
+                transitions[(int(q), u)] = tuple(zip(succ, (w / w.sum()).tolist()))
+        lo += k
+    for q in range(lo, n):
+        enabled.append((0, 1))
+        transitions[(q, 0)] = ((q - 1, 0.7), (q, 0.3))
+        transitions[(q, 1)] = ((int(rng.integers(q)), 1.0),)
+    return LabeledModel(n_states=n, initial=n - 1, actions=("a", "b", "c"),
+                        enabled=tuple(enabled), transitions=transitions, props=("p",),
+                        labels=(0,) * n, mode=MDP)
+
+
+def _bounded_policy(rng, m):
+    """Random row probabilities: each action dropped with probability 0.3
+    (one kept per state), the kept ones weighted between 0.2 and 1.2."""
+    probs = []
+    for q in range(m.n_states):
+        k = len(m.enabled[q])
+        w = (rng.random(k) + 0.2) * (rng.random(k) > 0.3)
+        if not w.any():
+            w[rng.integers(k)] = 1.0
+        probs.extend(w / w.sum())
+    return np.array(probs)
+
+
+def _kernel_matrix(m, probs):
+    """The policy's dense transition matrix and its support graph."""
+    flat = exact.flat_rows(m)
+    p = np.zeros((m.n_states, m.n_states))
+    for r, succ, w in zip(flat.entry_row, flat.cols, flat.vals):
+        p[flat.row_state[r], succ] += probs[r] * w
+    return p
+
+
+def _backward_closure(p, seeds):
+    reach = set(seeds)
+    stack = list(seeds)
+    while stack:
+        q = stack.pop()
+        for prev in np.flatnonzero(p[:, q] > 0).tolist():
+            if prev not in reach:
+                reach.add(prev)
+                stack.append(prev)
+    return reach
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_block_solves_match_one_dense_solve(seed):
+    rng = np.random.default_rng(seed)
+    m = _component_mdp(rng)
+    probs = _bounded_policy(rng, m)
+    p = _kernel_matrix(m, probs)
+    v = policy_reach_vector(m, probs, frozenset({0}), frozenset({1}))
+    unknown = sorted(_backward_closure(p, [0]) - {0, 1})
+    want = np.zeros(m.n_states)
+    want[0] = 1.0
+    if unknown:
+        a = np.eye(len(unknown)) - p[np.ix_(unknown, unknown)]
+        want[unknown] = np.linalg.solve(a, p[unknown, 0])
+    assert np.abs(v - want).max() <= 1e-12
+
+    # The same model as a restart SSP: the target is the goal, the trap restarts.
+    product = ProductModel(base=m, projection=tuple((q, 0) for q in range(m.n_states)),
+                           pairs=((frozenset(), frozenset({0})),), unpruned_states=m.n_states)
+    ssp = mrp_to_ssp(product, frozenset({0}), frozenset({1}))
+    probs = _bounded_policy(rng, ssp.base)
+    p = _kernel_matrix(ssp.base, probs)
+    reachable, stack = {ssp.base.initial}, [ssp.base.initial]
+    while stack:
+        q = stack.pop()
+        for succ in np.flatnonzero(p[q] > 0).tolist():
+            if succ != ssp.terminal and succ not in reachable:
+                reachable.add(succ)
+                stack.append(succ)
+    if not reachable <= _backward_closure(p, [ssp.terminal]):
+        with pytest.raises(PolicyDivergence):
+            expected_total_cost(ssp, probs)
+        return
+    states = sorted(reachable)
+    a = np.eye(len(states)) - p[np.ix_(states, states)]
+    want = np.linalg.solve(a, [ssp.cost(q) for q in states])[states.index(ssp.base.initial)]
+    assert abs(expected_total_cost(ssp, probs) - want) <= 1e-12 * max(1.0, want)
+
+
+def test_evaluator_rebuilds_its_plan_when_the_support_changes(monkeypatch):
+    built = []
+
+    class CountedPlan(exact._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.unknown.tolist())
+
+    monkeypatch.setattr(exact, "_Plan", CountedPlan)
+    # State 3 either heads for the target (action a) or falls back to 2;
+    # state 2 steps to 3 or back to itself.
+    m = parse_model("states 4\ninitial 3\nmode mdp\n"
+                    "trans 0 a 0 1.0\ntrans 1 a 1 1.0\n"
+                    "trans 2 a 3 0.5\ntrans 2 a 2 0.5\n"
+                    "trans 3 a 0 0.6\ntrans 3 a 1 0.4\ntrans 3 b 2 1.0")
+    targets, zeros = frozenset({0}), frozenset({1})
+    ev = ReachEvaluator(m, targets, zeros)
+    both = np.array([1.0, 1.0, 1.0, 0.5, 0.5])
+    assert ev.values(both)[3] == pytest.approx(0.6, abs=1e-12)
+    # Other weights on the same support reuse the plan.
+    tilted = np.array([1.0, 1.0, 1.0, 0.25, 0.75])
+    assert ev.values(tilted)[3] == pytest.approx(0.6, abs=1e-12)
+    assert len(built) == 1
+    # Action a at state 3 set to 0 cuts states 2 and 3 off from the target.
+    cut = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+    fresh = policy_reach_vector(m, cut, targets, zeros)
+    assert fresh[2] == fresh[3] == 0.0
+    assert np.array_equal(ev.values(cut), fresh)
+    assert eval_policy_reach(m, both, targets, zeros, evaluator=ev) == pytest.approx(0.6, abs=1e-12)
+    assert sorted(map(sorted, built)) == [[], [], [2, 3], [2, 3]]
+    with pytest.raises(ModelError, match="another model"):
+        eval_policy_reach(m, both, targets, frozenset(), evaluator=ev)

@@ -97,6 +97,20 @@ start 2,1 2,2
         parse_map("#####\n#...#\n#####")
 
 
+def test_spaceless_comment_line_is_skipped():
+    env = parse_map("#note\n" + STRIP.lstrip() + "#also:a-note\n")
+    assert env.grid == parse_map(STRIP).grid
+    assert region_names(env, "corridor") == ["C1"]
+
+
+def test_marker_row_starting_with_a_wall_is_grid():
+    # "#v..n" holds only walls, open floor and legend markers.
+    env = parse_map("######\n#v..n#\n######\nlegend\nv: vd\nn: un\n")
+    assert env.grid[1] == "#v..n#"
+    env = parse_map("#v..n\n#####\nlegend\nv: vd\nn: un\n")
+    assert env.grid == ("#v..n", "#####")
+
+
 def test_dead_end_follow_road_turns_around():
     env = parse_map(TEE)
     node = next(r for r in env.regions if r.kind == "intersection")

@@ -203,7 +203,8 @@ def test_sequence_scores_and_distribution_against_brute_force(rng):
         for state in range(ssp.base.n_states):
             if state == ssp.terminal:
                 continue
-            seqs, first, feats = pol.sequence_table(state)
+            first, feats = pol.sequence_table(state)
+            seqs = [e for e, _reach in action_sequences(ssp.base, state, 2)]
             # Independent recomputation of features and the softmax.
             nb = neighborhood(ssp.base, state, 2)
             here = pol.progress[state]
@@ -235,13 +236,36 @@ def test_sequence_scores_and_distribution_against_brute_force(rng):
                 assert np.isclose(np.exp(f @ pol.theta), s, rtol=1e-9)
 
 
+def test_neighborhoods_are_computed_once_and_dropped_with_the_tables(rng, monkeypatch):
+    import tlcontrol.lookahead as lookahead
+
+    calls = []
+
+    def counted(m, state, radius):
+        calls.append(state)
+        return neighborhood(m, state, radius)
+
+    monkeypatch.setattr(lookahead, "neighborhood", counted)
+    ssp = make_random_ssp(rng, n_states=8)
+    pol = LookaheadPolicy(ssp, horizon=2)
+    fresh = LookaheadPolicy(ssp, horizon=2)
+    pol.policy_rows()
+    assert sorted(calls) == sorted(set(calls))
+    # Only states without a table of their own still hold a neighborhood.
+    assert set(pol._nbhd) <= {ssp.terminal}
+    for state in range(ssp.base.n_states):
+        assert pol.safe(state) == fresh.safe(state)
+        if state != ssp.terminal:
+            assert np.array_equal(pol.sequence_table(state)[1], fresh.sequence_table(state)[1])
+
+
 def test_sequence_score_exp_of_dot_product():
     pol = LookaheadPolicy(three_sequence_policy(), horizon=2, theta=(5.0, -0.5))
-    seqs, first, feats = pol.sequence_table(0)
-    assert seqs == ((0, 0), (0, 1), (1, 0))
+    first, feats = pol.sequence_table(0)
+    assert [e for e, _reach in action_sequences(pol.model, 0, 2)] == [(0, 0), (0, 1), (1, 0)]
     # Direct substitution at the default parameter vector: sequence scores
     # exp(5), exp(0) and exp(-0.5), the first two on action 0.
-    pol._tables[0] = (seqs, first, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    pol._tables[0] = (first, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
     acts, probs = pol.action_distribution(0)
     total = np.exp(5.0) + 1.0 + np.exp(-0.5)
     assert list(acts) == [0, 1]
@@ -250,7 +274,7 @@ def test_sequence_score_exp_of_dot_product():
 
 def test_gradient_trivial_cases():
     pol = LookaheadPolicy(three_sequence_policy(), horizon=2, theta=(0.0, 0.0))
-    _seqs, first, feats = pol.sequence_table(0)
+    first, feats = pol.sequence_table(0)
     psi = pol.log_policy_gradient(0, 0)
     mean_u = feats[first == 0].mean(axis=0)
     mean_all = feats.mean(axis=0)
@@ -335,10 +359,10 @@ def test_softmax_shift_invariance(rng):
     state = next(s for s in range(ssp.base.n_states)
                  if s != ssp.terminal and len(ssp.base.enabled[s]) > 1)
     acts, probs = pol.action_distribution(state)
-    seqs, first, feats = pol.sequence_table(state)
+    first, feats = pol.sequence_table(state)
     # Translating every feature row by a constant leaves the softmax alone.
     shifted = LookaheadPolicy(ssp, horizon=2, theta=(1.5, -0.5))
-    shifted._tables[state] = (seqs, first, feats + np.array([3.7, -1.2]))
+    shifted._tables[state] = (first, feats + np.array([3.7, -1.2]))
     acts2, probs2 = shifted.action_distribution(state)
     assert list(acts) == list(acts2)
     assert np.allclose(probs, probs2, atol=1e-12)
@@ -351,9 +375,9 @@ def test_concentration_on_max_f1_at_large_theta1(rng):
         for state in range(ssp.base.n_states):
             if state == ssp.terminal or len(ssp.base.enabled[state]) < 2:
                 continue
-            seqs, first, feats = pol.sequence_table(state)
+            first, feats = pol.sequence_table(state)
             best = feats[:, 0].max()
-            winners = {int(first[i]) for i in range(len(seqs))
+            winners = {int(first[i]) for i in range(len(first))
                        if feats[i, 0] >= best - 1e-12}
             if len(winners) > 1:
                 continue

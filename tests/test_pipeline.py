@@ -197,6 +197,25 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
     assert not product[np.isin(rows.row_state, list(ctx.goal))].any()
 
 
+def test_desk_compare_builds_two_solve_plans(tmp_path, monkeypatch):
+    # One plan for the max_reach polish and one for the lookahead policy,
+    # whose support does not move with theta: every periodic evaluation
+    # reuses it.
+    built = []
+
+    class CountedPlan(exact._Plan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(len(self.unknown))
+
+    monkeypatch.setattr(exact, "_Plan", CountedPlan)
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              max_iters=200, seed=1)
+    report = compare(cfg)
+    assert len(report.trace.exact) > 2
+    assert built == [372, 372]
+
+
 def test_every_config_key_has_a_flag():
     parser = argparse.ArgumentParser()
     _add_common(parser)
