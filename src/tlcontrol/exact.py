@@ -1,6 +1,6 @@
 """Exact dynamic programming used as ground truth.
 
-Every model is flattened once into CSR arrays (``flat_rows``): its
+The solvers read a model's own CSR arrays (``flat_rows``): its
 (state, action) rows grouped by state in ascending action order, and each
 row's (successor, probability) entries. A policy is one probability per
 row, so the policy-averaged kernel is a set of COO arrays built without a
@@ -12,8 +12,12 @@ polish: the greedy policy is extracted, evaluated exactly by a linear
 solve, and re-extracted until stable, so the returned value is exact to
 solver precision rather than to the sweep residual. Greedy extraction
 breaks ties toward actions that make progress to the target set (within
-ties, lowest action id), which keeps the policy proper. Both loops raise
-``ModelError`` when they reach their caps.
+ties, lowest action id), and gives every free state that can reach the
+targets an action that makes progress, optimal or not when no optimal
+one does: the policy is then proper even where a coarse value iteration
+left value 0, and the polish ends at the optimum whatever ``tol`` the
+warm start stopped at. Both loops raise ``ModelError`` when they reach
+their caps.
 
 Policy evaluation first drops the states whose policy support cannot
 reach the targets, which keeps (I - P) x = b nonsingular on the rest. The
@@ -42,13 +46,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import weakref
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .models import LabeledModel, MDP, ModelError, StationaryPolicy
-from .synthesis import SspModel, _strongly_connected
+from .synthesis import (SspModel, _closure, _csr_lists, _distinct, _expand, _members,
+                        _rows_into, _strongly_connected)
 
 VALUE_TOL = 1e-12
 DENSE_LIMIT = 5000
@@ -61,7 +65,9 @@ class PolicyDivergence(RuntimeError):
 
 
 class FlatRows(NamedTuple):
-    """A model's enabled (state, action) rows in CSR form.
+    """A model's enabled (state, action) rows in CSR form, under the names
+    the solvers use (``cols`` is the model's ``succ``, ``vals`` its
+    ``weight``).
 
     Rows are grouped by state in ascending action order, so the first row
     of a state carries its lowest action id.
@@ -76,49 +82,10 @@ class FlatRows(NamedTuple):
     vals: np.ndarray  # weight of each entry
 
 
-# Models are immutable and unhashable, so their flattened rows are memoized
-# by identity; the entry is dropped when the model is collected, before its
-# id can be reused.
-_FLAT: dict[int, FlatRows] = {}
-
-
 def flat_rows(m: LabeledModel) -> FlatRows:
-    """The model's CSR rows, built once per model instance."""
-    flat = _FLAT.get(id(m))
-    if flat is None:
-        flat = _FLAT[id(m)] = _flatten(m)
-        weakref.finalize(m, _FLAT.pop, id(m), None)
-    return flat
-
-
-def _flatten(m: LabeledModel) -> FlatRows:
-    row_state, row_action, row_len, cols, vals = [], [], [], [], []
-    for q in range(m.n_states):
-        for u in sorted(m.enabled[q]):
-            edges = m.transitions[(q, u)]
-            row_state.append(q)
-            row_action.append(u)
-            row_len.append(len(edges))
-            for succ, w in edges:
-                cols.append(succ)
-                vals.append(w)
-    row_len = np.array(row_len, dtype=np.int64)
-    state_ptr = np.zeros(m.n_states + 1, dtype=np.int64)
-    np.cumsum([len(acts) for acts in m.enabled], out=state_ptr[1:])
-    return FlatRows(
-        entry_row=np.repeat(np.arange(len(row_len)), row_len),
-        row_state=np.array(row_state, dtype=np.int64),
-        row_action=np.array(row_action, dtype=np.int64),
-        row_ptr=np.concatenate(([0], np.cumsum(row_len))),
-        state_ptr=state_ptr,
-        cols=np.array(cols, dtype=np.int64),
-        vals=np.array(vals, dtype=float))
-
-
-def _mask(n: int, states: Iterable[int]) -> np.ndarray:
-    out = np.zeros(n, dtype=bool)
-    out[np.fromiter(states, dtype=np.int64)] = True
-    return out
+    """The model's own CSR arrays, as ``FlatRows``."""
+    return FlatRows(entry_row=m.entry_row, row_state=m.row_state, row_action=m.row_action,
+                    row_ptr=m.row_ptr, state_ptr=m.state_ptr, cols=m.succ, vals=m.weight)
 
 
 def row_probabilities(m: LabeledModel,
@@ -165,23 +132,6 @@ def _edges(flat: FlatRows, support: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return ids, flat.row_state[flat.entry_row[ids]], flat.cols[ids]
 
 
-def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Mask of the states with an edge path (src -> dst) into the ``seeds``
-    mask, seeds included; backward frontier propagation."""
-    order = np.argsort(dst, kind="stable")
-    pred = src[order]
-    ptr = np.searchsorted(dst[order], np.arange(len(seeds) + 1))
-    reach = seeds.copy()
-    frontier = np.flatnonzero(reach)
-    while frontier.size:
-        lo = ptr[frontier]
-        n = ptr[frontier + 1] - lo
-        prev = pred[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
-        frontier = np.unique(prev[~reach[prev]])
-        reach[frontier] = True
-    return reach
-
-
 class _Plan:
     """How to solve (I - P) x = b on ``unknown`` for every policy with one
     support, given as the positive kernel entries ``ids`` with their
@@ -218,9 +168,8 @@ class _Plan:
         order."""
         # Tarjan's algorithm lists the components sinks first, so every
         # edge leaving a component enters one listed before it.
-        order = np.argsort(i, kind="stable")
-        succ, ptr = j[order], np.searchsorted(i[order], np.arange(n + 1))
-        sccs = _strongly_connected(set(range(n)), lambda q: succ[ptr[q]:ptr[q + 1]].tolist())
+        order = np.argsort(i * n + j, kind="stable")
+        sccs = _strongly_connected(range(n), _csr_lists(i[order], j[order], n).__getitem__, n)
         # Consecutive components merge while the group stays within
         # sqrt(n) states, so a run of singletons takes about sqrt(n)
         # groups; a larger component is a group of its own.
@@ -306,8 +255,8 @@ class ReachEvaluator:
             raise ModelError("policy evaluation needs an MDP-mode model")
         self.model, self.targets, self.zeros = m, targets, zeros
         self.flat = flat_rows(m)
-        self.is_target = _mask(m.n_states, targets)
-        is_zero = _mask(m.n_states, zeros)
+        self.is_target = _members(targets, m.n_states)
+        is_zero = _members(zeros, m.n_states)
         self.free = ~(self.is_target | is_zero)
         self.dense_limit = dense_limit
         self._support: np.ndarray | None = None
@@ -365,10 +314,10 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
         return reach.values(probs)
 
     prev = None
-    choice = _attractor_greedy(flat, v, free, is_target)
+    choice = _attractor_greedy(m, v, free, is_target)
     for _ in range(POLISH_ROUNDS):
         v = evaluate(choice)
-        refreshed = _attractor_greedy(flat, v, free, is_target)
+        refreshed = _attractor_greedy(m, v, free, is_target)
         if np.array_equal(refreshed, choice):
             break
         if prev is not None and np.array_equal(refreshed, prev):
@@ -382,36 +331,70 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
     return v, StationaryPolicy(kind="deterministic", table=table)
 
 
-def _attractor_greedy(flat: FlatRows, v: np.ndarray, free: np.ndarray,
+def _attractor_greedy(m: LabeledModel, v: np.ndarray, free: np.ndarray,
                       is_target: np.ndarray) -> np.ndarray:
-    """The greedy row of every state. Fixed and value-0 states take their
-    lowest action; the others take, in attractor layers from the targets,
-    their lowest optimal action with a possible successor in an earlier
-    layer."""
+    """The greedy row of every state. Fixed states take their lowest
+    action. Free states are placed in attractor layers from the targets:
+    first the states of positive value, each taking its lowest optimal
+    action with a possible successor in an earlier layer; once none of
+    those can be placed, every state left takes its lowest optimal action
+    that steps into an earlier layer, else its lowest action that does.
+    Only free states that cannot reach the targets keep their lowest
+    action, so the policy never holds a free state in a component that
+    avoids the targets (value iteration stopped early leaves value 0 on
+    states that can reach them).
+
+    A state's rows gain progress only when one of their successors is
+    placed, so each layer only looks at the states whose rows step into
+    the layer before it."""
+    flat = flat_rows(m)
     starts = flat.state_ptr[:-1]
     q_vals = np.add.reduceat(flat.vals * v[flat.cols], flat.row_ptr[:-1])
     best = np.maximum.reduceat(q_vals, starts)
+    optimal = q_vals >= best[flat.row_state] - 1e-12
     choice = starts.copy()
-    pending = free & (v > 0.0)
-    optimal = (q_vals >= best[flat.row_state] - 1e-12) & pending[flat.row_state]
-    rows = np.arange(len(q_vals))
     none = len(q_vals)
+    into_ptr, into_row = _rows_into(m)
+    progress = np.zeros(none, dtype=bool)  # the row steps into a placed state
+
+    def lowest(cand: np.ndarray, extra: np.ndarray | None) -> np.ndarray:
+        """Each candidate's lowest progress row (also in ``extra``), or none."""
+        at, rows = _expand(flat.state_ptr, cand)
+        ok = progress[rows] if extra is None else progress[rows] & extra[rows]
+        hit = np.flatnonzero(ok)
+        hit = hit[np.diff(at[hit], prepend=-1) != 0]
+        out = np.full(len(cand), none)
+        out[at[hit]] = rows[hit]
+        return out
+
     layered = is_target.copy()
-    while pending.any():
-        progress = optimal & np.logical_or.reduceat(layered[flat.cols], flat.row_ptr[:-1])
-        first = np.minimum.reduceat(np.where(progress, rows, none), starts)
-        assigned = first < none
-        if not assigned.any():
-            # Remaining optimal-value states cannot progress (value must be
-            # 0 there up to solver noise); pin them down deterministically.
-            first = np.minimum.reduceat(np.where(optimal, rows, none), starts)
-            choice[pending] = first[pending]
-            break
-        choice[assigned] = first[assigned]
-        layered |= assigned
-        pending &= ~assigned
-        optimal &= pending[flat.row_state]
-    return choice
+    pending = free & (v > 0.0)
+    placed = np.flatnonzero(is_target)
+    any_action = False
+    while True:
+        if placed is not None:
+            rows = into_row[_expand(into_ptr, placed)[1]]
+            progress[rows] = True
+            cand = _distinct(flat.row_state[rows])
+            cand = cand[pending[cand]]
+        first = lowest(cand, optimal)
+        if any_action:
+            first = np.where(first < none, first, lowest(cand, None))
+        hit = first < none
+        if not hit.any():
+            if any_action or not (free & ~layered).any():
+                return choice
+            # The positive-value states are placed as far as optimal steps
+            # go; the rest (value 0 after an early stop, or stuck) now take
+            # any step towards the targets.
+            any_action = True
+            pending = free & ~layered
+            cand, placed = np.flatnonzero(pending), None
+            continue
+        placed = cand[hit]
+        choice[placed] = first[hit]
+        layered[placed] = True
+        pending[placed] = False
 
 
 def policy_reach_vector(m: LabeledModel, policy: StationaryPolicy | np.ndarray,
@@ -456,10 +439,10 @@ def expected_total_cost(ssp: SspModel, policy: StationaryPolicy | np.ndarray,
     w = probs[flat.entry_row] * flat.vals
     ids, src, dst = _edges(flat, w > 0)
     live = src != ssp.terminal
-    reachable = _closure(dst[live], src[live], _mask(m.n_states, [m.initial]))
+    reachable = _closure(dst[live], src[live], _members([m.initial], m.n_states))
     reachable[ssp.terminal] = False
     _require_defined(flat, probs, reachable)
-    proper = _closure(src, dst, _mask(m.n_states, [ssp.terminal]))
+    proper = _closure(src, dst, _members([ssp.terminal], m.n_states))
     trapped = np.flatnonzero(reachable & ~proper)
     if trapped.size:
         raise PolicyDivergence(

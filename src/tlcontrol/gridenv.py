@@ -41,7 +41,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .models import LabeledModel, NTS, MDP, validate_model
+from .models import LabeledModel, NTS, MDP
 
 ACTIONS = ("FollowRoad", "GoLeft", "GoRight", "GoStraight")
 
@@ -314,35 +314,28 @@ def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
     if env.start not in pairs:
         raise MapError("start pair is not a reachable motion state")
     index = {pair: i for i, pair in enumerate(pairs)}
-    enabled: list[tuple[int, ...]] = []
-    transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
+    rows: dict[tuple[int, int], list[tuple[int, float]]] = {}
     labels = []
     for i, (prev, cur) in enumerate(pairs):
-        names = enabled_actions(env, (prev, cur))
-        ids = tuple(ACTIONS.index(n) for n in names)
-        enabled.append(ids)
-        for name, u in zip(names, ids):
+        for name in enabled_actions(env, (prev, cur)):
             intended, wrong = outcome_support(env, (prev, cur), name, confusion)
-            succs = sorted({index[(cur, out)] for out in (intended, *wrong)})
-            transitions[(i, u)] = tuple((s, 1.0) for s in succs)
+            rows[(i, ACTIONS.index(name))] = [
+                (index[(cur, out)], 1.0) for out in {intended, *wrong}]
         mask = 0
         for obs in env.region_obs[cur]:
             mask |= 1 << env.props.index(obs)
         labels.append(mask)
-    model = LabeledModel(
+    return LabeledModel.from_rows(
+        rows,
         n_states=len(pairs),
         initial=index[env.start],
         actions=ACTIONS,
-        enabled=tuple(enabled),
-        transitions=transitions,
-        props=env.props,
-        labels=tuple(labels),
         mode=NTS,
+        props=env.props,
+        labels=labels,
         state_names=tuple(f"{env.regions[p].name}-{env.regions[c].name}"
                           for p, c in pairs),
     )
-    validate_model(model)
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -397,24 +390,20 @@ def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel
     model."""
     pairs = pair_states(env)
     index = {pair: i for i, pair in enumerate(pairs)}
-    transitions = {}
-    for i, pair in enumerate(pairs):
-        for u in nts.enabled[i]:
-            dist = transition_probs(env, noise, pair, ACTIONS[u])
-            transitions[(i, u)] = tuple(sorted((index[succ], p) for succ, p in dist))
-    model = LabeledModel(
+    rows = {}
+    for i, u in nts.enabled_pairs():
+        dist = transition_probs(env, noise, pairs[i], ACTIONS[u])
+        rows[(i, u)] = [(index[succ], p) for succ, p in dist]
+    return LabeledModel.from_rows(
+        rows,
         n_states=nts.n_states,
         initial=nts.initial,
         actions=nts.actions,
-        enabled=nts.enabled,
-        transitions=transitions,
+        mode=MDP,
         props=nts.props,
         labels=nts.labels,
-        mode=MDP,
         state_names=nts.state_names,
     )
-    validate_model(model)
-    return model
 
 
 class GridTransitionSource:

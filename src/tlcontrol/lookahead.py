@@ -10,10 +10,14 @@ log-policy gradient has the closed form
     psi(i, u) = E[f | first action = u] - E[f]
 
 with expectations under the sequence softmax. Features do not depend on
-theta, so per-state tables are built once (lazily) and reused as theta
-moves. Sequences are listed lexicographically, so each first action's
-sequences are one contiguous slice of its state's table; a static
-per-state index maps an action to that slice.
+theta, so the tables of every non-terminal state are built once, at
+construction, from the model's CSR rows: the horizon-t expansion is t
+repeated joins of (sequence, reached state) pairs with the rows and their
+entries, every state's neighborhood is ``radius`` joins with the successor
+relation, and each feature is a segment sum over a sequence's reached
+neighborhood states, added in ascending state order. The tables are flat
+arrays: each state's sequences are one slice, listed lexicographically, so
+each first action's sequences are one contiguous group of that slice.
 
 A state's softmax weights at one theta form a record that
 ``action_distribution``, ``sample_action`` and ``log_policy_gradient`` all
@@ -25,9 +29,11 @@ the action probabilities are computed on first request. Every number is
 formed by the same floating-point operations, in the same order, as a
 fresh computation would use.
 
-A whole-policy request (``policy_rows``) concatenates the tables of every
-non-terminal state into flat arrays once; each later request is then one
-matmul and a segment softmax over them.
+The action probabilities have one definition, whether one state asks
+(``action_distribution``) or the whole policy does (``policy_rows``, one
+matmul and a segment softmax over the flat tables): a first action's mass
+is its sequences' weights added left to right, and the state's total is
+its actions' masses added left to right.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .models import LabeledModel, ModelError
-from .synthesis import SspModel
+from .synthesis import SspModel, _distinct, _expand, _members, _ptr, _rows_into
 
 
 class SequenceCapExceeded(RuntimeError):
@@ -57,28 +63,27 @@ def min_distances(
     targets = set(targets)
     if not targets:
         raise ModelError("min_distances needs a nonempty target set")
-    reverse: dict[int, list[int]] = {q: [] for q in range(m.n_states)}
-    for (q, _u), row in m.transitions.items():
-        if q in blocked_sources:
-            continue
-        for succ, _ in row:
-            reverse[succ].append(q)
-    dist = np.full(m.n_states, np.inf)
-    queue = deque()
+    rows = ~_members(blocked_sources, m.n_states)[m.row_state] if blocked_sources else None
+    ptr, rows = _rows_into(m, rows)
+    ptr, pred = ptr.tolist(), m.row_state[rows].tolist()
+    inf = float("inf")
+    dist = [inf] * m.n_states
+    queue = deque(targets)
     for t in targets:
         dist[t] = 0.0
-        queue.append(t)
     while queue:
         q = queue.popleft()
-        for prev in reverse[q]:
-            if not np.isfinite(dist[prev]):
+        for prev in pred[ptr[q]:ptr[q + 1]]:
+            if dist[prev] == inf:
                 dist[prev] = dist[q] + 1.0
                 queue.append(prev)
-    return dist
+    return np.array(dist)
 
 
 def neighborhood(m: LabeledModel, state: int, radius: int) -> frozenset[int]:
-    """States within forward possibilistic distance ``radius`` of ``state``."""
+    """States within forward possibilistic distance ``radius`` of ``state``
+    (one state at a time; ``LookaheadPolicy`` computes every state's at
+    once)."""
     if radius < 1:
         raise ModelError("neighborhood radius must be >= 1")
     seen = {state}
@@ -87,7 +92,7 @@ def neighborhood(m: LabeledModel, state: int, radius: int) -> frozenset[int]:
         nxt = []
         for q in frontier:
             for u in m.enabled[q]:
-                for succ, _ in m.transitions[(q, u)]:
+                for succ in m.support(q, u):
                     if succ not in seen:
                         seen.add(succ)
                         nxt.append(succ)
@@ -106,7 +111,9 @@ def action_sequences(
     A sequence u1..ut is admissible when each u_k is enabled at some state
     reachable from ``state`` via u1..u_{k-1}; the reach set is propagated
     forward, skipping branch states where the next action is disabled.
-    Sequences come out in lexicographic action-id order.
+    Sequences come out in lexicographic action-id order. This expands one
+    state recursively; ``LookaheadPolicy`` builds every state's sequences
+    at once.
     """
     if horizon < 1:
         raise ModelError("lookahead horizon must be >= 1")
@@ -131,15 +138,70 @@ def action_sequences(
     return out
 
 
-class _Sweep(NamedTuple):
-    """Every non-terminal state's sequence table as flat arrays."""
+def _sequence_reach(m: LabeledModel, roots: np.ndarray, horizon: int, cap: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every root's depth-``horizon`` action sequences (roots in order, each
+    root's sequences lexicographic) with their reach sets, as
+    ``action_sequences`` defines them.
 
-    seq_start: np.ndarray  # first sequence of each state
-    seq_count: np.ndarray
-    group_start: np.ndarray  # first sequence of each (state, first action) group
-    state_group_start: np.ndarray  # first group of each state
-    state_group_count: np.ndarray
-    feats: np.ndarray  # feature pair of each sequence
+    Returns the root index and first action of each sequence and its
+    reached states as (sequence, state) pairs sorted by sequence, then
+    state. A sequence's reach set is never empty, so no root loses
+    sequences as the depth grows, and a root over ``cap`` at any depth
+    raises ``SequenceCapExceeded`` at once.
+    """
+    n, n_act = m.n_states, len(m.actions)
+    owner = np.arange(len(roots))
+    first = None
+    pair_seq, pair_state = owner, roots
+    for _ in range(horizon):
+        # Join each pair with its state's rows, then with their entries.
+        at, row = _expand(m.state_ptr, pair_state)
+        at2, entry = _expand(m.row_ptr, row)
+        key = pair_seq[at[at2]] * n_act + m.row_action[row[at2]]
+        key, pair_state = np.divmod(_distinct(key * n + m.succ[entry]), n)
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        pair_seq = np.cumsum(new) - 1
+        parent, action = np.divmod(key[new], n_act)
+        owner = owner[parent]
+        first = action if first is None else first[parent]
+        over = np.flatnonzero(np.bincount(owner, minlength=len(roots)) > cap)
+        if over.size:
+            raise SequenceCapExceeded(
+                f"more than {cap} action sequences from state {roots[over[0]]}")
+    return owner, first, pair_seq, pair_state
+
+
+def _neighborhoods(m: LabeledModel, radius: int) -> np.ndarray:
+    """Every state's neighborhood (as ``neighborhood`` defines it) as sorted
+    codes state * n + member."""
+    n = m.n_states
+    adj_src, adj_dst = np.divmod(_distinct(m.row_state[m.entry_row] * n + m.succ), n)
+    adj_ptr = _ptr(np.bincount(adj_src, minlength=n))
+    ball = frontier = np.arange(n) * (n + 1)
+    for _ in range(radius):
+        state, member = np.divmod(frontier, n)
+        at, k = _expand(adj_ptr, member)
+        reached = _distinct(state[at] * n + adj_dst[k])
+        frontier = reached[~_contains(ball, reached)]
+        if not frontier.size:
+            break
+        ball = np.sort(np.concatenate((ball, frontier)), kind="stable")
+    return ball
+
+
+def _contains(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` occurs in the ascending array ``ordered``."""
+    at = np.minimum(np.searchsorted(ordered, values), len(ordered) - 1)
+    return ordered[at] == values
+
+
+def _left_sums(values: np.ndarray, segment: np.ndarray, n: int) -> np.ndarray:
+    """The sum of each segment's values, added left to right in array order
+    (``np.bincount`` accumulates in that order)."""
+    return np.bincount(segment, weights=values, minlength=n)
 
 
 class _Groups(NamedTuple):
@@ -149,6 +211,7 @@ class _Groups(NamedTuple):
     acts: np.ndarray  # read-only, as ``action_distribution`` returns it
     lookup: tuple[int, ...]  # the same actions, for membership and position
     bounds: tuple[int, ...]
+    local: np.ndarray  # the position in ``acts`` of each sequence's group
 
 
 class _Softmax:
@@ -177,7 +240,9 @@ class LookaheadPolicy:
     Built over an NTS-mode SSP. ``progress`` is the minimum step count to
     the terminal computed without the restart edges, so zero-probability
     states sit at infinity and are clamped to ``progress_penalty`` when
-    features are formed.
+    features are formed. Construction builds every non-terminal state's
+    sequence table and raises ``SequenceCapExceeded`` when a state has more
+    than ``sequence_cap`` sequences.
     """
 
     def __init__(self, ssp: SspModel, horizon: int = 2, radius: int | None = None,
@@ -186,7 +251,7 @@ class LookaheadPolicy:
         if horizon < 1:
             raise ModelError("lookahead horizon must be >= 1")
         self.ssp = ssp
-        self.model = ssp.base
+        self.model = m = ssp.base
         self.horizon = horizon
         self.radius = horizon if radius is None else radius
         if self.radius < 1:
@@ -195,70 +260,72 @@ class LookaheadPolicy:
         if self.theta.shape != (2,):
             raise ModelError("theta must have exactly two components")
         self.sequence_cap = sequence_cap
-        self.progress = min_distances(self.model, [ssp.terminal], blocked_sources=ssp.bad)
+        self.progress = min_distances(m, [ssp.terminal], blocked_sources=ssp.bad)
         self.progress_penalty = (
-            float(self.model.n_states) if progress_penalty is None else float(progress_penalty))
-        self._safe: dict[int, float] = {}
-        self._nbhd: dict[int, frozenset[int]] = {}  # until the state's table is built
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+            float(m.n_states) if progress_penalty is None else float(progress_penalty))
+
+        n = m.n_states
+        roots = np.flatnonzero(np.arange(n) != ssp.terminal)
+        owner, first, pair_seq, pair_state = _sequence_reach(m, roots, horizon, sequence_cap)
+        ball = _neighborhoods(m, self.radius)
+        ball_state = ball // n
+        self._safe = (np.bincount(ball_state, weights=~_members(ssp.bad, n)[ball % n],
+                                  minlength=n)
+                      / np.bincount(ball_state, minlength=n))
+        # A sequence's features sum over its reached states that lie in its
+        # root's neighborhood, in ascending state order.
+        root = roots[owner[pair_seq]]
+        inside = _contains(ball, root * n + pair_state)
+        seq, state, root = pair_seq[inside], pair_state[inside], root[inside]
+        clamped = np.where(np.isfinite(self.progress), self.progress, self.progress_penalty)
+        self._first = first
+        self._feats = np.column_stack((
+            _left_sums(self._safe[state], seq, len(first)),
+            _left_sums(clamped[state] - clamped[root], seq, len(first))))
+
+        # Groups: each (state, first action) run of sequences.
+        new = np.ones(len(first), dtype=bool)
+        new[1:] = (owner[1:] != owner[:-1]) | (first[1:] != first[:-1])
+        self._seq_group = np.cumsum(new) - 1
+        self._group_start = np.flatnonzero(new)
+        self._group_action = first[self._group_start]
+        self._group_action.flags.writeable = False
+        self._group_owner = owner[self._group_start]
+        self._seq_owner = owner
+        self._root_seq_start = np.flatnonzero(np.diff(owner, prepend=-1))
+        seq_count = np.zeros(n, dtype=np.int64)
+        seq_count[roots] = np.bincount(owner, minlength=len(roots))
+        group_count = np.zeros(n, dtype=np.int64)
+        group_count[roots] = np.bincount(self._group_owner, minlength=len(roots))
+        self._seq_ptr = _ptr(seq_count).tolist()
+        self._group_ptr = _ptr(group_count).tolist()
         self._groups: dict[int, _Groups] = {}
         self._records: dict[int, _Softmax] = {}  # at theta bytes _records_theta
         self._records_theta = b""
-        self._sweep: _Sweep | None = None
 
     # -- score tables -------------------------------------------------------
 
-    def _neighborhood(self, state: int) -> frozenset[int]:
-        """The state's neighborhood, computed once: its safety score is
-        taken at the same time, and the set is dropped once the state's
-        table is built."""
-        nb = self._nbhd.get(state)
-        if nb is None:
-            nb = self._nbhd[state] = neighborhood(self.model, state, self.radius)
-            self._safe[state] = sum(1 for j in nb if j not in self.ssp.bad) / len(nb)
-        return nb
-
     def safe(self, state: int) -> float:
-        val = self._safe.get(state)
-        if val is None:
-            self._neighborhood(state)
-            val = self._safe[state]
-        return val
-
-    def _clamped_progress(self, state: int) -> float:
-        d = self.progress[state]
-        return self.progress_penalty if not np.isfinite(d) else float(d)
+        """The fraction of the state's neighborhood outside the restart set."""
+        return float(self._safe[state])
 
     def sequence_table(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """The first action and the feature pair of each of the sequences
-        from ``state``, listed as ``action_sequences`` lists them."""
-        cached = self._tables.get(state)
-        if cached is not None:
-            return cached
-        seqs = action_sequences(self.model, state, self.horizon, self.sequence_cap)
-        nb = self._neighborhood(state)
-        here = self._clamped_progress(state)
-        first = np.fromiter((e[0] for e, _ in seqs), dtype=np.int64, count=len(seqs))
-        feats = np.zeros((len(seqs), 2))
-        for k, (_e, reach) in enumerate(seqs):
-            inside = reach & nb
-            feats[k, 0] = sum(self.safe(j) for j in inside)
-            feats[k, 1] = sum(self._clamped_progress(j) - here for j in inside)
-        del self._nbhd[state]
-        table = self._tables[state] = (first, feats)
-        return table
+        from ``state``, listed as ``action_sequences`` lists them: views of
+        the policy's tables (the terminal has none)."""
+        lo, hi = self._seq_ptr[state], self._seq_ptr[state + 1]
+        return self._first[lo:hi], self._feats[lo:hi]
 
-    def _groups_of(self, state: int, first: np.ndarray) -> _Groups:
-        """The groups of the state's sequence table, whose first-action
-        column is ``first`` (listed lexicographically, so each first
-        action's sequences are contiguous)."""
+    def _groups_of(self, state: int) -> _Groups:
         groups = self._groups.get(state)
         if groups is None:
-            starts = np.flatnonzero(np.diff(first, prepend=-1))
-            acts = first[starts]
-            acts.flags.writeable = False
+            lo, hi = self._seq_ptr[state], self._seq_ptr[state + 1]
+            g0, g1 = self._group_ptr[state], self._group_ptr[state + 1]
+            acts = self._group_action[g0:g1]
             groups = self._groups[state] = _Groups(
-                acts, tuple(acts.tolist()), tuple(starts.tolist()) + (len(first),))
+                acts, tuple(acts.tolist()),
+                tuple((self._group_start[g0:g1] - lo).tolist()) + (hi - lo,),
+                self._seq_group[lo:hi] - g0)
         return groups
 
     def _softmax(self, state: int) -> _Softmax:
@@ -270,9 +337,9 @@ class LookaheadPolicy:
             self._records_theta = key
         rec = records.get(state)
         if rec is None:
-            first, feats = self.sequence_table(state)
+            _first, feats = self.sequence_table(state)
             logits = feats @ self.theta
-            rec = _Softmax(feats, self._groups_of(state, first), np.exp(logits - _max(logits)))
+            rec = _Softmax(feats, self._groups_of(state), np.exp(logits - _max(logits)))
             if len(records) >= _RECORDS_HELD:
                 del records[next(iter(records))]
             records[state] = rec
@@ -289,9 +356,10 @@ class LookaheadPolicy:
             return acts, np.full(len(acts), 1.0 / len(acts))
         rec = self._softmax(state)
         if rec.probs is None:
-            w, bounds = rec.w, rec.groups.bounds
-            probs = np.array([_sum(w[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-            probs /= _sum(probs)
+            groups = rec.groups
+            k = len(groups.lookup)
+            probs = _left_sums(rec.w, groups.local, k)
+            probs /= _left_sums(probs, np.zeros(k, dtype=np.intp), 1)
             probs.flags.writeable = False
             rec.probs = probs
         return rec.groups.acts, rec.probs
@@ -300,35 +368,14 @@ class LookaheadPolicy:
         """The whole policy at the current theta: one probability per
         (state, first action) group, non-terminal states in order and
         actions ascending, which is the order of those states' rows in the
-        model. Matches ``action_distribution`` state by state."""
-        sweep = self._sweep
-        if sweep is None:
-            sweep = self._sweep = self._build_sweep()
-        logits = sweep.feats @ self.theta
-        top = np.maximum.reduceat(logits, sweep.seq_start)
-        w = np.exp(logits - np.repeat(top, sweep.seq_count))
-        mass = np.add.reduceat(w, sweep.group_start)
-        total = np.add.reduceat(mass, sweep.state_group_start)
-        return mass / np.repeat(total, sweep.state_group_count)
-
-    def _build_sweep(self) -> _Sweep:
-        states = [s for s in range(self.model.n_states) if s != self.ssp.terminal]
-        tables = [self.sequence_table(s) for s in states]
-        seq_count = np.array([len(first) for first, _feats in tables])
-        seq_start = np.cumsum(seq_count) - seq_count
-        first = np.concatenate([first for first, _feats in tables])
-        # A group starts at each state's first sequence and wherever the
-        # first action changes within a state.
-        new_group = np.empty(len(first), dtype=bool)
-        new_group[1:] = first[1:] != first[:-1]
-        new_group[seq_start] = True
-        group_start = np.flatnonzero(new_group)
-        state_group_start = np.searchsorted(group_start, seq_start)
-        return _Sweep(
-            seq_start=seq_start, seq_count=seq_count, group_start=group_start,
-            state_group_start=state_group_start,
-            state_group_count=np.diff(state_group_start, append=len(group_start)),
-            feats=np.concatenate([feats for _first, feats in tables]))
+        model. Equal, bit for bit, to ``action_distribution`` state by
+        state."""
+        logits = self._feats @ self.theta
+        top = np.maximum.reduceat(logits, self._root_seq_start)
+        w = np.exp(logits - top[self._seq_owner])
+        mass = _left_sums(w, self._seq_group, len(self._group_start))
+        total = _left_sums(mass, self._group_owner, len(self._root_seq_start))
+        return mass / total[self._group_owner]
 
     def action_probability(self, state: int, action: int) -> float:
         acts, probs = self.action_distribution(state)
@@ -342,7 +389,7 @@ class LookaheadPolicy:
         if state == self.ssp.terminal:
             return np.zeros(2)
         rec = self._softmax(state)
-        _acts, lookup, bounds = rec.groups
+        _acts, lookup, bounds, _local = rec.groups
         wu = 0.0
         if action in lookup:
             k = lookup.index(action)
@@ -369,13 +416,3 @@ class LookaheadPolicy:
             if not acc <= x:
                 return int(acts[k])
         return int(acts[-1])
-
-    def as_policy_table(self):
-        """Full per-state action distribution at the current theta."""
-        from .models import StationaryPolicy
-
-        table = {}
-        for state in range(self.model.n_states):
-            acts, probs = self.action_distribution(state)
-            table[state] = {int(u): float(p) for u, p in zip(acts, probs)}
-        return StationaryPolicy(kind="randomized", table=table)

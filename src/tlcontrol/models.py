@@ -1,5 +1,16 @@
 """Labeled MDP/NTS models, deterministic Rabin automata, and stationary policies.
 
+A model stores its (state, action) rows once, as CSR arrays: the rows of
+state q are ``state_ptr[q]:state_ptr[q + 1]``, in ascending action id, row
+r takes action ``row_action[r]`` and owns the entries
+``row_ptr[r]:row_ptr[r + 1]``, and entry e steps to ``succ[e]`` with weight
+``weight[e]``; successors are strictly ascending within a row. A state's
+enabled actions are the actions of its rows. ``LabeledModel.from_rows``
+builds a model from per-row entry lists; the pipeline's own builds
+(products, pruning, SSP conversion) compute the arrays directly. Every
+construction checks the structural invariants once, as array checks
+(``validate_model``).
+
 Model file format (line oriented, ``#`` starts a comment):
 
     states N
@@ -32,9 +43,12 @@ must be total after that expansion.
 
 from __future__ import annotations
 
+import dataclasses
 import re
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,31 +72,128 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class LabeledModel:
-    """A finite state-transition model with observation labels.
+# The array fields of a model and their dtypes.
+_ARRAYS = (("labels", np.int64), ("state_ptr", np.int64), ("row_action", np.int64),
+           ("row_ptr", np.int64), ("succ", np.int64), ("weight", np.float64))
 
-    ``transitions`` maps (state, action id) to a tuple of (successor, weight)
-    entries sorted by successor; rows exist exactly for enabled actions.
-    ``labels`` holds one observation bitmask per state over ``props``.
-    Instances are immutable after construction.
+
+@dataclass(frozen=True, eq=False)
+class LabeledModel:
+    """A finite state-transition model with observation labels, stored as
+    CSR rows (see the module docstring).
+
+    ``labels`` holds one observation bitmask per state over ``props``. The
+    arrays are read-only and every invariant is checked on construction.
+    ``transitions`` is a read-only mapping view (state, action id) ->
+    ((successor, weight), ...) over the arrays, in row order. Two models
+    are equal when their fields and arrays are.
     """
 
     n_states: int
     initial: int
     actions: tuple[str, ...]
-    enabled: tuple[tuple[int, ...], ...]
-    transitions: Mapping[tuple[int, int], tuple[tuple[int, float], ...]]
     props: tuple[str, ...]
-    labels: tuple[int, ...]
+    labels: np.ndarray
     mode: str
+    state_ptr: np.ndarray
+    row_action: np.ndarray
+    row_ptr: np.ndarray
+    succ: np.ndarray
+    weight: np.ndarray
     state_names: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "n_states", int(self.n_states))
+        object.__setattr__(self, "initial", int(self.initial))
+        for name, dtype in _ARRAYS:
+            arr = np.asarray(getattr(self, name), dtype=dtype).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        validate_model(self)
+
+    @classmethod
+    def from_rows(cls, rows: Mapping[tuple[int, int], Iterable[tuple[int, float]]], *,
+                  n_states: int, initial: int, actions: tuple[str, ...], mode: str,
+                  props: tuple[str, ...] = (), labels: Sequence[int] | None = None,
+                  state_names: tuple[str, ...] | None = None) -> "LabeledModel":
+        """The model whose row (q, u) holds the (successor, weight) entries
+        ``rows[(q, u)]``, sorted by successor; unlabeled by default."""
+        keys = sorted(rows)
+        for q, _u in keys:
+            if not 0 <= q < n_states:
+                raise ModelError(f"dangling state id {q}")
+        entries = [sorted(rows[key]) for key in keys]
+        state_ptr = np.zeros(n_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(np.array([q for q, _u in keys], dtype=np.int64),
+                              minlength=n_states), out=state_ptr[1:])
+        row_ptr = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in entries], out=row_ptr[1:])
+        return cls(
+            n_states=n_states, initial=initial, actions=tuple(actions), props=tuple(props),
+            labels=np.zeros(n_states, dtype=np.int64) if labels is None else labels,
+            mode=mode, state_ptr=state_ptr,
+            row_action=np.array([u for _q, u in keys], dtype=np.int64),
+            row_ptr=row_ptr,
+            succ=np.array([s for row in entries for s, _w in row], dtype=np.int64),
+            weight=np.array([w for row in entries for _s, w in row], dtype=np.float64),
+            state_names=state_names)
+
+    def __eq__(self, other):
+        if not isinstance(other, LabeledModel):
+            return NotImplemented
+        return ((self.n_states, self.initial, self.actions, self.props, self.mode,
+                 self.state_names)
+                == (other.n_states, other.initial, other.actions, other.props, other.mode,
+                    other.state_names)
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name, _dtype in _ARRAYS))
+
+    __hash__ = None
+
+    @cached_property
+    def row_state(self) -> np.ndarray:
+        """The state of each row."""
+        out = np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def entry_row(self) -> np.ndarray:
+        """The row of each entry."""
+        out = np.repeat(np.arange(len(self.row_action)), np.diff(self.row_ptr))
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def enabled(self) -> tuple[tuple[int, ...], ...]:
+        """Each state's enabled action ids, ascending."""
+        acts, ptr = self.row_action.tolist(), self.state_ptr.tolist()
+        return tuple(tuple(acts[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
+
+    @cached_property
+    def transitions(self) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
+        return _RowView(self)
+
+    @cached_property
+    def _lists(self) -> tuple[list[int], list[int], list[int]]:
+        return self.state_ptr.tolist(), self.row_action.tolist(), self.row_ptr.tolist()
+
     def successors(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
-        return self.transitions[(state, action)]
+        lo, hi = self._entries(state, action)
+        return tuple(zip(self.succ[lo:hi].tolist(), self.weight[lo:hi].tolist()))
 
     def support(self, state: int, action: int) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.transitions[(state, action)])
+        lo, hi = self._entries(state, action)
+        return tuple(self.succ[lo:hi].tolist())
+
+    def _entries(self, state: int, action: int) -> tuple[int, int]:
+        """The entries of row (state, action); KeyError when there is none."""
+        state_ptr, row_action, row_ptr = self._lists
+        if 0 <= state < self.n_states:
+            for r in range(state_ptr[state], state_ptr[state + 1]):
+                if row_action[r] == action:
+                    return row_ptr[r], row_ptr[r + 1]
+        raise KeyError((state, action))
 
     def action_id(self, name: str) -> int:
         return self.actions.index(name)
@@ -98,15 +209,32 @@ class LabeledModel:
 
     def letter(self, state: int) -> int:
         """Observation set of ``state`` as a single alphabet letter."""
-        return self.labels[state]
+        return int(self.labels[state])
 
     def enabled_pairs(self) -> Iterator[tuple[int, int]]:
-        for q, acts in enumerate(self.enabled):
-            for u in acts:
-                yield (q, u)
+        return zip(self.row_state.tolist(), self.row_action.tolist())
 
     def n_enabled_pairs(self) -> int:
-        return sum(len(acts) for acts in self.enabled)
+        return len(self.row_action)
+
+
+class _RowView(MappingABC):
+    """Read-only (state, action id) -> ((successor, weight), ...) view of a
+    model's rows, iterated in row order."""
+
+    __slots__ = ("_model",)
+
+    def __init__(self, model: LabeledModel):
+        self._model = model
+
+    def __getitem__(self, key: tuple[int, int]) -> tuple[tuple[int, float], ...]:
+        return self._model.successors(*key)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return self._model.enabled_pairs()
+
+    def __len__(self) -> int:
+        return self._model.n_enabled_pairs()
 
 
 def validate_model(m: LabeledModel) -> None:
@@ -117,37 +245,73 @@ def validate_model(m: LabeledModel) -> None:
         raise ModelError(f"initial state {m.initial} out of range")
     if len(m.props) > MAX_PROPS:
         raise ModelError(f"{len(m.props)} propositions exceed the cap of {MAX_PROPS}")
-    if len(m.enabled) != m.n_states or len(m.labels) != m.n_states:
+    if m.labels.shape != (m.n_states,) or m.state_ptr.shape != (m.n_states + 1,):
         raise ModelError("enabled/label tables do not cover all states")
-    seen = set()
-    for q, acts in enumerate(m.enabled):
-        if not acts:
-            raise ModelError(f"state {q} has no enabled actions")
-        for u in acts:
-            if not (0 <= u < len(m.actions)):
-                raise ModelError(f"state {q}: action id {u} out of range")
-            row = m.transitions.get((q, u))
-            if not row:
-                raise ModelError(f"state {q}, action {m.actions[u]!r}: no transitions")
-            seen.add((q, u))
-            total = 0.0
-            for succ, w in row:
-                if not (0 <= succ < m.n_states):
-                    raise ModelError(f"dangling state id {succ} in row ({q}, {m.actions[u]!r})")
-                if m.mode == NTS and w != 1.0:
-                    raise ModelError(
-                        f"state {q}, action {m.actions[u]!r}: NTS weight {w} is not 1")
-                if w <= 0.0 or w > 1.0 + ROW_SUM_TOL:
-                    raise ModelError(
-                        f"state {q}, action {m.actions[u]!r}: weight {w} outside (0, 1]")
-                total += w
-            if m.mode == MDP and abs(total - 1.0) > ROW_SUM_TOL:
-                raise ModelError(
-                    f"stochasticity violation at ({q}, {m.actions[u]!r}): row sum {total!r}")
-    extra = set(m.transitions) - seen
-    if extra:
-        q, u = sorted(extra)[0]
-        raise ModelError(f"transition row ({q}, {m.actions[u]!r}) for a disabled action")
+    n_rows, n_entries = len(m.row_action), len(m.succ)
+    if (m.state_ptr[0] != 0 or m.state_ptr[-1] != n_rows
+            or m.row_ptr.shape != (n_rows + 1,) or m.row_ptr[0] != 0
+            or m.row_ptr[-1] != n_entries or m.weight.shape != (n_entries,)
+            or m.row_action.ndim != 1 or m.succ.ndim != 1):
+        raise ModelError("row and entry arrays do not fit together")
+    per_state = np.diff(m.state_ptr)
+    if (per_state < 0).any():
+        raise ModelError("row and entry arrays do not fit together")
+    empty = np.flatnonzero(per_state == 0)
+    if empty.size:
+        raise ModelError(f"state {empty[0]} has no enabled actions")
+
+    def where(r) -> tuple[int, object]:
+        q, u = int(m.row_state[r]), int(m.row_action[r])
+        return q, m.actions[u] if 0 <= u < len(m.actions) else u
+
+    bad = np.flatnonzero((m.row_action < 0) | (m.row_action >= len(m.actions)))
+    if bad.size:
+        q, u = where(bad[0])
+        raise ModelError(f"state {q}: action id {u} out of range")
+    # Consecutive rows of one state must raise the action id.
+    bad = np.flatnonzero(_within(m.state_ptr, n_rows) & (np.diff(m.row_action) <= 0))
+    if bad.size:
+        q, u = where(bad[0] + 1)
+        raise ModelError(f"state {q}: action {u!r} repeated or out of order")
+    bad = np.flatnonzero(np.diff(m.row_ptr) <= 0)
+    if bad.size:
+        q, u = where(bad[0])
+        raise ModelError(f"state {q}, action {u!r}: no transitions")
+    bad = np.flatnonzero((m.succ < 0) | (m.succ >= m.n_states))
+    if bad.size:
+        q, u = where(m.entry_row[bad[0]])
+        raise ModelError(f"dangling state id {m.succ[bad[0]]} in row ({q}, {u!r})")
+    bad = np.flatnonzero(_within(m.row_ptr, n_entries) & (np.diff(m.succ) <= 0))
+    if bad.size:
+        q, u = where(m.entry_row[bad[0] + 1])
+        raise ModelError(f"successor {m.succ[bad[0] + 1]} repeated or out of order "
+                         f"in row ({q}, {u!r})")
+    w = m.weight
+    if m.mode == NTS:
+        bad = np.flatnonzero(w != 1.0)
+        if bad.size:
+            q, u = where(m.entry_row[bad[0]])
+            raise ModelError(f"state {q}, action {u!r}: NTS weight {w[bad[0]]} is not 1")
+        return
+    bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0 + ROW_SUM_TOL)))
+    if bad.size:
+        q, u = where(m.entry_row[bad[0]])
+        raise ModelError(f"state {q}, action {u!r}: weight {w[bad[0]]} outside (0, 1]")
+    totals = np.add.reduceat(w, m.row_ptr[:-1]) if n_rows else w[:0]
+    bad = np.flatnonzero(np.abs(totals - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        q, u = where(bad[0])
+        raise ModelError(
+            f"stochasticity violation at ({q}, {u!r}): row sum {float(totals[bad[0]])!r}")
+
+
+def _within(ptr: np.ndarray, n: int) -> np.ndarray:
+    """For each i < n - 1, whether items i and i + 1 lie in the same
+    segment of the CSR pointer array ``ptr``."""
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    starts = ptr[1:-1]
+    same[starts[(starts > 0) & (starts < n)] - 1] = False
+    return same
 
 
 def parse_model(text: str) -> LabeledModel:
@@ -157,7 +321,6 @@ def parse_model(text: str) -> LabeledModel:
     props: list[str] = []
     actions: list[str] = []
     action_ids: dict[str, int] = {}
-    enabled: dict[int, list[int]] = {}
     rows: dict[tuple[int, int], dict[int, float]] = {}
     row_line: dict[tuple[int, int], int] = {}
     labels: dict[int, int] = {}
@@ -210,9 +373,6 @@ def parse_model(text: str) -> LabeledModel:
             if succ in rows[(q, u)]:
                 raise ParseError(lineno, f"duplicate transition ({q}, {tokens[2]}, {succ})")
             rows[(q, u)][succ] = w
-            enabled.setdefault(q, [])
-            if u not in enabled[q]:
-                enabled[q].append(u)
         else:
             raise ParseError(lineno, f"unknown directive {key!r}")
 
@@ -223,7 +383,7 @@ def parse_model(text: str) -> LabeledModel:
     if mode is None:
         raise ModelError("missing 'mode' header")
 
-    transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
+    transitions: dict[tuple[int, int], list[tuple[int, float]]] = {}
     for (q, u), succs in rows.items():
         lineno = row_line[(q, u)]
         if not (0 <= q < n_states):
@@ -246,8 +406,9 @@ def parse_model(text: str) -> LabeledModel:
                 lineno, f"stochasticity violation at ({q}, {actions[u]!r}): row sum {total!r}")
         if not kept:
             raise ParseError(lineno, f"row ({q}, {actions[u]!r}) has no positive transitions")
-        transitions[(q, u)] = tuple(kept)
+        transitions[(q, u)] = kept
 
+    enabled = {q for q, _u in transitions}
     for q in range(n_states):
         if q not in enabled:
             raise ModelError(f"state {q} has no enabled actions")
@@ -255,18 +416,9 @@ def parse_model(text: str) -> LabeledModel:
         if not (0 <= q < n_states):
             raise ModelError(f"dangling state id {q} in a label line")
 
-    model = LabeledModel(
-        n_states=n_states,
-        initial=initial,
-        actions=tuple(actions),
-        enabled=tuple(tuple(enabled[q]) for q in range(n_states)),
-        transitions=transitions,
-        props=tuple(props),
-        labels=tuple(labels.get(q, 0) for q in range(n_states)),
-        mode=mode,
-    )
-    validate_model(model)
-    return model
+    return LabeledModel.from_rows(
+        transitions, n_states=n_states, initial=initial, actions=tuple(actions), mode=mode,
+        props=tuple(props), labels=[labels.get(q, 0) for q in range(n_states)])
 
 
 def _int_field(tokens: list[str], lineno: int, name: str) -> int:
@@ -298,14 +450,14 @@ def serialize_model(m: LabeledModel) -> str:
     if m.state_names:
         for q, name in enumerate(m.state_names):
             out.append(f"# state {q} {name}")
-    for q in range(m.n_states):
-        if m.labels[q]:
-            names = [p for i, p in enumerate(m.props) if m.labels[q] >> i & 1]
+    for q, label in enumerate(m.labels.tolist()):
+        if label:
+            names = [p for i, p in enumerate(m.props) if label >> i & 1]
             out.append(f"label {q}: " + " ".join(names))
-    for q in range(m.n_states):
-        for u in m.enabled[q]:
-            for succ, w in m.transitions[(q, u)]:
-                out.append(f"trans {q} {m.actions[u]} {succ} {w!r}")
+    row_ptr, succ, weight = m.row_ptr.tolist(), m.succ.tolist(), m.weight.tolist()
+    for r, (q, u) in enumerate(m.enabled_pairs()):
+        head = f"trans {q} {m.actions[u]} "
+        out.extend(f"{head}{succ[e]} {weight[e]!r}" for e in range(row_ptr[r], row_ptr[r + 1]))
     return "\n".join(out) + "\n"
 
 
@@ -313,21 +465,7 @@ def nts_from_mdp(m: LabeledModel) -> LabeledModel:
     """Possibilistic abstraction: each positive-probability edge becomes a flag."""
     if m.mode == NTS:
         return m
-    transitions = {
-        key: tuple((succ, 1.0) for succ, w in row if w > 0)
-        for key, row in m.transitions.items()
-    }
-    return LabeledModel(
-        n_states=m.n_states,
-        initial=m.initial,
-        actions=m.actions,
-        enabled=m.enabled,
-        transitions=transitions,
-        props=m.props,
-        labels=m.labels,
-        mode=NTS,
-        state_names=m.state_names,
-    )
+    return dataclasses.replace(m, mode=NTS, weight=np.ones(len(m.weight)))
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +657,14 @@ def validate_policy(pol: StationaryPolicy, m: LabeledModel) -> None:
             raise ModelError(f"deterministic policy has {len(dist)} actions at state {state}")
 
 
-def save_policy(f, pol: StationaryPolicy, m: LabeledModel) -> None:
-    """Write a policy as tab-separated (state, action name, probability) rows."""
+def save_policy(f, pol: StationaryPolicy | np.ndarray, m: LabeledModel) -> None:
+    """Write a policy as tab-separated (state, action name, probability)
+    rows, states and actions ascending. An array policy holds one
+    probability per row of ``m``."""
+    if isinstance(pol, np.ndarray):
+        f.writelines(f"{q}\t{m.actions[u]}\t{p!r}\n"
+                     for (q, u), p in zip(m.enabled_pairs(), pol.tolist()))
+        return
     for state in sorted(pol.table):
         for action in sorted(pol.table[state]):
             f.write(f"{state}\t{m.actions[action]}\t{pol.table[state][action]!r}\n")

@@ -300,8 +300,11 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     with open(outdir / "trace.csv", "w") as f:
         trace.write_csv(f)
     policy.theta = np.array(theta, dtype=float)
+    # One probability per SSP row: the terminal's rows are uniform.
+    probs = np.full(ssp.base.n_enabled_pairs(), 1.0 / len(ssp.base.actions))
+    probs[ssp.base.row_state != ssp.terminal] = policy.policy_rows()
     with open(outdir / "policy.tsv", "w") as f:
-        save_policy(f, policy.as_policy_table(), ssp.base)
+        save_policy(f, probs, ssp.base)
 
     lines += [
         ("iterations", trace.iterations),

@@ -6,12 +6,23 @@ problem: build the synchronized product, find its accepting maximal end
 components, take their union as the goal set, mark the states that cannot
 possibly reach it, and redirect goal mass to a fresh absorbing terminal while
 zero-probability states restart at the initial state with unit cost.
+
+Every step works on the models' CSR arrays (see ``models``). The product is
+index arithmetic over the automaton's ``delta`` table; pruning, the
+probability refit and the SSP conversion are masks, gathers and remaps; the
+end-component search and the goal closure read their supports from the
+arrays. Graph searches (forward reachability, the backward closure of the
+goal) are one numpy frontier loop, ``_closure``, which the exact oracles
+use as well.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .models import (
     MDP,
@@ -20,9 +31,7 @@ from .models import (
     ModelError,
     RabinAutomaton,
     StationaryPolicy,
-    parse_model,
     serialize_model,
-    validate_model,
 )
 
 TransitionSource = Callable[[int, int], Sequence[tuple[int, float]]]
@@ -45,6 +54,41 @@ class ProductModel:
     label_rule: str = "next"
 
 
+def _letters(m: LabeledModel, props: Sequence[str]) -> np.ndarray:
+    """Each state's label re-encoded over the bit order of ``props``."""
+    letters = np.zeros(m.n_states, dtype=np.int64)
+    for i, name in enumerate(m.props):
+        letters |= ((m.labels >> i) & 1) << props.index(name)
+    return letters
+
+
+def _ptr(counts: np.ndarray) -> np.ndarray:
+    """CSR pointer array of segments with the given sizes."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending. A stable sort plus a mask:
+    ``np.unique`` and the set routines run a hash table and numpy's default
+    sort, whose code alone adds about 0.6 MiB of resident memory to a desk
+    run that needs neither."""
+    x = np.sort(x, kind="stable")
+    keep = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def _expand(ptr: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The items of ``segments`` (in that order) under the CSR pointer
+    array ``ptr``: (position in ``segments`` of each item, item index)."""
+    lo = ptr[segments]
+    count = ptr[segments + 1] - lo
+    owner = np.repeat(np.arange(len(segments)), count)
+    return owner, lo[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
+
+
 def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") -> ProductModel:
     """Build the full (unpruned) product of ``m`` and ``r``.
 
@@ -52,6 +96,10 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
     model state on every transition (and consumes the initial state's label
     once, before the first transition); with ``"current"`` it reads the label
     of the source state and starts in its own initial state.
+
+    Product state q * |S| + s has the rows of model state q, in the same
+    order; an entry to q' lands on q' * |S| + delta(s, letter), so a row's
+    successors stay ascending.
     """
     if label_rule not in ("next", "current"):
         raise ModelError(f"unknown label rule {label_rule!r}")
@@ -59,93 +107,125 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
         raise ModelError(
             f"proposition mismatch: model has {sorted(m.props)}, automaton has {sorted(r.props)}")
 
-    # Model labels re-encoded over the automaton's proposition order.
-    letters = [r.prop_mask(p for i, p in enumerate(m.props) if m.labels[q] >> i & 1)
-               for q in range(m.n_states)]
-
+    letters = _letters(m, r.props)
+    delta = np.asarray(r.delta, dtype=np.int64)
     ns = r.n_states
-    index = lambda q, s: q * ns + s
     n_prod = m.n_states * ns
-    names = m.state_names or tuple(str(q) for q in range(m.n_states))
+    model_state = np.repeat(np.arange(m.n_states), ns)
+    dra_state = np.tile(np.arange(ns), m.n_states)
 
-    transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    for (q, u), row in m.transitions.items():
-        for s in range(ns):
-            if label_rule == "next":
-                lifted = [(index(q2, int(r.delta[s, letters[q2]])), w) for q2, w in row]
-            else:
-                s2 = int(r.delta[s, letters[q]])
-                lifted = [(index(q2, s2), w) for q2, w in row]
-            transitions[(index(q, s), u)] = tuple(sorted(lifted))
+    state_ptr = _ptr(np.diff(m.state_ptr)[model_state])
+    row_state, model_row = _expand(m.state_ptr, model_state)
+    row_ptr = _ptr(np.diff(m.row_ptr)[model_row])
+    entry_row, model_entry = _expand(m.row_ptr, model_row)
+    target = m.succ[model_entry]
+    read = target if label_rule == "next" else model_state[row_state[entry_row]]
+    succ = target * ns + delta[dra_state[row_state[entry_row]], letters[read]]
 
     if label_rule == "next":
-        s_init = int(r.delta[r.initial, letters[m.initial]])
+        s_init = int(delta[r.initial, letters[m.initial]])
     else:
         s_init = r.initial
 
+    names = m.state_names or tuple(str(q) for q in range(m.n_states))
     base = LabeledModel(
         n_states=n_prod,
-        initial=index(m.initial, s_init),
+        initial=m.initial * ns + s_init,
         actions=m.actions,
-        enabled=tuple(m.enabled[p // ns] for p in range(n_prod)),
-        transitions=transitions,
         props=m.props,
-        labels=tuple(m.labels[p // ns] for p in range(n_prod)),
+        labels=m.labels[model_state],
         mode=m.mode,
-        state_names=tuple(f"{names[p // ns]}|{p % ns}" for p in range(n_prod)),
+        state_ptr=state_ptr,
+        row_action=m.row_action[model_row],
+        row_ptr=row_ptr,
+        succ=succ,
+        weight=m.weight[model_entry],
+        state_names=tuple(f"{name}|{s}" for name in names for s in range(ns)),
     )
+    offsets = np.arange(m.n_states)[:, None] * ns
     pairs = tuple(
-        (frozenset(index(q, s) for q in range(m.n_states) for s in left),
-         frozenset(index(q, s) for q in range(m.n_states) for s in right))
+        (frozenset((offsets + sorted(left)).ravel().tolist()),
+         frozenset((offsets + sorted(right)).ravel().tolist()))
         for left, right in r.pairs)
     return ProductModel(
         base=base,
-        projection=tuple((p // ns, p % ns) for p in range(n_prod)),
+        projection=tuple(zip(model_state.tolist(), dra_state.tolist())),
         pairs=pairs,
         unpruned_states=n_prod,
         label_rule=label_rule,
     )
 
 
+def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the states with an edge path (src -> dst) into the ``seeds``
+    mask, seeds included; backward frontier propagation."""
+    order = np.argsort(dst, kind="stable")
+    pred = src[order]
+    ptr = np.searchsorted(dst[order], np.arange(len(seeds) + 1))
+    reach = seeds.copy()
+    frontier = np.flatnonzero(reach)
+    while frontier.size:
+        lo = ptr[frontier]
+        n = ptr[frontier + 1] - lo
+        prev = pred[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        frontier = _distinct(prev[~reach[prev]])
+        reach[frontier] = True
+    return reach
+
+
+def _rows_into(m: LabeledModel, rows: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """For each state, the rows (of the ``rows`` mask, when given) that
+    step into it, one per entry and in entry order, as CSR arrays."""
+    entry_row, dst = m.entry_row, m.succ
+    if rows is not None:
+        keep = rows[entry_row]
+        entry_row, dst = entry_row[keep], dst[keep]
+    return (_ptr(np.bincount(dst, minlength=m.n_states)),
+            entry_row[np.argsort(dst, kind="stable")])
+
+
+def _members(states: Iterable[int], n: int) -> np.ndarray:
+    out = np.zeros(n, dtype=bool)
+    out[np.fromiter(states, dtype=np.int64)] = True
+    return out
+
+
 def prune_unreachable(p: ProductModel) -> ProductModel:
     """Drop product states unreachable from the initial state."""
     m = p.base
-    reach = {m.initial}
-    stack = [m.initial]
-    while stack:
-        q = stack.pop()
-        for u in m.enabled[q]:
-            for succ, _ in m.transitions[(q, u)]:
-                if succ not in reach:
-                    reach.add(succ)
-                    stack.append(succ)
-    keep = sorted(reach)
-    if len(keep) == m.n_states:
+    reach = _closure(m.succ, m.row_state[m.entry_row], _members([m.initial], m.n_states))
+    if reach.all():
         return p
-    remap = {old: new for new, old in enumerate(keep)}
-    transitions = {
-        (remap[q], u): tuple((remap[s], w) for s, w in m.transitions[(q, u)])
-        for q in keep for u in m.enabled[q]
-    }
+    keep = np.flatnonzero(reach)
+    new_id = np.full(m.n_states, -1, dtype=np.int64)
+    new_id[keep] = np.arange(len(keep))
+    rows = reach[m.row_state]
+    entries = rows[m.entry_row]
+    keep_list = keep.tolist()
     base = LabeledModel(
         n_states=len(keep),
-        initial=remap[m.initial],
+        initial=new_id[m.initial],
         actions=m.actions,
-        enabled=tuple(m.enabled[q] for q in keep),
-        transitions=transitions,
         props=m.props,
-        labels=tuple(m.labels[q] for q in keep),
+        labels=m.labels[keep],
         mode=m.mode,
-        state_names=tuple(m.state_names[q] for q in keep) if m.state_names else None,
+        state_ptr=_ptr(np.diff(m.state_ptr)[keep]),
+        row_action=m.row_action[rows],
+        row_ptr=_ptr(np.diff(m.row_ptr)[rows]),
+        succ=new_id[m.succ[entries]],
+        weight=m.weight[entries],
+        state_names=tuple(m.state_names[q] for q in keep_list) if m.state_names else None,
     )
-    pairs = tuple(
-        (frozenset(remap[s] for s in left if s in reach),
-         frozenset(remap[s] for s in right if s in reach))
-        for left, right in p.pairs)
+
+    def lift(states: frozenset[int]) -> frozenset[int]:
+        ids = new_id[np.fromiter(states, dtype=np.int64, count=len(states))]
+        return frozenset(ids[ids >= 0].tolist())
+
     return ProductModel(
         base=base,
-        projection=tuple(p.projection[q] for q in keep),
-        pairs=pairs,
+        projection=tuple(p.projection[q] for q in keep_list),
+        pairs=tuple((lift(left), lift(right)) for left, right in p.pairs),
         unpruned_states=p.unpruned_states,
         label_rule=p.label_rule,
     )
@@ -156,41 +236,43 @@ def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
 
     The probabilistic model must share the possibilistic support: an edge of
     ``m_mdp`` that the product skeleton does not carry is an error, while
-    skeleton edges of probability zero are dropped.
+    skeleton edges of probability zero are dropped. Each skeleton row must
+    reach a model state at most once, as every row ``build_product`` makes
+    does.
     """
     if m_mdp.mode != MDP:
         raise ModelError("with_probabilities needs an MDP-mode base model")
-    weights = {
-        (q, u): {succ: w for succ, w in row}
-        for (q, u), row in m_mdp.transitions.items()
-    }
-    transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    for (sp, u), row in p.base.transitions.items():
-        q = p.projection[sp][0]
-        base_row = dict(weights[(q, u)])
-        lifted = []
-        for succ, _ in row:
-            q2 = p.projection[succ][0]
-            w = base_row.pop(q2, 0.0)
-            if w > 0:
-                lifted.append((succ, w))
-        if base_row:
-            raise ModelError(
-                f"support mismatch at ({q}, {m_mdp.actions[u]!r}): "
-                f"probabilistic successors {sorted(base_row)} missing from the skeleton")
-        transitions[(sp, u)] = tuple(lifted)
-    base = LabeledModel(
-        n_states=p.base.n_states,
-        initial=p.base.initial,
-        actions=p.base.actions,
-        enabled=p.base.enabled,
-        transitions=transitions,
-        props=p.base.props,
-        labels=p.base.labels,
-        mode=MDP,
-        state_names=p.base.state_names,
-    )
-    validate_model(base)
+    sk = p.base
+    model_state = np.asarray(p.projection, dtype=np.int64).reshape(-1, 2)[:, 0]
+    n_act, n_model = len(m_mdp.actions), m_mdp.n_states
+    # The MDP row of every skeleton row; rows are sorted by (state, action).
+    mdp_keys = m_mdp.row_state * n_act + m_mdp.row_action
+    want = model_state[sk.row_state] * n_act + sk.row_action
+    mdp_row = np.minimum(np.searchsorted(mdp_keys, want), len(mdp_keys) - 1)
+    absent = np.flatnonzero(mdp_keys[mdp_row] != want)
+    if absent.size:
+        q, u = divmod(int(want[absent[0]]), n_act)
+        raise ModelError(f"no probabilistic row for ({q}, {sk.actions[u]!r})")
+    # The MDP entry of each skeleton entry's model successor in that row;
+    # entries are sorted by (row, successor).
+    entry_keys = m_mdp.entry_row * n_model + m_mdp.succ
+    want = mdp_row[sk.entry_row] * n_model + model_state[sk.succ]
+    pos = np.minimum(np.searchsorted(entry_keys, want), len(entry_keys) - 1)
+    found = entry_keys[pos] == want
+    matched = np.bincount(sk.entry_row[found], minlength=len(sk.row_action))
+    short = np.flatnonzero(matched < np.diff(m_mdp.row_ptr)[mdp_row])
+    if short.size:
+        r = int(short[0])
+        q, u = int(model_state[sk.row_state[r]]), int(sk.row_action[r])
+        have = model_state[sk.succ[sk.row_ptr[r]:sk.row_ptr[r + 1]]].tolist()
+        missing = sorted(set(m_mdp.support(q, u)) - set(have))
+        raise ModelError(
+            f"support mismatch at ({q}, {m_mdp.actions[u]!r}): "
+            f"probabilistic successors {missing} missing from the skeleton")
+    base = dataclasses.replace(
+        sk, mode=MDP,
+        row_ptr=_ptr(np.bincount(sk.entry_row[found], minlength=len(sk.row_action))),
+        succ=sk.succ[found], weight=m_mdp.weight[pos[found]])
     return ProductModel(
         base=base,
         projection=p.projection,
@@ -210,56 +292,38 @@ def max_end_components(
     """All maximal end components of a possibilistic model.
 
     Worklist decomposition (Baier & Katoen, *Principles of Model Checking*,
-    Alg. 47, with attractor-style removals). The successor supports of the
-    candidate states' (state, action) rows, and a predecessor index over
-    the rows whose support stays in the candidate set, are built once. Rows whose support leaves the candidate
-    set start disabled; a state left without an enabled row is removed,
-    which disables exactly the rows that can reach it, and the removals
-    cascade. Each component on the worklist is split into strongly connected
-    components under its enabled rows; if there is more than one, only the
-    rows that cross a border are disabled, removals cascade from the states
-    left empty, and every part that lost a row goes back on the worklist.
-    A single component, or a part that lost no row, is final.
+    Alg. 47, with attractor-style removals). Which candidate rows keep their
+    support in the candidate set, and a predecessor index over those rows,
+    are read from the model's arrays once. Rows whose support leaves the
+    candidate set start disabled; a state left without an enabled row is
+    removed, which disables exactly the rows that can reach it, and the
+    removals cascade. Each component on the worklist is split into strongly
+    connected components under its enabled rows; if there is more than one,
+    only the rows that cross a border are disabled, removals cascade from
+    the states left empty, and every part that lost a row goes back on the
+    worklist. A single component, or a part that lost no row, is final.
 
     Cost: building the index and all cascades together are linear in the
     rows and their supports; each worklist round adds one linear SCC pass
     over its component, so the total is O(states x edges) in the worst case
     and a few linear passes when the components nest shallowly.
 
-    Returns (state set, retained actions in enabled order) entries sorted
+    Returns (state set, retained actions in ascending order) entries sorted
     by smallest state; the sets are pairwise disjoint, closed under their
     retained actions, and strongly connected.
     """
     if n.mode != NTS:
         raise ModelError("end components are computed on NTS-mode models")
-    states = sorted(set(range(n.n_states) if within is None else within))
-    part = [-1] * n.n_states  # component label; -1: outside or removed
-    for q in states:
-        part[q] = 0
-    row_state: list[int] = []
-    row_action: list[int] = []
-    row_succ: list[tuple[int, ...]] = []
-    live: list[bool] = []
-    rows_of: dict[int, range] = {}
-    preds: dict[int, list[int]] = {q: [] for q in states}
-    n_live = [0] * n.n_states
-    empty: list[int] = []
-    for q in states:
-        first = len(row_succ)
-        for u in n.enabled[q]:
-            succ = n.support(q, u)
-            inside = all(part[s] == 0 for s in succ)
-            if inside:
-                for s in succ:
-                    preds[s].append(len(row_succ))
-                n_live[q] += 1
-            row_state.append(q)
-            row_action.append(u)
-            row_succ.append(succ)
-            live.append(inside)
-        rows_of[q] = range(first, len(row_succ))
-        if not n_live[q]:
-            empty.append(q)
+    cand = np.ones(n.n_states, dtype=bool) if within is None else _members(within, n.n_states)
+    states = np.flatnonzero(cand).tolist()
+    part = np.where(cand, 0, -1).tolist()  # component label; -1: outside or removed
+    inside = cand[n.row_state] & np.logical_and.reduceat(cand[n.succ], n.row_ptr[:-1])
+    n_live = np.bincount(n.row_state[inside], minlength=n.n_states).tolist()
+    # Rows that step into each state, over the rows that start enabled.
+    pred_ptr, pred_rows = (a.tolist() for a in _rows_into(n, inside))
+    live = inside.tolist()
+    row_state = n.row_state.tolist()
+    empty = [q for q in states if not n_live[q]]
 
     touched: set[int] = set()  # labels of components that lost a row
 
@@ -275,12 +339,25 @@ def max_end_components(
         while empty:
             q = empty.pop()
             part[q] = -1
-            for r in preds[q]:
+            for r in pred_rows[pred_ptr[q]:pred_ptr[q + 1]]:
                 if live[r]:
                     disable(r)
 
-    def successors(q: int) -> set[int]:
-        return {s for r in rows_of[q] if live[r] for s in row_succ[r]}
+    # A live row never leaves its state's component: rows crossing a border
+    # are disabled, and so are rows into removed states. A round works on
+    # the component's positions 0..k-1 (its states are sorted, so position
+    # order is state order).
+    pos = np.full(n.n_states, -1, dtype=np.int64)
+
+    def live_edges(members: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The live rows of the ``members`` states and their entries, as
+        (rows, row of each entry, source position, successor position)."""
+        at, rows = _expand(n.state_ptr, members)
+        keep = np.fromiter((live[r] for r in rows.tolist()), dtype=bool, count=len(rows))
+        at, rows = at[keep], rows[keep]
+        at2, entries = _expand(n.row_ptr, rows)
+        return rows, at2, at[at2], pos[n.succ[entries]]
 
     cascade()
     survivors = [q for q in states if part[q] == 0]
@@ -289,78 +366,94 @@ def max_end_components(
     label = 0
     while work:
         comp = work.pop()
-        sccs = _strongly_connected(set(comp), successors)
+        k = len(comp)
+        members = np.array(comp, dtype=np.int64)
+        pos[members] = np.arange(k)
+        rows, entry_row, src, dst = live_edges(members)
+        code = _distinct(src * k + dst)
+        sccs = _strongly_connected(range(k), _csr_lists(code // k, code % k, k).__getitem__, k)
         if len(sccs) == 1:
             final.append(comp)
             continue
         parts = []
         for scc in sccs:
             label += 1
+            scc = [comp[i] for i in scc]
             parts.append((label, scc))
             for q in scc:
                 part[q] = label
         touched.clear()
-        for q in comp:
-            for r in rows_of[q]:
-                if live[r] and any(part[s] != part[q] for s in row_succ[r]):
-                    disable(r)
+        comp_part = np.array([part[q] for q in comp])
+        border = np.bincount(entry_row[comp_part[src] != comp_part[dst]], minlength=len(rows))
+        for r in rows[border > 0].tolist():
+            disable(r)
         cascade()
         for lab, scc in parts:
             rest = sorted(q for q in scc if part[q] != -1)
             if rest:
                 (work if lab in touched else final).append(rest)
-    out = [(frozenset(comp),
-            {q: tuple(row_action[r] for r in rows_of[q] if live[r]) for q in comp})
-           for comp in final]
+    kept = np.array(live, dtype=bool)
+    retained = _csr_lists(n.row_state[kept], n.row_action[kept], n.n_states)
+    out = [(frozenset(comp), {q: tuple(retained[q]) for q in comp}) for comp in final]
     out.sort(key=lambda item: min(item[0]))
     return out
 
 
-def _strongly_connected(states: set[int], succ_of) -> list[set[int]]:
-    """Tarjan's algorithm, iterative, restricted to ``states``."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _csr_lists(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]:
+    """For each node below ``n``, its ``dst`` items in order, given edges
+    sorted by ``src``."""
+    ptr = _ptr(np.bincount(src, minlength=n)).tolist()
+    nodes = dst.tolist()
+    return [nodes[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+
+def _strongly_connected(states: Iterable[int], succ_of: Callable[[int], list[int]],
+                        n: int) -> list[set[int]]:
+    """Tarjan's algorithm, iterative, over ``states`` (ids below ``n``),
+    roots in ascending order; ``succ_of(q)`` lists q's successors, all in
+    ``states``, in the order to visit them. Components come out sinks
+    first."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
     stack: list[int] = []
     sccs: list[set[int]] = []
     counter = 0
     for root in sorted(states):
-        if root in index:
+        if index[root] >= 0:
             continue
-        call = [(root, iter(sorted(s for s in succ_of(root) if s in states)))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = 1
+        call = [(root, iter(succ_of(root)))]
         while call:
             node, it = call[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    call.append((nxt, iter(sorted(s for s in succ_of(nxt) if s in states))))
-                    advanced = True
+                    on_stack[nxt] = 1
+                    call.append((nxt, iter(succ_of(nxt))))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            call.pop()
-            if call:
-                parent = call[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                call.pop()
+                if call:
+                    parent = call[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.add(w)
+                        if w == node:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
@@ -399,20 +492,8 @@ def goal_and_bad_sets(
     cannot possibly reach it."""
     goal = frozenset().union(*(a.states for a in amec_list)) if amec_list else frozenset()
     m = p.base
-    reverse: dict[int, list[int]] = {q: [] for q in range(m.n_states)}
-    for (q, _u), row in m.transitions.items():
-        for succ, _ in row:
-            reverse[succ].append(q)
-    closed = set(goal)
-    stack = list(goal)
-    while stack:
-        q = stack.pop()
-        for prev in reverse[q]:
-            if prev not in closed:
-                closed.add(prev)
-                stack.append(prev)
-    bad = frozenset(range(m.n_states)) - closed
-    return goal, bad
+    closed = _closure(m.row_state[m.entry_row], m.succ, _members(goal, m.n_states))
+    return goal, frozenset(np.flatnonzero(~closed).tolist())
 
 
 def inside_amec_policy(a: Amec) -> StationaryPolicy:
@@ -456,60 +537,70 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
     """Convert a product with goal/zero sets into a restart SSP.
 
     Works in both modes: goal mass is redirected onto the terminal by
-    summation (MDP) or by an any-successor flag (NTS).
+    summation in entry order (MDP) or by an any-successor flag (NTS).
     """
     m = p.base
     if m.initial in goal:
         raise ModelError("initial state is already in the goal set (trivial instance)")
-    keep = [q for q in range(m.n_states) if q not in goal]
-    remap = {old: new for new, old in enumerate(keep)}
+    is_goal, is_bad = _members(goal, m.n_states), _members(bad, m.n_states)
+    keep = np.flatnonzero(~is_goal)
+    new_id = np.full(m.n_states, -1, dtype=np.int64)
+    new_id[keep] = np.arange(len(keep))
     terminal = len(keep)
-    new_initial = remap[m.initial]
-    all_actions = tuple(range(len(m.actions)))
+    new_initial = int(new_id[m.initial])
+    n_act = len(m.actions)
 
-    transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    enabled: list[tuple[int, ...]] = []
-    for old in keep:
-        new = remap[old]
-        enabled.append(m.enabled[old])
-        for u in m.enabled[old]:
-            if old in bad:
-                transitions[(new, u)] = ((new_initial, 1.0),)
-                continue
-            goal_mass = 0.0
-            row = []
-            for succ, w in m.transitions[(old, u)]:
-                if succ in goal:
-                    goal_mass = goal_mass + w if m.mode == MDP else max(goal_mass, w)
-                else:
-                    row.append((remap[succ], w))
-            if goal_mass > 0:
-                row.append((terminal, goal_mass))
-            transitions[(new, u)] = tuple(sorted(row))
-    enabled.append(all_actions)
-    for u in all_actions:
-        transitions[(terminal, u)] = ((terminal, 1.0),)
+    # Kept states keep their rows; the terminal gets one row per action.
+    rows = ~is_goal[m.row_state]
+    n_rows = int(rows.sum())
+    new_row = np.cumsum(rows) - 1
+    restart = is_bad[m.row_state[rows]]
+    # Entries of the kept rows of states that do not restart, split into
+    # plain entries (remapped) and goal entries (merged onto the terminal).
+    live = (rows & ~is_bad[m.row_state])[m.entry_row]
+    into_goal = is_goal[m.succ]
+    plain = np.flatnonzero(live & ~into_goal)
+    to_goal = np.flatnonzero(live & into_goal)
+    goal_row = new_row[m.entry_row[to_goal]]
+    if m.mode == MDP:
+        # np.bincount adds each row's weights in entry order, as a running sum would.
+        mass = np.bincount(goal_row, weights=m.weight[to_goal], minlength=n_rows)
+    else:
+        mass = (np.bincount(goal_row, minlength=n_rows) > 0).astype(float)
+    merged = np.flatnonzero(mass > 0)
+    restarts = np.flatnonzero(restart)
+
+    # A row's plain entries come first, then its terminal entry; a
+    # restarting row has the single entry to the initial state.
+    entry_row = np.concatenate((new_row[m.entry_row[plain]], merged, restarts,
+                                n_rows + np.arange(n_act)))
+    order = np.argsort(entry_row, kind="stable")
+    succ = np.concatenate((new_id[m.succ[plain]], np.full(len(merged), terminal),
+                           np.full(len(restarts), new_initial), np.full(n_act, terminal)))
+    weight = np.concatenate((m.weight[plain], mass[merged], np.ones(len(restarts) + n_act)))
 
     names = None
     if m.state_names:
-        names = tuple(m.state_names[old] for old in keep) + ("terminal",)
+        names = tuple(m.state_names[old] for old in keep.tolist()) + ("terminal",)
     base = LabeledModel(
         n_states=terminal + 1,
         initial=new_initial,
         actions=m.actions,
-        enabled=tuple(enabled),
-        transitions=transitions,
         props=m.props,
-        labels=tuple(m.labels[old] for old in keep) + (0,),
+        labels=np.append(m.labels[keep], 0),
         mode=m.mode,
+        state_ptr=_ptr(np.append(np.diff(m.state_ptr)[keep], n_act)),
+        row_action=np.concatenate((m.row_action[rows], np.arange(n_act))),
+        row_ptr=_ptr(np.bincount(entry_row, minlength=n_rows + n_act)),
+        succ=succ[order],
+        weight=weight[order],
         state_names=names,
     )
-    validate_model(base)
     return SspModel(
         base=base,
         terminal=terminal,
-        bad=frozenset(remap[q] for q in bad),
-        origin=tuple(keep) + (-1,),
+        bad=frozenset(new_id[is_bad & ~is_goal].tolist()),
+        origin=tuple(keep.tolist()) + (-1,),
     )
 
 
@@ -521,34 +612,6 @@ def serialize_ssp(ssp: SspModel) -> str:
         for u in ssp.base.enabled[q]:
             lines.append(f"cost {q} {ssp.base.actions[u]} 1")
     return out + "\n".join(lines) + "\n"
-
-
-def parse_ssp(text: str) -> SspModel:
-    terminal = None
-    cost_lines = []
-    body = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("terminal"):
-            terminal = int(stripped.split()[1])
-        elif stripped.startswith("cost"):
-            cost_lines.append(stripped.split())
-        else:
-            body.append(raw)
-    if terminal is None:
-        raise ModelError("missing 'terminal' header")
-    base = parse_model("\n".join(body))
-    bad = set()
-    for tokens in cost_lines:
-        if len(tokens) != 4 or tokens[3] != "1":
-            raise ModelError(f"bad cost line {' '.join(tokens)!r}")
-        bad.add(int(tokens[1]))
-    return SspModel(
-        base=base,
-        terminal=terminal,
-        bad=frozenset(bad),
-        origin=tuple(range(terminal)) + (-1,),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +631,7 @@ class ModelTransitionSource:
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
         key = (state, action)
         self._seen.add(key)
-        return self._model.transitions[key]
+        return self._model.successors(state, action)
 
     @property
     def pairs_computed(self) -> int:
@@ -596,10 +659,7 @@ class SspTransitionSource:
                         for old, pair in enumerate(product.projection)}
         self._pair_of = {new: product.projection[old]
                          for new, old in enumerate(ssp.origin) if old >= 0}
-        self._letters = tuple(
-            dra.prop_mask(p for i, p in enumerate(base_model.props)
-                          if base_model.labels[q] >> i & 1)
-            for q in range(base_model.n_states))
+        self._letters = tuple(_letters(base_model, dra.props).tolist())
 
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
         ssp = self._ssp

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tlcontrol.models import MDP, NTS, LabeledModel, validate_model
+from tlcontrol.models import MDP, NTS, LabeledModel, parse_model
 
 PROP_NAMES = ("p", "q", "r", "s")
 
@@ -9,12 +9,10 @@ PROP_NAMES = ("p", "q", "r", "s")
 def random_mdp(rng, n_states=5, n_actions=2, max_succ=3, n_props=1, seed_labels=True):
     """Random dense-ish MDP; every state gets a nonempty enabled set."""
     actions = tuple(f"a{i}" for i in range(n_actions))
-    enabled = []
     transitions = {}
     for q in range(n_states):
         k = int(rng.integers(1, n_actions + 1))
         acts = tuple(sorted(rng.choice(n_actions, size=k, replace=False).tolist()))
-        enabled.append(acts)
         for u in acts:
             m = int(rng.integers(1, min(max_succ, n_states) + 1))
             succs = sorted(rng.choice(n_states, size=m, replace=False).tolist())
@@ -23,33 +21,45 @@ def random_mdp(rng, n_states=5, n_actions=2, max_succ=3, n_props=1, seed_labels=
             transitions[(q, u)] = tuple((s, float(p)) for s, p in zip(succs, w))
     labels = tuple(int(rng.integers(0, 1 << n_props)) if seed_labels else 0
                    for _ in range(n_states))
-    model = LabeledModel(
-        n_states=n_states, initial=0, actions=actions, enabled=tuple(enabled),
-        transitions=transitions, props=PROP_NAMES[:n_props],
-        labels=labels, mode=MDP)
-    validate_model(model)
-    return model
+    return LabeledModel.from_rows(
+        transitions, n_states=n_states, initial=0, actions=actions,
+        props=PROP_NAMES[:n_props], labels=labels, mode=MDP)
 
 
 def random_nts(rng, n_states=6, n_actions=2, max_succ=3, n_props=1):
     actions = tuple(f"a{i}" for i in range(n_actions))
-    enabled = []
     transitions = {}
     for q in range(n_states):
         k = int(rng.integers(1, n_actions + 1))
         acts = tuple(sorted(rng.choice(n_actions, size=k, replace=False).tolist()))
-        enabled.append(acts)
         for u in acts:
             m = int(rng.integers(1, min(max_succ, n_states) + 1))
             succs = sorted(rng.choice(n_states, size=m, replace=False).tolist())
             transitions[(q, u)] = tuple((s, 1.0) for s in succs)
-    model = LabeledModel(
-        n_states=n_states, initial=0, actions=actions, enabled=tuple(enabled),
-        transitions=transitions, props=PROP_NAMES[:n_props],
+    return LabeledModel.from_rows(
+        transitions, n_states=n_states, initial=0, actions=actions,
+        props=PROP_NAMES[:n_props],
         labels=tuple(int(rng.integers(0, 1 << n_props)) for _ in range(n_states)),
         mode=NTS)
-    validate_model(model)
-    return model
+
+
+def parse_ssp_text(text):
+    """Split ``serialize_ssp`` output into the model (through
+    ``parse_model``), the ``terminal`` header and the states of the
+    ``cost q u 1`` lines."""
+    body, terminal, bad = [], None, set()
+    for line in text.splitlines():
+        tokens = line.split("#", 1)[0].split()
+        if tokens[:1] == ["terminal"]:
+            assert len(tokens) == 2 and terminal is None
+            terminal = int(tokens[1])
+        elif tokens[:1] == ["cost"]:
+            assert len(tokens) == 4 and tokens[3] == "1"
+            bad.add(int(tokens[1]))
+        else:
+            body.append(line)
+    assert terminal is not None
+    return parse_model("\n".join(body)), terminal, frozenset(bad)
 
 
 def support_zeros(m, targets):

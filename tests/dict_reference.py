@@ -1,0 +1,194 @@
+"""Dict-of-rows reference for the array model builds.
+
+Each function is the per-row dict implementation that the array code in
+``tlcontrol.synthesis`` replaced, working on ``DictModel``s: a model as a
+dict (state, action) -> ((successor, weight), ...). ``of`` and
+``of_product`` turn array results into the same form, so a test can
+compare the two builds exactly, weights bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from tlcontrol.models import MDP, ModelError
+
+
+@dataclass(frozen=True)
+class DictModel:
+    n_states: int
+    initial: int
+    mode: str
+    enabled: tuple[tuple[int, ...], ...]
+    rows: dict
+    labels: tuple[int, ...]
+    names: tuple[str, ...] | None
+
+
+@dataclass(frozen=True)
+class DictProduct:
+    base: DictModel
+    projection: tuple[tuple[int, int], ...]
+    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    unpruned_states: int
+
+
+@dataclass(frozen=True)
+class DictSsp:
+    base: DictModel
+    terminal: int
+    bad: frozenset[int]
+    origin: tuple[int, ...]
+
+
+def of(m) -> DictModel:
+    return DictModel(m.n_states, m.initial, m.mode, m.enabled, dict(m.transitions.items()),
+                     tuple(int(x) for x in m.labels), m.state_names)
+
+
+def of_product(p) -> DictProduct:
+    return DictProduct(of(p.base), tuple(p.projection), p.pairs, p.unpruned_states)
+
+
+def of_ssp(s) -> DictSsp:
+    return DictSsp(of(s.base), s.terminal, s.bad, s.origin)
+
+
+def build_product(m, r, label_rule="next") -> DictProduct:
+    letters = [r.prop_mask(p for i, p in enumerate(m.props) if int(m.labels[q]) >> i & 1)
+               for q in range(m.n_states)]
+    ns = r.n_states
+
+    def index(q, s):
+        return q * ns + s
+
+    n_prod = m.n_states * ns
+    names = m.state_names or tuple(str(q) for q in range(m.n_states))
+    rows = {}
+    for (q, u), row in m.transitions.items():
+        for s in range(ns):
+            if label_rule == "next":
+                lifted = [(index(q2, int(r.delta[s, letters[q2]])), w) for q2, w in row]
+            else:
+                s2 = int(r.delta[s, letters[q]])
+                lifted = [(index(q2, s2), w) for q2, w in row]
+            rows[(index(q, s), u)] = tuple(sorted(lifted))
+    if label_rule == "next":
+        s_init = int(r.delta[r.initial, letters[m.initial]])
+    else:
+        s_init = r.initial
+    base = DictModel(
+        n_states=n_prod, initial=index(m.initial, s_init), mode=m.mode,
+        enabled=tuple(m.enabled[p // ns] for p in range(n_prod)),
+        rows=dict(sorted(rows.items())),
+        labels=tuple(int(m.labels[p // ns]) for p in range(n_prod)),
+        names=tuple(f"{names[p // ns]}|{p % ns}" for p in range(n_prod)))
+    pairs = tuple(
+        (frozenset(index(q, s) for q in range(m.n_states) for s in left),
+         frozenset(index(q, s) for q in range(m.n_states) for s in right))
+        for left, right in r.pairs)
+    return DictProduct(base, tuple((p // ns, p % ns) for p in range(n_prod)), pairs, n_prod)
+
+
+def prune_unreachable(p: DictProduct) -> DictProduct:
+    m = p.base
+    reach = {m.initial}
+    stack = [m.initial]
+    while stack:
+        q = stack.pop()
+        for u in m.enabled[q]:
+            for succ, _ in m.rows[(q, u)]:
+                if succ not in reach:
+                    reach.add(succ)
+                    stack.append(succ)
+    keep = sorted(reach)
+    if len(keep) == m.n_states:
+        return p
+    remap = {old: new for new, old in enumerate(keep)}
+    rows = {(remap[q], u): tuple((remap[s], w) for s, w in m.rows[(q, u)])
+            for q in keep for u in m.enabled[q]}
+    base = DictModel(
+        n_states=len(keep), initial=remap[m.initial], mode=m.mode,
+        enabled=tuple(m.enabled[q] for q in keep), rows=rows,
+        labels=tuple(m.labels[q] for q in keep),
+        names=tuple(m.names[q] for q in keep) if m.names else None)
+    pairs = tuple(
+        (frozenset(remap[s] for s in left if s in reach),
+         frozenset(remap[s] for s in right if s in reach))
+        for left, right in p.pairs)
+    return DictProduct(base, tuple(p.projection[q] for q in keep), pairs, p.unpruned_states)
+
+
+def with_probabilities(p: DictProduct, m_mdp) -> DictProduct:
+    weights = {key: dict(row) for key, row in m_mdp.transitions.items()}
+    rows = {}
+    for (sp, u), row in p.base.rows.items():
+        q = p.projection[sp][0]
+        base_row = dict(weights[(q, u)])
+        lifted = []
+        for succ, _ in row:
+            w = base_row.pop(p.projection[succ][0], 0.0)
+            if w > 0:
+                lifted.append((succ, w))
+        if base_row:
+            raise ModelError(
+                f"support mismatch at ({q}, {m_mdp.actions[u]!r}): "
+                f"probabilistic successors {sorted(base_row)} missing from the skeleton")
+        rows[(sp, u)] = tuple(lifted)
+    base = DictModel(p.base.n_states, p.base.initial, MDP, p.base.enabled, rows,
+                     p.base.labels, p.base.names)
+    return DictProduct(base, p.projection, p.pairs, p.unpruned_states)
+
+
+def bad_states(p: DictProduct, goal: frozenset[int]) -> frozenset[int]:
+    """The states with no path into ``goal``."""
+    m = p.base
+    reverse = {q: [] for q in range(m.n_states)}
+    for (q, _u), row in m.rows.items():
+        for succ, _ in row:
+            reverse[succ].append(q)
+    closed = set(goal)
+    stack = list(goal)
+    while stack:
+        q = stack.pop()
+        for prev in reverse[q]:
+            if prev not in closed:
+                closed.add(prev)
+                stack.append(prev)
+    return frozenset(range(m.n_states)) - closed
+
+
+def mrp_to_ssp(p: DictProduct, goal: frozenset[int], bad: frozenset[int],
+               n_actions: int) -> DictSsp:
+    m = p.base
+    keep = [q for q in range(m.n_states) if q not in goal]
+    remap = {old: new for new, old in enumerate(keep)}
+    terminal = len(keep)
+    new_initial = remap[m.initial]
+    all_actions = tuple(range(n_actions))
+    rows = {}
+    enabled = []
+    for old in keep:
+        new = remap[old]
+        enabled.append(m.enabled[old])
+        for u in m.enabled[old]:
+            if old in bad:
+                rows[(new, u)] = ((new_initial, 1.0),)
+                continue
+            goal_mass = 0.0
+            row = []
+            for succ, w in m.rows[(old, u)]:
+                if succ in goal:
+                    goal_mass = goal_mass + w if m.mode == MDP else max(goal_mass, w)
+                else:
+                    row.append((remap[succ], w))
+            if goal_mass > 0:
+                row.append((terminal, goal_mass))
+            rows[(new, u)] = tuple(sorted(row))
+    enabled.append(all_actions)
+    for u in all_actions:
+        rows[(terminal, u)] = ((terminal, 1.0),)
+    names = tuple(m.names[old] for old in keep) + ("terminal",) if m.names else None
+    base = DictModel(terminal + 1, new_initial, m.mode, tuple(enabled), rows,
+                     tuple(m.labels[old] for old in keep) + (0,), names)
+    return DictSsp(base, terminal, frozenset(remap[q] for q in bad), tuple(keep) + (-1,))

@@ -1,4 +1,6 @@
+
 import dataclasses
+import importlib.util
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from tlcontrol.exact import (
     write_value_csv,
 )
 from tlcontrol.models import MDP, LabeledModel, ModelError, StationaryPolicy, parse_model
+from tlcontrol.pipeline import RunConfig, load_task
 from tlcontrol.synthesis import ProductModel, mrp_to_ssp
 from conftest import random_mdp, support_zeros
 
@@ -45,6 +48,92 @@ def test_max_reach_equals_policy_enumeration(rng):
         # Dominance: no policy beats the optimum.
         for pol in enumerate_policies(m):
             assert eval_policy_reach(m, pol, targets, zeros) <= v[m.initial] + 1e-9
+
+
+WARM_START_TOLS = (1.0, 1e-3, 1e-12)
+
+
+def _lattice_map(k):
+    """The benchmark's road-lattice map of size k (map seed 0)."""
+    spec = importlib.util.spec_from_file_location("lattice", "perfbench/lattice.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.lattice_map(k, 0)
+
+
+@pytest.mark.parametrize("task", ["desk", "lattice-k8"])
+def test_max_reach_polish_reaches_the_optimum_from_a_coarse_warm_start(task, tmp_path):
+    # A coarse value iteration leaves value 0 on states that can reach the
+    # goal; the polish must still end at the optimum, not at a policy that
+    # circles in a component without the goal.
+    cfg = RunConfig.from_file("tasks/desk.json")
+    if task != "desk":
+        (tmp_path / "lattice.map").write_text(_lattice_map(8))
+        cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
+    ctx = load_task(cfg)
+    m = ctx.product_mdp.base
+    values = [max_reach(m, ctx.goal, ctx.bad, tol=tol)[0] for tol in WARM_START_TOLS]
+    assert values[-1][m.initial] > 0.5
+    for v in values[:-1]:
+        assert np.abs(v - values[-1]).max() <= 1e-12
+    if task == "desk":
+        assert abs(values[0][m.initial] - 0.89019) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), n_states=st.integers(2, 9), n_actions=st.integers(1, 3))
+def test_max_reach_does_not_depend_on_the_warm_start_tolerance(seed, n_states, n_actions):
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=2)
+    targets = frozenset({int(rng.integers(n_states))})
+    zeros = support_zeros(m, targets) - targets
+    values = [max_reach(m, targets, zeros, tol=tol)[0] for tol in WARM_START_TOLS]
+    for v in values[:-1]:
+        assert np.abs(v - values[-1]).max() <= 1e-12
+
+
+def reference_greedy(m, v, free, is_target):
+    """``_attractor_greedy`` one state at a time, layer by layer."""
+    flat = exact.flat_rows(m)
+    q_vals = np.add.reduceat(flat.vals * v[flat.cols], flat.row_ptr[:-1])
+    rows = {q: range(flat.state_ptr[q], flat.state_ptr[q + 1]) for q in range(m.n_states)}
+    optimal = [q_vals[r] >= max(q_vals[rows[q]]) - 1e-12
+               for q in range(m.n_states) for r in rows[q]]
+    succ = [flat.cols[flat.row_ptr[r]:flat.row_ptr[r + 1]].tolist() for r in range(len(q_vals))]
+    choice = flat.state_ptr[:-1].copy()
+    layered = set(np.flatnonzero(is_target).tolist())
+    pending = set(np.flatnonzero(free & (v > 0)).tolist())
+    widened = False
+    while True:
+        placed = {}
+        for q in sorted(pending):
+            progress = [r for r in rows[q] if any(s in layered for s in succ[r])]
+            best = [r for r in progress if optimal[r]]
+            if best or (widened and progress):
+                placed[q] = (best or progress)[0]
+        if not placed:
+            if widened or set(np.flatnonzero(free).tolist()) <= layered:
+                return choice
+            widened = True
+            pending = set(np.flatnonzero(free).tolist()) - layered
+            continue
+        for q, r in placed.items():
+            choice[q] = r
+            layered.add(q)
+            pending.discard(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), n_states=st.integers(2, 9), n_actions=st.integers(1, 3))
+def test_attractor_greedy_matches_the_layer_by_layer_definition(seed, n_states, n_actions):
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=2)
+    is_target = rng.random(n_states) < 0.25
+    free = ~is_target & (rng.random(n_states) < 0.8)
+    # Values with exact ties and zeros, as an early-stopped warm start leaves them.
+    v = np.where(is_target, 1.0, rng.choice([0.0, 0.25, 0.5, rng.random()], size=n_states))
+    got = exact._attractor_greedy(m, v, free, is_target)
+    assert got.tolist() == reference_greedy(m, v, free, is_target).tolist()
 
 
 def test_eval_policy_reach_cases():
@@ -227,8 +316,8 @@ def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
     trap = n_states - 1
     transitions = {k: row for k, row in m.transitions.items() if k[0] != trap}
     transitions[(trap, 0)] = ((trap, 1.0),)
-    m = dataclasses.replace(m, transitions=transitions,
-                            enabled=m.enabled[:trap] + ((0,),))
+    m = LabeledModel.from_rows(transitions, n_states=m.n_states, initial=m.initial,
+                               actions=m.actions, props=m.props, labels=m.labels, mode=MDP)
     targets = frozenset({int(rng.integers(trap))})
     pol = _random_policy(rng, m)
     v_dense = policy_reach_vector(m, pol, targets, frozenset())
@@ -293,13 +382,12 @@ def _component_mdp(rng):
     sizes.append(0)
     chain = int(rng.integers(1, 5))
     n = 2 + sum(sizes) + chain
-    enabled, transitions = [(0,), (0,)], {(0, 0): ((0, 1.0),), (1, 0): ((1, 1.0),)}
+    transitions = {(0, 0): ((0, 1.0),), (1, 0): ((1, 1.0),)}
     lo = 2
     for k in sizes[:-1]:
         cluster = np.arange(lo, lo + k)
         for q in cluster:
             acts = tuple(sorted(rng.choice(3, size=int(rng.integers(1, 4)), replace=False).tolist()))
-            enabled.append(acts)
             for u in acts:
                 succ = set(rng.choice(cluster, size=int(rng.integers(1, k + 1))).tolist())
                 if rng.random() < 0.5:
@@ -309,12 +397,10 @@ def _component_mdp(rng):
                 transitions[(int(q), u)] = tuple(zip(succ, (w / w.sum()).tolist()))
         lo += k
     for q in range(lo, n):
-        enabled.append((0, 1))
         transitions[(q, 0)] = ((q - 1, 0.7), (q, 0.3))
         transitions[(q, 1)] = ((int(rng.integers(q)), 1.0),)
-    return LabeledModel(n_states=n, initial=n - 1, actions=("a", "b", "c"),
-                        enabled=tuple(enabled), transitions=transitions, props=("p",),
-                        labels=(0,) * n, mode=MDP)
+    return LabeledModel.from_rows(transitions, n_states=n, initial=n - 1,
+                                  actions=("a", "b", "c"), props=("p",), mode=MDP)
 
 
 def _bounded_policy(rng, m):

@@ -237,26 +237,28 @@ def test_sequence_scores_and_distribution_against_brute_force(rng):
 
 
 def test_neighborhoods_are_computed_once_and_dropped_with_the_tables(rng, monkeypatch):
+    # Construction builds every state's neighborhood and sequences at once
+    # from the model's arrays, without a per-state expansion, and the safety
+    # scores and tables equal the per-state definitions.
     import tlcontrol.lookahead as lookahead
 
-    calls = []
+    def refuse(*args):
+        raise AssertionError("per-state expansion during construction")
 
-    def counted(m, state, radius):
-        calls.append(state)
-        return neighborhood(m, state, radius)
-
-    monkeypatch.setattr(lookahead, "neighborhood", counted)
     ssp = make_random_ssp(rng, n_states=8)
+    monkeypatch.setattr(lookahead, "neighborhood", refuse)
+    monkeypatch.setattr(lookahead, "action_sequences", refuse)
     pol = LookaheadPolicy(ssp, horizon=2)
-    fresh = LookaheadPolicy(ssp, horizon=2)
     pol.policy_rows()
-    assert sorted(calls) == sorted(set(calls))
-    # Only states without a table of their own still hold a neighborhood.
-    assert set(pol._nbhd) <= {ssp.terminal}
+    monkeypatch.undo()
     for state in range(ssp.base.n_states):
-        assert pol.safe(state) == fresh.safe(state)
-        if state != ssp.terminal:
-            assert np.array_equal(pol.sequence_table(state)[1], fresh.sequence_table(state)[1])
+        nb = neighborhood(ssp.base, state, 2)
+        assert pol.safe(state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
+        first, _feats = pol.sequence_table(state)
+        if state == ssp.terminal:
+            assert len(first) == 0
+        else:
+            assert first.tolist() == [e[0] for e, _ in action_sequences(ssp.base, state, 2)]
 
 
 def test_sequence_score_exp_of_dot_product():
@@ -265,7 +267,7 @@ def test_sequence_score_exp_of_dot_product():
     assert [e for e, _reach in action_sequences(pol.model, 0, 2)] == [(0, 0), (0, 1), (1, 0)]
     # Direct substitution at the default parameter vector: sequence scores
     # exp(5), exp(0) and exp(-0.5), the first two on action 0.
-    pol._tables[0] = (first, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+    feats[:] = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
     acts, probs = pol.action_distribution(0)
     total = np.exp(5.0) + 1.0 + np.exp(-0.5)
     assert list(acts) == [0, 1]
@@ -362,7 +364,7 @@ def test_softmax_shift_invariance(rng):
     first, feats = pol.sequence_table(state)
     # Translating every feature row by a constant leaves the softmax alone.
     shifted = LookaheadPolicy(ssp, horizon=2, theta=(1.5, -0.5))
-    shifted._tables[state] = (first, feats + np.array([3.7, -1.2]))
+    shifted.sequence_table(state)[1][:] = feats + np.array([3.7, -1.2])
     acts2, probs2 = shifted.action_distribution(state)
     assert list(acts) == list(acts2)
     assert np.allclose(probs, probs2, atol=1e-12)
@@ -478,7 +480,8 @@ def test_records_match_a_fresh_policy(task, ops):
 def test_records_hold_only_the_last_states_at_the_current_theta():
     ssp = desk_ssp()
     pol = LookaheadPolicy(ssp, horizon=2, theta=(5.0, -0.5))
-    pol.as_policy_table()
+    for s in range(ssp.base.n_states):
+        pol.action_distribution(s)
     assert len(pol._records) <= 2
     state = next(s for s in range(ssp.base.n_states) if s != ssp.terminal)
     before = pol.action_distribution(state)[1]

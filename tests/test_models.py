@@ -1,7 +1,11 @@
+import dataclasses
+
 import pytest
 
 from tlcontrol.models import (
     MDP,
+    NTS,
+    LabeledModel,
     ModelError,
     ParseError,
     StationaryPolicy,
@@ -135,6 +139,37 @@ def test_serialize_round_trip(rng):
         assert again == m
     n = parse_model(CHAIN_NTS)
     assert parse_model(serialize_model(n)) == n
+
+
+@pytest.mark.parametrize("rows, mode, message", [
+    ({(0, 0): ((1, 1.0),)}, MDP, "state 1 has no enabled actions"),
+    ({(0, 0): ((0, 1.0),), (1, 5): ((1, 1.0),)}, MDP, "state 1: action id 5 out of range"),
+    ({(0, 0): (), (1, 0): ((1, 1.0),)}, MDP, r"state 0, action 'a': no transitions"),
+    ({(0, 0): ((2, 1.0),), (1, 0): ((1, 1.0),)}, MDP, r"dangling state id 2 in row \(0, 'a'\)"),
+    ({(0, 0): ((0, 0.5), (0, 0.5)), (1, 0): ((1, 1.0),)}, MDP,
+     r"successor 0 repeated or out of order in row \(0, 'a'\)"),
+    ({(0, 0): ((0, 1.5),), (1, 0): ((1, 1.0),)}, MDP, r"weight 1.5 outside \(0, 1\]"),
+    ({(0, 0): ((0, 0.5), (1, 0.4)), (1, 0): ((1, 1.0),)}, MDP,
+     r"stochasticity violation at \(0, 'a'\): row sum 0.9"),
+    ({(0, 0): ((0, 0.5),), (1, 0): ((1, 1.0),)}, NTS, "NTS weight 0.5 is not 1"),
+])
+def test_construction_checks_the_row_arrays(rows, mode, message):
+    with pytest.raises(ModelError, match=message):
+        LabeledModel.from_rows(rows, n_states=2, initial=0, actions=("a", "b"), mode=mode)
+
+
+def test_construction_checks_the_array_layout():
+    m = LabeledModel.from_rows({(0, 0): ((0, 1.0),), (0, 1): ((1, 1.0),), (1, 0): ((1, 1.0),)},
+                               n_states=2, initial=0, actions=("a", "b"), mode=MDP)
+    assert m.enabled == ((0, 1), (0,))
+    with pytest.raises(ModelError, match="state 0: action 'a' repeated or out of order"):
+        dataclasses.replace(m, row_action=[1, 0, 0])
+    with pytest.raises(ModelError, match="initial state 2 out of range"):
+        dataclasses.replace(m, initial=2)
+    with pytest.raises(ModelError, match="do not fit together"):
+        dataclasses.replace(m, row_ptr=[0, 1, 2])
+    with pytest.raises(ValueError, match="read-only"):
+        m.weight[0] = 0.5
 
 
 def test_parse_dra_reachability_automaton():

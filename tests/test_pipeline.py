@@ -23,7 +23,8 @@ from tlcontrol.pipeline import (
     synthesize_seeds,
     write_models,
 )
-from tlcontrol.synthesis import mrp_to_ssp, parse_ssp
+from tlcontrol.synthesis import mrp_to_ssp
+from conftest import parse_ssp_text
 
 TINY_MAP = """
 #######
@@ -184,7 +185,7 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
                  if s != ssp.terminal]
     sweep = pol.policy_rows()
     assert np.all(np.isfinite(sweep))
-    assert np.abs(sweep - np.concatenate([probs for _acts, probs in per_state])).max() <= 1e-15
+    assert np.array_equal(sweep, np.concatenate([probs for _acts, probs in per_state]))
     # Re-indexed onto the product: every state's distribution lands on the
     # rows of its product state, and goal rows stay empty.
     m = ctx.product_mdp.base
@@ -193,7 +194,7 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
     for state, (acts, probs) in enumerate(per_state):
         lo, hi = rows.state_ptr[ssp.origin[state]], rows.state_ptr[ssp.origin[state] + 1]
         assert list(rows.row_action[lo:hi]) == list(acts)
-        assert np.abs(product[lo:hi] - probs).max() <= 1e-15
+        assert np.array_equal(product[lo:hi], probs)
     assert not product[np.isin(rows.row_state, list(ctx.goal))].any()
 
 
@@ -234,8 +235,8 @@ def test_build_writes_parseable_models(tiny_task):
     product_text = Path(paths[0]).read_text()
     m = parse_model(product_text)
     assert m.mode == "nts"
-    ssp = parse_ssp(Path(paths[1]).read_text())
-    assert ssp.terminal == ssp.base.n_states - 1
+    ssp_model, terminal, _bad = parse_ssp_text(Path(paths[1]).read_text())
+    assert terminal == ssp_model.n_states - 1
 
 
 def test_load_task_builds_the_nts_once(monkeypatch):

@@ -14,13 +14,12 @@ from tlcontrol.synthesis import (
     inside_amec_policy,
     max_end_components,
     mrp_to_ssp,
-    parse_ssp,
     prune_unreachable,
     serialize_ssp,
     with_probabilities,
 )
 from tlcontrol.models import nts_from_mdp
-from conftest import random_mdp, random_nts
+from conftest import parse_ssp_text, random_mdp, random_nts
 
 UNIT_DRA = """
 states 1
@@ -334,10 +333,11 @@ def test_ssp_rejects_trivial_instance():
 def test_ssp_serialize_round_trip():
     p = _tiny_product({1: 0.25, 2: 0.25, 3: 0.5})
     ssp = mrp_to_ssp(p, frozenset({1, 2}), frozenset({3}))
-    again = parse_ssp(serialize_ssp(ssp))
-    assert again.terminal == ssp.terminal
-    assert again.bad == ssp.bad
-    assert again.base.transitions == ssp.base.transitions
+    again, terminal, bad = parse_ssp_text(serialize_ssp(ssp))
+    assert terminal == ssp.terminal
+    assert bad == ssp.bad
+    assert again.transitions == ssp.base.transitions
+    assert again == ssp.base
 
 
 def test_inside_amec_policy_uniform_and_recurrent(rng):
@@ -384,9 +384,8 @@ def test_with_probabilities_validates_support(rng):
     extra = next(s for s in range(m.n_states) if s not in succs)
     row = [(s, w * 0.5) for s, w in other[(q, u)]]
     other[(q, u)] = tuple(sorted(row + [(extra, 0.5)]))
-    m2 = LabeledModel(n_states=m.n_states, initial=m.initial, actions=m.actions,
-                      enabled=m.enabled, transitions=other, props=m.props,
-                      labels=m.labels, mode=MDP)
+    m2 = LabeledModel.from_rows(other, n_states=m.n_states, initial=m.initial,
+                                actions=m.actions, props=m.props, labels=m.labels, mode=MDP)
     with pytest.raises(ModelError, match="support mismatch"):
         with_probabilities(skeleton, m2)
 
