@@ -6,18 +6,25 @@ row's (successor, probability) entries. A policy is one probability per
 row, so the policy-averaged kernel is a set of COO arrays built without a
 per-state loop; a ``StationaryPolicy`` is converted to that form.
 
-Maximal reachability is solved by value iteration from zero (monotone,
-after removing the zero-probability set) followed by a policy-iteration
-polish: the greedy policy is extracted, evaluated exactly by a linear
-solve, and re-extracted until stable, so the returned value is exact to
-solver precision rather than to the sweep residual. Greedy extraction
-breaks ties toward actions that make progress to the target set (within
-ties, lowest action id), and gives every free state that can reach the
-targets an action that makes progress, optimal or not when no optimal
-one does: the policy is then proper even where a coarse value iteration
-left value 0, and the polish ends at the optimum whatever ``tol`` the
-warm start stopped at. Both loops raise ``ModelError`` when they reach
-their caps.
+Maximal reachability is solved on the free states only, those neither in
+the target nor in the zero set: only their values are unknown (Baier &
+Katoen, *Principles of Model Checking*, 10.6). ``_FreeBellman`` builds that
+sub-system once per call: the free states' rows, each row's constant mass
+into the fixed states, and the entries between free states re-indexed to
+free positions. Its one Bellman kernel serves value iteration from zero
+(monotone), the greedy extraction and the final certificate. A
+policy-iteration polish follows the value iteration: the greedy policy is
+extracted, evaluated exactly by a linear solve, and re-extracted until
+stable, so the returned value is exact to solver precision rather than to
+the sweep residual. Greedy extraction breaks ties toward actions that make
+progress to the target set (within ties, lowest action id), and gives every
+free state that can reach the targets an action that makes progress,
+optimal or not when no optimal one does: the policy is then proper even
+where a coarse value iteration left value 0, and the polish ends at the
+optimum whatever ``tol`` the warm start stopped at. The result is
+certified: its Bellman residual over the free states must be at most
+``RESIDUAL_TOL``. Both loops and the certificate raise ``ModelError`` when
+they fail.
 
 Policy evaluation first drops the states whose policy support cannot
 reach the targets, which keeps (I - P) x = b nonsingular on the rest. The
@@ -43,7 +50,6 @@ per call.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from typing import Iterator, NamedTuple
@@ -58,6 +64,7 @@ VALUE_TOL = 1e-12
 DENSE_LIMIT = 5000
 MAX_SWEEPS = 10 ** 6
 POLISH_ROUNDS = 100
+RESIDUAL_TOL = 1e-9  # bound on max |max_u Q(v) - v| over the free states
 
 
 class PolicyDivergence(RuntimeError):
@@ -282,6 +289,66 @@ class ReachEvaluator:
         return np.clip(v, 0.0, 1.0)
 
 
+class _FreeBellman:
+    """The maximal-reachability Bellman operator restricted to the ``free``
+    states, whose values are the unknowns; every other state keeps its
+    value in ``boundary`` (1 on targets, 0 on zeros).
+
+    ``states`` are the free states, ascending, and ``rows`` their rows,
+    grouped by state; the rows of ``states[k]`` start at ``rows[starts[k]]``.
+    A row's entries into fixed states fold into one constant, ``fixed``;
+    its entries between free states are kept as (row position ``i``, free
+    position ``j``, weight ``w``). ``ranks`` holds, for each r >= 1, the
+    free positions k of the states with more than r rows and the
+    positions ``starts[k] + r`` of their rows number r (counting from 0).
+    """
+
+    def __init__(self, flat: FlatRows, free: np.ndarray, boundary: np.ndarray):
+        self.free = free
+        self.states = np.flatnonzero(free)
+        counts = flat.state_ptr[self.states + 1] - flat.state_ptr[self.states]
+        self.starts = np.cumsum(counts) - counts
+        self.rows = _expand(flat.state_ptr, self.states)[1]
+        self.ranks = []
+        for r in range(1, int(counts.max(initial=0))):
+            k = np.flatnonzero(counts > r)
+            self.ranks.append((k, self.starts[k] + r))
+        i, ents = _expand(flat.row_ptr, self.rows)
+        cols = flat.cols[ents]
+        pos = np.full(len(free), -1)
+        pos[self.states] = np.arange(len(self.states))
+        j = pos[cols]
+        inner = j >= 0
+        out = ~inner
+        self.fixed = np.bincount(i[out], weights=flat.vals[ents[out]] * boundary[cols[out]],
+                                 minlength=len(self.rows))
+        self.i, self.j, self.w = i[inner], j[inner], flat.vals[ents[inner]]
+
+    def q(self, x: np.ndarray) -> np.ndarray:
+        """Q value of every free row, given the free states' values ``x``."""
+        return self.fixed + np.bincount(self.i, weights=self.w * x[self.j],
+                                        minlength=len(self.rows))
+
+    def state_max(self, q: np.ndarray) -> np.ndarray:
+        """The largest of each free state's row values ``q``: one
+        elementwise maximum per row rank, which costs less than
+        ``np.maximum.reduceat``'s per-segment loop when states have few
+        rows."""
+        best = q[self.starts]
+        for k, rows in self.ranks:
+            best[k] = np.maximum(best[k], q[rows])
+        return best
+
+    def best(self, x: np.ndarray) -> np.ndarray:
+        """One Bellman sweep: max_u Q at every free state."""
+        return self.state_max(self.q(x))
+
+    def residual(self, v: np.ndarray) -> float:
+        """max |max_u Q(v) - v| over the free states."""
+        x = v[self.states]
+        return float(np.abs(self.best(x) - x).max(initial=0.0))
+
+
 def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
               *, tol: float = VALUE_TOL, max_sweeps: int = MAX_SWEEPS,
               dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, StationaryPolicy]:
@@ -293,18 +360,19 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
         raise ModelError("target and zero sets intersect")
     reach = ReachEvaluator(m, targets, zeros, dense_limit=dense_limit)
     flat, is_target, free = reach.flat, reach.is_target, reach.free
+    bellman = _FreeBellman(flat, free, is_target.astype(float))
 
-    v = is_target.astype(float)
+    x = np.zeros(len(bellman.states))
     for _ in range(max_sweeps):
-        q_vals = np.add.reduceat(flat.vals * v[flat.cols], flat.row_ptr[:-1])
-        best = np.maximum.reduceat(q_vals, flat.state_ptr[:-1])
-        nxt = np.where(free, best, v)
-        delta = np.abs(nxt - v).max()
-        v = nxt
+        nxt = bellman.best(x)
+        delta = np.abs(nxt - x).max(initial=0.0)
+        x = nxt
         if delta <= tol:
             break
     else:
         raise ModelError(f"value iteration did not converge within {max_sweeps} sweeps")
+    v = is_target.astype(float)
+    v[bellman.states] = x
 
     # Policy-iteration polish: greedy extraction + exact evaluation until
     # the policy repeats.
@@ -314,10 +382,10 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
         return reach.values(probs)
 
     prev = None
-    choice = _attractor_greedy(m, v, free, is_target)
+    choice = _attractor_greedy(m, bellman, v, is_target)
     for _ in range(POLISH_ROUNDS):
         v = evaluate(choice)
-        refreshed = _attractor_greedy(m, v, free, is_target)
+        refreshed = _attractor_greedy(m, bellman, v, is_target)
         if np.array_equal(refreshed, choice):
             break
         if prev is not None and np.array_equal(refreshed, prev):
@@ -327,13 +395,18 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
         prev, choice = choice, refreshed
     else:
         raise ModelError(f"policy-iteration polish did not settle within {POLISH_ROUNDS} rounds")
+    residual = bellman.residual(v)
+    if residual > RESIDUAL_TOL:
+        raise ModelError(f"the polished values miss the Bellman equation by {residual:.3g} "
+                         f"(bound {RESIDUAL_TOL:g})")
     table = {q: {u: 1.0} for q, u in enumerate(flat.row_action[choice].tolist())}
     return v, StationaryPolicy(kind="deterministic", table=table)
 
 
-def _attractor_greedy(m: LabeledModel, v: np.ndarray, free: np.ndarray,
+def _attractor_greedy(m: LabeledModel, bellman: _FreeBellman, v: np.ndarray,
                       is_target: np.ndarray) -> np.ndarray:
-    """The greedy row of every state. Fixed states take their lowest
+    """The greedy row of every state under the values ``v``, whose Q
+    values come from ``bellman``. Fixed states take their lowest
     action. Free states are placed in attractor layers from the targets:
     first the states of positive value, each taking its lowest optimal
     action with a possible successor in an earlier layer; once none of
@@ -348,12 +421,14 @@ def _attractor_greedy(m: LabeledModel, v: np.ndarray, free: np.ndarray,
     placed, so each layer only looks at the states whose rows step into
     the layer before it."""
     flat = flat_rows(m)
-    starts = flat.state_ptr[:-1]
-    q_vals = np.add.reduceat(flat.vals * v[flat.cols], flat.row_ptr[:-1])
-    best = np.maximum.reduceat(q_vals, starts)
-    optimal = q_vals >= best[flat.row_state] - 1e-12
-    choice = starts.copy()
-    none = len(q_vals)
+    free = bellman.free
+    q_vals = bellman.q(v[bellman.states])
+    best = bellman.state_max(q_vals)
+    best_of_row = np.repeat(best, np.diff(bellman.starts, append=len(q_vals)))
+    optimal = np.zeros(len(flat.row_state), dtype=bool)
+    optimal[bellman.rows] = q_vals >= best_of_row - 1e-12
+    choice = flat.state_ptr[:-1].copy()
+    none = len(flat.row_state)
     into_ptr, into_row = _rows_into(m)
     progress = np.zeros(none, dtype=bool)  # the row steps into a placed state
 
@@ -468,7 +543,7 @@ def enumerate_policies(m: LabeledModel, limit: int = 10 ** 6) -> Iterator[Statio
 
 
 def write_value_csv(f, values: np.ndarray) -> None:
-    writer = csv.writer(f)
-    writer.writerow(["state", "value"])
-    for q, val in enumerate(values):
-        writer.writerow([q, repr(float(val))])
+    """``state,value`` lines in the csv module's dialect (``\\r\\n`` line
+    ends), each value as its float ``repr``."""
+    f.write("state,value\r\n")
+    f.writelines(f"{q},{val!r}\r\n" for q, val in enumerate(values.tolist()))

@@ -29,9 +29,10 @@ adjacent region with probability eta and spreads the rest uniformly over
 the other feasible forward outcomes.
 
 ``parse_map`` indexes every open cell by its region once
-(``EnvMap.cell_region``); region lookups during the model builds and the
-lazy per-step queries read that index, so a model build costs a constant
-per motion state and control.
+(``EnvMap.cell_region``) and every intersection's arms once
+(``EnvMap.arms``); the model builds and the lazy per-step queries read
+those indexes, so a model build costs a constant per motion state and
+control.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class EnvMap:
     grid: tuple[str, ...]
     regions: tuple[Region, ...]
     cell_region: Mapping[tuple[int, int], int]  # open cell -> region ident
+    # intersection ident -> {direction: adjacent region}, directions in _DIRS order
+    arms: Mapping[int, Mapping[tuple[int, int], int]]
     adjacency: Mapping[int, tuple[int, ...]]
     region_obs: Mapping[int, frozenset[str]]
     props: tuple[str, ...]
@@ -185,6 +188,13 @@ def parse_map(text: str) -> EnvMap:
                 adjacency[a].add(b)
                 adjacency[b].add(a)
 
+    arms = {}
+    for region in regions:
+        if region.kind == "intersection":
+            (r, c) = region.cells[0]
+            arms[region.ident] = {d: where[(r + d[0], c + d[1])] for d in _DIRS
+                                  if (r + d[0], c + d[1]) in where}
+
     region_obs: dict[int, set[str]] = {region.ident: set() for region in regions}
     for region in regions:
         for (r, c) in region.cells:
@@ -211,6 +221,7 @@ def parse_map(text: str) -> EnvMap:
         grid=tuple(grid),
         regions=tuple(regions),
         cell_region=where,
+        arms=arms,
         adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
         region_obs={k: frozenset(v) for k, v in region_obs.items()},
         props=props,
@@ -235,22 +246,12 @@ def pair_states(env: EnvMap) -> list[tuple[int, int]]:
     return sorted((p, c) for p in env.adjacency for c in env.adjacency[p])
 
 
-def _arms(env: EnvMap, region: Region) -> dict[tuple[int, int], int]:
-    (r, c) = region.cells[0]
-    arms = {}
-    for d in _DIRS:
-        nb = env.cell_region.get((r + d[0], c + d[1]))
-        if nb is not None:
-            arms[d] = nb
-    return arms
-
-
 def enabled_actions(env: EnvMap, pair: tuple[int, int]) -> list[str]:
     prev, cur = pair
     region = env.regions[cur]
     if region.kind == "corridor":
         return ["FollowRoad"]
-    arms = _arms(env, region)
+    arms = env.arms[cur]
     back = next(d for d, reg in arms.items() if reg == prev)
     heading = _OPPOSITE[back]
     available = []
@@ -286,7 +287,7 @@ def outcome_support(env: EnvMap, pair: tuple[int, int], action: str,
             raise MapError(f"corridor {region.name} has an ambiguous far end")
         # Dead ends turn the robot around.
         return (ends[0] if ends else prev), ()
-    arms = _arms(env, region)
+    arms = env.arms[cur]
     back = next(d for d, reg in arms.items() if reg == prev)
     heading = _OPPOSITE[back]
     targets = {"GoLeft": _ROT_LEFT[heading], "GoRight": _ROT_RIGHT[heading],

@@ -19,6 +19,7 @@ use as well.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -652,13 +653,19 @@ class SspTransitionSource:
         self._dra = dra
         self._base = base_source
         self._rule = product.label_rule
-        # Product (model state, automaton state) pair -> SSP state; goal
-        # states (dropped from the SSP) map to the terminal.
-        kept = {old: new for new, old in enumerate(ssp.origin) if old >= 0}
-        self._to_ssp = {pair: kept.get(old, ssp.terminal)
-                        for old, pair in enumerate(product.projection)}
-        self._pair_of = {new: product.projection[old]
-                         for new, old in enumerate(ssp.origin) if old >= 0}
+        self._projection, self._origin = product.projection, ssp.origin
+        # SSP state of product pair (q, s), at q * |S| + s: -1 outside the
+        # product, the terminal for goal states (dropped from the SSP).
+        origin = np.asarray(ssp.origin, dtype=np.int64)
+        kept = origin >= 0
+        of_product = np.full(len(product.projection), ssp.terminal, dtype=np.int64)
+        of_product[origin[kept]] = np.flatnonzero(kept)
+        pair = np.fromiter(itertools.chain.from_iterable(product.projection), dtype=np.int64,
+                           count=2 * len(product.projection))
+        self._n_dra = dra.n_states
+        to_ssp = np.full(base_model.n_states * dra.n_states, -1, dtype=np.int64)
+        to_ssp[pair[0::2] * dra.n_states + pair[1::2]] = of_product
+        self._to_ssp = to_ssp.tolist()
         self._letters = tuple(_letters(base_model, dra.props).tolist())
 
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
@@ -667,17 +674,17 @@ class SspTransitionSource:
             return ((ssp.terminal, 1.0),)
         if state in ssp.bad:
             return ((ssp.initial, 1.0),)
-        q, s = self._pair_of[state]
+        q, s = self._projection[self._origin[state]]
         out: dict[int, float] = {}
         for q2, w in self._base(q, action):
             letter = self._letters[q if self._rule == "current" else q2]
             s2 = int(self._dra.delta[s, letter])
-            try:
-                target = self._to_ssp[(q2, s2)]
-            except KeyError:
+            at = q2 * self._n_dra + s2
+            target = self._to_ssp[at] if 0 <= at < len(self._to_ssp) else -1
+            if target < 0:
                 raise ModelError(
                     f"probability source has successor {q2} outside the "
-                    f"possibilistic support of ({q}, action {action})") from None
+                    f"possibilistic support of ({q}, action {action})")
             out[target] = out.get(target, 0.0) + w
         return tuple(sorted(out.items()))
 

@@ -1,9 +1,19 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
 from tlcontrol.models import MDP, NTS, LabeledModel, parse_model
 
 PROP_NAMES = ("p", "q", "r", "s")
+
+
+def lattice_map(k):
+    """The benchmark's road-lattice map of size k (map seed 0)."""
+    spec = importlib.util.spec_from_file_location("lattice", "perfbench/lattice.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.lattice_map(k, 0)
 
 
 def random_mdp(rng, n_states=5, n_actions=2, max_succ=3, n_props=1, seed_labels=True):

@@ -1,6 +1,7 @@
 
+import csv
 import dataclasses
-import importlib.util
+import io
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from tlcontrol.exact import (
 from tlcontrol.models import MDP, LabeledModel, ModelError, StationaryPolicy, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
 from tlcontrol.synthesis import ProductModel, mrp_to_ssp
-from conftest import random_mdp, support_zeros
+from conftest import lattice_map, random_mdp, support_zeros
 
 
 def test_max_reach_trivial_values():
@@ -33,15 +34,20 @@ def test_max_reach_trivial_values():
     assert v[0] == pytest.approx(0.5, abs=1e-12)
 
 
+def brute_force_optimum(m, targets, zeros):
+    """The best value at every state over all deterministic policies."""
+    return np.max([policy_reach_vector(m, pol, targets, zeros)
+                   for pol in enumerate_policies(m)], axis=0)
+
+
 def test_max_reach_equals_policy_enumeration(rng):
     for _ in range(8):
         m = random_mdp(rng, n_states=5, n_actions=2)
         targets = frozenset(int(s) for s in rng.choice(5, size=2, replace=False))
         zeros = support_zeros(m, targets) - targets
         v, greedy = max_reach(m, targets, zeros)
-        best = max(eval_policy_reach(m, pol, targets, zeros)
-                   for pol in enumerate_policies(m))
-        assert v[m.initial] == pytest.approx(best, abs=1e-9)
+        best = brute_force_optimum(m, targets, zeros)
+        assert v[m.initial] == pytest.approx(best[m.initial], abs=1e-9)
         # The returned greedy policy achieves the optimal value everywhere.
         gv = policy_reach_vector(m, greedy, targets, zeros)
         assert np.abs(gv - v).max() <= 1e-9
@@ -50,15 +56,39 @@ def test_max_reach_equals_policy_enumeration(rng):
             assert eval_policy_reach(m, pol, targets, zeros) <= v[m.initial] + 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n_states=st.integers(3, 8))
+def test_max_reach_with_large_fixed_sets_equals_policy_enumeration(seed, n_states):
+    # At least half the states are targets or zeros (both sets nonempty, at
+    # least one state free), and each keeps its own random rows, which the
+    # free-state kernel must ignore in favour of the fixed value.
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=2)
+    side = rng.permutation(n_states)
+    n_fixed = int(rng.integers(max(2, n_states // 2), n_states))
+    n_targets = int(rng.integers(1, n_fixed))
+    targets = frozenset(side[:n_targets].tolist())
+    zeros = frozenset(side[n_targets:n_fixed].tolist())
+    v, _ = max_reach(m, targets, zeros)
+    assert np.abs(v - brute_force_optimum(m, targets, zeros)).max() <= 1e-12
+
+
+def test_max_reach_certifies_its_result(monkeypatch):
+    # State 0 reaches the target surely with action b and half the time with
+    # a. A greedy that always returns the lowest action settles the polish
+    # on a, and the certificate must reject the values it gives.
+    m = parse_model("states 3\ninitial 0\nmode mdp\n"
+                    "trans 0 a 1 0.5\ntrans 0 a 2 0.5\ntrans 0 b 1 1.0\n"
+                    "trans 1 a 1 1.0\ntrans 2 a 2 1.0")
+    v, _ = max_reach(m, frozenset({1}), frozenset({2}))
+    assert v[0] == 1.0
+    monkeypatch.setattr(exact, "_attractor_greedy",
+                        lambda m, bellman, v, is_target: m.state_ptr[:-1].copy())
+    with pytest.raises(ModelError, match="Bellman equation by 0.5"):
+        max_reach(m, frozenset({1}), frozenset({2}))
+
+
 WARM_START_TOLS = (1.0, 1e-3, 1e-12)
-
-
-def _lattice_map(k):
-    """The benchmark's road-lattice map of size k (map seed 0)."""
-    spec = importlib.util.spec_from_file_location("lattice", "perfbench/lattice.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.lattice_map(k, 0)
 
 
 @pytest.mark.parametrize("task", ["desk", "lattice-k8"])
@@ -68,7 +98,7 @@ def test_max_reach_polish_reaches_the_optimum_from_a_coarse_warm_start(task, tmp
     # circles in a component without the goal.
     cfg = RunConfig.from_file("tasks/desk.json")
     if task != "desk":
-        (tmp_path / "lattice.map").write_text(_lattice_map(8))
+        (tmp_path / "lattice.map").write_text(lattice_map(8))
         cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
     ctx = load_task(cfg)
     m = ctx.product_mdp.base
@@ -132,7 +162,8 @@ def test_attractor_greedy_matches_the_layer_by_layer_definition(seed, n_states, 
     free = ~is_target & (rng.random(n_states) < 0.8)
     # Values with exact ties and zeros, as an early-stopped warm start leaves them.
     v = np.where(is_target, 1.0, rng.choice([0.0, 0.25, 0.5, rng.random()], size=n_states))
-    got = exact._attractor_greedy(m, v, free, is_target)
+    bellman = exact._FreeBellman(exact.flat_rows(m), free, v)
+    got = exact._attractor_greedy(m, bellman, v, is_target)
     assert got.tolist() == reference_greedy(m, v, free, is_target).tolist()
 
 
@@ -341,34 +372,35 @@ def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
 
 
 def test_value_csv_round_trip(tmp_path):
-    values = np.array([0.0, 0.25, 1.0])
+    values = np.array([0.0, 0.25, 1.0, 1e-300, 0.1 + 0.2, 5e-324])
     path = tmp_path / "values.csv"
     with open(path, "w") as f:
         write_value_csv(f, values)
+    reference = io.StringIO()
+    writer = csv.writer(reference)
+    writer.writerow(["state", "value"])
+    for q, val in enumerate(values):
+        writer.writerow([q, repr(float(val))])
+    assert path.read_bytes() == reference.getvalue().encode()
     rows = path.read_text().splitlines()
     assert rows[0] == "state,value"
     assert rows[2].split(",") == ["1", "0.25"]
 
 
 def test_value_iteration_sweeps_are_monotone(rng):
-    # From the zero initialization every sweep is pointwise non-decreasing.
-    from tlcontrol.exact import flat_rows
-
+    # From the zero initialization every sweep of the free-state kernel is
+    # pointwise non-decreasing.
     m = random_mdp(rng, n_states=6, n_actions=2)
     targets = frozenset({5})
     zeros = support_zeros(m, targets) - targets
-    _er, _rs, _ra, row_ptr, state_ptr, cols, vals = flat_rows(m)
-    free = np.ones(m.n_states, dtype=bool)
-    for q in targets | zeros:
-        free[q] = False
-    v = np.zeros(m.n_states)
-    v[list(targets)] = 1.0
+    is_target = exact._members(targets, m.n_states)
+    free = ~(is_target | exact._members(zeros, m.n_states))
+    bellman = exact._FreeBellman(exact.flat_rows(m), free, is_target.astype(float))
+    x = np.zeros(int(free.sum()))
     for _ in range(60):
-        q_vals = np.add.reduceat(vals * v[cols], row_ptr[:-1])
-        best = np.maximum.reduceat(q_vals, state_ptr[:-1])
-        v_next = np.where(free, best, v)
-        assert (v_next >= v - 1e-15).all()
-        v = v_next
+        x_next = bellman.best(x)
+        assert (x_next >= x - 1e-15).all()
+        x = x_next
 
 
 def _component_mdp(rng):

@@ -181,6 +181,14 @@ def test_desk_map_golden_counts():
             assert 3 <= len(env.adjacency[r.ident]) <= 4
             for other in env.adjacency[r.ident]:
                 assert env.regions[other].kind == "corridor"
+            # Its arms are its open neighbour cells' regions, one per
+            # direction, in the order north, east, south, west.
+            (row, col) = r.cells[0]
+            assert list(env.arms[r.ident].items()) == [
+                (d, env.cell_region[(row + d[0], col + d[1])])
+                for d in ((-1, 0), (0, 1), (1, 0), (0, -1))
+                if (row + d[0], col + d[1]) in env.cell_region]
+            assert sorted(env.arms[r.ident].values()) == sorted(env.adjacency[r.ident])
         else:
             assert 1 <= len(env.adjacency[r.ident]) <= 2
 

@@ -24,7 +24,7 @@ from tlcontrol.pipeline import (
     write_models,
 )
 from tlcontrol.synthesis import mrp_to_ssp
-from conftest import parse_ssp_text
+from conftest import lattice_map, parse_ssp_text
 
 TINY_MAP = """
 #######
@@ -290,6 +290,29 @@ def test_desk_synthesize_output_is_byte_identical(tmp_path, seed):
     synthesize(cfg)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("trace.csv", "policy.tsv")} == DESK_RUN_DIGESTS[seed]
+
+
+# sha256 of `compare`'s values.csv on desk and on the k=8 road lattice (map
+# seed 0). The values come from the optimal policy's exact block solves, so
+# the digests hold for the numpy they were taken with.
+VALUES_DIGESTS = {
+    "desk": "cb62033adbb54b8a03bcee65f5503256ae830d1a34f502e8e992c5e3cb593625",
+    "lattice-k8": "05e81142ca51c3f1a3ca675d29de6b4be8c4078007db0ad647aed8a3bb1c8b65",
+}
+
+
+@pytest.mark.skipif(np.__version__ != DESK_RUN_NUMPY,
+                    reason=f"digests taken with numpy {DESK_RUN_NUMPY}")
+@pytest.mark.parametrize("task", sorted(VALUES_DIGESTS))
+def test_compare_values_are_byte_identical(tmp_path, task):
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              seed=1, eval_every=0, max_iters=200)
+    if task != "desk":
+        (tmp_path / "lattice.map").write_text(lattice_map(8))
+        cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
+    compare(cfg)
+    digest = hashlib.sha256((tmp_path / "values.csv").read_bytes()).hexdigest()
+    assert digest == VALUES_DIGESTS[task]
 
 
 def test_multi_seed_aggregation(tiny_task):
