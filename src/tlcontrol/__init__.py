@@ -13,7 +13,6 @@ from .models import (
     ModelError,
     ParseError,
     RabinAutomaton,
-    StationaryPolicy,
     dra_step,
     nts_from_mdp,
     parse_dra,
@@ -27,7 +26,6 @@ from .synthesis import (
     amecs,
     build_product,
     goal_and_bad_sets,
-    inside_amec_policy,
     max_end_components,
     mrp_to_ssp,
     prune_unreachable,
@@ -42,10 +40,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ActorCriticConfig", "ActorState", "Amec", "CriticState", "LabeledModel",
     "LookaheadPolicy", "ModelError", "ParseError", "ProductModel",
-    "RabinAutomaton", "RunConfig", "RunTrace", "SspModel", "StationaryPolicy",
+    "RabinAutomaton", "RunConfig", "RunTrace", "SspModel",
     "action_sequences", "amecs", "build_product", "compare", "dra_step",
     "enumerate_policies", "eval_policy_reach", "expected_total_cost",
-    "goal_and_bad_sets", "inside_amec_policy", "max_end_components",
+    "goal_and_bad_sets", "max_end_components",
     "max_reach", "min_distances", "mrp_to_ssp", "neighborhood",
     "nts_from_mdp", "parse_dra", "parse_model", "prune_unreachable", "run",
     "serialize_model", "synthesize",

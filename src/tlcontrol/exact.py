@@ -1,10 +1,10 @@
 """Exact dynamic programming used as ground truth.
 
-The solvers read a model's own CSR arrays (``flat_rows``): its
-(state, action) rows grouped by state in ascending action order, and each
-row's (successor, probability) entries. A policy is one probability per
-row, so the policy-averaged kernel is a set of COO arrays built without a
-per-state loop; a ``StationaryPolicy`` is converted to that form.
+The solvers read a model's own CSR arrays: its (state, action) rows
+grouped by state in ascending action order, and each row's (successor,
+probability) entries. A policy is one probability per row, in that order,
+so the policy-averaged kernel is a set of COO arrays built without a
+per-state loop; a deterministic policy is one-hot.
 
 Maximal reachability is solved on the free states only, those neither in
 the target nor in the zero set: only their values are unknown (Baier &
@@ -52,11 +52,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .models import LabeledModel, MDP, ModelError, StationaryPolicy
+from .models import LabeledModel, MDP, ModelError
 from .synthesis import (SspModel, _closure, _csr_lists, _distinct, _expand, _members,
                         _rows_into, _strongly_connected)
 
@@ -71,72 +71,28 @@ class PolicyDivergence(RuntimeError):
     """Expected total cost diverges: the policy never reaches the terminal."""
 
 
-class FlatRows(NamedTuple):
-    """A model's enabled (state, action) rows in CSR form, under the names
-    the solvers use (``cols`` is the model's ``succ``, ``vals`` its
-    ``weight``).
-
-    Rows are grouped by state in ascending action order, so the first row
-    of a state carries its lowest action id.
-    """
-
-    entry_row: np.ndarray  # row of each (successor, probability) entry
-    row_state: np.ndarray
-    row_action: np.ndarray
-    row_ptr: np.ndarray  # entries of row r: row_ptr[r]:row_ptr[r + 1]
-    state_ptr: np.ndarray  # rows of state q: state_ptr[q]:state_ptr[q + 1]
-    cols: np.ndarray  # successor of each entry
-    vals: np.ndarray  # weight of each entry
+def _weights(m: LabeledModel, probs: np.ndarray) -> np.ndarray:
+    """The policy kernel's weight on every entry of ``m``, for ``probs``
+    one probability per row of ``m``."""
+    if probs.shape != m.row_action.shape:
+        raise ModelError(f"row policy has shape {probs.shape}, "
+                         f"the model has {len(m.row_action)} rows")
+    return probs[m.entry_row] * m.weight
 
 
-def flat_rows(m: LabeledModel) -> FlatRows:
-    """The model's own CSR arrays, as ``FlatRows``."""
-    return FlatRows(entry_row=m.entry_row, row_state=m.row_state, row_action=m.row_action,
-                    row_ptr=m.row_ptr, state_ptr=m.state_ptr, cols=m.succ, vals=m.weight)
-
-
-def row_probabilities(m: LabeledModel,
-                      policy: StationaryPolicy | np.ndarray) -> np.ndarray:
-    """``policy`` as one probability per row of ``flat_rows(m)``; an array
-    is taken to be in that form already. Entries of probability 0 are
-    ignored, positive mass on a disabled action is an error."""
-    flat = flat_rows(m)
-    n_rows = len(flat.row_state)
-    if isinstance(policy, np.ndarray):
-        if policy.shape != (n_rows,):
-            raise ModelError(f"row policy has shape {policy.shape}, the model has {n_rows} rows")
-        return policy
-    probs = np.zeros(n_rows)
-    entries = [(q, u, p) for q, dist in policy.table.items()
-               for u, p in dist.items() if p > 0]
-    if not entries:
-        return probs
-    q, u, p = (np.array(col) for col in zip(*entries))
-    n_actions = len(m.actions)
-    keys = flat.row_state * n_actions + flat.row_action
-    want = q * n_actions + u
-    pos = np.minimum(np.searchsorted(keys, want), n_rows - 1)
-    disabled = (keys[pos] != want) | (u < 0) | (u >= n_actions)
-    if disabled.any():
-        k = int(np.argmax(disabled))
-        raise ModelError(f"policy uses disabled action {u[k]} at state {q[k]}")
-    probs[pos] = p
-    return probs
-
-
-def _require_defined(flat: FlatRows, probs: np.ndarray, needed: np.ndarray) -> None:
+def _require_defined(m: LabeledModel, probs: np.ndarray, needed: np.ndarray) -> None:
     """Raise unless the policy puts mass on some row of every ``needed`` state."""
-    mass = np.add.reduceat(probs, flat.state_ptr[:-1])
+    mass = np.add.reduceat(probs, m.state_ptr[:-1])
     missing = np.flatnonzero(needed & ~(mass > 0))
     if missing.size:
         raise ModelError(f"policy undefined at states {missing[:5].tolist()}")
 
 
-def _edges(flat: FlatRows, support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _edges(m: LabeledModel, support: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ids, sources and successors of the entries in the ``support`` mask,
     in entry order; entries of one (source, successor) pair are not merged."""
     ids = np.flatnonzero(support)
-    return ids, flat.row_state[flat.entry_row[ids]], flat.cols[ids]
+    return ids, m.row_state[m.entry_row[ids]], m.succ[ids]
 
 
 class _Plan:
@@ -261,7 +217,6 @@ class ReachEvaluator:
         if m.mode != MDP:
             raise ModelError("policy evaluation needs an MDP-mode model")
         self.model, self.targets, self.zeros = m, targets, zeros
-        self.flat = flat_rows(m)
         self.is_target = _members(targets, m.n_states)
         is_zero = _members(zeros, m.n_states)
         self.free = ~(self.is_target | is_zero)
@@ -269,15 +224,19 @@ class ReachEvaluator:
         self._support: np.ndarray | None = None
         self._plan: _Plan | None = None
 
-    def values(self, policy: StationaryPolicy | np.ndarray) -> np.ndarray:
-        """Reachability value of ``policy`` at every state (see
-        ``policy_reach_vector``)."""
-        probs = row_probabilities(self.model, policy)
-        _require_defined(self.flat, probs, self.free)
-        w = probs[self.flat.entry_row] * self.flat.vals
+    def values(self, probs: np.ndarray) -> np.ndarray:
+        """Exact reachability value at every state of the policy ``probs``,
+        one probability per row of the model.
+
+        Boundary: 1 on targets, 0 on zeros; states whose policy support
+        cannot reach the targets are 0 as well (that preprocessing is what
+        keeps the linear system nonsingular).
+        """
+        w = _weights(self.model, probs)
+        _require_defined(self.model, probs, self.free)
         support = w > 0
         if self._support is None or not np.array_equal(support, self._support):
-            ids, src, dst = _edges(self.flat, support)
+            ids, src, dst = _edges(self.model, support)
             unknown = np.flatnonzero(_closure(src, dst, self.is_target) & self.free)
             self._plan = _Plan(unknown, ids, src, dst, self.is_target, self.dense_limit)
             self._support = support
@@ -301,28 +260,31 @@ class _FreeBellman:
     position ``j``, weight ``w``). ``ranks`` holds, for each r >= 1, the
     free positions k of the states with more than r rows and the
     positions ``starts[k] + r`` of their rows number r (counting from 0).
+    ``into_ptr``/``into_row`` list, for every state of ``m``, the rows that
+    step into it (``synthesis._rows_into``), for the greedy extraction.
     """
 
-    def __init__(self, flat: FlatRows, free: np.ndarray, boundary: np.ndarray):
+    def __init__(self, m: LabeledModel, free: np.ndarray, boundary: np.ndarray):
         self.free = free
         self.states = np.flatnonzero(free)
-        counts = flat.state_ptr[self.states + 1] - flat.state_ptr[self.states]
+        counts = m.state_ptr[self.states + 1] - m.state_ptr[self.states]
         self.starts = np.cumsum(counts) - counts
-        self.rows = _expand(flat.state_ptr, self.states)[1]
+        self.rows = _expand(m.state_ptr, self.states)[1]
         self.ranks = []
         for r in range(1, int(counts.max(initial=0))):
             k = np.flatnonzero(counts > r)
             self.ranks.append((k, self.starts[k] + r))
-        i, ents = _expand(flat.row_ptr, self.rows)
-        cols = flat.cols[ents]
+        i, ents = _expand(m.row_ptr, self.rows)
+        cols = m.succ[ents]
         pos = np.full(len(free), -1)
         pos[self.states] = np.arange(len(self.states))
         j = pos[cols]
         inner = j >= 0
         out = ~inner
-        self.fixed = np.bincount(i[out], weights=flat.vals[ents[out]] * boundary[cols[out]],
+        self.fixed = np.bincount(i[out], weights=m.weight[ents[out]] * boundary[cols[out]],
                                  minlength=len(self.rows))
-        self.i, self.j, self.w = i[inner], j[inner], flat.vals[ents[inner]]
+        self.i, self.j, self.w = i[inner], j[inner], m.weight[ents[inner]]
+        self.into_ptr, self.into_row = _rows_into(m)
 
     def q(self, x: np.ndarray) -> np.ndarray:
         """Q value of every free row, given the free states' values ``x``."""
@@ -351,16 +313,17 @@ class _FreeBellman:
 
 def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
               *, tol: float = VALUE_TOL, max_sweeps: int = MAX_SWEEPS,
-              dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, StationaryPolicy]:
+              dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
     """Maximal probability of reaching ``targets`` and an optimal
-    deterministic policy; value is 1 on targets and 0 on ``zeros``."""
+    deterministic policy as one-hot row probabilities; value is 1 on
+    targets and 0 on ``zeros``."""
     if m.mode != MDP:
         raise ModelError("max_reach needs an MDP-mode model")
     if targets & zeros:
         raise ModelError("target and zero sets intersect")
     reach = ReachEvaluator(m, targets, zeros, dense_limit=dense_limit)
-    flat, is_target, free = reach.flat, reach.is_target, reach.free
-    bellman = _FreeBellman(flat, free, is_target.astype(float))
+    is_target = reach.is_target
+    bellman = _FreeBellman(m, reach.free, is_target.astype(float))
 
     x = np.zeros(len(bellman.states))
     for _ in range(max_sweeps):
@@ -376,21 +339,20 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
 
     # Policy-iteration polish: greedy extraction + exact evaluation until
     # the policy repeats.
-    def evaluate(choice: np.ndarray) -> np.ndarray:
-        probs = np.zeros(len(flat.row_state))
-        probs[choice] = 1.0
-        return reach.values(probs)
+    def evaluate(choice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = _one_hot(m, choice)
+        return rows, reach.values(rows)
 
     prev = None
     choice = _attractor_greedy(m, bellman, v, is_target)
     for _ in range(POLISH_ROUNDS):
-        v = evaluate(choice)
+        rows, v = evaluate(choice)
         refreshed = _attractor_greedy(m, bellman, v, is_target)
         if np.array_equal(refreshed, choice):
             break
         if prev is not None and np.array_equal(refreshed, prev):
             choice = refreshed
-            v = evaluate(choice)
+            rows, v = evaluate(choice)
             break
         prev, choice = choice, refreshed
     else:
@@ -399,8 +361,15 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
     if residual > RESIDUAL_TOL:
         raise ModelError(f"the polished values miss the Bellman equation by {residual:.3g} "
                          f"(bound {RESIDUAL_TOL:g})")
-    table = {q: {u: 1.0} for q, u in enumerate(flat.row_action[choice].tolist())}
-    return v, StationaryPolicy(kind="deterministic", table=table)
+    return v, rows
+
+
+def _one_hot(m: LabeledModel, rows) -> np.ndarray:
+    """The deterministic policy that takes ``rows`` (one per state), as
+    one probability per row of ``m``."""
+    probs = np.zeros(len(m.row_action))
+    probs[rows] = 1.0
+    return probs
 
 
 def _attractor_greedy(m: LabeledModel, bellman: _FreeBellman, v: np.ndarray,
@@ -420,21 +389,20 @@ def _attractor_greedy(m: LabeledModel, bellman: _FreeBellman, v: np.ndarray,
     A state's rows gain progress only when one of their successors is
     placed, so each layer only looks at the states whose rows step into
     the layer before it."""
-    flat = flat_rows(m)
     free = bellman.free
     q_vals = bellman.q(v[bellman.states])
     best = bellman.state_max(q_vals)
     best_of_row = np.repeat(best, np.diff(bellman.starts, append=len(q_vals)))
-    optimal = np.zeros(len(flat.row_state), dtype=bool)
+    optimal = np.zeros(len(m.row_state), dtype=bool)
     optimal[bellman.rows] = q_vals >= best_of_row - 1e-12
-    choice = flat.state_ptr[:-1].copy()
-    none = len(flat.row_state)
-    into_ptr, into_row = _rows_into(m)
+    choice = m.state_ptr[:-1].copy()
+    none = len(m.row_state)
+    into_ptr, into_row = bellman.into_ptr, bellman.into_row
     progress = np.zeros(none, dtype=bool)  # the row steps into a placed state
 
     def lowest(cand: np.ndarray, extra: np.ndarray | None) -> np.ndarray:
         """Each candidate's lowest progress row (also in ``extra``), or none."""
-        at, rows = _expand(flat.state_ptr, cand)
+        at, rows = _expand(m.state_ptr, cand)
         ok = progress[rows] if extra is None else progress[rows] & extra[rows]
         hit = np.flatnonzero(ok)
         hit = hit[np.diff(at[hit], prepend=-1) != 0]
@@ -450,7 +418,7 @@ def _attractor_greedy(m: LabeledModel, bellman: _FreeBellman, v: np.ndarray,
         if placed is not None:
             rows = into_row[_expand(into_ptr, placed)[1]]
             progress[rows] = True
-            cand = _distinct(flat.row_state[rows])
+            cand = _distinct(m.row_state[rows])
             cand = cand[pending[cand]]
         first = lowest(cand, optimal)
         if any_action:
@@ -472,35 +440,24 @@ def _attractor_greedy(m: LabeledModel, bellman: _FreeBellman, v: np.ndarray,
         pending[placed] = False
 
 
-def policy_reach_vector(m: LabeledModel, policy: StationaryPolicy | np.ndarray,
-                        targets: frozenset[int], zeros: frozenset[int],
-                        *, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Exact reachability value of a fixed policy, all states.
-
-    ``policy`` is a ``StationaryPolicy`` or one probability per row of
-    ``flat_rows(m)``. Boundary: 1 on targets, 0 on ``zeros``; states whose
-    policy support cannot reach the targets are 0 as well (that
-    preprocessing is what keeps the linear system nonsingular).
-    """
-    return ReachEvaluator(m, targets, zeros, dense_limit=dense_limit).values(policy)
-
-
-def eval_policy_reach(m: LabeledModel, policy: StationaryPolicy | np.ndarray,
+def eval_policy_reach(m: LabeledModel, probs: np.ndarray,
                       targets: frozenset[int], zeros: frozenset[int],
                       *, evaluator: ReachEvaluator | None = None) -> float:
-    """Probability that ``policy`` reaches ``targets`` from the initial
-    state. Repeated calls pass one ``evaluator`` built for the same model,
-    targets and zeros, which keeps its plan while the support repeats."""
+    """Probability that the policy ``probs`` (one probability per row of
+    ``m``) reaches ``targets`` from the initial state. Repeated calls pass
+    one ``evaluator`` built for the same model, targets and zeros, which
+    keeps its plan while the support repeats."""
     if evaluator is None:
         evaluator = ReachEvaluator(m, targets, zeros)
     elif evaluator.model is not m or evaluator.targets != targets or evaluator.zeros != zeros:
         raise ModelError("the evaluator was built for another model, targets or zeros")
-    return float(evaluator.values(policy)[m.initial])
+    return float(evaluator.values(probs)[m.initial])
 
 
-def expected_total_cost(ssp: SspModel, policy: StationaryPolicy | np.ndarray,
+def expected_total_cost(ssp: SspModel, probs: np.ndarray,
                         *, dense_limit: int = DENSE_LIMIT) -> float:
-    """Expected total cost of a proper policy on an MDP-mode SSP.
+    """Expected total cost of a proper policy ``probs`` (one probability
+    per row of the SSP's model) on an MDP-mode SSP.
 
     Raises PolicyDivergence when some state reachable under the policy
     cannot reach the terminal (the cost then diverges, which corresponds
@@ -509,14 +466,12 @@ def expected_total_cost(ssp: SspModel, policy: StationaryPolicy | np.ndarray,
     m = ssp.base
     if m.mode != MDP:
         raise ModelError("expected cost needs an MDP-mode model")
-    flat = flat_rows(m)
-    probs = row_probabilities(m, policy)
-    w = probs[flat.entry_row] * flat.vals
-    ids, src, dst = _edges(flat, w > 0)
+    w = _weights(m, probs)
+    ids, src, dst = _edges(m, w > 0)
     live = src != ssp.terminal
     reachable = _closure(dst[live], src[live], _members([m.initial], m.n_states))
     reachable[ssp.terminal] = False
-    _require_defined(flat, probs, reachable)
+    _require_defined(m, probs, reachable)
     proper = _closure(src, dst, _members([ssp.terminal], m.n_states))
     trapped = np.flatnonzero(reachable & ~proper)
     if trapped.size:
@@ -531,15 +486,15 @@ def expected_total_cost(ssp: SspModel, policy: StationaryPolicy | np.ndarray,
     return float(sol[np.flatnonzero(plan.unknown == m.initial)[0]])
 
 
-def enumerate_policies(m: LabeledModel, limit: int = 10 ** 6) -> Iterator[StationaryPolicy]:
-    """Every deterministic stationary policy, exactly once."""
-    count = math.prod(len(acts) for acts in m.enabled)
+def enumerate_policies(m: LabeledModel, limit: int = 10 ** 6) -> Iterator[np.ndarray]:
+    """Every deterministic stationary policy, exactly once, as one-hot row
+    probabilities; the last state's choice varies fastest."""
+    ptr = m.state_ptr.tolist()
+    count = math.prod(hi - lo for lo, hi in zip(ptr, ptr[1:]))
     if count > limit:
         raise ModelError(f"{count} deterministic policies exceed the cap of {limit}")
-    for choice in itertools.product(*m.enabled):
-        yield StationaryPolicy(
-            kind="deterministic",
-            table={q: {u: 1.0} for q, u in enumerate(choice)})
+    for choice in itertools.product(*map(range, ptr, ptr[1:])):
+        yield _one_hot(m, list(choice))
 
 
 def write_value_csv(f, values: np.ndarray) -> None:

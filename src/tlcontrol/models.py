@@ -1,4 +1,4 @@
-"""Labeled MDP/NTS models, deterministic Rabin automata, and stationary policies.
+"""Labeled MDP/NTS models, deterministic Rabin automata, and policy files.
 
 A model stores its (state, action) rows once, as CSR arrays: the rows of
 state q are ``state_ptr[q]:state_ptr[q + 1]``, in ascending action id, row
@@ -39,6 +39,11 @@ Letters are exact observation subsets (``{}`` is the empty letter) encoded
 as bitmasks over the ``props`` line. A per-state ``else`` edge supplies the
 target for every letter without an explicit edge; the transition function
 must be total after that expansion.
+
+Policy file format: one ``state<TAB>action<TAB>probability`` line per
+(state, action) row, ``#`` starts a comment line. In the program a policy
+is one probability per row of its model, in the model's row order
+(``parse_policy``, ``save_policy``).
 """
 
 from __future__ import annotations
@@ -619,59 +624,26 @@ def _letter_names(letter: int, props: list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Stationary policies
+# Policy files
 
 
-@dataclass(frozen=True)
-class StationaryPolicy:
-    """Time-invariant policy: a distribution over enabled actions per state."""
-
-    kind: str  # "deterministic" | "randomized"
-    table: Mapping[int, Mapping[int, float]]
-
-    def action(self, state: int) -> int:
-        """The single action of a deterministic policy at ``state``."""
-        dist = self.table[state]
-        if len(dist) != 1:
-            raise ModelError(f"policy is not deterministic at state {state}")
-        return next(iter(dist))
+def save_policy(f, probs: np.ndarray, m: LabeledModel) -> None:
+    """Write a policy, one probability per row of ``m``, as tab-separated
+    (state, action name, probability) lines in row order."""
+    f.writelines(f"{q}\t{m.actions[u]}\t{p!r}\n"
+                 for (q, u), p in zip(m.enabled_pairs(), probs.tolist()))
 
 
-def validate_policy(pol: StationaryPolicy, m: LabeledModel) -> None:
-    for state, dist in pol.table.items():
-        if not (0 <= state < m.n_states):
-            raise ModelError(f"policy references unknown state {state}")
-        allowed = set(m.enabled[state])
-        total = 0.0
-        for action, p in dist.items():
-            if action not in allowed:
-                name = m.actions[action] if 0 <= action < len(m.actions) else action
-                raise ModelError(
-                    f"policy puts mass on disabled action {name!r} at {state}")
-            if p < 0:
-                raise ModelError(f"negative probability at state {state}")
-            total += p
-        if abs(total - 1.0) > DIST_TOL:
-            raise ModelError(f"policy distribution at state {state} sums to {total!r}")
-        if pol.kind == "deterministic" and len(dist) != 1:
-            raise ModelError(f"deterministic policy has {len(dist)} actions at state {state}")
+def parse_policy(text: str, m: LabeledModel) -> np.ndarray:
+    """A policy file as one probability per row of ``m``.
 
-
-def save_policy(f, pol: StationaryPolicy | np.ndarray, m: LabeledModel) -> None:
-    """Write a policy as tab-separated (state, action name, probability)
-    rows, states and actions ascending. An array policy holds one
-    probability per row of ``m``."""
-    if isinstance(pol, np.ndarray):
-        f.writelines(f"{q}\t{m.actions[u]}\t{p!r}\n"
-                     for (q, u), p in zip(m.enabled_pairs(), pol.tolist()))
-        return
-    for state in sorted(pol.table):
-        for action in sorted(pol.table[state]):
-            f.write(f"{state}\t{m.actions[action]}\t{pol.table[state][action]!r}\n")
-
-
-def parse_policy(text: str, m: LabeledModel) -> StationaryPolicy:
-    table: dict[int, dict[int, float]] = {}
+    A later line for the same (state, action) overrides an earlier one, and
+    the rows of states without a line keep probability 0. Every listed
+    state must put non-negative mass on enabled actions only, summing to 1
+    within ``DIST_TOL``.
+    """
+    probs = np.zeros(len(m.row_action))
+    listed = np.zeros(m.n_states, dtype=bool)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -685,8 +657,21 @@ def parse_policy(text: str, m: LabeledModel) -> StationaryPolicy:
             raise ParseError(lineno, f"bad policy row {line!r}") from None
         if parts[1] not in m.actions:
             raise ParseError(lineno, f"unknown action {parts[1]!r}")
-        table.setdefault(state, {})[m.actions.index(parts[1])] = prob
-    kind = "deterministic" if all(len(d) == 1 for d in table.values()) else "randomized"
-    pol = StationaryPolicy(kind=kind, table=table)
-    validate_policy(pol, m)
-    return pol
+        if not (0 <= state < m.n_states):
+            raise ModelError(f"policy references unknown state {state}")
+        action = m.actions.index(parts[1])
+        lo, hi = m.state_ptr[state], m.state_ptr[state + 1]
+        row = lo + np.searchsorted(m.row_action[lo:hi], action)
+        if row == hi or m.row_action[row] != action:
+            raise ModelError(f"policy puts mass on disabled action {parts[1]!r} at {state}")
+        probs[row] = prob
+        listed[state] = True
+    negative = np.flatnonzero(probs < 0)
+    if negative.size:
+        raise ModelError(f"negative probability at state {m.row_state[negative[0]]}")
+    totals = np.bincount(m.row_state, weights=probs, minlength=m.n_states)
+    off = np.flatnonzero(listed & ~(np.abs(totals - 1.0) <= DIST_TOL))  # NaN is off too
+    if off.size:
+        raise ModelError(f"policy distribution at state {off[0]} "
+                         f"sums to {float(totals[off[0]])!r}")
+    return probs

@@ -183,31 +183,28 @@ def _product_row_index(ssp: SspModel, m: LabeledModel) -> np.ndarray:
     ``mrp_to_ssp`` keeps every state's enabled actions, so the rows of SSP
     state s line up one to one with those of product state origin[s].
     """
-    s, p = exact.flat_rows(ssp.base), exact.flat_rows(m)
+    s = ssp.base
     ssp_rows = np.flatnonzero(s.row_state != ssp.terminal)
     state = s.row_state[ssp_rows]
-    return p.state_ptr[np.asarray(ssp.origin)[state]] + ssp_rows - s.state_ptr[state]
+    return m.state_ptr[np.asarray(ssp.origin)[state]] + ssp_rows - s.state_ptr[state]
 
 
-def _to_product_rows(ssp: SspModel, m: LabeledModel, probs: np.ndarray,
-                     index: np.ndarray | None = None) -> np.ndarray:
-    """Re-index probabilities over the SSP's non-terminal rows onto the
-    rows of the product model ``m``, through ``index`` (from
-    ``_product_row_index``, built here when not given). Goal rows stay 0:
-    goal states are evaluation boundary.
+def _to_product_rows(m: LabeledModel, index: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Re-index probabilities over an SSP's non-terminal rows onto the rows
+    of the product model ``m``, through ``index`` (``_product_row_index``).
+    Goal rows stay 0: goal states are evaluation boundary.
     """
-    if index is None:
-        index = _product_row_index(ssp, m)
-    out = np.zeros(len(exact.flat_rows(m).row_state))
+    out = np.zeros(len(m.row_action))
     out[index] = probs
     return out
 
 
-def rsp_product_policy(policy: LookaheadPolicy, ssp: SspModel, m: LabeledModel,
-                       index: np.ndarray | None = None) -> np.ndarray:
+def rsp_product_policy(policy: LookaheadPolicy, m: LabeledModel,
+                       index: np.ndarray) -> np.ndarray:
     """The lookahead policy at its current theta as one probability per row
-    of the product model ``m``; ``index`` as in ``_to_product_rows``."""
-    return _to_product_rows(ssp, m, policy.policy_rows(), index)
+    of the product model ``m``, through ``index`` (``_product_row_index``
+    of the policy's SSP)."""
+    return _to_product_rows(m, index, policy.policy_rows())
 
 
 @dataclass
@@ -283,9 +280,9 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
         reach = exact.ReachEvaluator(pm.base, ctx.goal, ctx.bad)
         index = _product_row_index(ssp, pm.base)
 
-        def evaluator(theta, _pm=pm, _ssp=ssp, _pol=policy, _reach=reach, _index=index):
+        def evaluator(theta, _pm=pm, _pol=policy, _reach=reach, _index=index):
             _pol.theta = np.array(theta, dtype=float)
-            product_policy = rsp_product_policy(_pol, _ssp, _pm.base, _index)
+            product_policy = rsp_product_policy(_pol, _pm.base, _index)
             return exact.eval_policy_reach(_pm.base, product_policy, ctx.goal, ctx.bad,
                                            evaluator=_reach)
 
@@ -353,7 +350,7 @@ def compare(cfg: RunConfig) -> Report:
 
 
 def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
-    """Exact reachability probability of a saved per-state distribution."""
+    """Exact reachability probability of a saved policy file."""
     ctx = load_task(cfg)
     if ctx.product_mdp is None:
         raise ModelError("eval needs exact probabilities (enable exact_reference)")
@@ -362,11 +359,11 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
     if ctx.trivial:
         return 1.0
     ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
-    pol = parse_policy(Path(policy_path).read_text(), ssp.base)
-    probs = exact.row_probabilities(ssp.base, pol)
-    probs = probs[exact.flat_rows(ssp.base).row_state != ssp.terminal]
+    probs = parse_policy(Path(policy_path).read_text(), ssp.base)
     m = ctx.product_mdp.base
-    return exact.eval_policy_reach(m, _to_product_rows(ssp, m, probs), ctx.goal, ctx.bad)
+    rows = _to_product_rows(m, _product_row_index(ssp, m),
+                            probs[ssp.base.row_state != ssp.terminal])
+    return exact.eval_policy_reach(m, rows, ctx.goal, ctx.bad)
 
 
 def write_models(cfg: RunConfig) -> list[Path]:

@@ -31,7 +31,6 @@ from .models import (
     LabeledModel,
     ModelError,
     RabinAutomaton,
-    StationaryPolicy,
     serialize_model,
 )
 
@@ -495,16 +494,6 @@ def goal_and_bad_sets(
     m = p.base
     closed = _closure(m.row_state[m.entry_row], m.succ, _members(goal, m.n_states))
     return goal, frozenset(np.flatnonzero(~closed).tolist())
-
-
-def inside_amec_policy(a: Amec) -> StationaryPolicy:
-    """Uniform choice over retained actions; satisfies the acceptance
-    condition almost surely from anywhere inside the component."""
-    table = {
-        q: {u: 1.0 / len(actions) for u in actions}
-        for q, actions in a.retained.items()
-    }
-    return StationaryPolicy(kind="randomized", table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,7 @@ import pytest
 
 from tlcontrol import exact
 from tlcontrol.lookahead import LookaheadPolicy
-from tlcontrol.models import StationaryPolicy
-from tlcontrol.pipeline import RunConfig, synthesize
+from tlcontrol.pipeline import RunConfig, _product_row_index, _to_product_rows, synthesize
 from tlcontrol.synthesis import max_end_components, mrp_to_ssp, ProductModel, amecs
 from conftest import make_random_ssp, random_mdp, random_nts, support_zeros
 from test_synthesis import brute_force_mecs
@@ -84,12 +83,12 @@ def test_criterion_3_mrp_ssp_equivalence():
         best_reach = -1.0
         best_cost = float("inf")
         cost_winner_reach = None
+        # Each SSP policy acts on the product through the pipeline's
+        # re-indexer: the terminal's rows are dropped, goal rows stay 0.
+        index = _product_row_index(ssp_mdp, product_mdp.base)
+        live = ssp_mdp.base.row_state != ssp_mdp.terminal
         for pol in exact.enumerate_policies(ssp_mdp.base):
-            table = {}
-            for state, old in enumerate(ssp_mdp.origin):
-                if old >= 0:
-                    table[old] = dict(pol.table[state])
-            product_pol = StationaryPolicy(kind="deterministic", table=table)
+            product_pol = _to_product_rows(product_mdp.base, index, pol[live])
             reach = exact.eval_policy_reach(product_mdp.base, product_pol, goal, bad)
             best_reach = max(best_reach, reach)
             try:
@@ -104,12 +103,10 @@ def test_criterion_3_mrp_ssp_equivalence():
         done += 1
     # Geometric restart: one attempt succeeds with probability 1/2, so the
     # expected number of unit-cost restarts is exactly 1.
-    from test_exact import _restart_product
+    from test_exact import _restart_product, lowest_actions
     product = _restart_product(0.5)
     ssp = mrp_to_ssp(product, frozenset({1}), frozenset({2}))
-    pol = StationaryPolicy(kind="deterministic",
-                           table={q: {0: 1.0} for q in range(ssp.base.n_states)})
-    cost = exact.expected_total_cost(ssp, pol)
+    cost = exact.expected_total_cost(ssp, lowest_actions(ssp.base))
     assert abs(cost - 1.0) <= 1e-9
     print(f"\nACCEPTANCE 3 PASS: 10 products, cost-minimizer attains the "
           f"reachability optimum; restart cost at p=1/2 is {cost!r}")

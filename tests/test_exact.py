@@ -15,10 +15,9 @@ from tlcontrol.exact import (
     eval_policy_reach,
     expected_total_cost,
     max_reach,
-    policy_reach_vector,
     write_value_csv,
 )
-from tlcontrol.models import MDP, LabeledModel, ModelError, StationaryPolicy, parse_model
+from tlcontrol.models import MDP, LabeledModel, ModelError, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
 from tlcontrol.synthesis import ProductModel, mrp_to_ssp
 from conftest import lattice_map, random_mdp, support_zeros
@@ -36,8 +35,8 @@ def test_max_reach_trivial_values():
 
 def brute_force_optimum(m, targets, zeros):
     """The best value at every state over all deterministic policies."""
-    return np.max([policy_reach_vector(m, pol, targets, zeros)
-                   for pol in enumerate_policies(m)], axis=0)
+    reach = ReachEvaluator(m, targets, zeros)
+    return np.max([reach.values(pol) for pol in enumerate_policies(m)], axis=0)
 
 
 def test_max_reach_equals_policy_enumeration(rng):
@@ -49,7 +48,7 @@ def test_max_reach_equals_policy_enumeration(rng):
         best = brute_force_optimum(m, targets, zeros)
         assert v[m.initial] == pytest.approx(best[m.initial], abs=1e-9)
         # The returned greedy policy achieves the optimal value everywhere.
-        gv = policy_reach_vector(m, greedy, targets, zeros)
+        gv = ReachEvaluator(m, targets, zeros).values(greedy)
         assert np.abs(gv - v).max() <= 1e-9
         # Dominance: no policy beats the optimum.
         for pol in enumerate_policies(m):
@@ -124,13 +123,12 @@ def test_max_reach_does_not_depend_on_the_warm_start_tolerance(seed, n_states, n
 
 def reference_greedy(m, v, free, is_target):
     """``_attractor_greedy`` one state at a time, layer by layer."""
-    flat = exact.flat_rows(m)
-    q_vals = np.add.reduceat(flat.vals * v[flat.cols], flat.row_ptr[:-1])
-    rows = {q: range(flat.state_ptr[q], flat.state_ptr[q + 1]) for q in range(m.n_states)}
+    q_vals = np.add.reduceat(m.weight * v[m.succ], m.row_ptr[:-1])
+    rows = {q: range(m.state_ptr[q], m.state_ptr[q + 1]) for q in range(m.n_states)}
     optimal = [q_vals[r] >= max(q_vals[rows[q]]) - 1e-12
                for q in range(m.n_states) for r in rows[q]]
-    succ = [flat.cols[flat.row_ptr[r]:flat.row_ptr[r + 1]].tolist() for r in range(len(q_vals))]
-    choice = flat.state_ptr[:-1].copy()
+    succ = [m.succ[m.row_ptr[r]:m.row_ptr[r + 1]].tolist() for r in range(len(q_vals))]
+    choice = m.state_ptr[:-1].copy()
     layered = set(np.flatnonzero(is_target).tolist())
     pending = set(np.flatnonzero(free & (v > 0)).tolist())
     widened = False
@@ -162,7 +160,7 @@ def test_attractor_greedy_matches_the_layer_by_layer_definition(seed, n_states, 
     free = ~is_target & (rng.random(n_states) < 0.8)
     # Values with exact ties and zeros, as an early-stopped warm start leaves them.
     v = np.where(is_target, 1.0, rng.choice([0.0, 0.25, 0.5, rng.random()], size=n_states))
-    bellman = exact._FreeBellman(exact.flat_rows(m), free, v)
+    bellman = exact._FreeBellman(m, free, v)
     got = exact._attractor_greedy(m, bellman, v, is_target)
     assert got.tolist() == reference_greedy(m, v, free, is_target).tolist()
 
@@ -171,7 +169,8 @@ def test_eval_policy_reach_cases():
     # Symmetric two-armed state: uniform policy scores one half.
     m = parse_model("states 3\ninitial 0\nmode mdp\n"
                     "trans 0 l 1 1.0\ntrans 0 r 2 1.0\ntrans 1 l 1 1.0\ntrans 2 l 2 1.0")
-    uniform = StationaryPolicy(kind="randomized", table={0: {0: 0.5, 1: 0.5}})
+    # Rows: state 0 takes l or r, states 1 and 2 their one action each.
+    uniform = np.array([0.5, 0.5, 0.0, 0.0])
     val = eval_policy_reach(m, uniform, frozenset({1}), frozenset({2}))
     assert val == pytest.approx(0.5, abs=1e-12)
 
@@ -181,7 +180,7 @@ def test_eval_policy_reach_support_preprocessing():
     # state is not in the zero set.
     m = parse_model("states 2\ninitial 0\nmode mdp\n"
                     "trans 0 stay 0 1.0\ntrans 0 go 1 1.0\ntrans 1 stay 1 1.0")
-    dawdler = StationaryPolicy(kind="deterministic", table={0: {0: 1.0}})
+    dawdler = np.array([1.0, 0.0, 0.0])
     assert eval_policy_reach(m, dawdler, frozenset({1}), frozenset()) == 0.0
 
 
@@ -189,13 +188,8 @@ def test_eval_policy_reach_matches_monte_carlo(rng):
     m = random_mdp(rng, n_states=5, n_actions=2)
     targets = frozenset({3, 4})
     zeros = support_zeros(m, targets) - targets
-    pol_table = {}
-    for q in range(5):
-        acts = m.enabled[q]
-        w = rng.random(len(acts)) + 0.2
-        w /= w.sum()
-        pol_table[q] = {u: float(p) for u, p in zip(acts, w)}
-    pol = StationaryPolicy(kind="randomized", table=pol_table)
+    pol = np.concatenate([w / w.sum() for w in
+                          (rng.random(len(acts)) + 0.2 for acts in m.enabled)])
     exact_val = eval_policy_reach(m, pol, targets, zeros)
     n_episodes = 100_000
     hits = 0
@@ -208,8 +202,8 @@ def test_eval_policy_reach_matches_monte_carlo(rng):
                 break
             if q in zeros:
                 break
-            acts = list(pol.table[q])
-            probs = [pol.table[q][u] for u in acts]
+            lo, hi = m.state_ptr[q], m.state_ptr[q + 1]
+            acts, probs = m.row_action[lo:hi].tolist(), pol[lo:hi]
             u = acts[sim.choice(len(acts), p=probs)] if len(acts) > 1 else acts[0]
             row = m.transitions[(q, u)]
             x = sim.random()
@@ -241,13 +235,19 @@ trans 2 a 2 1.0
                         pairs=((frozenset(), frozenset({1})),), unpruned_states=3)
 
 
+def lowest_actions(m):
+    """The deterministic policy taking every state's lowest action, as row
+    probabilities."""
+    probs = np.zeros(len(m.row_action))
+    probs[m.state_ptr[:-1]] = 1.0
+    return probs
+
+
 @pytest.mark.parametrize("p", [1.0, 0.5])
 def test_expected_cost_is_geometric_restart_formula(p):
     product = _restart_product(p)
     ssp = mrp_to_ssp(product, frozenset({1}), frozenset({2}))
-    pol = StationaryPolicy(kind="deterministic",
-                           table={q: {0: 1.0} for q in range(ssp.base.n_states)})
-    cost = expected_total_cost(ssp, pol)
+    cost = expected_total_cost(ssp, lowest_actions(ssp.base))
     assert cost == pytest.approx((1.0 - p) / p, abs=1e-9)
     if p == 0.5:
         assert cost == pytest.approx(1.0, abs=1e-9)
@@ -256,9 +256,7 @@ def test_expected_cost_is_geometric_restart_formula(p):
 def test_expected_cost_zero_without_bad_states():
     product = _restart_product(1.0)
     ssp = mrp_to_ssp(product, frozenset({1}), frozenset())
-    pol = StationaryPolicy(kind="deterministic",
-                           table={q: {0: 1.0} for q in range(ssp.base.n_states)})
-    assert expected_total_cost(ssp, pol) == 0.0
+    assert expected_total_cost(ssp, lowest_actions(ssp.base)) == 0.0
 
 
 def test_expected_cost_diverges_for_improper_policy():
@@ -275,12 +273,8 @@ trans 2 a 2 1.0
     product = ProductModel(base=m, projection=tuple((q, 0) for q in range(3)),
                            pairs=((frozenset(), frozenset({1})),), unpruned_states=3)
     ssp = mrp_to_ssp(product, frozenset({1}), frozenset({2}))
-    dawdler = StationaryPolicy(
-        kind="deterministic",
-        table={q: {(0 if 0 in ssp.base.enabled[q] else ssp.base.enabled[q][0]): 1.0}
-               for q in range(ssp.base.n_states)})
     with pytest.raises(PolicyDivergence, match="diverges"):
-        expected_total_cost(ssp, dawdler)
+        expected_total_cost(ssp, lowest_actions(ssp.base))
 
 
 def test_enumerate_policies_counts(rng):
@@ -291,8 +285,10 @@ def test_enumerate_policies_counts(rng):
                     "trans 1 a 0 1.0\ntrans 1 b 1 1.0")
     pols = list(enumerate_policies(m))
     assert len(pols) == 4
-    assert len({tuple(sorted((q, next(iter(d))) for q, d in p.table.items()))
-                for p in pols}) == 4
+    assert len({p.tobytes() for p in pols}) == 4
+    # One-hot: each state puts mass 1 on one row; the last state varies fastest.
+    assert [p.tolist() for p in pols] == [[1, 0, 1, 0], [1, 0, 0, 1],
+                                          [0, 1, 1, 0], [0, 1, 0, 1]]
     single = parse_model("states 2\ninitial 0\nmode mdp\n"
                          "trans 0 a 1 1.0\ntrans 1 a 1 1.0")
     assert len(list(enumerate_policies(single))) == 1
@@ -326,14 +322,14 @@ def test_value_iteration_cap_is_loud():
 def _random_policy(rng, m):
     """Randomized policy that drops each action with probability 0.4 but
     keeps at least one per state."""
-    table = {}
+    probs = []
     for q in range(m.n_states):
         acts = m.enabled[q]
         w = rng.random(len(acts)) * (rng.random(len(acts)) > 0.4)
         if not w.any():
             w[rng.integers(len(acts))] = 1.0
-        table[q] = {u: float(p) for u, p in zip(acts, w / w.sum())}
-    return StationaryPolicy(kind="randomized", table=table)
+        probs.extend(w / w.sum())
+    return np.array(probs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,8 +347,8 @@ def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
                                actions=m.actions, props=m.props, labels=m.labels, mode=MDP)
     targets = frozenset({int(rng.integers(trap))})
     pol = _random_policy(rng, m)
-    v_dense = policy_reach_vector(m, pol, targets, frozenset())
-    v_fixed = policy_reach_vector(m, pol, targets, frozenset(), dense_limit=0)
+    v_dense = ReachEvaluator(m, targets, frozenset()).values(pol)
+    v_fixed = ReachEvaluator(m, targets, frozenset(), dense_limit=0).values(pol)
     assert v_dense[trap] == 0.0 and v_fixed[trap] == 0.0
     assert np.abs(v_dense - v_fixed).max() <= 1e-9
 
@@ -395,7 +391,7 @@ def test_value_iteration_sweeps_are_monotone(rng):
     zeros = support_zeros(m, targets) - targets
     is_target = exact._members(targets, m.n_states)
     free = ~(is_target | exact._members(zeros, m.n_states))
-    bellman = exact._FreeBellman(exact.flat_rows(m), free, is_target.astype(float))
+    bellman = exact._FreeBellman(m, free, is_target.astype(float))
     x = np.zeros(int(free.sum()))
     for _ in range(60):
         x_next = bellman.best(x)
@@ -450,10 +446,9 @@ def _bounded_policy(rng, m):
 
 def _kernel_matrix(m, probs):
     """The policy's dense transition matrix and its support graph."""
-    flat = exact.flat_rows(m)
     p = np.zeros((m.n_states, m.n_states))
-    for r, succ, w in zip(flat.entry_row, flat.cols, flat.vals):
-        p[flat.row_state[r], succ] += probs[r] * w
+    for r, succ, w in zip(m.entry_row, m.succ, m.weight):
+        p[m.row_state[r], succ] += probs[r] * w
     return p
 
 
@@ -476,7 +471,7 @@ def test_block_solves_match_one_dense_solve(seed):
     m = _component_mdp(rng)
     probs = _bounded_policy(rng, m)
     p = _kernel_matrix(m, probs)
-    v = policy_reach_vector(m, probs, frozenset({0}), frozenset({1}))
+    v = ReachEvaluator(m, frozenset({0}), frozenset({1})).values(probs)
     unknown = sorted(_backward_closure(p, [0]) - {0, 1})
     want = np.zeros(m.n_states)
     want[0] = 1.0
@@ -533,7 +528,7 @@ def test_evaluator_rebuilds_its_plan_when_the_support_changes(monkeypatch):
     assert len(built) == 1
     # Action a at state 3 set to 0 cuts states 2 and 3 off from the target.
     cut = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
-    fresh = policy_reach_vector(m, cut, targets, zeros)
+    fresh = ReachEvaluator(m, targets, zeros).values(cut)
     assert fresh[2] == fresh[3] == 0.0
     assert np.array_equal(ev.values(cut), fresh)
     assert eval_policy_reach(m, both, targets, zeros, evaluator=ev) == pytest.approx(0.6, abs=1e-12)

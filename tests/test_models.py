@@ -1,5 +1,7 @@
 import dataclasses
+import io
 
+import numpy as np
 import pytest
 
 from tlcontrol.models import (
@@ -8,7 +10,6 @@ from tlcontrol.models import (
     LabeledModel,
     ModelError,
     ParseError,
-    StationaryPolicy,
     dra_step,
     nts_from_mdp,
     parse_dra,
@@ -16,7 +17,6 @@ from tlcontrol.models import (
     parse_policy,
     save_policy,
     serialize_model,
-    validate_policy,
 )
 from conftest import random_mdp
 
@@ -220,17 +220,24 @@ def test_prop_cap_enforced():
 
 
 def test_policy_validation_and_round_trip():
-    m = parse_model(CHAIN_NTS)
-    pol = StationaryPolicy(kind="randomized", table={0: {0: 1.0}, 1: {0: 1.0}})
-    validate_policy(pol, m)
-    import io
+    # CHAIN_NTS plus a second action, enabled at state 3 only. Rows: go at
+    # states 0-3, then stay at state 3.
+    m = parse_model(CHAIN_NTS + "trans 3 stay 3 1\n")
+    probs = np.array([1.0, 1.0, 1.0, 0.25, 0.75])
     buf = io.StringIO()
-    save_policy(buf, pol, m)
-    again = parse_policy(buf.getvalue(), m)
-    assert again.table == pol.table
-    bad = StationaryPolicy(kind="randomized", table={0: {1: 1.0}})
-    with pytest.raises(ModelError, match="disabled action"):
-        validate_policy(bad, m)
-    off = StationaryPolicy(kind="randomized", table={0: {0: 0.9}})
-    with pytest.raises(ModelError, match="sums to"):
-        validate_policy(off, m)
+    save_policy(buf, probs, m)
+    assert buf.getvalue().splitlines()[3:] == ["3\tgo\t0.25", "3\tstay\t0.75"]
+    assert np.array_equal(parse_policy(buf.getvalue(), m), probs)
+    # Unlisted states keep 0 on every row, and a later line overrides.
+    assert parse_policy("# c\n0\tgo\t0.5\n0\tgo\t1.0\n", m).tolist() == [1, 0, 0, 0, 0]
+    cases = [("0\tstay\t1.0", ModelError, "disabled action 'stay' at 0"),
+             ("0\tgo\t0.9", ModelError, "at state 0 sums to 0.9"),
+             ("3\tgo\tnan\n3\tstay\t1.0", ModelError, "at state 3 sums to nan"),
+             ("3\tgo\t-0.5\n3\tstay\t1.5", ModelError, "negative probability at state 3"),
+             ("4\tgo\t1.0", ModelError, "unknown state 4"),
+             ("0\tfly\t1.0", ParseError, "line 1: unknown action 'fly'"),
+             ("0\tgo", ParseError, "expected"),
+             ("0\tgo\tmost", ParseError, "bad policy row")]
+    for text, error, message in cases:
+        with pytest.raises(error, match=message):
+            parse_policy(text, m)

@@ -15,6 +15,7 @@ from tlcontrol.pipeline import (
     EXIT_CONVERGED,
     EXIT_ZERO_PROBABILITY,
     RunConfig,
+    _product_row_index,
     compare,
     evaluate_policy_file,
     load_task,
@@ -155,6 +156,8 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
     report = compare(tiny_task)
     ctx = load_task(tiny_task)
     ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+    m = ctx.product_mdp.base
+    index = _product_row_index(ssp, m)
     trace_rows = Path(tiny_task.outdir, "trace.csv").read_text().splitlines()[1:]
     by_k = {}
     for row in trace_rows:
@@ -166,9 +169,8 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
         k, rsp_val, opt_val = row.split(",")
         t1, t2, exact_col = by_k[int(k)]
         pol = LookaheadPolicy(ssp, horizon=tiny_task.horizon, theta=(t1, t2))
-        replayed = exact.eval_policy_reach(
-            ctx.product_mdp.base, rsp_product_policy(pol, ssp, ctx.product_mdp.base),
-            ctx.goal, ctx.bad)
+        replayed = exact.eval_policy_reach(m, rsp_product_policy(pol, m, index),
+                                           ctx.goal, ctx.bad)
         assert abs(replayed - float(rsp_val)) <= 1e-12
         assert float(exact_col) == float(rsp_val)
         assert float(opt_val) >= float(rsp_val) - 1e-9
@@ -189,13 +191,12 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
     # Re-indexed onto the product: every state's distribution lands on the
     # rows of its product state, and goal rows stay empty.
     m = ctx.product_mdp.base
-    rows = exact.flat_rows(m)
-    product = rsp_product_policy(pol, ssp, m)
+    product = rsp_product_policy(pol, m, _product_row_index(ssp, m))
     for state, (acts, probs) in enumerate(per_state):
-        lo, hi = rows.state_ptr[ssp.origin[state]], rows.state_ptr[ssp.origin[state] + 1]
-        assert list(rows.row_action[lo:hi]) == list(acts)
+        lo, hi = m.state_ptr[ssp.origin[state]], m.state_ptr[ssp.origin[state] + 1]
+        assert list(m.row_action[lo:hi]) == list(acts)
         assert np.array_equal(product[lo:hi], probs)
-    assert not product[np.isin(rows.row_state, list(ctx.goal))].any()
+    assert not product[np.isin(m.row_state, list(ctx.goal))].any()
 
 
 def test_desk_compare_builds_two_solve_plans(tmp_path, monkeypatch):
@@ -224,10 +225,15 @@ def test_every_config_key_has_a_flag():
     assert {f.name for f in dataclasses.fields(RunConfig)} <= dests
 
 
-def test_eval_subcommand_round_trip(tiny_task):
-    report = synthesize(tiny_task)
-    value = evaluate_policy_file(tiny_task, Path(tiny_task.outdir, "policy.tsv"))
-    assert value == pytest.approx(report.final_probability, abs=1e-12)
+def test_eval_subcommand_round_trip(tiny_task, tmp_path):
+    # The written policy.tsv holds the run's final policy to the last bit,
+    # so evaluating it gives the run's final exact probability exactly.
+    desk = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                               seed=1, max_iters=300, eval_every=0)
+    for cfg in (tiny_task, desk):
+        report = synthesize(cfg)
+        value = evaluate_policy_file(cfg, Path(cfg.outdir, "policy.tsv"))
+        assert value == report.final_probability
 
 
 def test_build_writes_parseable_models(tiny_task):

@@ -11,7 +11,6 @@ from tlcontrol.synthesis import (
     amecs,
     build_product,
     goal_and_bad_sets,
-    inside_amec_policy,
     max_end_components,
     mrp_to_ssp,
     prune_unreachable,
@@ -349,20 +348,20 @@ def test_inside_amec_policy_uniform_and_recurrent(rng):
     found = amecs(p)
     assert len(found) == 1
     a = found[0]
-    pol = inside_amec_policy(a)
-    assert pol.table[0] == {0: 0.5, 1: 0.5}
-    assert pol.table[1] == {0: 1.0}
-    # The induced chain restricted to the component is an
-    # irreducible stochastic matrix, so its stationary distribution is
-    # strictly positive and K states are visited infinitely often.
+    assert a.retained[0] == (0, 1)
+    assert a.retained[1] == (0,)
+    # Under the uniform choice over retained actions, the induced chain
+    # restricted to the component is an irreducible stochastic matrix, so
+    # its stationary distribution is strictly positive and K states are
+    # visited infinitely often.
     states = sorted(a.states)
     idx = {q: i for i, q in enumerate(states)}
     kernel = np.zeros((len(states), len(states)))
     for q in states:
-        for u, pr in pol.table[q].items():
+        for u in a.retained[q]:
             succ = n.support(q, u)
             for s in succ:
-                kernel[idx[q], idx[s]] += pr / len(succ)
+                kernel[idx[q], idx[s]] += 1.0 / len(a.retained[q]) / len(succ)
     assert np.allclose(kernel.sum(axis=1), 1.0)
     vals, vecs = np.linalg.eig(kernel.T)
     station = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
@@ -420,8 +419,7 @@ def test_ssp_proper_policies_absorb_at_terminal(rng):
     # Under any full-support policy, every state reachable from the initial
     # state is absorbed at the terminal with probability one (checked by
     # the exact linear solve: reach probability of the terminal equals 1).
-    from tlcontrol.exact import policy_reach_vector
-    from tlcontrol.models import StationaryPolicy
+    from tlcontrol.exact import ReachEvaluator
     from conftest import make_random_ssp
 
     done = 0
@@ -430,13 +428,9 @@ def test_ssp_proper_policies_absorb_at_terminal(rng):
         _m, _dra, _product, _product_mdp, _goal, bad, _ssp, ssp_mdp = out
         if ssp_mdp.base.initial in ssp_mdp.bad:
             continue
-        table = {}
-        for q in range(ssp_mdp.base.n_states):
-            acts = ssp_mdp.base.enabled[q]
-            table[q] = {u: 1.0 / len(acts) for u in acts}
-        pol = StationaryPolicy(kind="randomized", table=table)
-        v = policy_reach_vector(ssp_mdp.base, pol,
-                                frozenset({ssp_mdp.terminal}), frozenset())
+        m = ssp_mdp.base
+        pol = 1.0 / np.diff(m.state_ptr)[m.row_state]
+        v = ReachEvaluator(m, frozenset({ssp_mdp.terminal}), frozenset()).values(pol)
         reachable = {ssp_mdp.base.initial}
         stack = [ssp_mdp.base.initial]
         while stack:
