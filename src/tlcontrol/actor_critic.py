@@ -18,18 +18,22 @@ the solve to the post-update statistics.
 The statistics are usable once the smallest singular value of the 2x2
 solve target reaches ``gate_sigma``. ``gate_open`` takes it in closed form
 and asks the SVD only when the closed form lies within a rounding band of
-the threshold, so the decision is always the SVD's. The elementwise z, b, A
-and theta updates run on Python floats, which are the same IEEE operations
-in the same order as numpy's; dot products, norms' inner products and the
-solve stay in numpy, whose BLAS and LAPACK kernels decide their last bits.
+the threshold, so the decision is always the SVD's.
+
+The loop's state (z, b, A, theta and the gradient EMA) is held in Python
+floats, and the elementwise updates are the same IEEE operations, in the
+same order, as numpy's. Arrays are built only where numpy decides the last
+bits: the solve's operands (the solution r stays the array
+``np.linalg.solve`` returns), the dot products r . psi', ||r||^2 and the
+step direction's squared norm, and the theta array the policy reads.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,23 +41,27 @@ from .lookahead import LookaheadPolicy
 from .synthesis import SspModel, TransitionSource
 
 
-@dataclass(frozen=True)
-class CriticState:
-    z: np.ndarray
-    b: np.ndarray
-    A: np.ndarray
+Pair = tuple[float, float]
+
+
+class CriticState(NamedTuple):
+    """The critic's statistics in floats (A as its two rows) and its last
+    solution r, the array ``np.linalg.solve`` returned."""
+
+    z: Pair
+    b: Pair
+    A: tuple[Pair, Pair]
     r: np.ndarray
     lam: float
 
     @classmethod
     def zeros(cls, lam: float = 0.9) -> "CriticState":
-        return cls(z=np.zeros(2), b=np.zeros(2), A=np.zeros((2, 2)),
+        return cls(z=(0.0, 0.0), b=(0.0, 0.0), A=((0.0, 0.0), (0.0, 0.0)),
                    r=np.zeros(2), lam=lam)
 
 
-@dataclass(frozen=True)
-class ActorState:
-    theta: np.ndarray
+class ActorState(NamedTuple):
+    theta: Pair
     grad_ema: float = 0.0
 
 
@@ -136,10 +144,11 @@ _GATE_BAND_REL = 1e-13
 _GATE_BAND_ABS = 1e-300
 
 
-def gate_open(A: np.ndarray, gate_sigma: float) -> bool:
+def gate_open(A: np.ndarray | tuple[Pair, Pair], gate_sigma: float) -> bool:
     """``np.linalg.svd(A, compute_uv=False)[-1] >= gate_sigma`` for a 2x2
-    ``A``, with the SVD run only near the threshold or on non-finite input."""
-    (a, b), (c, d) = A.tolist()
+    ``A`` (an array or two rows of floats), with the SVD run only near the
+    threshold or on non-finite input."""
+    (a, b), (c, d) = A
     q = math.hypot(a + d, c - b)
     r = math.hypot(a - d, c + b)
     sigma_min = 0.5 * abs(q - r)
@@ -158,16 +167,16 @@ def critic_update(c: CriticState, psi_now: np.ndarray, psi_next: np.ndarray,
     if gamma_k <= 0:
         raise ValueError("critic step size must be positive")
     lam = c.lam
-    z0, z1 = c.z.tolist()
-    b0, b1 = c.b.tolist()
-    (a00, a01), (a10, a11) = c.A.tolist()
+    z0, z1 = c.z
+    b0, b1 = c.b
+    (a00, a01), (a10, a11) = c.A
     p0, p1 = psi_now.tolist()
     n0, n1 = psi_next.tolist()
     d0, d1 = n0 - p0, n1 - p1
-    z_new = np.array((lam * z0 + p0, lam * z1 + p1))
-    b_new = np.array((b0 + gamma_k * (cost * z0 - b0), b1 + gamma_k * (cost * z1 - b1)))
-    A_new = np.array(((a00 + gamma_k * (z0 * d0 - a00), a01 + gamma_k * (z0 * d1 - a01)),
-                      (a10 + gamma_k * (z1 * d0 - a10), a11 + gamma_k * (z1 * d1 - a11))))
+    z_new = (lam * z0 + p0, lam * z1 + p1)
+    b_new = (b0 + gamma_k * (cost * z0 - b0), b1 + gamma_k * (cost * z1 - b1))
+    A_new = ((a00 + gamma_k * (z0 * d0 - a00), a01 + gamma_k * (z0 * d1 - a01)),
+             (a10 + gamma_k * (z1 * d0 - a10), a11 + gamma_k * (z1 * d1 - a11)))
     A_solve, b_solve = (A_new, b_new) if solve_with_updated_stats else (c.A, c.b)
     r_new, solved = c.r, False
     if k >= gate_iters and gate_open(A_solve, gate_sigma):
@@ -184,13 +193,13 @@ def actor_update(a: ActorState, r: np.ndarray, psi_next: np.ndarray, beta_k: flo
     """One actor step along (r . psi') psi', norm-clipped by Gamma(r)."""
     if beta_k <= 0:
         raise ValueError("actor step size must be positive")
-    direction = float(r @ psi_next) * psi_next
+    direction = float(r.dot(psi_next)) * psi_next
     r_norm = math.sqrt(r.dot(r))  # np.linalg.norm of a 1-D float vector
     step = beta_k * (1.0 if r_norm <= clip else clip / r_norm)
-    t0, t1 = a.theta.tolist()
+    t0, t1 = a.theta
     d0, d1 = direction.tolist()
     ema = ema_decay * a.grad_ema + (1.0 - ema_decay) * math.sqrt(direction.dot(direction))
-    return ActorState(theta=np.array((t0 - step * d0, t1 - step * d1)), grad_ema=ema)
+    return ActorState(theta=(t0 - step * d0, t1 - step * d1), grad_ema=ema)
 
 
 def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,
@@ -208,14 +217,10 @@ def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,
     """
     rng = np.random.default_rng(cfg.seed)
     memo: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-
-    def probs(state: int, action: int) -> tuple[tuple[int, float], ...]:
-        key = (state, action)
-        row = memo.get(key)
-        if row is None:
-            row = tuple(prob_source(state, action))
-            memo[key] = row
-        return row
+    # A source that counts its own queries reports them; otherwise the
+    # count is the memo's size. Either changes only when the memo does.
+    counted = hasattr(prob_source, "pairs_computed")
+    pairs = prob_source.pairs_computed if counted else 0
 
     def sample(row: tuple[tuple[int, float], ...]) -> int:
         if len(row) == 1:
@@ -229,31 +234,36 @@ def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,
         return row[-1][0]
 
     critic = CriticState.zeros(cfg.lam)
-    actor = ActorState(theta=policy.theta.copy())
+    actor = ActorState(theta=tuple(policy.theta.tolist()))
     trace = RunTrace()
     episodes = 0
     solved_once = False
+    terminal, initial = ssp.terminal, ssp.initial
 
-    x = ssp.initial
+    x = initial
     u = policy.sample_action(x, rng)
     for k in range(cfg.max_iters):
         if cfg.eval_every and evaluator is not None and k % cfg.eval_every == 0:
-            trace.exact[k] = float(evaluator(actor.theta))
+            trace.exact[k] = float(evaluator(np.array(actor.theta)))
 
         trace.states.append(x)
         cost = ssp.cost(x, u)
         psi_now = policy.log_policy_gradient(x, u)
-        if x == ssp.terminal:
-            x_next = ssp.initial
+        if x == terminal:
+            x_next = initial
         else:
-            x_next = sample(probs(x, u))
-        if x_next == ssp.terminal:
+            row = memo.get((x, u))
+            if row is None:
+                row = memo[x, u] = tuple(prob_source(x, u))
+                pairs = prob_source.pairs_computed if counted else len(memo)
+            x_next = sample(row)
+        if x_next == terminal:
             episodes += 1
         u_next = policy.sample_action(x_next, rng)
         psi_next = policy.log_policy_gradient(x_next, u_next)
 
-        if cfg.reset_trace_on_restart and x == ssp.terminal:
-            critic = replace(critic, z=np.zeros(2))
+        if cfg.reset_trace_on_restart and x == terminal:
+            critic = critic._replace(z=(0.0, 0.0))
 
         r_now = critic.r
         critic, solved = critic_update(
@@ -263,20 +273,19 @@ def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,
         solved_once = solved_once or solved
         if k >= cfg.gate_iters and not solved:
             trace.stale_solves.append(k)
-        trace.append(k, actor.theta, r_now, cost, episodes,
-                     getattr(prob_source, "pairs_computed", len(memo)))
+        trace.append(k, actor.theta, r_now, cost, episodes, pairs)
         actor = actor_update(actor, r_now, psi_next, cfg.beta(k),
                              clip=cfg.clip, ema_decay=cfg.ema_decay)
-        policy.theta = actor.theta
+        policy.theta = np.array(actor.theta)
 
         trace.iterations = k + 1
         # The stopping test only arms once the critic has produced a
         # solution, or once it provably would return zero (b identically
         # zero means r = -A^{-1} b = 0 whenever it solves at all).
-        armed = solved_once or (k >= cfg.gate_iters and not critic.b.any())
+        armed = solved_once or (k >= cfg.gate_iters and not any(critic.b))
         if armed and k + 1 >= cfg.min_iters and actor.grad_ema <= cfg.epsilon:
             trace.converged = True
             break
         x, u = x_next, u_next
 
-    return actor.theta, trace
+    return np.array(actor.theta), trace

@@ -19,26 +19,30 @@ neighborhood states, added in ascending state order. The tables are flat
 arrays: each state's sequences are one slice, listed lexicographically, so
 each first action's sequences are one contiguous group of that slice.
 
-A state's softmax weights at one theta form a record that
-``action_distribution``, ``sample_action`` and ``log_policy_gradient`` all
-read: the actor-critic asks for the same state two or three times at one
-theta. Records are keyed on theta's bytes, so in-place edits of ``theta``
-are seen, and only the current theta's last two states are held, so a
-sweep over every state leaves nothing behind. The overall feature mean and
-the action probabilities are computed on first request. Every number is
-formed by the same floating-point operations, in the same order, as a
-fresh computation would use.
+At a state whose sequences all start with one action, mu_theta = 1 and
+psi = 0 exactly at every theta, so ``sample_action`` returns that action
+without a draw and ``log_policy_gradient`` returns zero without forming
+the softmax. Elsewhere a state's softmax weights exp(logits - max logit)
+are formed once per (state, theta): the policy holds the last state's
+weights, keyed on the state and theta's bytes (so in-place edits of
+``theta`` are seen), and the gradient the actor-critic asks for right
+after sampling reads them. Every number is formed by the same
+floating-point operations, in the same order, as a fresh computation
+would use.
 
 The action probabilities have one definition, whether one state asks
-(``action_distribution``) or the whole policy does (``policy_rows``, one
-matmul and a segment softmax over the flat tables): a first action's mass
-is its sequences' weights added left to right, and the state's total is
-its actions' masses added left to right.
+(``action_distribution`` and ``sample_action``, in Python floats) or the
+whole policy does (``policy_rows``, one matmul and a segment softmax over
+the flat tables): a first action's mass is its sequences' weights added
+left to right from 0.0, the state's total is its actions' masses added the
+same way, and each probability is mass / total.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import add
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -211,27 +215,10 @@ class _Groups(NamedTuple):
     acts: np.ndarray  # read-only, as ``action_distribution`` returns it
     lookup: tuple[int, ...]  # the same actions, for membership and position
     bounds: tuple[int, ...]
-    local: np.ndarray  # the position in ``acts`` of each sequence's group
-
-
-class _Softmax:
-    """One state's sequence softmax at one theta."""
-
-    __slots__ = ("feats", "groups", "w", "mean_all", "probs")
-
-    def __init__(self, feats: np.ndarray, groups: _Groups, w: np.ndarray):
-        self.feats = feats
-        self.groups = groups
-        self.w = w  # exp(logits - max logit), one weight per sequence
-        self.mean_all: np.ndarray | None = None  # E[f], on first gradient
-        self.probs: np.ndarray | None = None  # per action, on first distribution
 
 
 # The kernels of ndarray.sum and ndarray.max, without their Python wrappers.
 _sum, _max = np.add.reduce, np.maximum.reduce
-
-# A step of the actor-critic reads two states at each theta.
-_RECORDS_HELD = 2
 
 
 class LookaheadPolicy:
@@ -300,8 +287,9 @@ class LookaheadPolicy:
         self._seq_ptr = _ptr(seq_count).tolist()
         self._group_ptr = _ptr(group_count).tolist()
         self._groups: dict[int, _Groups] = {}
-        self._records: dict[int, _Softmax] = {}  # at theta bytes _records_theta
-        self._records_theta = b""
+        # The last state's softmax weights, keyed on (state, theta bytes).
+        self._held_key: tuple[int, bytes] | None = None
+        self._held_w = np.empty(0)
 
     # -- score tables -------------------------------------------------------
 
@@ -324,45 +312,42 @@ class LookaheadPolicy:
             acts = self._group_action[g0:g1]
             groups = self._groups[state] = _Groups(
                 acts, tuple(acts.tolist()),
-                tuple((self._group_start[g0:g1] - lo).tolist()) + (hi - lo,),
-                self._seq_group[lo:hi] - g0)
+                tuple((self._group_start[g0:g1] - lo).tolist()) + (hi - lo,))
         return groups
 
-    def _softmax(self, state: int) -> _Softmax:
-        """The state's record at the current theta, built on first use."""
-        key = self.theta.tobytes()
-        records = self._records
-        if key != self._records_theta:
-            records.clear()
-            self._records_theta = key
-        rec = records.get(state)
-        if rec is None:
-            _first, feats = self.sequence_table(state)
-            logits = feats @ self.theta
-            rec = _Softmax(feats, self._groups_of(state), np.exp(logits - _max(logits)))
-            if len(records) >= _RECORDS_HELD:
-                del records[next(iter(records))]
-            records[state] = rec
-        return rec
+    def _weights(self, state: int) -> np.ndarray:
+        """exp(logits - max logit), one weight per sequence of ``state`` at
+        the current theta; the last state's are held."""
+        key = (state, self.theta.tobytes())
+        if key != self._held_key:
+            logits = self._feats[self._seq_ptr[state]:self._seq_ptr[state + 1]] @ self.theta
+            self._held_w = np.exp(logits - _max(logits))
+            self._held_key = key
+        return self._held_w
+
+    def _probabilities(self, state: int) -> tuple[_Groups, list[float]]:
+        """A non-terminal state's groups and its action probabilities at the
+        current theta, as Python floats in ``acts`` order."""
+        groups = self._groups_of(state)
+        w = self._weights(state).tolist()
+        bounds = groups.bounds
+        # Plain left-to-right sums from 0.0, as np.bincount adds (the
+        # built-in sum compensates rounding from Python 3.12 on).
+        masses = [reduce(add, w[lo:hi], 0.0) for lo, hi in zip(bounds, bounds[1:])]
+        total = reduce(add, masses, 0.0)
+        return groups, [mass / total for mass in masses]
 
     # -- distributions ------------------------------------------------------
 
     def action_distribution(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """(action ids, probabilities), actions sorted ascending. A
-        non-terminal state's arrays are read-only: calls at one theta share
+        non-terminal state's action ids are read-only: every call shares
         them."""
         if state == self.ssp.terminal:
             acts = np.arange(len(self.model.actions))
             return acts, np.full(len(acts), 1.0 / len(acts))
-        rec = self._softmax(state)
-        if rec.probs is None:
-            groups = rec.groups
-            k = len(groups.lookup)
-            probs = _left_sums(rec.w, groups.local, k)
-            probs /= _left_sums(probs, np.zeros(k, dtype=np.intp), 1)
-            probs.flags.writeable = False
-            rec.probs = probs
-        return rec.groups.acts, rec.probs
+        groups, probs = self._probabilities(state)
+        return groups.acts, np.array(probs)
 
     def policy_rows(self) -> np.ndarray:
         """The whole policy at the current theta: one probability per
@@ -388,31 +373,45 @@ class LookaheadPolicy:
         """Gradient of ln mu_theta(state, action) with respect to theta."""
         if state == self.ssp.terminal:
             return np.zeros(2)
-        rec = self._softmax(state)
-        _acts, lookup, bounds, _local = rec.groups
+        g0 = self._group_ptr[state]
+        if self._group_ptr[state + 1] - g0 == 1:
+            # One first action: it has probability 1 and psi = 0 exactly.
+            if action != self._group_action[g0]:
+                raise ModelError(f"action {action} has zero probability at state {state}")
+            return np.zeros(2)
+        _acts, lookup, bounds = self._groups_of(state)
+        w = self._weights(state)
         wu = 0.0
         if action in lookup:
             k = lookup.index(action)
             lo, hi = bounds[k], bounds[k + 1]
-            wg = rec.w[lo:hi]
+            wg = w[lo:hi]
             wu = _sum(wg)
         if wu <= 0.0:
             raise ModelError(f"action {action} has zero probability at state {state}")
-        if rec.mean_all is None:
-            rec.mean_all = (rec.w @ rec.feats) / _sum(rec.w)
-        return (wg @ rec.feats[lo:hi]) / wu - rec.mean_all
+        feats = self._feats[self._seq_ptr[state]:self._seq_ptr[state + 1]]
+        return (wg @ feats[lo:hi]) / wu - (w @ feats) / _sum(w)
 
     def sample_action(self, state: int, rng: np.random.Generator) -> int:
         """Inverse-CDF draw: the first action whose running probability sum
-        exceeds a uniform draw; the last action if none does."""
-        acts, probs = self.action_distribution(state)
+        exceeds a uniform draw; the last action if none does. A state with
+        one action takes no draw."""
+        if state == self.ssp.terminal:
+            acts, probs = self.action_distribution(state)
+            acts, probs = acts.tolist(), probs.tolist()
+        else:
+            g0 = self._group_ptr[state]
+            if self._group_ptr[state + 1] - g0 == 1:
+                return int(self._group_action[g0])
+            groups, probs = self._probabilities(state)
+            acts = groups.lookup
         if len(acts) == 1:
-            return int(acts[0])
+            return acts[0]
         x = rng.random()
         acc = 0.0
-        for k, p in enumerate(probs.tolist()):
+        for u, p in zip(acts, probs):
             acc += p
             # x < acc, except that a NaN sum sorts above x, as in np.searchsorted.
             if not acc <= x:
-                return int(acts[k])
-        return int(acts[-1])
+                return u
+        return acts[-1]

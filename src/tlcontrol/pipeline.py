@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,6 +113,12 @@ class RunConfig:
             raise ModelError("configuration needs exactly one of 'map' or 'model'")
         if self.epsilon <= 0 or self.horizon < 1 or self.eval_every < 0:
             raise ModelError("epsilon must be positive, horizon >= 1, eval_every >= 0")
+        if not (self.clip > 0 and self.beta_scale > 0):
+            raise ModelError("clip and beta_scale must be positive")
+        if not 0.0 <= self.lam < 1.0:
+            raise ModelError("lam must lie in [0, 1)")
+        if not all(math.isfinite(t) for t in self.theta0):
+            raise ModelError("theta0 must be finite")
 
     def actor_critic(self) -> ActorCriticConfig:
         return ActorCriticConfig(

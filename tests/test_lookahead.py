@@ -477,14 +477,89 @@ def test_records_match_a_fresh_policy(task, ops):
             assert _call(pol, op, state) == _call(fresh, op, state)
 
 
-def test_records_hold_only_the_last_states_at_the_current_theta():
+def test_weights_are_held_for_the_last_state_at_the_current_theta():
     ssp = desk_ssp()
     pol = LookaheadPolicy(ssp, horizon=2, theta=(5.0, -0.5))
+    states = [s for s in range(ssp.base.n_states) if s != ssp.terminal]
     for s in range(ssp.base.n_states):
         pol.action_distribution(s)
-    assert len(pol._records) <= 2
-    state = next(s for s in range(ssp.base.n_states) if s != ssp.terminal)
-    before = pol.action_distribution(state)[1]
+    # A sweep over every state leaves one state's weights behind.
+    assert pol._held_key == (states[-1], pol.theta.tobytes())
+    state = next(s for s in states if len(pol.action_distribution(s)[0]) > 1)
+    w = pol._weights(state)
+    assert pol._weights(state) is w
+    # An in-place edit of theta is a new key, and the weights are rebuilt.
     pol.theta[0] += 1.0
-    assert pol.action_distribution(state)[1] is not before
-    assert len(pol._records) == 1
+    rebuilt = pol._weights(state)
+    assert rebuilt is not w
+    fresh = LookaheadPolicy(ssp, horizon=2, theta=pol.theta.copy())
+    assert rebuilt.tobytes() == fresh._weights(state).tobytes()
+    # Single-action states neither form weights nor replace the held ones.
+    single = next(s for s in states if len(pol.action_distribution(s)[0]) == 1)
+    pol._weights(state)
+    u = pol.sample_action(single, np.random.default_rng(0))
+    pol.log_policy_gradient(single, u)
+    assert pol._held_key == (state, pol.theta.tobytes())
+
+
+# -- single-action states and the sampler ---------------------------------------
+
+def reference_gradient(pol, state, action):
+    """psi = E[f | first action] - E[f] by the general formula, as the
+    policy once formed it at every state: the softmax weights, the group's
+    and the state's weighted feature sums, each over its weight sum."""
+    first, feats = pol.sequence_table(state)
+    logits = feats @ pol.theta
+    w = np.exp(logits - np.maximum.reduce(logits))
+    at = np.flatnonzero(first == action)
+    lo, hi = int(at[0]), int(at[-1]) + 1
+    wg = w[lo:hi]
+    return (wg @ feats[lo:hi]) / np.add.reduce(wg) - (w @ feats) / np.add.reduce(w)
+
+
+@functools.lru_cache(maxsize=None)
+def step_policy(task, horizon):
+    ssp = desk_ssp() if task == "desk" else make_random_ssp(np.random.default_rng(task))
+    return LookaheadPolicy(ssp, horizon=horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.one_of(st.just("desk"), st.integers(0, 20)), horizon=st.integers(1, 3),
+       t1=theta_part, t2=theta_part, seed=st.integers(0, 2 ** 32 - 1))
+def test_single_action_states_score_zero_without_a_draw(task, horizon, t1, t2, seed):
+    pol = step_policy(task, horizon)
+    pol.theta = np.array((t1, t2))
+    ssp = pol.ssp
+    for state in range(ssp.base.n_states):
+        first, _feats = pol.sequence_table(state)
+        acts = np.unique(first)
+        if len(acts) != 1:
+            continue
+        u = int(acts[0])
+        psi = pol.log_policy_gradient(state, u)
+        assert psi.tobytes() == reference_gradient(pol, state, u).tobytes()
+        assert psi.tobytes() == np.array([0.0, 0.0]).tobytes()
+        with pytest.raises(ModelError, match="zero probability"):
+            pol.log_policy_gradient(state, u + 1)
+        r = np.random.default_rng(seed)
+        before = r.bit_generator.state
+        assert pol.sample_action(state, r) == u
+        assert r.bit_generator.state == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.one_of(st.just("desk"), st.integers(0, 20)), horizon=st.integers(1, 3),
+       t1=theta_part, t2=theta_part, seed=st.integers(0, 2 ** 32 - 1))
+def test_sampler_is_an_inverse_cdf_draw_over_the_distribution(task, horizon, t1, t2, seed):
+    pol = step_policy(task, horizon)
+    pol.theta = np.array((t1, t2))
+    ssp = pol.ssp
+    r, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for state in range(ssp.base.n_states):
+        acts, probs = pol.action_distribution(state)
+        if len(acts) < 2:
+            continue
+        # The first action whose running sum exceeds the draw, else the last.
+        k = int(np.searchsorted(np.cumsum(probs), ref.random(), side="right"))
+        assert pol.sample_action(state, r) == int(acts[min(k, len(acts) - 1)])
+    assert r.bit_generator.state == ref.bit_generator.state

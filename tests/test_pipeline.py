@@ -305,6 +305,9 @@ VALUES_DIGESTS = {
     "desk": "cb62033adbb54b8a03bcee65f5503256ae830d1a34f502e8e992c5e3cb593625",
     "lattice-k8": "05e81142ca51c3f1a3ca675d29de6b4be8c4078007db0ad647aed8a3bb1c8b65",
 }
+# The same k=8 lattice run's trace.csv: the actor-critic's path on a model
+# other than desk's.
+LATTICE_TRACE_DIGEST = "fb99d5c9b1199141944afb9bed9a2fe1166fd970c5ffa2c73a5560942f8b4181"
 
 
 @pytest.mark.skipif(np.__version__ != DESK_RUN_NUMPY,
@@ -319,6 +322,53 @@ def test_compare_values_are_byte_identical(tmp_path, task):
     compare(cfg)
     digest = hashlib.sha256((tmp_path / "values.csv").read_bytes()).hexdigest()
     assert digest == VALUES_DIGESTS[task]
+    if task == "lattice-k8":
+        digest = hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest()
+        assert digest == LATTICE_TRACE_DIGEST
+
+
+# sha256 of desk `synthesize` output (seed 3, 2,000 iterations, no exact
+# reference) with one critic flag set: each flag takes a branch of the loop
+# that the default run never enters.
+DESK_FLAG_DIGESTS = {
+    "reset_trace_on_restart": {
+        "trace.csv": "f42b2d0ec4d04dbc5bad50541967665c724310a24203e3161f05d7690a88d397",
+        "policy.tsv": "299134a52bb2cf210bb1e6dcd1eb22bc60a5e6fbf6de27755a1dbca6ac76cf3d"},
+    "solve_with_updated_stats": {
+        "trace.csv": "4c3538d0b6d127e7f4850a72c4f4df1a039d58b5012aa9652989e4cd26d79d63",
+        "policy.tsv": "1cb2155d611bbca50169f706008ba06d963cf66f140ec670ae38848beb375870"},
+}
+
+
+@pytest.mark.skipif(np.__version__ != DESK_RUN_NUMPY,
+                    reason=f"digests taken with numpy {DESK_RUN_NUMPY}")
+@pytest.mark.parametrize("flag", sorted(DESK_FLAG_DIGESTS))
+def test_desk_critic_flag_output_is_byte_identical(tmp_path, flag):
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              seed=3, exact_reference=False, eval_every=0, max_iters=2000,
+                              **{flag: True})
+    synthesize(cfg)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("trace.csv", "policy.tsv")} == DESK_FLAG_DIGESTS[flag]
+
+
+# sha256 of desk `compare` output (seed 1, 2,000 iterations) with an exact
+# evaluation every 25 steps: the evaluator sets the policy's theta between
+# steps, and curve.csv records what it returned.
+DESK_CURVE_DIGESTS = {
+    "trace.csv": "6c5002156f370587e2688d38317a2575c73025c34a8a0ebd3167bf0cd54439c7",
+    "curve.csv": "4a7241fe6a8a02c59a8526bce477d9d26cb67cc7383a3db0a3c41bcef7b9b8b6",
+}
+
+
+@pytest.mark.skipif(np.__version__ != DESK_RUN_NUMPY,
+                    reason=f"digests taken with numpy {DESK_RUN_NUMPY}")
+def test_desk_compare_curve_is_byte_identical(tmp_path):
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              seed=1, eval_every=25, max_iters=2000)
+    compare(cfg)
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("trace.csv", "curve.csv")} == DESK_CURVE_DIGESTS
 
 
 def test_multi_seed_aggregation(tiny_task):
@@ -349,6 +399,32 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         RunConfig.from_file(path)
     with pytest.raises(ModelError, match="exactly one"):
         RunConfig(dra="x").validate()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"clip": 0.0}, "clip and beta_scale must be positive"),
+    ({"clip": -10.0}, "clip and beta_scale must be positive"),
+    ({"beta_scale": 0.0}, "clip and beta_scale must be positive"),
+    ({"lam": 1.5}, r"lam must lie in \[0, 1\)"),
+    ({"lam": 1.0}, r"lam must lie in \[0, 1\)"),
+    ({"lam": -0.1}, r"lam must lie in \[0, 1\)"),
+    ({"theta0": (float("nan"), 0.0)}, "theta0 must be finite"),
+    ({"theta0": (5.0, float("inf"))}, "theta0 must be finite"),
+])
+def test_config_rejects_invalid_actor_critic_settings(bad, message):
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), **bad)
+    with pytest.raises(ModelError, match=message):
+        cfg.validate()
+    with pytest.raises(ModelError, match=message):
+        load_task(cfg)
+
+
+def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, capsys):
+    code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(tmp_path),
+                 "--clip", "-10"])
+    assert code == 1
+    assert "clip and beta_scale must be positive" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_mission_dra_run_enters_accepting_states_along_oracle_path():

@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every output file of a fixed set of runs, one
+``<run>/<file> <sha256>`` line each, so that two checkouts compare with a
+single ``diff``:
+
+    python3 tools/output_digests.py > after.txt
+    (cd ../parent && python3 tools/output_digests.py) > before.txt
+    diff before.txt after.txt
+
+The set of runs:
+
+- desk ``compare``, seeds 1-5 (values.csv, trace.csv, curve.csv,
+  policy.tsv, summary.txt);
+- desk-lazy: desk ``synthesize`` with ``exact_reference`` false,
+  ``eval_every`` 0 and 20,000 iterations, seeds 1-3;
+- lattice-exact: ``compare`` on the k=20 road lattice (map seed 0),
+  ``eval_every`` 0, 2,000 iterations, seed 1.
+
+It imports the package from the ``src`` directory and the lattice
+generator from ``perfbench/lattice.py`` of the checkout it lives in, and
+writes the outputs to a temporary directory. BLAS and LAPACK decide the
+last bits of the critic's dot products and solves, so digests compare
+only between runs on one machine and one numpy.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import importlib.util
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from tlcontrol.pipeline import RunConfig, compare, synthesize  # noqa: E402
+
+DESK_SEEDS = (1, 2, 3, 4, 5)
+LAZY_SEEDS = (1, 2, 3)
+LAZY_ITERS = 20_000
+LATTICE_K, LATTICE_MAP_SEED, LATTICE_ITERS, LATTICE_SEED = 20, 0, 2_000, 1
+
+
+def lattice_map(k: int, map_seed: int) -> str:
+    spec = importlib.util.spec_from_file_location("lattice", ROOT / "perfbench" / "lattice.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.lattice_map(k, map_seed)
+
+
+def runs(work: Path):
+    """(run name, call, config) for every run of the set."""
+    desk = RunConfig.from_file(ROOT / "tasks" / "desk.json")
+    desk = dataclasses.replace(desk, map=str(ROOT / desk.map), dra=str(ROOT / desk.dra))
+    for seed in DESK_SEEDS:
+        name = f"desk-compare-s{seed}"
+        yield name, compare, dataclasses.replace(desk, seed=seed, outdir=str(work / name))
+    for seed in LAZY_SEEDS:
+        name = f"desk-lazy-s{seed}"
+        yield name, synthesize, dataclasses.replace(
+            desk, seed=seed, outdir=str(work / name), exact_reference=False,
+            eval_every=0, max_iters=LAZY_ITERS)
+    lattice = work / f"lattice-k{LATTICE_K}-m{LATTICE_MAP_SEED}.map"
+    lattice.write_text(lattice_map(LATTICE_K, LATTICE_MAP_SEED))
+    name = f"lattice-exact-s{LATTICE_SEED}"
+    yield name, compare, dataclasses.replace(
+        desk, seed=LATTICE_SEED, outdir=str(work / name), task_name=f"lattice-k{LATTICE_K}",
+        map=str(lattice), eval_every=0, max_iters=LATTICE_ITERS)
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, call, cfg in runs(work):
+            call(cfg)
+            for path in sorted((work / name).iterdir()):
+                print(f"{name}/{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}",
+                      flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
