@@ -1,10 +1,11 @@
 """Least-squares temporal-difference actor-critic on a restart SSP.
 
 One simulation step per iteration: query the transition probabilities of the
-current (state, action) pair from a lazy source (memoized, so each pair is
-computed at most once per run), sample the successor, restart at the
-terminal, and sample the next action from the lookahead policy. The critic
-accumulates eligibility-trace statistics
+current (state, action) pair from the lazy source (``SspTransitionSource``,
+which holds the only memo of rows, so each model row is obtained at most
+once per run), sample the successor, restart at the terminal, and sample
+the next action from the lookahead policy. The critic accumulates
+eligibility-trace statistics
 
     z' = lam * z + psi(x_k, u_k)
     b' = b + gamma_k * (g(x_k, u_k) * z - b)
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .lookahead import LookaheadPolicy
-from .synthesis import SspModel, TransitionSource
+from .synthesis import SspModel, SspTransitionSource
 
 
 Pair = tuple[float, float]
@@ -202,25 +203,21 @@ def actor_update(a: ActorState, r: np.ndarray, psi_next: np.ndarray, beta_k: flo
     return ActorState(theta=(t0 - step * d0, t1 - step * d1), grad_ema=ema)
 
 
-def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,
+def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy,
         cfg: ActorCriticConfig,
         evaluator: Callable[[np.ndarray], float] | None = None
         ) -> tuple[np.ndarray, RunTrace]:
     """Run the actor-critic loop until the gradient-norm EMA drops below
     epsilon (after ``min_iters``) or ``max_iters`` is hit.
 
-    ``prob_source`` is queried once per distinct (state, action) pair; the
-    terminal state never touches it (the restart rule replaces its sampled
-    successor). ``evaluator``, when given with a positive ``eval_every``,
-    is called on the recorded theta every cadence point and its value lands
-    in the trace row.
+    ``prob_source`` is queried at every step from a non-terminal state (the
+    restart rule replaces the terminal's sampled successor); it memoizes the
+    rows itself, and its ``pairs_computed`` count lands in every trace row.
+    ``evaluator``, when given with a positive ``eval_every``, is called on
+    the recorded theta every cadence point and its value lands in the trace
+    row.
     """
     rng = np.random.default_rng(cfg.seed)
-    memo: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    # A source that counts its own queries reports them; otherwise the
-    # count is the memo's size. Either changes only when the memo does.
-    counted = hasattr(prob_source, "pairs_computed")
-    pairs = prob_source.pairs_computed if counted else 0
 
     def sample(row: tuple[tuple[int, float], ...]) -> int:
         if len(row) == 1:
@@ -252,11 +249,7 @@ def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,
         if x == terminal:
             x_next = initial
         else:
-            row = memo.get((x, u))
-            if row is None:
-                row = memo[x, u] = tuple(prob_source(x, u))
-                pairs = prob_source.pairs_computed if counted else len(memo)
-            x_next = sample(row)
+            x_next = sample(prob_source(x, u))
         if x_next == terminal:
             episodes += 1
         u_next = policy.sample_action(x_next, rng)
@@ -273,7 +266,7 @@ def run(ssp: SspModel, prob_source: TransitionSource, policy: LookaheadPolicy,
         solved_once = solved_once or solved
         if k >= cfg.gate_iters and not solved:
             trace.stale_solves.append(k)
-        trace.append(k, actor.theta, r_now, cost, episodes, pairs)
+        trace.append(k, actor.theta, r_now, cost, episodes, prob_source.pairs_computed)
         actor = actor_update(actor, r_now, psi_next, cfg.beta(k),
                              clip=cfg.clip, ema_decay=cfg.ema_decay)
         policy.theta = np.array(actor.theta)

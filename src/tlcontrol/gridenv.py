@@ -38,7 +38,7 @@ control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -384,19 +384,29 @@ def transition_probs(env: EnvMap, noise: NoiseModel, pair: tuple[int, int],
     return tuple(sorted(dist))
 
 
+def transition_rows(env: EnvMap, noise: NoiseModel
+                    ) -> Callable[[int, int], tuple[tuple[int, float], ...]]:
+    """The noise model's rows over pair-state indices: ``row(state, action)``
+    is ``transition_probs`` of that pair state and action id, with each
+    successor pair replaced by its index (ascending, as the pairs are)."""
+    pairs = pair_states(env)
+    index = {pair: i for i, pair in enumerate(pairs)}
+
+    def row(state: int, action: int) -> tuple[tuple[int, float], ...]:
+        return tuple([(index[succ], p) for succ, p in
+                      transition_probs(env, noise, pairs[state], ACTIONS[action])])
+
+    return row
+
+
 def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel:
     """Materialize the full probabilistic model (for the exact oracles; the
     lazy path never needs it). States, enabled actions and labels come from
     ``nts``, the map's ``build_nts`` model; the rows come from the noise
     model."""
-    pairs = pair_states(env)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    rows = {}
-    for i, u in nts.enabled_pairs():
-        dist = transition_probs(env, noise, pairs[i], ACTIONS[u])
-        rows[(i, u)] = [(index[succ], p) for succ, p in dist]
+    row = transition_rows(env, noise)
     return LabeledModel.from_rows(
-        rows,
+        {(i, u): row(i, u) for i, u in nts.enabled_pairs()},
         n_states=nts.n_states,
         initial=nts.initial,
         actions=nts.actions,
@@ -405,31 +415,3 @@ def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel
         labels=nts.labels,
         state_names=nts.state_names,
     )
-
-
-class GridTransitionSource:
-    """Lazy, memoized transition probabilities over pair-state indices.
-
-    Each distinct (state, action) pair is computed once; the counter only
-    moves on first computation.
-    """
-
-    def __init__(self, env: EnvMap, noise: NoiseModel):
-        self._env = env
-        self._noise = noise
-        self._pairs = pair_states(env)
-        self._index = {pair: i for i, pair in enumerate(self._pairs)}
-        self._memo: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-
-    def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
-        key = (state, action)
-        row = self._memo.get(key)
-        if row is None:
-            dist = transition_probs(self._env, self._noise,
-                                    self._pairs[state], ACTIONS[action])
-            row = self._memo[key] = tuple(sorted((self._index[succ], p) for succ, p in dist))
-        return row
-
-    @property
-    def pairs_computed(self) -> int:
-        return len(self._memo)

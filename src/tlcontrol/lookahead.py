@@ -51,8 +51,9 @@ from .models import LabeledModel, ModelError
 from .synthesis import SspModel, _distinct, _expand, _members, _ptr, _rows_into
 
 
-class SequenceCapExceeded(RuntimeError):
-    """Lookahead expansion produced more sequences than the configured cap."""
+class SequenceCapExceeded(ModelError):
+    """Lookahead expansion produced more sequences than the configured cap
+    (an input error: the horizon is too long for the cap)."""
 
 
 def min_distances(

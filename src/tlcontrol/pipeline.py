@@ -38,10 +38,10 @@ from .models import (
 )
 from .synthesis import (
     Amec,
-    ModelTransitionSource,
     ProductModel,
     SspModel,
     SspTransitionSource,
+    TransitionSource,
     amecs,
     build_product,
     goal_and_bad_sets,
@@ -119,6 +119,10 @@ class RunConfig:
             raise ModelError("lam must lie in [0, 1)")
         if not all(math.isfinite(t) for t in self.theta0):
             raise ModelError("theta0 must be finite")
+        if not all(0 < e < math.inf for e in (self.gamma_exponent, self.beta_exponent)):
+            raise ModelError("gamma_exponent and beta_exponent must be positive and finite")
+        if self.mc_runs is not None and self.mc_runs < 0:
+            raise ModelError("mc_runs must not be negative")
 
     def actor_critic(self) -> ActorCriticConfig:
         return ActorCriticConfig(
@@ -140,7 +144,7 @@ class TaskContext:
     dra: RabinAutomaton
     base_nts: LabeledModel
     base_mdp: LabeledModel | None
-    base_source: object
+    base_row: TransitionSource
     product: ProductModel
     product_mdp: ProductModel | None
     amec_list: list[Amec]
@@ -165,20 +169,20 @@ def load_task(cfg: RunConfig) -> TaskContext:
                                    mc_runs=cfg.mc_runs, seed=cfg.noise_seed)
         base_nts = gridenv.build_nts(env, cfg.confusion)
         base_mdp = gridenv.build_mdp(env, noise, base_nts) if cfg.exact_reference else None
-        base_source = gridenv.GridTransitionSource(env, noise)
+        base_row = gridenv.transition_rows(env, noise)
     else:
         base = parse_model(Path(cfg.model).read_text())
         if base.mode != MDP:
             raise ModelError("model-file tasks need an MDP-mode model")
         base_mdp = base
         base_nts = nts_from_mdp(base)
-        base_source = ModelTransitionSource(base_mdp)
+        base_row = base_mdp.successors
     product = prune_unreachable(build_product(base_nts, dra, cfg.label_rule))
     amec_list = amecs(product)
     goal, bad = goal_and_bad_sets(product, amec_list)
     product_mdp = with_probabilities(product, base_mdp) if base_mdp is not None else None
     return TaskContext(cfg=cfg, dra=dra, base_nts=base_nts, base_mdp=base_mdp,
-                       base_source=base_source, product=product,
+                       base_row=base_row, product=product,
                        product_mdp=product_mdp, amec_list=amec_list,
                        goal=goal, bad=bad)
 
@@ -277,8 +281,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     policy = LookaheadPolicy(
         ssp, horizon=cfg.horizon, radius=cfg.radius, theta=cfg.theta0,
         progress_penalty=cfg.progress_penalty, sequence_cap=cfg.sequence_cap)
-    source = SspTransitionSource(ssp, ctx.product, ctx.dra, ctx.base_nts,
-                                 ctx.base_source)
+    source = SspTransitionSource(ssp, ctx.product, ctx.dra, ctx.base_nts, ctx.base_row)
 
     evaluator = None
     optimal = values = None

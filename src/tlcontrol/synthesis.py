@@ -608,41 +608,26 @@ def serialize_ssp(ssp: SspModel) -> str:
 # Transition-probability sources
 
 
-class ModelTransitionSource:
-    """Serves transition rows of a probabilistic model, counting distinct
-    (state, action) queries."""
-
-    def __init__(self, model: LabeledModel):
-        if model.mode != MDP:
-            raise ModelError("transition source needs an MDP-mode model")
-        self._model = model
-        self._seen: set[tuple[int, int]] = set()
-
-    def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
-        key = (state, action)
-        self._seen.add(key)
-        return self._model.successors(state, action)
-
-    @property
-    def pairs_computed(self) -> int:
-        return len(self._seen)
-
-
 class SspTransitionSource:
-    """Lazily lifts base-model transition probabilities onto SSP states.
+    """Lazily lifts base-model transition rows onto SSP states, and holds the
+    run's only memo of transition rows.
 
-    Only non-terminal, non-restart states touch the underlying base source,
-    so the base source's query counter reflects exactly the (model state,
-    action) pairs whose probabilities were ever needed.
+    ``base_row(q, u)`` gives the row of model state q under action u. Only
+    non-terminal, non-restart states need it, and it is asked for each
+    (model state, action) at most once: the first query over q lifts the
+    row onto every non-restart SSP state over q. ``pairs_computed`` counts
+    those calls, so it counts exactly the model rows ever needed.
     """
 
     def __init__(self, ssp: SspModel, product: ProductModel, dra: RabinAutomaton,
-                 base_model: LabeledModel, base_source: TransitionSource):
+                 base_model: LabeledModel, base_row: TransitionSource):
         self._ssp = ssp
         self._dra = dra
-        self._base = base_source
+        self._base_row = base_row
         self._rule = product.label_rule
         self._projection, self._origin = product.projection, ssp.origin
+        self._rows: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
+        self.pairs_computed = 0
         # SSP state of product pair (q, s), at q * |S| + s: -1 outside the
         # product, the terminal for goal states (dropped from the SSP).
         origin = np.asarray(ssp.origin, dtype=np.int64)
@@ -658,14 +643,32 @@ class SspTransitionSource:
         self._letters = tuple(_letters(base_model, dra.props).tolist())
 
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
+        row = self._rows.get((state, action))
+        if row is None:
+            row = self._miss(state, action)
+        return row
+
+    def _miss(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
         ssp = self._ssp
-        if state == ssp.terminal:
-            return ((ssp.terminal, 1.0),)
-        if state in ssp.bad:
-            return ((ssp.initial, 1.0),)
-        q, s = self._projection[self._origin[state]]
+        if state == ssp.terminal or state in ssp.bad:
+            row = ((ssp.terminal if state == ssp.terminal else ssp.initial, 1.0),)
+            self._rows[state, action] = row
+            return row
+        q = self._projection[self._origin[state]][0]
+        base = self._base_row(q, action)
+        self.pairs_computed += 1
+        n = self._n_dra
+        for s, x in enumerate(self._to_ssp[q * n:(q + 1) * n]):
+            if x >= 0 and x != ssp.terminal and x not in ssp.bad:
+                self._rows[x, action] = self._lift(q, s, action, base)
+        return self._rows[state, action]
+
+    def _lift(self, q: int, s: int, action: int, base: Sequence[tuple[int, float]]
+              ) -> tuple[tuple[int, float], ...]:
+        """Row ``base`` of (q, action) taken from automaton state s, over SSP
+        states: goal mass merges onto the terminal."""
         out: dict[int, float] = {}
-        for q2, w in self._base(q, action):
+        for q2, w in base:
             letter = self._letters[q if self._rule == "current" else q2]
             s2 = int(self._dra.delta[s, letter])
             at = q2 * self._n_dra + s2
@@ -676,7 +679,3 @@ class SspTransitionSource:
                     f"possibilistic support of ({q}, action {action})")
             out[target] = out.get(target, 0.0) + w
         return tuple(sorted(out.items()))
-
-    @property
-    def pairs_computed(self) -> int:
-        return getattr(self._base, "pairs_computed", 0)

@@ -204,13 +204,6 @@ def test_criterion_6_lazy_probability_queries(desk_runs):
         assert computed <= 0.5 * total
         # The counter is non-decreasing along the trace.
         assert all(a <= b for a, b in zip(r.trace.pairs, r.trace.pairs[1:]))
-    # Direct recomputation check on the memoized source.
-    from tlcontrol.gridenv import GridTransitionSource, NoiseModel, parse_map
-    env = parse_map(Path(cfg.map).read_text())
-    source = GridTransitionSource(env, NoiseModel(eta=cfg.eta, confusion=cfg.confusion))
-    for _ in range(5):
-        source(0, 0)
-    assert source.pairs_computed == 1
     fractions = [dict(r.lines)["pairs computed"] / total for r in reports]
     print(f"\nACCEPTANCE 6 PASS: computed-pair fractions "
           f"{[f'{x:.2f}' for x in fractions]} of {total} enabled pairs")

@@ -214,10 +214,16 @@ class CountingSource:
     def __init__(self, rows):
         self.rows = rows
         self.calls = []
+        self.seen = set()
 
     def __call__(self, state, action):
         self.calls.append((state, action))
+        self.seen.add((state, action))
         return self.rows[(state, action)]
+
+    @property
+    def pairs_computed(self):
+        return len(self.seen)
 
 
 def test_run_cost_free_instance_terminates_with_zero_estimate():
@@ -234,7 +240,7 @@ def test_run_cost_free_instance_terminates_with_zero_estimate():
     assert np.allclose(theta, [0.5, -0.5])
 
 
-def test_run_is_deterministic_and_memoizes():
+def test_run_is_deterministic_and_queries_every_non_terminal_step():
     ssp = _two_route_ssp()
     cfg = ActorCriticConfig(max_iters=300, min_iters=10 ** 9, seed=7)
     outs = []
@@ -242,14 +248,12 @@ def test_run_is_deterministic_and_memoizes():
         pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
         source = CountingSource({k: v for k, v in ssp.base.transitions.items()})
         theta, trace = run(ssp, source, pol, cfg)
-        outs.append((tuple(map(tuple, trace.thetas)), trace.csv_text(),
-                     len(set(source.calls)), len(source.calls)))
+        outs.append((tuple(map(tuple, trace.thetas)), trace.csv_text(), source.calls))
     assert outs[0] == outs[1]
-    distinct, total = outs[0][2], outs[0][3]
-    # Memoization: the source sees each pair exactly once, and never more
-    # pairs than iterations.
-    assert distinct == total
-    assert total <= 300
+    # The memo is the source's: run() asks at every step but the terminal's,
+    # and each trace row carries the source's count.
+    assert [x for x, _u in source.calls] == [x for x in trace.states if x != ssp.terminal]
+    assert trace.pairs[-1] == len(set(source.calls))
 
 
 def test_run_restarts_at_initial_and_counts_episodes():

@@ -3,7 +3,6 @@ import pytest
 
 from tlcontrol.gridenv import (
     ACTIONS,
-    GridTransitionSource,
     MapError,
     NoiseModel,
     build_mdp,
@@ -244,21 +243,6 @@ def test_monte_carlo_mode_is_deterministic_and_consistent():
                 assert abs(p - ref[succ]) <= 5 * np.sqrt(0.25 / 2000)
             checked += 1
     assert checked > 100
-
-
-def test_lazy_source_counts_once():
-    env = parse_map(open("tasks/desk.map").read())
-    source = GridTransitionSource(env, NoiseModel(eta=0.9, confusion="undershoot"))
-    nts = build_nts(env, "undershoot")
-    q = nts.initial
-    u = nts.enabled[q][0]
-    assert source.pairs_computed == 0
-    first = source(q, u)
-    assert source.pairs_computed == 1
-    again = source(q, u)
-    assert again == first and source.pairs_computed == 1
-    source(q + 1, nts.enabled[q + 1][0])
-    assert source.pairs_computed == 2
 
 
 def test_start_validation():

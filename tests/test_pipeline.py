@@ -10,7 +10,7 @@ import pytest
 from tlcontrol import exact, gridenv
 from tlcontrol.cli import _add_common, main
 from tlcontrol.lookahead import LookaheadPolicy
-from tlcontrol.models import ModelError, dra_step, parse_model
+from tlcontrol.models import ModelError, dra_step, parse_model, serialize_model
 from tlcontrol.pipeline import (
     EXIT_CONVERGED,
     EXIT_ZERO_PROBABILITY,
@@ -284,18 +284,34 @@ DESK_RUN_DIGESTS = {
         "policy.tsv": "db713b5bea91c58389f951c62dc036e42264b5c112c8a7b507f3b98b255dae39"},
     2: {"trace.csv": "8f7e20b3355d728ba8d4e71d668df2392359e3266b56895daecaef4e95c34ca2",
         "policy.tsv": "d3d078b34a618e77768e4577b111942edcb166f9a27528c3e315a714d266fa93"},
+    # Seed 1 on the two other row providers of the lazy source: desk's
+    # probabilistic model written out as a model-file task, and the map's
+    # Monte-Carlo noise estimates.
+    "model-file": {
+        "trace.csv": "15fe16ed713b7bf600bdd4c6059bb1861fd8feeecd3a46b1f7aeebfd3b34cbf3",
+        "policy.tsv": "41da8c74c03e0fdd403a2b69d6f46873ff2d7b9d7533978e6e4b6ebaa8e0d4dc"},
+    "mc-runs": {
+        "trace.csv": "8ee5bedacb80b2264b59382c76222616cf58e128c06bf4a4bd28c8a31ce0d167",
+        "policy.tsv": "f28648ce555256471d19c6f4f9d95697380773300d82300e44e06cb717e917aa"},
 }
 
 
 @pytest.mark.skipif(np.__version__ != DESK_RUN_NUMPY,
                     reason=f"digests taken with numpy {DESK_RUN_NUMPY}")
-@pytest.mark.parametrize("seed", sorted(DESK_RUN_DIGESTS))
-def test_desk_synthesize_output_is_byte_identical(tmp_path, seed):
+@pytest.mark.parametrize("case", list(DESK_RUN_DIGESTS))
+def test_desk_synthesize_output_is_byte_identical(tmp_path, case):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
-                              seed=seed, exact_reference=False, eval_every=0, max_iters=2000)
+                              seed=case if isinstance(case, int) else 1,
+                              exact_reference=False, eval_every=0, max_iters=2000)
+    if case == "model-file":
+        model = tmp_path / "desk.model"
+        model.write_text(serialize_model(load_task(RunConfig.from_file("tasks/desk.json")).base_mdp))
+        cfg = dataclasses.replace(cfg, map=None, model=str(model))
+    elif case == "mc-runs":
+        cfg = dataclasses.replace(cfg, mc_runs=200)
     synthesize(cfg)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("trace.csv", "policy.tsv")} == DESK_RUN_DIGESTS[seed]
+            for name in ("trace.csv", "policy.tsv")} == DESK_RUN_DIGESTS[case]
 
 
 # sha256 of `compare`'s values.csv on desk and on the k=8 road lattice (map
@@ -410,6 +426,12 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ({"lam": -0.1}, r"lam must lie in \[0, 1\)"),
     ({"theta0": (float("nan"), 0.0)}, "theta0 must be finite"),
     ({"theta0": (5.0, float("inf"))}, "theta0 must be finite"),
+    ({"gamma_exponent": -1.0}, "gamma_exponent and beta_exponent must be positive"),
+    ({"gamma_exponent": 0.0}, "gamma_exponent and beta_exponent must be positive"),
+    ({"gamma_exponent": float("nan")}, "gamma_exponent and beta_exponent must be positive"),
+    ({"beta_exponent": -2.0}, "gamma_exponent and beta_exponent must be positive"),
+    ({"beta_exponent": float("inf")}, "gamma_exponent and beta_exponent must be positive"),
+    ({"mc_runs": -5}, "mc_runs must not be negative"),
 ])
 def test_config_rejects_invalid_actor_critic_settings(bad, message):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), **bad)
@@ -425,6 +447,20 @@ def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, caps
     assert code == 1
     assert "clip and beta_scale must be positive" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", [
+    ("--sequence-cap", "0"),
+    ("--gamma-exponent", "-1"),
+    ("--beta-exponent", "-2"),
+    ("--mc-runs", "-5"),
+])
+def test_cli_reports_bad_inputs_in_one_error_line(tmp_path, capsys, flag):
+    code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(tmp_path),
+                 "--max-iters", "300", *flag])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_mission_dra_run_enters_accepting_states_along_oracle_path():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -390,8 +391,6 @@ def test_with_probabilities_validates_support(rng):
 
 
 def test_ssp_transition_source_matches_direct_conversion(rng):
-    from tlcontrol.synthesis import ModelTransitionSource
-
     for _ in range(5):
         m = random_mdp(rng, n_states=5, n_actions=2, n_props=1)
         dra = parse_dra(F_P_DRA)
@@ -404,8 +403,7 @@ def test_ssp_transition_source_matches_direct_conversion(rng):
             continue
         ssp_nts = mrp_to_ssp(product, goal, bad)
         ssp_mdp = mrp_to_ssp(with_probabilities(product, m), goal, bad)
-        source = SspTransitionSource(ssp_nts, product, dra, nts_from_mdp(m),
-                                     ModelTransitionSource(m))
+        source = SspTransitionSource(ssp_nts, product, dra, nts_from_mdp(m), m.successors)
         for (s, u), row in ssp_mdp.base.transitions.items():
             if s == ssp_mdp.terminal:
                 continue
@@ -413,6 +411,47 @@ def test_ssp_transition_source_matches_direct_conversion(rng):
             assert len(got) == len(row)
             for (gs, gw), (ws, ww) in zip(got, row):
                 assert gs == ws and abs(gw - ww) <= 1e-12
+
+
+def test_ssp_source_asks_each_model_row_once():
+    # A desk run, where several SSP states (one per automaton state) sit
+    # over one model state and share its rows.
+    from tlcontrol.actor_critic import run
+    from tlcontrol.lookahead import LookaheadPolicy
+    from tlcontrol.pipeline import RunConfig, load_task
+
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=2000,
+                              eval_every=0)
+    ctx = load_task(cfg)
+    asked = []
+
+    def base_row(q, u):
+        asked.append((q, u))
+        return ctx.base_row(q, u)
+
+    ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+    source = SspTransitionSource(ssp, ctx.product, ctx.dra, ctx.base_nts, base_row)
+    policy = LookaheadPolicy(ssp, horizon=cfg.horizon, theta=cfg.theta0)
+    _theta, trace = run(ssp, source, policy, cfg.actor_critic())
+
+    model_state = {x: ctx.product.projection[old][0] for x, old in enumerate(ssp.origin)
+                   if old >= 0 and x not in ssp.bad}
+    visited = {x for x in trace.states if x in model_state}
+    assert len({model_state[x] for x in visited}) < len(visited)
+    assert len(asked) == len(set(asked)) == source.pairs_computed == trace.pairs[-1]
+    x = max(visited)
+    u = ssp.base.enabled[x][0]
+    row = source(x, u)
+    counted = source.pairs_computed
+    assert source(x, u) == row and source.pairs_computed == counted
+    # Every row, asked for or filled in, is the SSP conversion's row.
+    ssp_mdp = mrp_to_ssp(ctx.product_mdp, ctx.goal, ctx.bad)
+    for (s, u), want in ssp_mdp.base.transitions.items():
+        if s != ssp.terminal:
+            got = source(s, u)
+            assert [t for t, _w in got] == [t for t, _w in want]
+            assert np.allclose([w for _t, w in got], [w for _t, w in want], rtol=0, atol=1e-12)
+    assert len(asked) == len(set(asked)) == source.pairs_computed
 
 
 def test_ssp_proper_policies_absorb_at_terminal(rng):
