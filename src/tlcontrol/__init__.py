@@ -28,7 +28,6 @@ from .synthesis import (
     goal_and_bad_sets,
     max_end_components,
     mrp_to_ssp,
-    prune_unreachable,
 )
 from .lookahead import LookaheadPolicy, action_sequences, min_distances, neighborhood
 from .actor_critic import ActorCriticConfig, CriticState, ActorState, RunTrace, run
@@ -45,6 +44,6 @@ __all__ = [
     "enumerate_policies", "eval_policy_reach", "expected_total_cost",
     "goal_and_bad_sets", "max_end_components",
     "max_reach", "min_distances", "mrp_to_ssp", "neighborhood",
-    "nts_from_mdp", "parse_dra", "parse_model", "prune_unreachable", "run",
+    "nts_from_mdp", "parse_dra", "parse_model", "run",
     "serialize_model", "synthesize",
 ]

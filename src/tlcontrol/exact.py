@@ -36,8 +36,9 @@ the lookahead policy's support does not move with theta, so a run of
 periodic evaluations builds one plan.
 
 Up to ``DENSE_LIMIT`` unknowns the plan orders the unknowns by the
-strongly connected components of their subgraph, sinks first (Tarjan's
-algorithm lists them in that order), so (I - P) is block lower triangular
+strongly connected components of their subgraph, sinks first (the
+package's one Tarjan routine, ``synthesis._strongly_connected``, numbers
+them in that order), so (I - P) is block lower triangular
 and every component only depends on components solved before it.
 Consecutive components are merged into groups of at most sqrt(n) states,
 and a larger component forms a group of its own; each group is one dense
@@ -56,9 +57,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .models import LabeledModel, MDP, ModelError
-from .synthesis import (SspModel, _closure, _csr_lists, _distinct, _expand, _members,
-                        _rows_into, _strongly_connected)
+from .models import LabeledModel, MDP, ModelError, _ptr
+from .synthesis import (SspModel, _closure, _distinct, _expand, _members, _rows_into,
+                        _strongly_connected)
 
 VALUE_TOL = 1e-12
 DENSE_LIMIT = 5000
@@ -129,23 +130,24 @@ class _Plan:
         """Group the unknowns (positions 0..n-1, inner entries i -> j) for a
         block-triangular solve; returns each position's rank in solve
         order."""
-        # Tarjan's algorithm lists the components sinks first, so every
-        # edge leaving a component enters one listed before it.
+        # Tarjan's algorithm numbers the components sinks first, so every
+        # edge leaving a component enters one numbered before it.
         order = np.argsort(i * n + j, kind="stable")
-        sccs = _strongly_connected(range(n), _csr_lists(i[order], j[order], n).__getitem__, n)
+        count, comp = _strongly_connected(_ptr(np.bincount(i, minlength=n)).tolist(),
+                                          j[order].tolist())
+        comp = np.array(comp, dtype=np.int64)
         # Consecutive components merge while the group stays within
         # sqrt(n) states, so a run of singletons takes about sqrt(n)
         # groups; a larger component is a group of its own.
         cap = math.isqrt(n)
         sizes: list[int] = []
-        for c in sccs:
-            if sizes and sizes[-1] + len(c) <= cap:
-                sizes[-1] += len(c)
+        for c in np.bincount(comp, minlength=count).tolist():
+            if sizes and sizes[-1] + c <= cap:
+                sizes[-1] += c
             else:
-                sizes.append(len(c))
+                sizes.append(c)
         rank = np.empty(n, dtype=np.int64)
-        rank[np.fromiter(itertools.chain.from_iterable(map(sorted, sccs)),
-                         dtype=np.int64, count=n)] = np.arange(n)
+        rank[np.argsort(comp, kind="stable")] = np.arange(n)
         size = np.array(sizes, dtype=np.int64)
         start = np.cumsum(size) - size
         offset = np.cumsum(size * size) - size * size

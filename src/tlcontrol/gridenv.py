@@ -32,7 +32,10 @@ the other feasible forward outcomes.
 (``EnvMap.cell_region``) and every intersection's arms once
 (``EnvMap.arms``); the model builds and the lazy per-step queries read
 those indexes, so a model build costs a constant per motion state and
-control.
+control. The builds share one outcome table: ``build_nts`` works out the
+outcomes of every enabled (pair state, control) once and writes them as the
+possibilistic model's CSR rows, and ``build_mdp`` takes its supports from
+those rows, looking up only which outcome each control intends.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .models import LabeledModel, NTS, MDP
+from .models import LabeledModel, NTS, MDP, _ptr
 
 ACTIONS = ("FollowRoad", "GoLeft", "GoRight", "GoStraight")
 
@@ -246,24 +249,48 @@ def pair_states(env: EnvMap) -> list[tuple[int, int]]:
     return sorted((p, c) for p in env.adjacency for c in env.adjacency[p])
 
 
-def enabled_actions(env: EnvMap, pair: tuple[int, int]) -> list[str]:
+def _targets(env: EnvMap, pair: tuple[int, int]) -> dict[str, int]:
+    """The turn controls enabled at an intersection pair state, in
+    ``ACTIONS`` order, each with the region it aims for."""
     prev, cur = pair
-    region = env.regions[cur]
-    if region.kind == "corridor":
-        return ["FollowRoad"]
     arms = env.arms[cur]
     back = next(d for d, reg in arms.items() if reg == prev)
     heading = _OPPOSITE[back]
-    available = []
-    for name, d in (("GoLeft", _ROT_LEFT[heading]),
-                    ("GoRight", _ROT_RIGHT[heading]),
-                    ("GoStraight", heading)):
-        if d in arms:
-            available.append(name)
-    return sorted(available, key=ACTIONS.index)
+    return {name: arms[d] for name, d in (("GoLeft", _ROT_LEFT[heading]),
+                                          ("GoRight", _ROT_RIGHT[heading]),
+                                          ("GoStraight", heading))
+            if d in arms}
+
+
+def enabled_actions(env: EnvMap, pair: tuple[int, int]) -> list[str]:
+    if env.regions[pair[1]].kind == "corridor":
+        return ["FollowRoad"]
+    return list(_targets(env, pair))
 
 
 CONFUSION_MODES = ("uniform", "undershoot")
+
+
+def _outcomes(env: EnvMap, pair: tuple[int, int], confusion: str
+              ) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """``outcome_support`` of every control enabled at a pair state, in
+    ``ACTIONS`` order."""
+    prev, cur = pair
+    region = env.regions[cur]
+    if region.kind == "corridor":
+        ends = [reg for reg in env.adjacency[cur] if reg != prev]
+        if len(ends) > 1:
+            raise MapError(f"corridor {region.name} has an ambiguous far end")
+        # Dead ends turn the robot around.
+        return {"FollowRoad": (ends[0] if ends else prev, ())}
+    targets = _targets(env, pair)
+    if confusion == "uniform":
+        return {name: (aim, tuple(sorted(other for key, other in targets.items()
+                                         if key != name)))
+                for name, aim in targets.items()}
+    straight = targets.get("GoStraight")
+    return {name: (aim, () if name == "GoStraight" or straight is None else (straight,))
+            for name, aim in targets.items()}
 
 
 def outcome_support(env: EnvMap, pair: tuple[int, int], action: str,
@@ -277,65 +304,60 @@ def outcome_support(env: EnvMap, pair: tuple[int, int], action: str,
     """
     if confusion not in CONFUSION_MODES:
         raise MapError(f"unknown confusion model {confusion!r}")
-    prev, cur = pair
-    region = env.regions[cur]
-    if region.kind == "corridor":
-        if action != "FollowRoad":
-            raise MapError(f"{action} is not enabled in corridor {region.name}")
-        ends = [reg for reg in env.adjacency[cur] if reg != prev]
-        if len(ends) > 1:
-            raise MapError(f"corridor {region.name} has an ambiguous far end")
-        # Dead ends turn the robot around.
-        return (ends[0] if ends else prev), ()
-    arms = env.arms[cur]
-    back = next(d for d, reg in arms.items() if reg == prev)
-    heading = _OPPOSITE[back]
-    targets = {"GoLeft": _ROT_LEFT[heading], "GoRight": _ROT_RIGHT[heading],
-               "GoStraight": heading}
-    if action not in targets or targets[action] not in arms:
-        raise MapError(f"{action} is not enabled at {region.name} entered from "
+    outcomes = _outcomes(env, pair, confusion)
+    if action not in outcomes:
+        prev, cur = pair
+        where = env.regions[cur].name
+        if env.regions[cur].kind == "corridor":
+            raise MapError(f"{action} is not enabled in corridor {where}")
+        raise MapError(f"{action} is not enabled at {where} entered from "
                        f"{env.regions[prev].name}")
-    intended = arms[targets[action]]
-    if confusion == "uniform":
-        wrong = tuple(sorted(arms[d] for d in arms
-                             if d != back and d != targets[action]))
-    else:
-        wrong = ()
-        if action in ("GoLeft", "GoRight") and heading in arms:
-            wrong = (arms[heading],)
-    return intended, wrong
+    return outcomes[action]
 
 
 def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
     """Possibilistic pair-state model of the environment (support matches
-    the noise model run with the same confusion mode)."""
+    the noise model run with the same confusion mode).
+
+    This is the map's outcome table: the outcomes of every enabled (pair
+    state, control) are worked out once (``_outcomes``, per pair state),
+    and row (pair, control) holds the intended and the wrong ones,
+    ascending. ``build_mdp`` takes its supports from here."""
     pairs = pair_states(env)
     if env.start is None:
         raise MapError("map has no 'start' line")
     if env.start not in pairs:
         raise MapError("start pair is not a reachable motion state")
-    index = {pair: i for i, pair in enumerate(pairs)}
-    rows: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    labels = []
-    for i, (prev, cur) in enumerate(pairs):
-        for name in enabled_actions(env, (prev, cur)):
-            intended, wrong = outcome_support(env, (prev, cur), name, confusion)
-            rows[(i, ACTIONS.index(name))] = [
-                (index[(cur, out)], 1.0) for out in {intended, *wrong}]
-        mask = 0
-        for obs in env.region_obs[cur]:
-            mask |= 1 << env.props.index(obs)
-        labels.append(mask)
-    return LabeledModel.from_rows(
-        rows,
+    if confusion not in CONFUSION_MODES:
+        raise MapError(f"unknown confusion model {confusion!r}")
+    n_actions, row_action, row_size, succ = [], [], [], []
+    n_regions = len(env.regions)
+    for pair in pairs:
+        cur = pair[1]
+        outcomes = _outcomes(env, pair, confusion)
+        n_actions.append(len(outcomes))
+        for name, (intended, wrong) in outcomes.items():
+            ends = sorted({intended, *wrong})
+            row_action.append(ACTIONS.index(name))
+            row_size.append(len(ends))
+            succ.extend(cur * n_regions + out for out in ends)
+    # Successor pair (cur, out) by its code; the pairs are sorted.
+    codes = np.array([p * n_regions + c for p, c in pairs], dtype=np.int64)
+    succ = np.searchsorted(codes, np.array(succ, dtype=np.int64))
+    return LabeledModel(
         n_states=len(pairs),
-        initial=index[env.start],
+        initial=pairs.index(env.start),
         actions=ACTIONS,
-        mode=NTS,
         props=env.props,
-        labels=labels,
-        state_names=tuple(f"{env.regions[p].name}-{env.regions[c].name}"
-                          for p, c in pairs),
+        labels=[sum(1 << env.props.index(obs) for obs in env.region_obs[cur])
+                for _prev, cur in pairs],
+        mode=NTS,
+        state_ptr=_ptr(n_actions),
+        row_action=row_action,
+        row_ptr=_ptr(row_size),
+        succ=succ,
+        weight=np.ones(len(succ)),
+        state_names=tuple(f"{env.regions[p].name}-{env.regions[c].name}" for p, c in pairs),
     )
 
 
@@ -401,17 +423,61 @@ def transition_rows(env: EnvMap, noise: NoiseModel
 
 def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel:
     """Materialize the full probabilistic model (for the exact oracles; the
-    lazy path never needs it). States, enabled actions and labels come from
-    ``nts``, the map's ``build_nts`` model; the rows come from the noise
-    model."""
-    row = transition_rows(env, noise)
-    return LabeledModel.from_rows(
-        {(i, u): row(i, u) for i, u in nts.enabled_pairs()},
+    lazy path never needs it); row by row it equals ``transition_rows``.
+
+    ``nts`` is the map's ``build_nts`` model under ``noise.confusion``: its
+    states, enabled actions and labels are kept, and its rows are the
+    outcome table. A row with one outcome keeps probability 1 on it; in a
+    row with more, the intended outcome (the region its control aims for)
+    gets the success probability and the wrong ones equal shares of the
+    rest, shares of 0 dropped.
+    """
+    pairs = pair_states(env)
+    pair_cur = np.array([cur for _prev, cur in pairs], dtype=np.int64)
+    size = np.diff(nts.row_ptr)
+    multi = np.flatnonzero(size > 1).tolist()
+    row_state, row_action = nts.row_state.tolist(), nts.row_action.tolist()
+    # Each row's intended region and success probability; a row with one
+    # outcome aims for it and succeeds surely.
+    aim = pair_cur[nts.succ[nts.row_ptr[:-1]]]
+    row_eta = np.ones(len(size))
+    eta: dict[int, float] = {}
+    last = targets = None
+    for r in multi:
+        q, u = row_state[r], row_action[r]
+        if u not in eta:
+            eta[u] = noise.success_probability(ACTIONS[u])
+        if q != last:
+            last, targets = q, _targets(env, pairs[q])
+        aim[r], row_eta[r] = targets[ACTIONS[u]], eta[u]
+    slip = (1.0 - row_eta) / np.maximum(size - 1, 1)
+    entry_row = nts.entry_row
+    hit = pair_cur[nts.succ] == aim[entry_row]
+    weight = np.where(hit, row_eta[entry_row], slip[entry_row])
+    if noise.mc_runs:
+        # Monte-Carlo frequencies over (intended, wrong...) with positive
+        # probability, drawn per row as transition_probs does.
+        for r in multi:
+            own = np.arange(nts.row_ptr[r], nts.row_ptr[r + 1])
+            order = np.concatenate((own[hit[own]], own[~hit[own]]))
+            order = order[weight[order] > 0]
+            prev, cur = pairs[row_state[r]]
+            rng = np.random.default_rng([noise.seed, prev, cur, row_action[r]])
+            outcomes = rng.choice(len(order), size=noise.mc_runs, p=weight[order].tolist())
+            weight[own] = 0.0
+            weight[order] = np.bincount(outcomes, minlength=len(order)) / noise.mc_runs
+    keep = weight > 0
+    return LabeledModel(
         n_states=nts.n_states,
         initial=nts.initial,
         actions=nts.actions,
-        mode=MDP,
         props=nts.props,
         labels=nts.labels,
+        mode=MDP,
+        state_ptr=nts.state_ptr,
+        row_action=nts.row_action,
+        row_ptr=_ptr(np.bincount(entry_row[keep], minlength=len(size))),
+        succ=nts.succ[keep],
+        weight=weight[keep],
         state_names=nts.state_names,
     )

@@ -47,8 +47,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .models import LabeledModel, ModelError
-from .synthesis import SspModel, _distinct, _expand, _members, _ptr, _rows_into
+from .models import LabeledModel, ModelError, _ptr
+from .synthesis import SspModel, _distinct, _expand, _members, _rows_into
 
 
 class SequenceCapExceeded(ModelError):

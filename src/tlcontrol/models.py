@@ -128,17 +128,14 @@ class LabeledModel:
             if not 0 <= q < n_states:
                 raise ModelError(f"dangling state id {q}")
         entries = [sorted(rows[key]) for key in keys]
-        state_ptr = np.zeros(n_states + 1, dtype=np.int64)
-        np.cumsum(np.bincount(np.array([q for q, _u in keys], dtype=np.int64),
-                              minlength=n_states), out=state_ptr[1:])
-        row_ptr = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in entries], out=row_ptr[1:])
         return cls(
             n_states=n_states, initial=initial, actions=tuple(actions), props=tuple(props),
             labels=np.zeros(n_states, dtype=np.int64) if labels is None else labels,
-            mode=mode, state_ptr=state_ptr,
+            mode=mode,
+            state_ptr=_ptr(np.bincount(np.array([q for q, _u in keys], dtype=np.int64),
+                                       minlength=n_states)),
             row_action=np.array([u for _q, u in keys], dtype=np.int64),
-            row_ptr=row_ptr,
+            row_ptr=_ptr([len(row) for row in entries]),
             succ=np.array([s for row in entries for s, _w in row], dtype=np.int64),
             weight=np.array([w for row in entries for _s, w in row], dtype=np.float64),
             state_names=state_names)
@@ -308,6 +305,13 @@ def validate_model(m: LabeledModel) -> None:
         q, u = where(bad[0])
         raise ModelError(
             f"stochasticity violation at ({q}, {u!r}): row sum {float(totals[bad[0]])!r}")
+
+
+def _ptr(counts) -> np.ndarray:
+    """CSR pointer array of segments with the given sizes."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 def _within(ptr: np.ndarray, n: int) -> np.ndarray:

@@ -46,7 +46,6 @@ from .synthesis import (
     build_product,
     goal_and_bad_sets,
     mrp_to_ssp,
-    prune_unreachable,
     serialize_ssp,
     with_probabilities,
 )
@@ -177,7 +176,7 @@ def load_task(cfg: RunConfig) -> TaskContext:
         base_mdp = base
         base_nts = nts_from_mdp(base)
         base_row = base_mdp.successors
-    product = prune_unreachable(build_product(base_nts, dra, cfg.label_rule))
+    product = build_product(base_nts, dra, cfg.label_rule)
     amec_list = amecs(product)
     goal, bad = goal_and_bad_sets(product, amec_list)
     product_mdp = with_probabilities(product, base_mdp) if base_mdp is not None else None
@@ -377,7 +376,7 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
 
 
 def write_models(cfg: RunConfig) -> list[Path]:
-    """Emit the pruned product and its SSP conversion as model files."""
+    """Emit the (reachable) product and its SSP conversion as model files."""
     ctx = load_task(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -8,20 +8,21 @@ possibly reach it, and redirect goal mass to a fresh absorbing terminal while
 zero-probability states restart at the initial state with unit cost.
 
 Every step works on the models' CSR arrays (see ``models``). The product is
-index arithmetic over the automaton's ``delta`` table; pruning, the
+built forward from its initial state, as frontier joins of the model's rows
+with the automaton's ``delta`` table, so it holds only reachable states; the
 probability refit and the SSP conversion are masks, gathers and remaps; the
 end-component search and the goal closure read their supports from the
-arrays. Graph searches (forward reachability, the backward closure of the
-goal) are one numpy frontier loop, ``_closure``, which the exact oracles
-use as well.
+arrays. The backward closure of the goal is a numpy frontier loop,
+``_closure``, which the exact oracles use as well; strongly connected
+components come from one Tarjan routine over flat successor arrays,
+``_strongly_connected``, shared with the exact oracles' block solve.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .models import (
     LabeledModel,
     ModelError,
     RabinAutomaton,
+    _ptr,
     serialize_model,
 )
 
@@ -41,17 +43,23 @@ TransitionSource = Callable[[int, int], Sequence[tuple[int, float]]]
 class ProductModel:
     """Synchronized product of a labeled model and a Rabin automaton.
 
-    ``projection`` maps each product state to its (model state, automaton
-    state) pair; ``pairs`` are the lifted accepting pairs as product-state
-    sets. ``unpruned_states`` records the state count before any
-    reachability pruning.
+    ``projection`` is an (n, 2) array holding each product state's (model
+    state, automaton state) pair; ``pairs`` are the lifted accepting pairs
+    as product-state sets. ``unpruned_states`` is the size of the full
+    product, |model states| x |automaton states|, of which ``base`` keeps
+    the reachable part.
     """
 
     base: LabeledModel
-    projection: tuple[tuple[int, int], ...]
+    projection: np.ndarray
     pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
     unpruned_states: int
     label_rule: str = "next"
+
+    def __post_init__(self):
+        projection = np.asarray(self.projection, dtype=np.int64).reshape(-1, 2).view()
+        projection.flags.writeable = False
+        object.__setattr__(self, "projection", projection)
 
 
 def _letters(m: LabeledModel, props: Sequence[str]) -> np.ndarray:
@@ -60,13 +68,6 @@ def _letters(m: LabeledModel, props: Sequence[str]) -> np.ndarray:
     for i, name in enumerate(m.props):
         letters |= ((m.labels >> i) & 1) << props.index(name)
     return letters
-
-
-def _ptr(counts: np.ndarray) -> np.ndarray:
-    """CSR pointer array of segments with the given sizes."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -90,15 +91,20 @@ def _expand(ptr: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") -> ProductModel:
-    """Build the full (unpruned) product of ``m`` and ``r``.
+    """The product of ``m`` and ``r`` over the states reachable from its
+    initial state.
 
     With ``label_rule="next"`` the automaton reads the label of the successor
     model state on every transition (and consumes the initial state's label
     once, before the first transition); with ``"current"`` it reads the label
     of the source state and starts in its own initial state.
 
-    Product state q * |S| + s has the rows of model state q, in the same
-    order; an entry to q' lands on q' * |S| + delta(s, letter), so a row's
+    The product is explored forward from the initial pair, one frontier of
+    codes q * |S| + s at a time, each a join of the frontier's model rows
+    with ``delta``. The reached codes, sorted, are the product's states, so
+    a state's number is its rank among the reached codes. Product state i
+    over model state q has the rows of q, in the same order; an entry to q'
+    lands on the state of code q' * |S| + delta(s, letter), so a row's
     successors stay ascending.
     """
     if label_rule not in ("next", "current"):
@@ -110,48 +116,57 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
     letters = _letters(m, r.props)
     delta = np.asarray(r.delta, dtype=np.int64)
     ns = r.n_states
-    n_prod = m.n_states * ns
-    model_state = np.repeat(np.arange(m.n_states), ns)
-    dra_state = np.tile(np.arange(ns), m.n_states)
 
-    state_ptr = _ptr(np.diff(m.state_ptr)[model_state])
-    row_state, model_row = _expand(m.state_ptr, model_state)
-    row_ptr = _ptr(np.diff(m.row_ptr)[model_row])
-    entry_row, model_entry = _expand(m.row_ptr, model_row)
-    target = m.succ[model_entry]
-    read = target if label_rule == "next" else model_state[row_state[entry_row]]
-    succ = target * ns + delta[dra_state[row_state[entry_row]], letters[read]]
+    def successors(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For the states of ``codes``: their model rows, those rows'
+        entries, and each entry's successor code."""
+        q, s = codes // ns, codes % ns
+        at, rows = _expand(m.state_ptr, q)
+        at2, entries = _expand(m.row_ptr, rows)
+        src = at[at2]
+        read = m.succ[entries] if label_rule == "next" else q[src]
+        return rows, entries, m.succ[entries] * ns + delta[s[src], letters[read]]
 
-    if label_rule == "next":
-        s_init = int(delta[r.initial, letters[m.initial]])
-    else:
-        s_init = r.initial
+    s_init = int(delta[r.initial, letters[m.initial]]) if label_rule == "next" else r.initial
+    initial = m.initial * ns + s_init
+    reached = np.zeros(m.n_states * ns, dtype=bool)
+    reached[initial] = True
+    frontier = np.array([initial], dtype=np.int64)
+    while frontier.size:
+        nxt = successors(frontier)[2]
+        frontier = _distinct(nxt[~reached[nxt]])
+        reached[frontier] = True
 
+    codes = np.flatnonzero(reached)
+    new_id = np.full(len(reached), -1, dtype=np.int64)
+    new_id[codes] = np.arange(len(codes))
+    model_state, dra_state = codes // ns, codes % ns
+    rows, entries, succ = successors(codes)
     names = m.state_names or tuple(str(q) for q in range(m.n_states))
     base = LabeledModel(
-        n_states=n_prod,
-        initial=m.initial * ns + s_init,
+        n_states=len(codes),
+        initial=new_id[initial],
         actions=m.actions,
         props=m.props,
         labels=m.labels[model_state],
         mode=m.mode,
-        state_ptr=state_ptr,
-        row_action=m.row_action[model_row],
-        row_ptr=row_ptr,
-        succ=succ,
-        weight=m.weight[model_entry],
-        state_names=tuple(f"{name}|{s}" for name in names for s in range(ns)),
+        state_ptr=_ptr(np.diff(m.state_ptr)[model_state]),
+        row_action=m.row_action[rows],
+        row_ptr=_ptr(np.diff(m.row_ptr)[rows]),
+        succ=new_id[succ],
+        weight=m.weight[entries],
+        state_names=tuple(f"{names[q]}|{s}" for q, s in
+                          zip(model_state.tolist(), dra_state.tolist())),
     )
-    offsets = np.arange(m.n_states)[:, None] * ns
-    pairs = tuple(
-        (frozenset((offsets + sorted(left)).ravel().tolist()),
-         frozenset((offsets + sorted(right)).ravel().tolist()))
-        for left, right in r.pairs)
+
+    def lift(dra_states: frozenset[int]) -> frozenset[int]:
+        return frozenset(np.flatnonzero(_members(dra_states, ns)[dra_state]).tolist())
+
     return ProductModel(
         base=base,
-        projection=tuple(zip(model_state.tolist(), dra_state.tolist())),
-        pairs=pairs,
-        unpruned_states=n_prod,
+        projection=np.stack((model_state, dra_state), axis=1),
+        pairs=tuple((lift(left), lift(right)) for left, right in r.pairs),
+        unpruned_states=m.n_states * ns,
         label_rule=label_rule,
     )
 
@@ -191,48 +206,8 @@ def _members(states: Iterable[int], n: int) -> np.ndarray:
     return out
 
 
-def prune_unreachable(p: ProductModel) -> ProductModel:
-    """Drop product states unreachable from the initial state."""
-    m = p.base
-    reach = _closure(m.succ, m.row_state[m.entry_row], _members([m.initial], m.n_states))
-    if reach.all():
-        return p
-    keep = np.flatnonzero(reach)
-    new_id = np.full(m.n_states, -1, dtype=np.int64)
-    new_id[keep] = np.arange(len(keep))
-    rows = reach[m.row_state]
-    entries = rows[m.entry_row]
-    keep_list = keep.tolist()
-    base = LabeledModel(
-        n_states=len(keep),
-        initial=new_id[m.initial],
-        actions=m.actions,
-        props=m.props,
-        labels=m.labels[keep],
-        mode=m.mode,
-        state_ptr=_ptr(np.diff(m.state_ptr)[keep]),
-        row_action=m.row_action[rows],
-        row_ptr=_ptr(np.diff(m.row_ptr)[rows]),
-        succ=new_id[m.succ[entries]],
-        weight=m.weight[entries],
-        state_names=tuple(m.state_names[q] for q in keep_list) if m.state_names else None,
-    )
-
-    def lift(states: frozenset[int]) -> frozenset[int]:
-        ids = new_id[np.fromiter(states, dtype=np.int64, count=len(states))]
-        return frozenset(ids[ids >= 0].tolist())
-
-    return ProductModel(
-        base=base,
-        projection=tuple(p.projection[q] for q in keep_list),
-        pairs=tuple((lift(left), lift(right)) for left, right in p.pairs),
-        unpruned_states=p.unpruned_states,
-        label_rule=p.label_rule,
-    )
-
-
 def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
-    """Refit a (possibly pruned) possibilistic product with MDP weights.
+    """Refit a possibilistic product with MDP weights.
 
     The probabilistic model must share the possibilistic support: an edge of
     ``m_mdp`` that the product skeleton does not carry is an error, while
@@ -243,7 +218,7 @@ def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
     if m_mdp.mode != MDP:
         raise ModelError("with_probabilities needs an MDP-mode base model")
     sk = p.base
-    model_state = np.asarray(p.projection, dtype=np.int64).reshape(-1, 2)[:, 0]
+    model_state = p.projection[:, 0]
     n_act, n_model = len(m_mdp.actions), m_mdp.n_states
     # The MDP row of every skeleton row; rows are sorted by (state, action).
     mdp_keys = m_mdp.row_state * n_act + m_mdp.row_action
@@ -288,7 +263,7 @@ def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
 
 def max_end_components(
     n: LabeledModel, within: Iterable[int] | None = None
-) -> list[tuple[frozenset[int], dict[int, tuple[int, ...]]]]:
+) -> list[tuple[frozenset[int], np.ndarray]]:
     """All maximal end components of a possibilistic model.
 
     Worklist decomposition (Baier & Katoen, *Principles of Model Checking*,
@@ -296,25 +271,33 @@ def max_end_components(
     support in the candidate set, and a predecessor index over those rows,
     are read from the model's arrays once. Rows whose support leaves the
     candidate set start disabled; a state left without an enabled row is
-    removed, which disables exactly the rows that can reach it, and the
+    removed, which disables exactly the rows that step into it, and the
     removals cascade. Each component on the worklist is split into strongly
-    connected components under its enabled rows; if there is more than one,
-    only the rows that cross a border are disabled, removals cascade from
-    the states left empty, and every part that lost a row goes back on the
-    worklist. A single component, or a part that lost no row, is final.
+    connected components under its enabled rows (``_strongly_connected``
+    over a flat successor list); if there is more than one, only the rows
+    that cross a border are disabled, removals cascade from the states left
+    empty, and every part that lost a row goes back on the worklist. A
+    single component, or a part that lost no row, is final.
 
     Cost: building the index and all cascades together are linear in the
     rows and their supports; each worklist round adds one linear SCC pass
     over its component, so the total is O(states x edges) in the worst case
     and a few linear passes when the components nest shallowly.
 
-    Returns (state set, retained actions in ascending order) entries sorted
-    by smallest state; the sets are pairwise disjoint, closed under their
-    retained actions, and strongly connected.
+    Returns (state set, retained rows) entries sorted by smallest state; the
+    retained rows are the model's rows, ascending, that the component keeps
+    enabled. The sets are pairwise disjoint, closed under their retained
+    rows, and strongly connected.
     """
+    cand = np.ones(n.n_states, dtype=bool) if within is None else _members(within, n.n_states)
+    return _end_components(n, cand)
+
+
+def _end_components(n: LabeledModel, cand: np.ndarray
+                    ) -> list[tuple[frozenset[int], np.ndarray]]:
+    """``max_end_components`` within the states of the mask ``cand``."""
     if n.mode != NTS:
         raise ModelError("end components are computed on NTS-mode models")
-    cand = np.ones(n.n_states, dtype=bool) if within is None else _members(within, n.n_states)
     states = np.flatnonzero(cand).tolist()
     part = np.where(cand, 0, -1).tolist()  # component label; -1: outside or removed
     inside = cand[n.row_state] & np.logical_and.reduceat(cand[n.succ], n.row_ptr[:-1])
@@ -371,99 +354,102 @@ def max_end_components(
         pos[members] = np.arange(k)
         rows, entry_row, src, dst = live_edges(members)
         code = _distinct(src * k + dst)
-        sccs = _strongly_connected(range(k), _csr_lists(code // k, code % k, k).__getitem__, k)
-        if len(sccs) == 1:
+        count, scc = _strongly_connected(_ptr(np.bincount(code // k, minlength=k)).tolist(),
+                                         (code % k).tolist())
+        if count == 1:
             final.append(comp)
             continue
-        parts = []
-        for scc in sccs:
-            label += 1
-            scc = [comp[i] for i in scc]
-            parts.append((label, scc))
-            for q in scc:
-                part[q] = label
+        # The parts take the fresh labels base, base + 1, ...
+        base, label = label + 1, label + count
+        for q, c in zip(comp, scc):
+            part[q] = base + c
         touched.clear()
-        comp_part = np.array([part[q] for q in comp])
-        border = np.bincount(entry_row[comp_part[src] != comp_part[dst]], minlength=len(rows))
+        scc = np.array(scc)
+        border = np.bincount(entry_row[scc[src] != scc[dst]], minlength=len(rows))
         for r in rows[border > 0].tolist():
             disable(r)
         cascade()
-        for lab, scc in parts:
-            rest = sorted(q for q in scc if part[q] != -1)
+        parts: list[list[int]] = [[] for _ in range(count)]
+        for q in comp:
+            if part[q] != -1:
+                parts[part[q] - base].append(q)
+        for c, rest in enumerate(parts):
             if rest:
-                (work if lab in touched else final).append(rest)
-    kept = np.array(live, dtype=bool)
-    retained = _csr_lists(n.row_state[kept], n.row_action[kept], n.n_states)
-    out = [(frozenset(comp), {q: tuple(retained[q]) for q in comp}) for comp in final]
-    out.sort(key=lambda item: min(item[0]))
-    return out
+                (work if base + c in touched else final).append(rest)
+    final.sort()
+    # The live rows, grouped by component; every one belongs to a final one.
+    of_state = np.full(n.n_states, -1, dtype=np.int64)
+    for c, comp in enumerate(final):
+        of_state[comp] = c
+    kept = np.flatnonzero(live)
+    of_row = of_state[n.row_state[kept]]
+    kept = kept[np.argsort(of_row, kind="stable")]
+    ptr = _ptr(np.bincount(of_row, minlength=len(final))).tolist()
+    return [(frozenset(comp), kept[lo:hi]) for comp, lo, hi in zip(final, ptr, ptr[1:])]
 
 
-def _csr_lists(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]:
-    """For each node below ``n``, its ``dst`` items in order, given edges
-    sorted by ``src``."""
-    ptr = _ptr(np.bincount(src, minlength=n)).tolist()
-    nodes = dst.tolist()
-    return [nodes[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+def _strongly_connected(ptr: list[int], adj: list[int]) -> tuple[int, list[int]]:
+    """Tarjan's algorithm, iterative, over the nodes 0..n-1 of a graph in
+    flat CSR form: node q's successors are ``adj[ptr[q]:ptr[q + 1]]``,
+    visited in that order, and roots are taken in ascending order.
 
-
-def _strongly_connected(states: Iterable[int], succ_of: Callable[[int], list[int]],
-                        n: int) -> list[set[int]]:
-    """Tarjan's algorithm, iterative, over ``states`` (ids below ``n``),
-    roots in ascending order; ``succ_of(q)`` lists q's successors, all in
-    ``states``, in the order to visit them. Components come out sinks
-    first."""
+    Returns the number of strongly connected components and each node's
+    component. Components are numbered in the order Tarjan's algorithm
+    closes them, sinks first: every edge that leaves a component enters
+    one of a smaller number.
+    """
+    n = len(ptr) - 1
     index = [-1] * n
     low = [0] * n
-    on_stack = bytearray(n)
+    comp = [-1] * n  # a visited node without a component is on the stack
     stack: list[int] = []
-    sccs: list[set[int]] = []
-    counter = 0
-    for root in sorted(states):
+    call: list[tuple[int, int]] = []  # (node, its next edge) of suspended visits
+    count = counter = 0
+    for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = 1
-        call = [(root, iter(succ_of(root)))]
-        while call:
-            node, it = call[-1]
-            for nxt in it:
+        node, e = root, ptr[root]
+        while True:
+            end = ptr[node + 1]
+            while e < end:
+                nxt = adj[e]
+                e += 1
                 if index[nxt] < 0:
+                    call.append((node, e))
                     index[nxt] = low[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack[nxt] = 1
-                    call.append((nxt, iter(succ_of(nxt))))
-                    break
-                if on_stack[nxt] and index[nxt] < low[node]:
+                    node, e, end = nxt, ptr[nxt], ptr[nxt + 1]
+                elif comp[nxt] < 0 and index[nxt] < low[node]:
                     low[node] = index[nxt]
-            else:
-                call.pop()
-                if call:
-                    parent = call[-1][0]
-                    if low[node] < low[parent]:
-                        low[parent] = low[node]
-                if low[node] == index[node]:
-                    comp = set()
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = 0
-                        comp.add(w)
-                        if w == node:
-                            break
-                    sccs.append(comp)
-    return sccs
+            if low[node] == index[node]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = count
+                    if w == node:
+                        break
+                count += 1
+            if not call:
+                break
+            child = node
+            node, e = call.pop()
+            if low[child] < low[node]:
+                low[node] = low[child]
+    return count, comp
 
 
 @dataclass(frozen=True)
 class Amec:
     """Accepting maximal end component: closed, strongly connected, and
-    containing a K-state but no L-state of its Rabin pair."""
+    containing a K-state but no L-state of its Rabin pair. ``rows`` are
+    the product-model rows it retains, ascending: the rows of its states
+    whose support stays inside it."""
 
     states: frozenset[int]
-    retained: Mapping[int, tuple[int, ...]]
+    rows: np.ndarray
     pair_index: int
 
 
@@ -476,12 +462,12 @@ def amecs(p: ProductModel) -> list[Amec]:
     """
     if not p.pairs:
         raise ModelError("product has no accepting pairs")
+    m = p.base
     out = []
-    everything = frozenset(range(p.base.n_states))
     for i, (left, right) in enumerate(p.pairs):
-        for states, retained in max_end_components(p.base, within=everything - left):
-            if states & right:
-                out.append(Amec(states=states, retained=retained, pair_index=i))
+        for states, rows in _end_components(m, ~_members(left, m.n_states)):
+            if not states.isdisjoint(right):
+                out.append(Amec(states=states, rows=rows, pair_index=i))
     return out
 
 
@@ -625,20 +611,20 @@ class SspTransitionSource:
         self._dra = dra
         self._base_row = base_row
         self._rule = product.label_rule
-        self._projection, self._origin = product.projection, ssp.origin
         self._rows: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         self.pairs_computed = 0
-        # SSP state of product pair (q, s), at q * |S| + s: -1 outside the
-        # product, the terminal for goal states (dropped from the SSP).
         origin = np.asarray(ssp.origin, dtype=np.int64)
         kept = origin >= 0
-        of_product = np.full(len(product.projection), ssp.terminal, dtype=np.int64)
+        projection = product.projection
+        # The model state of each SSP state but the terminal.
+        self._model_state = projection[origin[kept], 0].tolist()
+        # SSP state of product pair (q, s), at q * |S| + s: -1 outside the
+        # product, the terminal for goal states (dropped from the SSP).
+        of_product = np.full(len(projection), ssp.terminal, dtype=np.int64)
         of_product[origin[kept]] = np.flatnonzero(kept)
-        pair = np.fromiter(itertools.chain.from_iterable(product.projection), dtype=np.int64,
-                           count=2 * len(product.projection))
         self._n_dra = dra.n_states
         to_ssp = np.full(base_model.n_states * dra.n_states, -1, dtype=np.int64)
-        to_ssp[pair[0::2] * dra.n_states + pair[1::2]] = of_product
+        to_ssp[projection[:, 0] * dra.n_states + projection[:, 1]] = of_product
         self._to_ssp = to_ssp.tolist()
         self._letters = tuple(_letters(base_model, dra.props).tolist())
 
@@ -654,7 +640,7 @@ class SspTransitionSource:
             row = ((ssp.terminal if state == ssp.terminal else ssp.initial, 1.0),)
             self._rows[state, action] = row
             return row
-        q = self._projection[self._origin[state]][0]
+        q = self._model_state[state]
         base = self._base_row(q, action)
         self.pairs_computed += 1
         n = self._n_dra

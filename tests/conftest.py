@@ -3,7 +3,7 @@ import importlib.util
 import numpy as np
 import pytest
 
-from tlcontrol.models import MDP, NTS, LabeledModel, parse_model
+from tlcontrol.models import MDP, NTS, LabeledModel, RabinAutomaton, parse_model
 
 PROP_NAMES = ("p", "q", "r", "s")
 
@@ -51,6 +51,32 @@ def random_nts(rng, n_states=6, n_actions=2, max_succ=3, n_props=1):
         props=PROP_NAMES[:n_props],
         labels=tuple(int(rng.integers(0, 1 << n_props)) for _ in range(n_states)),
         mode=NTS)
+
+
+def retained(m, rows):
+    """The retained actions of an end component, as state -> action ids
+    (ascending), from its retained rows of the model ``m``."""
+    out = {}
+    for r in rows.tolist():
+        out.setdefault(int(m.row_state[r]), []).append(int(m.row_action[r]))
+    return {q: tuple(actions) for q, actions in out.items()}
+
+
+def random_dra(rng, n_states, props, n_pairs=None, unreachable=0):
+    """A total automaton over ``props`` (listed in a shuffled order) with
+    ``n_pairs`` random accepting pairs (one or two by default), plus
+    ``unreachable`` states that no edge enters and the run never starts in."""
+    props = tuple(props[i] for i in rng.permutation(len(props)))
+    total = n_states + unreachable
+    delta = rng.integers(0, n_states, size=(total, 1 << len(props))).astype(np.int32)
+
+    def subset():
+        return frozenset(int(s) for s in np.flatnonzero(rng.random(total) < 0.4))
+
+    n_pairs = int(rng.integers(1, 3)) if n_pairs is None else n_pairs
+    pairs = tuple((subset(), subset()) for _ in range(n_pairs))
+    return RabinAutomaton(n_states=total, initial=int(rng.integers(n_states)),
+                          props=props, delta=delta, pairs=pairs)
 
 
 def parse_ssp_text(text):
@@ -110,13 +136,12 @@ def make_random_ssp(rng, n_states=6, n_actions=2, want_mdp=False):
     ``want_mdp`` also returns the probabilistic twin and its product."""
     from tlcontrol.models import nts_from_mdp, parse_dra
     from tlcontrol.synthesis import (
-        amecs, build_product, goal_and_bad_sets, mrp_to_ssp,
-        prune_unreachable, with_probabilities)
+        amecs, build_product, goal_and_bad_sets, mrp_to_ssp, with_probabilities)
 
     dra = parse_dra(F_P_DRA)
     for _ in range(300):
         m = random_mdp(rng, n_states=n_states, n_actions=n_actions, n_props=1)
-        product = prune_unreachable(build_product(nts_from_mdp(m), dra))
+        product = build_product(nts_from_mdp(m), dra)
         found = amecs(product)
         if not found:
             continue

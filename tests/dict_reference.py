@@ -47,7 +47,8 @@ def of(m) -> DictModel:
 
 
 def of_product(p) -> DictProduct:
-    return DictProduct(of(p.base), tuple(p.projection), p.pairs, p.unpruned_states)
+    return DictProduct(of(p.base), tuple(map(tuple, p.projection.tolist())), p.pairs,
+                       p.unpruned_states)
 
 
 def of_ssp(s) -> DictSsp:

@@ -13,7 +13,7 @@ from tlcontrol import exact
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.pipeline import RunConfig, _product_row_index, _to_product_rows, synthesize
 from tlcontrol.synthesis import max_end_components, mrp_to_ssp, ProductModel, amecs
-from conftest import make_random_ssp, random_mdp, random_nts, support_zeros
+from conftest import make_random_ssp, random_mdp, random_nts, retained, support_zeros
 from test_synthesis import brute_force_mecs
 
 DESK_SEEDS = [0, 1, 2, 3, 4]
@@ -51,7 +51,7 @@ def test_criterion_2_amec_exhaustive_equivalence():
         n = random_nts(rng, n_states=n_states, n_actions=2)
         got = max_end_components(n)
         want = brute_force_mecs(n)
-        assert [(s, r) for s, r in got] == [(s, r) for s, r in want]
+        assert [(s, retained(n, r)) for s, r in got] == want
         # Accepting components against the restricted oracle.
         left = frozenset(int(s) for s in
                          rng.choice(n_states, size=min(2, n_states - 1), replace=False))
@@ -59,7 +59,7 @@ def test_criterion_2_amec_exhaustive_equivalence():
                           rng.choice(n_states, size=min(2, n_states), replace=False))
         p = ProductModel(base=n, projection=tuple((q, 0) for q in range(n_states)),
                          pairs=((left, right),), unpruned_states=n_states)
-        got_a = [(a.states, dict(a.retained)) for a in amecs(p)]
+        got_a = [(a.states, retained(n, a.rows)) for a in amecs(p)]
         want_a = [(s, r) for s, r in
                   brute_force_mecs(n, within=set(range(n_states)) - left) if s & right]
         assert got_a == want_a

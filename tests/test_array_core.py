@@ -20,24 +20,9 @@ from tlcontrol.synthesis import (
     build_product,
     goal_and_bad_sets,
     mrp_to_ssp,
-    prune_unreachable,
     with_probabilities,
 )
-from conftest import PROP_NAMES, make_random_ssp, random_mdp
-
-
-def random_dra(rng, n_states, props):
-    """A total automaton over ``props`` (listed in a shuffled order) with
-    one or two random accepting pairs."""
-    props = tuple(props[i] for i in rng.permutation(len(props)))
-    delta = rng.integers(0, n_states, size=(n_states, 1 << len(props))).astype(np.int32)
-
-    def subset():
-        return frozenset(int(s) for s in np.flatnonzero(rng.random(n_states) < 0.4))
-
-    pairs = tuple((subset(), subset()) for _ in range(int(rng.integers(1, 3))))
-    return RabinAutomaton(n_states=n_states, initial=int(rng.integers(n_states)),
-                          props=props, delta=delta, pairs=pairs)
+from conftest import PROP_NAMES, make_random_ssp, random_dra, random_mdp
 
 
 def with_extra_edge(rng, m):
@@ -74,16 +59,13 @@ def test_array_builds_match_the_dict_reference(seed, mode, label_rule, n_states,
     m = m if mode == MDP else nts_from_mdp(m)
     dra = random_dra(rng, dra_states, PROP_NAMES[:n_props])
 
-    product = build_product(m, dra, label_rule)
-    want = ref.build_product(m, dra, label_rule)
-    assert ref.of_product(product) == want
-    pruned = prune_unreachable(product)
-    want = ref.prune_unreachable(want)
+    pruned = build_product(m, dra, label_rule)
+    want = ref.prune_unreachable(ref.build_product(m, dra, label_rule))
     assert ref.of_product(pruned) == want
 
     # The probability refit, on the skeleton of the MDP twin.
     if mode == MDP:
-        skeleton = prune_unreachable(build_product(nts_from_mdp(m), dra, label_rule))
+        skeleton = build_product(nts_from_mdp(m), dra, label_rule)
         dict_skeleton = ref.prune_unreachable(ref.build_product(nts_from_mdp(m), dra, label_rule))
         for mdp in (m, with_extra_edge(rng, m)):
             if mdp is None:
@@ -95,7 +77,7 @@ def test_array_builds_match_the_dict_reference(seed, mode, label_rule, n_states,
     # Goal closure and SSP conversion for a random goal and restart set.
     n = pruned.base.n_states
     goal = frozenset(int(q) for q in np.flatnonzero(rng.random(n) < 0.3))
-    found = [Amec(states=goal, retained={}, pair_index=0)] if goal else []
+    found = [Amec(states=goal, rows=np.zeros(0, dtype=np.int64), pair_index=0)] if goal else []
     got_goal, bad = goal_and_bad_sets(pruned, found)
     assert got_goal == goal
     assert bad == ref.bad_states(want, goal)
@@ -105,6 +87,23 @@ def test_array_builds_match_the_dict_reference(seed, mode, label_rule, n_states,
     for zeros in (bad, restart):
         got = mrp_to_ssp(pruned, goal, zeros)
         assert ref.of_ssp(got) == ref.mrp_to_ssp(want, goal, zeros, len(m.actions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), label_rule=st.sampled_from(["next", "current"]),
+       n_states=st.integers(1, 8), n_actions=st.integers(1, 3), n_props=st.integers(1, 3),
+       dra_states=st.integers(1, 4), unreachable=st.integers(0, 3))
+def test_forward_product_matches_the_pruned_reference(seed, label_rule, n_states, n_actions,
+                                                      n_props, dra_states, unreachable):
+    # Sparse models leave model states unreachable too; the automaton's
+    # extra states are never entered.
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=2, n_props=n_props)
+    dra = random_dra(rng, dra_states, PROP_NAMES[:n_props], unreachable=unreachable)
+    got = build_product(m, dra, label_rule)
+    assert ref.of_product(got) == ref.prune_unreachable(ref.build_product(m, dra, label_rule))
+    assert got.unpruned_states == n_states * (dra_states + unreachable)
+    assert not (set(got.projection[:, 1].tolist()) & set(range(dra_states, dra.n_states)))
 
 
 def test_goal_mass_is_summed_in_entry_order():

@@ -12,7 +12,10 @@ from tlcontrol.gridenv import (
     pair_states,
     parse_map,
     transition_probs,
+    transition_rows,
 )
+from tlcontrol.models import MDP, NTS, LabeledModel
+from conftest import lattice_map
 
 STRIP = """
 #####
@@ -255,3 +258,60 @@ def test_start_validation():
     assert env.start is None
     with pytest.raises(MapError, match="no 'start' line"):
         build_nts(env)
+
+
+def reference_models(env, noise):
+    """The NTS and MDP of a map built row by row through ``LabeledModel.from_rows``:
+    each row's support from ``outcome_support``, its probabilities from
+    ``transition_probs``."""
+    pairs = pair_states(env)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    nts_rows, mdp_rows = {}, {}
+    for i, pair in enumerate(pairs):
+        for name in enabled_actions(env, pair):
+            key = (i, ACTIONS.index(name))
+            intended, wrong = outcome_support(env, pair, name, noise.confusion)
+            nts_rows[key] = [(index[(pair[1], out)], 1.0) for out in {intended, *wrong}]
+            mdp_rows[key] = [(index[succ], p) for succ, p in
+                             transition_probs(env, noise, pair, name)]
+    common = dict(
+        n_states=len(pairs), initial=index[env.start], actions=ACTIONS, props=env.props,
+        labels=[sum(1 << env.props.index(obs) for obs in env.region_obs[cur])
+                for _prev, cur in pairs],
+        state_names=tuple(f"{env.regions[p].name}-{env.regions[c].name}" for p, c in pairs))
+    return (LabeledModel.from_rows(nts_rows, mode=NTS, **common),
+            LabeledModel.from_rows(mdp_rows, mode=MDP, **common))
+
+
+NOISES = {
+    "eta": dict(eta=0.9),
+    "sure": dict(eta=1.0),  # slips of probability 0 are dropped
+    "per-action": dict(eta={"FollowRoad": 0.9, "GoLeft": 0.8, "GoRight": 0.7,
+                            "GoStraight": 0.95}),
+    "mc-runs": dict(eta=0.8, mc_runs=300, seed=5),
+}
+
+
+@pytest.mark.parametrize("k", [0, 4, 8, 12])
+@pytest.mark.parametrize("confusion", ["uniform", "undershoot"])
+@pytest.mark.parametrize("noise", sorted(NOISES))
+def test_outcome_table_builds_match_row_by_row_reference(k, confusion, noise):
+    env = parse_map(lattice_map(k) if k else open("tasks/desk.map").read())
+    noise = NoiseModel(confusion=confusion, **NOISES[noise])
+    want_nts, want_mdp = reference_models(env, noise)
+    nts = build_nts(env, confusion)
+    mdp = build_mdp(env, noise, nts)
+    assert nts == want_nts
+    assert mdp == want_mdp
+    # The lazy rows are the materialized ones.
+    row = transition_rows(env, noise)
+    assert all(row(q, u) == mdp.successors(q, u) for q, u in mdp.enabled_pairs())
+
+
+def test_build_mdp_checks_the_success_probability():
+    env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
+    nts = build_nts(env)
+    with pytest.raises(MapError, match="outside"):
+        build_mdp(env, NoiseModel(eta=0.0), nts)
+    with pytest.raises(MapError, match="outside"):
+        build_mdp(env, NoiseModel(eta={"GoLeft": 0.9, "GoRight": 1.5, "GoStraight": 0.9}), nts)

@@ -9,17 +9,17 @@ from tlcontrol.models import MDP, LabeledModel, ModelError, parse_dra, parse_mod
 from tlcontrol.synthesis import (
     ProductModel,
     SspTransitionSource,
+    _strongly_connected,
     amecs,
     build_product,
     goal_and_bad_sets,
     max_end_components,
     mrp_to_ssp,
-    prune_unreachable,
     serialize_ssp,
     with_probabilities,
 )
 from tlcontrol.models import nts_from_mdp
-from conftest import parse_ssp_text, random_mdp, random_nts
+from conftest import PROP_NAMES, parse_ssp_text, random_dra, random_mdp, random_nts, retained
 
 UNIT_DRA = """
 states 1
@@ -99,28 +99,33 @@ def boolean_reach_matrix(m):
 # -- products ----------------------------------------------------------------
 
 def test_unit_automaton_product_is_isomorphic(rng):
-    m = random_mdp(rng, n_states=4, n_actions=2)
-    p = build_product(m, parse_dra(UNIT_DRA))
-    assert p.base.n_states == m.n_states
-    assert p.unpruned_states == m.n_states
-    assert p.base.transitions.keys() == m.transitions.keys()
-    for key, row in m.transitions.items():
-        assert p.base.transitions[key] == row
+    # The product is the part of the model reachable from its initial
+    # state, in state order, with the same rows.
+    for _ in range(5):
+        m = random_mdp(rng, n_states=5, n_actions=2)
+        p = build_product(m, parse_dra(UNIT_DRA))
+        states = p.projection[:, 0].tolist()
+        assert states == np.flatnonzero(boolean_reach_matrix(m)[m.initial]).tolist()
+        assert p.projection[:, 1].tolist() == [0] * len(states)
+        assert p.unpruned_states == m.n_states
+        assert len(p.base.transitions) == sum(len(m.enabled[q]) for q in states)
+        for (i, u), row in p.base.transitions.items():
+            assert tuple((states[s], w) for s, w in row) == m.transitions[(states[i], u)]
 
 
 def test_chain_times_reachability_automaton():
     chain = parse_model("states 2\ninitial 0\nmode mdp\nprops p\nlabel 1: p\n"
                         "trans 0 a 1 1.0\ntrans 1 a 1 1.0")
     p = build_product(chain, parse_dra(F_P_DRA))
-    assert p.base.n_states == 4
-    # State indices are q * |S| + s; from (0,0) the step lands in (1,1).
+    # Of the 4 pairs only (0,0) and, one step later, (1,1) are reachable;
+    # they keep the order of their codes q * |S| + s.
+    assert p.unpruned_states == 4
+    assert p.base.n_states == 2
+    assert p.projection.tolist() == [[0, 0], [1, 1]]
     assert p.base.initial == 0
-    assert p.base.transitions[(0, 0)] == ((3, 1.0),)
-    assert p.base.transitions[(3, 0)] == ((3, 1.0),)
-    # Hand oracle for the remaining rows: (0,1) and (1,0) both read h(1)={p}
-    # and land in (1,1).
-    assert p.base.transitions[(1, 0)] == ((3, 1.0),)
-    assert p.base.transitions[(2, 0)] == ((3, 1.0),)
+    assert p.base.transitions[(0, 0)] == ((1, 1.0),)
+    assert p.base.transitions[(1, 0)] == ((1, 1.0),)
+    assert p.pairs == ((frozenset(), frozenset({1})),)
 
 
 def test_proposition_mismatch():
@@ -140,7 +145,7 @@ def test_product_rows_stay_stochastic(rng):
 
 def test_prune_keeps_reachable_and_projection(rng):
     m = random_mdp(rng, n_states=5, n_actions=2)
-    p = prune_unreachable(build_product(m, parse_dra(F_P_DRA)))
+    p = build_product(m, parse_dra(F_P_DRA))
     assert p.unpruned_states == 10
     assert p.base.n_states <= 10
     # Every kept state must be reachable from the initial state.
@@ -163,9 +168,11 @@ def test_current_label_rule_differs_on_first_letter():
     nxt = build_product(chain, parse_dra(F_P_DRA), label_rule="next")
     cur = build_product(chain, parse_dra(F_P_DRA), label_rule="current")
     # Next-rule consumes h(q0)={p} immediately; current-rule starts at s0.
-    assert nxt.base.initial == 1   # (0, 1)
-    assert cur.base.initial == 0   # (0, 0)
-    assert cur.base.transitions[(0, 0)] == ((3, 1.0),)
+    assert nxt.projection[nxt.base.initial].tolist() == [0, 1]
+    assert cur.projection[cur.base.initial].tolist() == [0, 0]
+    # From (0, 0) the current rule reads h(0)={p} and lands in (1, 1).
+    assert cur.projection.tolist() == [[0, 0], [1, 1]]
+    assert cur.base.transitions[(0, 0)] == ((1, 1.0),)
 
 
 # -- end components ----------------------------------------------------------
@@ -191,7 +198,7 @@ def test_mecs_match_brute_force(rng):
         n = random_nts(rng, n_states=6, n_actions=2)
         got = max_end_components(n)
         want = brute_force_mecs(n)
-        assert [(s, r) for s, r in got] == [(s, r) for s, r in want]
+        assert [(s, retained(n, r)) for s, r in got] == want
 
 
 def test_mec_split_resplits_a_part_that_lost_a_row():
@@ -201,9 +208,9 @@ def test_mec_split_resplits_a_part_that_lost_a_row():
     n = parse_model("states 3\ninitial 0\nmode nts\n"
                     "trans 0 a 1 1\ntrans 0 a 2 1\ntrans 0 b 0 1\n"
                     "trans 1 a 0 1\ntrans 2 a 2 1")
-    assert max_end_components(n) == [(frozenset({0}), {0: (1,)}),
-                                     (frozenset({2}), {2: (0,)})]
-    assert max_end_components(n) == brute_force_mecs(n)
+    got = [(s, retained(n, r)) for s, r in max_end_components(n)]
+    assert got == [(frozenset({0}), {0: (1,)}), (frozenset({2}), {2: (0,)})]
+    assert got == brute_force_mecs(n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -219,7 +226,7 @@ def test_worklist_mecs_match_brute_force(seed, n_states, n_actions, max_succ, re
     got = max_end_components(n, within=within)
     want = brute_force_mecs(n, within=within)
     # Retained actions are compared as tuples, so their order counts too.
-    assert [(s, r) for s, r in got] == [(s, r) for s, r in want]
+    assert [(s, retained(n, r)) for s, r in got] == want
 
 
 def test_amecs_trivial_and_brute_force(rng):
@@ -243,10 +250,79 @@ def test_amecs_trivial_and_brute_force(rng):
         right = frozenset(int(s) for s in rng.choice(6, size=2, replace=False))
         p = ProductModel(base=n, projection=tuple((q, 0) for q in range(6)),
                          pairs=((left, right),), unpruned_states=6)
-        got = [(a.states, dict(a.retained)) for a in amecs(p)]
+        got = [(a.states, retained(n, a.rows)) for a in amecs(p)]
         want = [(s, r) for s, r in brute_force_mecs(n, within=set(range(6)) - left)
                 if s & right]
         assert got == want
+
+
+def test_multi_pair_amecs_match_brute_force_pair_by_pair():
+    # Random products with two or three accepting pairs, each with an L
+    # that meets the reachable product: every pair's components are the
+    # maximal end components of the product without L that meet K, and
+    # components of different pairs may overlap.
+    rng = np.random.default_rng(707)
+    instances = accepting = overlapping = 0
+    while instances < 200:
+        m = random_nts(rng, n_states=int(rng.integers(2, 5)), n_actions=2, max_succ=2,
+                       n_props=2)
+        dra = random_dra(rng, int(rng.integers(2, 4)), PROP_NAMES[:2], n_pairs=0)
+        pairs = tuple((frozenset({int(rng.integers(dra.n_states))}),
+                       frozenset(np.flatnonzero(rng.random(dra.n_states) < 0.6).tolist()))
+                      for _ in range(int(rng.integers(2, 4))))
+        p = build_product(m, dataclasses.replace(dra, pairs=pairs))
+        n = p.base
+        if n.n_states > 10 or not all(left for left, _right in p.pairs):
+            continue
+        instances += 1
+        found = amecs(p)
+        for i, (left, right) in enumerate(p.pairs):
+            got = [(a.states, retained(n, a.rows)) for a in found if a.pair_index == i]
+            want = [(states, kept) for states, kept in
+                    brute_force_mecs(n, within=set(range(n.n_states)) - left)
+                    if states & right]
+            assert got == want
+        accepting += bool(found)
+        overlapping += any(a.pair_index != b.pair_index and a.states & b.states
+                           for a, b in itertools.combinations(found, 2))
+    assert accepting >= 50 and overlapping >= 10
+
+
+def test_overlapping_amecs_of_two_pairs():
+    # One model state with a self loop and a two-state loop through it; the
+    # automaton tracks the letter read last. Pair 0 forbids the letter {p}
+    # and accepts on {}, pair 1 accepts on {p}: its component holds the
+    # whole loop, pair 0's only the self loop, which overlaps it.
+    n = parse_model("states 2\ninitial 0\nmode nts\nprops p\nlabel 1: p\n"
+                    "trans 0 a 0 1\ntrans 0 b 1 1\ntrans 1 a 0 1")
+    dra = parse_dra("states 2\ninitial 0\nprops p\nedge 0 {p} 1\nedge 0 else 0\n"
+                    "edge 1 {p} 1\nedge 1 else 0\npair L={1} K={0}\npair L={} K={1}")
+    p = build_product(n, dra)
+    found = [(a.pair_index, sorted(p.projection[sorted(a.states)].tolist()),
+              retained(p.base, a.rows)) for a in amecs(p)]
+    assert [(i, states) for i, states, _kept in found] == [
+        (0, [[0, 0]]), (1, [[0, 0], [1, 1]])]
+    assert found[0][2] == {p.base.initial: (0,)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                            max_size=40))
+def test_strongly_connected_components_come_out_sinks_first(n, edges):
+    edges = sorted((a % n, b % n) for a, b in edges)
+    ptr = np.searchsorted([a for a, _b in edges], np.arange(n + 1)).tolist()
+    count, comp = _strongly_connected(ptr, [b for _a, b in edges])
+    reach = np.eye(n, dtype=bool)
+    for a, b in edges:
+        reach[a, b] = True
+    for _ in range(n):
+        reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+    # Two nodes share a component exactly when each reaches the other.
+    same = np.equal.outer(comp, comp)
+    assert (same == (reach & reach.T)).all()
+    assert sorted(set(comp)) == list(range(count))
+    # Every edge that leaves a component enters one numbered before it.
+    assert all(comp[b] <= comp[a] for a, b in edges)
 
 
 def test_goal_and_bad_sets(rng):
@@ -349,8 +425,9 @@ def test_inside_amec_policy_uniform_and_recurrent(rng):
     found = amecs(p)
     assert len(found) == 1
     a = found[0]
-    assert a.retained[0] == (0, 1)
-    assert a.retained[1] == (0,)
+    kept = retained(n, a.rows)
+    assert kept[0] == (0, 1)
+    assert kept[1] == (0,)
     # Under the uniform choice over retained actions, the induced chain
     # restricted to the component is an irreducible stochastic matrix, so
     # its stationary distribution is strictly positive and K states are
@@ -359,10 +436,10 @@ def test_inside_amec_policy_uniform_and_recurrent(rng):
     idx = {q: i for i, q in enumerate(states)}
     kernel = np.zeros((len(states), len(states)))
     for q in states:
-        for u in a.retained[q]:
+        for u in kept[q]:
             succ = n.support(q, u)
             for s in succ:
-                kernel[idx[q], idx[s]] += 1.0 / len(a.retained[q]) / len(succ)
+                kernel[idx[q], idx[s]] += 1.0 / len(kept[q]) / len(succ)
     assert np.allclose(kernel.sum(axis=1), 1.0)
     vals, vecs = np.linalg.eig(kernel.T)
     station = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
@@ -373,7 +450,7 @@ def test_inside_amec_policy_uniform_and_recurrent(rng):
 
 def test_with_probabilities_validates_support(rng):
     m = random_mdp(rng, n_states=4, n_actions=2)
-    skeleton = prune_unreachable(build_product(nts_from_mdp(m), parse_dra(F_P_DRA)))
+    skeleton = build_product(nts_from_mdp(m), parse_dra(F_P_DRA))
     refit = with_probabilities(skeleton, m)
     for key, row in refit.base.transitions.items():
         assert abs(sum(w for _, w in row) - 1.0) <= 1e-9
@@ -394,7 +471,7 @@ def test_ssp_transition_source_matches_direct_conversion(rng):
     for _ in range(5):
         m = random_mdp(rng, n_states=5, n_actions=2, n_props=1)
         dra = parse_dra(F_P_DRA)
-        product = prune_unreachable(build_product(nts_from_mdp(m), dra))
+        product = build_product(nts_from_mdp(m), dra)
         found = amecs(product)
         if not found:
             continue

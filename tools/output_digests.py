@@ -14,7 +14,9 @@ The set of runs:
 - desk-lazy: desk ``synthesize`` with ``exact_reference`` false,
   ``eval_every`` 0 and 20,000 iterations, seeds 1-3;
 - lattice-exact: ``compare`` on the k=20 road lattice (map seed 0),
-  ``eval_every`` 0, 2,000 iterations, seed 1.
+  ``eval_every`` 0, 2,000 iterations, seed 1;
+- ``build`` (product.model, ssp.model) on desk and on the k=20 lattice,
+  which pins the product's state numbering and names at scale.
 
 It imports the package from the ``src`` directory and the lattice
 generator from ``perfbench/lattice.py`` of the checkout it lives in, and
@@ -35,7 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from tlcontrol.pipeline import RunConfig, compare, synthesize  # noqa: E402
+from tlcontrol.pipeline import RunConfig, compare, synthesize, write_models  # noqa: E402
 
 DESK_SEEDS = (1, 2, 3, 4, 5)
 LAZY_SEEDS = (1, 2, 3)
@@ -68,6 +70,9 @@ def runs(work: Path):
     yield name, compare, dataclasses.replace(
         desk, seed=LATTICE_SEED, outdir=str(work / name), task_name=f"lattice-k{LATTICE_K}",
         map=str(lattice), eval_every=0, max_iters=LATTICE_ITERS)
+    yield "desk-build", write_models, dataclasses.replace(desk, outdir=str(work / "desk-build"))
+    name = f"lattice-k{LATTICE_K}-build"
+    yield name, write_models, dataclasses.replace(desk, outdir=str(work / name), map=str(lattice))
 
 
 def main() -> int:
