@@ -29,7 +29,7 @@ from .synthesis import (
     max_end_components,
     mrp_to_ssp,
 )
-from .lookahead import LookaheadPolicy, action_sequences, min_distances, neighborhood
+from .lookahead import LookaheadPolicy, min_distances
 from .actor_critic import ActorCriticConfig, CriticState, ActorState, RunTrace, run
 from .exact import enumerate_policies, eval_policy_reach, expected_total_cost, max_reach
 from .pipeline import RunConfig, compare, synthesize
@@ -40,10 +40,10 @@ __all__ = [
     "ActorCriticConfig", "ActorState", "Amec", "CriticState", "LabeledModel",
     "LookaheadPolicy", "ModelError", "ParseError", "ProductModel",
     "RabinAutomaton", "RunConfig", "RunTrace", "SspModel",
-    "action_sequences", "amecs", "build_product", "compare", "dra_step",
+    "amecs", "build_product", "compare", "dra_step",
     "enumerate_policies", "eval_policy_reach", "expected_total_cost",
     "goal_and_bad_sets", "max_end_components",
-    "max_reach", "min_distances", "mrp_to_ssp", "neighborhood",
+    "max_reach", "min_distances", "mrp_to_ssp",
     "nts_from_mdp", "parse_dra", "parse_model", "run",
     "serialize_model", "synthesize",
 ]

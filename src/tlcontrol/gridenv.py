@@ -28,24 +28,28 @@ direction of travel. The noise model sends each control to its intended
 adjacent region with probability eta and spreads the rest uniformly over
 the other feasible forward outcomes.
 
-``parse_map`` indexes every open cell by its region once
-(``EnvMap.cell_region``) and every intersection's arms once
-(``EnvMap.arms``); the model builds and the lazy per-step queries read
-those indexes, so a model build costs a constant per motion state and
-control. The builds share one outcome table: ``build_nts`` works out the
-outcomes of every enabled (pair state, control) once and writes them as the
-possibilistic model's CSR rows, and ``build_mdp`` takes its supports from
-those rows, looking up only which outcome each control intends.
+``parse_map`` indexes every open cell by its region, every intersection's
+arms and the sorted motion states once (``EnvMap.cell_region``,
+``EnvMap.arms``, ``EnvMap.pairs``), so a model build costs a constant per
+motion state and control. ``build_nts`` is the map's one outcome table: it
+works out the outcomes of every enabled (pair state, control) once and
+writes them as the possibilistic model's CSR rows. The noise model is
+defined once, as weights over a set of those rows (``_row_weights``):
+``build_mdp`` weighs every row, and ``transition_rows``, the lazy provider
+of a run that builds no MDP, weighs one row per query, so the two give the
+same rows bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .models import LabeledModel, NTS, MDP, _ptr
+from .synthesis import _expand
 
 ACTIONS = ("FollowRoad", "GoLeft", "GoRight", "GoStraight")
 
@@ -76,6 +80,7 @@ class EnvMap:
     # intersection ident -> {direction: adjacent region}, directions in _DIRS order
     arms: Mapping[int, Mapping[tuple[int, int], int]]
     adjacency: Mapping[int, tuple[int, ...]]
+    pairs: np.ndarray  # (n, 2): the sorted (previous, current) motion states
     region_obs: Mapping[int, frozenset[str]]
     props: tuple[str, ...]
     start: tuple[int, int] | None  # (previous region, current region)
@@ -220,12 +225,16 @@ def parse_map(text: str) -> EnvMap:
             raise MapError("start regions are not adjacent")
         start = (prev_region, cur_region)
 
+    pairs = np.array(sorted((p, c) for p in adjacency for c in adjacency[p]),
+                     dtype=np.int64).reshape(-1, 2)
+    pairs.flags.writeable = False
     return EnvMap(
         grid=tuple(grid),
         regions=tuple(regions),
         cell_region=where,
         arms=arms,
         adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
+        pairs=pairs,
         region_obs={k: frozenset(v) for k, v in region_obs.items()},
         props=props,
         start=start,
@@ -244,37 +253,12 @@ def _parse_cell(token: str) -> tuple[int, int]:
 # Pair states
 
 
-def pair_states(env: EnvMap) -> list[tuple[int, int]]:
-    """All ordered (previous, current) adjacent region pairs, sorted."""
-    return sorted((p, c) for p in env.adjacency for c in env.adjacency[p])
-
-
-def _targets(env: EnvMap, pair: tuple[int, int]) -> dict[str, int]:
-    """The turn controls enabled at an intersection pair state, in
-    ``ACTIONS`` order, each with the region it aims for."""
-    prev, cur = pair
-    arms = env.arms[cur]
-    back = next(d for d, reg in arms.items() if reg == prev)
-    heading = _OPPOSITE[back]
-    return {name: arms[d] for name, d in (("GoLeft", _ROT_LEFT[heading]),
-                                          ("GoRight", _ROT_RIGHT[heading]),
-                                          ("GoStraight", heading))
-            if d in arms}
-
-
-def enabled_actions(env: EnvMap, pair: tuple[int, int]) -> list[str]:
-    if env.regions[pair[1]].kind == "corridor":
-        return ["FollowRoad"]
-    return list(_targets(env, pair))
-
-
 CONFUSION_MODES = ("uniform", "undershoot")
 
 
-def _outcomes(env: EnvMap, pair: tuple[int, int], confusion: str
-              ) -> dict[str, tuple[int, tuple[int, ...]]]:
-    """``outcome_support`` of every control enabled at a pair state, in
-    ``ACTIONS`` order."""
+def _aims(env: EnvMap, pair: tuple[int, int]) -> dict[str, int]:
+    """The controls enabled at a pair state, in ``ACTIONS`` order, each with
+    the region it aims for."""
     prev, cur = pair
     region = env.regions[cur]
     if region.kind == "corridor":
@@ -282,56 +266,53 @@ def _outcomes(env: EnvMap, pair: tuple[int, int], confusion: str
         if len(ends) > 1:
             raise MapError(f"corridor {region.name} has an ambiguous far end")
         # Dead ends turn the robot around.
-        return {"FollowRoad": (ends[0] if ends else prev, ())}
-    targets = _targets(env, pair)
-    if confusion == "uniform":
-        return {name: (aim, tuple(sorted(other for key, other in targets.items()
-                                         if key != name)))
-                for name, aim in targets.items()}
-    straight = targets.get("GoStraight")
-    return {name: (aim, () if name == "GoStraight" or straight is None else (straight,))
-            for name, aim in targets.items()}
+        return {"FollowRoad": ends[0] if ends else prev}
+    arms = env.arms[cur]
+    heading = _OPPOSITE[next(d for d, reg in arms.items() if reg == prev)]
+    return {name: arms[d] for name, d in (("GoLeft", _ROT_LEFT[heading]),
+                                          ("GoRight", _ROT_RIGHT[heading]),
+                                          ("GoStraight", heading))
+            if d in arms}
 
 
-def outcome_support(env: EnvMap, pair: tuple[int, int], action: str,
-                    confusion: str = "uniform") -> tuple[int, tuple[int, ...]]:
-    """(intended region, wrong-but-feasible regions) for one control.
+def _outcomes(env: EnvMap, pair: tuple[int, int], confusion: str
+              ) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """(intended region, wrong-but-feasible regions) of every control
+    enabled at a pair state, in ``ACTIONS`` order.
 
     ``uniform`` lets a failed control end up in any other forward arm;
     ``undershoot`` lets a failed turn carry straight through the junction
     while straight motion stays reliable (wrong-outcome supports then
     distinguish the controls at every junction geometry).
     """
-    if confusion not in CONFUSION_MODES:
-        raise MapError(f"unknown confusion model {confusion!r}")
-    outcomes = _outcomes(env, pair, confusion)
-    if action not in outcomes:
-        prev, cur = pair
-        where = env.regions[cur].name
-        if env.regions[cur].kind == "corridor":
-            raise MapError(f"{action} is not enabled in corridor {where}")
-        raise MapError(f"{action} is not enabled at {where} entered from "
-                       f"{env.regions[prev].name}")
-    return outcomes[action]
+    aims = _aims(env, pair)
+    if confusion == "uniform":
+        ends = sorted(aims.values())  # distinct: each arm is its own region
+        return {name: (aim, tuple(end for end in ends if end != aim))
+                for name, aim in aims.items()}
+    straight = aims.get("GoStraight")
+    return {name: (aim, () if name == "GoStraight" or straight is None else (straight,))
+            for name, aim in aims.items()}
 
 
 def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
     """Possibilistic pair-state model of the environment (support matches
     the noise model run with the same confusion mode).
 
-    This is the map's outcome table: the outcomes of every enabled (pair
-    state, control) are worked out once (``_outcomes``, per pair state),
-    and row (pair, control) holds the intended and the wrong ones,
-    ascending. ``build_mdp`` takes its supports from here."""
-    pairs = pair_states(env)
+    This is the map's outcome table: state i is the pair state
+    ``env.pairs[i]``, the outcomes of every enabled (pair state, control)
+    are worked out once (``_outcomes``, per pair state), and row (pair,
+    control) holds the intended and the wrong ones, ascending. The noise
+    model's rows are weights over these rows."""
     if env.start is None:
         raise MapError("map has no 'start' line")
-    if env.start not in pairs:
-        raise MapError("start pair is not a reachable motion state")
     if confusion not in CONFUSION_MODES:
         raise MapError(f"unknown confusion model {confusion!r}")
-    n_actions, row_action, row_size, succ = [], [], [], []
+    pairs = list(map(tuple, env.pairs.tolist()))
+    if env.start not in pairs:
+        raise MapError("start pair is not a reachable motion state")
     n_regions = len(env.regions)
+    n_actions, row_action, row_size, succ = [], [], [], []
     for pair in pairs:
         cur = pair[1]
         outcomes = _outcomes(env, pair, confusion)
@@ -342,8 +323,7 @@ def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
             row_size.append(len(ends))
             succ.extend(cur * n_regions + out for out in ends)
     # Successor pair (cur, out) by its code; the pairs are sorted.
-    codes = np.array([p * n_regions + c for p, c in pairs], dtype=np.int64)
-    succ = np.searchsorted(codes, np.array(succ, dtype=np.int64))
+    codes = env.pairs[:, 0] * n_regions + env.pairs[:, 1]
     return LabeledModel(
         n_states=len(pairs),
         initial=pairs.index(env.start),
@@ -355,7 +335,7 @@ def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
         state_ptr=_ptr(n_actions),
         row_action=row_action,
         row_ptr=_ptr(row_size),
-        succ=succ,
+        succ=np.searchsorted(codes, np.array(succ, dtype=np.int64)),
         weight=np.ones(len(succ)),
         state_names=tuple(f"{env.regions[p].name}-{env.regions[c].name}" for p, c in pairs),
     )
@@ -384,100 +364,79 @@ class NoiseModel:
         return float(eta)
 
 
-def transition_probs(env: EnvMap, noise: NoiseModel, pair: tuple[int, int],
-                     action: str) -> tuple[tuple[tuple[int, int], float], ...]:
-    """Outcome distribution over successor pair states for one control."""
-    prev, cur = pair
-    intended, wrong = outcome_support(env, pair, action, noise.confusion)
-    if not wrong:
-        dist = [((cur, intended), 1.0)]
-    else:
-        eta = noise.success_probability(action)
-        slip = (1.0 - eta) / len(wrong)
-        dist = [((cur, intended), eta)] + [((cur, out), slip) for out in wrong]
-        dist = [(succ, p) for succ, p in dist if p > 0]
+def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The noise model over the NTS rows ``rows`` (ascending row ids): the
+    entries it gives positive probability, in order, and their
+    probabilities.
+
+    ``nts`` is the map's ``build_nts`` model under ``noise.confusion``. A
+    row with one outcome keeps probability 1 on it; in a row with more, the
+    intended outcome (the region its control aims for) gets the success
+    probability and the wrong ones equal shares of the rest. With
+    ``mc_runs`` a row with more outcomes holds the frequencies of that many
+    draws over its (intended, wrong...) outcomes of positive probability,
+    from a generator seeded with (``noise.seed``, pair state, action id).
+    """
+    cur = env.pairs[:, 1]
+    size = nts.row_ptr[rows + 1] - nts.row_ptr[rows]
+    owner, entry = _expand(nts.row_ptr, rows)
+    # Each row's intended region and success probability; a row with one
+    # outcome aims for it and succeeds surely.
+    aim = cur[nts.succ[nts.row_ptr[rows]]]
+    row_eta = np.ones(len(rows))
+    multi = np.flatnonzero(size > 1).tolist()
+    states, actions = nts.row_state[rows].tolist(), nts.row_action[rows].tolist()
+    eta: dict[str, float] = {}
+    last = aims = None
+    for k in multi:
+        q, name = states[k], ACTIONS[actions[k]]
+        if q != last:
+            last, aims = q, _aims(env, env.pairs[q].tolist())
+        if name not in eta:
+            eta[name] = noise.success_probability(name)
+        aim[k], row_eta[k] = aims[name], eta[name]
+    slip = (1.0 - row_eta) / np.maximum(size - 1, 1)
+    hit = cur[nts.succ[entry]] == aim[owner]
+    weight = np.where(hit, row_eta[owner], slip[owner])
     if noise.mc_runs:
-        rng = np.random.default_rng([noise.seed, prev, cur, ACTIONS.index(action)])
-        outcomes = rng.choice(len(dist), size=noise.mc_runs,
-                              p=[p for _, p in dist])
-        counts = np.bincount(outcomes, minlength=len(dist))
-        dist = [(succ, count / noise.mc_runs)
-                for (succ, _), count in zip(dist, counts) if count]
-    return tuple(sorted(dist))
+        ptr = _ptr(size)
+        for k in multi:
+            own = np.arange(ptr[k], ptr[k + 1])
+            order = np.concatenate((own[hit[own]], own[~hit[own]]))
+            order = order[weight[order] > 0]
+            rng = np.random.default_rng([noise.seed, *env.pairs[states[k]].tolist(), actions[k]])
+            draws = rng.choice(len(order), size=noise.mc_runs, p=weight[order].tolist())
+            weight[own] = 0.0
+            weight[order] = np.bincount(draws, minlength=len(order)) / noise.mc_runs
+    keep = weight > 0
+    return entry[keep], weight[keep]
 
 
-def transition_rows(env: EnvMap, noise: NoiseModel
+def transition_rows(env: EnvMap, noise: NoiseModel, nts: LabeledModel
                     ) -> Callable[[int, int], tuple[tuple[int, float], ...]]:
-    """The noise model's rows over pair-state indices: ``row(state, action)``
-    is ``transition_probs`` of that pair state and action id, with each
-    successor pair replaced by its index (ascending, as the pairs are)."""
-    pairs = pair_states(env)
-    index = {pair: i for i, pair in enumerate(pairs)}
+    """The noise model's rows one at a time, for a run that builds no MDP:
+    ``row(state, action)`` is row (state, action) of ``build_mdp(env,
+    noise, nts)``, as ``LabeledModel.successors`` gives it. A (state,
+    action) that ``nts`` does not enable raises ``MapError``."""
 
     def row(state: int, action: int) -> tuple[tuple[int, float], ...]:
-        return tuple([(index[succ], p) for succ, p in
-                      transition_probs(env, noise, pairs[state], ACTIONS[action])])
+        try:
+            lo, _hi = nts._entries(state, action)
+        except KeyError:
+            raise MapError(f"action {action} is not enabled at pair state {state}") from None
+        entry, weight = _row_weights(env, noise, nts, nts.entry_row[lo:lo + 1])
+        return tuple(zip(nts.succ[entry].tolist(), weight.tolist()))
 
     return row
 
 
 def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel:
-    """Materialize the full probabilistic model (for the exact oracles; the
-    lazy path never needs it); row by row it equals ``transition_rows``.
-
-    ``nts`` is the map's ``build_nts`` model under ``noise.confusion``: its
-    states, enabled actions and labels are kept, and its rows are the
-    outcome table. A row with one outcome keeps probability 1 on it; in a
-    row with more, the intended outcome (the region its control aims for)
-    gets the success probability and the wrong ones equal shares of the
-    rest, shares of 0 dropped.
-    """
-    pairs = pair_states(env)
-    pair_cur = np.array([cur for _prev, cur in pairs], dtype=np.int64)
-    size = np.diff(nts.row_ptr)
-    multi = np.flatnonzero(size > 1).tolist()
-    row_state, row_action = nts.row_state.tolist(), nts.row_action.tolist()
-    # Each row's intended region and success probability; a row with one
-    # outcome aims for it and succeeds surely.
-    aim = pair_cur[nts.succ[nts.row_ptr[:-1]]]
-    row_eta = np.ones(len(size))
-    eta: dict[int, float] = {}
-    last = targets = None
-    for r in multi:
-        q, u = row_state[r], row_action[r]
-        if u not in eta:
-            eta[u] = noise.success_probability(ACTIONS[u])
-        if q != last:
-            last, targets = q, _targets(env, pairs[q])
-        aim[r], row_eta[r] = targets[ACTIONS[u]], eta[u]
-    slip = (1.0 - row_eta) / np.maximum(size - 1, 1)
-    entry_row = nts.entry_row
-    hit = pair_cur[nts.succ] == aim[entry_row]
-    weight = np.where(hit, row_eta[entry_row], slip[entry_row])
-    if noise.mc_runs:
-        # Monte-Carlo frequencies over (intended, wrong...) with positive
-        # probability, drawn per row as transition_probs does.
-        for r in multi:
-            own = np.arange(nts.row_ptr[r], nts.row_ptr[r + 1])
-            order = np.concatenate((own[hit[own]], own[~hit[own]]))
-            order = order[weight[order] > 0]
-            prev, cur = pairs[row_state[r]]
-            rng = np.random.default_rng([noise.seed, prev, cur, row_action[r]])
-            outcomes = rng.choice(len(order), size=noise.mc_runs, p=weight[order].tolist())
-            weight[own] = 0.0
-            weight[order] = np.bincount(outcomes, minlength=len(order)) / noise.mc_runs
-    keep = weight > 0
-    return LabeledModel(
-        n_states=nts.n_states,
-        initial=nts.initial,
-        actions=nts.actions,
-        props=nts.props,
-        labels=nts.labels,
-        mode=MDP,
-        state_ptr=nts.state_ptr,
-        row_action=nts.row_action,
-        row_ptr=_ptr(np.bincount(entry_row[keep], minlength=len(size))),
-        succ=nts.succ[keep],
-        weight=weight[keep],
-        state_names=nts.state_names,
-    )
+    """Materialize the full probabilistic model (for the exact oracles; a
+    run without them reads single rows through ``transition_rows``): the
+    states, enabled actions and labels of ``nts``, the map's ``build_nts``
+    model under ``noise.confusion``, with the rows ``_row_weights`` gives."""
+    entry, weight = _row_weights(env, noise, nts, np.arange(nts.n_enabled_pairs()))
+    return dataclasses.replace(
+        nts, mode=MDP, succ=nts.succ[entry], weight=weight,
+        row_ptr=_ptr(np.bincount(nts.entry_row[entry], minlength=nts.n_enabled_pairs())))

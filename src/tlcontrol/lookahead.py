@@ -9,15 +9,21 @@ log-policy gradient has the closed form
 
     psi(i, u) = E[f | first action = u] - E[f]
 
-with expectations under the sequence softmax. Features do not depend on
-theta, so the tables of every non-terminal state are built once, at
-construction, from the model's CSR rows: the horizon-t expansion is t
-repeated joins of (sequence, reached state) pairs with the rows and their
-entries, every state's neighborhood is ``radius`` joins with the successor
-relation, and each feature is a segment sum over a sequence's reached
-neighborhood states, added in ascending state order. The tables are flat
-arrays: each state's sequences are one slice, listed lexicographically, so
-each first action's sequences are one contiguous group of that slice.
+with expectations under the sequence softmax. A sequence u1..ut is
+admissible when each u_k is enabled at some state reachable from the root
+via u1..u_{k-1}; its reach set is propagated forward, skipping branch
+states where the next action is disabled. A state's neighborhood is the
+set of states within forward possibilistic distance ``radius`` of it.
+
+Features do not depend on theta, so the tables of every non-terminal
+state are built once, at construction, from the model's CSR rows: the
+horizon-t expansion is t repeated joins of (sequence, reached state) pairs
+with the rows and their entries, every state's neighborhood is ``radius``
+joins with the successor relation, and each feature is a segment sum over
+a sequence's reached neighborhood states, added in ascending state order.
+The tables are flat arrays: each state's sequences are one slice, listed
+lexicographically, so each first action's sequences are one contiguous
+group of that slice.
 
 At a state whose sequences all start with one action, mu_theta = 1 and
 psi = 0 exactly at every theta, so ``sample_action`` returns that action
@@ -85,69 +91,10 @@ def min_distances(
     return np.array(dist)
 
 
-def neighborhood(m: LabeledModel, state: int, radius: int) -> frozenset[int]:
-    """States within forward possibilistic distance ``radius`` of ``state``
-    (one state at a time; ``LookaheadPolicy`` computes every state's at
-    once)."""
-    if radius < 1:
-        raise ModelError("neighborhood radius must be >= 1")
-    seen = {state}
-    frontier = [state]
-    for _ in range(radius):
-        nxt = []
-        for q in frontier:
-            for u in m.enabled[q]:
-                for succ in m.support(q, u):
-                    if succ not in seen:
-                        seen.add(succ)
-                        nxt.append(succ)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(seen)
-
-
-def action_sequences(
-    m: LabeledModel, state: int, horizon: int, cap: int = 10_000
-) -> list[tuple[tuple[int, ...], frozenset[int]]]:
-    """All depth-``horizon`` action sequences from ``state`` with their exact
-    possibilistic reach sets.
-
-    A sequence u1..ut is admissible when each u_k is enabled at some state
-    reachable from ``state`` via u1..u_{k-1}; the reach set is propagated
-    forward, skipping branch states where the next action is disabled.
-    Sequences come out in lexicographic action-id order. This expands one
-    state recursively; ``LookaheadPolicy`` builds every state's sequences
-    at once.
-    """
-    if horizon < 1:
-        raise ModelError("lookahead horizon must be >= 1")
-    out: list[tuple[tuple[int, ...], frozenset[int]]] = []
-
-    def expand(prefix: tuple[int, ...], reach: frozenset[int]) -> None:
-        if len(prefix) == horizon:
-            out.append((prefix, reach))
-            if len(out) > cap:
-                raise SequenceCapExceeded(
-                    f"more than {cap} action sequences from state {state}")
-            return
-        options = sorted({u for q in reach for u in m.enabled[q]})
-        for u in options:
-            nxt: set[int] = set()
-            for q in reach:
-                if u in m.enabled[q]:
-                    nxt.update(m.support(q, u))
-            expand(prefix + (u,), frozenset(nxt))
-
-    expand((), frozenset([state]))
-    return out
-
-
 def _sequence_reach(m: LabeledModel, roots: np.ndarray, horizon: int, cap: int
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every root's depth-``horizon`` action sequences (roots in order, each
-    root's sequences lexicographic) with their reach sets, as
-    ``action_sequences`` defines them.
+    root's sequences lexicographic) with their reach sets.
 
     Returns the root index and first action of each sequence and its
     reached states as (sequence, state) pairs sorted by sequence, then
@@ -180,8 +127,7 @@ def _sequence_reach(m: LabeledModel, roots: np.ndarray, horizon: int, cap: int
 
 
 def _neighborhoods(m: LabeledModel, radius: int) -> np.ndarray:
-    """Every state's neighborhood (as ``neighborhood`` defines it) as sorted
-    codes state * n + member."""
+    """Every state's neighborhood as sorted codes state * n + member."""
     n = m.n_states
     adj_src, adj_dst = np.divmod(_distinct(m.row_state[m.entry_row] * n + m.succ), n)
     adj_ptr = _ptr(np.bincount(adj_src, minlength=n))
@@ -294,14 +240,10 @@ class LookaheadPolicy:
 
     # -- score tables -------------------------------------------------------
 
-    def safe(self, state: int) -> float:
-        """The fraction of the state's neighborhood outside the restart set."""
-        return float(self._safe[state])
-
     def sequence_table(self, state: int) -> tuple[np.ndarray, np.ndarray]:
         """The first action and the feature pair of each of the sequences
-        from ``state``, listed as ``action_sequences`` lists them: views of
-        the policy's tables (the terminal has none)."""
+        from ``state``, in lexicographic action-id order: views of the
+        policy's tables (the terminal has none)."""
         lo, hi = self._seq_ptr[state], self._seq_ptr[state + 1]
         return self._first[lo:hi], self._feats[lo:hi]
 
@@ -362,13 +304,6 @@ class LookaheadPolicy:
         mass = _left_sums(w, self._seq_group, len(self._group_start))
         total = _left_sums(mass, self._group_owner, len(self._root_seq_start))
         return mass / total[self._group_owner]
-
-    def action_probability(self, state: int, action: int) -> float:
-        acts, probs = self.action_distribution(state)
-        if state == self.ssp.terminal:
-            return float(probs[action]) if 0 <= action < len(acts) else 0.0
-        lookup = self._groups[state].lookup
-        return float(probs[lookup.index(action)]) if action in lookup else 0.0
 
     def log_policy_gradient(self, state: int, action: int) -> np.ndarray:
         """Gradient of ln mu_theta(state, action) with respect to theta."""

@@ -16,12 +16,18 @@ Model file format (line oriented, ``#`` starts a comment):
     states N
     initial q0
     mode mdp|nts
+    actions u1 u2 ...
     props p1 p2 ...
+    name q NAME
     label q: p_i p_j
     trans q u q' w
 
-States are integers ``0..N-1``. Action names are free strings and are
-interned to dense integer ids in order of first appearance. In ``mdp`` mode
+States are integers ``0..N-1``. Action names are free strings without
+whitespace or ``#``. An ``actions`` line, before any ``trans`` line, gives
+them dense integer ids in its order, and every ``trans`` line must then
+name a declared action; without it, actions are numbered in order of first
+appearance. ``name`` lines are optional, but name every state when present
+(a name holds no whitespace or ``#``). In ``mdp`` mode
 ``w`` is a probability and each (state, action) row must sum to 1 within
 1e-9; in ``nts`` mode ``w`` must be exactly 0 or 1 and marks a possible
 transition (zero-weight entries are dropped in both modes).
@@ -330,12 +336,16 @@ def parse_model(text: str) -> LabeledModel:
     props: list[str] = []
     actions: list[str] = []
     action_ids: dict[str, int] = {}
+    declared = False
     rows: dict[tuple[int, int], dict[int, float]] = {}
     row_line: dict[tuple[int, int], int] = {}
     labels: dict[int, int] = {}
+    state_names: dict[int, str] = {}
 
-    def intern_action(name: str) -> int:
+    def intern_action(name: str, lineno: int) -> int:
         if name not in action_ids:
+            if declared:
+                raise ParseError(lineno, f"undeclared action {name!r}")
             action_ids[name] = len(actions)
             actions.append(name)
         return action_ids[name]
@@ -354,10 +364,25 @@ def parse_model(text: str) -> LabeledModel:
             if len(tokens) != 2 or tokens[1] not in (MDP, NTS):
                 raise ParseError(lineno, "mode must be 'mdp' or 'nts'")
             mode = tokens[1]
+        elif key == "actions":
+            if actions or declared:
+                raise ParseError(lineno, "'actions' must come once, before any transition")
+            if len(set(tokens[1:])) != len(tokens) - 1:
+                raise ParseError(lineno, "duplicate action names")
+            for name in tokens[1:]:
+                intern_action(name, lineno)
+            declared = True
         elif key == "props":
             props = tokens[1:]
             if len(set(props)) != len(props):
                 raise ParseError(lineno, "duplicate proposition names")
+        elif key == "name":
+            if len(tokens) != 3:
+                raise ParseError(lineno, "expected 'name q NAME'")
+            state = _int_field(tokens[:2], lineno, "name")
+            if state in state_names:
+                raise ParseError(lineno, f"duplicate name line for state {state}")
+            state_names[state] = tokens[2]
         elif key == "label":
             state, names = _parse_label(line, lineno)
             if state in labels:
@@ -376,7 +401,7 @@ def parse_model(text: str) -> LabeledModel:
                 w = float(tokens[4])
             except ValueError:
                 raise ParseError(lineno, f"bad transition line {line!r}") from None
-            u = intern_action(tokens[2])
+            u = intern_action(tokens[2], lineno)
             rows.setdefault((q, u), {})
             row_line.setdefault((q, u), lineno)
             if succ in rows[(q, u)]:
@@ -424,10 +449,13 @@ def parse_model(text: str) -> LabeledModel:
     for q in labels:
         if not (0 <= q < n_states):
             raise ModelError(f"dangling state id {q} in a label line")
+    if state_names and sorted(state_names) != list(range(n_states)):
+        raise ModelError("name lines must name every state exactly once")
 
     return LabeledModel.from_rows(
         transitions, n_states=n_states, initial=initial, actions=tuple(actions), mode=mode,
-        props=tuple(props), labels=[labels.get(q, 0) for q in range(n_states)])
+        props=tuple(props), labels=[labels.get(q, 0) for q in range(n_states)],
+        state_names=tuple(map(state_names.get, range(n_states))) if state_names else None)
 
 
 def _int_field(tokens: list[str], lineno: int, name: str) -> int:
@@ -452,13 +480,18 @@ def _parse_label(line: str, lineno: int) -> tuple[int, list[str]]:
 
 
 def serialize_model(m: LabeledModel) -> str:
-    """Canonical text form; parse_model(serialize_model(m)) reproduces ``m``."""
-    out = [f"states {m.n_states}", f"initial {m.initial}", f"mode {m.mode}"]
+    """Canonical text form; parse_model(serialize_model(m)) reproduces ``m``.
+    Raises ModelError for an action or state name the format cannot hold."""
+    for kind, names in (("action", m.actions), ("state", m.state_names or ())):
+        text = " ".join(names)
+        if "#" in text or len(text.split()) != len(names):
+            raise ModelError(f"a {kind} name is empty or holds whitespace or '#'")
+    out = [f"states {m.n_states}", f"initial {m.initial}", f"mode {m.mode}",
+           "actions " + " ".join(m.actions)]
     if m.props:
         out.append("props " + " ".join(m.props))
     if m.state_names:
-        for q, name in enumerate(m.state_names):
-            out.append(f"# state {q} {name}")
+        out.extend(f"name {q} {name}" for q, name in enumerate(m.state_names))
     for q, label in enumerate(m.labels.tolist()):
         if label:
             names = [p for i, p in enumerate(m.props) if label >> i & 1]

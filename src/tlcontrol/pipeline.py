@@ -143,6 +143,8 @@ class TaskContext:
     dra: RabinAutomaton
     base_nts: LabeledModel
     base_mdp: LabeledModel | None
+    # base_mdp's rows, or the map's lazy rows (gridenv.transition_rows) when
+    # no MDP is built
     base_row: TransitionSource
     product: ProductModel
     product_mdp: ProductModel | None
@@ -168,14 +170,13 @@ def load_task(cfg: RunConfig) -> TaskContext:
                                    mc_runs=cfg.mc_runs, seed=cfg.noise_seed)
         base_nts = gridenv.build_nts(env, cfg.confusion)
         base_mdp = gridenv.build_mdp(env, noise, base_nts) if cfg.exact_reference else None
-        base_row = gridenv.transition_rows(env, noise)
     else:
-        base = parse_model(Path(cfg.model).read_text())
-        if base.mode != MDP:
+        base_mdp = parse_model(Path(cfg.model).read_text())
+        if base_mdp.mode != MDP:
             raise ModelError("model-file tasks need an MDP-mode model")
-        base_mdp = base
-        base_nts = nts_from_mdp(base)
-        base_row = base_mdp.successors
+        base_nts = nts_from_mdp(base_mdp)
+    base_row = (base_mdp.successors if base_mdp is not None
+                else gridenv.transition_rows(env, noise, base_nts))
     product = build_product(base_nts, dra, cfg.label_rule)
     amec_list = amecs(product)
     goal, bad = goal_and_bad_sets(product, amec_list)

@@ -1,16 +1,22 @@
-"""Dict-of-rows reference for the array model builds.
+"""Dict-of-rows and per-state references for the array builds.
 
-Each function is the per-row dict implementation that the array code in
-``tlcontrol.synthesis`` replaced, working on ``DictModel``s: a model as a
-dict (state, action) -> ((successor, weight), ...). ``of`` and
+The model functions are the per-row dict implementations that the array
+code in ``tlcontrol.synthesis`` replaced, working on ``DictModel``s: a
+model as a dict (state, action) -> ((successor, weight), ...). ``of`` and
 ``of_product`` turn array results into the same form, so a test can
 compare the two builds exactly, weights bit for bit.
+
+``neighborhood`` and ``action_sequences`` are the one-state-at-a-time
+definitions that ``LookaheadPolicy``'s all-state tables replaced, and
+``safe`` and ``action_probability`` read one state's entry of a policy's
+tables and distribution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from tlcontrol.lookahead import SequenceCapExceeded
 from tlcontrol.models import MDP, ModelError
 
 
@@ -193,3 +199,71 @@ def mrp_to_ssp(p: DictProduct, goal: frozenset[int], bad: frozenset[int],
     base = DictModel(terminal + 1, new_initial, m.mode, tuple(enabled), rows,
                      tuple(m.labels[old] for old in keep) + (0,), names)
     return DictSsp(base, terminal, frozenset(remap[q] for q in bad), tuple(keep) + (-1,))
+
+
+def neighborhood(m, state: int, radius: int) -> frozenset[int]:
+    """States within forward possibilistic distance ``radius`` of ``state``."""
+    if radius < 1:
+        raise ModelError("neighborhood radius must be >= 1")
+    seen = {state}
+    frontier = [state]
+    for _ in range(radius):
+        nxt = []
+        for q in frontier:
+            for u in m.enabled[q]:
+                for succ in m.support(q, u):
+                    if succ not in seen:
+                        seen.add(succ)
+                        nxt.append(succ)
+        if not nxt:
+            break
+        frontier = nxt
+    return frozenset(seen)
+
+
+def action_sequences(
+    m, state: int, horizon: int, cap: int = 10_000
+) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """All depth-``horizon`` action sequences from ``state`` with their exact
+    possibilistic reach sets.
+
+    A sequence u1..ut is admissible when each u_k is enabled at some state
+    reachable from ``state`` via u1..u_{k-1}; the reach set is propagated
+    forward, skipping branch states where the next action is disabled.
+    Sequences come out in lexicographic action-id order.
+    """
+    if horizon < 1:
+        raise ModelError("lookahead horizon must be >= 1")
+    out: list[tuple[tuple[int, ...], frozenset[int]]] = []
+
+    def expand(prefix: tuple[int, ...], reach: frozenset[int]) -> None:
+        if len(prefix) == horizon:
+            out.append((prefix, reach))
+            if len(out) > cap:
+                raise SequenceCapExceeded(
+                    f"more than {cap} action sequences from state {state}")
+            return
+        options = sorted({u for q in reach for u in m.enabled[q]})
+        for u in options:
+            nxt: set[int] = set()
+            for q in reach:
+                if u in m.enabled[q]:
+                    nxt.update(m.support(q, u))
+            expand(prefix + (u,), frozenset(nxt))
+
+    expand((), frozenset([state]))
+    return out
+
+
+def safe(pol, state: int) -> float:
+    """The fraction of the state's neighborhood outside the restart set, as
+    the policy's table holds it."""
+    return float(pol._safe[state])
+
+
+def action_probability(pol, state: int, action: int) -> float:
+    """mu_theta(state, action): the action's probability in
+    ``action_distribution``, 0 for an action the state does not offer."""
+    acts, probs = pol.action_distribution(state)
+    acts = acts.tolist()
+    return float(probs[acts.index(action)]) if action in acts else 0.0

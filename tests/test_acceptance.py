@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dict_reference import action_probability
 from tlcontrol import exact
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.pipeline import RunConfig, _product_row_index, _to_product_rows, synthesize
@@ -144,7 +145,7 @@ def test_criterion_4_policy_gradient_correctness():
             for sign in (1.0, -1.0):
                 pol.theta = base.copy()
                 pol.theta[i] += sign * h
-                fd[i] += sign * np.log(pol.action_probability(state, u))
+                fd[i] += sign * np.log(action_probability(pol, state, u))
         pol.theta = base
         fd /= 2 * h
         rel = np.linalg.norm(fd - psi) / max(1.0, np.linalg.norm(fd))

@@ -8,12 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dict_reference as ref
-from tlcontrol.lookahead import (
-    LookaheadPolicy,
-    SequenceCapExceeded,
-    action_sequences,
-    neighborhood,
-)
+from tlcontrol.lookahead import LookaheadPolicy, SequenceCapExceeded
 from tlcontrol.models import MDP, NTS, LabeledModel, ModelError, RabinAutomaton, nts_from_mdp
 from tlcontrol.synthesis import (
     Amec,
@@ -123,13 +118,13 @@ def test_goal_mass_is_summed_in_entry_order():
 def brute_force_features(pol, ssp, state, horizon, radius):
     """The feature pairs of the state's sequences from the per-state
     definitions, each a running sum in ascending state order."""
-    nb = neighborhood(ssp.base, state, radius)
+    nb = ref.neighborhood(ssp.base, state, radius)
     clamped = np.where(np.isfinite(pol.progress), pol.progress, pol.progress_penalty)
     out = []
-    for _seq, reach in action_sequences(ssp.base, state, horizon):
+    for _seq, reach in ref.action_sequences(ssp.base, state, horizon):
         f1 = f2 = 0.0
         for j in sorted(reach & nb):
-            nb_j = neighborhood(ssp.base, j, radius)
+            nb_j = ref.neighborhood(ssp.base, j, radius)
             f1 += sum(1 for i in nb_j if i not in ssp.bad) / len(nb_j)
             f2 += float(clamped[j]) - float(clamped[state])
         out.append([f1, f2])
@@ -149,13 +144,13 @@ def test_all_state_tables_match_brute_force(seed, horizon, radius, n_states, n_a
     pol = LookaheadPolicy(ssp, horizon=horizon, radius=radius, theta=theta)
     per_state = []
     for state in range(ssp.base.n_states):
-        nb = neighborhood(ssp.base, state, radius)
-        assert pol.safe(state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
+        nb = ref.neighborhood(ssp.base, state, radius)
+        assert ref.safe(pol, state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
         first, feats = pol.sequence_table(state)
         if state == ssp.terminal:
             assert len(first) == len(feats) == 0
             continue
-        seqs = action_sequences(ssp.base, state, horizon)
+        seqs = ref.action_sequences(ssp.base, state, horizon)
         assert first.tolist() == [seq[0] for seq, _reach in seqs]
         assert feats.tolist() == brute_force_features(pol, ssp, state, horizon, radius)
         per_state.append(pol.action_distribution(state)[1])
@@ -166,7 +161,7 @@ def test_all_state_tables_match_brute_force(seed, horizon, radius, n_states, n_a
 
 def test_sequence_cap_is_checked_at_construction():
     ssp = make_random_ssp(np.random.default_rng(7), n_states=8, n_actions=3)
-    counts = {s: len(action_sequences(ssp.base, s, 3, cap=10 ** 6))
+    counts = {s: len(ref.action_sequences(ssp.base, s, 3, cap=10 ** 6))
               for s in range(ssp.base.n_states) if s != ssp.terminal}
     cap = max(counts.values()) - 1
     with pytest.raises(SequenceCapExceeded, match=f"more than {cap} action sequences") as err:
@@ -174,5 +169,5 @@ def test_sequence_cap_is_checked_at_construction():
     named = int(re.search(r"from state (\d+)", str(err.value)).group(1))
     assert counts[named] > cap
     with pytest.raises(SequenceCapExceeded):
-        action_sequences(ssp.base, named, 3, cap=cap)
+        ref.action_sequences(ssp.base, named, 3, cap=cap)
     LookaheadPolicy(ssp, horizon=3, sequence_cap=cap + 1)

@@ -7,11 +7,7 @@ from tlcontrol.gridenv import (
     NoiseModel,
     build_mdp,
     build_nts,
-    enabled_actions,
-    outcome_support,
-    pair_states,
     parse_map,
-    transition_probs,
     transition_rows,
 )
 from tlcontrol.models import MDP, NTS, LabeledModel
@@ -60,6 +56,28 @@ a: up
 
 def region_names(env, kind=None):
     return [r.name for r in env.regions if kind is None or r.kind == kind]
+
+
+def pair_list(env):
+    return [tuple(pair) for pair in env.pairs.tolist()]
+
+
+def production_rows(env, noise):
+    """The map's NTS and its noise rows as the pipeline obtains them:
+    ``row(pair, action name)`` is the lazy row over (previous, current)
+    pairs, checked against the same row of ``build_mdp``."""
+    nts = build_nts(env, noise.confusion)
+    mdp = build_mdp(env, noise, nts)
+    lazy = transition_rows(env, noise, nts)
+    pairs = pair_list(env)
+
+    def row(pair, action):
+        q, u = pairs.index(pair), ACTIONS.index(action)
+        got = lazy(q, u)
+        assert got == mdp.successors(q, u)
+        return tuple((pairs[succ], p) for succ, p in got)
+
+    return nts, row
 
 
 def test_strip_is_single_corridor():
@@ -117,22 +135,22 @@ def test_dead_end_follow_road_turns_around():
     env = parse_map(TEE)
     node = next(r for r in env.regions if r.kind == "intersection")
     stub = env.cell_region[(2, 2)]
-    assert enabled_actions(env, (node.ident, stub)) == ["FollowRoad"]
-    intended, wrong = outcome_support(env, (node.ident, stub), "FollowRoad")
-    assert intended == node.ident and wrong == ()
-    dist = transition_probs(env, NoiseModel(eta=1.0), (node.ident, stub), "FollowRoad")
-    assert dist == (((stub, node.ident), 1.0),)
+    nts, row = production_rows(env, NoiseModel(eta=1.0))
+    state = pair_list(env).index((node.ident, stub))
+    assert nts.enabled[state] == (ACTIONS.index("FollowRoad"),)
+    assert row((node.ident, stub), "FollowRoad") == (((stub, node.ident), 1.0),)
 
 
 def test_four_way_enabled_and_uniform_confusion():
-    env = parse_map(FOURWAY)
+    env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
     node = next(r for r in env.regions if r.kind == "intersection")
     south = env.cell_region[(4, 3)]   # arm the robot came from
     pair = (south, node.ident)
-    assert enabled_actions(env, pair) == ["GoLeft", "GoRight", "GoStraight"]
     # Uniform mode: intended 0.9, uniform slip over the 2 wrong arms.
-    noise = NoiseModel(eta=0.9, confusion="uniform")
-    dist = dict(transition_probs(env, noise, pair, "GoLeft"))
+    nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="uniform"))
+    assert [ACTIONS[u] for u in nts.enabled[pair_list(env).index(pair)]] == [
+        "GoLeft", "GoRight", "GoStraight"]
+    dist = dict(row(pair, "GoLeft"))
     west = env.cell_region[(3, 1)]
     east = env.cell_region[(3, 5)]
     north = env.cell_region[(1, 3)]
@@ -142,25 +160,32 @@ def test_four_way_enabled_and_uniform_confusion():
 
 
 def test_undershoot_confusion_distinguishes_controls():
-    env = parse_map(FOURWAY)
+    env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
     node = next(r for r in env.regions if r.kind == "intersection")
     south = env.cell_region[(4, 3)]
     pair = (south, node.ident)
     west = env.cell_region[(3, 1)]
     north = env.cell_region[(1, 3)]
-    noise = NoiseModel(eta=0.9, confusion="undershoot")
-    left = dict(transition_probs(env, noise, pair, "GoLeft"))
+    _nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="undershoot"))
+    left = dict(row(pair, "GoLeft"))
     assert left == {(node.ident, west): 0.9, (node.ident, north): pytest.approx(0.1)}
-    straight = dict(transition_probs(env, noise, pair, "GoStraight"))
+    straight = dict(row(pair, "GoStraight"))
     assert straight == {(node.ident, north): 1.0}
 
 
 def test_disabled_action_rejected():
-    env = parse_map(FOURWAY)
+    env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
     node = next(r for r in env.regions if r.kind == "intersection")
     south = env.cell_region[(4, 3)]
+    nts = build_nts(env)
+    row = transition_rows(env, NoiseModel(), nts)
+    state = pair_list(env).index((south, node.ident))
+    # A lazy row for an action the state does not enable, or for a state
+    # out of range, is a map error.
     with pytest.raises(MapError, match="not enabled"):
-        outcome_support(env, (south, node.ident), "FollowRoad")
+        row(state, ACTIONS.index("FollowRoad"))
+    with pytest.raises(MapError, match="not enabled"):
+        row(nts.n_states, 0)
 
 
 def test_desk_map_golden_counts():
@@ -198,20 +223,20 @@ def test_desk_map_golden_counts():
 @pytest.mark.parametrize("confusion", ["uniform", "undershoot"])
 def test_support_consistency_on_desk_map(confusion):
     env = parse_map(open("tasks/desk.map").read())
-    nts = build_nts(env, confusion)
-    pairs = pair_states(env)
-    index = {pair: i for i, pair in enumerate(pairs)}
-    noise = NoiseModel(eta=0.9, confusion=confusion)
+    nts, row = production_rows(env, NoiseModel(eta=0.9, confusion=confusion))
+    pairs = pair_list(env)
     for i, pair in enumerate(pairs):
         for u in nts.enabled[i]:
-            dist = transition_probs(env, noise, pair, ACTIONS[u])
-            got = tuple(sorted(index[succ] for succ, p in dist if p > 0))
+            dist = row(pair, ACTIONS[u])
+            got = tuple(sorted(pairs.index(succ) for succ, p in dist if p > 0))
             assert got == nts.support(i, u)
 
 
 def test_markov_pair_encoding():
     env = parse_map(open("tasks/desk.map").read())
-    pairs = pair_states(env)
+    pairs = pair_list(env)
+    assert pairs == sorted((p, c) for p in env.adjacency for c in env.adjacency[p])
+    assert not env.pairs.flags.writeable
     nts = build_nts(env)
     for i, (prev, cur) in enumerate(pairs):
         for u in nts.enabled[i]:
@@ -232,15 +257,15 @@ def test_build_mdp_rows_sum_to_one():
 def test_monte_carlo_mode_is_deterministic_and_consistent():
     env = parse_map(open("tasks/desk.map").read())
     noise = NoiseModel(eta=0.8, confusion="uniform", mc_runs=2000, seed=4)
-    exact = NoiseModel(eta=0.8, confusion="uniform")
-    pairs = pair_states(env)
+    nts, row = production_rows(env, noise)
+    _nts, again = production_rows(env, noise)
+    _nts, exact = production_rows(env, NoiseModel(eta=0.8, confusion="uniform"))
     checked = 0
-    for pair in pairs:
-        for action in enabled_actions(env, pair):
-            d1 = transition_probs(env, noise, pair, action)
-            d2 = transition_probs(env, noise, pair, action)
-            assert d1 == d2
-            ref = dict(transition_probs(env, exact, pair, action))
+    for i, pair in enumerate(pair_list(env)):
+        for u in nts.enabled[i]:
+            d1 = row(pair, ACTIONS[u])
+            assert d1 == again(pair, ACTIONS[u])
+            ref = dict(exact(pair, ACTIONS[u]))
             for succ, p in d1:
                 assert succ in ref
                 assert abs(p - ref[succ]) <= 5 * np.sqrt(0.25 / 2000)
@@ -260,11 +285,71 @@ def test_start_validation():
         build_nts(env)
 
 
+# The per-control noise model the outcome table replaced, worked out from
+# the map's arms alone: the independent row-by-row oracle of the builds.
+
+def _turns(env, pair):
+    """The turn controls at an intersection pair state, in ``ACTIONS``
+    order, each with the region it aims for."""
+    prev, cur = pair
+    (row, col), = env.regions[cur].cells
+    (dr, dc), = [(r - row, c - col) for reg in [env.regions[prev]] for r, c in reg.cells
+                 if abs(r - row) + abs(c - col) == 1]
+    heading = (-dr, -dc)
+    aims = {"GoLeft": (-heading[1], heading[0]), "GoRight": (heading[1], -heading[0]),
+            "GoStraight": heading}
+    return {name: env.cell_region[(row + d[0], col + d[1])] for name, d in aims.items()
+            if (row + d[0], col + d[1]) in env.cell_region}
+
+
+def enabled_actions(env, pair):
+    if env.regions[pair[1]].kind == "corridor":
+        return ["FollowRoad"]
+    return list(_turns(env, pair))
+
+
+def outcome_support(env, pair, action, confusion="uniform"):
+    """(intended region, wrong-but-feasible regions) for one control."""
+    prev, cur = pair
+    if action not in enabled_actions(env, pair):
+        raise MapError(f"{action} is not enabled at {env.regions[cur].name}")
+    if env.regions[cur].kind == "corridor":
+        ends = [reg for reg in env.adjacency[cur] if reg != prev]
+        # Dead ends turn the robot around.
+        return (ends[0] if ends else prev), ()
+    turns = _turns(env, pair)
+    if confusion == "uniform":
+        return turns[action], tuple(sorted(aim for name, aim in turns.items()
+                                           if name != action))
+    straight = turns.get("GoStraight")
+    return turns[action], (() if action == "GoStraight" or straight is None else (straight,))
+
+
+def transition_probs(env, noise, pair, action):
+    """Outcome distribution over successor pair states for one control."""
+    prev, cur = pair
+    intended, wrong = outcome_support(env, pair, action, noise.confusion)
+    if not wrong:
+        dist = [((cur, intended), 1.0)]
+    else:
+        eta = noise.success_probability(action)
+        slip = (1.0 - eta) / len(wrong)
+        dist = [((cur, intended), eta)] + [((cur, out), slip) for out in wrong]
+        dist = [(succ, p) for succ, p in dist if p > 0]
+    if noise.mc_runs:
+        rng = np.random.default_rng([noise.seed, prev, cur, ACTIONS.index(action)])
+        outcomes = rng.choice(len(dist), size=noise.mc_runs, p=[p for _, p in dist])
+        counts = np.bincount(outcomes, minlength=len(dist))
+        dist = [(succ, count / noise.mc_runs)
+                for (succ, _), count in zip(dist, counts) if count]
+    return tuple(sorted(dist))
+
+
 def reference_models(env, noise):
     """The NTS and MDP of a map built row by row through ``LabeledModel.from_rows``:
     each row's support from ``outcome_support``, its probabilities from
     ``transition_probs``."""
-    pairs = pair_states(env)
+    pairs = sorted((p, c) for p in env.adjacency for c in env.adjacency[p])
     index = {pair: i for i, pair in enumerate(pairs)}
     nts_rows, mdp_rows = {}, {}
     for i, pair in enumerate(pairs):
@@ -304,7 +389,7 @@ def test_outcome_table_builds_match_row_by_row_reference(k, confusion, noise):
     assert nts == want_nts
     assert mdp == want_mdp
     # The lazy rows are the materialized ones.
-    row = transition_rows(env, noise)
+    row = transition_rows(env, noise, nts)
     assert all(row(q, u) == mdp.successors(q, u) for q, u in mdp.enabled_pairs())
 
 

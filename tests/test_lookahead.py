@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tlcontrol.lookahead import (
-    LookaheadPolicy,
-    SequenceCapExceeded,
-    action_sequences,
-    min_distances,
-    neighborhood,
-)
+from dict_reference import action_probability, action_sequences, neighborhood, safe
+from tlcontrol.lookahead import LookaheadPolicy, SequenceCapExceeded, min_distances
 from tlcontrol.models import ModelError, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
 from tlcontrol.synthesis import SspModel, mrp_to_ssp
@@ -100,20 +95,20 @@ def test_safety_score_cases(rng):
                     "trans 0 a 1 1\ntrans 0 a 2 1\ntrans 0 a 3 1\n"
                     "trans 1 a 1 1\ntrans 2 a 2 1\ntrans 3 a 3 1")
 
-    def safe(model, radius, bad, state):
+    def score(model, radius, bad, state):
         ssp = SspModel(base=model, terminal=0, bad=bad, origin=tuple(range(model.n_states)))
-        return LookaheadPolicy(ssp, horizon=radius).safe(state)
+        return safe(LookaheadPolicy(ssp, horizon=radius), state)
 
-    assert safe(n, 1, frozenset(), 0) == 1.0
+    assert score(n, 1, frozenset(), 0) == 1.0
     # Neighborhood of 0 at radius 1 is {0,1,2,3}; one of four is flagged.
-    assert safe(n, 1, frozenset({3}), 0) == 0.75
+    assert score(n, 1, frozenset({3}), 0) == 0.75
     for _ in range(5):
         m = random_nts(rng, n_states=8, n_actions=2)
         bad = frozenset(int(s) for s in rng.choice(8, size=2, replace=False))
         for state in range(8):
             nb = neighborhood(m, state, 2)
             want = sum(1 for j in nb if j not in bad) / len(nb)
-            assert safe(m, 2, bad, state) == want
+            assert score(m, 2, bad, state) == want
 
 
 # -- sequence enumeration -----------------------------------------------------
@@ -236,24 +231,21 @@ def test_sequence_scores_and_distribution_against_brute_force(rng):
                 assert np.isclose(np.exp(f @ pol.theta), s, rtol=1e-9)
 
 
-def test_neighborhoods_are_computed_once_and_dropped_with_the_tables(rng, monkeypatch):
+def test_neighborhoods_are_computed_once_and_dropped_with_the_tables(rng):
     # Construction builds every state's neighborhood and sequences at once
-    # from the model's arrays, without a per-state expansion, and the safety
-    # scores and tables equal the per-state definitions.
+    # from the model's arrays (the per-state definitions live only in the
+    # tests' reference), and the safety scores and tables equal the
+    # per-state definitions.
     import tlcontrol.lookahead as lookahead
 
-    def refuse(*args):
-        raise AssertionError("per-state expansion during construction")
-
+    assert not hasattr(lookahead, "neighborhood")
+    assert not hasattr(lookahead, "action_sequences")
     ssp = make_random_ssp(rng, n_states=8)
-    monkeypatch.setattr(lookahead, "neighborhood", refuse)
-    monkeypatch.setattr(lookahead, "action_sequences", refuse)
     pol = LookaheadPolicy(ssp, horizon=2)
     pol.policy_rows()
-    monkeypatch.undo()
     for state in range(ssp.base.n_states):
         nb = neighborhood(ssp.base, state, 2)
-        assert pol.safe(state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
+        assert safe(pol, state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
         first, _feats = pol.sequence_table(state)
         if state == ssp.terminal:
             assert len(first) == 0
@@ -286,7 +278,7 @@ def test_gradient_trivial_cases():
     single = SspModel(base=chain, terminal=1, bad=frozenset(), origin=(0, -1))
     pol1 = LookaheadPolicy(single, horizon=1, theta=(2.0, 2.0))
     assert np.allclose(pol1.log_policy_gradient(0, 0), 0.0)
-    assert pol1.action_probability(0, 0) == 1.0
+    assert action_probability(pol1, 0, 0) == 1.0
 
 
 def finite_difference_gradient(pol, state, action, h=1e-5):
@@ -296,7 +288,7 @@ def finite_difference_gradient(pol, state, action, h=1e-5):
         for sign in (+1, -1):
             pol.theta = base.copy()
             pol.theta[i] += sign * h
-            p = pol.action_probability(state, action)
+            p = action_probability(pol, state, action)
             grad[i] += sign * np.log(p)
     pol.theta = base
     return grad / (2 * h)
@@ -436,7 +428,7 @@ def _call(pol, op, state):
         return acts.tobytes(), probs.tobytes()
     if kind == "probability":
         acts, _probs = pol.action_distribution(state)
-        return pol.action_probability(state, arg % (len(acts) + 2) - 1)
+        return action_probability(pol, state, arg % (len(acts) + 2) - 1)
     if kind == "gradient":
         acts, _probs = pol.action_distribution(state)
         # One index past the enabled actions asks for an absent action.

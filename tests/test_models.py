@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tlcontrol.models import (
     MDP,
@@ -18,7 +19,7 @@ from tlcontrol.models import (
     save_policy,
     serialize_model,
 )
-from conftest import random_mdp
+from conftest import random_mdp, random_nts
 
 SINGLETON = """
 states 1
@@ -139,6 +140,48 @@ def test_serialize_round_trip(rng):
         assert again == m
     n = parse_model(CHAIN_NTS)
     assert parse_model(serialize_model(n)) == n
+
+
+# A name the model format can hold: no whitespace, line break or '#'.
+TOKEN = st.text(st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+                min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_states=st.integers(1, 6), n_actions=st.integers(1, 3),
+       nts=st.booleans(), data=st.data())
+def test_model_file_round_trip(seed, n_states, n_actions, nts, data):
+    # Action ids in declaration order (not in order of first appearance,
+    # and with actions no row uses) and state names survive the round trip.
+    rng = np.random.default_rng(seed)
+    m = (random_nts if nts else random_mdp)(rng, n_states=n_states, n_actions=n_actions,
+                                            n_props=2)
+    actions = data.draw(st.lists(TOKEN, min_size=n_actions, max_size=n_actions + 2,
+                                 unique=True))
+    names = data.draw(st.none() | st.lists(TOKEN, min_size=n_states, max_size=n_states))
+    m = dataclasses.replace(m, actions=tuple(actions),
+                            state_names=None if names is None else tuple(names))
+    assert parse_model(serialize_model(m)) == m
+
+
+def test_model_file_names_are_checked():
+    m = parse_model(SINGLETON)
+    for bad in ("two words", "a#b", ""):
+        with pytest.raises(ModelError, match="name"):
+            serialize_model(dataclasses.replace(m, state_names=(bad,)))
+        with pytest.raises(ModelError, match="name"):
+            serialize_model(dataclasses.replace(m, actions=(bad,)))
+    head = "states 2\ninitial 0\nmode nts\n"
+    with pytest.raises(ParseError, match="undeclared action 'b'"):
+        parse_model(head + "actions a\ntrans 0 a 1 1\ntrans 1 b 1 1")
+    with pytest.raises(ParseError, match="before any transition"):
+        parse_model(head + "trans 0 a 1 1\nactions a\ntrans 1 a 1 1")
+    with pytest.raises(ParseError, match="duplicate action names"):
+        parse_model(head + "actions a a\ntrans 0 a 1 1\ntrans 1 a 1 1")
+    with pytest.raises(ModelError, match="name every state"):
+        parse_model(head + "name 0 x\ntrans 0 a 1 1\ntrans 1 a 1 1")
+    with pytest.raises(ParseError, match="duplicate name line"):
+        parse_model(head + "name 0 x\nname 0 y\ntrans 0 a 1 1\ntrans 1 a 1 1")
 
 
 @pytest.mark.parametrize("rows, mode, message", [

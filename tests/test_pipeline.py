@@ -262,8 +262,8 @@ def test_load_task_builds_the_nts_once(monkeypatch):
 # sha256 of the desk task's `build` output (product and SSP model files):
 # any change to the bytes of either file fails here.
 DESK_MODEL_DIGESTS = {
-    "product.model": "2720a8d18b51e32dda75fd2b285d520b78244b8289ad236e8c5f3099ad7ff91e",
-    "ssp.model": "17664f04bb4603bd607cfff5c1158e8be2a2c198e60d9f60de1862892ccf4c24",
+    "product.model": "88ffa4d549d861f5ba86c3f2cf9b38628d1eba19bec08dda2331a03efb88acf9",
+    "ssp.model": "1afd61d2749a3b412c8153c7c19643dd6802b2778bb116b8f3760da148af7ef7",
 }
 
 
@@ -285,11 +285,12 @@ DESK_RUN_DIGESTS = {
     2: {"trace.csv": "8f7e20b3355d728ba8d4e71d668df2392359e3266b56895daecaef4e95c34ca2",
         "policy.tsv": "d3d078b34a618e77768e4577b111942edcb166f9a27528c3e315a714d266fa93"},
     # Seed 1 on the two other row providers of the lazy source: desk's
-    # probabilistic model written out as a model-file task, and the map's
-    # Monte-Carlo noise estimates.
+    # probabilistic model written out as a model-file task, which reads back
+    # as the same model and so takes the map run's path (its digests are
+    # seed 1's), and the map's Monte-Carlo noise estimates.
     "model-file": {
-        "trace.csv": "15fe16ed713b7bf600bdd4c6059bb1861fd8feeecd3a46b1f7aeebfd3b34cbf3",
-        "policy.tsv": "41da8c74c03e0fdd403a2b69d6f46873ff2d7b9d7533978e6e4b6ebaa8e0d4dc"},
+        "trace.csv": "a181a0d20257156d37941eeec29587787bc73e60e0e3efffc5a64828932edbb0",
+        "policy.tsv": "db713b5bea91c58389f951c62dc036e42264b5c112c8a7b507f3b98b255dae39"},
     "mc-runs": {
         "trace.csv": "8ee5bedacb80b2264b59382c76222616cf58e128c06bf4a4bd28c8a31ce0d167",
         "policy.tsv": "f28648ce555256471d19c6f4f9d95697380773300d82300e44e06cb717e917aa"},
@@ -304,6 +305,7 @@ def test_desk_synthesize_output_is_byte_identical(tmp_path, case):
                               seed=case if isinstance(case, int) else 1,
                               exact_reference=False, eval_every=0, max_iters=2000)
     if case == "model-file":
+        assert DESK_RUN_DIGESTS[case] == DESK_RUN_DIGESTS[1]
         model = tmp_path / "desk.model"
         model.write_text(serialize_model(load_task(RunConfig.from_file("tasks/desk.json")).base_mdp))
         cfg = dataclasses.replace(cfg, map=None, model=str(model))

@@ -12,7 +12,8 @@ The set of runs:
 - desk ``compare``, seeds 1-5 (values.csv, trace.csv, curve.csv,
   policy.tsv, summary.txt);
 - desk-lazy: desk ``synthesize`` with ``exact_reference`` false,
-  ``eval_every`` 0 and 20,000 iterations, seeds 1-3;
+  ``eval_every`` 0 and 20,000 iterations, seeds 1-3, and once more with
+  Monte-Carlo noise rows (``mc_runs`` 200, seed 1);
 - lattice-exact: ``compare`` on the k=20 road lattice (map seed 0),
   ``eval_every`` 0, 2,000 iterations, seed 1;
 - ``build`` (product.model, ssp.model) on desk and on the k=20 lattice,
@@ -42,6 +43,7 @@ from tlcontrol.pipeline import RunConfig, compare, synthesize, write_models  # n
 DESK_SEEDS = (1, 2, 3, 4, 5)
 LAZY_SEEDS = (1, 2, 3)
 LAZY_ITERS = 20_000
+LAZY_MC_RUNS, LAZY_MC_SEED = 200, 1
 LATTICE_K, LATTICE_MAP_SEED, LATTICE_ITERS, LATTICE_SEED = 20, 0, 2_000, 1
 
 
@@ -64,6 +66,10 @@ def runs(work: Path):
         yield name, synthesize, dataclasses.replace(
             desk, seed=seed, outdir=str(work / name), exact_reference=False,
             eval_every=0, max_iters=LAZY_ITERS)
+    name = f"desk-lazy-mc{LAZY_MC_RUNS}-s{LAZY_MC_SEED}"
+    yield name, synthesize, dataclasses.replace(
+        desk, seed=LAZY_MC_SEED, outdir=str(work / name), exact_reference=False,
+        eval_every=0, max_iters=LAZY_ITERS, mc_runs=LAZY_MC_RUNS)
     lattice = work / f"lattice-k{LATTICE_K}-m{LATTICE_MAP_SEED}.map"
     lattice.write_text(lattice_map(LATTICE_K, LATTICE_MAP_SEED))
     name = f"lattice-exact-s{LATTICE_SEED}"
