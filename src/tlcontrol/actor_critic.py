@@ -14,7 +14,8 @@ eligibility-trace statistics
 and refreshes its solution r = -A^{-1} b once the statistics are usable;
 the actor then descends theta along (r . psi') psi'. The published update
 uses the pre-update z, A, b and the pre-update r throughout; a flag switches
-the solve to the post-update statistics.
+the solve to the post-update statistics. The stopping test reads an EMA of
+the step direction's norm, with the fixed decay ``EMA_DECAY``.
 
 The statistics are usable once the smallest singular value of the 2x2
 solve target reaches ``gate_sigma``. ``gate_open`` takes it in closed form
@@ -66,9 +67,14 @@ class ActorState(NamedTuple):
     grad_ema: float = 0.0
 
 
+# Decay of the gradient-norm EMA that the stopping test reads.
+EMA_DECAY = 0.99
+
+
 @dataclass
 class ActorCriticConfig:
-    """Step sizes, gates, and termination for a single run.
+    """Step sizes, gates, and termination for a single run; the one
+    declaration of these settings (``pipeline.RunConfig`` extends it).
 
     gamma_k = (1 + k)^-gamma_exponent and beta_k = beta_scale *
     (1 + k)^-beta_exponent satisfy the two-timescale requirement
@@ -85,11 +91,10 @@ class ActorCriticConfig:
     min_iters: int = 100             # no stopping test before this many iterations
     gate_iters: int = 50             # no critic solve before this many iterations
     gate_sigma: float = 1e-8         # smallest singular value A must reach
-    ema_decay: float = 0.99
     reset_trace_on_restart: bool = False
     solve_with_updated_stats: bool = False
     seed: int = 0
-    eval_every: int = 0              # exact evaluation cadence; 0 disables
+    eval_every: int = 25             # exact evaluation cadence; 0 disables
 
     def gamma(self, k: int) -> float:
         return (1.0 + k) ** -self.gamma_exponent
@@ -190,7 +195,7 @@ def critic_update(c: CriticState, psi_now: np.ndarray, psi_next: np.ndarray,
 
 
 def actor_update(a: ActorState, r: np.ndarray, psi_next: np.ndarray, beta_k: float,
-                 *, clip: float = 10.0, ema_decay: float = 0.99) -> ActorState:
+                 *, clip: float = 10.0, ema_decay: float = EMA_DECAY) -> ActorState:
     """One actor step along (r . psi') psi', norm-clipped by Gamma(r)."""
     if beta_k <= 0:
         raise ValueError("actor step size must be positive")
@@ -267,8 +272,7 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
         if k >= cfg.gate_iters and not solved:
             trace.stale_solves.append(k)
         trace.append(k, actor.theta, r_now, cost, episodes, prob_source.pairs_computed)
-        actor = actor_update(actor, r_now, psi_next, cfg.beta(k),
-                             clip=cfg.clip, ema_decay=cfg.ema_decay)
+        actor = actor_update(actor, r_now, psi_next, cfg.beta(k), clip=cfg.clip)
         policy.theta = np.array(actor.theta)
 
         trace.iterations = k + 1

@@ -21,10 +21,10 @@ progress to the target set (within ties, lowest action id), and gives every
 free state that can reach the targets an action that makes progress,
 optimal or not when no optimal one does: the policy is then proper even
 where a coarse value iteration left value 0, and the polish ends at the
-optimum whatever ``tol`` the warm start stopped at. The result is
-certified: its Bellman residual over the free states must be at most
-``RESIDUAL_TOL``. Both loops and the certificate raise ``ModelError`` when
-they fail.
+optimum whatever tolerance (``VALUE_TOL``) the warm start stopped at. The
+result is certified: its Bellman residual over the free states must be at
+most ``RESIDUAL_TOL``. Both loops and the certificate raise ``ModelError``
+when they fail.
 
 Policy evaluation first drops the states whose policy support cannot
 reach the targets, which keeps (I - P) x = b nonsingular on the rest. The
@@ -47,6 +47,10 @@ steps into. Above ``DENSE_LIMIT`` unknowns no components are formed, and
 the fixed-point iteration x <- b + P x runs until no component moves by
 more than ``VALUE_TOL``. Expected total costs use the same plans, built
 per call.
+
+The solvers take no tolerance, sweep or size keywords: each call reads the
+module constants below (``VALUE_TOL``, ``MAX_SWEEPS``, ``DENSE_LIMIT``,
+``POLICY_LIMIT``), which is also how tests force a path or a cap.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ from .synthesis import (SspModel, _closure, _distinct, _expand, _members, _rows_
 VALUE_TOL = 1e-12
 DENSE_LIMIT = 5000
 MAX_SWEEPS = 10 ** 6
+POLICY_LIMIT = 10 ** 6  # cap on the deterministic policies enumerate_policies lists
 POLISH_ROUNDS = 100
 RESIDUAL_TOL = 1e-9  # bound on max |max_u Q(v) - v| over the free states
 
@@ -103,12 +108,12 @@ class _Plan:
 
     ``unknown`` is kept in solve order, the order of ``solve``'s result.
     Entries from an unknown into ``is_target`` make up ``target_rhs``.
-    ``groups`` is None above ``dense_limit`` unknowns, where ``solve``
+    ``groups`` is None above ``DENSE_LIMIT`` unknowns, where ``solve``
     iterates x <- b + P x instead.
     """
 
     def __init__(self, unknown: np.ndarray, ids: np.ndarray, src: np.ndarray,
-                 dst: np.ndarray, is_target: np.ndarray, dense_limit: int):
+                 dst: np.ndarray, is_target: np.ndarray):
         n = len(unknown)
         pos = np.full(len(is_target), -1)
         pos[unknown] = np.arange(n)
@@ -118,7 +123,7 @@ class _Plan:
         inner = (i >= 0) & (j >= 0)
         i, j, ids = i[inner], j[inner], ids[inner]
         self.unknown, self.groups = unknown, None
-        if n > dense_limit:
+        if n > DENSE_LIMIT:
             self.i, self.j, self.ids = i, j, ids
             return
         rank = self._split(n, i, j, ids)
@@ -214,15 +219,13 @@ class ReachEvaluator:
     policy only when that policy's support is the same.
     """
 
-    def __init__(self, m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
-                 *, dense_limit: int = DENSE_LIMIT):
+    def __init__(self, m: LabeledModel, targets: frozenset[int], zeros: frozenset[int]):
         if m.mode != MDP:
             raise ModelError("policy evaluation needs an MDP-mode model")
         self.model, self.targets, self.zeros = m, targets, zeros
         self.is_target = _members(targets, m.n_states)
         is_zero = _members(zeros, m.n_states)
         self.free = ~(self.is_target | is_zero)
-        self.dense_limit = dense_limit
         self._support: np.ndarray | None = None
         self._plan: _Plan | None = None
 
@@ -240,7 +243,7 @@ class ReachEvaluator:
         if self._support is None or not np.array_equal(support, self._support):
             ids, src, dst = _edges(self.model, support)
             unknown = np.flatnonzero(_closure(src, dst, self.is_target) & self.free)
-            self._plan = _Plan(unknown, ids, src, dst, self.is_target, self.dense_limit)
+            self._plan = _Plan(unknown, ids, src, dst, self.is_target)
             self._support = support
         plan = self._plan
         v = self.is_target.astype(float)
@@ -313,29 +316,29 @@ class _FreeBellman:
         return float(np.abs(self.best(x) - x).max(initial=0.0))
 
 
-def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int],
-              *, tol: float = VALUE_TOL, max_sweeps: int = MAX_SWEEPS,
-              dense_limit: int = DENSE_LIMIT) -> tuple[np.ndarray, np.ndarray]:
+def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int]
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Maximal probability of reaching ``targets`` and an optimal
     deterministic policy as one-hot row probabilities; value is 1 on
-    targets and 0 on ``zeros``."""
+    targets and 0 on ``zeros``. The warm start sweeps until no value moves
+    by more than ``VALUE_TOL``, for at most ``MAX_SWEEPS`` sweeps."""
     if m.mode != MDP:
         raise ModelError("max_reach needs an MDP-mode model")
     if targets & zeros:
         raise ModelError("target and zero sets intersect")
-    reach = ReachEvaluator(m, targets, zeros, dense_limit=dense_limit)
+    reach = ReachEvaluator(m, targets, zeros)
     is_target = reach.is_target
     bellman = _FreeBellman(m, reach.free, is_target.astype(float))
 
     x = np.zeros(len(bellman.states))
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         nxt = bellman.best(x)
         delta = np.abs(nxt - x).max(initial=0.0)
         x = nxt
-        if delta <= tol:
+        if delta <= VALUE_TOL:
             break
     else:
-        raise ModelError(f"value iteration did not converge within {max_sweeps} sweeps")
+        raise ModelError(f"value iteration did not converge within {MAX_SWEEPS} sweeps")
     v = is_target.astype(float)
     v[bellman.states] = x
 
@@ -456,8 +459,7 @@ def eval_policy_reach(m: LabeledModel, probs: np.ndarray,
     return float(evaluator.values(probs)[m.initial])
 
 
-def expected_total_cost(ssp: SspModel, probs: np.ndarray,
-                        *, dense_limit: int = DENSE_LIMIT) -> float:
+def expected_total_cost(ssp: SspModel, probs: np.ndarray) -> float:
     """Expected total cost of a proper policy ``probs`` (one probability
     per row of the SSP's model) on an MDP-mode SSP.
 
@@ -483,18 +485,20 @@ def expected_total_cost(ssp: SspModel, probs: np.ndarray,
     if not unknown.size:
         return 0.0
     # No targets: the terminal's value is 0 and each state pays its own cost.
-    plan = _Plan(unknown, ids, src, dst, np.zeros(m.n_states, dtype=bool), dense_limit)
-    sol = plan.solve(w, np.array([ssp.cost(q) for q in plan.unknown.tolist()]))
+    plan = _Plan(unknown, ids, src, dst, np.zeros(m.n_states, dtype=bool))
+    cost = _members(ssp.bad, m.n_states).astype(float)  # 1 at restart states
+    sol = plan.solve(w, cost[plan.unknown])
     return float(sol[np.flatnonzero(plan.unknown == m.initial)[0]])
 
 
-def enumerate_policies(m: LabeledModel, limit: int = 10 ** 6) -> Iterator[np.ndarray]:
+def enumerate_policies(m: LabeledModel) -> Iterator[np.ndarray]:
     """Every deterministic stationary policy, exactly once, as one-hot row
-    probabilities; the last state's choice varies fastest."""
+    probabilities; the last state's choice varies fastest. More than
+    ``POLICY_LIMIT`` policies raise ``ModelError``."""
     ptr = m.state_ptr.tolist()
     count = math.prod(hi - lo for lo, hi in zip(ptr, ptr[1:]))
-    if count > limit:
-        raise ModelError(f"{count} deterministic policies exceed the cap of {limit}")
+    if count > POLICY_LIMIT:
+        raise ModelError(f"{count} deterministic policies exceed the cap of {POLICY_LIMIT}")
     for choice in itertools.product(*map(range, ptr, ptr[1:])):
         yield _one_hot(m, list(choice))
 

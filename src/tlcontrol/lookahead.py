@@ -46,7 +46,6 @@ same way, and each probability is mass / total.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
 from operator import add
 from typing import Iterable, NamedTuple
@@ -54,7 +53,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .models import LabeledModel, ModelError, _ptr
-from .synthesis import SspModel, _distinct, _expand, _members, _rows_into
+from .synthesis import SspModel, _distinct, _expand, _layers, _members
 
 
 class SequenceCapExceeded(ModelError):
@@ -67,28 +66,19 @@ def min_distances(
 ) -> np.ndarray:
     """Minimum possibilistic step count from every state to ``targets``.
 
-    Multi-source BFS on the reversed edge relation (any enabled action);
-    unreachable states map to inf. Edges leaving ``blocked_sources`` are
-    ignored.
+    The backward frontier layers of ``synthesis._layers`` over the edges of
+    every enabled action; unreachable states map to inf. Edges leaving
+    ``blocked_sources`` are ignored.
     """
-    targets = set(targets)
-    if not targets:
+    seeds = _members(targets, m.n_states)
+    if not seeds.any():
         raise ModelError("min_distances needs a nonempty target set")
-    rows = ~_members(blocked_sources, m.n_states)[m.row_state] if blocked_sources else None
-    ptr, rows = _rows_into(m, rows)
-    ptr, pred = ptr.tolist(), m.row_state[rows].tolist()
-    inf = float("inf")
-    dist = [inf] * m.n_states
-    queue = deque(targets)
-    for t in targets:
-        dist[t] = 0.0
-    while queue:
-        q = queue.popleft()
-        for prev in pred[ptr[q]:ptr[q + 1]]:
-            if dist[prev] == inf:
-                dist[prev] = dist[q] + 1.0
-                queue.append(prev)
-    return np.array(dist)
+    src, dst = m.row_state[m.entry_row], m.succ
+    if blocked_sources:
+        keep = ~_members(blocked_sources, m.n_states)[src]
+        src, dst = src[keep], dst[keep]
+    layer = _layers(src, dst, seeds)
+    return np.where(layer >= 0, layer, np.inf)
 
 
 def _sequence_reach(m: LabeledModel, roots: np.ndarray, horizon: int, cap: int

@@ -203,9 +203,6 @@ class LabeledModel:
                     return row_ptr[r], row_ptr[r + 1]
         raise KeyError((state, action))
 
-    def action_id(self, name: str) -> int:
-        return self.actions.index(name)
-
     def prop_mask(self, names: Iterable[str]) -> int:
         mask = 0
         for name in names:

@@ -56,8 +56,10 @@ EXIT_ZERO_PROBABILITY = 3
 
 
 @dataclass
-class RunConfig:
-    """Everything a pipeline invocation needs; JSON-loadable, flag-overridable."""
+class RunConfig(ActorCriticConfig):
+    """Everything a pipeline invocation needs; JSON-loadable, flag-overridable.
+    The actor-critic settings are the fields inherited from
+    ``ActorCriticConfig``."""
 
     dra: str = ""
     map: str | None = None
@@ -70,22 +72,7 @@ class RunConfig:
     theta0: tuple[float, float] = (5.0, -0.5)
     progress_penalty: float | None = None
     sequence_cap: int = 10_000
-    # actor-critic
-    lam: float = 0.9
-    gamma_exponent: float = 0.6
-    beta_scale: float = 0.05
-    beta_exponent: float = 0.85
-    clip: float = 10.0
-    epsilon: float = 1e-4
-    max_iters: int = 5000
-    min_iters: int = 100
-    gate_iters: int = 50
-    gate_sigma: float = 1e-8
-    reset_trace_on_restart: bool = False
-    solve_with_updated_stats: bool = False
-    seed: int = 0
     # evaluation and construction
-    eval_every: int = 25
     exact_reference: bool = True
     label_rule: str = "next"
     # map noise
@@ -122,17 +109,6 @@ class RunConfig:
             raise ModelError("gamma_exponent and beta_exponent must be positive and finite")
         if self.mc_runs is not None and self.mc_runs < 0:
             raise ModelError("mc_runs must not be negative")
-
-    def actor_critic(self) -> ActorCriticConfig:
-        return ActorCriticConfig(
-            lam=self.lam, gamma_exponent=self.gamma_exponent,
-            beta_scale=self.beta_scale, beta_exponent=self.beta_exponent,
-            clip=self.clip, epsilon=self.epsilon, max_iters=self.max_iters,
-            min_iters=self.min_iters, gate_iters=self.gate_iters,
-            gate_sigma=self.gate_sigma,
-            reset_trace_on_restart=self.reset_trace_on_restart,
-            solve_with_updated_stats=self.solve_with_updated_stats,
-            seed=self.seed, eval_every=self.eval_every)
 
 
 @dataclass
@@ -300,8 +276,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
             values, _ = exact.max_reach(pm.base, ctx.goal, ctx.bad)
             optimal = float(values[pm.base.initial])
 
-    theta, trace = run(ssp, source, policy, cfg.actor_critic(),
-                       evaluator=evaluator if cfg.eval_every else None)
+    theta, trace = run(ssp, source, policy, cfg, evaluator=evaluator)
 
     final_prob = evaluator(theta) if evaluator is not None else None
     with open(outdir / "trace.csv", "w") as f:

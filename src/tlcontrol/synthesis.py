@@ -13,9 +13,10 @@ with the automaton's ``delta`` table, so it holds only reachable states; the
 probability refit and the SSP conversion are masks, gathers and remaps; the
 end-component search and the goal closure read their supports from the
 arrays. The backward closure of the goal is a numpy frontier loop,
-``_closure``, which the exact oracles use as well; strongly connected
-components come from one Tarjan routine over flat successor arrays,
-``_strongly_connected``, shared with the exact oracles' block solve.
+``_layers``, which the exact oracles and the lookahead's goal distances use
+as well; strongly connected components come from one Tarjan routine over
+flat successor arrays, ``_strongly_connected``, shared with the exact
+oracles' block solve.
 """
 
 from __future__ import annotations
@@ -171,21 +172,30 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
     )
 
 
-def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Mask of the states with an edge path (src -> dst) into the ``seeds``
-    mask, seeds included; backward frontier propagation."""
+def _layers(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Every state's fewest edges (src -> dst) on a path into the ``seeds``
+    mask: 0 on seeds, -1 where no path leads there. Backward frontier
+    propagation, one frontier per layer."""
     order = np.argsort(dst, kind="stable")
     pred = src[order]
     ptr = np.searchsorted(dst[order], np.arange(len(seeds) + 1))
-    reach = seeds.copy()
-    frontier = np.flatnonzero(reach)
+    layer = np.where(seeds, 0, -1)
+    frontier = np.flatnonzero(seeds)
+    depth = 0
     while frontier.size:
+        depth += 1
         lo = ptr[frontier]
         n = ptr[frontier + 1] - lo
         prev = pred[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
-        frontier = _distinct(prev[~reach[prev]])
-        reach[frontier] = True
-    return reach
+        frontier = _distinct(prev[layer[prev] < 0])
+        layer[frontier] = depth
+    return layer
+
+
+def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Mask of the states with an edge path (src -> dst) into the ``seeds``
+    mask, seeds included."""
+    return _layers(src, dst, seeds) >= 0
 
 
 def _rows_into(m: LabeledModel, rows: np.ndarray | None = None

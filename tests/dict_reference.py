@@ -6,14 +6,17 @@ model as a dict (state, action) -> ((successor, weight), ...). ``of`` and
 ``of_product`` turn array results into the same form, so a test can
 compare the two builds exactly, weights bit for bit.
 
-``neighborhood`` and ``action_sequences`` are the one-state-at-a-time
-definitions that ``LookaheadPolicy``'s all-state tables replaced, and
+``min_distances`` is the queue-based breadth-first search that the
+frontier layers of ``synthesis._layers`` replaced. ``neighborhood`` and
+``action_sequences`` are the one-state-at-a-time definitions that
+``LookaheadPolicy``'s all-state tables replaced, and
 ``safe`` and ``action_probability`` read one state's entry of a policy's
 tables and distribution.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from tlcontrol.lookahead import SequenceCapExceeded
@@ -199,6 +202,33 @@ def mrp_to_ssp(p: DictProduct, goal: frozenset[int], bad: frozenset[int],
     base = DictModel(terminal + 1, new_initial, m.mode, tuple(enabled), rows,
                      tuple(m.labels[old] for old in keep) + (0,), names)
     return DictSsp(base, terminal, frozenset(remap[q] for q in bad), tuple(keep) + (-1,))
+
+
+def min_distances(m, targets, blocked_sources: frozenset[int] = frozenset()) -> list[float]:
+    """Minimum possibilistic step count from every state to ``targets``:
+    multi-source BFS on the reversed edge relation (any enabled action),
+    ignoring edges that leave ``blocked_sources``; unreachable states map
+    to inf."""
+    targets = set(targets)
+    if not targets:
+        raise ModelError("min_distances needs a nonempty target set")
+    pred: list[list[int]] = [[] for _ in range(m.n_states)]
+    for (q, _u), row in m.transitions.items():
+        if q not in blocked_sources:
+            for succ, _w in row:
+                pred[succ].append(q)
+    inf = float("inf")
+    dist = [inf] * m.n_states
+    queue = deque(targets)
+    for t in targets:
+        dist[t] = 0.0
+    while queue:
+        q = queue.popleft()
+        for prev in pred[q]:
+            if dist[prev] == inf:
+                dist[prev] = dist[q] + 1.0
+                queue.append(prev)
+    return dist
 
 
 def neighborhood(m, state: int, radius: int) -> frozenset[int]:

@@ -90,6 +90,18 @@ def test_max_reach_certifies_its_result(monkeypatch):
 WARM_START_TOLS = (1.0, 1e-3, 1e-12)
 
 
+def warm_started(m, targets, zeros):
+    """``max_reach``'s values after a warm start stopped at each of
+    ``WARM_START_TOLS``. The policy solves of these models are dense, so
+    the tolerance reaches the warm start only."""
+    values = []
+    for tol in WARM_START_TOLS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "VALUE_TOL", tol)
+            values.append(max_reach(m, targets, zeros)[0])
+    return values
+
+
 @pytest.mark.parametrize("task", ["desk", "lattice-k8"])
 def test_max_reach_polish_reaches_the_optimum_from_a_coarse_warm_start(task, tmp_path):
     # A coarse value iteration leaves value 0 on states that can reach the
@@ -101,7 +113,7 @@ def test_max_reach_polish_reaches_the_optimum_from_a_coarse_warm_start(task, tmp
         cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
     ctx = load_task(cfg)
     m = ctx.product_mdp.base
-    values = [max_reach(m, ctx.goal, ctx.bad, tol=tol)[0] for tol in WARM_START_TOLS]
+    values = warm_started(m, ctx.goal, ctx.bad)
     assert values[-1][m.initial] > 0.5
     for v in values[:-1]:
         assert np.abs(v - values[-1]).max() <= 1e-12
@@ -116,7 +128,7 @@ def test_max_reach_does_not_depend_on_the_warm_start_tolerance(seed, n_states, n
     m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=2)
     targets = frozenset({int(rng.integers(n_states))})
     zeros = support_zeros(m, targets) - targets
-    values = [max_reach(m, targets, zeros, tol=tol)[0] for tol in WARM_START_TOLS]
+    values = warm_started(m, targets, zeros)
     for v in values[:-1]:
         assert np.abs(v - values[-1]).max() <= 1e-12
 
@@ -277,7 +289,7 @@ trans 2 a 2 1.0
         expected_total_cost(ssp, lowest_actions(ssp.base))
 
 
-def test_enumerate_policies_counts(rng):
+def test_enumerate_policies_counts(rng, monkeypatch):
     m = random_mdp(rng, n_states=2, n_actions=2)
     # Force exactly two actions per state for the 2x2 count.
     m = parse_model("states 2\ninitial 0\nmode mdp\n"
@@ -297,26 +309,29 @@ def test_enumerate_policies_counts(rng):
                         "trans 1 a 1 1.0\ntrans 1 b 2 1.0\ntrans 1 c 0 1.0\n"
                         "trans 2 a 2 1.0")
     assert len(list(enumerate_policies(mixed))) == 6
-    with pytest.raises(ModelError, match="exceed"):
-        list(enumerate_policies(mixed, limit=5))
+    monkeypatch.setattr(exact, "POLICY_LIMIT", 5)
+    with pytest.raises(ModelError, match="exceed the cap of 5"):
+        list(enumerate_policies(mixed))
 
 
-def test_fixed_point_matches_dense(rng):
+def test_fixed_point_matches_dense(rng, monkeypatch):
     # A dense limit of 2 sends every policy solve of the polish through the
     # vectorized fixed-point iteration.
     m = random_mdp(rng, n_states=6, n_actions=2)
     targets = frozenset({4, 5})
     zeros = support_zeros(m, targets) - targets
     v_dense, _ = max_reach(m, targets, zeros)
-    v_fixed, _ = max_reach(m, targets, zeros, dense_limit=2)
+    monkeypatch.setattr(exact, "DENSE_LIMIT", 2)
+    v_fixed, _ = max_reach(m, targets, zeros)
     assert np.abs(v_dense - v_fixed).max() <= 1e-9
 
 
-def test_value_iteration_cap_is_loud():
+def test_value_iteration_cap_is_loud(monkeypatch):
     m = parse_model("states 3\ninitial 0\nmode mdp\n"
                     "trans 0 a 1 0.5\ntrans 0 a 2 0.5\ntrans 1 a 1 1.0\ntrans 2 a 2 1.0")
+    monkeypatch.setattr(exact, "MAX_SWEEPS", 1)
     with pytest.raises(ModelError, match="within 1 sweeps"):
-        max_reach(m, frozenset({1}), frozenset(), max_sweeps=1)
+        max_reach(m, frozenset({1}), frozenset())
 
 
 def _random_policy(rng, m):
@@ -330,6 +345,14 @@ def _random_policy(rng, m):
             w[rng.integers(len(acts))] = 1.0
         probs.extend(w / w.sum())
     return np.array(probs)
+
+
+def fixed_point(solve, *args):
+    """``solve(*args)`` with every plan above the dense limit, so that its
+    linear systems go through the fixed-point iteration."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "DENSE_LIMIT", 0)
+        return solve(*args)
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,7 +371,7 @@ def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
     targets = frozenset({int(rng.integers(trap))})
     pol = _random_policy(rng, m)
     v_dense = ReachEvaluator(m, targets, frozenset()).values(pol)
-    v_fixed = ReachEvaluator(m, targets, frozenset(), dense_limit=0).values(pol)
+    v_fixed = fixed_point(ReachEvaluator(m, targets, frozenset()).values, pol)
     assert v_dense[trap] == 0.0 and v_fixed[trap] == 0.0
     assert np.abs(v_dense - v_fixed).max() <= 1e-9
 
@@ -362,9 +385,9 @@ def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
         dense = expected_total_cost(ssp, pol)
     except PolicyDivergence:
         with pytest.raises(PolicyDivergence):
-            expected_total_cost(ssp, pol, dense_limit=0)
+            fixed_point(expected_total_cost, ssp, pol)
         return
-    assert abs(expected_total_cost(ssp, pol, dense_limit=0) - dense) <= 1e-9 * max(1.0, dense)
+    assert abs(fixed_point(expected_total_cost, ssp, pol) - dense) <= 1e-9 * max(1.0, dense)
 
 
 def test_value_csv_round_trip(tmp_path):

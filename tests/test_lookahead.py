@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dict_reference
 from dict_reference import action_probability, action_sequences, neighborhood, safe
 from tlcontrol.lookahead import LookaheadPolicy, SequenceCapExceeded, min_distances
 from tlcontrol.models import ModelError, parse_model
@@ -57,6 +58,21 @@ def test_min_distances_blocked_sources():
                         "trans 0 a 1 1\ntrans 1 a 2 1\ntrans 2 a 2 1")
     d = min_distances(chain, [2], blocked_sources=frozenset({1}))
     assert np.isinf(d[0]) and np.isinf(d[1]) and d[2] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), n_states=st.integers(1, 12), n_actions=st.integers(1, 3))
+def test_min_distances_match_the_queue_bfs(seed, n_states, n_actions):
+    rng = np.random.default_rng(seed)
+    m = random_nts(rng, n_states=n_states, n_actions=n_actions)
+    targets = rng.choice(n_states, size=int(rng.integers(1, n_states + 1)), replace=False)
+    blocked = frozenset(np.flatnonzero(rng.random(n_states) < 0.3).tolist())
+    want = dict_reference.min_distances(m, targets.tolist(), blocked)
+    got = min_distances(m, targets.tolist(), blocked_sources=blocked)
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+    with pytest.raises(ModelError, match="nonempty"):
+        min_distances(m, [], blocked_sources=blocked)
 
 
 def test_neighborhood_trivial_cases(rng):

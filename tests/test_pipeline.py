@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tlcontrol import exact, gridenv
+from tlcontrol.actor_critic import ActorCriticConfig
 from tlcontrol.cli import _add_common, main
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.models import ModelError, dra_step, parse_model, serialize_model
@@ -216,6 +217,35 @@ def test_desk_compare_builds_two_solve_plans(tmp_path, monkeypatch):
     report = compare(cfg)
     assert len(report.trace.exact) > 2
     assert built == [372, 372]
+
+
+RUN_CONFIG_DEFAULTS = {
+    "lam": 0.9, "gamma_exponent": 0.6, "beta_scale": 0.05, "beta_exponent": 0.85,
+    "clip": 10.0, "epsilon": 1e-4, "max_iters": 5000, "min_iters": 100,
+    "gate_iters": 50, "gate_sigma": 1e-8, "reset_trace_on_restart": False,
+    "solve_with_updated_stats": False, "seed": 0, "eval_every": 25,
+    "dra": "", "map": None, "model": None, "task_name": "task", "outdir": "out",
+    "horizon": 2, "radius": None, "theta0": (5.0, -0.5), "progress_penalty": None,
+    "sequence_cap": 10_000, "exact_reference": True, "label_rule": "next",
+    "eta": 0.9, "confusion": "uniform", "mc_runs": None, "noise_seed": 0,
+}
+
+
+def test_run_config_fields_and_defaults():
+    # The actor-critic settings are declared once, in ActorCriticConfig.
+    assert issubclass(RunConfig, ActorCriticConfig)
+    fields = dataclasses.fields(RunConfig)
+    assert len(fields) == 30
+    assert {f.name: f.default for f in fields} == RUN_CONFIG_DEFAULTS
+    assert {f.name for f in dataclasses.fields(ActorCriticConfig)} < set(RUN_CONFIG_DEFAULTS)
+
+
+def test_desk_config_file_fields():
+    cfg = RunConfig.from_file("tasks/desk.json")
+    assert dataclasses.asdict(cfg) == {
+        **RUN_CONFIG_DEFAULTS, "task_name": "desk-data-mission", "map": "tasks/desk.map",
+        "dra": "tasks/mission.dra", "confusion": "undershoot", "beta_scale": 0.5,
+        "min_iters": 500}
 
 
 def test_every_config_key_has_a_flag():

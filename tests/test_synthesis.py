@@ -509,7 +509,7 @@ def test_ssp_source_asks_each_model_row_once():
     ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
     source = SspTransitionSource(ssp, ctx.product, ctx.dra, ctx.base_nts, base_row)
     policy = LookaheadPolicy(ssp, horizon=cfg.horizon, theta=cfg.theta0)
-    _theta, trace = run(ssp, source, policy, cfg.actor_critic())
+    _theta, trace = run(ssp, source, policy, cfg)
 
     model_state = {x: ctx.product.projection[old][0] for x, old in enumerate(ssp.origin)
                    if old >= 0 and x not in ssp.bad}
