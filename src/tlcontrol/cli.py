@@ -99,7 +99,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from(args)
         if args.command == "synthesize":
             if args.seeds:
-                seeds = [int(s) for s in args.seeds.split(",")]
+                try:
+                    seeds = [int(s) for s in args.seeds.split(",")]
+                except ValueError:
+                    raise ModelError(f"--seeds needs comma-separated integers, "
+                                     f"got {args.seeds!r}") from None
                 reports = synthesize_seeds(cfg, seeds)
                 for seed, report in zip(seeds, reports):
                     print(f"seed {seed}: {report.status} "

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -95,9 +94,9 @@ class LabeledModel:
 
     ``labels`` holds one observation bitmask per state over ``props``. The
     arrays are read-only and every invariant is checked on construction.
-    ``transitions`` is a read-only mapping view (state, action id) ->
-    ((successor, weight), ...) over the arrays, in row order. Two models
-    are equal when their fields and arrays are.
+    ``successors(q, u)`` reads row (q, u) back as ((successor, weight), ...),
+    and ``enabled_pairs()`` lists the (state, action id) rows in row order.
+    Two models are equal when their fields and arrays are.
     """
 
     n_states: int
@@ -179,10 +178,6 @@ class LabeledModel:
         return tuple(tuple(acts[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
 
     @cached_property
-    def transitions(self) -> Mapping[tuple[int, int], tuple[tuple[int, float], ...]]:
-        return _RowView(self)
-
-    @cached_property
     def _lists(self) -> tuple[list[int], list[int], list[int]]:
         return self.state_ptr.tolist(), self.row_action.tolist(), self.row_ptr.tolist()
 
@@ -203,43 +198,11 @@ class LabeledModel:
                     return row_ptr[r], row_ptr[r + 1]
         raise KeyError((state, action))
 
-    def prop_mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            try:
-                mask |= 1 << self.props.index(name)
-            except ValueError:
-                raise ModelError(f"unknown proposition {name!r}") from None
-        return mask
-
-    def letter(self, state: int) -> int:
-        """Observation set of ``state`` as a single alphabet letter."""
-        return int(self.labels[state])
-
     def enabled_pairs(self) -> Iterator[tuple[int, int]]:
         return zip(self.row_state.tolist(), self.row_action.tolist())
 
     def n_enabled_pairs(self) -> int:
         return len(self.row_action)
-
-
-class _RowView(MappingABC):
-    """Read-only (state, action id) -> ((successor, weight), ...) view of a
-    model's rows, iterated in row order."""
-
-    __slots__ = ("_model",)
-
-    def __init__(self, model: LabeledModel):
-        self._model = model
-
-    def __getitem__(self, key: tuple[int, int]) -> tuple[tuple[int, float], ...]:
-        return self._model.successors(*key)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return self._model.enabled_pairs()
-
-    def __len__(self) -> int:
-        return self._model.n_enabled_pairs()
 
 
 def validate_model(m: LabeledModel) -> None:

@@ -8,6 +8,14 @@ oracles consume a fully materialized probabilistic model and are used for
 the optimal reference value and for the periodic evaluation curve; the
 actor-critic itself only ever sees the possibilistic structure and the
 lazy probability source.
+
+``load_task`` builds one ``TaskContext`` per invocation, and every
+subcommand reads it: the models, the product with its accepting
+components and goal/zero sets, ``early_exit`` (the satisfaction
+probability when no policy choice matters), the restart SSP handed to the
+actor-critic, and ``product_rows``, the product row of each non-terminal
+SSP row, through which an SSP policy is judged on the product. The SSP and
+the row map are built on first use.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +56,7 @@ from .synthesis import (
     goal_and_bad_sets,
     mrp_to_ssp,
     serialize_ssp,
+    ssp_product_rows,
     with_probabilities,
 )
 
@@ -109,11 +119,14 @@ class RunConfig(ActorCriticConfig):
             raise ModelError("gamma_exponent and beta_exponent must be positive and finite")
         if self.mc_runs is not None and self.mc_runs < 0:
             raise ModelError("mc_runs must not be negative")
+        if self.seed < 0 or self.noise_seed < 0:
+            raise ModelError("seed and noise_seed must not be negative")
 
 
 @dataclass
 class TaskContext:
-    """All artifacts shared by the subcommands, built once per invocation."""
+    """The task every subcommand reads, built once per invocation; the SSP
+    and its product-row map are built on first use."""
 
     cfg: RunConfig
     dra: RabinAutomaton
@@ -135,6 +148,24 @@ class TaskContext:
     @property
     def zero_probability(self) -> bool:
         return not self.amec_list or self.product.base.initial in self.bad
+
+    @property
+    def early_exit(self) -> float | None:
+        """The satisfaction probability when no policy choice matters: 0.0
+        when no policy can satisfy the task, 1.0 when the initial state
+        already sits in an accepting component; None otherwise."""
+        if self.zero_probability:
+            return 0.0
+        return 1.0 if self.trivial else None
+
+    @cached_property
+    def ssp(self) -> SspModel:
+        return mrp_to_ssp(self.product, self.goal, self.bad)
+
+    @cached_property
+    def product_rows(self) -> np.ndarray:
+        """The product row of each non-terminal SSP row."""
+        return ssp_product_rows(self.product, self.goal)
 
 
 def load_task(cfg: RunConfig) -> TaskContext:
@@ -163,35 +194,15 @@ def load_task(cfg: RunConfig) -> TaskContext:
                        goal=goal, bad=bad)
 
 
-def _product_row_index(ssp: SspModel, m: LabeledModel) -> np.ndarray:
-    """The row of the product model ``m`` that each of the SSP's
-    non-terminal rows (states in order, actions ascending) stands for.
-
-    ``mrp_to_ssp`` keeps every state's enabled actions, so the rows of SSP
-    state s line up one to one with those of product state origin[s].
-    """
-    s = ssp.base
-    ssp_rows = np.flatnonzero(s.row_state != ssp.terminal)
-    state = s.row_state[ssp_rows]
-    return m.state_ptr[np.asarray(ssp.origin)[state]] + ssp_rows - s.state_ptr[state]
-
-
-def _to_product_rows(m: LabeledModel, index: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Re-index probabilities over an SSP's non-terminal rows onto the rows
-    of the product model ``m``, through ``index`` (``_product_row_index``).
-    Goal rows stay 0: goal states are evaluation boundary.
-    """
-    out = np.zeros(len(m.row_action))
-    out[index] = probs
-    return out
-
-
 def rsp_product_policy(policy: LookaheadPolicy, m: LabeledModel,
-                       index: np.ndarray) -> np.ndarray:
+                       rows: np.ndarray) -> np.ndarray:
     """The lookahead policy at its current theta as one probability per row
-    of the product model ``m``, through ``index`` (``_product_row_index``
-    of the policy's SSP)."""
-    return _to_product_rows(m, index, policy.policy_rows())
+    of the product model ``m``, through ``rows`` (the task's
+    ``product_rows``). Goal rows stay 0: goal states are evaluation
+    boundary."""
+    out = np.zeros(len(m.row_action))
+    out[rows] = policy.policy_rows()
+    return out
 
 
 @dataclass
@@ -234,26 +245,23 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     outdir.mkdir(parents=True, exist_ok=True)
     lines = _base_lines(ctx)
 
-    if ctx.zero_probability:
-        lines.append(("final exact probability", 0.0))
-        report = Report(cfg=cfg, exit_code=EXIT_ZERO_PROBABILITY,
-                        status="satisfaction probability is 0 for all policies",
-                        lines=lines, final_probability=0.0)
+    if ctx.early_exit is not None:
+        # No policy choice matters. At 1.0 the initial state already sits
+        # inside an accepting component, where the uniform retained-action
+        # policy satisfies the task almost surely.
+        if ctx.early_exit == 0.0:
+            exit_code, status = (EXIT_ZERO_PROBABILITY,
+                                 "satisfaction probability is 0 for all policies")
+        else:
+            exit_code, status = (EXIT_CONVERGED, "initial state is in the goal set; "
+                                                 "uniform component policy is optimal")
+        lines.append(("final exact probability", ctx.early_exit))
+        report = Report(cfg=cfg, exit_code=exit_code, status=status, lines=lines,
+                        final_probability=ctx.early_exit)
         (outdir / "summary.txt").write_text(report.summary_text())
         return report
 
-    if ctx.trivial:
-        # The initial state already sits inside an accepting component; the
-        # uniform retained-action policy satisfies the task almost surely.
-        lines.append(("final exact probability", 1.0))
-        report = Report(cfg=cfg, exit_code=EXIT_CONVERGED,
-                        status="initial state is in the goal set; "
-                               "uniform component policy is optimal",
-                        lines=lines, final_probability=1.0)
-        (outdir / "summary.txt").write_text(report.summary_text())
-        return report
-
-    ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+    ssp = ctx.ssp
     policy = LookaheadPolicy(
         ssp, horizon=cfg.horizon, radius=cfg.radius, theta=cfg.theta0,
         progress_penalty=cfg.progress_penalty, sequence_cap=cfg.sequence_cap)
@@ -262,19 +270,17 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     evaluator = None
     optimal = values = None
     if ctx.product_mdp is not None:
-        pm = ctx.product_mdp
-        reach = exact.ReachEvaluator(pm.base, ctx.goal, ctx.bad)
-        index = _product_row_index(ssp, pm.base)
+        m = ctx.product_mdp.base
+        reach = exact.ReachEvaluator(m, ctx.goal, ctx.bad)
 
-        def evaluator(theta, _pm=pm, _pol=policy, _reach=reach, _index=index):
-            _pol.theta = np.array(theta, dtype=float)
-            product_policy = rsp_product_policy(_pol, _pm.base, _index)
-            return exact.eval_policy_reach(_pm.base, product_policy, ctx.goal, ctx.bad,
-                                           evaluator=_reach)
+        def evaluator(theta):
+            policy.theta = np.array(theta, dtype=float)
+            return exact.eval_policy_reach(m, rsp_product_policy(policy, m, ctx.product_rows),
+                                           ctx.goal, ctx.bad, evaluator=reach)
 
         if cfg.exact_reference:
-            values, _ = exact.max_reach(pm.base, ctx.goal, ctx.bad)
-            optimal = float(values[pm.base.initial])
+            values, _ = exact.max_reach(m, ctx.goal, ctx.bad)
+            optimal = float(values[m.initial])
 
     theta, trace = run(ssp, source, policy, cfg, evaluator=evaluator)
 
@@ -317,9 +323,9 @@ def compare(cfg: RunConfig) -> Report:
     if ctx.product_mdp is None:
         raise ModelError("compare needs exact probabilities (enable exact_reference)")
     report = synthesize(cfg, ctx)
-    outdir = Path(cfg.outdir)
-    if report.exit_code == EXIT_ZERO_PROBABILITY or ctx.trivial:
+    if ctx.early_exit is not None:
         return report
+    outdir = Path(cfg.outdir)
     values = report.optimal_values
     if values is None:
         values, _ = exact.max_reach(ctx.product_mdp.base, ctx.goal, ctx.bad)
@@ -339,16 +345,14 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
     ctx = load_task(cfg)
     if ctx.product_mdp is None:
         raise ModelError("eval needs exact probabilities (enable exact_reference)")
-    if ctx.zero_probability:
-        return 0.0
-    if ctx.trivial:
-        return 1.0
-    ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+    if ctx.early_exit is not None:
+        return ctx.early_exit
+    ssp = ctx.ssp
     probs = parse_policy(Path(policy_path).read_text(), ssp.base)
     m = ctx.product_mdp.base
-    rows = _to_product_rows(m, _product_row_index(ssp, m),
-                            probs[ssp.base.row_state != ssp.terminal])
-    return exact.eval_policy_reach(m, rows, ctx.goal, ctx.bad)
+    product_policy = np.zeros(len(m.row_action))
+    product_policy[ctx.product_rows] = probs[ssp.base.row_state != ssp.terminal]
+    return exact.eval_policy_reach(m, product_policy, ctx.goal, ctx.bad)
 
 
 def write_models(cfg: RunConfig) -> list[Path]:
@@ -359,20 +363,20 @@ def write_models(cfg: RunConfig) -> list[Path]:
     paths = [outdir / "product.model"]
     paths[0].write_text(serialize_model(ctx.product.base))
     if not ctx.trivial:
-        ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
         paths.append(outdir / "ssp.model")
-        paths[1].write_text(serialize_ssp(ssp))
+        paths[1].write_text(serialize_ssp(ctx.ssp))
     return paths
 
 
 def synthesize_seeds(cfg: RunConfig, seeds: list[int]) -> list[Report]:
-    """Independent runs, one output directory per seed, plus an aggregate
-    summary in the parent directory."""
-    reports = []
-    for seed in seeds:
-        sub = dataclasses.replace(cfg, seed=seed,
-                                  outdir=str(Path(cfg.outdir) / f"seed{seed}"))
-        reports.append(synthesize(sub))
+    """Independent runs on one loaded task, one output directory per seed,
+    plus an aggregate summary in the parent directory."""
+    subs = [dataclasses.replace(cfg, seed=seed, outdir=str(Path(cfg.outdir) / f"seed{seed}"))
+            for seed in seeds]
+    for sub in subs:
+        sub.validate()
+    ctx = load_task(cfg)
+    reports = [synthesize(sub, ctx) for sub in subs]
     probs = [r.final_probability for r in reports if r.final_probability is not None]
     if probs:
         lines = [f"seeds: {seeds}",

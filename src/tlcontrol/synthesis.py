@@ -590,6 +590,14 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
     )
 
 
+def ssp_product_rows(p: ProductModel, goal: frozenset[int]) -> np.ndarray:
+    """The product row that each non-terminal row of ``mrp_to_ssp(p, goal,
+    bad)`` stands for. The conversion keeps the rows of the non-goal
+    states, in order, so these are those rows of ``p``."""
+    m = p.base
+    return np.flatnonzero(~_members(goal, m.n_states)[m.row_state])
+
+
 def serialize_ssp(ssp: SspModel) -> str:
     """Model format plus ``terminal q`` header and ``cost q u 1`` rows."""
     out = serialize_model(ssp.base)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tlcontrol.models import MDP, NTS, LabeledModel, RabinAutomaton, parse_model
+from dict_reference import model_rows
 
 PROP_NAMES = ("p", "q", "r", "s")
 
@@ -101,7 +102,7 @@ def parse_ssp_text(text):
 def support_zeros(m, targets):
     """States with no possibilistic path into ``targets`` (reverse closure)."""
     reverse = {q: set() for q in range(m.n_states)}
-    for (q, _u), row in m.transitions.items():
+    for (q, _u), row in model_rows(m).items():
         for succ, _ in row:
             reverse[succ].add(q)
     closed = set(targets)

@@ -50,8 +50,14 @@ class DictSsp:
     origin: tuple[int, ...]
 
 
+def model_rows(m) -> dict:
+    """A model's rows as a dict (state, action) -> ((successor, weight),
+    ...), in row order."""
+    return {key: m.successors(*key) for key in m.enabled_pairs()}
+
+
 def of(m) -> DictModel:
-    return DictModel(m.n_states, m.initial, m.mode, m.enabled, dict(m.transitions.items()),
+    return DictModel(m.n_states, m.initial, m.mode, m.enabled, model_rows(m),
                      tuple(int(x) for x in m.labels), m.state_names)
 
 
@@ -75,7 +81,7 @@ def build_product(m, r, label_rule="next") -> DictProduct:
     n_prod = m.n_states * ns
     names = m.state_names or tuple(str(q) for q in range(m.n_states))
     rows = {}
-    for (q, u), row in m.transitions.items():
+    for (q, u), row in model_rows(m).items():
         for s in range(ns):
             if label_rule == "next":
                 lifted = [(index(q2, int(r.delta[s, letters[q2]])), w) for q2, w in row]
@@ -130,7 +136,7 @@ def prune_unreachable(p: DictProduct) -> DictProduct:
 
 
 def with_probabilities(p: DictProduct, m_mdp) -> DictProduct:
-    weights = {key: dict(row) for key, row in m_mdp.transitions.items()}
+    weights = {key: dict(row) for key, row in model_rows(m_mdp).items()}
     rows = {}
     for (sp, u), row in p.base.rows.items():
         q = p.projection[sp][0]
@@ -213,7 +219,7 @@ def min_distances(m, targets, blocked_sources: frozenset[int] = frozenset()) -> 
     if not targets:
         raise ModelError("min_distances needs a nonempty target set")
     pred: list[list[int]] = [[] for _ in range(m.n_states)]
-    for (q, _u), row in m.transitions.items():
+    for (q, _u), row in model_rows(m).items():
         if q not in blocked_sources:
             for succ, _w in row:
                 pred[succ].append(q)

@@ -15,6 +15,7 @@ from tlcontrol.actor_critic import (
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.models import parse_model
 from tlcontrol.synthesis import SspModel
+from dict_reference import model_rows
 
 
 def test_critic_decay_only():
@@ -229,7 +230,7 @@ class CountingSource:
 def test_run_cost_free_instance_terminates_with_zero_estimate():
     ssp = _two_route_ssp()
     pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
-    source = CountingSource({k: v for k, v in ssp.base.transitions.items()})
+    source = CountingSource(model_rows(ssp.base))
     cfg = ActorCriticConfig(max_iters=4000, min_iters=100, seed=3)
     theta, trace = run(ssp, source, pol, cfg)
     assert trace.converged
@@ -246,7 +247,7 @@ def test_run_is_deterministic_and_queries_every_non_terminal_step():
     outs = []
     for _ in range(2):
         pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
-        source = CountingSource({k: v for k, v in ssp.base.transitions.items()})
+        source = CountingSource(model_rows(ssp.base))
         theta, trace = run(ssp, source, pol, cfg)
         outs.append((tuple(map(tuple, trace.thetas)), trace.csv_text(), source.calls))
     assert outs[0] == outs[1]
@@ -259,7 +260,7 @@ def test_run_is_deterministic_and_queries_every_non_terminal_step():
 def test_run_restarts_at_initial_and_counts_episodes():
     ssp = _two_route_ssp()
     pol = LookaheadPolicy(ssp, horizon=1, theta=(0.0, 0.0))
-    source = CountingSource({k: v for k, v in ssp.base.transitions.items()})
+    source = CountingSource(model_rows(ssp.base))
     cfg = ActorCriticConfig(max_iters=500, min_iters=10 ** 9, seed=1)
     _theta, trace = run(ssp, source, pol, cfg)
     states = trace.states
@@ -277,7 +278,7 @@ def test_run_restarts_at_initial_and_counts_episodes():
 def test_run_theta_drift_bounded_without_cost():
     ssp = _two_route_ssp()
     pol = LookaheadPolicy(ssp, horizon=1, theta=(1.0, 1.0))
-    source = CountingSource({k: v for k, v in ssp.base.transitions.items()})
+    source = CountingSource(model_rows(ssp.base))
     cfg = ActorCriticConfig(max_iters=2000, min_iters=10 ** 9, seed=5)
     theta, trace = run(ssp, source, pol, cfg)
     thetas = np.array(trace.thetas)
@@ -309,7 +310,7 @@ def test_trace_reset_flag_changes_dynamics():
     results = []
     for flag in (False, True):
         pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
-        source = CountingSource({k: v for k, v in ssp.base.transitions.items()})
+        source = CountingSource(model_rows(ssp.base))
         cfg = ActorCriticConfig(max_iters=200, min_iters=10 ** 9, seed=2,
                                 reset_trace_on_restart=flag, lam=0.9)
         _theta, trace = run(ssp, source, pol, cfg)
@@ -323,7 +324,7 @@ def test_trace_reset_flag_changes_dynamics():
 def test_eval_callback_cadence():
     ssp = _two_route_ssp()
     pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
-    source = CountingSource({k: v for k, v in ssp.base.transitions.items()})
+    source = CountingSource(model_rows(ssp.base))
     cfg = ActorCriticConfig(max_iters=100, min_iters=10 ** 9, seed=2, eval_every=25)
     seen = []
 

@@ -23,7 +23,7 @@ from conftest import PROP_NAMES, make_random_ssp, random_dra, random_mdp
 def with_extra_edge(rng, m):
     """``m`` with one row given a successor it did not have, or None when
     every row already reaches every state."""
-    rows = dict(m.transitions.items())
+    rows = ref.model_rows(m)
     open_rows = [key for key, row in rows.items() if len(row) < m.n_states]
     if not open_rows:
         return None

@@ -20,6 +20,7 @@ from tlcontrol.exact import (
 from tlcontrol.models import MDP, LabeledModel, ModelError, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
 from tlcontrol.synthesis import ProductModel, mrp_to_ssp
+from dict_reference import model_rows
 from conftest import lattice_map, random_mdp, support_zeros
 
 
@@ -217,7 +218,7 @@ def test_eval_policy_reach_matches_monte_carlo(rng):
             lo, hi = m.state_ptr[q], m.state_ptr[q + 1]
             acts, probs = m.row_action[lo:hi].tolist(), pol[lo:hi]
             u = acts[sim.choice(len(acts), p=probs)] if len(acts) > 1 else acts[0]
-            row = m.transitions[(q, u)]
+            row = m.successors(q, u)
             x = sim.random()
             acc = 0.0
             q = row[-1][0]
@@ -364,7 +365,7 @@ def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
     # zero set is given, so the support preprocessing alone removes the
     # states whose policy support cannot reach the target.
     trap = n_states - 1
-    transitions = {k: row for k, row in m.transitions.items() if k[0] != trap}
+    transitions = {k: row for k, row in model_rows(m).items() if k[0] != trap}
     transitions[(trap, 0)] = ((trap, 1.0),)
     m = LabeledModel.from_rows(transitions, n_states=m.n_states, initial=m.initial,
                                actions=m.actions, props=m.props, labels=m.labels, mode=MDP)

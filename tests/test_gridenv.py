@@ -11,6 +11,7 @@ from tlcontrol.gridenv import (
     transition_rows,
 )
 from tlcontrol.models import MDP, NTS, LabeledModel
+from dict_reference import model_rows
 from conftest import lattice_map
 
 STRIP = """
@@ -250,7 +251,7 @@ def test_build_mdp_rows_sum_to_one():
     for mc in (None, 500):
         m = build_mdp(env, NoiseModel(eta=0.9, confusion="undershoot", mc_runs=mc),
                       build_nts(env, "undershoot"))
-        for key, row in m.transitions.items():
+        for key, row in model_rows(m).items():
             assert abs(sum(w for _, w in row) - 1.0) <= 1e-9
 
 

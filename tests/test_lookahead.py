@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dict_reference
-from dict_reference import action_probability, action_sequences, neighborhood, safe
+from dict_reference import action_probability, action_sequences, model_rows, neighborhood, safe
 from tlcontrol.lookahead import LookaheadPolicy, SequenceCapExceeded, min_distances
 from tlcontrol.models import ModelError, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
@@ -42,7 +42,7 @@ def test_min_distances_against_floyd_warshall(rng):
         inf = float("inf")
         fw = np.full((9, 9), inf)
         np.fill_diagonal(fw, 0.0)
-        for (q, _u), row in n.transitions.items():
+        for (q, _u), row in model_rows(n).items():
             for succ, _ in row:
                 fw[q, succ] = min(fw[q, succ], 1.0)
         for k in range(9):

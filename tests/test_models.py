@@ -19,6 +19,7 @@ from tlcontrol.models import (
     save_policy,
     serialize_model,
 )
+from dict_reference import model_rows
 from conftest import random_mdp, random_nts
 
 SINGLETON = """
@@ -55,7 +56,7 @@ pair L={} K={1}
 def test_parse_absorbing_singleton():
     m = parse_model(SINGLETON)
     assert m.n_states == 1 and m.mode == MDP
-    assert m.transitions[(0, 0)] == ((0, 1.0),)
+    assert m.successors(0, 0) == ((0, 1.0),)
 
 
 def test_stochasticity_violation_names_state_and_action():
@@ -107,7 +108,7 @@ trans 3 go 3 1.0
 """
     from_file = parse_model(CHAIN_NTS)
     from_mdp = nts_from_mdp(parse_model(mdp_text))
-    assert from_file.transitions == from_mdp.transitions
+    assert model_rows(from_file) == model_rows(from_mdp)
     assert from_file.enabled == from_mdp.enabled
 
 
@@ -115,14 +116,14 @@ def test_nts_from_mdp_flags_and_idempotence(rng):
     m = parse_model("states 2\ninitial 0\nmode mdp\n"
                     "trans 0 a 0 0.5\ntrans 0 a 1 0.5\ntrans 1 b 1 1.0")
     n = nts_from_mdp(m)
-    assert n.transitions[(0, 0)] == ((0, 1.0), (1, 1.0))
-    assert n.transitions[(1, 1)] == ((1, 1.0),)
+    assert n.successors(0, 0) == ((0, 1.0), (1, 1.0))
+    assert n.successors(1, 1) == ((1, 1.0),)
     assert nts_from_mdp(n) is n
     for _ in range(5):
         m = random_mdp(rng, n_states=5, n_actions=3)
         n = nts_from_mdp(m)
-        for key, row in m.transitions.items():
-            assert tuple(s for s, _ in n.transitions[key]) == \
+        for key, row in model_rows(m).items():
+            assert tuple(s for s, _ in n.successors(*key)) == \
                 tuple(s for s, w in row if w > 0)
 
 
@@ -130,7 +131,7 @@ def test_row_sums_of_random_mdps(rng):
     for _ in range(10):
         m = random_mdp(rng, n_states=6, n_actions=3)
         for q, u in m.enabled_pairs():
-            assert abs(sum(w for _, w in m.transitions[(q, u)]) - 1.0) <= 1e-9
+            assert abs(sum(w for _, w in m.successors(q, u)) - 1.0) <= 1e-9
 
 
 def test_serialize_round_trip(rng):

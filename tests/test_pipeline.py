@@ -6,17 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tlcontrol import exact, gridenv
+from tlcontrol import exact, gridenv, pipeline
 from tlcontrol.actor_critic import ActorCriticConfig
 from tlcontrol.cli import _add_common, main
 from tlcontrol.lookahead import LookaheadPolicy
-from tlcontrol.models import ModelError, dra_step, parse_model, serialize_model
+from tlcontrol.models import ModelError, dra_step, nts_from_mdp, parse_model, serialize_model
 from tlcontrol.pipeline import (
     EXIT_CONVERGED,
     EXIT_ZERO_PROBABILITY,
     RunConfig,
-    _product_row_index,
     compare,
     evaluate_policy_file,
     load_task,
@@ -25,8 +25,14 @@ from tlcontrol.pipeline import (
     synthesize_seeds,
     write_models,
 )
-from tlcontrol.synthesis import mrp_to_ssp
-from conftest import lattice_map, parse_ssp_text
+from tlcontrol.synthesis import (
+    Amec,
+    build_product,
+    goal_and_bad_sets,
+    mrp_to_ssp,
+    ssp_product_rows,
+)
+from conftest import PROP_NAMES, lattice_map, parse_ssp_text, random_dra, random_mdp
 
 TINY_MAP = """
 #######
@@ -117,6 +123,32 @@ def test_trivial_task_initial_already_accepting(tiny_task, tmp_path):
     assert "goal set" in report.status
 
 
+@pytest.mark.parametrize("dra, value", [(UNREACHABLE_K_DRA, 0.0), (UNIT_DRA, 1.0)])
+def test_no_choice_tasks_exit_early_in_every_subcommand(tiny_task, tmp_path, dra, value):
+    # Zero probability, or the initial state already in the goal: every
+    # subcommand answers from the task's early-exit value alone.
+    (tmp_path / "task.dra").write_text(dra)
+    cfg = dataclasses.replace(tiny_task, dra=str(tmp_path / "task.dra"))
+    ctx = load_task(cfg)
+    assert ctx.early_exit == value
+    report = synthesize(cfg, ctx)
+    assert report.final_probability == value
+    assert "ssp" not in vars(ctx)
+
+    compared = compare(dataclasses.replace(cfg, outdir=str(tmp_path / "compare")))
+    assert dataclasses.replace(compared, cfg=cfg) == report
+    assert [path.name for path in (tmp_path / "compare").iterdir()] == ["summary.txt"]
+
+    # No policy is read: the file need not exist.
+    assert evaluate_policy_file(cfg, tmp_path / "absent.tsv") == value
+
+    paths = write_models(dataclasses.replace(cfg, outdir=str(tmp_path / "build")))
+    assert [path.name for path in paths] == (
+        ["product.model"] if value == 1.0 else ["product.model", "ssp.model"])
+    assert sorted(path.name for path in (tmp_path / "build").iterdir()) == [
+        path.name for path in paths]
+
+
 def test_pipeline_determinism_byte_identical_trace(tiny_task, tmp_path):
     report = synthesize(tiny_task)
     first = Path(tiny_task.outdir, "trace.csv").read_bytes()
@@ -156,9 +188,8 @@ def test_compare_single_action_model_hits_optimum(tmp_path):
 def test_compare_curve_matches_replayed_evaluation(tiny_task):
     report = compare(tiny_task)
     ctx = load_task(tiny_task)
-    ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+    ssp = ctx.ssp
     m = ctx.product_mdp.base
-    index = _product_row_index(ssp, m)
     trace_rows = Path(tiny_task.outdir, "trace.csv").read_text().splitlines()[1:]
     by_k = {}
     for row in trace_rows:
@@ -170,7 +201,7 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
         k, rsp_val, opt_val = row.split(",")
         t1, t2, exact_col = by_k[int(k)]
         pol = LookaheadPolicy(ssp, horizon=tiny_task.horizon, theta=(t1, t2))
-        replayed = exact.eval_policy_reach(m, rsp_product_policy(pol, m, index),
+        replayed = exact.eval_policy_reach(m, rsp_product_policy(pol, m, ctx.product_rows),
                                            ctx.goal, ctx.bad)
         assert abs(replayed - float(rsp_val)) <= 1e-12
         assert float(exact_col) == float(rsp_val)
@@ -182,7 +213,7 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
 def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
     cfg = tiny_task if task == "tiny" else RunConfig.from_file("tasks/desk.json")
     ctx = load_task(cfg)
-    ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
+    ssp = ctx.ssp
     pol = LookaheadPolicy(ssp, horizon=cfg.horizon, theta=theta)
     per_state = [pol.action_distribution(s) for s in range(ssp.base.n_states)
                  if s != ssp.terminal]
@@ -192,12 +223,57 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
     # Re-indexed onto the product: every state's distribution lands on the
     # rows of its product state, and goal rows stay empty.
     m = ctx.product_mdp.base
-    product = rsp_product_policy(pol, m, _product_row_index(ssp, m))
+    product = rsp_product_policy(pol, m, ctx.product_rows)
     for state, (acts, probs) in enumerate(per_state):
         lo, hi = m.state_ptr[ssp.origin[state]], m.state_ptr[ssp.origin[state] + 1]
         assert list(m.row_action[lo:hi]) == list(acts)
         assert np.array_equal(product[lo:hi], probs)
     assert not product[np.isin(m.row_state, list(ctx.goal))].any()
+
+
+def assert_ssp_rows_land_on_origin(product, goal, bad):
+    """Every non-terminal SSP row maps to the row of its origin product
+    state with the same action, and no goal row is hit."""
+    ssp = mrp_to_ssp(product, goal, bad)
+    rows = ssp_product_rows(product, goal)
+    m, s = product.base, ssp.base
+    live = np.flatnonzero(s.row_state != ssp.terminal)
+    assert len(rows) == len(live)
+    assert np.array_equal(m.row_state[rows], np.asarray(ssp.origin)[s.row_state[live]])
+    assert np.array_equal(m.row_action[rows], s.row_action[live])
+    assert not np.isin(m.row_state[rows], list(goal)).any()
+
+
+@pytest.mark.parametrize("task", ["tiny", "desk", "lattice-k8"])
+def test_ssp_rows_land_on_their_product_rows(tiny_task, tmp_path, task):
+    cfg = tiny_task if task == "tiny" else RunConfig.from_file("tasks/desk.json")
+    if task == "lattice-k8":
+        (tmp_path / "lattice.map").write_text(lattice_map(8))
+        cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
+    ctx = load_task(cfg)
+    assert_ssp_rows_land_on_origin(ctx.product, ctx.goal, ctx.bad)
+    # The probability refit keeps every row where it was.
+    for name in ("row_state", "row_action"):
+        assert np.array_equal(getattr(ctx.product_mdp.base, name),
+                              getattr(ctx.product.base, name))
+    assert np.array_equal(ctx.product_rows, ssp_product_rows(ctx.product, ctx.goal))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), label_rule=st.sampled_from(["next", "current"]),
+       n_states=st.integers(1, 7), n_actions=st.integers(1, 3), n_props=st.integers(1, 3),
+       dra_states=st.integers(1, 4))
+def test_ssp_rows_land_on_their_product_rows_on_random_products(
+        seed, label_rule, n_states, n_actions, n_props, dra_states):
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=3, n_props=n_props)
+    product = build_product(nts_from_mdp(m), random_dra(rng, dra_states, PROP_NAMES[:n_props]),
+                            label_rule)
+    n = product.base.n_states
+    goal = frozenset(np.flatnonzero(rng.random(n) < 0.3).tolist()) - {product.base.initial}
+    found = [Amec(states=goal, rows=np.zeros(0, dtype=np.int64), pair_index=0)] if goal else []
+    _goal, bad = goal_and_bad_sets(product, found)
+    assert_ssp_rows_land_on_origin(product, goal, bad)
 
 
 def test_desk_compare_builds_two_solve_plans(tmp_path, monkeypatch):
@@ -287,6 +363,8 @@ def test_load_task_builds_the_nts_once(monkeypatch):
     ctx = load_task(RunConfig.from_file("tasks/desk.json"))
     assert len(calls) == 1
     assert ctx.base_mdp is not None
+    # The SSP and its row map are built on first use, not by load_task.
+    assert "ssp" not in vars(ctx) and "product_rows" not in vars(ctx)
 
 
 # sha256 of the desk task's `build` output (product and SSP model files):
@@ -427,6 +505,28 @@ def test_multi_seed_aggregation(tiny_task):
     assert (Path(tiny_task.outdir) / "seed0" / "trace.csv").exists()
 
 
+def test_multi_seed_run_loads_the_task_once(tmp_path, monkeypatch):
+    loads = []
+    load = pipeline.load_task
+
+    def counting(cfg):
+        loads.append(cfg)
+        return load(cfg)
+
+    monkeypatch.setattr(pipeline, "load_task", counting)
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=300,
+                              eval_every=100)
+    synthesize_seeds(dataclasses.replace(cfg, outdir=str(tmp_path / "multi")), [1, 2])
+    assert len(loads) == 1
+    # Each seed still gets a fresh policy, source and evaluator.
+    for seed in (1, 2):
+        alone = tmp_path / f"alone{seed}"
+        synthesize(dataclasses.replace(cfg, seed=seed, outdir=str(alone)))
+        for name in ("trace.csv", "policy.tsv"):
+            assert (tmp_path / "multi" / f"seed{seed}" / name).read_bytes() == \
+                (alone / name).read_bytes()
+
+
 def test_cli_main_exit_codes(tiny_task, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -464,6 +564,8 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ({"beta_exponent": -2.0}, "gamma_exponent and beta_exponent must be positive"),
     ({"beta_exponent": float("inf")}, "gamma_exponent and beta_exponent must be positive"),
     ({"mc_runs": -5}, "mc_runs must not be negative"),
+    ({"seed": -1}, "seed and noise_seed must not be negative"),
+    ({"mc_runs": 10, "noise_seed": -1}, "seed and noise_seed must not be negative"),
 ])
 def test_config_rejects_invalid_actor_critic_settings(bad, message):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), **bad)
@@ -486,6 +588,10 @@ def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, caps
     ("--gamma-exponent", "-1"),
     ("--beta-exponent", "-2"),
     ("--mc-runs", "-5"),
+    ("--seed", "-1"),
+    ("--mc-runs", "10", "--noise-seed", "-1"),
+    ("--seeds", "1,x"),
+    ("--seeds", "1,-2"),
 ])
 def test_cli_reports_bad_inputs_in_one_error_line(tmp_path, capsys, flag):
     code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(tmp_path),
@@ -510,7 +616,7 @@ def test_mission_dra_run_enters_accepting_states_along_oracle_path():
         nxt = []
         for p in frontier:
             for u in ctx.product.base.enabled[p]:
-                for s, _ in ctx.product.base.transitions[(p, u)]:
+                for s, _ in ctx.product.base.successors(p, u):
                     if s not in parent:
                         parent[s] = p
                         if s in targets:

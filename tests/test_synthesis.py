@@ -19,6 +19,7 @@ from tlcontrol.synthesis import (
     with_probabilities,
 )
 from tlcontrol.models import nts_from_mdp
+from dict_reference import model_rows
 from conftest import PROP_NAMES, parse_ssp_text, random_dra, random_mdp, random_nts, retained
 
 UNIT_DRA = """
@@ -88,7 +89,7 @@ def boolean_reach_matrix(m):
     """Reachability via repeated squaring of the boolean edge matrix."""
     n = m.n_states
     a = np.eye(n, dtype=bool)
-    for (q, _u), row in m.transitions.items():
+    for (q, _u), row in model_rows(m).items():
         for succ, _ in row:
             a[q, succ] = True
     for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 1):
@@ -108,9 +109,9 @@ def test_unit_automaton_product_is_isomorphic(rng):
         assert states == np.flatnonzero(boolean_reach_matrix(m)[m.initial]).tolist()
         assert p.projection[:, 1].tolist() == [0] * len(states)
         assert p.unpruned_states == m.n_states
-        assert len(p.base.transitions) == sum(len(m.enabled[q]) for q in states)
-        for (i, u), row in p.base.transitions.items():
-            assert tuple((states[s], w) for s, w in row) == m.transitions[(states[i], u)]
+        assert p.base.n_enabled_pairs() == sum(len(m.enabled[q]) for q in states)
+        for (i, u), row in model_rows(p.base).items():
+            assert tuple((states[s], w) for s, w in row) == m.successors(states[i], u)
 
 
 def test_chain_times_reachability_automaton():
@@ -123,8 +124,8 @@ def test_chain_times_reachability_automaton():
     assert p.base.n_states == 2
     assert p.projection.tolist() == [[0, 0], [1, 1]]
     assert p.base.initial == 0
-    assert p.base.transitions[(0, 0)] == ((1, 1.0),)
-    assert p.base.transitions[(1, 0)] == ((1, 1.0),)
+    assert p.base.successors(0, 0) == ((1, 1.0),)
+    assert p.base.successors(1, 0) == ((1, 1.0),)
     assert p.pairs == ((frozenset(), frozenset({1})),)
 
 
@@ -139,8 +140,8 @@ def test_product_rows_stay_stochastic(rng):
     for _ in range(5):
         m = random_mdp(rng, n_states=5, n_actions=2, n_props=1)
         p = build_product(m, parse_dra(F_P_DRA))
-        for key in p.base.transitions:
-            assert abs(sum(w for _, w in p.base.transitions[key]) - 1.0) <= 1e-9
+        for key in p.base.enabled_pairs():
+            assert abs(sum(w for _, w in p.base.successors(*key)) - 1.0) <= 1e-9
 
 
 def test_prune_keeps_reachable_and_projection(rng):
@@ -154,7 +155,7 @@ def test_prune_keeps_reachable_and_projection(rng):
     while stack:
         q = stack.pop()
         for u in p.base.enabled[q]:
-            for s, _ in p.base.transitions[(q, u)]:
+            for s, _ in p.base.successors(q, u):
                 if s not in seen:
                     seen.add(s)
                     stack.append(s)
@@ -172,7 +173,7 @@ def test_current_label_rule_differs_on_first_letter():
     assert cur.projection[cur.base.initial].tolist() == [0, 0]
     # From (0, 0) the current rule reads h(0)={p} and lands in (1, 1).
     assert cur.projection.tolist() == [[0, 0], [1, 1]]
-    assert cur.base.transitions[(0, 0)] == ((1, 1.0),)
+    assert cur.base.successors(0, 0) == ((1, 1.0),)
 
 
 # -- end components ----------------------------------------------------------
@@ -378,13 +379,13 @@ def test_ssp_sum_redirection():
     ssp = mrp_to_ssp(p, frozenset({1, 2}), frozenset({3}))
     # Kept states: 0 -> 0, 3 -> 1; terminal = 2.
     assert ssp.terminal == 2
-    assert ssp.base.transitions[(0, 0)] == ((1, 0.5), (2, 0.5))
+    assert ssp.base.successors(0, 0) == ((1, 0.5), (2, 0.5))
     # Zero states restart at the initial state with unit cost.
-    assert ssp.base.transitions[(1, 0)] == ((0, 1.0),)
+    assert ssp.base.successors(1, 0) == ((0, 1.0),)
     assert ssp.cost(1) == 1.0 and ssp.cost(0) == 0.0
     # The terminal is absorbing and cost-free under every action.
     for u in range(len(ssp.base.actions)):
-        assert ssp.base.transitions[(2, u)] == ((2, 1.0),)
+        assert ssp.base.successors(2, u) == ((2, 1.0),)
         assert ssp.cost(2, u) == 0.0
 
 
@@ -395,9 +396,9 @@ def test_ssp_flag_redirection_and_support_agreement():
     p_nts = ProductModel(base=nts_from_mdp(p.base), projection=p.projection,
                          pairs=p.pairs, unpruned_states=4)
     ssp_nts = mrp_to_ssp(p_nts, goal, bad)
-    assert ssp_nts.base.transitions[(0, 0)] == ((1, 1.0), (2, 1.0))
-    for key, row in ssp_mdp.base.transitions.items():
-        assert tuple(s for s, _ in row) == tuple(s for s, _ in ssp_nts.base.transitions[key])
+    assert ssp_nts.base.successors(0, 0) == ((1, 1.0), (2, 1.0))
+    for key, row in model_rows(ssp_mdp.base).items():
+        assert tuple(s for s, _ in row) == tuple(s for s, _ in ssp_nts.base.successors(*key))
 
 
 def test_ssp_rejects_trivial_instance():
@@ -412,7 +413,7 @@ def test_ssp_serialize_round_trip():
     again, terminal, bad = parse_ssp_text(serialize_ssp(ssp))
     assert terminal == ssp.terminal
     assert bad == ssp.bad
-    assert again.transitions == ssp.base.transitions
+    assert model_rows(again) == model_rows(ssp.base)
     assert again == ssp.base
 
 
@@ -452,10 +453,10 @@ def test_with_probabilities_validates_support(rng):
     m = random_mdp(rng, n_states=4, n_actions=2)
     skeleton = build_product(nts_from_mdp(m), parse_dra(F_P_DRA))
     refit = with_probabilities(skeleton, m)
-    for key, row in refit.base.transitions.items():
+    for key, row in model_rows(refit.base).items():
         assert abs(sum(w for _, w in row) - 1.0) <= 1e-9
     # A probabilistic edge outside the skeleton support must be rejected.
-    other = dict(m.transitions)
+    other = model_rows(m)
     q, u = next(iter(other))
     succs = [s for s, _ in other[(q, u)]]
     extra = next(s for s in range(m.n_states) if s not in succs)
@@ -481,7 +482,7 @@ def test_ssp_transition_source_matches_direct_conversion(rng):
         ssp_nts = mrp_to_ssp(product, goal, bad)
         ssp_mdp = mrp_to_ssp(with_probabilities(product, m), goal, bad)
         source = SspTransitionSource(ssp_nts, product, dra, nts_from_mdp(m), m.successors)
-        for (s, u), row in ssp_mdp.base.transitions.items():
+        for (s, u), row in model_rows(ssp_mdp.base).items():
             if s == ssp_mdp.terminal:
                 continue
             got = source(s, u)
@@ -523,7 +524,7 @@ def test_ssp_source_asks_each_model_row_once():
     assert source(x, u) == row and source.pairs_computed == counted
     # Every row, asked for or filled in, is the SSP conversion's row.
     ssp_mdp = mrp_to_ssp(ctx.product_mdp, ctx.goal, ctx.bad)
-    for (s, u), want in ssp_mdp.base.transitions.items():
+    for (s, u), want in model_rows(ssp_mdp.base).items():
         if s != ssp.terminal:
             got = source(s, u)
             assert [t for t, _w in got] == [t for t, _w in want]
@@ -554,7 +555,7 @@ def test_ssp_proper_policies_absorb_at_terminal(rng):
             if q == ssp_mdp.terminal:
                 continue
             for u in ssp_mdp.base.enabled[q]:
-                for s, _w in ssp_mdp.base.transitions[(q, u)]:
+                for s, _w in ssp_mdp.base.successors(q, u):
                     if s not in reachable:
                         reachable.add(s)
                         stack.append(s)

@@ -17,7 +17,11 @@ The set of runs:
 - lattice-exact: ``compare`` on the k=20 road lattice (map seed 0),
   ``eval_every`` 0, 2,000 iterations, seed 1;
 - ``build`` (product.model, ssp.model) on desk and on the k=20 lattice,
-  which pins the product's state numbering and names at scale.
+  which pins the product's state numbering and names at scale;
+- ``eval`` of the desk ``compare`` seed 1 run's policy.tsv, its value
+  written as its ``repr`` to value.txt;
+- model-file ``compare``: desk's probabilistic model serialized and run as
+  an MDP model file, seed 1, 2,000 iterations.
 
 It imports the package from the ``src`` directory and the lattice
 generator from ``perfbench/lattice.py`` of the checkout it lives in, and
@@ -38,13 +42,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from tlcontrol.pipeline import RunConfig, compare, synthesize, write_models  # noqa: E402
+from tlcontrol.models import serialize_model  # noqa: E402
+from tlcontrol.pipeline import (  # noqa: E402
+    RunConfig,
+    compare,
+    evaluate_policy_file,
+    load_task,
+    synthesize,
+    write_models,
+)
 
 DESK_SEEDS = (1, 2, 3, 4, 5)
 LAZY_SEEDS = (1, 2, 3)
 LAZY_ITERS = 20_000
 LAZY_MC_RUNS, LAZY_MC_SEED = 200, 1
 LATTICE_K, LATTICE_MAP_SEED, LATTICE_ITERS, LATTICE_SEED = 20, 0, 2_000, 1
+EVAL_SEED = 1
+MODEL_FILE_ITERS, MODEL_FILE_SEED = 2_000, 1
 
 
 def lattice_map(k: int, map_seed: int) -> str:
@@ -79,6 +93,21 @@ def runs(work: Path):
     yield "desk-build", write_models, dataclasses.replace(desk, outdir=str(work / "desk-build"))
     name = f"lattice-k{LATTICE_K}-build"
     yield name, write_models, dataclasses.replace(desk, outdir=str(work / name), map=str(lattice))
+    policy = work / f"desk-compare-s{EVAL_SEED}" / "policy.tsv"
+
+    def evaluate(cfg: RunConfig) -> None:
+        Path(cfg.outdir).mkdir(parents=True)
+        value = evaluate_policy_file(cfg, policy)
+        (Path(cfg.outdir) / "value.txt").write_text(f"{value!r}\n")
+
+    name = f"desk-eval-s{EVAL_SEED}"
+    yield name, evaluate, dataclasses.replace(desk, outdir=str(work / name))
+    model = work / "desk.model"
+    model.write_text(serialize_model(load_task(desk).base_mdp))
+    name = f"desk-model-compare-s{MODEL_FILE_SEED}"
+    yield name, compare, dataclasses.replace(
+        desk, seed=MODEL_FILE_SEED, outdir=str(work / name), map=None, model=str(model),
+        max_iters=MODEL_FILE_ITERS)
 
 
 def main() -> int:
