@@ -13,9 +13,11 @@ lazy probability source.
 subcommand reads it: the models, the product with its accepting
 components and goal/zero sets, ``early_exit`` (the satisfaction
 probability when no policy choice matters), the restart SSP handed to the
-actor-critic, and ``product_rows``, the product row of each non-terminal
-SSP row, through which an SSP policy is judged on the product. The SSP and
-the row map are built on first use.
+actor-critic, ``product_rows``, the product row of each non-terminal SSP
+row, through which an SSP policy is judged on the product, and
+``optimal_values``, the exact optimum that ``synthesize`` and ``compare``
+read. The SSP, the row map and the optimum are built on first use, so a
+multi-seed run computes the optimum once.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import dataclasses
 import json
 import math
 import statistics
+import types
+import typing
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -93,11 +97,21 @@ class RunConfig(ActorCriticConfig):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        data = json.loads(Path(path).read_text())
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        try:
+            data = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"configuration file {path} is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ModelError(f"configuration file {path} must hold a JSON object")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(fields)
         if unknown:
             raise ModelError(f"unknown configuration keys {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for key, value in data.items():
+            if not _fits(value, hints[key]):
+                raise ModelError(f"configuration key {key!r} must be "
+                                 f"{fields[key].type}, got {value!r}")
         if "theta0" in data:
             data["theta0"] = tuple(data["theta0"])
         return cls(**data)
@@ -123,10 +137,24 @@ class RunConfig(ActorCriticConfig):
             raise ModelError("seed and noise_seed must not be negative")
 
 
+def _fits(value: object, hint: object) -> bool:
+    """Whether the JSON value ``value`` has the declared type ``hint``: an
+    int is a float, a bool is neither, and a list is a tuple."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_fits, value, args)))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 @dataclass
 class TaskContext:
-    """The task every subcommand reads, built once per invocation; the SSP
-    and its product-row map are built on first use."""
+    """The task every subcommand reads, built once per invocation; the SSP,
+    its product-row map and the exact optimum are built on first use."""
 
     cfg: RunConfig
     dra: RabinAutomaton
@@ -166,6 +194,12 @@ class TaskContext:
     def product_rows(self) -> np.ndarray:
         """The product row of each non-terminal SSP row."""
         return ssp_product_rows(self.product, self.goal)
+
+    @cached_property
+    def optimal_values(self) -> np.ndarray:
+        """Each product state's optimal satisfaction probability, from
+        ``exact.max_reach`` on the probabilistic product."""
+        return exact.max_reach(self.product_mdp.base, self.goal, self.bad)[0]
 
 
 def load_task(cfg: RunConfig) -> TaskContext:
@@ -215,7 +249,6 @@ class Report:
     theta: tuple[float, float] | None = None
     final_probability: float | None = None
     optimal_probability: float | None = None
-    optimal_values: np.ndarray | None = None
 
     def summary_text(self) -> str:
         out = [f"{key}: {value}" for key, value in self.lines]
@@ -268,7 +301,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     source = SspTransitionSource(ssp, ctx.product, ctx.dra, ctx.base_nts, ctx.base_row)
 
     evaluator = None
-    optimal = values = None
+    optimal = None
     if ctx.product_mdp is not None:
         m = ctx.product_mdp.base
         reach = exact.ReachEvaluator(m, ctx.goal, ctx.bad)
@@ -279,8 +312,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
                                            ctx.goal, ctx.bad, evaluator=reach)
 
         if cfg.exact_reference:
-            values, _ = exact.max_reach(m, ctx.goal, ctx.bad)
-            optimal = float(values[m.initial])
+            optimal = float(ctx.optimal_values[m.initial])
 
     theta, trace = run(ssp, source, policy, cfg, evaluator=evaluator)
 
@@ -311,8 +343,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     report = Report(cfg=cfg, exit_code=EXIT_CONVERGED if trace.converged else EXIT_CAPPED,
                     status=status, lines=lines, trace=trace,
                     theta=(float(theta[0]), float(theta[1])),
-                    final_probability=final_prob, optimal_probability=optimal,
-                    optimal_values=values)
+                    final_probability=final_prob, optimal_probability=optimal)
     (outdir / "summary.txt").write_text(report.summary_text())
     return report
 
@@ -326,11 +357,8 @@ def compare(cfg: RunConfig) -> Report:
     if ctx.early_exit is not None:
         return report
     outdir = Path(cfg.outdir)
-    values = report.optimal_values
-    if values is None:
-        values, _ = exact.max_reach(ctx.product_mdp.base, ctx.goal, ctx.bad)
-        report.optimal_probability = float(values[ctx.product_mdp.base.initial])
-    optimal = report.optimal_probability
+    values = ctx.optimal_values
+    optimal = report.optimal_probability = float(values[ctx.product_mdp.base.initial])
     with open(outdir / "values.csv", "w") as f:
         exact.write_value_csv(f, values)
     with open(outdir / "curve.csv", "w") as f:

@@ -11,8 +11,9 @@ Every step works on the models' CSR arrays (see ``models``). The product is
 built forward from its initial state, as frontier joins of the model's rows
 with the automaton's ``delta`` table, so it holds only reachable states; the
 probability refit and the SSP conversion are masks, gathers and remaps; the
-end-component search and the goal closure read their supports from the
-arrays. The backward closure of the goal is a numpy frontier loop,
+end-component search holds its live rows, its live states and its removal
+cascade as masks over the arrays, with one SCC pass per round over all
+pending states. The backward closure of the goal is a numpy frontier loop,
 ``_layers``, which the exact oracles and the lookahead's goal distances use
 as well; strongly connected components come from one Tarjan routine over
 flat successor arrays, ``_strongly_connected``, shared with the exact
@@ -198,16 +199,11 @@ def _closure(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return _layers(src, dst, seeds) >= 0
 
 
-def _rows_into(m: LabeledModel, rows: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """For each state, the rows (of the ``rows`` mask, when given) that
-    step into it, one per entry and in entry order, as CSR arrays."""
-    entry_row, dst = m.entry_row, m.succ
-    if rows is not None:
-        keep = rows[entry_row]
-        entry_row, dst = entry_row[keep], dst[keep]
-    return (_ptr(np.bincount(dst, minlength=m.n_states)),
-            entry_row[np.argsort(dst, kind="stable")])
+def _rows_into(m: LabeledModel) -> tuple[np.ndarray, np.ndarray]:
+    """For each state, the rows that step into it, one per entry and in
+    entry order, as CSR arrays."""
+    return (_ptr(np.bincount(m.succ, minlength=m.n_states)),
+            m.entry_row[np.argsort(m.succ, kind="stable")])
 
 
 def _members(states: Iterable[int], n: int) -> np.ndarray:
@@ -277,22 +273,23 @@ def max_end_components(
     """All maximal end components of a possibilistic model.
 
     Worklist decomposition (Baier & Katoen, *Principles of Model Checking*,
-    Alg. 47, with attractor-style removals). Which candidate rows keep their
-    support in the candidate set, and a predecessor index over those rows,
-    are read from the model's arrays once. Rows whose support leaves the
-    candidate set start disabled; a state left without an enabled row is
-    removed, which disables exactly the rows that step into it, and the
-    removals cascade. Each component on the worklist is split into strongly
-    connected components under its enabled rows (``_strongly_connected``
-    over a flat successor list); if there is more than one, only the rows
-    that cross a border are disabled, removals cascade from the states left
-    empty, and every part that lost a row goes back on the worklist. A
-    single component, or a part that lost no row, is final.
+    Alg. 47, with attractor-style removals), held as masks over the
+    model's arrays: the states still alive, the rows still live, each
+    state's count of live rows, and one index of the rows into each state.
+    Removal is one frontier loop: killing rows may leave states without a
+    live row, those states die, and the live rows into them are the next
+    frontier. Rows whose support leaves the candidate set die first. Each
+    round then splits the pending states (alive, not yet settled) into
+    strongly connected components under their live rows, in one
+    ``_strongly_connected`` pass over all of them, and kills the rows that
+    cross a border. A component of the round that lost no row is settled
+    as final; the states of the others stay pending.
 
     Cost: building the index and all cascades together are linear in the
-    rows and their supports; each worklist round adds one linear SCC pass
-    over its component, so the total is O(states x edges) in the worst case
-    and a few linear passes when the components nest shallowly.
+    rows and their supports; each round adds one linear SCC pass over the
+    pending states and a linear mask pass over the model, so the total is
+    O(states x edges) in the worst case and a few linear passes when the
+    components nest shallowly.
 
     Returns (state set, retained rows) entries sorted by smallest state; the
     retained rows are the model's rows, ascending, that the component keeps
@@ -308,94 +305,67 @@ def _end_components(n: LabeledModel, cand: np.ndarray
     """``max_end_components`` within the states of the mask ``cand``."""
     if n.mode != NTS:
         raise ModelError("end components are computed on NTS-mode models")
-    states = np.flatnonzero(cand).tolist()
-    part = np.where(cand, 0, -1).tolist()  # component label; -1: outside or removed
-    inside = cand[n.row_state] & np.logical_and.reduceat(cand[n.succ], n.row_ptr[:-1])
-    n_live = np.bincount(n.row_state[inside], minlength=n.n_states).tolist()
-    # Rows that step into each state, over the rows that start enabled.
-    pred_ptr, pred_rows = (a.tolist() for a in _rows_into(n, inside))
-    live = inside.tolist()
-    row_state = n.row_state.tolist()
-    empty = [q for q in states if not n_live[q]]
+    row_state, entry_row, succ = n.row_state, n.entry_row, n.succ
+    alive = cand.copy()
+    live = cand[row_state]
+    n_live = np.where(cand, np.diff(n.state_ptr), 0)
+    pred_ptr, pred_rows = _rows_into(n)
 
-    touched: set[int] = set()  # labels of components that lost a row
+    def disable(rows: np.ndarray) -> np.ndarray:
+        """Kill the live ``rows`` and cascade: a state left without a live
+        row leaves ``alive``, which kills the live rows into it. Returns
+        the states that lost a row."""
+        lost = [rows[:0]]
+        while rows.size:
+            live[rows] = False
+            q = row_state[rows]
+            np.subtract.at(n_live, q, 1)
+            lost.append(q)
+            gone = _distinct(q[n_live[q] == 0])
+            alive[gone] = False
+            into = pred_rows[_expand(pred_ptr, gone)[1]]
+            rows = _distinct(into[live[into]])
+        return np.concatenate(lost)
 
-    def disable(r: int) -> None:
-        live[r] = False
-        q = row_state[r]
-        touched.add(part[q])
-        n_live[q] -= 1
-        if not n_live[q]:
-            empty.append(q)
-
-    def cascade() -> None:
-        while empty:
-            q = empty.pop()
-            part[q] = -1
-            for r in pred_rows[pred_ptr[q]:pred_ptr[q + 1]]:
-                if live[r]:
-                    disable(r)
-
-    # A live row never leaves its state's component: rows crossing a border
-    # are disabled, and so are rows into removed states. A round works on
-    # the component's positions 0..k-1 (its states are sorted, so position
-    # order is state order).
+    disable(np.flatnonzero(live & ~np.logical_and.reduceat(cand[succ], n.row_ptr[:-1])))
+    # A settled state's label is the smallest state of its component. A
+    # live row never leaves its state's SCC of the last round: rows that
+    # cross a border are killed, and so are rows into removed states.
+    label = np.full(n.n_states, -1, dtype=np.int64)
     pos = np.full(n.n_states, -1, dtype=np.int64)
-
-    def live_edges(members: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The live rows of the ``members`` states and their entries, as
-        (rows, row of each entry, source position, successor position)."""
-        at, rows = _expand(n.state_ptr, members)
-        keep = np.fromiter((live[r] for r in rows.tolist()), dtype=bool, count=len(rows))
-        at, rows = at[keep], rows[keep]
-        at2, entries = _expand(n.row_ptr, rows)
-        return rows, at2, at[at2], pos[n.succ[entries]]
-
-    cascade()
-    survivors = [q for q in states if part[q] == 0]
-    work = [survivors] if survivors else []
-    final: list[list[int]] = []
-    label = 0
-    while work:
-        comp = work.pop()
-        k = len(comp)
-        members = np.array(comp, dtype=np.int64)
+    pending = alive.copy()
+    while pending.any():
+        members = np.flatnonzero(pending)
+        k = len(members)
         pos[members] = np.arange(k)
-        rows, entry_row, src, dst = live_edges(members)
+        entries = np.flatnonzero((live & pending[row_state])[entry_row])
+        src, dst = pos[row_state[entry_row[entries]]], pos[succ[entries]]
         code = _distinct(src * k + dst)
         count, scc = _strongly_connected(_ptr(np.bincount(code // k, minlength=k)).tolist(),
                                          (code % k).tolist())
-        if count == 1:
-            final.append(comp)
-            continue
-        # The parts take the fresh labels base, base + 1, ...
-        base, label = label + 1, label + count
-        for q, c in zip(comp, scc):
-            part[q] = base + c
-        touched.clear()
-        scc = np.array(scc)
-        border = np.bincount(entry_row[scc[src] != scc[dst]], minlength=len(rows))
-        for r in rows[border > 0].tolist():
-            disable(r)
-        cascade()
-        parts: list[list[int]] = [[] for _ in range(count)]
-        for q in comp:
-            if part[q] != -1:
-                parts[part[q] - base].append(q)
-        for c, rest in enumerate(parts):
-            if rest:
-                (work if base + c in touched else final).append(rest)
-    final.sort()
-    # The live rows, grouped by component; every one belongs to a final one.
-    of_state = np.full(n.n_states, -1, dtype=np.int64)
-    for c, comp in enumerate(final):
-        of_state[comp] = c
+        scc = np.array(scc, dtype=np.int64)
+        lost = disable(_distinct(entry_row[entries[scc[src] != scc[dst]]]))
+        touched = np.zeros(count, dtype=bool)
+        touched[scc[pos[lost]]] = True
+        first = np.full(count, n.n_states)
+        np.minimum.at(first, scc, members)
+        settled = ~touched[scc]
+        label[members[settled]] = first[scc[settled]]
+        pending &= alive & (label < 0)
+    # The components and their live rows, both grouped by label.
+    in_mec = np.flatnonzero(label >= 0)
+    if not in_mec.size:
+        return []
     kept = np.flatnonzero(live)
-    of_row = of_state[n.row_state[kept]]
-    kept = kept[np.argsort(of_row, kind="stable")]
-    ptr = _ptr(np.bincount(of_row, minlength=len(final))).tolist()
-    return [(frozenset(comp), kept[lo:hi]) for comp, lo, hi in zip(final, ptr, ptr[1:])]
+    return [(frozenset(states.tolist()), rows) for states, rows in
+            zip(_groups(in_mec, label[in_mec]), _groups(kept, label[row_state[kept]]))]
+
+
+def _groups(items: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
+    """``items`` split into runs of equal key, by ascending key; each run
+    keeps the items' order."""
+    order = np.argsort(keys, kind="stable")
+    return np.split(items[order], np.flatnonzero(np.diff(keys[order])) + 1)
 
 
 def _strongly_connected(ptr: list[int], adj: list[int]) -> tuple[int, list[int]]:

@@ -514,10 +514,21 @@ def test_multi_seed_run_loads_the_task_once(tmp_path, monkeypatch):
         return load(cfg)
 
     monkeypatch.setattr(pipeline, "load_task", counting)
+    solves = []
+    max_reach = exact.max_reach
+
+    def counting_solve(*args):
+        solves.append(args)
+        return max_reach(*args)
+
+    monkeypatch.setattr(exact, "max_reach", counting_solve)
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=300,
                               eval_every=100)
-    synthesize_seeds(dataclasses.replace(cfg, outdir=str(tmp_path / "multi")), [1, 2])
+    reports = synthesize_seeds(dataclasses.replace(cfg, outdir=str(tmp_path / "multi")), [1, 2])
     assert len(loads) == 1
+    # The optimum depends only on the task: one exact solve serves both seeds.
+    assert len(solves) == 1
+    assert reports[0].optimal_probability == reports[1].optimal_probability is not None
     # Each seed still gets a fresh policy, source and evaluator.
     for seed in (1, 2):
         alone = tmp_path / f"alone{seed}"
@@ -599,6 +610,37 @@ def test_cli_reports_bad_inputs_in_one_error_line(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "must hold a JSON object"),
+    ('{"dra": ', "is not JSON"),
+    ('{"horizon": "2"}', "'horizon' must be int, got '2'"),
+    ('{"theta0": 5}', r"'theta0' must be tuple\[float, float\], got 5"),
+    ('{"theta0": [5, "x"]}', "'theta0' must be tuple"),
+    ('{"max_iters": 2.5}', "'max_iters' must be int, got 2.5"),
+    ('{"horizon": null}', "'horizon' must be int, got None"),
+    ('{"lam": true}', "'lam' must be float, got True"),
+    ('{"exact_reference": 1}', "'exact_reference' must be bool, got 1"),
+    ('{"map": 3}', "'map' must be str | None, got 3"),
+])
+def test_cli_reports_bad_config_files_in_one_error_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ModelError, match=message):
+        RunConfig.from_file(path)
+    code = main(["synthesize", "--config", str(path), "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_config_file_takes_ints_for_floats_and_null_where_the_default_is_none(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eta": 1, "theta0": [5, -1], "radius": None,
+                                "mc_runs": None, "progress_penalty": 2}))
+    cfg = RunConfig.from_file(path)
+    assert (cfg.eta, cfg.theta0, cfg.radius, cfg.progress_penalty) == (1, (5, -1), None, 2)
 
 
 def test_mission_dra_run_enters_accepting_states_along_oracle_path():

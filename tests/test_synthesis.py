@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tlcontrol import synthesis
 from tlcontrol.models import MDP, LabeledModel, ModelError, parse_dra, parse_model
 from tlcontrol.synthesis import (
     ProductModel,
@@ -212,6 +213,31 @@ def test_mec_split_resplits_a_part_that_lost_a_row():
     got = [(s, retained(n, r)) for s, r in max_end_components(n)]
     assert got == [(frozenset({0}), {0: (1,)}), (frozenset({2}), {2: (0,)})]
     assert got == brute_force_mecs(n)
+
+
+def test_mec_split_four_rounds_deep(monkeypatch):
+    # Found by a seeded search over random_nts (6 states): each round's
+    # border rows split off a smaller part that has to be split again.
+    # Round 1 settles {3}; round 2 settles {0} and {4}, cut off by the
+    # border rows (0, a0) and (4, a1); round 3 settles {1, 5} once
+    # (5, a0) is gone; round 4 settles {2} after (2, a0) is gone.
+    n = parse_model("states 6\ninitial 0\nmode nts\n"
+                    "trans 0 a 3 1\ntrans 0 b 0 1\ntrans 1 b 5 1\n"
+                    "trans 2 a 1 1\ntrans 2 a 5 1\ntrans 2 b 2 1\ntrans 3 a 3 1\n"
+                    "trans 4 a 4 1\ntrans 4 b 0 1\ntrans 4 b 2 1\n"
+                    "trans 5 a 2 1\ntrans 5 a 4 1\ntrans 5 b 1 1")
+    rounds = []
+    scc = synthesis._strongly_connected
+
+    def counting(ptr, adj):
+        rounds.append(len(ptr) - 1)  # the round's pending states
+        return scc(ptr, adj)
+
+    monkeypatch.setattr(synthesis, "_strongly_connected", counting)
+    got = [(s, retained(n, r)) for s, r in max_end_components(n)]
+    assert rounds == [6, 5, 3, 1]
+    assert got == brute_force_mecs(n)
+    assert [sorted(s) for s, _kept in got] == [[0], [1, 5], [2], [3], [4]]
 
 
 @settings(max_examples=200, deadline=None)
