@@ -3,8 +3,9 @@
 One simulation step per iteration: query the transition probabilities of the
 current (state, action) pair from the lazy source (``SspTransitionSource``,
 which holds the only memo of rows, so each model row is obtained at most
-once per run), sample the successor, restart at the terminal, and sample
-the next action from the lookahead policy. The critic accumulates
+once per run, and lifts it along the product's own rows), sample the
+successor, restart at the terminal, and sample the next action from the
+lookahead policy. The critic accumulates
 eligibility-trace statistics
 
     z' = lam * z + psi(x_k, u_k)
@@ -32,7 +33,6 @@ step direction's squared norm, and the theta array the policy reads.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -135,11 +135,6 @@ class RunTrace:
             f"{'' if (ex := exact.get(k)) is None else repr(ex)}\n"
             for k, (t1, t2), (r1, r2), cost, episodes, pairs in zip(
                 self.ks, self.thetas, self.rs, self.costs, self.episodes, self.pairs))
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 # Closed-form singular values of a 2x2 matrix are within a few ulps of

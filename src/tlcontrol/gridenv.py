@@ -30,14 +30,14 @@ the other feasible forward outcomes.
 
 ``parse_map`` indexes every open cell by its region, every intersection's
 arms and the sorted motion states once (``EnvMap.cell_region``,
-``EnvMap.arms``, ``EnvMap.pairs``), so a model build costs a constant per
-motion state and control. ``build_nts`` is the map's one outcome table: it
-works out the outcomes of every enabled (pair state, control) once and
-writes them as the possibilistic model's CSR rows. The noise model is
-defined once, as weights over a set of those rows (``_row_weights``):
-``build_mdp`` weighs every row, and ``transition_rows``, the lazy provider
-of a run that builds no MDP, weighs one row per query, so the two give the
-same rows bit for bit.
+``EnvMap.arms``, ``EnvMap.pairs``). The control rule is one array,
+``_aim_table``: the region each control aims for at each motion state.
+``build_nts`` is the map's one outcome table, joins over that array
+written as the possibilistic model's CSR rows. The noise model is defined
+once, as weights over a set of those rows (``_row_weights``, which reads
+each row's intended region off the aim table): ``build_mdp`` weighs every
+row, and ``transition_rows``, the lazy provider of a run that builds no
+MDP, weighs one row per query, so the two give the same rows bit for bit.
 """
 
 from __future__ import annotations
@@ -53,11 +53,7 @@ from .synthesis import _expand
 
 ACTIONS = ("FollowRoad", "GoLeft", "GoRight", "GoStraight")
 
-_N, _E, _S, _W = (-1, 0), (0, 1), (1, 0), (0, -1)
-_DIRS = (_N, _E, _S, _W)
-_OPPOSITE = {_N: _S, _S: _N, _E: _W, _W: _E}
-_ROT_LEFT = {_N: _W, _W: _S, _S: _E, _E: _N}
-_ROT_RIGHT = {_N: _E, _E: _S, _S: _W, _W: _N}
+_DIRS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # N, E, S, W
 
 
 class MapError(ValueError):
@@ -256,43 +252,38 @@ def _parse_cell(token: str) -> tuple[int, int]:
 CONFUSION_MODES = ("uniform", "undershoot")
 
 
-def _aims(env: EnvMap, pair: tuple[int, int]) -> dict[str, int]:
-    """The controls enabled at a pair state, in ``ACTIONS`` order, each with
-    the region it aims for."""
-    prev, cur = pair
-    region = env.regions[cur]
-    if region.kind == "corridor":
-        ends = [reg for reg in env.adjacency[cur] if reg != prev]
-        if len(ends) > 1:
-            raise MapError(f"corridor {region.name} has an ambiguous far end")
-        # Dead ends turn the robot around.
-        return {"FollowRoad": ends[0] if ends else prev}
-    arms = env.arms[cur]
-    heading = _OPPOSITE[next(d for d, reg in arms.items() if reg == prev)]
-    return {name: arms[d] for name, d in (("GoLeft", _ROT_LEFT[heading]),
-                                          ("GoRight", _ROT_RIGHT[heading]),
-                                          ("GoStraight", heading))
-            if d in arms}
+def _aim_table(env: EnvMap) -> np.ndarray:
+    """The map's control rule: an (n_pairs, len(ACTIONS)) array holding the
+    region each control aims for at each pair state ``env.pairs[i]``, or -1
+    where the control is disabled.
 
-
-def _outcomes(env: EnvMap, pair: tuple[int, int], confusion: str
-              ) -> dict[str, tuple[int, tuple[int, ...]]]:
-    """(intended region, wrong-but-feasible regions) of every control
-    enabled at a pair state, in ``ACTIONS`` order.
-
-    ``uniform`` lets a failed control end up in any other forward arm;
-    ``undershoot`` lets a failed turn carry straight through the junction
-    while straight motion stays reliable (wrong-outcome supports then
-    distinguish the controls at every junction geometry).
+    FollowRoad is the one control in a corridor and aims for its far end; a
+    dead end turns the robot around. At an intersection the turns are
+    relative to the heading: with the directions N, E, S, W numbered 0..3,
+    the heading is the arm the robot came from plus 2, left is heading + 3
+    and right is heading + 1 (mod 4); a turn into a wall is disabled.
     """
-    aims = _aims(env, pair)
-    if confusion == "uniform":
-        ends = sorted(aims.values())  # distinct: each arm is its own region
-        return {name: (aim, tuple(end for end in ends if end != aim))
-                for name, aim in aims.items()}
-    straight = aims.get("GoStraight")
-    return {name: (aim, () if name == "GoStraight" or straight is None else (straight,))
-            for name, aim in aims.items()}
+    prev, cur = env.pairs[:, 0], env.pairs[:, 1]
+    n_regions = len(env.regions)
+    arm = np.full((n_regions, len(_DIRS)), -1, dtype=np.int64)
+    for reg, by_dir in env.arms.items():
+        arm[reg, [_DIRS.index(d) for d in by_dir]] = list(by_dir.values())
+    corridor = np.array([region.kind == "corridor" for region in env.regions], dtype=bool)
+    # The pairs are sorted, so region r's neighbors are the current
+    # regions of the pairs ptr[r]:ptr[r + 1].
+    ptr = np.searchsorted(prev, np.arange(n_regions + 1))
+    ambiguous = np.flatnonzero(corridor & (np.diff(ptr) > 2))
+    if ambiguous.size:
+        raise MapError(f"corridor {env.regions[ambiguous[0]].name} has an ambiguous far end")
+    table = np.full((len(cur), len(ACTIONS)), -1, dtype=np.int64)
+    # A corridor has one or two neighbors, so its far end is first + last -
+    # prev: prev itself at a dead end.
+    road = corridor[cur]
+    table[road, 0] = (cur[ptr[cur]] + cur[ptr[cur + 1] - 1] - prev)[road]
+    # An intersection pair and the arm it came from; left, right, straight.
+    crossing, came = np.nonzero(arm[cur] == prev[:, None])
+    table[crossing, 1:] = arm[cur[crossing, None], (came[:, None] + 2 + (3, 1, 0)) % 4]
+    return table
 
 
 def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
@@ -300,44 +291,54 @@ def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
     the noise model run with the same confusion mode).
 
     This is the map's outcome table: state i is the pair state
-    ``env.pairs[i]``, the outcomes of every enabled (pair state, control)
-    are worked out once (``_outcomes``, per pair state), and row (pair,
-    control) holds the intended and the wrong ones, ascending. The noise
+    ``env.pairs[i]``, its rows are its enabled controls in ``ACTIONS``
+    order (``_aim_table``), and row (pair, control) holds the regions the
+    control can end up in, ascending. ``uniform`` lets a failed control end
+    up in any other forward arm, so every row of a state holds all its
+    aims; ``undershoot`` lets a failed turn carry straight through the
+    junction while straight motion stays reliable (wrong-outcome supports
+    then distinguish the controls at every junction geometry). The noise
     model's rows are weights over these rows."""
     if env.start is None:
         raise MapError("map has no 'start' line")
     if confusion not in CONFUSION_MODES:
         raise MapError(f"unknown confusion model {confusion!r}")
-    pairs = list(map(tuple, env.pairs.tolist()))
-    if env.start not in pairs:
-        raise MapError("start pair is not a reachable motion state")
     n_regions = len(env.regions)
-    n_actions, row_action, row_size, succ = [], [], [], []
-    for pair in pairs:
-        cur = pair[1]
-        outcomes = _outcomes(env, pair, confusion)
-        n_actions.append(len(outcomes))
-        for name, (intended, wrong) in outcomes.items():
-            ends = sorted({intended, *wrong})
-            row_action.append(ACTIONS.index(name))
-            row_size.append(len(ends))
-            succ.extend(cur * n_regions + out for out in ends)
+    cur = env.pairs[:, 1]
     # Successor pair (cur, out) by its code; the pairs are sorted.
-    codes = env.pairs[:, 0] * n_regions + env.pairs[:, 1]
+    codes = env.pairs[:, 0] * n_regions + cur
+    start = env.start[0] * n_regions + env.start[1]
+    initial = int(np.searchsorted(codes, start))
+    if codes[initial:initial + 1].tolist() != [start]:
+        raise MapError("start pair is not a reachable motion state")
+    aims = _aim_table(env)
+    enabled = aims >= 0
+    state, action = np.nonzero(enabled)
+    if confusion == "uniform":
+        ends = aims[state]
+    else:  # a turn (GoLeft, GoRight) may also end up straight ahead (GoStraight)
+        turn = (action == 1) | (action == 2)
+        ends = np.stack((aims[state, action], np.where(turn, aims[state, 3], -1)), axis=1)
+    ends = np.sort(np.where(ends >= 0, ends, n_regions), axis=1, kind="stable")
+    kept = ends < n_regions
+    row_size = kept.sum(axis=1)
+    outs = ends[kept]
+    region_label = np.array([sum(1 << env.props.index(obs) for obs in env.region_obs[reg])
+                             for reg in range(n_regions)], dtype=np.int64)
+    names = [region.name for region in env.regions]
     return LabeledModel(
-        n_states=len(pairs),
-        initial=pairs.index(env.start),
+        n_states=len(codes),
+        initial=initial,
         actions=ACTIONS,
         props=env.props,
-        labels=[sum(1 << env.props.index(obs) for obs in env.region_obs[cur])
-                for _prev, cur in pairs],
+        labels=region_label[cur],
         mode=NTS,
-        state_ptr=_ptr(n_actions),
-        row_action=row_action,
+        state_ptr=_ptr(enabled.sum(axis=1)),
+        row_action=action,
         row_ptr=_ptr(row_size),
-        succ=np.searchsorted(codes, np.array(succ, dtype=np.int64)),
-        weight=np.ones(len(succ)),
-        state_names=tuple(f"{env.regions[p].name}-{env.regions[c].name}" for p, c in pairs),
+        succ=np.searchsorted(codes, np.repeat(cur[state], row_size) * n_regions + outs),
+        weight=np.ones(len(outs)),
+        state_names=tuple(f"{names[p]}-{names[c]}" for p, c in zip(*env.pairs.T.tolist())),
     )
 
 
@@ -364,48 +365,43 @@ class NoiseModel:
         return float(eta)
 
 
-def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel,
+def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel, aims: np.ndarray,
                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The noise model over the NTS rows ``rows`` (ascending row ids): the
     entries it gives positive probability, in order, and their
     probabilities.
 
-    ``nts`` is the map's ``build_nts`` model under ``noise.confusion``. A
-    row with one outcome keeps probability 1 on it; in a row with more, the
-    intended outcome (the region its control aims for) gets the success
-    probability and the wrong ones equal shares of the rest. With
-    ``mc_runs`` a row with more outcomes holds the frequencies of that many
-    draws over its (intended, wrong...) outcomes of positive probability,
-    from a generator seeded with (``noise.seed``, pair state, action id).
+    ``nts`` is the map's ``build_nts`` model under ``noise.confusion`` and
+    ``aims`` its ``_aim_table``. A row with one outcome keeps probability 1
+    on it; in a row with more, the intended outcome (the region its
+    control aims for) gets the success probability and the wrong ones
+    equal shares of the rest. With ``mc_runs`` a row with more outcomes
+    holds the frequencies of that many draws over its (intended, wrong...)
+    outcomes of positive probability, from a generator seeded with
+    (``noise.seed``, pair state, action id).
     """
     cur = env.pairs[:, 1]
     size = nts.row_ptr[rows + 1] - nts.row_ptr[rows]
     owner, entry = _expand(nts.row_ptr, rows)
-    # Each row's intended region and success probability; a row with one
-    # outcome aims for it and succeeds surely.
-    aim = cur[nts.succ[nts.row_ptr[rows]]]
-    row_eta = np.ones(len(rows))
-    multi = np.flatnonzero(size > 1).tolist()
-    states, actions = nts.row_state[rows].tolist(), nts.row_action[rows].tolist()
-    eta: dict[str, float] = {}
-    last = aims = None
-    for k in multi:
-        q, name = states[k], ACTIONS[actions[k]]
-        if q != last:
-            last, aims = q, _aims(env, env.pairs[q].tolist())
-        if name not in eta:
-            eta[name] = noise.success_probability(name)
-        aim[k], row_eta[k] = aims[name], eta[name]
+    states, actions = nts.row_state[rows], nts.row_action[rows]
+    multi = size > 1
+    # The success probability of each action that has a row with more
+    # outcomes, asked for in row order; a row with one outcome succeeds surely.
+    eta = np.ones(len(ACTIONS))
+    for u in dict.fromkeys(actions[multi].tolist()):
+        eta[u] = noise.success_probability(ACTIONS[u])
+    row_eta = np.where(multi, eta[actions], 1.0)
     slip = (1.0 - row_eta) / np.maximum(size - 1, 1)
-    hit = cur[nts.succ[entry]] == aim[owner]
+    hit = cur[nts.succ[entry]] == aims[states, actions][owner]
     weight = np.where(hit, row_eta[owner], slip[owner])
     if noise.mc_runs:
         ptr = _ptr(size)
-        for k in multi:
+        for k in np.flatnonzero(multi).tolist():
             own = np.arange(ptr[k], ptr[k + 1])
             order = np.concatenate((own[hit[own]], own[~hit[own]]))
             order = order[weight[order] > 0]
-            rng = np.random.default_rng([noise.seed, *env.pairs[states[k]].tolist(), actions[k]])
+            rng = np.random.default_rng(
+                [noise.seed, *env.pairs[states[k]].tolist(), int(actions[k])])
             draws = rng.choice(len(order), size=noise.mc_runs, p=weight[order].tolist())
             weight[own] = 0.0
             weight[order] = np.bincount(draws, minlength=len(order)) / noise.mc_runs
@@ -419,13 +415,14 @@ def transition_rows(env: EnvMap, noise: NoiseModel, nts: LabeledModel
     ``row(state, action)`` is row (state, action) of ``build_mdp(env,
     noise, nts)``, as ``LabeledModel.successors`` gives it. A (state,
     action) that ``nts`` does not enable raises ``MapError``."""
+    aims = _aim_table(env)
 
     def row(state: int, action: int) -> tuple[tuple[int, float], ...]:
         try:
             lo, _hi = nts._entries(state, action)
         except KeyError:
             raise MapError(f"action {action} is not enabled at pair state {state}") from None
-        entry, weight = _row_weights(env, noise, nts, nts.entry_row[lo:lo + 1])
+        entry, weight = _row_weights(env, noise, nts, aims, nts.entry_row[lo:lo + 1])
         return tuple(zip(nts.succ[entry].tolist(), weight.tolist()))
 
     return row
@@ -436,7 +433,8 @@ def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel
     run without them reads single rows through ``transition_rows``): the
     states, enabled actions and labels of ``nts``, the map's ``build_nts``
     model under ``noise.confusion``, with the rows ``_row_weights`` gives."""
-    entry, weight = _row_weights(env, noise, nts, np.arange(nts.n_enabled_pairs()))
+    entry, weight = _row_weights(env, noise, nts, _aim_table(env),
+                                 np.arange(nts.n_enabled_pairs()))
     return dataclasses.replace(
         nts, mode=MDP, succ=nts.succ[entry], weight=weight,
         row_ptr=_ptr(np.bincount(nts.entry_row[entry], minlength=nts.n_enabled_pairs())))

@@ -493,15 +493,6 @@ class RabinAutomaton:
     def n_letters(self) -> int:
         return 1 << len(self.props)
 
-    def prop_mask(self, names: Iterable[str]) -> int:
-        mask = 0
-        for name in names:
-            try:
-                mask |= 1 << self.props.index(name)
-            except ValueError:
-                raise ModelError(f"unknown proposition {name!r}") from None
-        return mask
-
 
 def dra_step(r: RabinAutomaton, state: int, letter: int) -> int:
     """Apply the (total) transition function once."""

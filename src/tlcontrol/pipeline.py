@@ -135,6 +135,8 @@ class RunConfig(ActorCriticConfig):
             raise ModelError("mc_runs must not be negative")
         if self.seed < 0 or self.noise_seed < 0:
             raise ModelError("seed and noise_seed must not be negative")
+        if min(self.max_iters, self.min_iters, self.gate_iters) < 0:
+            raise ModelError("max_iters, min_iters and gate_iters must not be negative")
 
 
 def _fits(value: object, hint: object) -> bool:
@@ -298,7 +300,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     policy = LookaheadPolicy(
         ssp, horizon=cfg.horizon, radius=cfg.radius, theta=cfg.theta0,
         progress_penalty=cfg.progress_penalty, sequence_cap=cfg.sequence_cap)
-    source = SspTransitionSource(ssp, ctx.product, ctx.dra, ctx.base_nts, ctx.base_row)
+    source = SspTransitionSource(ssp, ctx.product, ctx.base_row)
 
     evaluator = None
     optimal = None

@@ -64,14 +64,6 @@ class ProductModel:
         object.__setattr__(self, "projection", projection)
 
 
-def _letters(m: LabeledModel, props: Sequence[str]) -> np.ndarray:
-    """Each state's label re-encoded over the bit order of ``props``."""
-    letters = np.zeros(m.n_states, dtype=np.int64)
-    for i, name in enumerate(m.props):
-        letters |= ((m.labels >> i) & 1) << props.index(name)
-    return letters
-
-
 def _distinct(x: np.ndarray) -> np.ndarray:
     """The distinct values of ``x``, ascending. A stable sort plus a mask:
     ``np.unique`` and the set routines run a hash table and numpy's default
@@ -115,7 +107,10 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
         raise ModelError(
             f"proposition mismatch: model has {sorted(m.props)}, automaton has {sorted(r.props)}")
 
-    letters = _letters(m, r.props)
+    # Each state's label re-encoded over the automaton's bit order.
+    letters = np.zeros(m.n_states, dtype=np.int64)
+    for i, name in enumerate(m.props):
+        letters |= ((m.labels >> i) & 1) << r.props.index(name)
     delta = np.asarray(r.delta, dtype=np.int64)
     ns = r.n_states
 
@@ -591,30 +586,24 @@ class SspTransitionSource:
     (model state, action) at most once: the first query over q lifts the
     row onto every non-restart SSP state over q. ``pairs_computed`` counts
     those calls, so it counts exactly the model rows ever needed.
+
+    The rows are read off the product, which took every automaton step:
+    its states over q are consecutive (it numbers them by q * |S| + s), and
+    each has q's rows in q's order, with one successor per model successor.
     """
 
-    def __init__(self, ssp: SspModel, product: ProductModel, dra: RabinAutomaton,
-                 base_model: LabeledModel, base_row: TransitionSource):
+    def __init__(self, ssp: SspModel, product: ProductModel, base_row: TransitionSource):
         self._ssp = ssp
-        self._dra = dra
         self._base_row = base_row
-        self._rule = product.label_rule
+        self._product = product.base
+        self._model_state = product.projection[:, 0]
         self._rows: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         self.pairs_computed = 0
-        origin = np.asarray(ssp.origin, dtype=np.int64)
-        kept = origin >= 0
-        projection = product.projection
-        # The model state of each SSP state but the terminal.
-        self._model_state = projection[origin[kept], 0].tolist()
-        # SSP state of product pair (q, s), at q * |S| + s: -1 outside the
-        # product, the terminal for goal states (dropped from the SSP).
-        of_product = np.full(len(projection), ssp.terminal, dtype=np.int64)
-        of_product[origin[kept]] = np.flatnonzero(kept)
-        self._n_dra = dra.n_states
-        to_ssp = np.full(base_model.n_states * dra.n_states, -1, dtype=np.int64)
-        to_ssp[projection[:, 0] * dra.n_states + projection[:, 1]] = of_product
-        self._to_ssp = to_ssp.tolist()
-        self._letters = tuple(_letters(base_model, dra.props).tolist())
+        # SSP state of each product state; goal states, which the SSP
+        # drops, go to the terminal.
+        of_product = np.full(product.base.n_states, ssp.terminal, dtype=np.int64)
+        of_product[list(ssp.origin[:-1])] = np.arange(ssp.terminal)
+        self._of_product = of_product
 
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
         row = self._rows.get((state, action))
@@ -628,28 +617,33 @@ class SspTransitionSource:
             row = ((ssp.terminal if state == ssp.terminal else ssp.initial, 1.0),)
             self._rows[state, action] = row
             return row
-        q = self._model_state[state]
+        q = int(self._model_state[ssp.origin[state]])
         base = self._base_row(q, action)
         self.pairs_computed += 1
-        n = self._n_dra
-        for s, x in enumerate(self._to_ssp[q * n:(q + 1) * n]):
-            if x >= 0 and x != ssp.terminal and x not in ssp.bad:
-                self._rows[x, action] = self._lift(q, s, action, base)
+        self._lift(q, action, base)
         return self._rows[state, action]
 
-    def _lift(self, q: int, s: int, action: int, base: Sequence[tuple[int, float]]
-              ) -> tuple[tuple[int, float], ...]:
-        """Row ``base`` of (q, action) taken from automaton state s, over SSP
-        states: goal mass merges onto the terminal."""
-        out: dict[int, float] = {}
-        for q2, w in base:
-            letter = self._letters[q if self._rule == "current" else q2]
-            s2 = int(self._dra.delta[s, letter])
-            at = q2 * self._n_dra + s2
-            target = self._to_ssp[at] if 0 <= at < len(self._to_ssp) else -1
-            if target < 0:
-                raise ModelError(
-                    f"probability source has successor {q2} outside the "
-                    f"possibilistic support of ({q}, action {action})")
-            out[target] = out.get(target, 0.0) + w
-        return tuple(sorted(out.items()))
+    def _lift(self, q: int, action: int, base: Sequence[tuple[int, float]]) -> None:
+        """Memo row ``base`` of (q, action) at every non-restart SSP state
+        over q: an entry (q', w) goes to the SSP state of the product
+        successor over q', and goal mass merges onto the terminal."""
+        ssp, m, model_state = self._ssp, self._product, self._model_state
+        lo, hi = np.searchsorted(model_state, (q, q + 1)).tolist()
+        first = m.state_ptr[lo]
+        rows = m.state_ptr[lo:hi] + m.row_action[first:m.state_ptr[lo + 1]].tolist().index(action)
+        start = m.row_ptr[rows]
+        succ = m.succ[start[:, None] + np.arange(m.row_ptr[rows[0] + 1] - start[0])]
+        column = {q2: i for i, q2 in enumerate(model_state[succ[0]].tolist())}
+        try:
+            entries = [(column[q2], w) for q2, w in base]
+        except KeyError as err:
+            raise ModelError(
+                f"probability source has successor {err.args[0]} outside the "
+                f"possibilistic support of ({q}, action {action})") from None
+        for x, targets in zip(self._of_product[lo:hi].tolist(),
+                              self._of_product[succ].tolist()):
+            if x != ssp.terminal and x not in ssp.bad:
+                out: dict[int, float] = {}
+                for i, w in entries:
+                    out[targets[i]] = out.get(targets[i], 0.0) + w
+                self._rows[x, action] = tuple(sorted(out.items()))

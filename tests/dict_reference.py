@@ -50,6 +50,12 @@ class DictSsp:
     origin: tuple[int, ...]
 
 
+def prop_mask(r, names) -> int:
+    """The letter of the automaton ``r`` that holds exactly the
+    propositions ``names``."""
+    return sum(1 << r.props.index(name) for name in set(names))
+
+
 def model_rows(m) -> dict:
     """A model's rows as a dict (state, action) -> ((successor, weight),
     ...), in row order."""
@@ -71,7 +77,7 @@ def of_ssp(s) -> DictSsp:
 
 
 def build_product(m, r, label_rule="next") -> DictProduct:
-    letters = [r.prop_mask(p for i, p in enumerate(m.props) if int(m.labels[q]) >> i & 1)
+    letters = [prop_mask(r, [p for i, p in enumerate(m.props) if int(m.labels[q]) >> i & 1])
                for q in range(m.n_states)]
     ns = r.n_states
 

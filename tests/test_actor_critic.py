@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,13 @@ from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.models import parse_model
 from tlcontrol.synthesis import SspModel
 from dict_reference import model_rows
+
+
+def csv_text(trace):
+    """The ``trace.csv`` text that ``trace.write_csv`` writes."""
+    buf = io.StringIO()
+    trace.write_csv(buf)
+    return buf.getvalue()
 
 
 def test_critic_decay_only():
@@ -249,7 +258,7 @@ def test_run_is_deterministic_and_queries_every_non_terminal_step():
         pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
         source = CountingSource(model_rows(ssp.base))
         theta, trace = run(ssp, source, pol, cfg)
-        outs.append((tuple(map(tuple, trace.thetas)), trace.csv_text(), source.calls))
+        outs.append((tuple(map(tuple, trace.thetas)), csv_text(trace), source.calls))
     assert outs[0] == outs[1]
     # The memo is the source's: run() asks at every step but the terminal's,
     # and each trace row carries the source's count.
@@ -314,7 +323,7 @@ def test_trace_reset_flag_changes_dynamics():
         cfg = ActorCriticConfig(max_iters=200, min_iters=10 ** 9, seed=2,
                                 reset_trace_on_restart=flag, lam=0.9)
         _theta, trace = run(ssp, source, pol, cfg)
-        results.append(trace.csv_text())
+        results.append(csv_text(trace))
     # The sampled path is identical; only the critic columns may differ.
     first = [row.split(",")[:3] for row in results[0].splitlines()]
     second = [row.split(",")[:3] for row in results[1].splitlines()]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,11 @@ start 2,1 2,2
         parse_map(grid)
     with pytest.raises(MapError, match="missing 'legend'"):
         parse_map("#####\n#...#\n#####")
+    # A corridor region with more than two neighbors has no far end.
+    env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
+    regions = tuple(dataclasses.replace(r, kind="corridor") for r in env.regions)
+    with pytest.raises(MapError, match="I1 has an ambiguous far end"):
+        build_nts(dataclasses.replace(env, regions=regions))
 
 
 def test_spaceless_comment_line_is_skipped():

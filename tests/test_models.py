@@ -19,7 +19,7 @@ from tlcontrol.models import (
     save_policy,
     serialize_model,
 )
-from dict_reference import model_rows
+from dict_reference import model_rows, prop_mask
 from conftest import random_mdp, random_nts
 
 SINGLETON = """
@@ -220,7 +220,7 @@ def test_parse_dra_reachability_automaton():
     r = parse_dra(F_P_DRA)
     assert r.n_states == 2 and r.initial == 0
     assert r.pairs == ((frozenset(), frozenset({1})),)
-    assert dra_step(r, 0, r.prop_mask(["p"])) == 1
+    assert dra_step(r, 0, prop_mask(r, ["p"])) == 1
     assert dra_step(r, 0, 0) == 0
     assert dra_step(r, 1, 0) == 1
 

@@ -32,6 +32,7 @@ from tlcontrol.synthesis import (
     mrp_to_ssp,
     ssp_product_rows,
 )
+from dict_reference import prop_mask
 from conftest import PROP_NAMES, lattice_map, parse_ssp_text, random_dra, random_mdp
 
 TINY_MAP = """
@@ -577,6 +578,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ({"mc_runs": -5}, "mc_runs must not be negative"),
     ({"seed": -1}, "seed and noise_seed must not be negative"),
     ({"mc_runs": 10, "noise_seed": -1}, "seed and noise_seed must not be negative"),
+    ({"max_iters": -5}, "max_iters, min_iters and gate_iters must not be negative"),
+    ({"min_iters": -1}, "max_iters, min_iters and gate_iters must not be negative"),
+    ({"gate_iters": -1}, "max_iters, min_iters and gate_iters must not be negative"),
 ])
 def test_config_rejects_invalid_actor_critic_settings(bad, message):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), **bad)
@@ -584,6 +588,11 @@ def test_config_rejects_invalid_actor_critic_settings(bad, message):
         cfg.validate()
     with pytest.raises(ModelError, match=message):
         load_task(cfg)
+
+
+def test_config_takes_zero_iteration_counts():
+    dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=0, min_iters=0,
+                        gate_iters=0).validate()
 
 
 def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, capsys):
@@ -603,6 +612,9 @@ def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, caps
     ("--mc-runs", "10", "--noise-seed", "-1"),
     ("--seeds", "1,x"),
     ("--seeds", "1,-2"),
+    ("--max-iters", "-5"),
+    ("--min-iters", "-1"),
+    ("--gate-iters", "-1"),
 ])
 def test_cli_reports_bad_inputs_in_one_error_line(tmp_path, capsys, flag):
     code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(tmp_path),
@@ -679,8 +691,8 @@ def test_mission_dra_run_enters_accepting_states_along_oracle_path():
     path.reverse()
     # Replay the base-state labels through the automaton and check the run
     # tracks the product's automaton components, ending inside K.
-    letters = [dra.prop_mask(p for i, p in enumerate(ctx.base_nts.props)
-                             if ctx.base_nts.labels[q] >> i & 1)
+    letters = [prop_mask(dra, [p for i, p in enumerate(ctx.base_nts.props)
+                               if ctx.base_nts.labels[q] >> i & 1])
                for q in range(ctx.base_nts.n_states)]
     q0, s0 = ctx.product.projection[path[0]]
     state = dra_step(dra, dra.initial, letters[q0])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tlcontrol import synthesis
 from tlcontrol.models import MDP, LabeledModel, ModelError, parse_dra, parse_model
 from tlcontrol.synthesis import (
+    Amec,
     ProductModel,
     SspTransitionSource,
     _strongly_connected,
@@ -494,27 +495,46 @@ def test_with_probabilities_validates_support(rng):
         with_probabilities(skeleton, m2)
 
 
-def test_ssp_transition_source_matches_direct_conversion(rng):
-    for _ in range(5):
-        m = random_mdp(rng, n_states=5, n_actions=2, n_props=1)
-        dra = parse_dra(F_P_DRA)
-        product = build_product(nts_from_mdp(m), dra)
-        found = amecs(product)
-        if not found:
-            continue
-        goal, bad = goal_and_bad_sets(product, found)
-        if product.base.initial in goal:
-            continue
-        ssp_nts = mrp_to_ssp(product, goal, bad)
-        ssp_mdp = mrp_to_ssp(with_probabilities(product, m), goal, bad)
-        source = SspTransitionSource(ssp_nts, product, dra, nts_from_mdp(m), m.successors)
-        for (s, u), row in model_rows(ssp_mdp.base).items():
-            if s == ssp_mdp.terminal:
-                continue
-            got = source(s, u)
-            assert len(got) == len(row)
-            for (gs, gw), (ws, ww) in zip(got, row):
-                assert gs == ws and abs(gw - ww) <= 1e-12
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), label_rule=st.sampled_from(["next", "current"]),
+       n_states=st.integers(1, 7), n_actions=st.integers(1, 3), n_props=st.integers(1, 3),
+       dra_states=st.integers(1, 4))
+def test_ssp_transition_source_matches_direct_conversion(
+        seed, label_rule, n_states, n_actions, n_props, dra_states):
+    # Arbitrary goal sets on random products under both label rules, with
+    # automata of two or three accepting pairs.
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=3, n_props=n_props)
+    dra = random_dra(rng, dra_states, PROP_NAMES[:n_props], n_pairs=int(rng.integers(2, 4)))
+    product = build_product(nts_from_mdp(m), dra, label_rule)
+    n = product.base.n_states
+    goal = frozenset(np.flatnonzero(rng.random(n) < 0.3).tolist()) - {product.base.initial}
+    found = [Amec(states=goal, rows=np.zeros(0, dtype=np.int64), pair_index=0)] if goal else []
+    _goal, bad = goal_and_bad_sets(product, found)
+    # More restart states, so that they share model states with the others.
+    bad |= frozenset(np.flatnonzero(rng.random(n) < 0.2).tolist()) - goal
+    ssp = mrp_to_ssp(product, goal, bad)
+    want = mrp_to_ssp(with_probabilities(product, m), goal, bad)
+    source = SspTransitionSource(ssp, product, m.successors)
+    rows = {key: row for key, row in model_rows(want.base).items() if key[0] != want.terminal}
+    for key in rows:
+        source(*key)
+    # Each row, asked for or filled in by another query, is the conversion's.
+    for (s, u), row in rows.items():
+        got = source(s, u)
+        assert [t for t, _w in got] == [t for t, _w in row]
+        assert all(abs(gw - ww) <= 1e-12 for (_t, gw), (_t2, ww) in zip(got, row))
+    # A probability source that leaves the possibilistic support is refused.
+    for s in sorted(set(range(ssp.terminal)) - ssp.bad):
+        q, u = int(product.projection[ssp.origin[s], 0]), ssp.base.enabled[s][0]
+        outside = sorted(set(range(m.n_states)) - set(m.support(q, u)))
+        if outside:
+            def base_row(q2, u2, extra=outside[0]):
+                return m.successors(q2, u2) + ((extra, 0.0),)
+
+            with pytest.raises(ModelError, match="outside the possibilistic support"):
+                SspTransitionSource(ssp, product, base_row)(s, u)
+            break
 
 
 def test_ssp_source_asks_each_model_row_once():
@@ -534,7 +554,7 @@ def test_ssp_source_asks_each_model_row_once():
         return ctx.base_row(q, u)
 
     ssp = mrp_to_ssp(ctx.product, ctx.goal, ctx.bad)
-    source = SspTransitionSource(ssp, ctx.product, ctx.dra, ctx.base_nts, base_row)
+    source = SspTransitionSource(ssp, ctx.product, base_row)
     policy = LookaheadPolicy(ssp, horizon=cfg.horizon, theta=cfg.theta0)
     _theta, trace = run(ssp, source, policy, cfg)
 
