@@ -29,11 +29,17 @@ same order, as numpy's. Arrays are built only where numpy decides the last
 bits: the solve's operands (the solution r stays the array
 ``np.linalg.solve`` returns), the dot products r . psi', ||r||^2 and the
 step direction's squared norm, and the theta array the policy reads.
+
+The run's record, ``RunTrace``, is a set of typed columns (stdlib
+``array``s of doubles and 64-bit ints), one row per iteration, so it grows
+by 64 bytes an iteration; the row index is the iteration, and text is
+formatted only when ``write_csv`` writes ``trace.csv``.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -105,27 +111,47 @@ class ActorCriticConfig:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of one actor-critic run."""
+    """Per-iteration record of one actor-critic run, one typed column per
+    field (stdlib ``array``s, 8 bytes a cell): row k is iteration k, so
+    ``iterations`` is the column length.
 
-    ks: list[int] = field(default_factory=list)
-    thetas: list[tuple[float, float]] = field(default_factory=list)
-    rs: list[tuple[float, float]] = field(default_factory=list)
-    costs: list[float] = field(default_factory=list)
-    episodes: list[int] = field(default_factory=list)
-    pairs: list[int] = field(default_factory=list)
+    ``theta1``, ``theta2``, ``r1``, ``r2`` and ``costs`` are doubles: the
+    theta the iteration acted with, the critic solution it read, and the
+    one-step cost. ``episodes``, ``pairs`` (pairs computed so far) and
+    ``states`` (the SSP state visited) are 64-bit ints. ``exact`` (the
+    evaluator's value at the cadence points) and ``stale_solves`` (the
+    iterations past the gate whose critic solve did not refresh r) are
+    sparse.
+    """
+
+    theta1: array = field(default_factory=lambda: array("d"))
+    theta2: array = field(default_factory=lambda: array("d"))
+    r1: array = field(default_factory=lambda: array("d"))
+    r2: array = field(default_factory=lambda: array("d"))
+    costs: array = field(default_factory=lambda: array("d"))
+    episodes: array = field(default_factory=lambda: array("q"))
+    pairs: array = field(default_factory=lambda: array("q"))
+    states: array = field(default_factory=lambda: array("q"))
     exact: dict[int, float] = field(default_factory=dict)
-    states: list[int] = field(default_factory=list)
     stale_solves: list[int] = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
 
-    def append(self, k, theta, r, cost, episodes, pairs):
-        self.ks.append(k)
-        self.thetas.append((float(theta[0]), float(theta[1])))
-        self.rs.append((float(r[0]), float(r[1])))
-        self.costs.append(float(cost))
+    @property
+    def iterations(self) -> int:
+        return len(self.costs)
+
+    def append(self, state: int, theta: Pair, r: np.ndarray, cost: float,
+               episodes: int, pairs: int) -> None:
+        t1, t2 = theta
+        r1, r2 = r.tolist()
+        self.theta1.append(t1)
+        self.theta2.append(t2)
+        self.r1.append(r1)
+        self.r2.append(r2)
+        self.costs.append(cost)
         self.episodes.append(episodes)
         self.pairs.append(pairs)
+        self.states.append(state)
 
     def write_csv(self, f) -> None:
         exact = self.exact
@@ -133,8 +159,9 @@ class RunTrace:
         f.writelines(
             f"{k},{t1!r},{t2!r},{r1!r},{r2!r},{cost!r},{episodes},{pairs},"
             f"{'' if (ex := exact.get(k)) is None else repr(ex)}\n"
-            for k, (t1, t2), (r1, r2), cost, episodes, pairs in zip(
-                self.ks, self.thetas, self.rs, self.costs, self.episodes, self.pairs))
+            for k, t1, t2, r1, r2, cost, episodes, pairs in zip(
+                range(self.iterations), self.theta1, self.theta2, self.r1, self.r2,
+                self.costs, self.episodes, self.pairs))
 
 
 # Closed-form singular values of a 2x2 matrix are within a few ulps of
@@ -243,7 +270,6 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
         if cfg.eval_every and evaluator is not None and k % cfg.eval_every == 0:
             trace.exact[k] = float(evaluator(np.array(actor.theta)))
 
-        trace.states.append(x)
         cost = ssp.cost(x, u)
         psi_now = policy.log_policy_gradient(x, u)
         if x == terminal:
@@ -266,11 +292,10 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
         solved_once = solved_once or solved
         if k >= cfg.gate_iters and not solved:
             trace.stale_solves.append(k)
-        trace.append(k, actor.theta, r_now, cost, episodes, prob_source.pairs_computed)
+        trace.append(x, actor.theta, r_now, cost, episodes, prob_source.pairs_computed)
         actor = actor_update(actor, r_now, psi_next, cfg.beta(k), clip=cfg.clip)
         policy.theta = np.array(actor.theta)
 
-        trace.iterations = k + 1
         # The stopping test only arms once the critic has produced a
         # solution, or once it provably would return zero (b identically
         # zero means r = -A^{-1} b = 0 whenever it solves at all).

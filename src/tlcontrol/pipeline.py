@@ -59,8 +59,10 @@ from .synthesis import (
     build_product,
     goal_and_bad_sets,
     mrp_to_ssp,
+    product_state_names,
     serialize_ssp,
     ssp_product_rows,
+    ssp_state_names,
     with_probabilities,
 )
 
@@ -121,10 +123,15 @@ class RunConfig(ActorCriticConfig):
             raise ModelError("configuration needs a 'dra' path")
         if bool(self.map) == bool(self.model):
             raise ModelError("configuration needs exactly one of 'map' or 'model'")
-        if self.epsilon <= 0 or self.horizon < 1 or self.eval_every < 0:
-            raise ModelError("epsilon must be positive, horizon >= 1, eval_every >= 0")
-        if not (self.clip > 0 and self.beta_scale > 0):
-            raise ModelError("clip and beta_scale must be positive")
+        if not 0 < self.epsilon < math.inf or self.horizon < 1 or self.eval_every < 0:
+            raise ModelError(
+                "epsilon must be positive and finite, horizon >= 1, eval_every >= 0")
+        if not (self.clip > 0 and 0 < self.beta_scale < math.inf):
+            raise ModelError("clip and beta_scale must be positive, beta_scale finite")
+        if not 0 <= self.gate_sigma < math.inf:
+            raise ModelError("gate_sigma must be finite and not negative")
+        if self.progress_penalty is not None and not math.isfinite(self.progress_penalty):
+            raise ModelError("progress_penalty must be finite")
         if not 0.0 <= self.lam < 1.0:
             raise ModelError("lam must lie in [0, 1)")
         if not all(math.isfinite(t) for t in self.theta0):
@@ -386,15 +393,20 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
 
 
 def write_models(cfg: RunConfig) -> list[Path]:
-    """Emit the (reachable) product and its SSP conversion as model files."""
+    """Emit the (reachable) product and its SSP conversion as model files,
+    their state names formatted here (the models in memory carry none)."""
     ctx = load_task(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    names = product_state_names(ctx.product, ctx.base_nts.state_names)
     paths = [outdir / "product.model"]
-    paths[0].write_text(serialize_model(ctx.product.base))
+    paths[0].write_text(serialize_model(
+        dataclasses.replace(ctx.product.base, state_names=names)))
     if not ctx.trivial:
+        ssp = ctx.ssp
+        named = dataclasses.replace(ssp.base, state_names=ssp_state_names(ssp, names))
         paths.append(outdir / "ssp.model")
-        paths[1].write_text(serialize_ssp(ctx.ssp))
+        paths[1].write_text(serialize_ssp(dataclasses.replace(ssp, base=named)))
     return paths
 
 

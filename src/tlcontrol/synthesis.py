@@ -49,7 +49,8 @@ class ProductModel:
     state, automaton state) pair; ``pairs`` are the lifted accepting pairs
     as product-state sets. ``unpruned_states`` is the size of the full
     product, |model states| x |automaton states|, of which ``base`` keeps
-    the reachable part.
+    the reachable part. ``base`` carries no state names;
+    ``product_state_names`` formats them for a model file.
     """
 
     base: LabeledModel
@@ -139,7 +140,6 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
     new_id[codes] = np.arange(len(codes))
     model_state, dra_state = codes // ns, codes % ns
     rows, entries, succ = successors(codes)
-    names = m.state_names or tuple(str(q) for q in range(m.n_states))
     base = LabeledModel(
         n_states=len(codes),
         initial=new_id[initial],
@@ -152,8 +152,6 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
         row_ptr=_ptr(np.diff(m.row_ptr)[rows]),
         succ=new_id[succ],
         weight=m.weight[entries],
-        state_names=tuple(f"{names[q]}|{s}" for q, s in
-                          zip(model_state.tolist(), dra_state.tolist())),
     )
 
     def lift(dra_states: frozenset[int]) -> frozenset[int]:
@@ -166,6 +164,14 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
         unpruned_states=m.n_states * ns,
         label_rule=label_rule,
     )
+
+
+def product_state_names(p: ProductModel, model_names: Sequence[str] | None) -> tuple[str, ...]:
+    """Each product state's name, ``<model state name>|<automaton state>``,
+    through ``projection``; a model without names names its states by
+    number."""
+    name = model_names.__getitem__ if model_names else str
+    return tuple(f"{name(q)}|{s}" for q, s in zip(*p.projection.T.tolist()))
 
 
 def _layers(src: np.ndarray, dst: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -468,7 +474,8 @@ class SspModel:
     Goal states are collapsed into the absorbing, cost-free ``terminal``;
     states in ``bad`` restart at the initial state under every action and
     are the only states with one-step cost 1. ``origin`` maps each state
-    back to its product index (-1 for the terminal).
+    back to its product index (-1 for the terminal). Like the product,
+    ``base`` carries no state names; ``ssp_state_names`` formats them.
     """
 
     base: LabeledModel
@@ -530,9 +537,6 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
                            np.full(len(restarts), new_initial), np.full(n_act, terminal)))
     weight = np.concatenate((m.weight[plain], mass[merged], np.ones(len(restarts) + n_act)))
 
-    names = None
-    if m.state_names:
-        names = tuple(m.state_names[old] for old in keep.tolist()) + ("terminal",)
     base = LabeledModel(
         n_states=terminal + 1,
         initial=new_initial,
@@ -545,7 +549,6 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
         row_ptr=_ptr(np.bincount(entry_row, minlength=n_rows + n_act)),
         succ=succ[order],
         weight=weight[order],
-        state_names=names,
     )
     return SspModel(
         base=base,
@@ -561,6 +564,12 @@ def ssp_product_rows(p: ProductModel, goal: frozenset[int]) -> np.ndarray:
     states, in order, so these are those rows of ``p``."""
     m = p.base
     return np.flatnonzero(~_members(goal, m.n_states)[m.row_state])
+
+
+def ssp_state_names(ssp: SspModel, product_names: Sequence[str]) -> tuple[str, ...]:
+    """Each SSP state's name: its product state's, through ``origin``, and
+    ``terminal`` for the terminal."""
+    return tuple(product_names[old] for old in ssp.origin[:-1]) + ("terminal",)
 
 
 def serialize_ssp(ssp: SspModel) -> str:

@@ -2,9 +2,11 @@
 
 The model functions are the per-row dict implementations that the array
 code in ``tlcontrol.synthesis`` replaced, working on ``DictModel``s: a
-model as a dict (state, action) -> ((successor, weight), ...). ``of`` and
-``of_product`` turn array results into the same form, so a test can
-compare the two builds exactly, weights bit for bit.
+model as a dict (state, action) -> ((successor, weight), ...). ``of``,
+``of_product`` and ``of_ssp`` turn array results into the same form, the
+product's and the SSP's state names formatted by the functions that
+format them for model files, so a test can compare the two builds
+exactly, weights bit for bit and names character for character.
 
 ``min_distances`` is the queue-based breadth-first search that the
 frontier layers of ``synthesis._layers`` replaced. ``neighborhood`` and
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 
 from tlcontrol.lookahead import SequenceCapExceeded
 from tlcontrol.models import MDP, ModelError
+from tlcontrol.synthesis import product_state_names, ssp_state_names
 
 
 @dataclass(frozen=True)
@@ -62,18 +65,24 @@ def model_rows(m) -> dict:
     return {key: m.successors(*key) for key in m.enabled_pairs()}
 
 
-def of(m) -> DictModel:
+def of(m, names=None) -> DictModel:
+    """``m`` as a DictModel, named by ``names`` or else by ``m.state_names``."""
     return DictModel(m.n_states, m.initial, m.mode, m.enabled, model_rows(m),
-                     tuple(int(x) for x in m.labels), m.state_names)
+                     tuple(int(x) for x in m.labels),
+                     m.state_names if names is None else names)
 
 
-def of_product(p) -> DictProduct:
-    return DictProduct(of(p.base), tuple(map(tuple, p.projection.tolist())), p.pairs,
-                       p.unpruned_states)
+def of_product(p, model_names) -> DictProduct:
+    """The array product ``p`` as a DictProduct, its states named on demand
+    (``product_state_names``) from the model's ``model_names``."""
+    return DictProduct(of(p.base, product_state_names(p, model_names)),
+                       tuple(map(tuple, p.projection.tolist())), p.pairs, p.unpruned_states)
 
 
-def of_ssp(s) -> DictSsp:
-    return DictSsp(of(s.base), s.terminal, s.bad, s.origin)
+def of_ssp(s, product_names) -> DictSsp:
+    """The array SSP ``s`` as a DictSsp, its states named on demand
+    (``ssp_state_names``) from its product's ``product_names``."""
+    return DictSsp(of(s.base, ssp_state_names(s, product_names)), s.terminal, s.bad, s.origin)
 
 
 def build_product(m, r, label_rule="next") -> DictProduct:

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,7 +249,7 @@ def test_run_cost_free_instance_terminates_with_zero_estimate():
     assert all(c == 0.0 for c in trace.costs)
     # With zero cost, b stays zero, every solve returns r = 0, and theta
     # never moves.
-    assert all(r == (0.0, 0.0) for r in trace.rs)
+    assert not any(trace.r1) and not any(trace.r2)
     assert np.allclose(theta, [0.5, -0.5])
 
 
@@ -258,7 +261,7 @@ def test_run_is_deterministic_and_queries_every_non_terminal_step():
         pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
         source = CountingSource(model_rows(ssp.base))
         theta, trace = run(ssp, source, pol, cfg)
-        outs.append((tuple(map(tuple, trace.thetas)), csv_text(trace), source.calls))
+        outs.append((trace.theta1, trace.theta2, csv_text(trace), source.calls))
     assert outs[0] == outs[1]
     # The memo is the source's: run() asks at every step but the terminal's,
     # and each trace row carries the source's count.
@@ -290,7 +293,7 @@ def test_run_theta_drift_bounded_without_cost():
     source = CountingSource(model_rows(ssp.base))
     cfg = ActorCriticConfig(max_iters=2000, min_iters=10 ** 9, seed=5)
     theta, trace = run(ssp, source, pol, cfg)
-    thetas = np.array(trace.thetas)
+    thetas = np.column_stack((trace.theta1, trace.theta2))
     steps = np.linalg.norm(np.diff(thetas, axis=0), axis=1)
     psi_bound = max(np.linalg.norm(pol.log_policy_gradient(s, u))
                     for s in range(ssp.base.n_states) if s != ssp.terminal
@@ -345,3 +348,35 @@ def test_eval_callback_cadence():
     assert sorted(trace.exact) == [0, 25, 50, 75]
     assert all(v == 0.5 for v in trace.exact.values())
     assert len(seen) == 4
+
+
+def test_run_trace_keeps_at_most_80_bytes_per_iteration():
+    # The record a run returns grows by one row of eight 8-byte cells per
+    # iteration (plus the columns' over-allocation). Desk in lazy mode,
+    # where the record is all the run keeps: the difference between 2,000
+    # and 6,000 iterations, read by tracemalloc as the bytes that dropping
+    # the result frees.
+    from tlcontrol.pipeline import RunConfig, load_task
+    from tlcontrol.synthesis import SspTransitionSource
+
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), exact_reference=False,
+                              eval_every=0, seed=1)
+    ctx = load_task(cfg)
+
+    def retained(iterations):
+        source = SspTransitionSource(ctx.ssp, ctx.product, ctx.base_row)
+        policy = LookaheadPolicy(ctx.ssp, horizon=cfg.horizon, theta=cfg.theta0)
+        tracemalloc.start()
+        try:
+            result = run(ctx.ssp, source, policy,
+                         dataclasses.replace(cfg, max_iters=iterations))
+            assert result[1].iterations == iterations
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del result
+            gc.collect()
+            return held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert (retained(6000) - retained(2000)) / 4000 <= 80

@@ -2,6 +2,9 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +386,39 @@ def test_desk_build_output_is_byte_identical(tmp_path):
             for path in paths} == DESK_MODEL_DIGESTS
 
 
+# sha256 of the state names, one per line, that `build` writes into the
+# product and SSP model files, on desk and on the k=8 road lattice (map seed 0).
+MODEL_NAME_DIGESTS = {
+    "desk": {"product": "365616a8fd5c4c94d3b9c90e31c4fe6694bcba10f189fdf59bcc786e6c1bee7a",
+             "ssp": "3d061bc2aabd3b2850946eb120ef726777963c5172ddcb5d7d2a9f0bd74fb4fd"},
+    "lattice-k8": {"product": "734fe13c91bd1dda07dc64d7cc2db1ab01c520706f2102a59eda8088fcdea362",
+                   "ssp": "25e0dfe5fcb4f7404fc081389ff4612615f1190cbe053c15a914d4fbcf8c5921"},
+}
+
+
+@pytest.mark.parametrize("task", ["desk", "lattice-k8"])
+def test_state_names_are_formatted_only_when_build_writes(tmp_path, task):
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path))
+    if task == "lattice-k8":
+        (tmp_path / "lattice.map").write_text(lattice_map(8))
+        cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
+    ctx = load_task(cfg)
+    assert ctx.product.base.state_names is None and ctx.ssp.base.state_names is None
+    assert len(ctx.base_nts.state_names) == ctx.base_nts.n_states
+    product_path, ssp_path = write_models(cfg)
+    product = parse_model(product_path.read_text())
+    ssp = parse_ssp_text(ssp_path.read_text())[0]
+    names = {"product": product.state_names, "ssp": ssp.state_names}
+    assert {key: hashlib.sha256("\n".join(value).encode()).hexdigest()
+            for key, value in names.items()} == MODEL_NAME_DIGESTS[task]
+    assert product.n_states == ctx.product.base.n_states
+    assert ssp.state_names == tuple(product.state_names[old] for old in ctx.ssp.origin[:-1]) + (
+        "terminal",)
+    model_names = ctx.base_nts.state_names
+    assert product.state_names == tuple(f"{model_names[q]}|{s}"
+                                        for q, s in ctx.product.projection.tolist())
+
+
 # sha256 of desk `synthesize` output without the exact reference (eval_every
 # 0, 2,000 iterations): trace.csv must stay byte-identical for a fixed config
 # and seed. BLAS kernels decide the last bit of the critic's dot products and
@@ -581,6 +617,16 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ({"max_iters": -5}, "max_iters, min_iters and gate_iters must not be negative"),
     ({"min_iters": -1}, "max_iters, min_iters and gate_iters must not be negative"),
     ({"gate_iters": -1}, "max_iters, min_iters and gate_iters must not be negative"),
+    ({"beta_scale": float("inf")}, "beta_scale finite"),
+    ({"beta_scale": float("nan")}, "beta_scale finite"),
+    ({"epsilon": 0.0}, "epsilon must be positive and finite"),
+    ({"epsilon": float("nan")}, "epsilon must be positive and finite"),
+    ({"epsilon": float("inf")}, "epsilon must be positive and finite"),
+    ({"gate_sigma": -1e-8}, "gate_sigma must be finite and not negative"),
+    ({"gate_sigma": float("nan")}, "gate_sigma must be finite and not negative"),
+    ({"gate_sigma": float("inf")}, "gate_sigma must be finite and not negative"),
+    ({"progress_penalty": float("nan")}, "progress_penalty must be finite"),
+    ({"progress_penalty": float("-inf")}, "progress_penalty must be finite"),
 ])
 def test_config_rejects_invalid_actor_critic_settings(bad, message):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), **bad)
@@ -593,6 +639,16 @@ def test_config_rejects_invalid_actor_critic_settings(bad, message):
 def test_config_takes_zero_iteration_counts():
     dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=0, min_iters=0,
                         gate_iters=0).validate()
+
+
+def test_package_runs_as_a_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "tlcontrol", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: tlcontrol")
 
 
 def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, capsys):
@@ -615,6 +671,10 @@ def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, caps
     ("--max-iters", "-5"),
     ("--min-iters", "-1"),
     ("--gate-iters", "-1"),
+    ("--epsilon", "nan"),
+    ("--gate-sigma", "nan"),
+    ("--progress-penalty", "nan"),
+    ("--beta-scale", "inf"),
 ])
 def test_cli_reports_bad_inputs_in_one_error_line(tmp_path, capsys, flag):
     code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(tmp_path),
