@@ -1,9 +1,10 @@
 """Corridor/intersection maps and their pair-state motion models.
 
-Map file format: an ASCII grid (``#`` wall, ``.`` open, any other character
-an open cell carrying a legend marker), then a ``legend`` section binding
-markers or ``@row,col`` coordinates to observation names, then a start line
-naming one cell in the previous region and one in the current region:
+Map file format: a grid (``#`` wall, ``.`` open, any other character an
+open cell carrying a legend marker), then a ``legend`` section binding
+markers or the ``@row,col`` coordinates of open cells to observation names,
+then a start line naming one cell in the previous region and one in the
+current region:
 
     ##########
     #........#
@@ -28,11 +29,13 @@ direction of travel. The noise model sends each control to its intended
 adjacent region with probability eta and spreads the rest uniformly over
 the other feasible forward outcomes.
 
-``parse_map`` indexes every open cell by its region, every intersection's
-arms and the sorted motion states once (``EnvMap.cell_region``,
-``EnvMap.arms``, ``EnvMap.pairs``). The control rule is one array,
-``_aim_table``: the region each control aims for at each motion state.
-``build_nts`` is the map's one outcome table, joins over that array
+``parse_map`` reads the grid as one array of code points and builds the
+partition as arrays, from shifted copies of the grid's masks and region
+ids: the region-id grid (``EnvMap.cell_region``), each intersection's arms
+(``EnvMap.arms``), each region's observation bitmask (``EnvMap.labels``)
+and the sorted motion states (``EnvMap.pairs``). The control rule is one
+array, ``_aim_table``: the region each control aims for at each motion
+state. ``build_nts`` is the map's one outcome table, joins over that array
 written as the possibilistic model's CSR rows. The noise model is defined
 once, as weights over a set of those rows (``_row_weights``, which reads
 each row's intended region off the aim table): ``build_mdp`` weighs every
@@ -49,7 +52,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .models import LabeledModel, NTS, MDP, _ptr
-from .synthesis import _expand
+from .synthesis import _distinct, _expand
 
 ACTIONS = ("FollowRoad", "GoLeft", "GoRight", "GoStraight")
 
@@ -64,7 +67,6 @@ class MapError(ValueError):
 class Region:
     ident: int
     kind: str  # "corridor" | "intersection"
-    cells: tuple[tuple[int, int], ...]
     name: str
 
 
@@ -72,12 +74,12 @@ class Region:
 class EnvMap:
     grid: tuple[str, ...]
     regions: tuple[Region, ...]
-    cell_region: Mapping[tuple[int, int], int]  # open cell -> region ident
-    # intersection ident -> {direction: adjacent region}, directions in _DIRS order
-    arms: Mapping[int, Mapping[tuple[int, int], int]]
-    adjacency: Mapping[int, tuple[int, ...]]
+    cell_region: np.ndarray  # (rows, cols): each cell's region ident, -1 on a wall
+    # (n_regions, 4): the region beyond each side of an intersection, sides
+    # in _DIRS order; -1 on a wall side and on every corridor row
+    arms: np.ndarray
+    labels: np.ndarray  # (n_regions,): each region's observations, a bitmask over props
     pairs: np.ndarray  # (n, 2): the sorted (previous, current) motion states
-    region_obs: Mapping[int, frozenset[str]]
     props: tuple[str, ...]
     start: tuple[int, int] | None  # (previous region, current region)
 
@@ -91,7 +93,10 @@ def _is_comment(line: str, grid_chars: set[str]) -> bool:
     return body.startswith("#") and not body.endswith("#") and not set(body) <= grid_chars
 
 
-def parse_map(text: str) -> EnvMap:
+def _read_map(text: str) -> tuple[list[str], dict, dict, tuple | None]:
+    """The grid rows of a map file, its legend's marker and ``@row,col``
+    bindings (marker or cell -> observations) and its start cells; no cell
+    is checked against the grid yet."""
     lines = text.splitlines()
     try:
         split = next(i for i, ln in enumerate(lines) if ln.strip() == "legend")
@@ -129,112 +134,98 @@ def parse_map(text: str) -> EnvMap:
     width = len(grid[0])
     if any(len(row) != width for row in grid):
         raise MapError("grid is not rectangular")
+    return grid, marker_obs, cell_obs, start_cells
 
-    open_cells = set()
-    for r, row in enumerate(grid):
-        for c, ch in enumerate(row):
-            if ch == "#":
-                continue
-            open_cells.add((r, c))
-            if ch != "." and ch not in marker_obs:
-                raise MapError(f"unknown legend symbol {ch!r} at {(r, c)}")
 
-    def open_neighbors(cell):
-        r, c = cell
-        return [(r + dr, c + dc) for dr, dc in _DIRS if (r + dr, c + dc) in open_cells]
+def parse_map(text: str) -> EnvMap:
+    grid, marker_obs, cell_obs, start_cells = _read_map(text)
+    h, w = len(grid), len(grid[0])
+    # Code points, not bytes: a marker may be any character.
+    code = np.frombuffer("".join(grid).encode("utf-32-le", "surrogatepass"),
+                         dtype="<u4").reshape(h, w)
+    is_open = code != ord("#")
+    marked = {marker: code == ord(marker) for marker in marker_obs}
+    unknown = is_open & (code != ord("."))
+    for at in marked.values():
+        unknown &= ~at
+    if unknown.any():
+        r, c = divmod(int(np.flatnonzero(unknown)[0]), w)
+        raise MapError(f"unknown legend symbol {grid[r][c]!r} at {(r, c)}")
 
-    crossings = {cell for cell in open_cells if len(open_neighbors(cell)) >= 3}
-    for cell in crossings:
-        for nb in open_neighbors(cell):
-            if nb in crossings:
-                raise MapError(
-                    f"corridor-free intersection adjacency between {cell} and {nb}")
+    def open_at(r: int, c: int) -> bool:  # a negative index must not wrap around
+        return 0 <= r < h and 0 <= c < w and bool(is_open[r, c])
 
-    corridor_cells = open_cells - crossings
-    taken: set[tuple[int, int]] = set()
-    runs: list[list[tuple[int, int]]] = []
-    for r in range(len(grid)):
-        run: list[tuple[int, int]] = []
-        for c in range(width + 1):
-            if (r, c) in corridor_cells:
-                run.append((r, c))
-            else:
-                if len(run) >= 2:
-                    runs.append(run)
-                    taken.update(run)
-                run = []
-    vertical: list[list[tuple[int, int]]] = []
-    for c in range(width):
-        run = []
-        for r in range(len(grid) + 1):
-            if (r, c) in corridor_cells and (r, c) not in taken:
-                run.append((r, c))
-            else:
-                if run:
-                    vertical.append(run)
-                run = []
-    corridor_groups = sorted(runs + vertical, key=lambda cells: min(cells))
+    for r, c in cell_obs:
+        if not open_at(r, c):
+            raise MapError(f"legend key @{r},{c} is not an open cell")
 
-    regions: list[Region] = []
-    for i, cell in enumerate(sorted(crossings)):
-        regions.append(Region(ident=len(regions), kind="intersection",
-                              cells=(cell,), name=f"I{i + 1}"))
-    for i, cells in enumerate(corridor_groups):
-        regions.append(Region(ident=len(regions), kind="corridor",
-                              cells=tuple(sorted(cells)), name=f"C{i + 1}"))
+    def sides(a: np.ndarray, wall) -> list[np.ndarray]:
+        """Each cell's neighbour in ``a`` on every side, in _DIRS order;
+        ``wall`` beyond the border."""
+        pad = np.full((h + 2, w + 2), wall, dtype=a.dtype)
+        pad[1:-1, 1:-1] = a
+        return [pad[1 + dr:h + 1 + dr, 1 + dc:w + 1 + dc] for dr, dc in _DIRS]
 
-    where = {cell: region.ident for region in regions for cell in region.cells}
-    adjacency: dict[int, set[int]] = {region.ident: set() for region in regions}
-    for cell in open_cells:
-        for nb in open_neighbors(cell):
-            a, b = where[cell], where[nb]
-            if a != b:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+    crossing = is_open & (sum(sides(is_open, False)) >= 3)
+    near = sides(crossing, False)
+    touching = crossing & (near[0] | near[1] | near[2] | near[3])
+    if touching.any():
+        r, c = divmod(int(np.flatnonzero(touching)[0]), w)
+        dr, dc = next(d for d, at in zip(_DIRS, near) if at[r, c])
+        raise MapError(f"corridor-free intersection adjacency between {(r, c)} "
+                       f"and {(r + dr, c + dc)}")
 
-    arms = {}
-    for region in regions:
-        if region.kind == "intersection":
-            (r, c) = region.cells[0]
-            arms[region.ident] = {d: where[(r + d[0], c + d[1])] for d in _DIRS
-                                  if (r + d[0], c + d[1]) in where}
+    # Corridor groups: horizontal runs of two or more cells, then vertical
+    # runs of the cells left over. A run's head is its first cell; the
+    # groups are numbered after the crossings, in row-major order of heads.
+    corridor = is_open & ~crossing
+    _n, east, _s, west = sides(corridor, False)
+    across = corridor & (east | west)
+    down = corridor & ~across
+    head_across, head_down = across & ~sides(across, False)[3], down & ~sides(down, False)[0]
+    n_cross = int(np.count_nonzero(crossing))
+    number = n_cross - 1 + np.cumsum(head_across | head_down).reshape(h, w)
+    cell_region = np.full((h, w), -1, dtype=np.int64)
+    cell_region[crossing] = np.arange(n_cross)
+    # A run's cells follow its head in row-major order (column-major for a
+    # vertical run, read through the transposes).
+    for region, head, cells, at_head in ((cell_region, head_across, across, number),
+                                         (cell_region.T, head_down.T, down.T, number.T)):
+        region[cells] = at_head[head][np.cumsum(head)[cells.ravel()] - 1]
+    n_regions = n_cross + int(np.count_nonzero(head_across | head_down))
+    regions = tuple(Region(i, "intersection", f"I{i + 1}") for i in range(n_cross)) + tuple(
+        Region(i, "corridor", f"C{i - n_cross + 1}") for i in range(n_cross, n_regions))
 
-    region_obs: dict[int, set[str]] = {region.ident: set() for region in regions}
-    for region in regions:
-        for (r, c) in region.cells:
-            ch = grid[r][c]
-            if ch not in (".", "#"):
-                region_obs[region.ident].update(marker_obs[ch])
-            if (r, c) in cell_obs:
-                region_obs[region.ident].update(cell_obs[(r, c)])
-    props = tuple(sorted(set().union(*region_obs.values()) if region_obs else set()))
+    # Motion states: every ordered pair of regions that share a side.
+    around = sides(cell_region, -1)
+    codes = _distinct(np.concatenate([(cell_region * n_regions + side)[
+        (cell_region >= 0) & (side >= 0) & (side != cell_region)] for side in around]))
+    arms = np.full((n_regions, len(_DIRS)), -1, dtype=np.int64)
+    arms[:n_cross] = np.stack([side[crossing] for side in around], axis=1)
+
+    # Observations bound to regions; a marker on no cell adds no proposition.
+    bound = [(cell_region[at], marker_obs[m]) for m, at in marked.items() if at.any()]
+    bound += [(cell_region[cell], obs) for cell, obs in cell_obs.items()]
+    props = tuple(sorted(set().union(*(obs for _where, obs in bound))))
+    labels = np.zeros(n_regions, dtype=np.int64)
+    for where, obs in bound:
+        labels[where] |= sum(1 << props.index(name) for name in obs)
 
     start = None
     if start_cells is not None:
-        prev_cell, cur_cell = start_cells
-        if prev_cell not in where or cur_cell not in where:
+        if not all(open_at(*cell) for cell in start_cells):
             raise MapError(f"start cells {start_cells} are not both open")
-        prev_region, cur_region = where[prev_cell], where[cur_cell]
-        if prev_region == cur_region:
+        start = tuple(int(cell_region[cell]) for cell in start_cells)
+        if start[0] == start[1]:
             raise MapError("start cells lie in the same region")
-        if cur_region not in adjacency[prev_region]:
+        if start[0] * n_regions + start[1] not in codes:
             raise MapError("start regions are not adjacent")
-        start = (prev_region, cur_region)
 
-    pairs = np.array(sorted((p, c) for p in adjacency for c in adjacency[p]),
-                     dtype=np.int64).reshape(-1, 2)
-    pairs.flags.writeable = False
-    return EnvMap(
-        grid=tuple(grid),
-        regions=tuple(regions),
-        cell_region=where,
-        arms=arms,
-        adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
-        pairs=pairs,
-        region_obs={k: frozenset(v) for k, v in region_obs.items()},
-        props=props,
-        start=start,
-    )
+    pairs = np.stack(np.divmod(codes, max(n_regions, 1)), axis=1)
+    for array in (cell_region, arms, labels, pairs):
+        array.flags.writeable = False
+    return EnvMap(grid=tuple(grid), regions=regions, cell_region=cell_region, arms=arms,
+                  labels=labels, pairs=pairs, props=props, start=start)
 
 
 def _parse_cell(token: str) -> tuple[int, int]:
@@ -265,9 +256,6 @@ def _aim_table(env: EnvMap) -> np.ndarray:
     """
     prev, cur = env.pairs[:, 0], env.pairs[:, 1]
     n_regions = len(env.regions)
-    arm = np.full((n_regions, len(_DIRS)), -1, dtype=np.int64)
-    for reg, by_dir in env.arms.items():
-        arm[reg, [_DIRS.index(d) for d in by_dir]] = list(by_dir.values())
     corridor = np.array([region.kind == "corridor" for region in env.regions], dtype=bool)
     # The pairs are sorted, so region r's neighbors are the current
     # regions of the pairs ptr[r]:ptr[r + 1].
@@ -281,8 +269,8 @@ def _aim_table(env: EnvMap) -> np.ndarray:
     road = corridor[cur]
     table[road, 0] = (cur[ptr[cur]] + cur[ptr[cur + 1] - 1] - prev)[road]
     # An intersection pair and the arm it came from; left, right, straight.
-    crossing, came = np.nonzero(arm[cur] == prev[:, None])
-    table[crossing, 1:] = arm[cur[crossing, None], (came[:, None] + 2 + (3, 1, 0)) % 4]
+    crossing, came = np.nonzero(env.arms[cur] == prev[:, None])
+    table[crossing, 1:] = env.arms[cur[crossing, None], (came[:, None] + 2 + (3, 1, 0)) % 4]
     return table
 
 
@@ -323,15 +311,13 @@ def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
     kept = ends < n_regions
     row_size = kept.sum(axis=1)
     outs = ends[kept]
-    region_label = np.array([sum(1 << env.props.index(obs) for obs in env.region_obs[reg])
-                             for reg in range(n_regions)], dtype=np.int64)
     names = [region.name for region in env.regions]
     return LabeledModel(
         n_states=len(codes),
         initial=initial,
         actions=ACTIONS,
         props=env.props,
-        labels=region_label[cur],
+        labels=env.labels[cur],
         mode=NTS,
         state_ptr=_ptr(enabled.sum(axis=1)),
         row_action=action,

@@ -394,8 +394,9 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
 
 def write_models(cfg: RunConfig) -> list[Path]:
     """Emit the (reachable) product and its SSP conversion as model files,
-    their state names formatted here (the models in memory carry none)."""
-    ctx = load_task(cfg)
+    their state names formatted here (the models in memory carry none).
+    Both are possibilistic, so no probabilistic model is built."""
+    ctx = load_task(dataclasses.replace(cfg, exact_reference=False))
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = product_state_names(ctx.product, ctx.base_nts.state_names)

@@ -14,6 +14,9 @@ frontier layers of ``synthesis._layers`` replaced. ``neighborhood`` and
 ``LookaheadPolicy``'s all-state tables replaced, and
 ``safe`` and ``action_probability`` read one state's entry of a policy's
 tables and distribution.
+
+``parse_map`` is the per-cell map partition (sets and dicts) that the
+region-id grid of ``gridenv.parse_map`` replaced.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from tlcontrol.gridenv import _DIRS, MapError, _read_map
 from tlcontrol.lookahead import SequenceCapExceeded
 from tlcontrol.models import MDP, ModelError
 from tlcontrol.synthesis import product_state_names, ssp_state_names
@@ -318,3 +322,142 @@ def action_probability(pol, state: int, action: int) -> float:
     acts, probs = pol.action_distribution(state)
     acts = acts.tolist()
     return float(probs[acts.index(action)]) if action in acts else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Map partition
+
+
+@dataclass(frozen=True)
+class DictRegion:
+    ident: int
+    kind: str  # "corridor" | "intersection"
+    cells: tuple[tuple[int, int], ...]
+    name: str
+
+
+@dataclass(frozen=True)
+class DictMap:
+    regions: tuple[DictRegion, ...]
+    cell_region: dict  # open cell -> region ident
+    # intersection ident -> {direction: adjacent region}, directions in _DIRS order
+    arms: dict
+    adjacency: dict  # region ident -> its adjacent regions, ascending
+    pairs: list  # the sorted (previous, current) motion states
+    region_obs: dict  # region ident -> frozenset of observation names
+    props: tuple[str, ...]
+    start: tuple[int, int] | None
+
+
+def parse_map(text: str) -> DictMap:
+    """The per-cell partition of a map file that ``gridenv.parse_map``'s
+    arrays replaced: open cells as a set, regions as cell lists, adjacency,
+    arms and observations as dicts. It reads the file through the same
+    ``gridenv._read_map`` and raises the same ``MapError`` messages in the
+    same order."""
+    grid, marker_obs, cell_obs, start_cells = _read_map(text)
+    open_cells = set()
+    for r, row in enumerate(grid):
+        for c, ch in enumerate(row):
+            if ch == "#":
+                continue
+            open_cells.add((r, c))
+            if ch != "." and ch not in marker_obs:
+                raise MapError(f"unknown legend symbol {ch!r} at {(r, c)}")
+    for cell in cell_obs:
+        if cell not in open_cells:
+            raise MapError(f"legend key @{cell[0]},{cell[1]} is not an open cell")
+
+    def open_neighbors(cell):
+        r, c = cell
+        return [(r + dr, c + dc) for dr, dc in _DIRS if (r + dr, c + dc) in open_cells]
+
+    crossings = {cell for cell in open_cells if len(open_neighbors(cell)) >= 3}
+    for cell in sorted(crossings):
+        for nb in open_neighbors(cell):
+            if nb in crossings:
+                raise MapError(
+                    f"corridor-free intersection adjacency between {cell} and {nb}")
+
+    corridor_cells = open_cells - crossings
+    width = len(grid[0])
+    taken: set[tuple[int, int]] = set()
+    runs: list[list[tuple[int, int]]] = []
+    for r in range(len(grid)):
+        run: list[tuple[int, int]] = []
+        for c in range(width + 1):
+            if (r, c) in corridor_cells:
+                run.append((r, c))
+            else:
+                if len(run) >= 2:
+                    runs.append(run)
+                    taken.update(run)
+                run = []
+    vertical: list[list[tuple[int, int]]] = []
+    for c in range(width):
+        run = []
+        for r in range(len(grid) + 1):
+            if (r, c) in corridor_cells and (r, c) not in taken:
+                run.append((r, c))
+            else:
+                if run:
+                    vertical.append(run)
+                run = []
+    corridor_groups = sorted(runs + vertical, key=lambda cells: min(cells))
+
+    regions: list[DictRegion] = []
+    for i, cell in enumerate(sorted(crossings)):
+        regions.append(DictRegion(ident=len(regions), kind="intersection",
+                                  cells=(cell,), name=f"I{i + 1}"))
+    for i, cells in enumerate(corridor_groups):
+        regions.append(DictRegion(ident=len(regions), kind="corridor",
+                                  cells=tuple(sorted(cells)), name=f"C{i + 1}"))
+
+    where = {cell: region.ident for region in regions for cell in region.cells}
+    adjacency: dict[int, set[int]] = {region.ident: set() for region in regions}
+    for cell in open_cells:
+        for nb in open_neighbors(cell):
+            a, b = where[cell], where[nb]
+            if a != b:
+                adjacency[a].add(b)
+                adjacency[b].add(a)
+
+    arms = {}
+    for region in regions:
+        if region.kind == "intersection":
+            (r, c) = region.cells[0]
+            arms[region.ident] = {d: where[(r + d[0], c + d[1])] for d in _DIRS
+                                  if (r + d[0], c + d[1]) in where}
+
+    region_obs: dict[int, set[str]] = {region.ident: set() for region in regions}
+    for region in regions:
+        for (r, c) in region.cells:
+            ch = grid[r][c]
+            if ch not in (".", "#"):
+                region_obs[region.ident].update(marker_obs[ch])
+            if (r, c) in cell_obs:
+                region_obs[region.ident].update(cell_obs[(r, c)])
+    props = tuple(sorted(set().union(*region_obs.values()) if region_obs else set()))
+
+    start = None
+    if start_cells is not None:
+        prev_cell, cur_cell = start_cells
+        if prev_cell not in where or cur_cell not in where:
+            raise MapError(f"start cells {start_cells} are not both open")
+        prev_region, cur_region = where[prev_cell], where[cur_cell]
+        if prev_region == cur_region:
+            raise MapError("start cells lie in the same region")
+        if cur_region not in adjacency[prev_region]:
+            raise MapError("start regions are not adjacent")
+        start = (prev_region, cur_region)
+
+    return DictMap(
+        regions=tuple(regions),
+        cell_region=where,
+        arms=arms,
+        adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
+        pairs=sorted((p, c) for p in adjacency for c in adjacency[p]),
+        region_obs={k: frozenset(v) for k, v in region_obs.items()},
+        props=props,
+        start=start,
+    )

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import dict_reference as ref
 from tlcontrol.gridenv import (
+    _DIRS,
     ACTIONS,
     MapError,
     NoiseModel,
@@ -87,7 +90,7 @@ def test_strip_is_single_corridor():
     env = parse_map(STRIP)
     assert region_names(env, "intersection") == []
     assert region_names(env, "corridor") == ["C1"]
-    assert len(env.regions[0].cells) == 3
+    assert env.cell_region.tolist() == [[-1] * 5, [-1, 0, 0, 0, -1], [-1] * 5]
 
 
 def test_plus_is_one_intersection_with_four_arms():
@@ -95,7 +98,15 @@ def test_plus_is_one_intersection_with_four_arms():
     assert region_names(env, "intersection") == ["I1"]
     assert len(region_names(env, "corridor")) == 4
     center = next(r for r in env.regions if r.kind == "intersection")
-    assert len(env.adjacency[center.ident]) == 4
+    assert (env.arms[center.ident] >= 0).sum() == 4
+    assert (env.pairs[:, 0] == center.ident).sum() == 4
+
+
+def map_error(text):
+    """The message of the MapError that parsing ``text`` raises."""
+    with pytest.raises(MapError) as err:
+        parse_map(text)
+    return str(err.value)
 
 
 def test_map_errors():
@@ -114,10 +125,27 @@ legend
 a: up
 start 2,1 2,2
 """
-    with pytest.raises(MapError, match="corridor-free intersection adjacency"):
-        parse_map(grid)
+    assert map_error(grid) == "corridor-free intersection adjacency between (2, 2) and (2, 3)"
     with pytest.raises(MapError, match="missing 'legend'"):
         parse_map("#####\n#...#\n#####")
+    # The open cell (2, 2) lies on the last row, so a row index of -1 would
+    # wrap around to it; (2, 2) and (1, 2) are adjacent regions.
+    tee = "#####\n#...#\n##.##\nlegend\n"
+    assert parse_map(tee + "start 2,2 1,2").start == (3, 0)
+    for text, message in [
+            ("legend\nstart 1,1 1,2", "empty grid"),
+            (STRIP + "upload\n", "bad legend line 'upload'"),
+            (STRIP + "ab: up\n", "bad legend key 'ab'"),
+            (STRIP + "start 1,1\n", "expected 'start r1,c1 r2,c2'"),
+            (STRIP + "start 1;1 1,2\n", "bad cell coordinate '1;1'"),
+            (STRIP + "start 0,1 1,1\n", "start cells ((0, 1), (1, 1)) are not both open"),
+            (STRIP + "start 1,1 1,5\n", "start cells ((1, 1), (1, 5)) are not both open"),
+            (tee + "start -1,2 1,2", "start cells ((-1, 2), (1, 2)) are not both open"),
+            (STRIP + "start 1,1 1,3\n", "start cells lie in the same region"),
+            (STRIP + "@0,1: up\n", "legend key @0,1 is not an open cell"),
+            (STRIP + "@1,9: up\n", "legend key @1,9 is not an open cell"),
+            (tee + "@-1,2: up", "legend key @-1,2 is not an open cell")]:
+        assert map_error(text) == message, text
     # A corridor region with more than two neighbors has no far end.
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
     regions = tuple(dataclasses.replace(r, kind="corridor") for r in env.regions)
@@ -142,7 +170,7 @@ def test_marker_row_starting_with_a_wall_is_grid():
 def test_dead_end_follow_road_turns_around():
     env = parse_map(TEE)
     node = next(r for r in env.regions if r.kind == "intersection")
-    stub = env.cell_region[(2, 2)]
+    stub = int(env.cell_region[2, 2])
     nts, row = production_rows(env, NoiseModel(eta=1.0))
     state = pair_list(env).index((node.ident, stub))
     assert nts.enabled[state] == (ACTIONS.index("FollowRoad"),)
@@ -152,16 +180,16 @@ def test_dead_end_follow_road_turns_around():
 def test_four_way_enabled_and_uniform_confusion():
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
     node = next(r for r in env.regions if r.kind == "intersection")
-    south = env.cell_region[(4, 3)]   # arm the robot came from
+    south = int(env.cell_region[4, 3])   # arm the robot came from
     pair = (south, node.ident)
     # Uniform mode: intended 0.9, uniform slip over the 2 wrong arms.
     nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="uniform"))
     assert [ACTIONS[u] for u in nts.enabled[pair_list(env).index(pair)]] == [
         "GoLeft", "GoRight", "GoStraight"]
     dist = dict(row(pair, "GoLeft"))
-    west = env.cell_region[(3, 1)]
-    east = env.cell_region[(3, 5)]
-    north = env.cell_region[(1, 3)]
+    west = int(env.cell_region[3, 1])
+    east = int(env.cell_region[3, 5])
+    north = int(env.cell_region[1, 3])
     assert dist[(node.ident, west)] == pytest.approx(0.9)
     assert dist[(node.ident, east)] == pytest.approx(0.05)
     assert dist[(node.ident, north)] == pytest.approx(0.05)
@@ -170,10 +198,10 @@ def test_four_way_enabled_and_uniform_confusion():
 def test_undershoot_confusion_distinguishes_controls():
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
     node = next(r for r in env.regions if r.kind == "intersection")
-    south = env.cell_region[(4, 3)]
+    south = int(env.cell_region[4, 3])
     pair = (south, node.ident)
-    west = env.cell_region[(3, 1)]
-    north = env.cell_region[(1, 3)]
+    west = int(env.cell_region[3, 1])
+    north = int(env.cell_region[1, 3])
     _nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="undershoot"))
     left = dict(row(pair, "GoLeft"))
     assert left == {(node.ident, west): 0.9, (node.ident, north): pytest.approx(0.1)}
@@ -184,7 +212,7 @@ def test_undershoot_confusion_distinguishes_controls():
 def test_disabled_action_rejected():
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
     node = next(r for r in env.regions if r.kind == "intersection")
-    south = env.cell_region[(4, 3)]
+    south = int(env.cell_region[4, 3])
     nts = build_nts(env)
     row = transition_rows(env, NoiseModel(), nts)
     state = pair_list(env).index((south, node.ident))
@@ -204,28 +232,31 @@ def test_desk_map_golden_counts():
     assert nts.n_states == 144
     assert nts.n_enabled_pairs() == 244
     assert sorted(env.props) == ["rd", "ri", "un", "up", "vd"]
-    # The cell index covers every open cell, each in the region holding it.
-    open_cells = {(r, c) for r, row in enumerate(env.grid)
-                  for c, ch in enumerate(row) if ch != "#"}
-    assert env.cell_region == {cell: reg.ident for reg in env.regions
-                               for cell in reg.cells}
-    assert env.cell_region.keys() == open_cells
+    # The region-id grid covers every open cell and marks walls -1; every
+    # region holds at least one cell, an intersection exactly one.
+    is_open = np.array([[ch != "#" for ch in row] for row in env.grid])
+    assert np.array_equal(env.cell_region >= 0, is_open)
+    assert (env.cell_region[~is_open] == -1).all()
+    size = np.bincount(env.cell_region[is_open], minlength=len(env.regions))
     # No intersection pair is adjacent to another intersection.
     for r in env.regions:
+        adjacent = env.pairs[env.pairs[:, 0] == r.ident, 1].tolist()
         if r.kind == "intersection":
-            assert 3 <= len(env.adjacency[r.ident]) <= 4
-            for other in env.adjacency[r.ident]:
+            assert size[r.ident] == 1
+            assert 3 <= len(adjacent) <= 4
+            for other in adjacent:
                 assert env.regions[other].kind == "corridor"
-            # Its arms are its open neighbour cells' regions, one per
-            # direction, in the order north, east, south, west.
-            (row, col) = r.cells[0]
-            assert list(env.arms[r.ident].items()) == [
-                (d, env.cell_region[(row + d[0], col + d[1])])
-                for d in ((-1, 0), (0, 1), (1, 0), (0, -1))
-                if (row + d[0], col + d[1]) in env.cell_region]
-            assert sorted(env.arms[r.ident].values()) == sorted(env.adjacency[r.ident])
+            # Its arms are its neighbour cells' regions, one per direction,
+            # in the order north, east, south, west; -1 on a wall side.
+            (row, col), = np.argwhere(env.cell_region == r.ident).tolist()
+            assert env.arms[r.ident].tolist() == [
+                int(env.cell_region[row + d[0], col + d[1]])
+                for d in ((-1, 0), (0, 1), (1, 0), (0, -1))]
+            assert sorted(a for a in env.arms[r.ident].tolist() if a >= 0) == adjacent
         else:
-            assert 1 <= len(env.adjacency[r.ident]) <= 2
+            assert size[r.ident] >= 1
+            assert env.arms[r.ident].tolist() == [-1] * 4
+            assert 1 <= len(adjacent) <= 2
 
 
 @pytest.mark.parametrize("confusion", ["uniform", "undershoot"])
@@ -243,7 +274,13 @@ def test_support_consistency_on_desk_map(confusion):
 def test_markov_pair_encoding():
     env = parse_map(open("tasks/desk.map").read())
     pairs = pair_list(env)
-    assert pairs == sorted((p, c) for p in env.adjacency for c in env.adjacency[p])
+    # Every ordered pair of distinct regions with side-sharing cells.
+    grid = env.cell_region.tolist()
+    touching = {(grid[r][c], grid[r + dr][c + dc]) for r in range(len(grid))
+                for c in range(len(grid[0])) for dr, dc in ((0, 1), (1, 0))
+                if r + dr < len(grid) and c + dc < len(grid[0])}
+    assert pairs == sorted({(a, b) for a, b in touching | {(b, a) for a, b in touching}
+                            if a != b and min(a, b) >= 0})
     assert not env.pairs.flags.writeable
     nts = build_nts(env)
     for i, (prev, cur) in enumerate(pairs):
@@ -294,38 +331,39 @@ def test_start_validation():
 
 
 # The per-control noise model the outcome table replaced, worked out from
-# the map's arms alone: the independent row-by-row oracle of the builds.
+# the cells of the per-cell reference parse (``dict_reference.parse_map``,
+# a ``DictMap``) alone: the independent row-by-row oracle of the builds.
 
-def _turns(env, pair):
+def _turns(ref_map, pair):
     """The turn controls at an intersection pair state, in ``ACTIONS``
     order, each with the region it aims for."""
     prev, cur = pair
-    (row, col), = env.regions[cur].cells
-    (dr, dc), = [(r - row, c - col) for reg in [env.regions[prev]] for r, c in reg.cells
+    (row, col), = ref_map.regions[cur].cells
+    (dr, dc), = [(r - row, c - col) for reg in [ref_map.regions[prev]] for r, c in reg.cells
                  if abs(r - row) + abs(c - col) == 1]
     heading = (-dr, -dc)
     aims = {"GoLeft": (-heading[1], heading[0]), "GoRight": (heading[1], -heading[0]),
             "GoStraight": heading}
-    return {name: env.cell_region[(row + d[0], col + d[1])] for name, d in aims.items()
-            if (row + d[0], col + d[1]) in env.cell_region}
+    return {name: ref_map.cell_region[(row + d[0], col + d[1])] for name, d in aims.items()
+            if (row + d[0], col + d[1]) in ref_map.cell_region}
 
 
-def enabled_actions(env, pair):
-    if env.regions[pair[1]].kind == "corridor":
+def enabled_actions(ref_map, pair):
+    if ref_map.regions[pair[1]].kind == "corridor":
         return ["FollowRoad"]
-    return list(_turns(env, pair))
+    return list(_turns(ref_map, pair))
 
 
-def outcome_support(env, pair, action, confusion="uniform"):
+def outcome_support(ref_map, pair, action, confusion="uniform"):
     """(intended region, wrong-but-feasible regions) for one control."""
     prev, cur = pair
-    if action not in enabled_actions(env, pair):
-        raise MapError(f"{action} is not enabled at {env.regions[cur].name}")
-    if env.regions[cur].kind == "corridor":
-        ends = [reg for reg in env.adjacency[cur] if reg != prev]
+    if action not in enabled_actions(ref_map, pair):
+        raise MapError(f"{action} is not enabled at {ref_map.regions[cur].name}")
+    if ref_map.regions[cur].kind == "corridor":
+        ends = [reg for reg in ref_map.adjacency[cur] if reg != prev]
         # Dead ends turn the robot around.
         return (ends[0] if ends else prev), ()
-    turns = _turns(env, pair)
+    turns = _turns(ref_map, pair)
     if confusion == "uniform":
         return turns[action], tuple(sorted(aim for name, aim in turns.items()
                                            if name != action))
@@ -333,10 +371,10 @@ def outcome_support(env, pair, action, confusion="uniform"):
     return turns[action], (() if action == "GoStraight" or straight is None else (straight,))
 
 
-def transition_probs(env, noise, pair, action):
+def transition_probs(ref_map, noise, pair, action):
     """Outcome distribution over successor pair states for one control."""
     prev, cur = pair
-    intended, wrong = outcome_support(env, pair, action, noise.confusion)
+    intended, wrong = outcome_support(ref_map, pair, action, noise.confusion)
     if not wrong:
         dist = [((cur, intended), 1.0)]
     else:
@@ -353,25 +391,27 @@ def transition_probs(env, noise, pair, action):
     return tuple(sorted(dist))
 
 
-def reference_models(env, noise):
-    """The NTS and MDP of a map built row by row through ``LabeledModel.from_rows``:
-    each row's support from ``outcome_support``, its probabilities from
-    ``transition_probs``."""
-    pairs = sorted((p, c) for p in env.adjacency for c in env.adjacency[p])
+def reference_models(ref_map, noise):
+    """The NTS and MDP of a map built row by row through ``LabeledModel.from_rows``
+    from its reference parse ``ref_map``: each row's support from
+    ``outcome_support``, its probabilities from ``transition_probs``, its
+    labels from the reference's region observations."""
+    pairs = ref_map.pairs
     index = {pair: i for i, pair in enumerate(pairs)}
     nts_rows, mdp_rows = {}, {}
     for i, pair in enumerate(pairs):
-        for name in enabled_actions(env, pair):
+        for name in enabled_actions(ref_map, pair):
             key = (i, ACTIONS.index(name))
-            intended, wrong = outcome_support(env, pair, name, noise.confusion)
+            intended, wrong = outcome_support(ref_map, pair, name, noise.confusion)
             nts_rows[key] = [(index[(pair[1], out)], 1.0) for out in {intended, *wrong}]
             mdp_rows[key] = [(index[succ], p) for succ, p in
-                             transition_probs(env, noise, pair, name)]
+                             transition_probs(ref_map, noise, pair, name)]
     common = dict(
-        n_states=len(pairs), initial=index[env.start], actions=ACTIONS, props=env.props,
-        labels=[sum(1 << env.props.index(obs) for obs in env.region_obs[cur])
+        n_states=len(pairs), initial=index[ref_map.start], actions=ACTIONS,
+        props=ref_map.props,
+        labels=[sum(1 << ref_map.props.index(obs) for obs in ref_map.region_obs[cur])
                 for _prev, cur in pairs],
-        state_names=tuple(f"{env.regions[p].name}-{env.regions[c].name}" for p, c in pairs))
+        state_names=tuple(f"{ref_map.regions[p].name}-{ref_map.regions[c].name}" for p, c in pairs))
     return (LabeledModel.from_rows(nts_rows, mode=NTS, **common),
             LabeledModel.from_rows(mdp_rows, mode=MDP, **common))
 
@@ -389,9 +429,10 @@ NOISES = {
 @pytest.mark.parametrize("confusion", ["uniform", "undershoot"])
 @pytest.mark.parametrize("noise", sorted(NOISES))
 def test_outcome_table_builds_match_row_by_row_reference(k, confusion, noise):
-    env = parse_map(lattice_map(k) if k else open("tasks/desk.map").read())
+    text = lattice_map(k) if k else open("tasks/desk.map").read()
+    env = parse_map(text)
     noise = NoiseModel(confusion=confusion, **NOISES[noise])
-    want_nts, want_mdp = reference_models(env, noise)
+    want_nts, want_mdp = reference_models(ref.parse_map(text), noise)
     nts = build_nts(env, confusion)
     mdp = build_mdp(env, noise, nts)
     assert nts == want_nts
@@ -408,3 +449,84 @@ def test_build_mdp_checks_the_success_probability():
         build_mdp(env, NoiseModel(eta=0.0), nts)
     with pytest.raises(MapError, match="outside"):
         build_mdp(env, NoiseModel(eta={"GoLeft": 0.9, "GoRight": 1.5, "GoStraight": 0.9}), nts)
+
+
+# The array partition against the per-cell reference parse.
+
+LEGEND = ("a: up", "é: un vd", "q: ri")  # "é" is not ASCII; "q" marks no cell
+
+
+@st.composite
+def map_texts(draw):
+    """A random grid of walls, floor and the legend's markers, now and then
+    with an unknown symbol, plus 0-2 ``@`` keys and mostly a start line.
+    Their cells are mostly open, sometimes on a wall or off the grid (by
+    one, negative included); a start often begins at a cell with three open
+    neighbours and steps to an open neighbour."""
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    symbols = st.sampled_from("######....aé" + ("" if draw(st.integers(0, 9)) else "z"))
+    rows = ["".join(draw(st.lists(symbols, min_size=w, max_size=w))) for _ in range(h)]
+    open_cells = [(r, c) for r, row in enumerate(rows) for c, ch in enumerate(row) if ch != "#"]
+    crossings = [(r, c) for r, c in open_cells
+                 if sum((r + dr, c + dc) in open_cells for dr, dc in _DIRS) >= 3]
+
+    def cell():
+        if open_cells and draw(st.integers(0, 5)):
+            return draw(st.sampled_from(open_cells))
+        return draw(st.integers(-1, h)), draw(st.integers(-1, w))
+
+    lines = ["legend", *LEGEND]
+    lines += [f"@{r},{c}: rd" for r, c in (cell() for _ in range(draw(st.integers(0, 2))))]
+    if draw(st.integers(0, 4)):
+        r1, c1 = draw(st.sampled_from(crossings)) if crossings and draw(st.booleans()) else cell()
+        step = [(r1 + dr, c1 + dc) for dr, dc in _DIRS if (r1 + dr, c1 + dc) in open_cells]
+        r2, c2 = draw(st.sampled_from(step)) if step and draw(st.integers(0, 3)) else cell()
+        lines.append(f"start {r1},{c1} {r2},{c2}")
+    return "\n".join(rows + lines)
+
+
+def parsed(parse, text):
+    """``parse(text)``, or the message of the MapError it raises."""
+    try:
+        return parse(text)
+    except MapError as err:
+        return f"MapError: {err}"
+
+
+def assert_same_partition(env, want):
+    """The array map ``env`` holds the reference parse ``want``."""
+    assert [(r.ident, r.kind, r.name) for r in env.regions] == [
+        (r.ident, r.kind, r.name) for r in want.regions]
+    assert {cell: int(reg) for cell, reg in np.ndenumerate(env.cell_region)
+            if reg >= 0} == want.cell_region
+    assert set(env.cell_region[env.cell_region < 0].tolist()) <= {-1}
+    assert pair_list(env) == want.pairs
+    arms = [[-1] * len(_DIRS) for _ in want.regions]
+    for reg, by_dir in want.arms.items():
+        for d, other in by_dir.items():
+            arms[reg][_DIRS.index(d)] = other
+    assert env.arms.tolist() == arms
+    assert env.props == want.props
+    assert env.labels.tolist() == [sum(1 << want.props.index(obs) for obs in want.region_obs[reg])
+                                   for reg in range(len(want.regions))]
+    assert env.start == want.start
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=map_texts())
+@example(text="#####\n#aéq#\n#####\nlegend\n" + "\n".join(LEGEND) + "\nstart 1,1 1,3")
+@example(text="###\n#..\n#.#\nlegend\n" + "\n".join(LEGEND))  # an L-bend: horizontal run first
+@example(text="#######\n###.###\n#é..a.#\n###.###\nlegend\n" + "\n".join(LEGEND)
+         + "\n@1,3: rd\n@2,3: vd\nstart 1,3 2,3")
+def test_array_partition_matches_the_per_cell_reference(text):
+    env, want = parsed(parse_map, text), parsed(ref.parse_map, text)
+    if isinstance(want, str):
+        assert env == want
+    else:
+        assert_same_partition(env, want)
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 8, 20])
+def test_array_partition_matches_the_reference_on_shipped_maps(k):
+    text = lattice_map(k) if k else open("tasks/desk.map").read()
+    assert_same_partition(parse_map(text), ref.parse_map(text))

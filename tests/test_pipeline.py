@@ -371,6 +371,16 @@ def test_load_task_builds_the_nts_once(monkeypatch):
     assert "ssp" not in vars(ctx) and "product_rows" not in vars(ctx)
 
 
+def test_build_skips_the_probabilistic_model(tmp_path, monkeypatch):
+    def unused(*args, **kwargs):
+        raise AssertionError("build writes no probabilistic model")
+
+    monkeypatch.setattr(gridenv, "build_mdp", unused)
+    monkeypatch.setattr(pipeline, "with_probabilities", unused)
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path))
+    assert [path.name for path in write_models(cfg)] == ["product.model", "ssp.model"]
+
+
 # sha256 of the desk task's `build` output (product and SSP model files):
 # any change to the bytes of either file fails here.
 DESK_MODEL_DIGESTS = {
