@@ -86,7 +86,7 @@ def _weights(m: LabeledModel, probs: np.ndarray) -> np.ndarray:
     return probs[m.entry_row] * m.weight
 
 
-def _require_defined(m: LabeledModel, probs: np.ndarray, needed: np.ndarray) -> None:
+def require_defined(m: LabeledModel, probs: np.ndarray, needed: np.ndarray) -> None:
     """Raise unless the policy puts mass on some row of every ``needed`` state."""
     mass = np.add.reduceat(probs, m.state_ptr[:-1])
     missing = np.flatnonzero(needed & ~(mass > 0))
@@ -238,7 +238,7 @@ class ReachEvaluator:
         keeps the linear system nonsingular).
         """
         w = _weights(self.model, probs)
-        _require_defined(self.model, probs, self.free)
+        require_defined(self.model, probs, self.free)
         support = w > 0
         if self._support is None or not np.array_equal(support, self._support):
             ids, src, dst = _edges(self.model, support)
@@ -475,7 +475,7 @@ def expected_total_cost(ssp: SspModel, probs: np.ndarray) -> float:
     live = src != ssp.terminal
     reachable = _closure(dst[live], src[live], _members([m.initial], m.n_states))
     reachable[ssp.terminal] = False
-    _require_defined(m, probs, reachable)
+    require_defined(m, probs, reachable)
     proper = _closure(src, dst, _members([ssp.terminal], m.n_states))
     trapped = np.flatnonzero(reachable & ~proper)
     if trapped.size:

@@ -64,16 +64,13 @@ class MapError(ValueError):
 
 
 @dataclass(frozen=True)
-class Region:
-    ident: int
-    kind: str  # "corridor" | "intersection"
-    name: str
-
-
-@dataclass(frozen=True)
 class EnvMap:
+    """A parsed map. Regions are numbered intersections first: regions
+    0..n_cross-1 are the intersections I1, I2, ..., the rest the corridors
+    C1, C2, ..."""
+
     grid: tuple[str, ...]
-    regions: tuple[Region, ...]
+    n_cross: int
     cell_region: np.ndarray  # (rows, cols): each cell's region ident, -1 on a wall
     # (n_regions, 4): the region beyond each side of an intersection, sides
     # in _DIRS order; -1 on a wall side and on every corridor row
@@ -193,8 +190,6 @@ def parse_map(text: str) -> EnvMap:
                                          (cell_region.T, head_down.T, down.T, number.T)):
         region[cells] = at_head[head][np.cumsum(head)[cells.ravel()] - 1]
     n_regions = n_cross + int(np.count_nonzero(head_across | head_down))
-    regions = tuple(Region(i, "intersection", f"I{i + 1}") for i in range(n_cross)) + tuple(
-        Region(i, "corridor", f"C{i - n_cross + 1}") for i in range(n_cross, n_regions))
 
     # Motion states: every ordered pair of regions that share a side.
     around = sides(cell_region, -1)
@@ -224,7 +219,7 @@ def parse_map(text: str) -> EnvMap:
     pairs = np.stack(np.divmod(codes, max(n_regions, 1)), axis=1)
     for array in (cell_region, arms, labels, pairs):
         array.flags.writeable = False
-    return EnvMap(grid=tuple(grid), regions=regions, cell_region=cell_region, arms=arms,
+    return EnvMap(grid=tuple(grid), n_cross=n_cross, cell_region=cell_region, arms=arms,
                   labels=labels, pairs=pairs, props=props, start=start)
 
 
@@ -255,14 +250,14 @@ def _aim_table(env: EnvMap) -> np.ndarray:
     and right is heading + 1 (mod 4); a turn into a wall is disabled.
     """
     prev, cur = env.pairs[:, 0], env.pairs[:, 1]
-    n_regions = len(env.regions)
-    corridor = np.array([region.kind == "corridor" for region in env.regions], dtype=bool)
+    n_regions = len(env.labels)
+    corridor = np.arange(n_regions) >= env.n_cross
     # The pairs are sorted, so region r's neighbors are the current
     # regions of the pairs ptr[r]:ptr[r + 1].
     ptr = np.searchsorted(prev, np.arange(n_regions + 1))
     ambiguous = np.flatnonzero(corridor & (np.diff(ptr) > 2))
     if ambiguous.size:
-        raise MapError(f"corridor {env.regions[ambiguous[0]].name} has an ambiguous far end")
+        raise MapError(f"corridor C{ambiguous[0] - env.n_cross + 1} has an ambiguous far end")
     table = np.full((len(cur), len(ACTIONS)), -1, dtype=np.int64)
     # A corridor has one or two neighbors, so its far end is first + last -
     # prev: prev itself at a dead end.
@@ -291,7 +286,7 @@ def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
         raise MapError("map has no 'start' line")
     if confusion not in CONFUSION_MODES:
         raise MapError(f"unknown confusion model {confusion!r}")
-    n_regions = len(env.regions)
+    n_regions = len(env.labels)
     cur = env.pairs[:, 1]
     # Successor pair (cur, out) by its code; the pairs are sorted.
     codes = env.pairs[:, 0] * n_regions + cur
@@ -311,7 +306,8 @@ def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
     kept = ends < n_regions
     row_size = kept.sum(axis=1)
     outs = ends[kept]
-    names = [region.name for region in env.regions]
+    names = ([f"I{i}" for i in range(1, env.n_cross + 1)]
+             + [f"C{i}" for i in range(1, n_regions - env.n_cross + 1)])
     return LabeledModel(
         n_states=len(codes),
         initial=initial,

@@ -39,9 +39,10 @@ would use.
 The action probabilities have one definition, whether one state asks
 (``action_distribution`` and ``sample_action``, in Python floats) or the
 whole policy does (``policy_rows``, one matmul and a segment softmax over
-the flat tables): a first action's mass is its sequences' weights added
-left to right from 0.0, the state's total is its actions' masses added the
-same way, and each probability is mass / total.
+the flat tables, giving one probability per row of the SSP's model, the
+terminal's uniform rows included): a first action's mass is its
+sequences' weights added left to right from 0.0, the state's total is its
+actions' masses added the same way, and each probability is mass / total.
 """
 
 from __future__ import annotations
@@ -223,19 +224,13 @@ class LookaheadPolicy:
         group_count[roots] = np.bincount(self._group_owner, minlength=len(roots))
         self._seq_ptr = _ptr(seq_count).tolist()
         self._group_ptr = _ptr(group_count).tolist()
+        self._terminal_rows = m.state_ptr[ssp.terminal:ssp.terminal + 2].tolist()
         self._groups: dict[int, _Groups] = {}
         # The last state's softmax weights, keyed on (state, theta bytes).
         self._held_key: tuple[int, bytes] | None = None
         self._held_w = np.empty(0)
 
     # -- score tables -------------------------------------------------------
-
-    def sequence_table(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first action and the feature pair of each of the sequences
-        from ``state``, in lexicographic action-id order: views of the
-        policy's tables (the terminal has none)."""
-        lo, hi = self._seq_ptr[state], self._seq_ptr[state + 1]
-        return self._first[lo:hi], self._feats[lo:hi]
 
     def _groups_of(self, state: int) -> _Groups:
         groups = self._groups.get(state)
@@ -283,17 +278,20 @@ class LookaheadPolicy:
         return groups.acts, np.array(probs)
 
     def policy_rows(self) -> np.ndarray:
-        """The whole policy at the current theta: one probability per
-        (state, first action) group, non-terminal states in order and
-        actions ascending, which is the order of those states' rows in the
-        model. Equal, bit for bit, to ``action_distribution`` state by
-        state."""
+        """The whole policy at the current theta: one probability per row
+        of the SSP's model, the row space of ``save_policy``,
+        ``parse_policy`` and ``exact.expected_total_cost``. A non-terminal
+        state's rows are its (first action) groups, actions ascending; the
+        terminal's are uniform. Equal, bit for bit, to
+        ``action_distribution`` state by state."""
         logits = self._feats @ self.theta
         top = np.maximum.reduceat(logits, self._root_seq_start)
         w = np.exp(logits - top[self._seq_owner])
         mass = _left_sums(w, self._seq_group, len(self._group_start))
         total = _left_sums(mass, self._group_owner, len(self._root_seq_start))
-        return mass / total[self._group_owner]
+        probs = mass / total[self._group_owner]
+        lo, hi = self._terminal_rows
+        return np.concatenate((probs[:lo], np.full(hi - lo, 1.0 / (hi - lo)), probs[lo:]))
 
     def log_policy_gradient(self, state: int, action: int) -> np.ndarray:
         """Gradient of ln mu_theta(state, action) with respect to theta."""

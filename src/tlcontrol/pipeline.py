@@ -13,11 +13,14 @@ lazy probability source.
 subcommand reads it: the models, the product with its accepting
 components and goal/zero sets, ``early_exit`` (the satisfaction
 probability when no policy choice matters), the restart SSP handed to the
-actor-critic, ``product_rows``, the product row of each non-terminal SSP
-row, through which an SSP policy is judged on the product, and
-``optimal_values``, the exact optimum that ``synthesize`` and ``compare``
-read. The SSP, the row map and the optimum are built on first use, so a
-multi-seed run computes the optimum once.
+actor-critic, and ``optimal_values``, the exact optimum that
+``synthesize`` and ``compare`` read. The SSP and the optimum are built on
+first use, so a multi-seed run computes the optimum once.
+
+A policy lives in the SSP's row space, one probability per row of the
+SSP's model (``LookaheadPolicy.policy_rows``, ``parse_policy``), and is
+judged on the product through ``rsp_product_policy``, the one map from SSP
+rows onto product rows.
 """
 
 from __future__ import annotations
@@ -55,13 +58,13 @@ from .synthesis import (
     SspModel,
     SspTransitionSource,
     TransitionSource,
+    _members,
     amecs,
     build_product,
     goal_and_bad_sets,
     mrp_to_ssp,
     product_state_names,
     serialize_ssp,
-    ssp_product_rows,
     ssp_state_names,
     with_probabilities,
 )
@@ -162,8 +165,8 @@ def _fits(value: object, hint: object) -> bool:
 
 @dataclass
 class TaskContext:
-    """The task every subcommand reads, built once per invocation; the SSP,
-    its product-row map and the exact optimum are built on first use."""
+    """The task every subcommand reads, built once per invocation; the SSP
+    and the exact optimum are built on first use."""
 
     cfg: RunConfig
     dra: RabinAutomaton
@@ -200,11 +203,6 @@ class TaskContext:
         return mrp_to_ssp(self.product, self.goal, self.bad)
 
     @cached_property
-    def product_rows(self) -> np.ndarray:
-        """The product row of each non-terminal SSP row."""
-        return ssp_product_rows(self.product, self.goal)
-
-    @cached_property
     def optimal_values(self) -> np.ndarray:
         """Each product state's optimal satisfaction probability, from
         ``exact.max_reach`` on the probabilistic product."""
@@ -237,14 +235,20 @@ def load_task(cfg: RunConfig) -> TaskContext:
                        goal=goal, bad=bad)
 
 
-def rsp_product_policy(policy: LookaheadPolicy, m: LabeledModel,
-                       rows: np.ndarray) -> np.ndarray:
-    """The lookahead policy at its current theta as one probability per row
-    of the product model ``m``, through ``rows`` (the task's
-    ``product_rows``). Goal rows stay 0: goal states are evaluation
-    boundary."""
+def rsp_product_policy(ssp: SspModel, m: LabeledModel, probs: np.ndarray) -> np.ndarray:
+    """The SSP policy ``probs`` (one probability per row of ``ssp.base``)
+    as one probability per row of the product model ``m``: each
+    non-terminal state's rows land on the rows of its product state
+    ``ssp.origin[state]``, which has the same actions in the same order.
+    The terminal's rows are dropped and goal rows stay 0: goal states are
+    evaluation boundary."""
+    state = ssp.base.row_state
+    old = ssp.origin[state]
+    live = old >= 0
+    # A row keeps its offset within its state's rows.
+    rows = m.state_ptr[old] - ssp.base.state_ptr[state] + np.arange(len(state))
     out = np.zeros(len(m.row_action))
-    out[rows] = policy.policy_rows()
+    out[rows[live]] = probs[live]
     return out
 
 
@@ -317,7 +321,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
 
         def evaluator(theta):
             policy.theta = np.array(theta, dtype=float)
-            return exact.eval_policy_reach(m, rsp_product_policy(policy, m, ctx.product_rows),
+            return exact.eval_policy_reach(m, rsp_product_policy(ssp, m, policy.policy_rows()),
                                            ctx.goal, ctx.bad, evaluator=reach)
 
         if cfg.exact_reference:
@@ -328,12 +332,8 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     final_prob = evaluator(theta) if evaluator is not None else None
     with open(outdir / "trace.csv", "w") as f:
         trace.write_csv(f)
-    policy.theta = np.array(theta, dtype=float)
-    # One probability per SSP row: the terminal's rows are uniform.
-    probs = np.full(ssp.base.n_enabled_pairs(), 1.0 / len(ssp.base.actions))
-    probs[ssp.base.row_state != ssp.terminal] = policy.policy_rows()
     with open(outdir / "policy.tsv", "w") as f:
-        save_policy(f, probs, ssp.base)
+        save_policy(f, policy.policy_rows(), ssp.base)
 
     lines += [
         ("iterations", trace.iterations),
@@ -378,7 +378,9 @@ def compare(cfg: RunConfig) -> Report:
 
 
 def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
-    """Exact reachability probability of a saved policy file."""
+    """Exact reachability probability of a saved policy file. The file must
+    define the policy at every SSP state that is neither the terminal nor a
+    restart state, and an error names the file's own state ids."""
     ctx = load_task(cfg)
     if ctx.product_mdp is None:
         raise ModelError("eval needs exact probabilities (enable exact_reference)")
@@ -386,10 +388,10 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
         return ctx.early_exit
     ssp = ctx.ssp
     probs = parse_policy(Path(policy_path).read_text(), ssp.base)
+    exact.require_defined(ssp.base, probs,
+                          ~_members(ssp.bad | {ssp.terminal}, ssp.base.n_states))
     m = ctx.product_mdp.base
-    product_policy = np.zeros(len(m.row_action))
-    product_policy[ctx.product_rows] = probs[ssp.base.row_state != ssp.terminal]
-    return exact.eval_policy_reach(m, product_policy, ctx.goal, ctx.bad)
+    return exact.eval_policy_reach(m, rsp_product_policy(ssp, m, probs), ctx.goal, ctx.bad)
 
 
 def write_models(cfg: RunConfig) -> list[Path]:

@@ -473,15 +473,22 @@ class SspModel:
 
     Goal states are collapsed into the absorbing, cost-free ``terminal``;
     states in ``bad`` restart at the initial state under every action and
-    are the only states with one-step cost 1. ``origin`` maps each state
-    back to its product index (-1 for the terminal). Like the product,
-    ``base`` carries no state names; ``ssp_state_names`` formats them.
+    are the only states with one-step cost 1. ``origin`` is a read-only
+    int64 array holding each state's product index (-1 for the terminal),
+    the one map from SSP states to product states; a non-terminal state
+    has its product state's rows, in order. Like the product, ``base``
+    carries no state names; ``ssp_state_names`` formats them.
     """
 
     base: LabeledModel
     terminal: int
     bad: frozenset[int]
-    origin: tuple[int, ...]
+    origin: np.ndarray
+
+    def __post_init__(self):
+        origin = np.asarray(self.origin, dtype=np.int64).view()
+        origin.flags.writeable = False
+        object.__setattr__(self, "origin", origin)
 
     @property
     def initial(self) -> int:
@@ -554,22 +561,14 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
         base=base,
         terminal=terminal,
         bad=frozenset(new_id[is_bad & ~is_goal].tolist()),
-        origin=tuple(keep.tolist()) + (-1,),
+        origin=np.append(keep, -1),
     )
-
-
-def ssp_product_rows(p: ProductModel, goal: frozenset[int]) -> np.ndarray:
-    """The product row that each non-terminal row of ``mrp_to_ssp(p, goal,
-    bad)`` stands for. The conversion keeps the rows of the non-goal
-    states, in order, so these are those rows of ``p``."""
-    m = p.base
-    return np.flatnonzero(~_members(goal, m.n_states)[m.row_state])
 
 
 def ssp_state_names(ssp: SspModel, product_names: Sequence[str]) -> tuple[str, ...]:
     """Each SSP state's name: its product state's, through ``origin``, and
     ``terminal`` for the terminal."""
-    return tuple(product_names[old] for old in ssp.origin[:-1]) + ("terminal",)
+    return tuple(product_names[old] if old >= 0 else "terminal" for old in ssp.origin.tolist())
 
 
 def serialize_ssp(ssp: SspModel) -> str:
@@ -611,7 +610,7 @@ class SspTransitionSource:
         # SSP state of each product state; goal states, which the SSP
         # drops, go to the terminal.
         of_product = np.full(product.base.n_states, ssp.terminal, dtype=np.int64)
-        of_product[list(ssp.origin[:-1])] = np.arange(ssp.terminal)
+        of_product[ssp.origin[:-1]] = np.arange(ssp.terminal)
         self._of_product = of_product
 
     def __call__(self, state: int, action: int) -> tuple[tuple[int, float], ...]:

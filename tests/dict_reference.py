@@ -12,8 +12,8 @@ exactly, weights bit for bit and names character for character.
 frontier layers of ``synthesis._layers`` replaced. ``neighborhood`` and
 ``action_sequences`` are the one-state-at-a-time definitions that
 ``LookaheadPolicy``'s all-state tables replaced, and
-``safe`` and ``action_probability`` read one state's entry of a policy's
-tables and distribution.
+``safe``, ``sequence_table`` and ``action_probability`` read one state's
+entry of a policy's tables and distribution.
 
 ``parse_map`` is the per-cell map partition (sets and dicts) that the
 region-id grid of ``gridenv.parse_map`` replaced.
@@ -86,7 +86,8 @@ def of_product(p, model_names) -> DictProduct:
 def of_ssp(s, product_names) -> DictSsp:
     """The array SSP ``s`` as a DictSsp, its states named on demand
     (``ssp_state_names``) from its product's ``product_names``."""
-    return DictSsp(of(s.base, ssp_state_names(s, product_names)), s.terminal, s.bad, s.origin)
+    return DictSsp(of(s.base, ssp_state_names(s, product_names)), s.terminal, s.bad,
+                   tuple(s.origin.tolist()))
 
 
 def build_product(m, r, label_rule="next") -> DictProduct:
@@ -314,6 +315,14 @@ def safe(pol, state: int) -> float:
     """The fraction of the state's neighborhood outside the restart set, as
     the policy's table holds it."""
     return float(pol._safe[state])
+
+
+def sequence_table(pol, state: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first action and the feature pair of each of the sequences from
+    ``state``, in lexicographic action-id order: views of the policy's
+    tables (the terminal has none)."""
+    lo, hi = pol._seq_ptr[state], pol._seq_ptr[state + 1]
+    return pol._first[lo:hi], pol._feats[lo:hi]
 
 
 def action_probability(pol, state: int, action: int) -> float:

@@ -12,8 +12,8 @@ import pytest
 from dict_reference import action_probability
 from tlcontrol import exact
 from tlcontrol.lookahead import LookaheadPolicy
-from tlcontrol.pipeline import RunConfig, synthesize
-from tlcontrol.synthesis import max_end_components, mrp_to_ssp, ssp_product_rows, ProductModel, amecs
+from tlcontrol.pipeline import RunConfig, rsp_product_policy, synthesize
+from tlcontrol.synthesis import max_end_components, mrp_to_ssp, ProductModel, amecs
 from conftest import make_random_ssp, random_mdp, random_nts, retained, support_zeros
 from test_synthesis import brute_force_mecs
 
@@ -84,13 +84,10 @@ def test_criterion_3_mrp_ssp_equivalence():
         best_reach = -1.0
         best_cost = float("inf")
         cost_winner_reach = None
-        # Each SSP policy acts on the product through the pipeline's row
-        # map: the terminal's rows are dropped, goal rows stay 0.
-        rows = ssp_product_rows(product_mdp, goal)
-        live = ssp_mdp.base.row_state != ssp_mdp.terminal
+        # Each SSP policy acts on the product through the pipeline's
+        # re-indexer: the terminal's rows are dropped, goal rows stay 0.
         for pol in exact.enumerate_policies(ssp_mdp.base):
-            product_pol = np.zeros(len(product_mdp.base.row_action))
-            product_pol[rows] = pol[live]
+            product_pol = rsp_product_policy(ssp_mdp, product_mdp.base, pol)
             reach = exact.eval_policy_reach(product_mdp.base, product_pol, goal, bad)
             best_reach = max(best_reach, reach)
             try:

@@ -147,16 +147,16 @@ def test_all_state_tables_match_brute_force(seed, horizon, radius, n_states, n_a
     for state in range(ssp.base.n_states):
         nb = ref.neighborhood(ssp.base, state, radius)
         assert ref.safe(pol, state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
-        first, feats = pol.sequence_table(state)
+        per_state.append(pol.action_distribution(state)[1])
+        first, feats = ref.sequence_table(pol, state)
         if state == ssp.terminal:
             assert len(first) == len(feats) == 0
             continue
         seqs = ref.action_sequences(ssp.base, state, horizon)
         assert first.tolist() == [seq[0] for seq, _reach in seqs]
         assert feats.tolist() == brute_force_features(pol, ssp, state, horizon, radius)
-        per_state.append(pol.action_distribution(state)[1])
     # The whole-policy sweep is the per-state distribution, bit for bit,
-    # also where a first action owns 8 or more sequences.
+    # terminal included, also where a first action owns 8 or more sequences.
     assert np.array_equal(pol.policy_rows(), np.concatenate(per_state))
 
 

@@ -61,7 +61,11 @@ a: up
 
 
 def region_names(env, kind=None):
-    return [r.name for r in env.regions if kind is None or r.kind == kind]
+    """The regions' names by id: intersections ``I<n>`` first, then
+    corridors ``C<n>``."""
+    names = {"intersection": [f"I{i + 1}" for i in range(env.n_cross)],
+             "corridor": [f"C{i + 1}" for i in range(len(env.labels) - env.n_cross)]}
+    return names[kind] if kind else names["intersection"] + names["corridor"]
 
 
 def pair_list(env):
@@ -97,9 +101,9 @@ def test_plus_is_one_intersection_with_four_arms():
     env = parse_map(PLUS)
     assert region_names(env, "intersection") == ["I1"]
     assert len(region_names(env, "corridor")) == 4
-    center = next(r for r in env.regions if r.kind == "intersection")
-    assert (env.arms[center.ident] >= 0).sum() == 4
-    assert (env.pairs[:, 0] == center.ident).sum() == 4
+    center = 0  # intersections are numbered first
+    assert (env.arms[center] >= 0).sum() == 4
+    assert (env.pairs[:, 0] == center).sum() == 4
 
 
 def map_error(text):
@@ -146,11 +150,11 @@ start 2,1 2,2
             (STRIP + "@1,9: up\n", "legend key @1,9 is not an open cell"),
             (tee + "@-1,2: up", "legend key @-1,2 is not an open cell")]:
         assert map_error(text) == message, text
-    # A corridor region with more than two neighbors has no far end.
+    # A corridor region with more than two neighbors has no far end: with
+    # no intersections counted, the four-way crossing is corridor C1.
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
-    regions = tuple(dataclasses.replace(r, kind="corridor") for r in env.regions)
-    with pytest.raises(MapError, match="I1 has an ambiguous far end"):
-        build_nts(dataclasses.replace(env, regions=regions))
+    with pytest.raises(MapError, match="corridor C1 has an ambiguous far end"):
+        build_nts(dataclasses.replace(env, n_cross=0))
 
 
 def test_spaceless_comment_line_is_skipped():
@@ -169,19 +173,19 @@ def test_marker_row_starting_with_a_wall_is_grid():
 
 def test_dead_end_follow_road_turns_around():
     env = parse_map(TEE)
-    node = next(r for r in env.regions if r.kind == "intersection")
+    node = 0  # the one intersection: intersections are numbered first
     stub = int(env.cell_region[2, 2])
     nts, row = production_rows(env, NoiseModel(eta=1.0))
-    state = pair_list(env).index((node.ident, stub))
+    state = pair_list(env).index((node, stub))
     assert nts.enabled[state] == (ACTIONS.index("FollowRoad"),)
-    assert row((node.ident, stub), "FollowRoad") == (((stub, node.ident), 1.0),)
+    assert row((node, stub), "FollowRoad") == (((stub, node), 1.0),)
 
 
 def test_four_way_enabled_and_uniform_confusion():
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
-    node = next(r for r in env.regions if r.kind == "intersection")
+    node = 0  # the one intersection: intersections are numbered first
     south = int(env.cell_region[4, 3])   # arm the robot came from
-    pair = (south, node.ident)
+    pair = (south, node)
     # Uniform mode: intended 0.9, uniform slip over the 2 wrong arms.
     nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="uniform"))
     assert [ACTIONS[u] for u in nts.enabled[pair_list(env).index(pair)]] == [
@@ -190,32 +194,32 @@ def test_four_way_enabled_and_uniform_confusion():
     west = int(env.cell_region[3, 1])
     east = int(env.cell_region[3, 5])
     north = int(env.cell_region[1, 3])
-    assert dist[(node.ident, west)] == pytest.approx(0.9)
-    assert dist[(node.ident, east)] == pytest.approx(0.05)
-    assert dist[(node.ident, north)] == pytest.approx(0.05)
+    assert dist[(node, west)] == pytest.approx(0.9)
+    assert dist[(node, east)] == pytest.approx(0.05)
+    assert dist[(node, north)] == pytest.approx(0.05)
 
 
 def test_undershoot_confusion_distinguishes_controls():
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
-    node = next(r for r in env.regions if r.kind == "intersection")
+    node = 0  # the one intersection: intersections are numbered first
     south = int(env.cell_region[4, 3])
-    pair = (south, node.ident)
+    pair = (south, node)
     west = int(env.cell_region[3, 1])
     north = int(env.cell_region[1, 3])
     _nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="undershoot"))
     left = dict(row(pair, "GoLeft"))
-    assert left == {(node.ident, west): 0.9, (node.ident, north): pytest.approx(0.1)}
+    assert left == {(node, west): 0.9, (node, north): pytest.approx(0.1)}
     straight = dict(row(pair, "GoStraight"))
-    assert straight == {(node.ident, north): 1.0}
+    assert straight == {(node, north): 1.0}
 
 
 def test_disabled_action_rejected():
     env = parse_map(FOURWAY.replace("legend", "legend\nstart 4,3 3,3"))
-    node = next(r for r in env.regions if r.kind == "intersection")
+    node = 0  # the one intersection: intersections are numbered first
     south = int(env.cell_region[4, 3])
     nts = build_nts(env)
     row = transition_rows(env, NoiseModel(), nts)
-    state = pair_list(env).index((south, node.ident))
+    state = pair_list(env).index((south, node))
     # A lazy row for an action the state does not enable, or for a state
     # out of range, is a map error.
     with pytest.raises(MapError, match="not enabled"):
@@ -237,25 +241,25 @@ def test_desk_map_golden_counts():
     is_open = np.array([[ch != "#" for ch in row] for row in env.grid])
     assert np.array_equal(env.cell_region >= 0, is_open)
     assert (env.cell_region[~is_open] == -1).all()
-    size = np.bincount(env.cell_region[is_open], minlength=len(env.regions))
+    size = np.bincount(env.cell_region[is_open], minlength=len(env.labels))
     # No intersection pair is adjacent to another intersection.
-    for r in env.regions:
-        adjacent = env.pairs[env.pairs[:, 0] == r.ident, 1].tolist()
-        if r.kind == "intersection":
-            assert size[r.ident] == 1
+    for r in range(len(env.labels)):
+        adjacent = env.pairs[env.pairs[:, 0] == r, 1].tolist()
+        if r < env.n_cross:
+            assert size[r] == 1
             assert 3 <= len(adjacent) <= 4
             for other in adjacent:
-                assert env.regions[other].kind == "corridor"
+                assert other >= env.n_cross
             # Its arms are its neighbour cells' regions, one per direction,
             # in the order north, east, south, west; -1 on a wall side.
-            (row, col), = np.argwhere(env.cell_region == r.ident).tolist()
-            assert env.arms[r.ident].tolist() == [
+            (row, col), = np.argwhere(env.cell_region == r).tolist()
+            assert env.arms[r].tolist() == [
                 int(env.cell_region[row + d[0], col + d[1]])
                 for d in ((-1, 0), (0, 1), (1, 0), (0, -1))]
-            assert sorted(a for a in env.arms[r.ident].tolist() if a >= 0) == adjacent
+            assert sorted(a for a in env.arms[r].tolist() if a >= 0) == adjacent
         else:
-            assert size[r.ident] >= 1
-            assert env.arms[r.ident].tolist() == [-1] * 4
+            assert size[r] >= 1
+            assert env.arms[r].tolist() == [-1] * 4
             assert 1 <= len(adjacent) <= 2
 
 
@@ -495,8 +499,11 @@ def parsed(parse, text):
 
 def assert_same_partition(env, want):
     """The array map ``env`` holds the reference parse ``want``."""
-    assert [(r.ident, r.kind, r.name) for r in env.regions] == [
-        (r.ident, r.kind, r.name) for r in want.regions]
+    n_cross = sum(r.kind == "intersection" for r in want.regions)
+    assert env.n_cross == n_cross and len(env.labels) == len(want.regions)
+    assert [(r.ident, r.kind, r.name) for r in want.regions] == [
+        (i, "intersection" if i < n_cross else "corridor", name)
+        for i, name in enumerate(region_names(env))]
     assert {cell: int(reg) for cell, reg in np.ndenumerate(env.cell_region)
             if reg >= 0} == want.cell_region
     assert set(env.cell_region[env.cell_region < 0].tolist()) <= {-1}

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dict_reference
-from dict_reference import action_probability, action_sequences, model_rows, neighborhood, safe
+from dict_reference import (action_probability, action_sequences, model_rows, neighborhood, safe,
+                            sequence_table)
 from tlcontrol.lookahead import LookaheadPolicy, SequenceCapExceeded, min_distances
 from tlcontrol.models import ModelError, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
@@ -214,7 +215,7 @@ def test_sequence_scores_and_distribution_against_brute_force(rng):
         for state in range(ssp.base.n_states):
             if state == ssp.terminal:
                 continue
-            first, feats = pol.sequence_table(state)
+            first, feats = sequence_table(pol, state)
             seqs = [e for e, _reach in action_sequences(ssp.base, state, 2)]
             # Independent recomputation of features and the softmax.
             nb = neighborhood(ssp.base, state, 2)
@@ -262,16 +263,38 @@ def test_neighborhoods_are_computed_once_and_dropped_with_the_tables(rng):
     for state in range(ssp.base.n_states):
         nb = neighborhood(ssp.base, state, 2)
         assert safe(pol, state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
-        first, _feats = pol.sequence_table(state)
+        first, _feats = sequence_table(pol, state)
         if state == ssp.terminal:
             assert len(first) == 0
         else:
             assert first.tolist() == [e[0] for e, _ in action_sequences(ssp.base, state, 2)]
 
 
+@pytest.mark.parametrize("theta", [(5.0, -0.5), (0.0, 0.0), (-3.0, 2.5)])
+def test_policy_rows_cover_every_ssp_row(rng, theta):
+    # One probability per row of the SSP's model, the terminal's uniform
+    # rows included, wherever the terminal sits: action_distribution state
+    # by state, bit for bit.
+    chain = parse_model("states 3\ninitial 1\nmode nts\ntrans 0 a 0 1\ntrans 0 b 0 1\n"
+                        "trans 1 a 2 1\ntrans 1 b 0 1\ntrans 2 a 0 1\ntrans 2 b 1 1")
+    ssps = [make_random_ssp(rng, n_states=int(rng.integers(3, 9)),
+                            n_actions=int(rng.integers(1, 4))) for _ in range(6)]
+    ssps += [load_task(RunConfig.from_file("tasks/desk.json")).ssp,
+             SspModel(base=chain, terminal=0, bad=frozenset(), origin=(-1, 0, 1))]
+    for ssp in ssps:
+        pol = LookaheadPolicy(ssp, horizon=2, theta=theta)
+        rows = pol.policy_rows()
+        assert len(rows) == len(ssp.base.row_action)
+        for state in range(ssp.base.n_states):
+            acts, probs = pol.action_distribution(state)
+            lo, hi = ssp.base.state_ptr[state], ssp.base.state_ptr[state + 1]
+            assert ssp.base.row_action[lo:hi].tolist() == acts.tolist()
+            assert np.array_equal(rows[lo:hi], probs)
+
+
 def test_sequence_score_exp_of_dot_product():
     pol = LookaheadPolicy(three_sequence_policy(), horizon=2, theta=(5.0, -0.5))
-    first, feats = pol.sequence_table(0)
+    first, feats = sequence_table(pol, 0)
     assert [e for e, _reach in action_sequences(pol.model, 0, 2)] == [(0, 0), (0, 1), (1, 0)]
     # Direct substitution at the default parameter vector: sequence scores
     # exp(5), exp(0) and exp(-0.5), the first two on action 0.
@@ -284,7 +307,7 @@ def test_sequence_score_exp_of_dot_product():
 
 def test_gradient_trivial_cases():
     pol = LookaheadPolicy(three_sequence_policy(), horizon=2, theta=(0.0, 0.0))
-    first, feats = pol.sequence_table(0)
+    first, feats = sequence_table(pol, 0)
     psi = pol.log_policy_gradient(0, 0)
     mean_u = feats[first == 0].mean(axis=0)
     mean_all = feats.mean(axis=0)
@@ -369,10 +392,10 @@ def test_softmax_shift_invariance(rng):
     state = next(s for s in range(ssp.base.n_states)
                  if s != ssp.terminal and len(ssp.base.enabled[s]) > 1)
     acts, probs = pol.action_distribution(state)
-    first, feats = pol.sequence_table(state)
+    first, feats = sequence_table(pol, state)
     # Translating every feature row by a constant leaves the softmax alone.
     shifted = LookaheadPolicy(ssp, horizon=2, theta=(1.5, -0.5))
-    shifted.sequence_table(state)[1][:] = feats + np.array([3.7, -1.2])
+    sequence_table(shifted, state)[1][:] = feats + np.array([3.7, -1.2])
     acts2, probs2 = shifted.action_distribution(state)
     assert list(acts) == list(acts2)
     assert np.allclose(probs, probs2, atol=1e-12)
@@ -385,7 +408,7 @@ def test_concentration_on_max_f1_at_large_theta1(rng):
         for state in range(ssp.base.n_states):
             if state == ssp.terminal or len(ssp.base.enabled[state]) < 2:
                 continue
-            first, feats = pol.sequence_table(state)
+            first, feats = sequence_table(pol, state)
             best = feats[:, 0].max()
             winners = {int(first[i]) for i in range(len(first))
                        if feats[i, 0] >= best - 1e-12}
@@ -516,7 +539,7 @@ def reference_gradient(pol, state, action):
     """psi = E[f | first action] - E[f] by the general formula, as the
     policy once formed it at every state: the softmax weights, the group's
     and the state's weighted feature sums, each over its weight sum."""
-    first, feats = pol.sequence_table(state)
+    first, feats = sequence_table(pol, state)
     logits = feats @ pol.theta
     w = np.exp(logits - np.maximum.reduce(logits))
     at = np.flatnonzero(first == action)
@@ -539,7 +562,7 @@ def test_single_action_states_score_zero_without_a_draw(task, horizon, t1, t2, s
     pol.theta = np.array((t1, t2))
     ssp = pol.ssp
     for state in range(ssp.base.n_states):
-        first, _feats = pol.sequence_table(state)
+        first, _feats = sequence_table(pol, state)
         acts = np.unique(first)
         if len(acts) != 1:
             continue

@@ -33,7 +33,6 @@ from tlcontrol.synthesis import (
     build_product,
     goal_and_bad_sets,
     mrp_to_ssp,
-    ssp_product_rows,
 )
 from dict_reference import prop_mask
 from conftest import PROP_NAMES, lattice_map, parse_ssp_text, random_dra, random_mdp
@@ -205,7 +204,7 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
         k, rsp_val, opt_val = row.split(",")
         t1, t2, exact_col = by_k[int(k)]
         pol = LookaheadPolicy(ssp, horizon=tiny_task.horizon, theta=(t1, t2))
-        replayed = exact.eval_policy_reach(m, rsp_product_policy(pol, m, ctx.product_rows),
+        replayed = exact.eval_policy_reach(m, rsp_product_policy(ssp, m, pol.policy_rows()),
                                            ctx.goal, ctx.bad)
         assert abs(replayed - float(rsp_val)) <= 1e-12
         assert float(exact_col) == float(rsp_val)
@@ -219,16 +218,17 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
     ctx = load_task(cfg)
     ssp = ctx.ssp
     pol = LookaheadPolicy(ssp, horizon=cfg.horizon, theta=theta)
-    per_state = [pol.action_distribution(s) for s in range(ssp.base.n_states)
-                 if s != ssp.terminal]
+    per_state = [pol.action_distribution(s) for s in range(ssp.base.n_states)]
     sweep = pol.policy_rows()
     assert np.all(np.isfinite(sweep))
     assert np.array_equal(sweep, np.concatenate([probs for _acts, probs in per_state]))
     # Re-indexed onto the product: every state's distribution lands on the
     # rows of its product state, and goal rows stay empty.
     m = ctx.product_mdp.base
-    product = rsp_product_policy(pol, m, ctx.product_rows)
+    product = rsp_product_policy(ssp, m, sweep)
     for state, (acts, probs) in enumerate(per_state):
+        if state == ssp.terminal:
+            continue
         lo, hi = m.state_ptr[ssp.origin[state]], m.state_ptr[ssp.origin[state] + 1]
         assert list(m.row_action[lo:hi]) == list(acts)
         assert np.array_equal(product[lo:hi], probs)
@@ -236,16 +236,24 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
 
 
 def assert_ssp_rows_land_on_origin(product, goal, bad):
-    """Every non-terminal SSP row maps to the row of its origin product
-    state with the same action, and no goal row is hit."""
+    """Through ``rsp_product_policy``, every non-terminal SSP row's
+    probability lands on the row of its origin product state with the same
+    action, and every other product row, each goal row among them, stays
+    0."""
     ssp = mrp_to_ssp(product, goal, bad)
-    rows = ssp_product_rows(product, goal)
     m, s = product.base, ssp.base
-    live = np.flatnonzero(s.row_state != ssp.terminal)
-    assert len(rows) == len(live)
-    assert np.array_equal(m.row_state[rows], np.asarray(ssp.origin)[s.row_state[live]])
-    assert np.array_equal(m.row_action[rows], s.row_action[live])
-    assert not np.isin(m.row_state[rows], list(goal)).any()
+    # A distinct mark per SSP row, so a row landing anywhere else shows.
+    probs = np.arange(1.0, len(s.row_action) + 1)
+    want = np.zeros(len(m.row_action))
+    for row, (state, action) in enumerate(s.enabled_pairs()):
+        if state != ssp.terminal:
+            old = ssp.origin[state]
+            assert s.enabled[state] == m.enabled[old]
+            want[m.state_ptr[old] + m.enabled[old].index(action)] = probs[row]
+    got = rsp_product_policy(ssp, m, probs)
+    assert np.array_equal(got, want)
+    assert not got[np.isin(m.row_state, list(goal))].any()
+    assert np.count_nonzero(got) == np.count_nonzero(s.row_state != ssp.terminal)
 
 
 @pytest.mark.parametrize("task", ["tiny", "desk", "lattice-k8"])
@@ -260,7 +268,6 @@ def test_ssp_rows_land_on_their_product_rows(tiny_task, tmp_path, task):
     for name in ("row_state", "row_action"):
         assert np.array_equal(getattr(ctx.product_mdp.base, name),
                               getattr(ctx.product.base, name))
-    assert np.array_equal(ctx.product_rows, ssp_product_rows(ctx.product, ctx.goal))
 
 
 @settings(max_examples=100, deadline=None)
@@ -346,6 +353,22 @@ def test_eval_subcommand_round_trip(tiny_task, tmp_path):
         assert value == report.final_probability
 
 
+def test_eval_names_the_policy_files_own_undefined_states(tmp_path, capsys):
+    # Desk's SSP state 3 stands for product state 10; the error names the
+    # state as the file numbers it.
+    out = tmp_path / "run"
+    assert main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(out),
+                 "--max-iters", "50", "--eval-every", "0"]) in (0, 2)
+    ctx = load_task(RunConfig.from_file("tasks/desk.json"))
+    assert ctx.ssp.origin[3] == 10 and 3 not in ctx.ssp.bad
+    lines = (out / "policy.tsv").read_text().splitlines(keepends=True)
+    partial = tmp_path / "partial.tsv"
+    partial.write_text("".join(line for line in lines if not line.startswith("3\t")))
+    capsys.readouterr()
+    assert main(["eval", "--config", "tasks/desk.json", str(partial)]) == 1
+    assert capsys.readouterr().err == "error: policy undefined at states [3]\n"
+
+
 def test_build_writes_parseable_models(tiny_task):
     paths = write_models(tiny_task)
     product_text = Path(paths[0]).read_text()
@@ -367,8 +390,8 @@ def test_load_task_builds_the_nts_once(monkeypatch):
     ctx = load_task(RunConfig.from_file("tasks/desk.json"))
     assert len(calls) == 1
     assert ctx.base_mdp is not None
-    # The SSP and its row map are built on first use, not by load_task.
-    assert "ssp" not in vars(ctx) and "product_rows" not in vars(ctx)
+    # The SSP is built on first use, not by load_task.
+    assert "ssp" not in vars(ctx)
 
 
 def test_build_skips_the_probabilistic_model(tmp_path, monkeypatch):
