@@ -19,12 +19,13 @@ stable, so the returned value is exact to solver precision rather than to
 the sweep residual. Greedy extraction breaks ties toward actions that make
 progress to the target set (within ties, lowest action id), and gives every
 free state that can reach the targets an action that makes progress,
-optimal or not when no optimal one does: the policy is then proper even
-where a coarse value iteration left value 0, and the polish ends at the
-optimum whatever tolerance (``VALUE_TOL``) the warm start stopped at. The
-result is certified: its Bellman residual over the free states must be at
-most ``RESIDUAL_TOL``. Both loops and the certificate raise ``ModelError``
-when they fail.
+optimal or not when no optimal one does (progress is measured in the
+attractor layers of two backward searches, ``synthesis._layers``). The
+policy is then proper even where a coarse value iteration left value 0,
+and the polish ends at the optimum whatever tolerance (``VALUE_TOL``) the
+warm start stopped at. The result is certified: its Bellman residual over
+the free states must be at most ``RESIDUAL_TOL``. Both loops and the
+certificate raise ``ModelError`` when they fail.
 
 Policy evaluation first drops the states whose policy support cannot
 reach the targets, which keeps (I - P) x = b nonsingular on the rest. The
@@ -62,8 +63,7 @@ from typing import Iterator
 import numpy as np
 
 from .models import LabeledModel, MDP, ModelError, _ptr
-from .synthesis import (SspModel, _closure, _distinct, _expand, _members, _rows_into,
-                        _strongly_connected)
+from .synthesis import SspModel, _closure, _expand, _layers, _members, _strongly_connected
 
 VALUE_TOL = 1e-12
 DENSE_LIMIT = 5000
@@ -265,12 +265,9 @@ class _FreeBellman:
     position ``j``, weight ``w``). ``ranks`` holds, for each r >= 1, the
     free positions k of the states with more than r rows and the
     positions ``starts[k] + r`` of their rows number r (counting from 0).
-    ``into_ptr``/``into_row`` list, for every state of ``m``, the rows that
-    step into it (``synthesis._rows_into``), for the greedy extraction.
     """
 
     def __init__(self, m: LabeledModel, free: np.ndarray, boundary: np.ndarray):
-        self.free = free
         self.states = np.flatnonzero(free)
         counts = m.state_ptr[self.states + 1] - m.state_ptr[self.states]
         self.starts = np.cumsum(counts) - counts
@@ -289,7 +286,6 @@ class _FreeBellman:
         self.fixed = np.bincount(i[out], weights=m.weight[ents[out]] * boundary[cols[out]],
                                  minlength=len(self.rows))
         self.i, self.j, self.w = i[inner], j[inner], m.weight[ents[inner]]
-        self.into_ptr, self.into_row = _rows_into(m)
 
     def q(self, x: np.ndarray) -> np.ndarray:
         """Q value of every free row, given the free states' values ``x``."""
@@ -380,69 +376,52 @@ def _one_hot(m: LabeledModel, rows) -> np.ndarray:
 def _attractor_greedy(m: LabeledModel, bellman: _FreeBellman, v: np.ndarray,
                       is_target: np.ndarray) -> np.ndarray:
     """The greedy row of every state under the values ``v``, whose Q
-    values come from ``bellman``. Fixed states take their lowest
-    action. Free states are placed in attractor layers from the targets:
-    first the states of positive value, each taking its lowest optimal
-    action with a possible successor in an earlier layer; once none of
-    those can be placed, every state left takes its lowest optimal action
-    that steps into an earlier layer, else its lowest action that does.
-    Only free states that cannot reach the targets keep their lowest
-    action, so the policy never holds a free state in a component that
-    avoids the targets (value iteration stopped early leaves value 0 on
-    states that can reach them).
+    values come from ``bellman``. Fixed states take their lowest action.
 
-    A state's rows gain progress only when one of their successors is
-    placed, so each layer only looks at the states whose rows step into
-    the layer before it."""
-    free = bellman.free
+    Free states are placed in attractor layers from the targets by two
+    backward searches (``synthesis._layers``). Pass 1 follows the optimal
+    rows of the states of positive value; pass 2, seeded at the targets and
+    the states pass 1 placed, follows every row of the free states left.
+    A row progresses when its successors' smallest layer is below its
+    state's layer, both from the state's own pass (unplaced counts as
+    +inf). A placed state takes its lowest optimal progressing row, and in
+    pass 2, when it has none, its lowest progressing row. Only free states
+    that cannot reach the targets keep their lowest action, so the policy
+    never holds a free state in a component that avoids the targets (value
+    iteration stopped early leaves value 0 on states that can reach them).
+    """
+    rows = bellman.rows
     q_vals = bellman.q(v[bellman.states])
-    best = bellman.state_max(q_vals)
-    best_of_row = np.repeat(best, np.diff(bellman.starts, append=len(q_vals)))
-    optimal = np.zeros(len(m.row_state), dtype=bool)
-    optimal[bellman.rows] = q_vals >= best_of_row - 1e-12
+    best_of_row = np.repeat(bellman.state_max(q_vals), np.diff(bellman.starts, append=len(rows)))
+    optimal = q_vals >= best_of_row - 1e-12
+    owner = m.row_state[rows]
+    at, ents = _expand(m.row_ptr, rows)
+    src, dst = owner[at], m.succ[ents]
+    row_start = np.flatnonzero(np.diff(at, prepend=-1))
     choice = m.state_ptr[:-1].copy()
-    none = len(m.row_state)
-    into_ptr, into_row = bellman.into_ptr, bellman.into_row
-    progress = np.zeros(none, dtype=bool)  # the row steps into a placed state
 
-    def lowest(cand: np.ndarray, extra: np.ndarray | None) -> np.ndarray:
-        """Each candidate's lowest progress row (also in ``extra``), or none."""
-        at, rows = _expand(m.state_ptr, cand)
-        ok = progress[rows] if extra is None else progress[rows] & extra[rows]
+    def take(ok: np.ndarray) -> None:
+        """Each state's lowest row in ``ok`` becomes its choice."""
         hit = np.flatnonzero(ok)
-        hit = hit[np.diff(at[hit], prepend=-1) != 0]
-        out = np.full(len(cand), none)
-        out[at[hit]] = rows[hit]
-        return out
+        hit = hit[np.diff(owner[hit], prepend=-1) != 0]
+        choice[owner[hit]] = rows[hit]
 
-    layered = is_target.copy()
-    pending = free & (v > 0.0)
-    placed = np.flatnonzero(is_target)
-    any_action = False
-    while True:
-        if placed is not None:
-            rows = into_row[_expand(into_ptr, placed)[1]]
-            progress[rows] = True
-            cand = _distinct(m.row_state[rows])
-            cand = cand[pending[cand]]
-        first = lowest(cand, optimal)
-        if any_action:
-            first = np.where(first < none, first, lowest(cand, None))
-        hit = first < none
-        if not hit.any():
-            if any_action or not (free & ~layered).any():
-                return choice
-            # The positive-value states are placed as far as optimal steps
-            # go; the rest (value 0 after an early stop, or stuck) now take
-            # any step towards the targets.
-            any_action = True
-            pending = free & ~layered
-            cand, placed = np.flatnonzero(pending), None
-            continue
-        placed = cand[hit]
-        choice[placed] = first[hit]
-        layered[placed] = True
-        pending[placed] = False
+    def place(edges: np.ndarray, seeds: np.ndarray, fallback: bool) -> np.ndarray:
+        """Layer the free states over the rows in ``edges`` from ``seeds``,
+        choose the placed states' rows, and return the placed mask."""
+        keep = edges[at]
+        layer = _layers(src[keep], dst[keep], seeds)
+        placed = layer > 0
+        layer[layer < 0] = m.n_states
+        progress = placed[owner] & (np.minimum.reduceat(layer[dst], row_start) < layer[owner])
+        if fallback:
+            take(progress)
+        take(progress & optimal)
+        return placed
+
+    first = place(optimal & (v[owner] > 0.0), is_target, False)
+    place(~first[owner], is_target | first, True)
+    return choice
 
 
 def eval_policy_reach(m: LabeledModel, probs: np.ndarray,

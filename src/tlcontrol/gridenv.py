@@ -401,10 +401,10 @@ def transition_rows(env: EnvMap, noise: NoiseModel, nts: LabeledModel
 
     def row(state: int, action: int) -> tuple[tuple[int, float], ...]:
         try:
-            lo, _hi = nts._entries(state, action)
+            r = nts.row(state, action)
         except KeyError:
             raise MapError(f"action {action} is not enabled at pair state {state}") from None
-        entry, weight = _row_weights(env, noise, nts, aims, nts.entry_row[lo:lo + 1])
+        entry, weight = _row_weights(env, noise, nts, aims, np.array([r]))
         return tuple(zip(nts.succ[entry].tolist(), weight.tolist()))
 
     return row

@@ -94,9 +94,10 @@ class LabeledModel:
 
     ``labels`` holds one observation bitmask per state over ``props``. The
     arrays are read-only and every invariant is checked on construction.
-    ``successors(q, u)`` reads row (q, u) back as ((successor, weight), ...),
-    and ``enabled_pairs()`` lists the (state, action id) rows in row order.
-    Two models are equal when their fields and arrays are.
+    ``row(q, u)`` finds the row of (q, u), ``successors(q, u)`` reads it
+    back as ((successor, weight), ...), and ``enabled_pairs()`` lists the
+    (state, action id) rows in row order. Two models are equal when their
+    fields and arrays are.
     """
 
     n_states: int
@@ -177,26 +178,23 @@ class LabeledModel:
         acts, ptr = self.row_action.tolist(), self.state_ptr.tolist()
         return tuple(tuple(acts[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
 
-    @cached_property
-    def _lists(self) -> tuple[list[int], list[int], list[int]]:
-        return self.state_ptr.tolist(), self.row_action.tolist(), self.row_ptr.tolist()
+    def row(self, state: int, action: int) -> int:
+        """The row of (state, action); KeyError when the state is out of
+        range or the action is not enabled there."""
+        if 0 <= state < self.n_states:
+            lo, hi = self.state_ptr[state:state + 2].tolist()
+            actions = self.row_action[lo:hi].tolist()
+            if action in actions:
+                return lo + actions.index(action)
+        raise KeyError((state, action))
 
     def successors(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
-        lo, hi = self._entries(state, action)
+        r = self.row(state, action)
+        lo, hi = self.row_ptr[r:r + 2].tolist()
         return tuple(zip(self.succ[lo:hi].tolist(), self.weight[lo:hi].tolist()))
 
     def support(self, state: int, action: int) -> tuple[int, ...]:
-        lo, hi = self._entries(state, action)
-        return tuple(self.succ[lo:hi].tolist())
-
-    def _entries(self, state: int, action: int) -> tuple[int, int]:
-        """The entries of row (state, action); KeyError when there is none."""
-        state_ptr, row_action, row_ptr = self._lists
-        if 0 <= state < self.n_states:
-            for r in range(state_ptr[state], state_ptr[state + 1]):
-                if row_action[r] == action:
-                    return row_ptr[r], row_ptr[r + 1]
-        raise KeyError((state, action))
+        return tuple(s for s, _w in self.successors(state, action))
 
     def enabled_pairs(self) -> Iterator[tuple[int, int]]:
         return zip(self.row_state.tolist(), self.row_action.tolist())
@@ -318,6 +316,8 @@ def parse_model(text: str) -> LabeledModel:
         key = tokens[0]
         if key == "states":
             n_states = _int_field(tokens, lineno, "states")
+            if n_states < 0:
+                raise ParseError(lineno, f"negative state count {n_states}")
         elif key == "initial":
             initial = _int_field(tokens, lineno, "initial")
         elif key == "mode":
@@ -390,7 +390,7 @@ def parse_model(text: str) -> LabeledModel:
                 raise ParseError(lineno, f"dangling state id {succ}")
             if mode == NTS and w not in (0.0, 1.0):
                 raise ParseError(lineno, f"NTS weight {w} at ({q}, {actions[u]!r}) is not 0 or 1")
-            if w < 0 or w > 1 + ROW_SUM_TOL:
+            if not 0 <= w <= 1 + ROW_SUM_TOL:  # NaN is outside too
                 raise ParseError(lineno, f"weight {w} outside [0, 1]")
             total += w
             if w > 0:
@@ -647,11 +647,11 @@ def parse_policy(text: str, m: LabeledModel) -> np.ndarray:
             raise ParseError(lineno, f"unknown action {parts[1]!r}")
         if not (0 <= state < m.n_states):
             raise ModelError(f"policy references unknown state {state}")
-        action = m.actions.index(parts[1])
-        lo, hi = m.state_ptr[state], m.state_ptr[state + 1]
-        row = lo + np.searchsorted(m.row_action[lo:hi], action)
-        if row == hi or m.row_action[row] != action:
-            raise ModelError(f"policy puts mass on disabled action {parts[1]!r} at {state}")
+        try:
+            row = m.row(state, m.actions.index(parts[1]))
+        except KeyError:
+            raise ModelError(
+                f"policy puts mass on disabled action {parts[1]!r} at {state}") from None
         probs[row] = prob
         listed[state] = True
     negative = np.flatnonzero(probs < 0)

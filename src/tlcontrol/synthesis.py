@@ -14,10 +14,11 @@ probability refit and the SSP conversion are masks, gathers and remaps; the
 end-component search holds its live rows, its live states and its removal
 cascade as masks over the arrays, with one SCC pass per round over all
 pending states. The backward closure of the goal is a numpy frontier loop,
-``_layers``, which the exact oracles and the lookahead's goal distances use
-as well; strongly connected components come from one Tarjan routine over
-flat successor arrays, ``_strongly_connected``, shared with the exact
-oracles' block solve.
+``_layers``, which also gives the policy evaluator its unknowns, the optimum's
+greedy extraction its attractor layers, the lookahead its goal distances
+and the expected-cost solve its closures; strongly connected components
+come from one Tarjan routine over flat successor arrays,
+``_strongly_connected``, shared with the exact oracles' block solve.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class ProductModel:
     projection: np.ndarray
     pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
     unpruned_states: int
-    label_rule: str = "next"
 
     def __post_init__(self):
         projection = np.asarray(self.projection, dtype=np.int64).reshape(-1, 2).view()
@@ -162,7 +162,6 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
         projection=np.stack((model_state, dra_state), axis=1),
         pairs=tuple((lift(left), lift(right)) for left, right in r.pairs),
         unpruned_states=m.n_states * ns,
-        label_rule=label_rule,
     )
 
 
@@ -260,7 +259,6 @@ def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
         projection=p.projection,
         pairs=p.pairs,
         unpruned_states=p.unpruned_states,
-        label_rule=p.label_rule,
     )
 
 
@@ -637,8 +635,7 @@ class SspTransitionSource:
         successor over q', and goal mass merges onto the terminal."""
         ssp, m, model_state = self._ssp, self._product, self._model_state
         lo, hi = np.searchsorted(model_state, (q, q + 1)).tolist()
-        first = m.state_ptr[lo]
-        rows = m.state_ptr[lo:hi] + m.row_action[first:m.state_ptr[lo + 1]].tolist().index(action)
+        rows = m.state_ptr[lo:hi] + (m.row(lo, action) - m.state_ptr[lo])
         start = m.row_ptr[rows]
         succ = m.succ[start[:, None] + np.arange(m.row_ptr[rows[0] + 1] - start[0])]
         column = {q2: i for i, q2 in enumerate(model_state[succ[0]].tolist())}

@@ -178,6 +178,28 @@ def test_attractor_greedy_matches_the_layer_by_layer_definition(seed, n_states, 
     assert got.tolist() == reference_greedy(m, v, free, is_target).tolist()
 
 
+@pytest.mark.parametrize("task", ["desk", "lattice-k8"])
+def test_attractor_greedy_matches_the_layer_by_layer_definition_on_products(task, tmp_path):
+    # The goal indicator leaves every free state to the second pass; a few
+    # sweeps from zero leave values of 0 where the goal is within reach; the
+    # optimum is positive at every free state, so the first pass sees all.
+    cfg = RunConfig.from_file("tasks/desk.json")
+    if task != "desk":
+        (tmp_path / "lattice.map").write_text(lattice_map(8))
+        cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
+    ctx = load_task(cfg)
+    m = ctx.product_mdp.base
+    is_target = np.isin(np.arange(m.n_states), list(ctx.goal))
+    free = ~is_target & ~np.isin(np.arange(m.n_states), list(ctx.bad))
+    bellman = exact._FreeBellman(m, free, is_target.astype(float))
+    early = is_target.astype(float)
+    for _ in range(5):
+        early[bellman.states] = bellman.best(early[bellman.states])
+    for v in (is_target.astype(float), early, ctx.optimal_values):
+        got = exact._attractor_greedy(m, bellman, v, is_target)
+        assert got.tolist() == reference_greedy(m, v, free, is_target).tolist()
+
+
 def test_eval_policy_reach_cases():
     # Symmetric two-armed state: uniform policy scores one half.
     m = parse_model("states 3\ninitial 0\nmode mdp\n"

@@ -85,6 +85,16 @@ def test_nts_weights_must_be_flags():
         parse_model("states 1\ninitial 0\nmode nts\ntrans 0 a 0 0.5")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("states -1\ninitial 0\nmode mdp\n", "line 1: negative state count -1"),
+    ("states 2\ninitial 0\nmode mdp\ntrans 0 a 0 1.0\ntrans 0 a 1 nan\ntrans 1 a 1 1.0",
+     "line 4: weight nan outside"),
+], ids=["negative-states", "nan-weight"])
+def test_out_of_range_header_and_weight_are_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_model(text)
+
+
 def test_duplicate_transition_rejected():
     text = "states 1\ninitial 0\nmode mdp\ntrans 0 a 0 0.5\ntrans 0 a 0 0.5"
     with pytest.raises(ParseError, match="duplicate transition"):

@@ -740,6 +740,20 @@ def test_cli_reports_bad_config_files_in_one_error_line(tmp_path, capsys, text, 
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("model", [
+    "states -1\ninitial 0\nmode mdp\n",
+    SINGLE_ACTION_MODEL.replace("trans 1 a 2 1.0", "trans 1 a 1 1.0\ntrans 1 a 2 nan"),
+], ids=["negative-states", "nan-weight"])
+def test_cli_reports_bad_model_files_in_one_error_line(tmp_path, capsys, model):
+    (tmp_path / "bad.model").write_text(model)
+    (tmp_path / "fup.dra").write_text(F_UP_DRA)
+    code = main(["synthesize", "--model", str(tmp_path / "bad.model"),
+                 "--dra", str(tmp_path / "fup.dra"), "--outdir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: line ") and err.count("\n") == 1, err
+
+
 def test_config_file_takes_ints_for_floats_and_null_where_the_default_is_none(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"eta": 1, "theta0": [5, -1], "radius": None,
