@@ -4,8 +4,7 @@ Pipeline: labeled model x Rabin automaton product, accepting maximal end
 components, reachability-to-shortest-path conversion, and a two-parameter
 lookahead policy optimized by an LSTD actor-critic that only ever asks for
 transition probabilities along its sample path. Exact dynamic-programming
-oracles (value iteration, policy evaluation, policy enumeration) provide
-the reference values.
+oracles (value iteration, policy evaluation) provide the reference values.
 """
 
 from .models import (
@@ -31,7 +30,7 @@ from .synthesis import (
 )
 from .lookahead import LookaheadPolicy, min_distances
 from .actor_critic import ActorCriticConfig, CriticState, ActorState, RunTrace, run
-from .exact import enumerate_policies, eval_policy_reach, expected_total_cost, max_reach
+from .exact import eval_policy_reach, expected_total_cost, max_reach
 from .pipeline import RunConfig, compare, synthesize
 
 __version__ = "0.1.0"
@@ -41,7 +40,7 @@ __all__ = [
     "LookaheadPolicy", "ModelError", "ParseError", "ProductModel",
     "RabinAutomaton", "RunConfig", "RunTrace", "SspModel",
     "amecs", "build_product", "compare", "dra_step",
-    "enumerate_policies", "eval_policy_reach", "expected_total_cost",
+    "eval_policy_reach", "expected_total_cost",
     "goal_and_bad_sets", "max_end_components",
     "max_reach", "min_distances", "mrp_to_ssp",
     "nts_from_mdp", "parse_dra", "parse_model", "run",

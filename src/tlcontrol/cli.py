@@ -2,10 +2,10 @@
 
 Subcommands: ``synthesize`` (full pipeline), ``compare`` (adds the exact
 optimum and curve data), ``eval`` (exact value of a saved policy table),
-``build`` (emit product/SSP model files only). Flags override the JSON
-configuration file, which overrides defaults. Exit codes: 0 converged (or
-trivially solved), 2 iteration-capped, 3 zero satisfaction probability,
-1 input errors.
+``build`` (emit product/SSP model files only). Each ``RunConfig`` field
+is a flag; flags override the JSON configuration file, which overrides
+defaults. Exit codes: 0 converged (or trivially solved), 2
+iteration-capped, 3 zero satisfaction probability, 1 input errors.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import types
+import typing
 
 from .models import ModelError, ParseError
 from .gridenv import MapError
@@ -26,55 +28,40 @@ from .pipeline import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error in the one ``error:`` line and exit 1 (argparse's
+    exit 2 means iteration-capped here); subparsers inherit it."""
+
+    def error(self, message: str):
+        raise ModelError(message)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per ``RunConfig`` field, of its type."""
     p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--dra", help="Rabin automaton file")
-    p.add_argument("--map", dest="map", help="environment map file")
-    p.add_argument("--model", help="MDP model file")
-    p.add_argument("--task-name", dest="task_name")
-    p.add_argument("--outdir")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--theta0", type=float, nargs=2, metavar=("T1", "T2"))
-    p.add_argument("--progress-penalty", dest="progress_penalty", type=float)
-    p.add_argument("--sequence-cap", dest="sequence_cap", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--gamma-exponent", dest="gamma_exponent", type=float)
-    p.add_argument("--beta-scale", dest="beta_scale", type=float)
-    p.add_argument("--beta-exponent", dest="beta_exponent", type=float)
-    p.add_argument("--clip", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--min-iters", dest="min_iters", type=int)
-    p.add_argument("--gate-iters", dest="gate_iters", type=int)
-    p.add_argument("--gate-sigma", dest="gate_sigma", type=float)
-    p.add_argument("--reset-trace-on-restart", dest="reset_trace_on_restart",
-                   action="store_true", default=None)
-    p.add_argument("--solve-with-updated-stats", dest="solve_with_updated_stats",
-                   action="store_true", default=None)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--no-exact-reference", dest="exact_reference",
-                   action="store_false", default=None)
-    p.add_argument("--label-rule", dest="label_rule", choices=["next", "current"])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--confusion", choices=["uniform", "undershoot"])
-    p.add_argument("--mc-runs", dest="mc_runs", type=int)
-    p.add_argument("--noise-seed", dest="noise_seed", type=int)
+    hints = typing.get_type_hints(RunConfig)
+    for f in dataclasses.fields(RunConfig):
+        name, hint = f.name.replace("_", "-"), hints[f.name]
+        if hint is bool:  # a switch away from the default
+            p.add_argument(f"--no-{name}" if f.default else f"--{name}", dest=f.name,
+                           action="store_const", const=not f.default, default=None)
+            continue
+        if isinstance(hint, types.UnionType):  # X | None
+            hint = typing.get_args(hint)[0]
+        elems = typing.get_args(hint) if typing.get_origin(hint) is tuple else ()
+        p.add_argument(f"--{name}", dest=f.name, type=elems[0] if elems else hint,
+                       nargs=len(elems) or None)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = tuple(value) if f.name == "theta0" else value
-    return dataclasses.replace(cfg, **overrides)
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    return dataclasses.replace(cfg, **{key: tuple(value) if isinstance(value, list) else value
+                                       for key, value in given.items() if value is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tlcontrol",
         description="Synthesize control policies maximizing the probability "
                     "of satisfying an automaton-specified task on an MDP.")
@@ -94,8 +81,8 @@ def main(argv: list[str] | None = None) -> int:
     p_build = sub.add_parser("build", help="emit product and SSP model files")
     _add_common(p_build)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = _config_from(args)
         if args.command == "synthesize":
             if args.seeds:

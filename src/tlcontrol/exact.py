@@ -50,25 +50,22 @@ more than ``VALUE_TOL``. Expected total costs use the same plans, built
 per call.
 
 The solvers take no tolerance, sweep or size keywords: each call reads the
-module constants below (``VALUE_TOL``, ``MAX_SWEEPS``, ``DENSE_LIMIT``,
-``POLICY_LIMIT``), which is also how tests force a path or a cap.
+module constants below (``VALUE_TOL``, ``MAX_SWEEPS``, ``DENSE_LIMIT``),
+which is also how tests force a path or a cap.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Iterator
 
 import numpy as np
 
-from .models import LabeledModel, MDP, ModelError, _ptr
+from .models import LabeledModel, MDP, ModelError
 from .synthesis import SspModel, _closure, _expand, _layers, _members, _strongly_connected
 
 VALUE_TOL = 1e-12
 DENSE_LIMIT = 5000
 MAX_SWEEPS = 10 ** 6
-POLICY_LIMIT = 10 ** 6  # cap on the deterministic policies enumerate_policies lists
 POLISH_ROUNDS = 100
 RESIDUAL_TOL = 1e-9  # bound on max |max_u Q(v) - v| over the free states
 
@@ -137,10 +134,7 @@ class _Plan:
         order."""
         # Tarjan's algorithm numbers the components sinks first, so every
         # edge leaving a component enters one numbered before it.
-        order = np.argsort(i * n + j, kind="stable")
-        count, comp = _strongly_connected(_ptr(np.bincount(i, minlength=n)).tolist(),
-                                          j[order].tolist())
-        comp = np.array(comp, dtype=np.int64)
+        count, comp = _strongly_connected(i, j, n)
         # Consecutive components merge while the group stays within
         # sqrt(n) states, so a run of singletons takes about sqrt(n)
         # groups; a larger component is a group of its own.
@@ -468,18 +462,6 @@ def expected_total_cost(ssp: SspModel, probs: np.ndarray) -> float:
     cost = _members(ssp.bad, m.n_states).astype(float)  # 1 at restart states
     sol = plan.solve(w, cost[plan.unknown])
     return float(sol[np.flatnonzero(plan.unknown == m.initial)[0]])
-
-
-def enumerate_policies(m: LabeledModel) -> Iterator[np.ndarray]:
-    """Every deterministic stationary policy, exactly once, as one-hot row
-    probabilities; the last state's choice varies fastest. More than
-    ``POLICY_LIMIT`` policies raise ``ModelError``."""
-    ptr = m.state_ptr.tolist()
-    count = math.prod(hi - lo for lo, hi in zip(ptr, ptr[1:]))
-    if count > POLICY_LIMIT:
-        raise ModelError(f"{count} deterministic policies exceed the cap of {POLICY_LIMIT}")
-    for choice in itertools.product(*map(range, ptr, ptr[1:])):
-        yield _one_hot(m, list(choice))
 
 
 def write_value_csv(f, values: np.ndarray) -> None:

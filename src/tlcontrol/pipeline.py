@@ -53,6 +53,7 @@ from .models import (
     serialize_model,
 )
 from .synthesis import (
+    LABEL_RULES,
     Amec,
     ProductModel,
     SspModel,
@@ -117,9 +118,8 @@ class RunConfig(ActorCriticConfig):
             if not _fits(value, hints[key]):
                 raise ModelError(f"configuration key {key!r} must be "
                                  f"{fields[key].type}, got {value!r}")
-        if "theta0" in data:
-            data["theta0"] = tuple(data["theta0"])
-        return cls(**data)
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in data.items()})
 
     def validate(self) -> None:
         if not self.dra:
@@ -147,6 +147,15 @@ class RunConfig(ActorCriticConfig):
             raise ModelError("seed and noise_seed must not be negative")
         if min(self.max_iters, self.min_iters, self.gate_iters) < 0:
             raise ModelError("max_iters, min_iters and gate_iters must not be negative")
+        if (self.radius is not None and self.radius < 1) or self.sequence_cap < 1:
+            raise ModelError("radius (when set) and sequence_cap must be >= 1")
+        if not 0 < self.eta <= 1:
+            raise ModelError("eta must lie in (0, 1]")
+        if self.label_rule not in LABEL_RULES:
+            raise ModelError(f"label_rule must be one of {LABEL_RULES}, got {self.label_rule!r}")
+        if self.confusion not in gridenv.CONFUSION_MODES:
+            raise ModelError(f"confusion must be one of {gridenv.CONFUSION_MODES}, "
+                             f"got {self.confusion!r}")
 
 
 def _fits(value: object, hint: object) -> bool:

@@ -85,6 +85,9 @@ def _expand(ptr: np.ndarray, segments: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return owner, lo[owner] + np.arange(len(owner)) - (np.cumsum(count) - count)[owner]
 
 
+LABEL_RULES = ("next", "current")
+
+
 def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") -> ProductModel:
     """The product of ``m`` and ``r`` over the states reachable from its
     initial state.
@@ -102,7 +105,7 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
     lands on the state of code q' * |S| + delta(s, letter), so a row's
     successors stay ascending.
     """
-    if label_rule not in ("next", "current"):
+    if label_rule not in LABEL_RULES:
         raise ModelError(f"unknown label rule {label_rule!r}")
     if set(m.props) != set(r.props):
         raise ModelError(
@@ -339,10 +342,7 @@ def _end_components(n: LabeledModel, cand: np.ndarray
         pos[members] = np.arange(k)
         entries = np.flatnonzero((live & pending[row_state])[entry_row])
         src, dst = pos[row_state[entry_row[entries]]], pos[succ[entries]]
-        code = _distinct(src * k + dst)
-        count, scc = _strongly_connected(_ptr(np.bincount(code // k, minlength=k)).tolist(),
-                                         (code % k).tolist())
-        scc = np.array(scc, dtype=np.int64)
+        count, scc = _strongly_connected(src, dst, k)
         lost = disable(_distinct(entry_row[entries[scc[src] != scc[dst]]]))
         touched = np.zeros(count, dtype=bool)
         touched[scc[pos[lost]]] = True
@@ -367,17 +367,19 @@ def _groups(items: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
     return np.split(items[order], np.flatnonzero(np.diff(keys[order])) + 1)
 
 
-def _strongly_connected(ptr: list[int], adj: list[int]) -> tuple[int, list[int]]:
-    """Tarjan's algorithm, iterative, over the nodes 0..n-1 of a graph in
-    flat CSR form: node q's successors are ``adj[ptr[q]:ptr[q + 1]]``,
-    visited in that order, and roots are taken in ascending order.
+def _strongly_connected(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """Tarjan's algorithm, iterative, over the nodes 0..n-1 of the graph
+    with the edges ``src[e] -> dst[e]`` (int64 arrays; a repeated edge
+    counts once). Each node's successors are visited in ascending order,
+    and roots are taken in ascending order.
 
-    Returns the number of strongly connected components and each node's
-    component. Components are numbered in the order Tarjan's algorithm
-    closes them, sinks first: every edge that leaves a component enters
-    one of a smaller number.
+    Returns the number of components and each node's component (int64),
+    numbered sinks first: an edge that leaves a component enters one of a
+    smaller number.
     """
-    n = len(ptr) - 1
+    code = _distinct(src * n + dst)
+    ptr = _ptr(np.bincount(code // n, minlength=n)).tolist()
+    adj = (code % n).tolist()
     index = [-1] * n
     low = [0] * n
     comp = [-1] * n  # a visited node without a component is on the stack
@@ -417,7 +419,7 @@ def _strongly_connected(ptr: list[int], adj: list[int]) -> tuple[int, list[int]]
             node, e = call.pop()
             if low[child] < low[node]:
                 low[node] = low[child]
-    return count, comp
+    return count, np.array(comp, dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 import importlib.util
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from tlcontrol.models import MDP, NTS, LabeledModel, RabinAutomaton, parse_model
+from tlcontrol.exact import _one_hot
+from tlcontrol.models import MDP, NTS, LabeledModel, ModelError, RabinAutomaton, parse_model
 from dict_reference import model_rows
 
 PROP_NAMES = ("p", "q", "r", "s")
+POLICY_LIMIT = 10 ** 6  # cap on the deterministic policies enumerate_policies lists
 
 
 def lattice_map(k):
@@ -114,6 +118,18 @@ def support_zeros(m, targets):
                 closed.add(prev)
                 stack.append(prev)
     return frozenset(range(m.n_states)) - closed
+
+
+def enumerate_policies(m):
+    """Every deterministic stationary policy of ``m``, exactly once, as
+    one-hot row probabilities; the last state's choice varies fastest.
+    More than ``POLICY_LIMIT`` policies raise ``ModelError``."""
+    ptr = m.state_ptr.tolist()
+    count = math.prod(hi - lo for lo, hi in zip(ptr, ptr[1:]))
+    if count > POLICY_LIMIT:
+        raise ModelError(f"{count} deterministic policies exceed the cap of {POLICY_LIMIT}")
+    for choice in itertools.product(*map(range, ptr, ptr[1:])):
+        yield _one_hot(m, list(choice))
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ from tlcontrol import exact
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.pipeline import RunConfig, rsp_product_policy, synthesize
 from tlcontrol.synthesis import max_end_components, mrp_to_ssp, ProductModel, amecs
-from conftest import make_random_ssp, random_mdp, random_nts, retained, support_zeros
+from conftest import (
+    enumerate_policies, make_random_ssp, random_mdp, random_nts, retained, support_zeros)
 from test_synthesis import brute_force_mecs
 
 DESK_SEEDS = [0, 1, 2, 3, 4]
@@ -34,7 +35,7 @@ def test_criterion_1_reachability_oracle_equivalence():
         zeros = support_zeros(m, targets) - targets
         v, _pol = exact.max_reach(m, targets, zeros)
         best = max(exact.eval_policy_reach(m, pol, targets, zeros)
-                   for pol in exact.enumerate_policies(m))
+                   for pol in enumerate_policies(m))
         worst = max(worst, abs(float(v[m.initial]) - best))
         assert abs(float(v[m.initial]) - best) <= 1e-9
     elapsed = time.monotonic() - t0
@@ -86,7 +87,7 @@ def test_criterion_3_mrp_ssp_equivalence():
         cost_winner_reach = None
         # Each SSP policy acts on the product through the pipeline's
         # re-indexer: the terminal's rows are dropped, goal rows stay 0.
-        for pol in exact.enumerate_policies(ssp_mdp.base):
+        for pol in enumerate_policies(ssp_mdp.base):
             product_pol = rsp_product_policy(ssp_mdp, product_mdp.base, pol)
             reach = exact.eval_policy_reach(product_mdp.base, product_pol, goal, bad)
             best_reach = max(best_reach, reach)

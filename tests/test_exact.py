@@ -11,7 +11,6 @@ from tlcontrol import exact
 from tlcontrol.exact import (
     PolicyDivergence,
     ReachEvaluator,
-    enumerate_policies,
     eval_policy_reach,
     expected_total_cost,
     max_reach,
@@ -21,7 +20,8 @@ from tlcontrol.models import MDP, LabeledModel, ModelError, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
 from tlcontrol.synthesis import ProductModel, mrp_to_ssp
 from dict_reference import model_rows
-from conftest import lattice_map, random_mdp, support_zeros
+import conftest
+from conftest import enumerate_policies, lattice_map, random_mdp, support_zeros
 
 
 def test_max_reach_trivial_values():
@@ -332,7 +332,7 @@ def test_enumerate_policies_counts(rng, monkeypatch):
                         "trans 1 a 1 1.0\ntrans 1 b 2 1.0\ntrans 1 c 0 1.0\n"
                         "trans 2 a 2 1.0")
     assert len(list(enumerate_policies(mixed))) == 6
-    monkeypatch.setattr(exact, "POLICY_LIMIT", 5)
+    monkeypatch.setattr(conftest, "POLICY_LIMIT", 5)
     with pytest.raises(ModelError, match="exceed the cap of 5"):
         list(enumerate_policies(mixed))
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tlcontrol import exact, gridenv, pipeline
 from tlcontrol.actor_critic import ActorCriticConfig
-from tlcontrol.cli import _add_common, main
+from tlcontrol.cli import _add_common, _config_from, main
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.models import ModelError, dra_step, nts_from_mdp, parse_model, serialize_model
 from tlcontrol.pipeline import (
@@ -342,6 +342,52 @@ def test_every_config_key_has_a_flag():
     assert {f.name for f in dataclasses.fields(RunConfig)} <= dests
 
 
+# The flags are generated from RunConfig's fields, so renaming a field
+# renames its flag; this pins them.
+CLI_OPTIONS = {
+    "--config", "--dra", "--map", "--model", "--task-name", "--outdir", "--horizon",
+    "--radius", "--theta0", "--progress-penalty", "--sequence-cap", "--lam",
+    "--gamma-exponent", "--beta-scale", "--beta-exponent", "--clip", "--epsilon",
+    "--max-iters", "--min-iters", "--gate-iters", "--gate-sigma",
+    "--reset-trace-on-restart", "--solve-with-updated-stats", "--seed", "--eval-every",
+    "--no-exact-reference", "--label-rule", "--eta", "--confusion", "--mc-runs",
+    "--noise-seed",
+}
+
+
+def test_cli_option_strings_are_pinned():
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_common(parser)
+    options = [o for action in parser._actions for o in action.option_strings]
+    assert len(options) == 31
+    assert set(options) == CLI_OPTIONS
+
+
+def test_flags_round_trip_every_setting():
+    away = {
+        "lam": 0.5, "gamma_exponent": 0.7, "beta_scale": 0.25, "beta_exponent": 0.95,
+        "clip": 3.0, "epsilon": 1e-3, "max_iters": 11, "min_iters": 12,
+        "gate_iters": 13, "gate_sigma": 1e-6, "reset_trace_on_restart": True,
+        "solve_with_updated_stats": True, "seed": 5, "eval_every": 6,
+        "dra": "a.dra", "map": "a.map", "model": "a.model", "task_name": "t", "outdir": "o",
+        "horizon": 3, "radius": 2, "theta0": (1.5, -2.25), "progress_penalty": 3.5,
+        "sequence_cap": 77, "exact_reference": False, "label_rule": "current",
+        "eta": 0.5, "confusion": "undershoot", "mc_runs": 9, "noise_seed": 4,
+    }
+    assert away.keys() == RUN_CONFIG_DEFAULTS.keys()
+    assert all(away[k] != RUN_CONFIG_DEFAULTS[k] for k in away)
+    argv = ["synthesize"]
+    for key, value in away.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        else:
+            argv += [flag, *map(repr, value)] if isinstance(value, tuple) else [flag, str(value)]
+    parser = argparse.ArgumentParser()
+    _add_common(parser.add_subparsers(dest="command").add_parser("synthesize"))
+    assert _config_from(parser.parse_args(argv)) == RunConfig(**away)
+
+
 def test_eval_subcommand_round_trip(tiny_task, tmp_path):
     # The written policy.tsv holds the run's final policy to the last bit,
     # so evaluating it gives the run's final exact probability exactly.
@@ -660,6 +706,13 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ({"gate_sigma": float("inf")}, "gate_sigma must be finite and not negative"),
     ({"progress_penalty": float("nan")}, "progress_penalty must be finite"),
     ({"progress_penalty": float("-inf")}, "progress_penalty must be finite"),
+    ({"eta": 0.0}, r"eta must lie in \(0, 1\]"),
+    ({"eta": 1.5}, r"eta must lie in \(0, 1\]"),
+    ({"eta": float("nan")}, r"eta must lie in \(0, 1\]"),
+    ({"radius": 0}, "radius .when set. and sequence_cap must be >= 1"),
+    ({"sequence_cap": 0}, "radius .when set. and sequence_cap must be >= 1"),
+    ({"label_rule": "bogus"}, "label_rule must be one of"),
+    ({"confusion": "bogus"}, "confusion must be one of"),
 ])
 def test_config_rejects_invalid_actor_critic_settings(bad, message):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), **bad)
@@ -667,6 +720,25 @@ def test_config_rejects_invalid_actor_critic_settings(bad, message):
         cfg.validate()
     with pytest.raises(ModelError, match=message):
         load_task(cfg)
+
+
+def test_model_file_config_checks_the_map_noise_settings(tmp_path, capsys):
+    # eta and confusion are RunConfig's own settings, checked on a
+    # model-file task too although only a map task reads them.
+    (tmp_path / "single.model").write_text(SINGLE_ACTION_MODEL)
+    (tmp_path / "fup.dra").write_text(F_UP_DRA)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": str(tmp_path / "single.model"),
+                                "dra": str(tmp_path / "fup.dra"), "confusion": "bogus"}))
+    cfg = RunConfig.from_file(path)
+    with pytest.raises(ModelError, match="confusion must be one of"):
+        load_task(cfg)
+    with pytest.raises(ModelError, match=r"eta must lie in \(0, 1\]"):
+        load_task(dataclasses.replace(cfg, confusion="uniform", eta=7.0))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", str(path), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: confusion must be one of")
+    assert not out.exists()
 
 
 def test_config_takes_zero_iteration_counts():
@@ -708,12 +780,42 @@ def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, caps
     ("--gate-sigma", "nan"),
     ("--progress-penalty", "nan"),
     ("--beta-scale", "inf"),
+    ("--label-rule", "bogus"),
+    ("--confusion", "bogus"),
+    ("--eta", "1.5"),
+    ("--radius", "0"),
+    ("--seed", "x"),
+    ("--theta0", "1"),
 ])
 def test_cli_reports_bad_inputs_in_one_error_line(tmp_path, capsys, flag):
     code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(tmp_path),
                  "--max-iters", "300", *flag])
     err = capsys.readouterr().err
     assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", [
+    ("--radius", "0"),
+    ("--sequence-cap", "0"),
+    ("--no-exact-reference", "--eta", "1.5"),
+    ("--label-rule", "bogus"),
+    ("--confusion", "bogus"),
+    ("--seed", "x"),
+])
+def test_cli_rejects_bad_settings_before_making_the_output_directory(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(out),
+                 "--max-iters", "300", *flag])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["eval", "--config", "tasks/desk.json"]])
+def test_cli_usage_errors_exit_1_in_one_error_line(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 

@@ -230,9 +230,9 @@ def test_mec_split_four_rounds_deep(monkeypatch):
     rounds = []
     scc = synthesis._strongly_connected
 
-    def counting(ptr, adj):
-        rounds.append(len(ptr) - 1)  # the round's pending states
-        return scc(ptr, adj)
+    def counting(src, dst, n):
+        rounds.append(n)  # the round's pending states
+        return scc(src, dst, n)
 
     monkeypatch.setattr(synthesis, "_strongly_connected", counting)
     got = [(s, retained(n, r)) for s, r in max_end_components(n)]
@@ -337,9 +337,10 @@ def test_overlapping_amecs_of_two_pairs():
 @given(n=st.integers(1, 12), edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
                                             max_size=40))
 def test_strongly_connected_components_come_out_sinks_first(n, edges):
-    edges = sorted((a % n, b % n) for a, b in edges)
-    ptr = np.searchsorted([a for a, _b in edges], np.arange(n + 1)).tolist()
-    count, comp = _strongly_connected(ptr, [b for _a, b in edges])
+    edges = [(a % n, b % n) for a, b in edges]
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    count, comp = _strongly_connected(src, dst, n)
+    assert comp.dtype == np.int64
     reach = np.eye(n, dtype=bool)
     for a, b in edges:
         reach[a, b] = True
