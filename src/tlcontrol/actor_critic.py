@@ -23,12 +23,12 @@ solve target reaches ``gate_sigma``. ``gate_open`` takes it in closed form
 and asks the SVD only when the closed form lies within a rounding band of
 the threshold, so the decision is always the SVD's.
 
-The loop's state (z, b, A, theta and the gradient EMA) is held in Python
-floats, and the elementwise updates are the same IEEE operations, in the
-same order, as numpy's. Arrays are built only where numpy decides the last
-bits: the solve's operands (the solution r stays the array
-``np.linalg.solve`` returns), the dot products r . psi', ||r||^2 and the
-step direction's squared norm, and the theta array the policy reads.
+Every number of the loop (z, b, A, r, psi, the step direction, theta and
+the gradient EMA) is a Python float, and every pair a tuple: the dot
+products are formed left to right, and r comes from ``solve_2x2``, an LU
+factorization with partial pivoting written in floats, so no step depends
+on the BLAS or LAPACK kernel. A step asks numpy only for its random draws
+and for the policy's one ``np.exp`` call.
 
 The run's record, ``RunTrace``, is a set of typed columns (stdlib
 ``array``s of doubles and 64-bit ints), one row per iteration, so it grows
@@ -53,19 +53,18 @@ Pair = tuple[float, float]
 
 
 class CriticState(NamedTuple):
-    """The critic's statistics in floats (A as its two rows) and its last
-    solution r, the array ``np.linalg.solve`` returned."""
+    """The critic's statistics (A as its two rows) and its last solution r."""
 
     z: Pair
     b: Pair
     A: tuple[Pair, Pair]
-    r: np.ndarray
+    r: Pair
     lam: float
 
     @classmethod
     def zeros(cls, lam: float = 0.9) -> "CriticState":
         return cls(z=(0.0, 0.0), b=(0.0, 0.0), A=((0.0, 0.0), (0.0, 0.0)),
-                   r=np.zeros(2), lam=lam)
+                   r=(0.0, 0.0), lam=lam)
 
 
 class ActorState(NamedTuple):
@@ -140,10 +139,10 @@ class RunTrace:
     def iterations(self) -> int:
         return len(self.costs)
 
-    def append(self, state: int, theta: Pair, r: np.ndarray, cost: float,
+    def append(self, state: int, theta: Pair, r: Pair, cost: float,
                episodes: int, pairs: int) -> None:
         t1, t2 = theta
-        r1, r2 = r.tolist()
+        r1, r2 = r
         self.theta1.append(t1)
         self.theta2.append(t2)
         self.r1.append(r1)
@@ -186,7 +185,25 @@ def gate_open(A: np.ndarray | tuple[Pair, Pair], gate_sigma: float) -> bool:
     return bool(np.linalg.svd(A, compute_uv=False)[-1] >= gate_sigma)
 
 
-def critic_update(c: CriticState, psi_now: np.ndarray, psi_next: np.ndarray,
+def solve_2x2(A: tuple[Pair, Pair], b: Pair) -> Pair | None:
+    """x with A x = b, by LU factorization with partial pivoting (rows swap
+    when |a10| > |a00|, as LAPACK's ``getrf`` pivots); None when a pivot is
+    exactly zero, where ``getrf`` reports A singular."""
+    (a00, a01), (a10, a11) = A
+    b0, b1 = b
+    if abs(a10) > abs(a00):
+        a00, a01, a10, a11, b0, b1 = a10, a11, a00, a01, b1, b0
+    if a00 == 0.0:
+        return None
+    l10 = a10 / a00
+    u11 = a11 - l10 * a01
+    if u11 == 0.0:
+        return None
+    x1 = (b1 - l10 * b0) / u11
+    return (b0 - a01 * x1) / a00, x1
+
+
+def critic_update(c: CriticState, psi_now: Pair, psi_next: Pair,
                   cost: float, gamma_k: float, k: int, *,
                   solve_with_updated_stats: bool = False,
                   gate_iters: int = 50, gate_sigma: float = 1e-8
@@ -198,8 +215,8 @@ def critic_update(c: CriticState, psi_now: np.ndarray, psi_next: np.ndarray,
     z0, z1 = c.z
     b0, b1 = c.b
     (a00, a01), (a10, a11) = c.A
-    p0, p1 = psi_now.tolist()
-    n0, n1 = psi_next.tolist()
+    p0, p1 = psi_now
+    n0, n1 = psi_next
     d0, d1 = n0 - p0, n1 - p1
     z_new = (lam * z0 + p0, lam * z1 + p1)
     b_new = (b0 + gamma_k * (cost * z0 - b0), b1 + gamma_k * (cost * z1 - b1))
@@ -208,32 +225,32 @@ def critic_update(c: CriticState, psi_now: np.ndarray, psi_next: np.ndarray,
     A_solve, b_solve = (A_new, b_new) if solve_with_updated_stats else (c.A, c.b)
     r_new, solved = c.r, False
     if k >= gate_iters and gate_open(A_solve, gate_sigma):
-        try:
-            r_new = -np.linalg.solve(A_solve, b_solve)
-            solved = True
-        except np.linalg.LinAlgError:
-            pass
+        x = solve_2x2(A_solve, b_solve)
+        if x is not None:
+            r_new, solved = (-x[0], -x[1]), True
     return CriticState(z=z_new, b=b_new, A=A_new, r=r_new, lam=lam), solved
 
 
-def actor_update(a: ActorState, r: np.ndarray, psi_next: np.ndarray, beta_k: float,
+def actor_update(a: ActorState, r: Pair, psi_next: Pair, beta_k: float,
                  *, clip: float = 10.0, ema_decay: float = EMA_DECAY) -> ActorState:
     """One actor step along (r . psi') psi', norm-clipped by Gamma(r)."""
     if beta_k <= 0:
         raise ValueError("actor step size must be positive")
-    direction = float(r.dot(psi_next)) * psi_next
-    r_norm = math.sqrt(r.dot(r))  # np.linalg.norm of a 1-D float vector
+    r0, r1 = r
+    p0, p1 = psi_next
+    scale = r0 * p0 + r1 * p1
+    d0, d1 = scale * p0, scale * p1
+    r_norm = math.sqrt(r0 * r0 + r1 * r1)
     step = beta_k * (1.0 if r_norm <= clip else clip / r_norm)
     t0, t1 = a.theta
-    d0, d1 = direction.tolist()
-    ema = ema_decay * a.grad_ema + (1.0 - ema_decay) * math.sqrt(direction.dot(direction))
+    ema = ema_decay * a.grad_ema + (1.0 - ema_decay) * math.sqrt(d0 * d0 + d1 * d1)
     return ActorState(theta=(t0 - step * d0, t1 - step * d1), grad_ema=ema)
 
 
 def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy,
         cfg: ActorCriticConfig,
-        evaluator: Callable[[np.ndarray], float] | None = None
-        ) -> tuple[np.ndarray, RunTrace]:
+        evaluator: Callable[[Pair], float] | None = None
+        ) -> tuple[Pair, RunTrace]:
     """Run the actor-critic loop until the gradient-norm EMA drops below
     epsilon (after ``min_iters``) or ``max_iters`` is hit.
 
@@ -258,7 +275,7 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
         return row[-1][0]
 
     critic = CriticState.zeros(cfg.lam)
-    actor = ActorState(theta=tuple(policy.theta.tolist()))
+    actor = ActorState(theta=policy.theta)
     trace = RunTrace()
     episodes = 0
     solved_once = False
@@ -268,7 +285,7 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
     u = policy.sample_action(x, rng)
     for k in range(cfg.max_iters):
         if cfg.eval_every and evaluator is not None and k % cfg.eval_every == 0:
-            trace.exact[k] = float(evaluator(np.array(actor.theta)))
+            trace.exact[k] = float(evaluator(actor.theta))
 
         cost = ssp.cost(x, u)
         psi_now = policy.log_policy_gradient(x, u)
@@ -294,7 +311,7 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
             trace.stale_solves.append(k)
         trace.append(x, actor.theta, r_now, cost, episodes, prob_source.pairs_computed)
         actor = actor_update(actor, r_now, psi_next, cfg.beta(k), clip=cfg.clip)
-        policy.theta = np.array(actor.theta)
+        policy.theta = actor.theta
 
         # The stopping test only arms once the critic has produced a
         # solution, or once it provably would return zero (b identically
@@ -305,4 +322,4 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
             break
         x, u = x_next, u_next
 
-    return np.array(actor.theta), trace
+    return actor.theta, trace

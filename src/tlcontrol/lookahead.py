@@ -30,19 +30,19 @@ psi = 0 exactly at every theta, so ``sample_action`` returns that action
 without a draw and ``log_policy_gradient`` returns zero without forming
 the softmax. Elsewhere a state's softmax weights exp(logits - max logit)
 are formed once per (state, theta): the policy holds the last state's
-weights, keyed on the state and theta's bytes (so in-place edits of
-``theta`` are seen), and the gradient the actor-critic asks for right
-after sampling reads them. Every number is formed by the same
-floating-point operations, in the same order, as a fresh computation
-would use.
+weights, keyed on the state and theta (a pair of Python floats), and the
+gradient the actor-critic asks for right after sampling reads them. The
+logits f1 * theta1 + f2 * theta2 and the gradient's weighted sums are
+Python floats added left to right, so a step's one numpy call is ``np.exp``.
 
 The action probabilities have one definition, whether one state asks
 (``action_distribution`` and ``sample_action``, in Python floats) or the
-whole policy does (``policy_rows``, one matmul and a segment softmax over
-the flat tables, giving one probability per row of the SSP's model, the
-terminal's uniform rows included): a first action's mass is its
-sequences' weights added left to right from 0.0, the state's total is its
-actions' masses added the same way, and each probability is mass / total.
+whole policy does (``policy_rows``, elementwise logits and a segment
+softmax over the flat tables, giving one probability per row of the SSP's
+model, the terminal's uniform rows included): the same logit arithmetic
+and ``np.exp`` kernel, a first action's mass is its sequences' weights
+added left to right from 0.0, the state's total is its actions' masses
+added the same way, and each probability is mass / total.
 """
 
 from __future__ import annotations
@@ -148,15 +148,25 @@ def _left_sums(values: np.ndarray, segment: np.ndarray, n: int) -> np.ndarray:
 
 class _Groups(NamedTuple):
     """A state's sequence table split by first action: the k-th action of
-    ``acts`` (ascending) owns the contiguous rows bounds[k]:bounds[k + 1]."""
+    ``acts`` (ascending) owns the contiguous rows bounds[k]:bounds[k + 1]
+    of the feature columns ``f1`` and ``f2``."""
 
     acts: np.ndarray  # read-only, as ``action_distribution`` returns it
     lookup: tuple[int, ...]  # the same actions, for membership and position
     bounds: tuple[int, ...]
+    f1: list[float]
+    f2: list[float]
 
 
-# The kernels of ndarray.sum and ndarray.max, without their Python wrappers.
-_sum, _max = np.add.reduce, np.maximum.reduce
+def _weighted_sums(w: list[float], f1: list[float], f2: list[float]
+                   ) -> tuple[float, float, float]:
+    """sum(w), sum(w * f1) and sum(w * f2), each added left to right."""
+    s = s1 = s2 = 0.0
+    for wi, a, b in zip(w, f1, f2):
+        s += wi
+        s1 += wi * a
+        s2 += wi * b
+    return s, s1, s2
 
 
 class LookaheadPolicy:
@@ -181,9 +191,7 @@ class LookaheadPolicy:
         self.radius = horizon if radius is None else radius
         if self.radius < 1:
             raise ModelError("neighborhood radius must be >= 1")
-        self.theta = np.asarray(tuple(theta), dtype=float)
-        if self.theta.shape != (2,):
-            raise ModelError("theta must have exactly two components")
+        self.theta = theta
         self.sequence_cap = sequence_cap
         self.progress = min_distances(m, [ssp.terminal], blocked_sources=ssp.bad)
         self.progress_penalty = (
@@ -226,9 +234,21 @@ class LookaheadPolicy:
         self._group_ptr = _ptr(group_count).tolist()
         self._terminal_rows = m.state_ptr[ssp.terminal:ssp.terminal + 2].tolist()
         self._groups: dict[int, _Groups] = {}
-        # The last state's softmax weights, keyed on (state, theta bytes).
-        self._held_key: tuple[int, bytes] | None = None
-        self._held_w = np.empty(0)
+        # The last state's softmax weights, keyed on (state, theta).
+        self._held_key: tuple[int, tuple[float, float]] | None = None
+        self._held_w: list[float] = []
+
+    @property
+    def theta(self) -> tuple[float, float]:
+        """The parameter vector, a pair of Python floats."""
+        return self._theta
+
+    @theta.setter
+    def theta(self, value: Iterable[float]) -> None:
+        theta = tuple(map(float, value))
+        if len(theta) != 2:
+            raise ModelError("theta must have exactly two components")
+        self._theta = theta
 
     # -- score tables -------------------------------------------------------
 
@@ -238,18 +258,23 @@ class LookaheadPolicy:
             lo, hi = self._seq_ptr[state], self._seq_ptr[state + 1]
             g0, g1 = self._group_ptr[state], self._group_ptr[state + 1]
             acts = self._group_action[g0:g1]
+            feats = self._feats[lo:hi]
             groups = self._groups[state] = _Groups(
                 acts, tuple(acts.tolist()),
-                tuple((self._group_start[g0:g1] - lo).tolist()) + (hi - lo,))
+                tuple((self._group_start[g0:g1] - lo).tolist()) + (hi - lo,),
+                feats[:, 0].tolist(), feats[:, 1].tolist())
         return groups
 
-    def _weights(self, state: int) -> np.ndarray:
+    def _weights(self, state: int) -> list[float]:
         """exp(logits - max logit), one weight per sequence of ``state`` at
         the current theta; the last state's are held."""
-        key = (state, self.theta.tobytes())
+        key = (state, self._theta)
         if key != self._held_key:
-            logits = self._feats[self._seq_ptr[state]:self._seq_ptr[state + 1]] @ self.theta
-            self._held_w = np.exp(logits - _max(logits))
+            groups = self._groups_of(state)
+            t1, t2 = self._theta
+            logits = [a * t1 + b * t2 for a, b in zip(groups.f1, groups.f2)]
+            top = max(logits)
+            self._held_w = np.exp([x - top for x in logits]).tolist()
             self._held_key = key
         return self._held_w
 
@@ -257,7 +282,7 @@ class LookaheadPolicy:
         """A non-terminal state's groups and its action probabilities at the
         current theta, as Python floats in ``acts`` order."""
         groups = self._groups_of(state)
-        w = self._weights(state).tolist()
+        w = self._weights(state)
         bounds = groups.bounds
         # Plain left-to-right sums from 0.0, as np.bincount adds (the
         # built-in sum compensates rounding from Python 3.12 on).
@@ -284,7 +309,8 @@ class LookaheadPolicy:
         state's rows are its (first action) groups, actions ascending; the
         terminal's are uniform. Equal, bit for bit, to
         ``action_distribution`` state by state."""
-        logits = self._feats @ self.theta
+        t1, t2 = self._theta
+        logits = self._feats[:, 0] * t1 + self._feats[:, 1] * t2
         top = np.maximum.reduceat(logits, self._root_seq_start)
         w = np.exp(logits - top[self._seq_owner])
         mass = _left_sums(w, self._seq_group, len(self._group_start))
@@ -293,28 +319,27 @@ class LookaheadPolicy:
         lo, hi = self._terminal_rows
         return np.concatenate((probs[:lo], np.full(hi - lo, 1.0 / (hi - lo)), probs[lo:]))
 
-    def log_policy_gradient(self, state: int, action: int) -> np.ndarray:
+    def log_policy_gradient(self, state: int, action: int) -> tuple[float, float]:
         """Gradient of ln mu_theta(state, action) with respect to theta."""
         if state == self.ssp.terminal:
-            return np.zeros(2)
+            return 0.0, 0.0
         g0 = self._group_ptr[state]
         if self._group_ptr[state + 1] - g0 == 1:
             # One first action: it has probability 1 and psi = 0 exactly.
             if action != self._group_action[g0]:
                 raise ModelError(f"action {action} has zero probability at state {state}")
-            return np.zeros(2)
-        _acts, lookup, bounds = self._groups_of(state)
+            return 0.0, 0.0
+        _acts, lookup, bounds, f1, f2 = self._groups_of(state)
         w = self._weights(state)
         wu = 0.0
         if action in lookup:
             k = lookup.index(action)
             lo, hi = bounds[k], bounds[k + 1]
-            wg = w[lo:hi]
-            wu = _sum(wg)
+            wu, wu1, wu2 = _weighted_sums(w[lo:hi], f1[lo:hi], f2[lo:hi])
         if wu <= 0.0:
             raise ModelError(f"action {action} has zero probability at state {state}")
-        feats = self._feats[self._seq_ptr[state]:self._seq_ptr[state + 1]]
-        return (wg @ feats[lo:hi]) / wu - (w @ feats) / _sum(w)
+        ws, ws1, ws2 = _weighted_sums(w, f1, f2)
+        return wu1 / wu - ws1 / ws, wu2 / wu - ws2 / ws
 
     def sample_action(self, state: int, rng: np.random.Generator) -> int:
         """Inverse-CDF draw: the first action whose running probability sum

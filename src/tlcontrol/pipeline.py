@@ -329,7 +329,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
         reach = exact.ReachEvaluator(m, ctx.goal, ctx.bad)
 
         def evaluator(theta):
-            policy.theta = np.array(theta, dtype=float)
+            policy.theta = theta
             return exact.eval_policy_reach(m, rsp_product_policy(ssp, m, policy.policy_rows()),
                                            ctx.goal, ctx.bad, evaluator=reach)
 

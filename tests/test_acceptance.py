@@ -132,18 +132,17 @@ def test_criterion_4_policy_gradient_correctness():
         worst_norm = max(worst_norm, abs(probs.sum() - 1.0))
         total = np.zeros(2)
         for u, p in zip(acts, probs):
-            total += p * pol.log_policy_gradient(state, int(u))
+            total += p * np.array(pol.log_policy_gradient(state, int(u)))
         assert np.linalg.norm(total) <= 1e-9
         worst_score = max(worst_score, float(np.linalg.norm(total)))
         u = int(acts[rng.integers(0, len(acts))])
         psi = pol.log_policy_gradient(state, u)
         h = 1e-5
         fd = np.zeros(2)
-        base = pol.theta.copy()
+        base = pol.theta
         for i in range(2):
             for sign in (1.0, -1.0):
-                pol.theta = base.copy()
-                pol.theta[i] += sign * h
+                pol.theta = [t + sign * h if j == i else t for j, t in enumerate(base)]
                 fd[i] += sign * np.log(action_probability(pol, state, u))
         pol.theta = base
         fd /= 2 * h

@@ -16,6 +16,7 @@ from tlcontrol.actor_critic import (
     critic_update,
     gate_open,
     run,
+    solve_2x2,
 )
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.models import parse_model
@@ -92,6 +93,75 @@ def test_critic_gate_and_indexing_flag():
     sing = CriticState(z=c.z, b=c.b, A=np.zeros((2, 2)), r=c.r, lam=0.9)
     out4, solved4 = critic_update(sing, psi_now, psi_next, 1.0, 0.1, k=100)
     assert not solved4 and np.allclose(out4.r, c.r)
+
+
+@st.composite
+def solve_cases(draw):
+    """A nonsingular 2x2 system at unit, 1e-8 or 1e8 scale: random, with
+    the rows ordered so that partial pivoting swaps them (|a10| > |a00|),
+    or near-singular."""
+    kind = draw(st.sampled_from(["random", "swap", "near_singular"]))
+    scale = draw(st.sampled_from([1.0, 1e-8, 1e8]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    A = np.array([[draw(unit), draw(unit)], [draw(unit), draw(unit)]])
+    if kind == "swap":
+        A[1, 0] = np.copysign(abs(A[0, 0]) + draw(st.floats(1e-3, 1.0)), A[1, 0])
+    elif kind == "near_singular":
+        A[1] = A[0] * draw(unit) + np.array([draw(unit), draw(unit)]) * 1e-9
+    b = np.array([draw(unit), draw(unit)])
+    return A * scale, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=solve_cases())
+def test_float_solve_matches_lapack_within_the_condition_bound(case):
+    A, b = case
+    # Both are backward-stable LU solves with partial pivoting, so each is
+    # within a few eps * cond(A) of the exact solution (relative). Past
+    # 1 / (16 eps) no digit of x is determined, and either may find A
+    # singular (LAPACK scales by the pivot's reciprocal, solve_2x2 divides).
+    with np.errstate(all="ignore"):
+        rel = 16 * np.finfo(float).eps * np.linalg.cond(A)
+    if not rel < 1.0:
+        return
+    want = np.linalg.solve(A, b)
+    got = solve_2x2(A.tolist(), b.tolist())
+    assert got is not None and all(type(x) is float for x in got)
+    assert np.linalg.norm(np.array(got) - want) <= rel * np.linalg.norm(want) + 1e-300
+
+
+def test_exactly_singular_solve_leaves_r_stale():
+    # A zero first column (a zero pivot) and an exactly zero u11.
+    for A in (((0.0, 1.0), (0.0, 2.0)), ((2.0, 3.0), (4.0, 6.0)), ((4.0, 6.0), (2.0, 3.0))):
+        assert solve_2x2(A, (1.0, 1.0)) is None
+        c = CriticState(z=(0.0, 0.0), b=(1.0, -1.0), A=A, r=(9.0, 9.0), lam=0.9)
+        out, solved = critic_update(c, (0.0, 0.0), (0.0, 0.0), 0.0, 0.1, k=100, gate_sigma=0.0)
+        assert not solved and out.r == (9.0, 9.0)
+    # In a run: every state has one action, so psi = 0, A stays zero and the
+    # open gate finds it singular at every iteration past gate_iters.
+    chain = parse_model("states 2\ninitial 0\nmode nts\ntrans 0 a 1 1\ntrans 1 a 1 1")
+    ssp = SspModel(base=chain, terminal=1, bad=frozenset(), origin=(0, -1))
+    cfg = ActorCriticConfig(max_iters=30, min_iters=10 ** 9, gate_iters=10, gate_sigma=0.0)
+    _theta, trace = run(ssp, CountingSource(model_rows(chain)), LookaheadPolicy(ssp, horizon=1),
+                        cfg)
+    assert trace.stale_solves == list(range(10, 30))
+    assert not any(trace.r1) and not any(trace.r2)
+
+
+def test_desk_run_never_calls_the_lapack_solve(tmp_path, monkeypatch):
+    # The step's 2x2 solve is solve_2x2's: a desk run whose np.linalg.solve
+    # fails completes and refreshes r past the gate.
+    from tlcontrol.pipeline import RunConfig, synthesize
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              exact_reference=False, eval_every=0, max_iters=2000, seed=1)
+    trace = synthesize(cfg).trace
+    assert trace.iterations == 2000
+    assert len(trace.stale_solves) < trace.iterations - cfg.gate_iters
 
 
 def test_actor_update_trivial_cases():

@@ -321,12 +321,11 @@ def test_gradient_trivial_cases():
 
 
 def finite_difference_gradient(pol, state, action, h=1e-5):
-    base = pol.theta.copy()
+    base = pol.theta
     grad = np.zeros(2)
     for i in range(2):
         for sign in (+1, -1):
-            pol.theta = base.copy()
-            pol.theta[i] += sign * h
+            pol.theta = [t + sign * h if j == i else t for j, t in enumerate(base)]
             p = action_probability(pol, state, action)
             grad[i] += sign * np.log(p)
     pol.theta = base
@@ -382,7 +381,7 @@ def test_distribution_normalizes_and_score_is_zero_mean(t1, t2, seed):
         # Expected score identity: sum_u mu(u) psi(u) = 0.
         total = np.zeros(2)
         for u, p in zip(acts, probs):
-            total += p * pol.log_policy_gradient(state, int(u))
+            total += p * np.array(pol.log_policy_gradient(state, int(u)))
         assert np.linalg.norm(total) <= 1e-9
 
 
@@ -474,7 +473,7 @@ def _call(pol, op, state):
         i = arg % (len(acts) + 1)
         u = int(acts[i]) if i < len(acts) else 99
         try:
-            return pol.log_policy_gradient(state, u).tobytes()
+            return np.array(pol.log_policy_gradient(state, u)).tobytes()
         except ModelError as err:
             return str(err)
     r = np.random.default_rng(arg)
@@ -484,7 +483,7 @@ def _call(pol, op, state):
 theta_part = st.floats(-30, 30, allow_nan=False)
 policy_ops = st.lists(st.one_of(
     st.tuples(st.just("assign"), theta_part, theta_part),
-    st.tuples(st.just("edit"), st.integers(0, 1), st.floats(-2, 2, allow_nan=False)),
+    st.tuples(st.just("shift"), st.integers(0, 1), st.floats(-2, 2, allow_nan=False)),
     st.tuples(st.sampled_from(["distribution", "probability", "gradient", "sample"]),
               st.integers(0, 10 ** 6), st.integers(0, 2 ** 32 - 1)),
 ), min_size=1, max_size=14)
@@ -493,18 +492,23 @@ policy_ops = st.lists(st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(task=st.one_of(st.just("desk"), st.integers(0, 40)), ops=policy_ops)
 def test_records_match_a_fresh_policy(task, ops):
-    """After any sequence of theta assignments and in-place edits, every
-    query answers bitwise as a freshly built policy at that theta does."""
+    """After any sequence of theta assignments (arrays or pairs, and shifts
+    of one component), every query answers bitwise as a freshly built
+    policy at that theta does. Theta is a pair of floats, so it cannot be
+    edited in place."""
     ssp = desk_ssp() if task == "desk" else make_random_ssp(np.random.default_rng(task))
     pol = LookaheadPolicy(ssp, horizon=2, theta=(5.0, -0.5))
     for op in ops:
         if op[0] == "assign":
             pol.theta = np.array(op[1:])
-        elif op[0] == "edit":
-            pol.theta[op[1]] += op[2]
+            assert pol.theta == op[1:] and all(type(t) is float for t in pol.theta)
+        elif op[0] == "shift":
+            with pytest.raises(TypeError):
+                pol.theta[op[1]] += op[2]
+            pol.theta = [t + op[2] if i == op[1] else t for i, t in enumerate(pol.theta)]
         else:
             state = op[1] % ssp.base.n_states
-            fresh = LookaheadPolicy(ssp, horizon=2, theta=pol.theta.copy())
+            fresh = LookaheadPolicy(ssp, horizon=2, theta=pol.theta)
             assert _call(pol, op, state) == _call(fresh, op, state)
 
 
@@ -515,22 +519,22 @@ def test_weights_are_held_for_the_last_state_at_the_current_theta():
     for s in range(ssp.base.n_states):
         pol.action_distribution(s)
     # A sweep over every state leaves one state's weights behind.
-    assert pol._held_key == (states[-1], pol.theta.tobytes())
+    assert pol._held_key == (states[-1], pol.theta)
     state = next(s for s in states if len(pol.action_distribution(s)[0]) > 1)
     w = pol._weights(state)
     assert pol._weights(state) is w
-    # An in-place edit of theta is a new key, and the weights are rebuilt.
-    pol.theta[0] += 1.0
+    # A new theta is a new key, and the weights are rebuilt.
+    pol.theta = (pol.theta[0] + 1.0, pol.theta[1])
     rebuilt = pol._weights(state)
     assert rebuilt is not w
-    fresh = LookaheadPolicy(ssp, horizon=2, theta=pol.theta.copy())
-    assert rebuilt.tobytes() == fresh._weights(state).tobytes()
+    fresh = LookaheadPolicy(ssp, horizon=2, theta=pol.theta)
+    assert np.array(rebuilt).tobytes() == np.array(fresh._weights(state)).tobytes()
     # Single-action states neither form weights nor replace the held ones.
     single = next(s for s in states if len(pol.action_distribution(s)[0]) == 1)
     pol._weights(state)
     u = pol.sample_action(single, np.random.default_rng(0))
     pol.log_policy_gradient(single, u)
-    assert pol._held_key == (state, pol.theta.tobytes())
+    assert pol._held_key == (state, pol.theta)
 
 
 # -- single-action states and the sampler ---------------------------------------
@@ -567,7 +571,7 @@ def test_single_action_states_score_zero_without_a_draw(task, horizon, t1, t2, s
         if len(acts) != 1:
             continue
         u = int(acts[0])
-        psi = pol.log_policy_gradient(state, u)
+        psi = np.array(pol.log_policy_gradient(state, u))
         assert psi.tobytes() == reference_gradient(pol, state, u).tobytes()
         assert psi.tobytes() == np.array([0.0, 0.0]).tobytes()
         with pytest.raises(ModelError, match="zero probability"):
@@ -576,6 +580,32 @@ def test_single_action_states_score_zero_without_a_draw(task, horizon, t1, t2, s
         before = r.bit_generator.state
         assert pol.sample_action(state, r) == u
         assert r.bit_generator.state == before
+
+
+@settings(max_examples=40, deadline=None)
+@given(task=st.one_of(st.just("desk"), st.integers(0, 20)), horizon=st.integers(1, 3),
+       t1=theta_part, t2=theta_part)
+def test_float_gradient_matches_the_array_formula(task, horizon, t1, t2):
+    # The float pair built from left-to-right sums against the array formula
+    # (w_g @ F_g) / sum(w_g) - (w @ F) / sum(w): only the summation order
+    # and the logits' rounding differ, so they agree to 1e-12 of the
+    # features' scale, and both reject an action whose weights all underflow.
+    pol = step_policy(task, horizon)
+    pol.theta = (t1, t2)
+    for state in range(pol.ssp.base.n_states):
+        first, feats = sequence_table(pol, state)
+        if len(np.unique(first)) < 2:
+            continue
+        for u in np.unique(first).tolist():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ref = reference_gradient(pol, state, u)
+            if not np.isfinite(ref).all():
+                with pytest.raises(ModelError, match="zero probability"):
+                    pol.log_policy_gradient(state, u)
+                continue
+            psi = pol.log_policy_gradient(state, u)
+            assert type(psi) is tuple and all(type(x) is float for x in psi)
+            assert np.abs(np.array(psi) - ref).max() <= 1e-12 * max(1.0, np.abs(feats).max())
 
 
 @settings(max_examples=40, deadline=None)

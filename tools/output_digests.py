@@ -25,9 +25,11 @@ The set of runs:
 
 It imports the package from the ``src`` directory and the lattice
 generator from ``perfbench/lattice.py`` of the checkout it lives in, and
-writes the outputs to a temporary directory. BLAS and LAPACK decide the
-last bits of the critic's dot products and solves, so digests compare
-only between runs on one machine and one numpy.
+writes the outputs to a temporary directory. The actor-critic's step is
+Python float arithmetic, so no BLAS kernel touches it; numpy's ``exp``
+kernel decides the last bits of the policy's weights, and the exact
+solver's LAPACK blocks those of the values. Digests therefore compare only
+between runs on one machine and one numpy.
 """
 
 from __future__ import annotations
