@@ -36,35 +36,44 @@ only when the next policy's support is equal to it, checked on every call;
 the lookahead policy's support does not move with theta, so a run of
 periodic evaluations builds one plan.
 
-Up to ``DENSE_LIMIT`` unknowns the plan orders the unknowns by the
-strongly connected components of their subgraph, sinks first (the
-package's one Tarjan routine, ``synthesis._strongly_connected``, numbers
-them in that order), so (I - P) is block lower triangular
-and every component only depends on components solved before it.
-Consecutive components are merged into groups of at most sqrt(n) states,
-and a larger component forms a group of its own; each group is one dense
-solve whose right-hand side first takes in the values of the groups it
-steps into. Above ``DENSE_LIMIT`` unknowns no components are formed, and
-the fixed-point iteration x <- b + P x runs until no component moves by
-more than ``VALUE_TOL``. Expected total costs use the same plans, built
-per call.
+Up to ``DENSE_LIMIT`` unknowns the plan is sparse Gaussian elimination
+on [I - P | b], the state elimination of probabilistic model checking
+(Daws, ICTAC 2004). It takes its pivots in waves of independent sets:
+low-cost states first, where the cost is the Markowitz count (in-degree
+times out-degree among the states left, self-loops excluded) and ties go
+to the lower position. It stops at ``CORE_LIMIT`` unknowns, or at a rest
+above ``DENSE_REST`` that is a quarter dense, and that core takes one
+dense solve. Every entry, fill-in included, owns a slot of one flat
+array, so a solve is one ``bincount`` that writes (I - P), a few
+vectorized operations per wave, the core's LU and a back substitution.
+No pivoting is needed: (I - P) on the unknowns is a nonsingular M-matrix,
+as every unknown reaches the targets, so every Schur complement keeps
+positive pivots. A core of at most ``CORE_LIMIT`` unknowns is factored on
+one thread (OpenBLAS threads an LU from 10,000 entries), so its values do
+not depend on the BLAS thread count. Above ``DENSE_LIMIT`` the
+fixed-point iteration x <- b + P x runs until no component moves by more
+than ``VALUE_TOL``. Expected total costs use the same plans, built per
+call.
 
 The solvers take no tolerance, sweep or size keywords: each call reads the
-module constants below (``VALUE_TOL``, ``MAX_SWEEPS``, ``DENSE_LIMIT``),
-which is also how tests force a path or a cap.
+module constants below (``VALUE_TOL``, ``MAX_SWEEPS``, ``DENSE_LIMIT``,
+``CORE_LIMIT``, ``DENSE_REST``), which is also how tests force a path or
+a cap.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 
 import numpy as np
 
-from .models import LabeledModel, MDP, ModelError
-from .synthesis import SspModel, _closure, _expand, _layers, _members, _strongly_connected
+from .models import LabeledModel, MDP, ModelError, _ptr
+from .synthesis import SspModel, _closure, _distinct, _expand, _layers, _members
 
 VALUE_TOL = 1e-12
-DENSE_LIMIT = 5000
+DENSE_LIMIT = 5000  # most unknowns of an elimination plan; above it, the fixed point
+CORE_LIMIT = 64  # most unknowns left to the dense core by the elimination
+DENSE_REST = 128  # a rest larger than this goes to the core once a quarter dense
 MAX_SWEEPS = 10 ** 6
 POLISH_ROUNDS = 100
 RESIDUAL_TOL = 1e-9  # bound on max |max_u Q(v) - v| over the free states
@@ -98,15 +107,18 @@ def _edges(m: LabeledModel, support: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return ids, m.row_state[m.entry_row[ids]], m.succ[ids]
 
 
-class _Plan:
-    """How to solve (I - P) x = b on ``unknown`` for every policy with one
-    support, given as the positive kernel entries ``ids`` with their
-    sources ``src`` and successors ``dst``.
+# One wave of an elimination plan, as slots of the plan's flat array
+# (``_Plan._wave`` says what each field holds).
+_Wave = namedtuple("_Wave", "col col_diag upd_col upd_row tgt upd_tgt piv diag rhs row_k row row_v")
 
-    ``unknown`` is kept in solve order, the order of ``solve``'s result.
-    Entries from an unknown into ``is_target`` make up ``target_rhs``.
-    ``groups`` is None above ``DENSE_LIMIT`` unknowns, where ``solve``
-    iterates x <- b + P x instead.
+
+class _Plan:
+    """How to solve (I - P) x = b on ``unknown`` (ascending, the order of
+    ``solve``'s result) for every policy with one support, given as the
+    positive kernel entries ``ids`` with their sources ``src`` and
+    successors ``dst``. Entries from an unknown into ``is_target`` make up
+    ``target_rhs``. The elimination's ``waves`` are None above
+    ``DENSE_LIMIT`` unknowns, where ``solve`` iterates x <- b + P x instead.
     """
 
     def __init__(self, unknown: np.ndarray, ids: np.ndarray, src: np.ndarray,
@@ -119,60 +131,102 @@ class _Plan:
         self.into_pos, self.into_ids = i[into], ids[into]
         inner = (i >= 0) & (j >= 0)
         i, j, ids = i[inner], j[inner], ids[inner]
-        self.unknown, self.groups = unknown, None
+        self.unknown, self.waves = unknown, None
         if n > DENSE_LIMIT:
             self.i, self.j, self.ids = i, j, ids
             return
-        rank = self._split(n, i, j, ids)
-        self.unknown = np.empty_like(unknown)
-        self.unknown[rank] = unknown
-        self.into_pos = rank[self.into_pos]
+        # Entry (u, v) has the key u * m + v, where column n is b; ``key``
+        # and ``slot`` hold the entries of the rows not yet eliminated,
+        # ascending by key.
+        m = n + 1
+        diag, rhs = np.arange(n) * (m + 1), np.arange(n) * m + n
+        key = _distinct(np.concatenate((i * m + j, diag, rhs)))
+        slot = np.arange(len(key))
+        self.entry_ids, self.entry_slot = ids, np.searchsorted(key, i * m + j)
+        self.rhs_slot = np.searchsorted(key, rhs)
+        diag_slot = np.searchsorted(key, diag)
+        self.n_slots, self.waves = len(key), []
+        alive, left = np.arange(m) < n, n
+        # A rest above DENSE_REST unknowns that holds a quarter of a dense
+        # block's entries goes to the dense solve as well: its waves would
+        # be single pivots, each rewriting a block's worth of fill.
+        while left > CORE_LIMIT and (left <= DENSE_REST or 4 * (len(key) - left) < left * left):
+            key, slot = self._wave(n, key, slot, alive)
+            left = int(alive.sum())
+        self.ident = np.zeros(self.n_slots)
+        self.ident[diag_slot] = 1.0
+        self.core = np.flatnonzero(alive)
+        at = np.full(m, -1)
+        at[self.core] = np.arange(len(self.core))
+        block = key % m < n
+        self.core_slot = slot[block]
+        self.core_at = at[key[block] // m] * len(self.core) + at[key[block] % m]
 
-    def _split(self, n: int, i: np.ndarray, j: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Group the unknowns (positions 0..n-1, inner entries i -> j) for a
-        block-triangular solve; returns each position's rank in solve
-        order."""
-        # Tarjan's algorithm numbers the components sinks first, so every
-        # edge leaving a component enters one numbered before it.
-        count, comp = _strongly_connected(i, j, n)
-        # Consecutive components merge while the group stays within
-        # sqrt(n) states, so a run of singletons takes about sqrt(n)
-        # groups; a larger component is a group of its own.
-        cap = math.isqrt(n)
-        sizes: list[int] = []
-        for c in np.bincount(comp, minlength=count).tolist():
-            if sizes and sizes[-1] + c <= cap:
-                sizes[-1] += c
-            else:
-                sizes.append(c)
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.argsort(comp, kind="stable")] = np.arange(n)
-        size = np.array(sizes, dtype=np.int64)
-        start = np.cumsum(size) - size
-        offset = np.cumsum(size * size) - size * size
-        group = np.repeat(np.arange(len(sizes)), size)
-        local = np.arange(n) - start[group]
-        i, j = rank[i], rank[j]
-        gi = group[i]
-        same = gi == group[j]
-        # Every group's dense block is a slice of one flat buffer, which
-        # keeps its zeros between solves; a solve rewrites the pattern of
-        # the diagonal and the in-group entries (which entries may share).
-        at = np.concatenate(((offset[gi] + local[i] * size[gi] + local[j])[same],
-                             offset[group] + local * (size[group] + 1)))
-        self.pattern, slot = np.unique(at, return_inverse=True)
-        n_in = int(same.sum())
-        self.block_slot, self.block_ids = slot[:n_in], ids[same]
-        self.ident = np.zeros(len(self.pattern))
-        self.ident[slot[n_in:]] = 1.0
-        self.blocks = np.zeros(int((size * size).sum()))
-        # Entries into earlier groups, grouped by their source's group.
-        dep = np.flatnonzero(~same)
-        dep = dep[np.argsort(gi[dep], kind="stable")]
-        self.dep_i, self.dep_j, self.dep_ids = local[i[dep]], j[dep], ids[dep]
-        dep_ptr = np.searchsorted(gi[dep], np.arange(len(sizes) + 1)).tolist()
-        self.groups = list(zip(start.tolist(), sizes, offset.tolist(), dep_ptr, dep_ptr[1:]))
-        return rank
+    def _wave(self, n: int, key: np.ndarray, slot: np.ndarray, alive: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Plan one wave over the pattern ``key``/``slot`` of the rows still
+        ``alive``, clear its pivots from ``alive`` and return the pattern
+        left.
+
+        A state's priority is (cost, position). The pivots ``piv`` share no
+        edge, so their eliminations touch disjoint rows and columns, and
+        their updates only add up. Their columns (u, s) sit in the slots
+        ``col``, with the pivots' diagonals in ``col_diag``; the Schur
+        update subtracts column ``upd_col`` (a position in ``col``) times
+        the row slot ``upd_row`` from the slot ``tgt[upd_tgt]``. The back
+        substitution reads each pivot's diagonal ``diag`` and right-hand
+        side ``rhs`` and its rows (s, v): the slots ``row`` at the columns
+        ``row_v``, of the pivots ``piv[row_k]``."""
+        m = n + 1
+        u, v = key // m, key % m
+        off = u != v
+        edge = off & (v < n)
+        src, dst = u[edge], v[edge]
+        prio = np.bincount(src, minlength=m) * np.bincount(dst, minlength=m) * m + np.arange(m)
+        # Two rounds, each taking the free states whose priority is below
+        # every free neighbour's; a state next to one taken is not free.
+        # Rounds until no state is free saved no wave on desk and made its
+        # solves slower.
+        big = np.iinfo(np.int64).max
+        chosen, free = np.zeros(m, dtype=bool), alive.copy()
+        for _ in range(2):
+            p = np.where(free, prio, big)
+            low = np.full(m, big)
+            np.minimum.at(low, src, p[dst])
+            np.minimum.at(low, dst, p[src])
+            new = free & (p < low)
+            chosen |= new
+            free &= ~new
+            free[dst[new[src]]] = False
+            free[src[new[dst]]] = False
+        piv = np.flatnonzero(chosen)
+        # Columns (u, s) grouped by pivot s, rows (s, v) b included; each
+        # pair of them updates (u, v), which may be new fill.
+        col = np.flatnonzero(edge & chosen[v])
+        col = col[np.argsort(v[col], kind="stable")]
+        row = np.flatnonzero(off & chosen[u])
+        col_s, row_v = v[col], v[row]
+        upd_col, upd_row = _expand(_ptr(np.bincount(u[row], minlength=m)), col_s)
+        tkey = u[col][upd_col] * m + row_v[upd_row]
+        at = np.minimum(np.searchsorted(key, tkey), len(key) - 1)
+        found = key[at] == tkey
+        fresh = _distinct(tkey[~found])
+        tslot = np.where(found, slot[at], self.n_slots + np.searchsorted(fresh, tkey))
+        fresh_slot = self.n_slots + np.arange(len(fresh))
+        self.n_slots += len(fresh)
+        tgt = _distinct(tslot)
+        diag = slot[np.searchsorted(key, piv * (m + 1))]
+        back = row[row_v < n]
+        self.waves.append(_Wave(
+            slot[col], np.repeat(diag, np.bincount(col_s, minlength=m)[piv]),
+            upd_col, slot[row][upd_row], tgt, np.searchsorted(tgt, tslot),
+            piv, diag, self.rhs_slot[piv], np.searchsorted(piv, u[back]), slot[back], v[back]))
+        alive[piv] = False
+        keep = ~(chosen[u] | chosen[v])
+        key = np.concatenate((key[keep], fresh))
+        slot = np.concatenate((slot[keep], fresh_slot))
+        order = np.argsort(key, kind="stable")
+        return key[order], slot[order]
 
     def target_rhs(self, w: np.ndarray) -> np.ndarray:
         """Probability of stepping into a target, per unknown."""
@@ -181,7 +235,7 @@ class _Plan:
     def solve(self, w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """x with (I - P) x = rhs, where P has weight ``w[e]`` on entry e."""
         n = len(self.unknown)
-        if self.groups is None:
+        if self.waves is None:
             i, j, w = self.i, self.j, w[self.ids]
             x = np.zeros(n)
             for _ in range(MAX_SWEEPS):
@@ -191,17 +245,22 @@ class _Plan:
                 if delta <= VALUE_TOL:
                     return x
             raise ModelError(f"fixed-point iteration did not converge within {MAX_SWEEPS} sweeps")
-        blocks = self.blocks
-        blocks[self.pattern] = self.ident - np.bincount(
-            self.block_slot, weights=w[self.block_ids], minlength=len(self.pattern))
-        dep_i, dep_j, dep_w = self.dep_i, self.dep_j, w[self.dep_ids]
+        a = self.ident - np.bincount(self.entry_slot, weights=w[self.entry_ids],
+                                     minlength=self.n_slots)
+        a[self.rhs_slot] = rhs
+        for wave in self.waves:
+            lc = a[wave.col] / a[wave.col_diag]
+            a[wave.tgt] -= np.bincount(wave.upd_tgt, weights=lc[wave.upd_col] * a[wave.upd_row],
+                                       minlength=len(wave.tgt))
+        k = len(self.core)
+        block = np.zeros(k * k)
+        block[self.core_at] = a[self.core_slot]
         x = np.empty(n)
-        for lo, k, off, d0, d1 in self.groups:
-            b = rhs[lo:lo + k]
-            if d0 < d1:
-                b = b + np.bincount(dep_i[d0:d1], weights=dep_w[d0:d1] * x[dep_j[d0:d1]],
-                                    minlength=k)
-            x[lo:lo + k] = np.linalg.solve(blocks[off:off + k * k].reshape(k, k), b)
+        x[self.core] = np.linalg.solve(block.reshape(k, k), a[self.rhs_slot[self.core]])
+        for wave in reversed(self.waves):
+            known = np.bincount(wave.row_k, weights=a[wave.row] * x[wave.row_v],
+                                minlength=len(wave.piv))
+            x[wave.piv] = (a[wave.rhs] - known) / a[wave.diag]
         return x
 
 

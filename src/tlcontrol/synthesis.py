@@ -16,9 +16,9 @@ cascade as masks over the arrays, with one SCC pass per round over all
 pending states. The backward closure of the goal is a numpy frontier loop,
 ``_layers``, which also gives the policy evaluator its unknowns, the optimum's
 greedy extraction its attractor layers, the lookahead its goal distances
-and the expected-cost solve its closures; strongly connected components
-come from one Tarjan routine over flat successor arrays,
-``_strongly_connected``, shared with the exact oracles' block solve.
+and the expected-cost solve its closures; the end-component search's
+strongly connected components come from one Tarjan routine over flat
+successor arrays, ``_strongly_connected``.
 """
 
 from __future__ import annotations

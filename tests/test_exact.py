@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -547,6 +548,109 @@ def test_block_solves_match_one_dense_solve(seed):
     a = np.eye(len(states)) - p[np.ix_(states, states)]
     want = np.linalg.solve(a, [ssp.cost(q) for q in states])[states.index(ssp.base.initial)]
     assert abs(expected_total_cost(ssp, probs) - want) <= 1e-12 * max(1.0, want)
+
+
+def _sparse_system(rng, shape, n):
+    """Entries (src, dst, weight) of a substochastic kernel on the unknowns
+    0..n-1, the target n and a zero state n + 1, shaped as ``shape``, in
+    which every unknown reaches the target. Some (src, dst) pairs repeat."""
+    edges = []
+    for q in range(n):
+        if shape == "acyclic":
+            edges += [(q, int(t)) for t in rng.integers(q, size=min(q, 2))]
+        elif shape == "self-loops":
+            edges += [(q, q)] + [(q, int(t)) for t in rng.integers(n, size=int(rng.integers(3)))]
+        elif shape == "cycle":
+            edges.append((q, (q + 1) % n))
+        elif shape == "sccs":
+            # Blocks of up to 5 states: a cycle inside each, and a few
+            # entries into earlier blocks.
+            lo = q - q % 5
+            edges.append((q, lo + (q + 1 - lo) % min(5, n - lo)))
+            if lo and rng.random() < 0.5:
+                edges.append((q, int(rng.integers(lo))))
+    reach = _backward_closure(_dense(edges, n + 2), [n])
+    for q in range(n):
+        if q not in reach or rng.random() < 0.2:
+            edges.append((q, n))
+            reach = _backward_closure(_dense(edges, n + 2), [n])
+        if rng.random() < 0.2:
+            edges.append((q, n + 1))
+    edges += [edges[k] for k in rng.integers(len(edges), size=int(rng.integers(3)))]
+    src, dst = np.array(edges).T
+    w = rng.random(len(edges)) + 0.1
+    w *= rng.uniform(0.5, 1.0, size=n + 2)[src] / np.bincount(src, weights=w, minlength=n + 2)[src]
+    return src, dst, w
+
+
+def _dense(edges, n):
+    p = np.zeros((n, n))
+    for q, t in edges:
+        p[q, t] = 1.0
+    return p
+
+
+def _exact_solve(a, b):
+    """x with a x = b by Gaussian elimination in exact rationals."""
+    n = len(b)
+    m = [row[:] + [rhs] for row, rhs in zip(a, b)]
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if m[r][k] != 0)
+        m[k], m[pivot] = m[pivot], m[k]
+        for r in range(k + 1, n):
+            if m[r][k]:
+                f = m[r][k] / m[k][k]
+                m[r] = [x - f * y for x, y in zip(m[r], m[k])]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (m[k][n] - sum(m[k][c] * x[c] for c in range(k + 1, n))) / m[k][k]
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 30),
+       shape=st.sampled_from(["acyclic", "self-loops", "cycle", "sccs", "empty"]))
+def test_elimination_plans_match_exact_rational_solves(seed, n, shape):
+    rng = np.random.default_rng(seed)
+    src, dst, w = _sparse_system(rng, shape, n)
+    is_target = np.arange(n + 2) == n
+    a = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    b = [Fraction(0)] * n
+    for q, t, weight in zip(src.tolist(), dst.tolist(), w.tolist()):
+        if t < n:
+            a[q][t] -= Fraction(weight)
+        elif t == n:
+            b[q] += Fraction(weight)
+    want = [float(x) for x in _exact_solve(a, b)]
+    want_time = [float(x) for x in _exact_solve(a, [Fraction(1)] * n)]
+    # Pure elimination, the default core and one dense solve of everything.
+    for core in (0, exact.CORE_LIMIT, n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "CORE_LIMIT", core)
+            plan = exact._Plan(np.arange(n), np.arange(len(w)), src, dst, is_target)
+        assert len(plan.core) == min(core, n)
+        assert np.abs(plan.solve(w, plan.target_rhs(w)) - want).max() <= 1e-12
+        time = plan.solve(w, np.ones(n))
+        assert np.abs(time - want_time).max() <= 1e-12 * max(1.0, max(want_time))
+
+
+def test_elimination_hands_a_dense_rest_to_the_core(rng):
+    # Three random successors per state: elimination fills the rest in
+    # fast, so it stops above CORE_LIMIT, once the rest is a quarter dense.
+    n = 1000
+    src = np.repeat(np.arange(n), 3)
+    dst = rng.integers(n + 1, size=len(src))  # state n is the target
+    w = rng.random(len(src))
+    w *= 0.99 / np.bincount(src, weights=w)[src]
+    plan = exact._Plan(np.arange(n), np.arange(len(w)), src, dst, np.arange(n + 1) == n)
+    core = len(plan.core)
+    assert core > exact.DENSE_REST
+    assert 4 * len(plan.core_slot) >= core * core
+    a = np.eye(n)
+    inner = dst < n
+    np.add.at(a, (src[inner], dst[inner]), -w[inner])
+    want = np.linalg.solve(a, plan.target_rhs(w))
+    assert np.abs(plan.solve(w, plan.target_rhs(w)) - want).max() <= 1e-12
 
 
 def test_evaluator_rebuilds_its_plan_when_the_support_changes(monkeypatch):

@@ -502,8 +502,9 @@ def test_state_names_are_formatted_only_when_build_writes(tmp_path, task):
 # 0, 2,000 iterations): trace.csv must stay byte-identical for a fixed config
 # and seed. The actor-critic's step is Python float arithmetic apart from
 # numpy's exp kernel, which decides the last bit of the policy's weights
-# (and the exact solver's LAPACK blocks decide the values a curve records),
-# so the digests hold for the numpy they were taken with.
+# (the values a curve records come from numpy's elementwise operations and
+# one LU of at most 64 unknowns, which OpenBLAS runs on one thread), so the
+# digests hold for the numpy they were taken with.
 DESK_RUN_NUMPY = "2.4.6"
 DESK_RUN_DIGESTS = {
     1: {"trace.csv": "ae5f102b23424c37cebb0a7d8fd295e2ba75f82ece59bcc5f660922edbeb1462",
@@ -543,11 +544,12 @@ def test_desk_synthesize_output_is_byte_identical(tmp_path, case):
 
 
 # sha256 of `compare`'s values.csv on desk and on the k=8 road lattice (map
-# seed 0). The values come from the optimal policy's exact block solves, so
+# seed 0). The values come from the optimal policy's elimination plan: its
+# waves are numpy elementwise operations, its core one small LAPACK solve, so
 # the digests hold for the numpy they were taken with.
 VALUES_DIGESTS = {
-    "desk": "cb62033adbb54b8a03bcee65f5503256ae830d1a34f502e8e992c5e3cb593625",
-    "lattice-k8": "05e81142ca51c3f1a3ca675d29de6b4be8c4078007db0ad647aed8a3bb1c8b65",
+    "desk": "c8f581378f79a04807db11edff3dcb292f4c28b836580c57dd28a7724f9a25fe",
+    "lattice-k8": "3b7c6d1e038f77a015015db2470f4ae7133b21adb13265a12a6fa863ca07b4fe",
 }
 # The same k=8 lattice run's trace.csv: the actor-critic's path on a model
 # other than desk's.
@@ -600,8 +602,8 @@ def test_desk_critic_flag_output_is_byte_identical(tmp_path, flag):
 # evaluation every 25 steps: the evaluator sets the policy's theta between
 # steps, and curve.csv records what it returned.
 DESK_CURVE_DIGESTS = {
-    "trace.csv": "eaf6adf9515816917f8e9f8c6c082b737fcc455db2aa2e9a42bc0a46fe350f86",
-    "curve.csv": "297f014296d8d2524a408cbe76c62b732faba21ffe19f793a57269c7e1b75287",
+    "trace.csv": "8e574fa21c301df094594553ff91ff21b53077fae97d9d5e0ef5f84e012b6da0",
+    "curve.csv": "dc32219f4583045fbefc19d381cc28b85a85eb11682115c9552b6781228a84d2",
 }
 
 
@@ -613,6 +615,33 @@ def test_desk_compare_curve_is_byte_identical(tmp_path):
     compare(cfg)
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("trace.csv", "curve.csv")} == DESK_CURVE_DIGESTS
+
+
+# A desk `compare` with an exact evaluation every 25 steps, run in a fresh
+# interpreter so that the BLAS thread count takes effect. By iteration 650
+# theta has reached policies whose values a threaded LU of a 190-state
+# block would round differently.
+SHORT_CURVE = """
+import dataclasses, sys
+from tlcontrol.pipeline import RunConfig, compare
+compare(dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=sys.argv[1],
+                            seed=1, eval_every=25, max_iters=1000))
+"""
+
+
+def test_desk_curve_does_not_depend_on_the_blas_thread_count(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"threads-{threads}"
+        done = subprocess.run([sys.executable, "-c", SHORT_CURVE, str(out)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("trace.csv", "curve.csv")})
+    assert digests[0] == digests[1]
 
 
 def test_multi_seed_aggregation(tiny_task):

@@ -27,9 +27,10 @@ It imports the package from the ``src`` directory and the lattice
 generator from ``perfbench/lattice.py`` of the checkout it lives in, and
 writes the outputs to a temporary directory. The actor-critic's step is
 Python float arithmetic, so no BLAS kernel touches it; numpy's ``exp``
-kernel decides the last bits of the policy's weights, and the exact
-solver's LAPACK blocks those of the values. Digests therefore compare only
-between runs on one machine and one numpy.
+kernel decides the last bits of the policy's weights, and numpy's
+elementwise kernels and one single-threaded LU of at most 64 unknowns
+(``exact.CORE_LIMIT``) those of the values, whatever the BLAS thread count.
+Digests therefore compare only between runs on one machine and one numpy.
 """
 
 from __future__ import annotations
