@@ -270,8 +270,8 @@ def _aim_table(env: EnvMap) -> np.ndarray:
 
 
 def build_nts(env: EnvMap, confusion: str = "uniform") -> LabeledModel:
-    """Possibilistic pair-state model of the environment (support matches
-    the noise model run with the same confusion mode).
+    """Possibilistic pair-state model of the environment under the
+    ``confusion`` mode.
 
     This is the map's outcome table: state i is the pair state
     ``env.pairs[i]``, its rows are its enabled controls in ``ACTIONS``
@@ -336,7 +336,6 @@ class NoiseModel:
     seeded per (state, action) so repeated queries agree."""
 
     eta: float | Mapping[str, float] = 0.9
-    confusion: str = "uniform"
     mc_runs: int | None = None
     seed: int = 0
 
@@ -353,8 +352,9 @@ def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel, aims: np.nda
     entries it gives positive probability, in order, and their
     probabilities.
 
-    ``nts`` is the map's ``build_nts`` model under ``noise.confusion`` and
-    ``aims`` its ``_aim_table``. A row with one outcome keeps probability 1
+    ``nts`` is a ``build_nts`` model of the map, under either confusion
+    mode, and ``aims`` its ``_aim_table``; each row's outcomes are its
+    entries in ``nts``. A row with one outcome keeps probability 1
     on it; in a row with more, the intended outcome (the region its
     control aims for) gets the success probability and the wrong ones
     equal shares of the rest. With ``mc_runs`` a row with more outcomes
@@ -413,8 +413,9 @@ def transition_rows(env: EnvMap, noise: NoiseModel, nts: LabeledModel
 def build_mdp(env: EnvMap, noise: NoiseModel, nts: LabeledModel) -> LabeledModel:
     """Materialize the full probabilistic model (for the exact oracles; a
     run without them reads single rows through ``transition_rows``): the
-    states, enabled actions and labels of ``nts``, the map's ``build_nts``
-    model under ``noise.confusion``, with the rows ``_row_weights`` gives."""
+    states, enabled actions and labels of ``nts``, a ``build_nts`` model of
+    the map under either confusion mode, with the rows ``_row_weights``
+    gives over its outcomes."""
     entry, weight = _row_weights(env, noise, nts, _aim_table(env),
                                  np.arange(nts.n_enabled_pairs()))
     return dataclasses.replace(

@@ -211,7 +211,6 @@ class LookaheadPolicy:
         inside = _contains(ball, root * n + pair_state)
         seq, state, root = pair_seq[inside], pair_state[inside], root[inside]
         clamped = np.where(np.isfinite(self.progress), self.progress, self.progress_penalty)
-        self._first = first
         self._feats = np.column_stack((
             _left_sums(self._safe[state], seq, len(first)),
             _left_sums(clamped[state] - clamped[root], seq, len(first))))

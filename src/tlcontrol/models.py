@@ -71,7 +71,13 @@ MAX_PROPS = 16
 
 
 class ModelError(ValueError):
-    """Semantic violation in a model, automaton, or policy."""
+    """Semantic violation in a model, automaton, or policy. ``row`` is the
+    model row that a row-level rule of ``validate_model`` rejected, and None
+    for every other error."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ParseError(ValueError):
@@ -204,7 +210,8 @@ class LabeledModel:
 
 
 def validate_model(m: LabeledModel) -> None:
-    """Check every structural invariant of ``m``; raise ModelError otherwise."""
+    """Check every structural invariant of ``m``; raise ModelError otherwise,
+    with the rejected row as ``row`` when a row or its entries break a rule."""
     if m.mode not in (MDP, NTS):
         raise ModelError(f"unknown mode {m.mode!r}")
     if not (0 <= m.initial < m.n_states):
@@ -226,49 +233,50 @@ def validate_model(m: LabeledModel) -> None:
     if empty.size:
         raise ModelError(f"state {empty[0]} has no enabled actions")
 
-    def where(r) -> tuple[int, object]:
+    def where(r) -> tuple[int, object, int]:
+        """Row r's state, action name (raw id when out of range) and r."""
         q, u = int(m.row_state[r]), int(m.row_action[r])
-        return q, m.actions[u] if 0 <= u < len(m.actions) else u
+        return q, m.actions[u] if 0 <= u < len(m.actions) else u, int(r)
 
     bad = np.flatnonzero((m.row_action < 0) | (m.row_action >= len(m.actions)))
     if bad.size:
-        q, u = where(bad[0])
-        raise ModelError(f"state {q}: action id {u} out of range")
+        q, u, r = where(bad[0])
+        raise ModelError(f"state {q}: action id {u} out of range", r)
     # Consecutive rows of one state must raise the action id.
     bad = np.flatnonzero(_within(m.state_ptr, n_rows) & (np.diff(m.row_action) <= 0))
     if bad.size:
-        q, u = where(bad[0] + 1)
-        raise ModelError(f"state {q}: action {u!r} repeated or out of order")
+        q, u, r = where(bad[0] + 1)
+        raise ModelError(f"state {q}: action {u!r} repeated or out of order", r)
     bad = np.flatnonzero(np.diff(m.row_ptr) <= 0)
     if bad.size:
-        q, u = where(bad[0])
-        raise ModelError(f"state {q}, action {u!r}: no transitions")
+        q, u, r = where(bad[0])
+        raise ModelError(f"state {q}, action {u!r}: no transitions", r)
     bad = np.flatnonzero((m.succ < 0) | (m.succ >= m.n_states))
     if bad.size:
-        q, u = where(m.entry_row[bad[0]])
-        raise ModelError(f"dangling state id {m.succ[bad[0]]} in row ({q}, {u!r})")
+        q, u, r = where(m.entry_row[bad[0]])
+        raise ModelError(f"dangling state id {m.succ[bad[0]]} in row ({q}, {u!r})", r)
     bad = np.flatnonzero(_within(m.row_ptr, n_entries) & (np.diff(m.succ) <= 0))
     if bad.size:
-        q, u = where(m.entry_row[bad[0] + 1])
+        q, u, r = where(m.entry_row[bad[0] + 1])
         raise ModelError(f"successor {m.succ[bad[0] + 1]} repeated or out of order "
-                         f"in row ({q}, {u!r})")
+                         f"in row ({q}, {u!r})", r)
     w = m.weight
     if m.mode == NTS:
         bad = np.flatnonzero(w != 1.0)
         if bad.size:
-            q, u = where(m.entry_row[bad[0]])
-            raise ModelError(f"state {q}, action {u!r}: NTS weight {w[bad[0]]} is not 1")
+            q, u, r = where(m.entry_row[bad[0]])
+            raise ModelError(f"state {q}, action {u!r}: NTS weight {w[bad[0]]} is not 1", r)
         return
     bad = np.flatnonzero(~((w > 0.0) & (w <= 1.0 + ROW_SUM_TOL)))
     if bad.size:
-        q, u = where(m.entry_row[bad[0]])
-        raise ModelError(f"state {q}, action {u!r}: weight {w[bad[0]]} outside (0, 1]")
+        q, u, r = where(m.entry_row[bad[0]])
+        raise ModelError(f"state {q}, action {u!r}: weight {w[bad[0]]} outside (0, 1]", r)
     totals = np.add.reduceat(w, m.row_ptr[:-1]) if n_rows else w[:0]
     bad = np.flatnonzero(np.abs(totals - 1.0) > ROW_SUM_TOL)
     if bad.size:
-        q, u = where(bad[0])
+        q, u, r = where(bad[0])
         raise ModelError(
-            f"stochasticity violation at ({q}, {u!r}): row sum {float(totals[bad[0]])!r}")
+            f"stochasticity violation at ({q}, {u!r}): row sum {float(totals[r])!r}", r)
 
 
 def _ptr(counts) -> np.ndarray:
@@ -377,45 +385,28 @@ def parse_model(text: str) -> LabeledModel:
     if mode is None:
         raise ModelError("missing 'mode' header")
 
-    transitions: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for (q, u), succs in rows.items():
-        lineno = row_line[(q, u)]
+    for (q, _u), lineno in row_line.items():
         if not (0 <= q < n_states):
             raise ParseError(lineno, f"dangling state id {q}")
-        total = 0.0
-        kept = []
-        for succ in sorted(succs):
-            w = succs[succ]
-            if not (0 <= succ < n_states):
-                raise ParseError(lineno, f"dangling state id {succ}")
-            if mode == NTS and w not in (0.0, 1.0):
-                raise ParseError(lineno, f"NTS weight {w} at ({q}, {actions[u]!r}) is not 0 or 1")
-            if not 0 <= w <= 1 + ROW_SUM_TOL:  # NaN is outside too
-                raise ParseError(lineno, f"weight {w} outside [0, 1]")
-            total += w
-            if w > 0:
-                kept.append((succ, w))
-        if mode == MDP and abs(total - 1.0) > ROW_SUM_TOL:
-            raise ParseError(
-                lineno, f"stochasticity violation at ({q}, {actions[u]!r}): row sum {total!r}")
-        if not kept:
-            raise ParseError(lineno, f"row ({q}, {actions[u]!r}) has no positive transitions")
-        transitions[(q, u)] = kept
-
-    enabled = {q for q, _u in transitions}
-    for q in range(n_states):
-        if q not in enabled:
-            raise ModelError(f"state {q} has no enabled actions")
     for q in labels:
         if not (0 <= q < n_states):
             raise ModelError(f"dangling state id {q} in a label line")
     if state_names and sorted(state_names) != list(range(n_states)):
         raise ModelError("name lines must name every state exactly once")
 
-    return LabeledModel.from_rows(
-        transitions, n_states=n_states, initial=initial, actions=tuple(actions), mode=mode,
-        props=tuple(props), labels=[labels.get(q, 0) for q in range(n_states)],
-        state_names=tuple(map(state_names.get, range(n_states))) if state_names else None)
+    # validate_model checks the rows; a row it rejects is reported at the
+    # row's first trans line. Row r is the r-th key in sorted order.
+    keys = sorted(rows)
+    try:
+        return LabeledModel.from_rows(
+            {key: [(s, w) for s, w in rows[key].items() if w != 0] for key in keys},
+            n_states=n_states, initial=initial, actions=tuple(actions), mode=mode,
+            props=tuple(props), labels=[labels.get(q, 0) for q in range(n_states)],
+            state_names=tuple(map(state_names.get, range(n_states))) if state_names else None)
+    except ModelError as err:
+        if err.row is None:
+            raise
+        raise ParseError(row_line[keys[err.row]], str(err)) from None
 
 
 def _int_field(tokens: list[str], lineno: int, name: str) -> int:

@@ -223,8 +223,7 @@ def load_task(cfg: RunConfig) -> TaskContext:
     dra = parse_dra(Path(cfg.dra).read_text())
     if cfg.map:
         env = gridenv.parse_map(Path(cfg.map).read_text())
-        noise = gridenv.NoiseModel(eta=cfg.eta, confusion=cfg.confusion,
-                                   mc_runs=cfg.mc_runs, seed=cfg.noise_seed)
+        noise = gridenv.NoiseModel(eta=cfg.eta, mc_runs=cfg.mc_runs, seed=cfg.noise_seed)
         base_nts = gridenv.build_nts(env, cfg.confusion)
         base_mdp = gridenv.build_mdp(env, noise, base_nts) if cfg.exact_reference else None
     else:

@@ -319,10 +319,11 @@ def safe(pol, state: int) -> float:
 
 def sequence_table(pol, state: int) -> tuple[np.ndarray, np.ndarray]:
     """The first action and the feature pair of each of the sequences from
-    ``state``, in lexicographic action-id order: views of the policy's
-    tables (the terminal has none)."""
+    ``state``, in lexicographic action-id order: each sequence's first
+    action is its group's, and the features are a view of the policy's
+    table (the terminal has none)."""
     lo, hi = pol._seq_ptr[state], pol._seq_ptr[state + 1]
-    return pol._first[lo:hi], pol._feats[lo:hi]
+    return pol._group_action[pol._seq_group[lo:hi]], pol._feats[lo:hi]
 
 
 def action_probability(pol, state: int, action: int) -> float:

@@ -72,11 +72,12 @@ def pair_list(env):
     return [tuple(pair) for pair in env.pairs.tolist()]
 
 
-def production_rows(env, noise):
-    """The map's NTS and its noise rows as the pipeline obtains them:
-    ``row(pair, action name)`` is the lazy row over (previous, current)
-    pairs, checked against the same row of ``build_mdp``."""
-    nts = build_nts(env, noise.confusion)
+def production_rows(env, noise, confusion="uniform"):
+    """The map's NTS under ``confusion`` and its noise rows as the pipeline
+    obtains them: ``row(pair, action name)`` is the lazy row over
+    (previous, current) pairs, checked against the same row of
+    ``build_mdp``."""
+    nts = build_nts(env, confusion)
     mdp = build_mdp(env, noise, nts)
     lazy = transition_rows(env, noise, nts)
     pairs = pair_list(env)
@@ -187,7 +188,7 @@ def test_four_way_enabled_and_uniform_confusion():
     south = int(env.cell_region[4, 3])   # arm the robot came from
     pair = (south, node)
     # Uniform mode: intended 0.9, uniform slip over the 2 wrong arms.
-    nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="uniform"))
+    nts, row = production_rows(env, NoiseModel(eta=0.9), "uniform")
     assert [ACTIONS[u] for u in nts.enabled[pair_list(env).index(pair)]] == [
         "GoLeft", "GoRight", "GoStraight"]
     dist = dict(row(pair, "GoLeft"))
@@ -206,7 +207,7 @@ def test_undershoot_confusion_distinguishes_controls():
     pair = (south, node)
     west = int(env.cell_region[3, 1])
     north = int(env.cell_region[1, 3])
-    _nts, row = production_rows(env, NoiseModel(eta=0.9, confusion="undershoot"))
+    _nts, row = production_rows(env, NoiseModel(eta=0.9), "undershoot")
     left = dict(row(pair, "GoLeft"))
     assert left == {(node, west): 0.9, (node, north): pytest.approx(0.1)}
     straight = dict(row(pair, "GoStraight"))
@@ -266,7 +267,7 @@ def test_desk_map_golden_counts():
 @pytest.mark.parametrize("confusion", ["uniform", "undershoot"])
 def test_support_consistency_on_desk_map(confusion):
     env = parse_map(open("tasks/desk.map").read())
-    nts, row = production_rows(env, NoiseModel(eta=0.9, confusion=confusion))
+    nts, row = production_rows(env, NoiseModel(eta=0.9), confusion)
     pairs = pair_list(env)
     for i, pair in enumerate(pairs):
         for u in nts.enabled[i]:
@@ -297,7 +298,7 @@ def test_markov_pair_encoding():
 def test_build_mdp_rows_sum_to_one():
     env = parse_map(open("tasks/desk.map").read())
     for mc in (None, 500):
-        m = build_mdp(env, NoiseModel(eta=0.9, confusion="undershoot", mc_runs=mc),
+        m = build_mdp(env, NoiseModel(eta=0.9, mc_runs=mc),
                       build_nts(env, "undershoot"))
         for key, row in model_rows(m).items():
             assert abs(sum(w for _, w in row) - 1.0) <= 1e-9
@@ -305,10 +306,10 @@ def test_build_mdp_rows_sum_to_one():
 
 def test_monte_carlo_mode_is_deterministic_and_consistent():
     env = parse_map(open("tasks/desk.map").read())
-    noise = NoiseModel(eta=0.8, confusion="uniform", mc_runs=2000, seed=4)
+    noise = NoiseModel(eta=0.8, mc_runs=2000, seed=4)
     nts, row = production_rows(env, noise)
     _nts, again = production_rows(env, noise)
-    _nts, exact = production_rows(env, NoiseModel(eta=0.8, confusion="uniform"))
+    _nts, exact = production_rows(env, NoiseModel(eta=0.8))
     checked = 0
     for i, pair in enumerate(pair_list(env)):
         for u in nts.enabled[i]:
@@ -375,10 +376,10 @@ def outcome_support(ref_map, pair, action, confusion="uniform"):
     return turns[action], (() if action == "GoStraight" or straight is None else (straight,))
 
 
-def transition_probs(ref_map, noise, pair, action):
+def transition_probs(ref_map, noise, confusion, pair, action):
     """Outcome distribution over successor pair states for one control."""
     prev, cur = pair
-    intended, wrong = outcome_support(ref_map, pair, action, noise.confusion)
+    intended, wrong = outcome_support(ref_map, pair, action, confusion)
     if not wrong:
         dist = [((cur, intended), 1.0)]
     else:
@@ -395,7 +396,7 @@ def transition_probs(ref_map, noise, pair, action):
     return tuple(sorted(dist))
 
 
-def reference_models(ref_map, noise):
+def reference_models(ref_map, noise, confusion):
     """The NTS and MDP of a map built row by row through ``LabeledModel.from_rows``
     from its reference parse ``ref_map``: each row's support from
     ``outcome_support``, its probabilities from ``transition_probs``, its
@@ -406,10 +407,10 @@ def reference_models(ref_map, noise):
     for i, pair in enumerate(pairs):
         for name in enabled_actions(ref_map, pair):
             key = (i, ACTIONS.index(name))
-            intended, wrong = outcome_support(ref_map, pair, name, noise.confusion)
+            intended, wrong = outcome_support(ref_map, pair, name, confusion)
             nts_rows[key] = [(index[(pair[1], out)], 1.0) for out in {intended, *wrong}]
             mdp_rows[key] = [(index[succ], p) for succ, p in
-                             transition_probs(ref_map, noise, pair, name)]
+                             transition_probs(ref_map, noise, confusion, pair, name)]
     common = dict(
         n_states=len(pairs), initial=index[ref_map.start], actions=ACTIONS,
         props=ref_map.props,
@@ -435,8 +436,8 @@ NOISES = {
 def test_outcome_table_builds_match_row_by_row_reference(k, confusion, noise):
     text = lattice_map(k) if k else open("tasks/desk.map").read()
     env = parse_map(text)
-    noise = NoiseModel(confusion=confusion, **NOISES[noise])
-    want_nts, want_mdp = reference_models(ref.parse_map(text), noise)
+    noise = NoiseModel(**NOISES[noise])
+    want_nts, want_mdp = reference_models(ref.parse_map(text), noise, confusion)
     nts = build_nts(env, confusion)
     mdp = build_mdp(env, noise, nts)
     assert nts == want_nts

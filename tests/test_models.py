@@ -76,23 +76,45 @@ trans 2 a 2 1.0
 def test_dangling_state_and_empty_enabled():
     with pytest.raises(ParseError, match="dangling state id 7"):
         parse_model("states 2\ninitial 0\nmode mdp\ntrans 0 a 7 1.0\ntrans 1 a 1 1.0")
-    with pytest.raises(ModelError, match="state 1 has no enabled actions"):
+    # A state without rows breaks a whole-model rule: no line to name.
+    with pytest.raises(ModelError, match="state 1 has no enabled actions") as info:
         parse_model("states 2\ninitial 0\nmode mdp\ntrans 0 a 0 1.0")
+    assert info.type is ModelError and info.value.row is None
 
 
 def test_nts_weights_must_be_flags():
-    with pytest.raises(ParseError, match="not 0 or 1"):
+    with pytest.raises(ParseError, match=r"line 4: state 0, action 'a': NTS weight 0.5 is not 1"):
         parse_model("states 1\ninitial 0\nmode nts\ntrans 0 a 0 0.5")
 
 
 @pytest.mark.parametrize("text, message", [
     ("states -1\ninitial 0\nmode mdp\n", "line 1: negative state count -1"),
     ("states 2\ninitial 0\nmode mdp\ntrans 0 a 0 1.0\ntrans 0 a 1 nan\ntrans 1 a 1 1.0",
-     "line 4: weight nan outside"),
+     "line 4: state 0, action 'a': weight nan outside"),
 ], ids=["negative-states", "nan-weight"])
 def test_out_of_range_header_and_weight_are_parse_errors(text, message):
     with pytest.raises(ParseError, match=message):
         parse_model(text)
+
+
+# Row (0, a) starts on line 4; its second entry, on line 6, comes after a
+# line of row (1, a).
+SPLIT_ROW = "states 2\ninitial 0\nmode {}\ntrans 0 a 0 {}\ntrans 1 a 1 1\ntrans 0 a {} {}\n"
+
+
+@pytest.mark.parametrize("mode, first, succ, second, message", [
+    (MDP, 0, 1, 0.0, r"state 0, action 'a': no transitions"),
+    (MDP, 0.5, 7, 0.5, r"dangling state id 7 in row \(0, 'a'\)"),
+    (NTS, 1, 1, 0.5, r"state 0, action 'a': NTS weight 0.5 is not 1"),
+    (MDP, 0.5, 1, -0.5, r"state 0, action 'a': weight -0.5 outside \(0, 1\]"),
+    (MDP, 0.5, 1, 1.5, r"state 0, action 'a': weight 1.5 outside \(0, 1\]"),
+    (MDP, 0.5, 1, "nan", r"state 0, action 'a': weight nan outside \(0, 1\]"),
+    (MDP, 0.5, 1, 0.4, r"stochasticity violation at \(0, 'a'\): row sum 0.9"),
+], ids=["all-zero", "dangling", "nts-flag", "negative", "above-one", "nan", "row-sum"])
+def test_row_errors_name_the_first_line_of_the_row(mode, first, succ, second, message):
+    with pytest.raises(ParseError, match=r"^line 4: " + message) as info:
+        parse_model(SPLIT_ROW.format(mode, first, succ, second))
+    assert info.value.lineno == 4
 
 
 def test_duplicate_transition_rejected():

@@ -28,9 +28,13 @@ generator from ``perfbench/lattice.py`` of the checkout it lives in, and
 writes the outputs to a temporary directory. The actor-critic's step is
 Python float arithmetic, so no BLAS kernel touches it; numpy's ``exp``
 kernel decides the last bits of the policy's weights, and numpy's
-elementwise kernels and one single-threaded LU of at most 64 unknowns
-(``exact.CORE_LIMIT``) those of the values, whatever the BLAS thread count.
-Digests therefore compare only between runs on one machine and one numpy.
+elementwise kernels and the dense LU of each elimination plan's core
+those of the values. A core can exceed ``exact.CORE_LIMIT`` (a rest above
+``exact.DENSE_REST`` that has filled in stops the elimination early), and
+OpenBLAS threads the LU of a large core, so the tool pins
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy loads. Digests therefore compare only between runs on one
+machine and one numpy.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib.util
+import os
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"  # read once, when numpy loads
 
 from tlcontrol.models import serialize_model  # noqa: E402
 from tlcontrol.pipeline import (  # noqa: E402
