@@ -87,6 +87,20 @@ class PolicyDivergence(RuntimeError):
     """Expected total cost diverges: the policy never reaches the terminal."""
 
 
+def _sweep(step, n: int, what: str) -> np.ndarray:
+    """x <- step(x) from x = 0 in R^n until no entry moves by more than
+    ``VALUE_TOL``; ``what`` names the iteration in the error raised after
+    ``MAX_SWEEPS`` sweeps."""
+    x = np.zeros(n)
+    for _ in range(MAX_SWEEPS):
+        nxt = step(x)
+        delta = np.abs(nxt - x).max(initial=0.0)
+        x = nxt
+        if delta <= VALUE_TOL:
+            return x
+    raise ModelError(f"{what} did not converge within {MAX_SWEEPS} sweeps")
+
+
 def _weights(m: LabeledModel, probs: np.ndarray) -> np.ndarray:
     """The policy kernel's weight on every entry of ``m``, for ``probs``
     one probability per row of ``m``."""
@@ -241,14 +255,8 @@ class _Plan:
         n = len(self.unknown)
         if self.waves is None:
             i, j, w = self.i, self.j, w[self.ids]
-            x = np.zeros(n)
-            for _ in range(MAX_SWEEPS):
-                nxt = rhs + np.bincount(i, weights=w * x[j], minlength=n)
-                delta = np.abs(nxt - x).max()
-                x = nxt
-                if delta <= VALUE_TOL:
-                    return x
-            raise ModelError(f"fixed-point iteration did not converge within {MAX_SWEEPS} sweeps")
+            return _sweep(lambda x: rhs + np.bincount(i, weights=w * x[j], minlength=n), n,
+                          "fixed-point iteration")
         a = self.ident - np.bincount(self.entry_slot, weights=w[self.entry_ids],
                                      minlength=self.n_slots)
         a[self.rhs_slot] = rhs
@@ -383,17 +391,8 @@ def max_reach(m: LabeledModel, targets: frozenset[int], zeros: frozenset[int]
     is_target = reach.is_target
     bellman = _FreeBellman(m, reach.free, is_target.astype(float))
 
-    x = np.zeros(len(bellman.states))
-    for _ in range(MAX_SWEEPS):
-        nxt = bellman.best(x)
-        delta = np.abs(nxt - x).max(initial=0.0)
-        x = nxt
-        if delta <= VALUE_TOL:
-            break
-    else:
-        raise ModelError(f"value iteration did not converge within {MAX_SWEEPS} sweeps")
     v = is_target.astype(float)
-    v[bellman.states] = x
+    v[bellman.states] = _sweep(bellman.best, len(bellman.states), "value iteration")
 
     # Policy-iteration polish: greedy extraction + exact evaluation until
     # the policy repeats.

@@ -15,15 +15,17 @@ via u1..u_{k-1}; its reach set is propagated forward, skipping branch
 states where the next action is disabled. A state's neighborhood is the
 set of states within forward possibilistic distance ``radius`` of it.
 
-Features do not depend on theta, so the tables of every non-terminal
-state are built once, at construction, from the model's CSR rows: the
-horizon-t expansion is t repeated joins of (sequence, reached state) pairs
-with the rows and their entries, every state's neighborhood is ``radius``
-joins with the successor relation, and each feature is a segment sum over
-a sequence's reached neighborhood states, added in ascending state order.
-The tables are flat arrays: each state's sequences are one slice, listed
-lexicographically, so each first action's sequences are one contiguous
-group of that slice.
+Features do not depend on theta, so the tables of every state are built
+once, at construction, from the model's CSR rows: the horizon-t expansion
+is t repeated joins of (sequence, reached state) pairs with the rows and
+their entries, every state's neighborhood is ``radius`` joins with the
+successor relation, and each feature is a segment sum over a sequence's
+reached neighborhood states, added in ascending state order. The terminal
+has no sequences to score: each of its rows gets one sequence with zero
+features, so its actions are uniform and their psi is zero. The tables are
+flat arrays indexed by the model's rows: each state's sequences are one
+slice, listed lexicographically, so the sequences of each first action,
+the state's row for that action, are one contiguous group of that slice.
 
 At a state whose sequences all start with one action, mu_theta = 1 and
 psi = 0 exactly at every theta, so ``sample_action`` returns that action
@@ -39,10 +41,10 @@ The action probabilities have one definition, whether one state asks
 (``action_distribution`` and ``sample_action``, in Python floats) or the
 whole policy does (``policy_rows``, elementwise logits and a segment
 softmax over the flat tables, giving one probability per row of the SSP's
-model, the terminal's uniform rows included): the same logit arithmetic
-and ``np.exp`` kernel, a first action's mass is its sequences' weights
-added left to right from 0.0, the state's total is its actions' masses
-added the same way, and each probability is mass / total.
+model): the same logit arithmetic and ``np.exp`` kernel, a first action's
+mass is its sequences' weights added left to right from 0.0, the state's
+total is its actions' masses added the same way, and each probability is
+mass / total.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ def _left_sums(values: np.ndarray, segment: np.ndarray, n: int) -> np.ndarray:
 
 class _Groups(NamedTuple):
     """A state's sequence table split by first action: the k-th action of
-    ``acts`` (ascending) owns the contiguous rows bounds[k]:bounds[k + 1]
-    of the feature columns ``f1`` and ``f2``."""
+    ``acts`` (ascending), the state's k-th row, owns the contiguous entries
+    bounds[k]:bounds[k + 1] of the feature columns ``f1`` and ``f2``."""
 
     acts: np.ndarray  # read-only, as ``action_distribution`` returns it
     lookup: tuple[int, ...]  # the same actions, for membership and position
@@ -175,9 +177,10 @@ class LookaheadPolicy:
     Built over an NTS-mode SSP. ``progress`` is the minimum step count to
     the terminal computed without the restart edges, so zero-probability
     states sit at infinity and are clamped to ``progress_penalty`` when
-    features are formed. Construction builds every non-terminal state's
-    sequence table and raises ``SequenceCapExceeded`` when a state has more
-    than ``sequence_cap`` sequences.
+    features are formed. Construction builds every state's sequence table
+    and raises ``SequenceCapExceeded`` when a non-terminal state has more
+    than ``sequence_cap`` sequences (the terminal's one per row do not
+    count).
     """
 
     def __init__(self, ssp: SspModel, horizon: int = 2, radius: int | None = None,
@@ -197,7 +200,7 @@ class LookaheadPolicy:
         self.progress_penalty = (
             float(m.n_states) if progress_penalty is None else float(progress_penalty))
 
-        n = m.n_states
+        n, n_act = m.n_states, len(m.actions)
         roots = np.flatnonzero(np.arange(n) != ssp.terminal)
         owner, first, pair_seq, pair_state = _sequence_reach(m, roots, horizon, sequence_cap)
         ball = _neighborhoods(m, self.radius)
@@ -211,27 +214,21 @@ class LookaheadPolicy:
         inside = _contains(ball, root * n + pair_state)
         seq, state, root = pair_seq[inside], pair_state[inside], root[inside]
         clamped = np.where(np.isfinite(self.progress), self.progress, self.progress_penalty)
-        self._feats = np.column_stack((
+        feats = np.column_stack((
             _left_sums(self._safe[state], seq, len(first)),
             _left_sums(clamped[state] - clamped[root], seq, len(first))))
 
-        # Groups: each (state, first action) run of sequences.
-        new = np.ones(len(first), dtype=bool)
-        new[1:] = (owner[1:] != owner[:-1]) | (first[1:] != first[:-1])
-        self._seq_group = np.cumsum(new) - 1
-        self._group_start = np.flatnonzero(new)
-        self._group_action = first[self._group_start]
-        self._group_action.flags.writeable = False
-        self._group_owner = owner[self._group_start]
-        self._seq_owner = owner
-        self._root_seq_start = np.flatnonzero(np.diff(owner, prepend=-1))
-        seq_count = np.zeros(n, dtype=np.int64)
-        seq_count[roots] = np.bincount(owner, minlength=len(roots))
-        group_count = np.zeros(n, dtype=np.int64)
-        group_count[roots] = np.bincount(self._group_owner, minlength=len(roots))
-        self._seq_ptr = _ptr(seq_count).tolist()
-        self._group_ptr = _ptr(group_count).tolist()
-        self._terminal_rows = m.state_ptr[ssp.terminal:ssp.terminal + 2].tolist()
+        # Each sequence belongs to the SSP row of its root and first action;
+        # each of the terminal's rows gets one sequence with zero features.
+        seq_row = np.searchsorted(m.row_state * n_act + m.row_action,
+                                  roots[owner] * n_act + first)
+        lo, hi = m.state_ptr[ssp.terminal:ssp.terminal + 2]
+        at = np.searchsorted(seq_row, lo)
+        self._seq_row = np.insert(seq_row, at, np.arange(lo, hi))
+        self._feats = np.insert(feats, at, np.zeros((hi - lo, 2)), axis=0)
+        self._row_seq = _ptr(np.bincount(self._seq_row, minlength=len(m.row_state)))
+        self._seq_state = m.row_state[self._seq_row]
+        self._state_ptr = m.state_ptr.tolist()
         self._groups: dict[int, _Groups] = {}
         # The last state's softmax weights, keyed on (state, theta).
         self._held_key: tuple[int, tuple[float, float]] | None = None
@@ -254,13 +251,12 @@ class LookaheadPolicy:
     def _groups_of(self, state: int) -> _Groups:
         groups = self._groups.get(state)
         if groups is None:
-            lo, hi = self._seq_ptr[state], self._seq_ptr[state + 1]
-            g0, g1 = self._group_ptr[state], self._group_ptr[state + 1]
-            acts = self._group_action[g0:g1]
-            feats = self._feats[lo:hi]
+            r0, r1 = self._state_ptr[state], self._state_ptr[state + 1]
+            bounds = self._row_seq[r0:r1 + 1]
+            feats = self._feats[bounds[0]:bounds[-1]]
+            acts = self.model.row_action[r0:r1]
             groups = self._groups[state] = _Groups(
-                acts, tuple(acts.tolist()),
-                tuple((self._group_start[g0:g1] - lo).tolist()) + (hi - lo,),
+                acts, tuple(acts.tolist()), tuple((bounds - bounds[0]).tolist()),
                 feats[:, 0].tolist(), feats[:, 1].tolist())
         return groups
 
@@ -278,8 +274,8 @@ class LookaheadPolicy:
         return self._held_w
 
     def _probabilities(self, state: int) -> tuple[_Groups, list[float]]:
-        """A non-terminal state's groups and its action probabilities at the
-        current theta, as Python floats in ``acts`` order."""
+        """A state's groups and its action probabilities at the current
+        theta, as Python floats in ``acts`` order."""
         groups = self._groups_of(state)
         w = self._weights(state)
         bounds = groups.bounds
@@ -292,40 +288,34 @@ class LookaheadPolicy:
     # -- distributions ------------------------------------------------------
 
     def action_distribution(self, state: int) -> tuple[np.ndarray, np.ndarray]:
-        """(action ids, probabilities), actions sorted ascending. A
-        non-terminal state's action ids are read-only: every call shares
+        """(action ids, probabilities), actions sorted ascending. The action
+        ids are a read-only view of the model's rows: every call shares
         them."""
-        if state == self.ssp.terminal:
-            acts = np.arange(len(self.model.actions))
-            return acts, np.full(len(acts), 1.0 / len(acts))
         groups, probs = self._probabilities(state)
         return groups.acts, np.array(probs)
 
     def policy_rows(self) -> np.ndarray:
         """The whole policy at the current theta: one probability per row
         of the SSP's model, the row space of ``save_policy``,
-        ``parse_policy`` and ``exact.expected_total_cost``. A non-terminal
-        state's rows are its (first action) groups, actions ascending; the
-        terminal's are uniform. Equal, bit for bit, to
+        ``parse_policy`` and ``exact.expected_total_cost``. Each row's
+        sequences are its group, the terminal's one zero-feature sequence
+        each, so the terminal's rows are uniform. Equal, bit for bit, to
         ``action_distribution`` state by state."""
+        m = self.model
         t1, t2 = self._theta
         logits = self._feats[:, 0] * t1 + self._feats[:, 1] * t2
-        top = np.maximum.reduceat(logits, self._root_seq_start)
-        w = np.exp(logits - top[self._seq_owner])
-        mass = _left_sums(w, self._seq_group, len(self._group_start))
-        total = _left_sums(mass, self._group_owner, len(self._root_seq_start))
-        probs = mass / total[self._group_owner]
-        lo, hi = self._terminal_rows
-        return np.concatenate((probs[:lo], np.full(hi - lo, 1.0 / (hi - lo)), probs[lo:]))
+        top = np.maximum.reduceat(logits, self._row_seq[m.state_ptr[:-1]])
+        w = np.exp(logits - top[self._seq_state])
+        mass = _left_sums(w, self._seq_row, len(m.row_state))
+        total = _left_sums(mass, m.row_state, m.n_states)
+        return mass / total[m.row_state]
 
     def log_policy_gradient(self, state: int, action: int) -> tuple[float, float]:
         """Gradient of ln mu_theta(state, action) with respect to theta."""
-        if state == self.ssp.terminal:
-            return 0.0, 0.0
-        g0 = self._group_ptr[state]
-        if self._group_ptr[state + 1] - g0 == 1:
+        r0 = self._state_ptr[state]
+        if self._state_ptr[state + 1] - r0 == 1:
             # One first action: it has probability 1 and psi = 0 exactly.
-            if action != self._group_action[g0]:
+            if action != self.model.row_action[r0]:
                 raise ModelError(f"action {action} has zero probability at state {state}")
             return 0.0, 0.0
         _acts, lookup, bounds, f1, f2 = self._groups_of(state)
@@ -344,22 +334,15 @@ class LookaheadPolicy:
         """Inverse-CDF draw: the first action whose running probability sum
         exceeds a uniform draw; the last action if none does. A state with
         one action takes no draw."""
-        if state == self.ssp.terminal:
-            acts, probs = self.action_distribution(state)
-            acts, probs = acts.tolist(), probs.tolist()
-        else:
-            g0 = self._group_ptr[state]
-            if self._group_ptr[state + 1] - g0 == 1:
-                return int(self._group_action[g0])
-            groups, probs = self._probabilities(state)
-            acts = groups.lookup
-        if len(acts) == 1:
-            return acts[0]
+        r0 = self._state_ptr[state]
+        if self._state_ptr[state + 1] - r0 == 1:
+            return int(self.model.row_action[r0])
+        groups, probs = self._probabilities(state)
         x = rng.random()
         acc = 0.0
-        for u, p in zip(acts, probs):
+        for u, p in zip(groups.lookup, probs):
             acc += p
             # x < acc, except that a NaN sum sorts above x, as in np.searchsorted.
             if not acc <= x:
                 return u
-        return acts[-1]
+        return groups.lookup[-1]

@@ -320,10 +320,10 @@ def safe(pol, state: int) -> float:
 def sequence_table(pol, state: int) -> tuple[np.ndarray, np.ndarray]:
     """The first action and the feature pair of each of the sequences from
     ``state``, in lexicographic action-id order: each sequence's first
-    action is its group's, and the features are a view of the policy's
-    table (the terminal has none)."""
-    lo, hi = pol._seq_ptr[state], pol._seq_ptr[state + 1]
-    return pol._group_action[pol._seq_group[lo:hi]], pol._feats[lo:hi]
+    action is its row's, and the features are a view of the policy's
+    table (the terminal's are one zero-feature sequence per row)."""
+    lo, hi = pol._row_seq[pol._state_ptr[state]], pol._row_seq[pol._state_ptr[state + 1]]
+    return pol.model.row_action[pol._seq_row[lo:hi]], pol._feats[lo:hi]
 
 
 def action_probability(pol, state: int, action: int) -> float:

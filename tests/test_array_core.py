@@ -150,7 +150,8 @@ def test_all_state_tables_match_brute_force(seed, horizon, radius, n_states, n_a
         per_state.append(pol.action_distribution(state)[1])
         first, feats = ref.sequence_table(pol, state)
         if state == ssp.terminal:
-            assert len(first) == len(feats) == 0
+            assert first.tolist() == list(ssp.base.enabled[state])
+            assert feats.tolist() == [[0.0, 0.0]] * len(first)
             continue
         seqs = ref.action_sequences(ssp.base, state, horizon)
         assert first.tolist() == [seq[0] for seq, _reach in seqs]

@@ -358,6 +358,18 @@ def test_value_iteration_cap_is_loud(monkeypatch):
         max_reach(m, frozenset({1}), frozenset())
 
 
+def test_fixed_point_cap_is_loud(monkeypatch):
+    # Three unknowns above a dense limit of 2 go to the fixed point, and
+    # one sweep from zero moves state 2's value by 0.5.
+    m = parse_model("states 4\ninitial 0\nmode mdp\ntrans 0 a 1 1.0\ntrans 1 a 2 1.0\n"
+                    "trans 2 a 3 0.5\ntrans 2 a 0 0.5\ntrans 3 a 3 1.0")
+    monkeypatch.setattr(exact, "DENSE_LIMIT", 2)
+    monkeypatch.setattr(exact, "MAX_SWEEPS", 1)
+    with pytest.raises(ModelError,
+                       match="^fixed-point iteration did not converge within 1 sweeps$"):
+        eval_policy_reach(m, np.ones(4), frozenset({3}), frozenset())
+
+
 def _random_policy(rng, m):
     """Randomized policy that drops each action with probability 0.4 but
     keeps at least one per state."""

@@ -263,9 +263,10 @@ def test_neighborhoods_are_computed_once_and_dropped_with_the_tables(rng):
     for state in range(ssp.base.n_states):
         nb = neighborhood(ssp.base, state, 2)
         assert safe(pol, state) == sum(1 for j in nb if j not in ssp.bad) / len(nb)
-        first, _feats = sequence_table(pol, state)
+        first, feats = sequence_table(pol, state)
         if state == ssp.terminal:
-            assert len(first) == 0
+            assert first.tolist() == list(ssp.base.enabled[state])
+            assert not feats.any()
         else:
             assert first.tolist() == [e[0] for e, _ in action_sequences(ssp.base, state, 2)]
 
@@ -273,14 +274,15 @@ def test_neighborhoods_are_computed_once_and_dropped_with_the_tables(rng):
 @pytest.mark.parametrize("theta", [(5.0, -0.5), (0.0, 0.0), (-3.0, 2.5)])
 def test_policy_rows_cover_every_ssp_row(rng, theta):
     # One probability per row of the SSP's model, the terminal's uniform
-    # rows included, wherever the terminal sits: action_distribution state
-    # by state, bit for bit.
+    # rows included, wherever the terminal sits and whichever actions it
+    # enables: action_distribution state by state, bit for bit.
     chain = parse_model("states 3\ninitial 1\nmode nts\ntrans 0 a 0 1\ntrans 0 b 0 1\n"
                         "trans 1 a 2 1\ntrans 1 b 0 1\ntrans 2 a 0 1\ntrans 2 b 1 1")
     ssps = [make_random_ssp(rng, n_states=int(rng.integers(3, 9)),
                             n_actions=int(rng.integers(1, 4))) for _ in range(6)]
     ssps += [load_task(RunConfig.from_file("tasks/desk.json")).ssp,
-             SspModel(base=chain, terminal=0, bad=frozenset(), origin=(-1, 0, 1))]
+             SspModel(base=chain, terminal=0, bad=frozenset(), origin=(-1, 0, 1)),
+             three_sequence_policy()]
     for ssp in ssps:
         pol = LookaheadPolicy(ssp, horizon=2, theta=theta)
         rows = pol.policy_rows()
@@ -366,6 +368,15 @@ def test_terminal_state_conventions(rng):
     acts, probs = pol.action_distribution(ssp.terminal)
     assert np.allclose(probs, 1.0 / len(acts))
     assert np.allclose(pol.log_policy_gradient(ssp.terminal, int(acts[0])), 0.0)
+    # A terminal that enables only some actions offers only those: action 0
+    # ("a") is certain there, and the disabled action 1 ("b") has zero
+    # probability, as at any other state.
+    pol = LookaheadPolicy(three_sequence_policy(), horizon=2)
+    r = np.random.default_rng(0)
+    assert {pol.sample_action(2, r) for _ in range(50)} == {0}
+    assert pol.log_policy_gradient(2, 0) == (0.0, 0.0)
+    with pytest.raises(ModelError, match="zero probability"):
+        pol.log_policy_gradient(2, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -518,8 +529,10 @@ def test_weights_are_held_for_the_last_state_at_the_current_theta():
     states = [s for s in range(ssp.base.n_states) if s != ssp.terminal]
     for s in range(ssp.base.n_states):
         pol.action_distribution(s)
-    # A sweep over every state leaves one state's weights behind.
-    assert pol._held_key == (states[-1], pol.theta)
+    # A sweep over every state leaves the last state's weights behind (on
+    # desk the terminal, which has one zero-feature sequence per action).
+    assert ssp.terminal == ssp.base.n_states - 1
+    assert pol._held_key == (ssp.terminal, pol.theta)
     state = next(s for s in states if len(pol.action_distribution(s)[0]) > 1)
     w = pol._weights(state)
     assert pol._weights(state) is w
