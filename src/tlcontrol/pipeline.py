@@ -13,14 +13,16 @@ lazy probability source.
 subcommand reads it: the models, the product with its accepting
 components and goal/zero sets, ``early_exit`` (the satisfaction
 probability when no policy choice matters), the restart SSP handed to the
-actor-critic, and ``optimal_values``, the exact optimum that
-``synthesize`` and ``compare`` read. The SSP and the optimum are built on
-first use, so a multi-seed run computes the optimum once.
+actor-critic, its probabilistic twin ``exact_ssp`` that the exact oracles
+read, and ``optimal_values``, the exact optimum that ``synthesize`` and
+``compare`` read. The SSPs and the optimum are built on first use, so a
+multi-seed run computes the optimum once.
 
 A policy lives in the SSP's row space, one probability per row of the
-SSP's model (``LookaheadPolicy.policy_rows``, ``parse_policy``), and is
-judged on the product through ``rsp_product_policy``, the one map from SSP
-rows onto product rows.
+SSP's model (``LookaheadPolicy.policy_rows``, ``parse_policy``). The two
+SSPs share their rows, so the policy is judged on ``exact_ssp`` as it
+stands: reaching the terminal, with the restart states as zeros, is
+reaching the product's goal states.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .synthesis import (
     SspModel,
     SspTransitionSource,
     TransitionSource,
-    _members,
     amecs,
     build_product,
     goal_and_bad_sets,
@@ -174,8 +175,8 @@ def _fits(value: object, hint: object) -> bool:
 
 @dataclass
 class TaskContext:
-    """The task every subcommand reads, built once per invocation; the SSP
-    and the exact optimum are built on first use."""
+    """The task every subcommand reads, built once per invocation; the
+    SSPs and the exact optimum are built on first use."""
 
     cfg: RunConfig
     dra: RabinAutomaton
@@ -212,10 +213,22 @@ class TaskContext:
         return mrp_to_ssp(self.product, self.goal, self.bad)
 
     @cached_property
+    def exact_ssp(self) -> SspModel:
+        """The restart SSP of the probabilistic product (``product_mdp``,
+        which must exist): ``ssp``'s states, rows and restart set, with
+        transition probabilities."""
+        return mrp_to_ssp(self.product_mdp, self.goal, self.bad)
+
+    @cached_property
     def optimal_values(self) -> np.ndarray:
-        """Each product state's optimal satisfaction probability, from
-        ``exact.max_reach`` on the probabilistic product."""
-        return exact.max_reach(self.product_mdp.base, self.goal, self.bad)[0]
+        """Each product state's optimal satisfaction probability:
+        ``exact.max_reach`` of the terminal on ``exact_ssp``, read back
+        through ``origin``, with 1 on the goal states."""
+        ssp = self.exact_ssp
+        v = exact.max_reach(ssp.base, frozenset({ssp.terminal}), ssp.bad)[0]
+        values = np.ones(self.product.base.n_states)
+        values[ssp.origin[:ssp.terminal]] = v[:ssp.terminal]
+        return values
 
 
 def load_task(cfg: RunConfig) -> TaskContext:
@@ -241,23 +254,6 @@ def load_task(cfg: RunConfig) -> TaskContext:
                        base_row=base_row, product=product,
                        product_mdp=product_mdp, amec_list=amec_list,
                        goal=goal, bad=bad)
-
-
-def rsp_product_policy(ssp: SspModel, m: LabeledModel, probs: np.ndarray) -> np.ndarray:
-    """The SSP policy ``probs`` (one probability per row of ``ssp.base``)
-    as one probability per row of the product model ``m``: each
-    non-terminal state's rows land on the rows of its product state
-    ``ssp.origin[state]``, which has the same actions in the same order.
-    The terminal's rows are dropped and goal rows stay 0: goal states are
-    evaluation boundary."""
-    state = ssp.base.row_state
-    old = ssp.origin[state]
-    live = old >= 0
-    # A row keeps its offset within its state's rows.
-    rows = m.state_ptr[old] - ssp.base.state_ptr[state] + np.arange(len(state))
-    out = np.zeros(len(m.row_action))
-    out[rows[live]] = probs[live]
-    return out
 
 
 @dataclass
@@ -324,16 +320,17 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     evaluator = None
     optimal = None
     if ctx.product_mdp is not None:
-        m = ctx.product_mdp.base
-        reach = exact.ReachEvaluator(m, ctx.goal, ctx.bad)
+        exact_ssp = ctx.exact_ssp
+        m, terminal = exact_ssp.base, frozenset({exact_ssp.terminal})
+        reach = exact.ReachEvaluator(m, terminal, exact_ssp.bad)
 
         def evaluator(theta):
             policy.theta = theta
-            return exact.eval_policy_reach(m, rsp_product_policy(ssp, m, policy.policy_rows()),
-                                           ctx.goal, ctx.bad, evaluator=reach)
+            return exact.eval_policy_reach(m, policy.policy_rows(), terminal, exact_ssp.bad,
+                                           evaluator=reach)
 
         if cfg.exact_reference:
-            optimal = float(ctx.optimal_values[m.initial])
+            optimal = float(ctx.optimal_values[ctx.product.base.initial])
 
     theta, trace = run(ssp, source, policy, cfg, evaluator=evaluator)
 
@@ -375,7 +372,7 @@ def compare(cfg: RunConfig) -> Report:
         return report
     outdir = Path(cfg.outdir)
     values = ctx.optimal_values
-    optimal = report.optimal_probability = float(values[ctx.product_mdp.base.initial])
+    optimal = report.optimal_probability = float(values[ctx.product.base.initial])
     with open(outdir / "values.csv", "w") as f:
         exact.write_value_csv(f, values)
     with open(outdir / "curve.csv", "w") as f:
@@ -386,20 +383,18 @@ def compare(cfg: RunConfig) -> Report:
 
 
 def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
-    """Exact reachability probability of a saved policy file. The file must
-    define the policy at every SSP state that is neither the terminal nor a
-    restart state, and an error names the file's own state ids."""
+    """Exact reachability probability of a saved policy file, evaluated on
+    ``exact_ssp``. The file must define the policy at every SSP state that
+    is neither the terminal nor a restart state, and an error names the
+    file's own state ids."""
     ctx = load_task(cfg)
     if ctx.product_mdp is None:
         raise ModelError("eval needs exact probabilities (enable exact_reference)")
     if ctx.early_exit is not None:
         return ctx.early_exit
-    ssp = ctx.ssp
+    ssp = ctx.exact_ssp
     probs = parse_policy(Path(policy_path).read_text(), ssp.base)
-    exact.require_defined(ssp.base, probs,
-                          ~_members(ssp.bad | {ssp.terminal}, ssp.base.n_states))
-    m = ctx.product_mdp.base
-    return exact.eval_policy_reach(m, rsp_product_policy(ssp, m, probs), ctx.goal, ctx.bad)
+    return exact.eval_policy_reach(ssp.base, probs, frozenset({ssp.terminal}), ssp.bad)
 
 
 def write_models(cfg: RunConfig) -> list[Path]:

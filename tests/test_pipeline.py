@@ -23,7 +23,6 @@ from tlcontrol.pipeline import (
     compare,
     evaluate_policy_file,
     load_task,
-    rsp_product_policy,
     synthesize,
     synthesize_seeds,
     write_models,
@@ -33,9 +32,11 @@ from tlcontrol.synthesis import (
     build_product,
     goal_and_bad_sets,
     mrp_to_ssp,
+    with_probabilities,
 )
 from dict_reference import prop_mask
-from conftest import PROP_NAMES, lattice_map, parse_ssp_text, random_dra, random_mdp
+from conftest import (
+    PROP_NAMES, lattice_map, make_random_ssp, parse_ssp_text, random_dra, random_mdp)
 
 TINY_MAP = """
 #######
@@ -127,11 +128,19 @@ def test_trivial_task_initial_already_accepting(tiny_task, tmp_path):
 
 
 @pytest.mark.parametrize("dra, value", [(UNREACHABLE_K_DRA, 0.0), (UNIT_DRA, 1.0)])
-def test_no_choice_tasks_exit_early_in_every_subcommand(tiny_task, tmp_path, dra, value):
+def test_no_choice_tasks_exit_early_in_every_subcommand(tiny_task, tmp_path, monkeypatch,
+                                                        dra, value):
     # Zero probability, or the initial state already in the goal: every
     # subcommand answers from the task's early-exit value alone.
     (tmp_path / "task.dra").write_text(dra)
     cfg = dataclasses.replace(tiny_task, dra=str(tmp_path / "task.dra"))
+    contexts = []
+
+    def loading(cfg):
+        contexts.append(load_task(cfg))
+        return contexts[-1]
+
+    monkeypatch.setattr(pipeline, "load_task", loading)
     ctx = load_task(cfg)
     assert ctx.early_exit == value
     report = synthesize(cfg, ctx)
@@ -150,6 +159,9 @@ def test_no_choice_tasks_exit_early_in_every_subcommand(tiny_task, tmp_path, dra
         ["product.model"] if value == 1.0 else ["product.model", "ssp.model"])
     assert sorted(path.name for path in (tmp_path / "build").iterdir()) == [
         path.name for path in paths]
+    # No subcommand builds the exact SSP on an early exit.
+    assert len(contexts) == 3
+    assert not any("exact_ssp" in vars(c) for c in [ctx, *contexts])
 
 
 def test_pipeline_determinism_byte_identical_trace(tiny_task, tmp_path):
@@ -191,8 +203,7 @@ def test_compare_single_action_model_hits_optimum(tmp_path):
 def test_compare_curve_matches_replayed_evaluation(tiny_task):
     report = compare(tiny_task)
     ctx = load_task(tiny_task)
-    ssp = ctx.ssp
-    m = ctx.product_mdp.base
+    ssp, twin = ctx.ssp, ctx.exact_ssp
     trace_rows = Path(tiny_task.outdir, "trace.csv").read_text().splitlines()[1:]
     by_k = {}
     for row in trace_rows:
@@ -204,8 +215,8 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
         k, rsp_val, opt_val = row.split(",")
         t1, t2, exact_col = by_k[int(k)]
         pol = LookaheadPolicy(ssp, horizon=tiny_task.horizon, theta=(t1, t2))
-        replayed = exact.eval_policy_reach(m, rsp_product_policy(ssp, m, pol.policy_rows()),
-                                           ctx.goal, ctx.bad)
+        replayed = exact.eval_policy_reach(twin.base, pol.policy_rows(),
+                                           frozenset({twin.terminal}), twin.bad)
         assert abs(replayed - float(rsp_val)) <= 1e-12
         assert float(exact_col) == float(rsp_val)
         assert float(opt_val) >= float(rsp_val) - 1e-9
@@ -222,59 +233,35 @@ def test_whole_policy_sweep_matches_per_state(tiny_task, task, theta):
     sweep = pol.policy_rows()
     assert np.all(np.isfinite(sweep))
     assert np.array_equal(sweep, np.concatenate([probs for _acts, probs in per_state]))
-    # Re-indexed onto the product: every state's distribution lands on the
-    # rows of its product state, and goal rows stay empty.
-    m = ctx.product_mdp.base
-    product = rsp_product_policy(ssp, m, sweep)
-    for state, (acts, probs) in enumerate(per_state):
-        if state == ssp.terminal:
-            continue
-        lo, hi = m.state_ptr[ssp.origin[state]], m.state_ptr[ssp.origin[state] + 1]
-        assert list(m.row_action[lo:hi]) == list(acts)
-        assert np.array_equal(product[lo:hi], probs)
-    assert not product[np.isin(m.row_state, list(ctx.goal))].any()
 
 
-def assert_ssp_rows_land_on_origin(product, goal, bad):
-    """Through ``rsp_product_policy``, every non-terminal SSP row's
-    probability lands on the row of its origin product state with the same
-    action, and every other product row, each goal row among them, stays
-    0."""
-    ssp = mrp_to_ssp(product, goal, bad)
-    m, s = product.base, ssp.base
-    # A distinct mark per SSP row, so a row landing anywhere else shows.
-    probs = np.arange(1.0, len(s.row_action) + 1)
-    want = np.zeros(len(m.row_action))
-    for row, (state, action) in enumerate(s.enabled_pairs()):
-        if state != ssp.terminal:
-            old = ssp.origin[state]
-            assert s.enabled[state] == m.enabled[old]
-            want[m.state_ptr[old] + m.enabled[old].index(action)] = probs[row]
-    got = rsp_product_policy(ssp, m, probs)
-    assert np.array_equal(got, want)
-    assert not got[np.isin(m.row_state, list(goal))].any()
-    assert np.count_nonzero(got) == np.count_nonzero(s.row_state != ssp.terminal)
+def assert_exact_ssp_shares_the_rows(ssp, twin):
+    """The probabilistic twin of an SSP has its states, rows, restart set
+    and origin, so a row policy of one is a row policy of the other."""
+    for name in ("state_ptr", "row_state", "row_action"):
+        assert np.array_equal(getattr(twin.base, name), getattr(ssp.base, name))
+    assert np.array_equal(twin.origin, ssp.origin)
+    assert (twin.terminal, twin.bad, twin.initial) == (ssp.terminal, ssp.bad, ssp.initial)
 
 
-@pytest.mark.parametrize("task", ["tiny", "desk", "lattice-k8"])
-def test_ssp_rows_land_on_their_product_rows(tiny_task, tmp_path, task):
+@pytest.mark.parametrize("task", ["tiny", "desk", "desk-mc20", "lattice-k8"])
+def test_exact_ssp_shares_the_ssps_rows(tiny_task, tmp_path, task):
+    # With mc_runs 20 the probability refit drops edges: rows stay.
     cfg = tiny_task if task == "tiny" else RunConfig.from_file("tasks/desk.json")
+    if task == "desk-mc20":
+        cfg = dataclasses.replace(cfg, mc_runs=20)
     if task == "lattice-k8":
         (tmp_path / "lattice.map").write_text(lattice_map(8))
         cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
     ctx = load_task(cfg)
-    assert_ssp_rows_land_on_origin(ctx.product, ctx.goal, ctx.bad)
-    # The probability refit keeps every row where it was.
-    for name in ("row_state", "row_action"):
-        assert np.array_equal(getattr(ctx.product_mdp.base, name),
-                              getattr(ctx.product.base, name))
+    assert_exact_ssp_shares_the_rows(ctx.ssp, ctx.exact_ssp)
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), label_rule=st.sampled_from(["next", "current"]),
        n_states=st.integers(1, 7), n_actions=st.integers(1, 3), n_props=st.integers(1, 3),
        dra_states=st.integers(1, 4))
-def test_ssp_rows_land_on_their_product_rows_on_random_products(
+def test_exact_ssp_shares_the_ssps_rows_on_random_products(
         seed, label_rule, n_states, n_actions, n_props, dra_states):
     rng = np.random.default_rng(seed)
     m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=3, n_props=n_props)
@@ -284,7 +271,37 @@ def test_ssp_rows_land_on_their_product_rows_on_random_products(
     goal = frozenset(np.flatnonzero(rng.random(n) < 0.3).tolist()) - {product.base.initial}
     found = [Amec(states=goal, rows=np.zeros(0, dtype=np.int64), pair_index=0)] if goal else []
     _goal, bad = goal_and_bad_sets(product, found)
-    assert_ssp_rows_land_on_origin(product, goal, bad)
+    assert_exact_ssp_shares_the_rows(mrp_to_ssp(product, goal, bad),
+                                     mrp_to_ssp(with_probabilities(product, m), goal, bad))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_states=st.integers(2, 7), n_actions=st.integers(1, 3))
+def test_exact_ssp_judges_policies_as_the_product_does(seed, n_states, n_actions):
+    rng = np.random.default_rng(seed)
+    *_, product_mdp, goal, bad, ssp, twin = make_random_ssp(
+        rng, n_states=n_states, n_actions=n_actions, want_mdp=True)
+    assert_exact_ssp_shares_the_rows(ssp, twin)
+    m, terminal = product_mdp.base, frozenset({twin.terminal})
+    # The optimum read back through origin is the product's to the last bit.
+    values = np.ones(m.n_states)
+    values[twin.origin[:twin.terminal]] = exact.max_reach(twin.base, terminal, twin.bad)[0][:-1]
+    assert np.array_equal(values, exact.max_reach(m, goal, bad)[0])
+    # The SSP's rows are the product's non-goal rows in order, then the
+    # terminal's, so a random SSP row policy carries over row for row.
+    # The values may differ in the last bit: the SSP merges a row's goal
+    # mass before weighting it, p * (w1 + w2), where the product sums
+    # p * w1 + p * w2.
+    s = twin.base
+    product_rows = ~np.isin(m.row_state, list(goal))
+    for _ in range(5):
+        probs = rng.random(len(s.row_action)) * (rng.random(len(s.row_action)) < 0.8)
+        probs[s.state_ptr[:-1]] += 0.1  # every state keeps some mass
+        probs /= np.add.reduceat(probs, s.state_ptr[:-1])[s.row_state]
+        product_probs = np.zeros(len(m.row_action))
+        product_probs[product_rows] = probs[s.row_state != twin.terminal]
+        assert abs(exact.eval_policy_reach(twin.base, probs, terminal, twin.bad)
+                   - exact.eval_policy_reach(m, product_probs, goal, bad)) <= 1e-12
 
 
 def test_desk_compare_builds_two_solve_plans(tmp_path, monkeypatch):
