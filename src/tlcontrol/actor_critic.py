@@ -27,8 +27,10 @@ Every number of the loop (z, b, A, r, psi, the step direction, theta and
 the gradient EMA) is a Python float, and every pair a tuple: the dot
 products are formed left to right, and r comes from ``solve_2x2``, an LU
 factorization with partial pivoting written in floats, so no step depends
-on the BLAS or LAPACK kernel. A step asks numpy only for its random draws
-and for the policy's one ``np.exp`` call.
+on the BLAS or LAPACK kernel. The random draws come from ``Pcg64``, numpy's
+``default_rng`` stream drawn in Python, so a step asks numpy only for the
+policy's one ``np.exp`` call, and that kernel alone decides a sample path's
+bits.
 
 The run's record, ``RunTrace``, is a set of typed columns (stdlib
 ``array``s of doubles and 64-bit ints), one row per iteration, so it grows
@@ -74,6 +76,70 @@ class ActorState(NamedTuple):
 
 # Decay of the gradient-norm EMA that the stopping test reads.
 EMA_DECAY = 0.99
+
+_MASK32 = 0xFFFFFFFF
+_MASK53 = (1 << 53) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class Pcg64:
+    """The doubles of numpy's ``default_rng(seed)``, bit for bit, drawn in
+    Python: O'Neill's PCG64 (XSL-RR 128/64) seeded through numpy's
+    ``SeedSequence``, so a run never loads numpy's generator module (nor
+    the ``secrets`` and ``hashlib`` it imports)."""
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        entropy = [seed & _MASK32]  # little-endian 32-bit words
+        while seed := seed >> 32:
+            entropy.append(seed & _MASK32)
+        mult = 0x43B0D7E5
+
+        def hashmix(x: int) -> int:
+            nonlocal mult
+            x ^= mult
+            mult = mult * 0x931E8875 & _MASK32
+            x = x * mult & _MASK32
+            return x ^ x >> 16
+
+        def mix(x: int, y: int) -> int:
+            x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+            return x ^ x >> 16
+
+        # SeedSequence: hash the words into a pool of four, mix every pool
+        # word into every other, fold in the words past the fourth...
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        # ...and emit eight words, paired little-endian into s0..s3.
+        mult, words = 0x8B51F9DD, []
+        for i in range(8):
+            x = pool[i % 4] ^ mult
+            mult = mult * 0x58F38DED & _MASK32
+            x = x * mult & _MASK32
+            words.append(x ^ x >> 16)
+        s0, s1, s2, s3 = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+        # PCG64 seeding from state 0: a step (state = inc), add s0:s1, a step.
+        self.inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _MASK128
+
+    def random(self) -> float:
+        """The next double in [0, 1): a step, then the top 53 bits of the
+        XSL-RR output, the 64-bit hi ^ lo rotated right by hi >> 58."""
+        s = self.state = (self.state * _PCG_MULT + self.inc) & _MASK128
+        hi = s >> 64
+        x = (hi ^ s) & _MASK64
+        return ((x << 64 | x) >> ((hi >> 58) + 11) & _MASK53) * 2.0 ** -53
 
 
 @dataclass
@@ -261,7 +327,7 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
     the recorded theta every cadence point and its value lands in the trace
     row.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = Pcg64(cfg.seed)
 
     def sample(row: tuple[tuple[int, float], ...]) -> int:
         if len(row) == 1:

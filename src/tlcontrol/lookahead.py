@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Protocol
 
 import numpy as np
 
@@ -146,6 +146,13 @@ def _left_sums(values: np.ndarray, segment: np.ndarray, n: int) -> np.ndarray:
     """The sum of each segment's values, added left to right in array order
     (``np.bincount`` accumulates in that order)."""
     return np.bincount(segment, weights=values, minlength=n)
+
+
+class Uniform(Protocol):
+    """A source of uniform doubles in [0, 1): ``actor_critic.Pcg64`` in a
+    run, or a numpy ``Generator``."""
+
+    def random(self) -> float: ...
 
 
 class _Groups(NamedTuple):
@@ -330,10 +337,11 @@ class LookaheadPolicy:
         ws, ws1, ws2 = _weighted_sums(w, f1, f2)
         return wu1 / wu - ws1 / ws, wu2 / wu - ws2 / ws
 
-    def sample_action(self, state: int, rng: np.random.Generator) -> int:
+    def sample_action(self, state: int, rng: Uniform) -> int:
         """Inverse-CDF draw: the first action whose running probability sum
-        exceeds a uniform draw; the last action if none does. A state with
-        one action takes no draw."""
+        exceeds ``rng.random()``; the last action if none does. A state with
+        one action takes no draw. Any object with a ``random()`` method
+        serves: a run passes its ``actor_critic.Pcg64``."""
         r0 = self._state_ptr[state]
         if self._state_ptr[state + 1] - r0 == 1:
             return int(self.model.row_action[r0])

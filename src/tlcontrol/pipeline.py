@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import statistics
 import types
 import typing
 from dataclasses import dataclass, field
@@ -427,13 +426,16 @@ def synthesize_seeds(cfg: RunConfig, seeds: list[int]) -> list[Report]:
     reports = [synthesize(sub, ctx) for sub in subs]
     probs = [r.final_probability for r in reports if r.final_probability is not None]
     if probs:
+        # statistics.median's arithmetic, which would load decimal and fractions.
+        ordered, mid = sorted(probs), len(probs) // 2
+        median = ordered[mid] if len(probs) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
         lines = [f"seeds: {seeds}",
                  f"final probabilities: {[round(p, 6) for p in probs]}",
-                 f"median final probability: {statistics.median(probs)!r}"]
+                 f"median final probability: {median!r}"]
         opt = reports[0].optimal_probability
         if opt:
             lines.append(f"optimal probability: {opt!r}")
-            lines.append(f"median ratio: {statistics.median(probs) / opt!r}")
+            lines.append(f"median ratio: {median / opt!r}")
         Path(cfg.outdir).mkdir(parents=True, exist_ok=True)
         (Path(cfg.outdir) / "seeds-summary.txt").write_text("\n".join(lines) + "\n")
     return reports

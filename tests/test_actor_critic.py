@@ -12,6 +12,7 @@ from tlcontrol.actor_critic import (
     ActorCriticConfig,
     ActorState,
     CriticState,
+    Pcg64,
     actor_update,
     critic_update,
     gate_open,
@@ -337,6 +338,32 @@ def test_run_is_deterministic_and_queries_every_non_terminal_step():
     # and each trace row carries the source's count.
     assert [x for x, _u in source.calls] == [x for x in trace.states if x != ssp.terminal]
     assert trace.pairs[-1] == len(set(source.calls))
+
+
+def same_stream(seed, draws):
+    ours, oracle = Pcg64(seed), np.random.default_rng(seed)
+    return all(ours.random() == oracle.random() for _ in range(draws))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 127 + 5])
+def test_pcg64_draws_numpys_stream_at_edge_seeds(seed):
+    # One, two, three and four seed words, and the largest word values.
+    assert same_stream(seed, 5000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1))
+def test_pcg64_draws_numpys_stream(seed):
+    assert same_stream(seed, 1000)
+
+
+def test_run_rejects_a_negative_seed_as_numpy_does():
+    ssp = _two_route_ssp()
+    pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError):
+        run(ssp, CountingSource(model_rows(ssp.base)), pol, ActorCriticConfig(seed=-1))
 
 
 def test_run_restarts_at_initial_and_counts_episodes():

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -638,6 +639,13 @@ def test_desk_compare_curve_is_byte_identical(tmp_path):
 # interpreter so that the BLAS thread count takes effect. By iteration 650
 # theta has reached policies whose values a threaded LU of a 190-state
 # block would round differently.
+def package_env(**extra):
+    """The environment for a subprocess that imports the package from ``src``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+
+
 SHORT_CURVE = """
 import dataclasses, sys
 from tlcontrol.pipeline import RunConfig, compare
@@ -647,13 +655,11 @@ compare(dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=sys.a
 
 
 def test_desk_curve_does_not_depend_on_the_blas_thread_count(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
     digests = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-            filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
         out = tmp_path / f"threads-{threads}"
-        done = subprocess.run([sys.executable, "-c", SHORT_CURVE, str(out)], env=env,
+        done = subprocess.run([sys.executable, "-c", SHORT_CURVE, str(out)],
+                              env=package_env(OPENBLAS_NUM_THREADS=threads),
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         digests.append({name: hashlib.sha256((out / name).read_bytes()).hexdigest()
@@ -661,12 +667,52 @@ def test_desk_curve_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_multi_seed_aggregation(tiny_task):
+FOOTPRINT = """
+import dataclasses, json, sys
+from tlcontrol.pipeline import RunConfig, compare, synthesize
+cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=300, **json.loads(sys.argv[2]))
+synthesize(dataclasses.replace(cfg, outdir=sys.argv[1] + "/lazy", exact_reference=False, eval_every=0))
+if cfg.mc_runs is None:
+    compare(dataclasses.replace(cfg, outdir=sys.argv[1] + "/compare", eval_every=100))
+print(json.dumps([m for m in ("numpy.random", "secrets", "hashlib", "statistics") if m in sys.modules]))
+"""
+
+
+def test_only_monte_carlo_rows_load_numpy_random(tmp_path):
+    # The actor-critic draws from its own Pcg64, and synthesize_seeds takes
+    # its median without statistics: a desk synthesize and compare load
+    # neither numpy.random (nor secrets and hashlib, which it imports) nor
+    # statistics. Monte-Carlo rows still draw from numpy.random.
+    loaded = []
+    for overrides in ({}, {"mc_runs": 200}):
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT, str(tmp_path),
+                               json.dumps(overrides)], env=package_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        loaded.append(json.loads(done.stdout))
+    assert loaded[0] == []
+    assert "numpy.random" in loaded[1]
+
+
+def test_multi_seed_aggregation(tiny_task, tmp_path):
     reports = synthesize_seeds(tiny_task, [0, 1])
     assert len(reports) == 2
     agg = Path(tiny_task.outdir, "seeds-summary.txt").read_text()
     assert "median final probability" in agg
     assert (Path(tiny_task.outdir) / "seed0" / "trace.csv").exists()
+    # The medians are statistics.median's, for an even and an odd seed count
+    # of distinct final probabilities.
+    desk = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=300,
+                               eval_every=0)
+    for seeds in ([1, 2], [1, 2, 3]):
+        out = tmp_path / f"desk{len(seeds)}"
+        reports = synthesize_seeds(dataclasses.replace(desk, outdir=str(out)), seeds)
+        probs = [r.final_probability for r in reports]
+        assert len(set(probs)) == len(seeds)
+        lines = (out / "seeds-summary.txt").read_text().splitlines()
+        median = statistics.median(probs)
+        assert f"median final probability: {median!r}" in lines
+        assert f"median ratio: {median / reports[0].optimal_probability!r}" in lines
 
 
 def test_multi_seed_run_loads_the_task_once(tmp_path, monkeypatch):
@@ -795,10 +841,7 @@ def test_config_takes_zero_iteration_counts():
 
 
 def test_package_runs_as_a_module():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "tlcontrol", "--help"], env=env,
+    done = subprocess.run([sys.executable, "-m", "tlcontrol", "--help"], env=package_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: tlcontrol")

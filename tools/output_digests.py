@@ -26,10 +26,13 @@ The set of runs:
 It imports the package from the ``src`` directory and the lattice
 generator from ``perfbench/lattice.py`` of the checkout it lives in, and
 writes the outputs to a temporary directory. The actor-critic's step is
-Python float arithmetic, so no BLAS kernel touches it; numpy's ``exp``
-kernel decides the last bits of the policy's weights, and numpy's
-elementwise kernels and the dense LU of each elimination plan's core
-those of the values. A core can exceed ``exact.CORE_LIMIT`` (a rest above
+Python float arithmetic and its random draws come from ``actor_critic.
+Pcg64``, numpy's ``default_rng`` stream drawn in Python, so neither a BLAS
+kernel nor numpy's generator code touches it; numpy's ``exp`` kernel
+decides the last bits of the policy's weights, and numpy's elementwise
+kernels and the dense LU of each elimination plan's core those of the
+values. Only the ``mc_runs`` run still draws from ``numpy.random``, for its
+Monte-Carlo rows. A core can exceed ``exact.CORE_LIMIT`` (a rest above
 ``exact.DENSE_REST`` that has filled in stops the elimination early), and
 OpenBLAS threads the LU of a large core, so the tool pins
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
