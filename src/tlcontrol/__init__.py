@@ -30,7 +30,7 @@ from .synthesis import (
 )
 from .lookahead import LookaheadPolicy, min_distances
 from .actor_critic import ActorCriticConfig, CriticState, ActorState, RunTrace, run
-from .exact import eval_policy_reach, expected_total_cost, max_reach
+from .exact import ReachEvaluator, eval_policy_reach, expected_total_cost, max_reach
 from .pipeline import RunConfig, compare, synthesize
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActorCriticConfig", "ActorState", "Amec", "CriticState", "LabeledModel",
     "LookaheadPolicy", "ModelError", "ParseError", "ProductModel",
-    "RabinAutomaton", "RunConfig", "RunTrace", "SspModel",
+    "RabinAutomaton", "ReachEvaluator", "RunConfig", "RunTrace", "SspModel",
     "amecs", "build_product", "compare", "dra_step",
     "eval_policy_reach", "expected_total_cost",
     "goal_and_bad_sets", "max_end_components",

@@ -287,7 +287,7 @@ class ReachEvaluator:
     def __init__(self, m: LabeledModel, targets: frozenset[int], zeros: frozenset[int]):
         if m.mode != MDP:
             raise ModelError("policy evaluation needs an MDP-mode model")
-        self.model, self.targets, self.zeros = m, targets, zeros
+        self.model = m
         self.is_target = _members(targets, m.n_states)
         is_zero = _members(zeros, m.n_states)
         self.free = ~(self.is_target | is_zero)
@@ -480,20 +480,12 @@ def _attractor_greedy(m: LabeledModel, bellman: _FreeBellman, v: np.ndarray,
     return choice
 
 
-def eval_policy_reach(m: LabeledModel, probs: np.ndarray,
-                      targets: frozenset[int], zeros: frozenset[int],
-                      *, evaluator: ReachEvaluator | None = None) -> float:
+def eval_policy_reach(evaluator: ReachEvaluator, probs: np.ndarray) -> float:
     """Probability that the policy ``probs`` (one probability per row of
-    ``m``) reaches ``targets`` from the initial state. Repeated calls pass
-    one ``evaluator`` built for the same model, targets and zeros, which
-    keeps its plan while the support repeats."""
-    if evaluator is None:
-        evaluator = ReachEvaluator(m, targets, zeros)
-    elif (evaluator.model is not m
-          or evaluator.targets is not targets and evaluator.targets != targets
-          or evaluator.zeros is not zeros and evaluator.zeros != zeros):
-        raise ModelError("the evaluator was built for another model, targets or zeros")
-    return float(evaluator.values(probs)[m.initial])
+    the evaluator's model) reaches the evaluator's targets from the
+    model's initial state. Repeated calls on one evaluator keep its plan
+    while the support repeats."""
+    return float(evaluator.values(probs)[evaluator.model.initial])
 
 
 def expected_total_cost(ssp: SspModel, probs: np.ndarray) -> float:

@@ -10,13 +10,15 @@ actor-critic itself only ever sees the possibilistic structure and the
 lazy probability source.
 
 ``load_task`` builds one ``TaskContext`` per invocation, and every
-subcommand reads it: the models, the product with its accepting
-components and goal/zero sets, ``early_exit`` (the satisfaction
+subcommand reads it: the models, the product with its goal/zero sets and
+the number of its accepting components, ``early_exit`` (the satisfaction
 probability when no policy choice matters), the restart SSP handed to the
 actor-critic, its probabilistic twin ``exact_ssp`` that the exact oracles
 read, and ``optimal_values``, the exact optimum that ``synthesize`` and
 ``compare`` read. The SSPs and the optimum are built on first use, so a
-multi-seed run computes the optimum once.
+multi-seed run computes the optimum once. ``exact_ssp`` is the one
+probabilistic model kept: the product's refit, ``product_mdp``, is
+rebuilt on every access.
 
 A policy lives in the SSP's row space, one probability per row of the
 SSP's model (``LookaheadPolicy.policy_rows``, ``parse_policy``). The two
@@ -55,7 +57,6 @@ from .models import (
 )
 from .synthesis import (
     LABEL_RULES,
-    Amec,
     ProductModel,
     SspModel,
     SspTransitionSource,
@@ -175,7 +176,8 @@ def _fits(value: object, hint: object) -> bool:
 @dataclass
 class TaskContext:
     """The task every subcommand reads, built once per invocation; the
-    SSPs and the exact optimum are built on first use."""
+    SSPs and the exact optimum are built on first use, and the exact
+    layer runs when ``base_mdp`` exists."""
 
     cfg: RunConfig
     dra: RabinAutomaton
@@ -185,8 +187,7 @@ class TaskContext:
     # no MDP is built
     base_row: TransitionSource
     product: ProductModel
-    product_mdp: ProductModel | None
-    amec_list: list[Amec]
+    n_amecs: int
     goal: frozenset[int]
     bad: frozenset[int]
 
@@ -196,7 +197,7 @@ class TaskContext:
 
     @property
     def zero_probability(self) -> bool:
-        return not self.amec_list or self.product.base.initial in self.bad
+        return not self.n_amecs or self.product.base.initial in self.bad
 
     @property
     def early_exit(self) -> float | None:
@@ -211,11 +212,19 @@ class TaskContext:
     def ssp(self) -> SspModel:
         return mrp_to_ssp(self.product, self.goal, self.bad)
 
+    @property
+    def product_mdp(self) -> ProductModel | None:
+        """The product refit with ``base_mdp``'s probabilities (None without
+        an MDP), rebuilt on every access: ``exact_ssp`` reads it once, and
+        checks of the exact values read it after a run."""
+        return (None if self.base_mdp is None
+                else with_probabilities(self.product, self.base_mdp))
+
     @cached_property
     def exact_ssp(self) -> SspModel:
-        """The restart SSP of the probabilistic product (``product_mdp``,
-        which must exist): ``ssp``'s states, rows and restart set, with
-        transition probabilities."""
+        """The restart SSP of ``product_mdp`` (``base_mdp`` must exist):
+        ``ssp``'s states, rows and restart set, with transition
+        probabilities. Only the SSP is kept."""
         return mrp_to_ssp(self.product_mdp, self.goal, self.bad)
 
     @cached_property
@@ -248,10 +257,8 @@ def load_task(cfg: RunConfig) -> TaskContext:
     product = build_product(base_nts, dra, cfg.label_rule)
     amec_list = amecs(product)
     goal, bad = goal_and_bad_sets(product, amec_list)
-    product_mdp = with_probabilities(product, base_mdp) if base_mdp is not None else None
     return TaskContext(cfg=cfg, dra=dra, base_nts=base_nts, base_mdp=base_mdp,
-                       base_row=base_row, product=product,
-                       product_mdp=product_mdp, amec_list=amec_list,
+                       base_row=base_row, product=product, n_amecs=len(amec_list),
                        goal=goal, bad=bad)
 
 
@@ -281,7 +288,7 @@ def _base_lines(ctx: TaskContext) -> list[tuple[str, object]]:
         ("accepting pairs", len(ctx.dra.pairs)),
         ("product states (unpruned)", ctx.product.unpruned_states),
         ("product states (pruned)", ctx.product.base.n_states),
-        ("amecs", len(ctx.amec_list)),
+        ("amecs", ctx.n_amecs),
         ("goal states", len(ctx.goal)),
         ("zero states", len(ctx.bad)),
     ]
@@ -318,15 +325,14 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
 
     evaluator = None
     optimal = None
-    if ctx.product_mdp is not None:
+    if ctx.base_mdp is not None:
         exact_ssp = ctx.exact_ssp
-        m, terminal = exact_ssp.base, frozenset({exact_ssp.terminal})
-        reach = exact.ReachEvaluator(m, terminal, exact_ssp.bad)
+        reach = exact.ReachEvaluator(exact_ssp.base, frozenset({exact_ssp.terminal}),
+                                     exact_ssp.bad)
 
         def evaluator(theta):
             policy.theta = theta
-            return exact.eval_policy_reach(m, policy.policy_rows(), terminal, exact_ssp.bad,
-                                           evaluator=reach)
+            return exact.eval_policy_reach(reach, policy.policy_rows())
 
         if cfg.exact_reference:
             optimal = float(ctx.optimal_values[ctx.product.base.initial])
@@ -364,7 +370,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
 def compare(cfg: RunConfig) -> Report:
     """Exact optimum vs. actor-critic on the same task, with curve data."""
     ctx = load_task(cfg)
-    if ctx.product_mdp is None:
+    if ctx.base_mdp is None:
         raise ModelError("compare needs exact probabilities (enable exact_reference)")
     report = synthesize(cfg, ctx)
     if ctx.early_exit is not None:
@@ -387,13 +393,14 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
     is neither the terminal nor a restart state, and an error names the
     file's own state ids."""
     ctx = load_task(cfg)
-    if ctx.product_mdp is None:
+    if ctx.base_mdp is None:
         raise ModelError("eval needs exact probabilities (enable exact_reference)")
     if ctx.early_exit is not None:
         return ctx.early_exit
     ssp = ctx.exact_ssp
     probs = parse_policy(Path(policy_path).read_text(), ssp.base)
-    return exact.eval_policy_reach(ssp.base, probs, frozenset({ssp.terminal}), ssp.bad)
+    reach = exact.ReachEvaluator(ssp.base, frozenset({ssp.terminal}), ssp.bad)
+    return exact.eval_policy_reach(reach, probs)
 
 
 def write_models(cfg: RunConfig) -> list[Path]:

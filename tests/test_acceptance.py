@@ -34,8 +34,8 @@ def test_criterion_1_reachability_oracle_equivalence():
         targets = frozenset(int(s) for s in rng.choice(n_states, size=k, replace=False))
         zeros = support_zeros(m, targets) - targets
         v, _pol = exact.max_reach(m, targets, zeros)
-        best = max(exact.eval_policy_reach(m, pol, targets, zeros)
-                   for pol in enumerate_policies(m))
+        reach = exact.ReachEvaluator(m, targets, zeros)
+        best = max(exact.eval_policy_reach(reach, pol) for pol in enumerate_policies(m))
         worst = max(worst, abs(float(v[m.initial]) - best))
         assert abs(float(v[m.initial]) - best) <= 1e-9
     elapsed = time.monotonic() - t0
@@ -72,10 +72,12 @@ def test_criterion_2_amec_exhaustive_equivalence():
 
 
 def test_criterion_3_mrp_ssp_equivalence():
-    """Minimizing expected total cost maximizes reachability, and the
-    geometric-restart identity holds at p = 1/2."""
+    """Minimizing expected total cost maximizes reachability, and every
+    policy that does not diverge obeys the geometric-restart identity
+    C = (1 - p)/p."""
     rng = np.random.default_rng(303)
     done = 0
+    identities = 0
     while done < 10:
         m, dra, product, product_mdp, goal, bad, ssp, ssp_mdp = make_random_ssp(
             rng, n_states=int(rng.integers(3, 5)), n_actions=2, want_mdp=True)
@@ -87,14 +89,19 @@ def test_criterion_3_mrp_ssp_equivalence():
         cost_winner_reach = None
         # Each SSP policy's reachability is judged on the SSP itself: the
         # terminal is the target and the restart states are zeros.
-        terminal = frozenset({ssp_mdp.terminal})
+        evaluator = exact.ReachEvaluator(ssp_mdp.base, frozenset({ssp_mdp.terminal}),
+                                         ssp_mdp.bad)
         for pol in enumerate_policies(ssp_mdp.base):
-            reach = exact.eval_policy_reach(ssp_mdp.base, pol, terminal, ssp_mdp.bad)
+            reach = exact.eval_policy_reach(evaluator, pol)
             best_reach = max(best_reach, reach)
             try:
                 cost = exact.expected_total_cost(ssp_mdp, pol)
             except exact.PolicyDivergence:
                 continue
+            # Attempts are independent and each succeeds with probability
+            # p, so the expected number of unit-cost restarts is (1 - p)/p.
+            assert cost == pytest.approx((1 - reach) / reach, rel=1e-9)
+            identities += 1
             if cost < best_cost - 1e-12:
                 best_cost = cost
                 cost_winner_reach = reach
@@ -111,7 +118,8 @@ def test_criterion_3_mrp_ssp_equivalence():
     cost = exact.expected_total_cost(ssp, lowest_actions(ssp.base))
     assert abs(cost - 1.0) <= 1e-9
     print(f"\nACCEPTANCE 3 PASS: 10 products, cost-minimizer attains the "
-          f"reachability optimum; restart cost at p=1/2 is {cost!r}")
+          f"reachability optimum; C = (1 - p)/p on {identities} policies; "
+          f"restart cost at p=1/2 is {cost!r}")
 
 
 def test_criterion_4_policy_gradient_correctness():

@@ -50,11 +50,12 @@ def test_max_reach_equals_policy_enumeration(rng):
         best = brute_force_optimum(m, targets, zeros)
         assert v[m.initial] == pytest.approx(best[m.initial], abs=1e-9)
         # The returned greedy policy achieves the optimal value everywhere.
-        gv = ReachEvaluator(m, targets, zeros).values(greedy)
+        reach = ReachEvaluator(m, targets, zeros)
+        gv = reach.values(greedy)
         assert np.abs(gv - v).max() <= 1e-9
         # Dominance: no policy beats the optimum.
         for pol in enumerate_policies(m):
-            assert eval_policy_reach(m, pol, targets, zeros) <= v[m.initial] + 1e-9
+            assert eval_policy_reach(reach, pol) <= v[m.initial] + 1e-9
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,7 +208,7 @@ def test_eval_policy_reach_cases():
                     "trans 0 l 1 1.0\ntrans 0 r 2 1.0\ntrans 1 l 1 1.0\ntrans 2 l 2 1.0")
     # Rows: state 0 takes l or r, states 1 and 2 their one action each.
     uniform = np.array([0.5, 0.5, 0.0, 0.0])
-    val = eval_policy_reach(m, uniform, frozenset({1}), frozenset({2}))
+    val = eval_policy_reach(ReachEvaluator(m, frozenset({1}), frozenset({2})), uniform)
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
@@ -217,7 +218,7 @@ def test_eval_policy_reach_support_preprocessing():
     m = parse_model("states 2\ninitial 0\nmode mdp\n"
                     "trans 0 stay 0 1.0\ntrans 0 go 1 1.0\ntrans 1 stay 1 1.0")
     dawdler = np.array([1.0, 0.0, 0.0])
-    assert eval_policy_reach(m, dawdler, frozenset({1}), frozenset()) == 0.0
+    assert eval_policy_reach(ReachEvaluator(m, frozenset({1}), frozenset()), dawdler) == 0.0
 
 
 def test_eval_policy_reach_matches_monte_carlo(rng):
@@ -226,7 +227,7 @@ def test_eval_policy_reach_matches_monte_carlo(rng):
     zeros = support_zeros(m, targets) - targets
     pol = np.concatenate([w / w.sum() for w in
                           (rng.random(len(acts)) + 0.2 for acts in m.enabled)])
-    exact_val = eval_policy_reach(m, pol, targets, zeros)
+    exact_val = eval_policy_reach(ReachEvaluator(m, targets, zeros), pol)
     n_episodes = 100_000
     hits = 0
     sim = np.random.default_rng(9)
@@ -367,7 +368,7 @@ def test_fixed_point_cap_is_loud(monkeypatch):
     monkeypatch.setattr(exact, "MAX_SWEEPS", 1)
     with pytest.raises(ModelError,
                        match="^fixed-point iteration did not converge within 1 sweeps$"):
-        eval_policy_reach(m, np.ones(4), frozenset({3}), frozenset())
+        eval_policy_reach(ReachEvaluator(m, frozenset({3}), frozenset()), np.ones(4))
 
 
 def _random_policy(rng, m):
@@ -693,7 +694,5 @@ def test_evaluator_rebuilds_its_plan_when_the_support_changes(monkeypatch):
     fresh = ReachEvaluator(m, targets, zeros).values(cut)
     assert fresh[2] == fresh[3] == 0.0
     assert np.array_equal(ev.values(cut), fresh)
-    assert eval_policy_reach(m, both, targets, zeros, evaluator=ev) == pytest.approx(0.6, abs=1e-12)
+    assert eval_policy_reach(ev, both) == pytest.approx(0.6, abs=1e-12)
     assert sorted(map(sorted, built)) == [[], [], [2, 3], [2, 3]]
-    with pytest.raises(ModelError, match="another model"):
-        eval_policy_reach(m, both, targets, frozenset(), evaluator=ev)

@@ -1,11 +1,13 @@
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -212,12 +214,12 @@ def test_compare_curve_matches_replayed_evaluation(tiny_task):
         by_k[int(parts[0])] = (float(parts[1]), float(parts[2]), parts[8])
     curve = Path(tiny_task.outdir, "curve.csv").read_text().splitlines()[1:]
     assert curve
+    reach = exact.ReachEvaluator(twin.base, frozenset({twin.terminal}), twin.bad)
     for row in curve:
         k, rsp_val, opt_val = row.split(",")
         t1, t2, exact_col = by_k[int(k)]
         pol = LookaheadPolicy(ssp, horizon=tiny_task.horizon, theta=(t1, t2))
-        replayed = exact.eval_policy_reach(twin.base, pol.policy_rows(),
-                                           frozenset({twin.terminal}), twin.bad)
+        replayed = exact.eval_policy_reach(reach, pol.policy_rows())
         assert abs(replayed - float(rsp_val)) <= 1e-12
         assert float(exact_col) == float(rsp_val)
         assert float(opt_val) >= float(rsp_val) - 1e-9
@@ -295,14 +297,16 @@ def test_exact_ssp_judges_policies_as_the_product_does(seed, n_states, n_actions
     # p * w1 + p * w2.
     s = twin.base
     product_rows = ~np.isin(m.row_state, list(goal))
+    on_ssp = exact.ReachEvaluator(twin.base, terminal, twin.bad)
+    on_product = exact.ReachEvaluator(m, goal, bad)
     for _ in range(5):
         probs = rng.random(len(s.row_action)) * (rng.random(len(s.row_action)) < 0.8)
         probs[s.state_ptr[:-1]] += 0.1  # every state keeps some mass
         probs /= np.add.reduceat(probs, s.state_ptr[:-1])[s.row_state]
         product_probs = np.zeros(len(m.row_action))
         product_probs[product_rows] = probs[s.row_state != twin.terminal]
-        assert abs(exact.eval_policy_reach(twin.base, probs, terminal, twin.bad)
-                   - exact.eval_policy_reach(m, product_probs, goal, bad)) <= 1e-12
+        assert abs(exact.eval_policy_reach(on_ssp, probs)
+                   - exact.eval_policy_reach(on_product, product_probs)) <= 1e-12
 
 
 def test_desk_compare_builds_two_solve_plans(tmp_path, monkeypatch):
@@ -458,14 +462,52 @@ def test_load_task_builds_the_nts_once(monkeypatch):
     assert "ssp" not in vars(ctx)
 
 
+def test_the_task_keeps_one_probabilistic_model(tmp_path, monkeypatch):
+    # The product's probability refit and the accepting components are
+    # intermediates: once the curve and the optimum are built, the task
+    # holds neither, and the refit was built once.
+    refit, components = pipeline.with_probabilities, pipeline.amecs
+    made, refits = [], []
+
+    def recording_refit(*args):
+        out = refit(*args)
+        refits.append(weakref.ref(out))
+        return out
+
+    def recording_amecs(*args):
+        out = components(*args)
+        made.extend(weakref.ref(amec) for amec in out)
+        return out
+
+    monkeypatch.setattr(pipeline, "with_probabilities", recording_refit)
+    monkeypatch.setattr(pipeline, "amecs", recording_amecs)
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              max_iters=100, min_iters=0)
+    ctx = load_task(cfg)
+    report = synthesize(cfg, ctx)
+    assert report.trace.exact and ctx.optimal_values.size
+    gc.collect()
+    assert made and ctx.n_amecs == len(made)
+    assert len(refits) == 1
+    assert all(ref() is None for ref in made + refits)
+    assert "product_mdp" not in vars(ctx)
+    # The refit is still there on request, for checks of the exact values.
+    assert ctx.product_mdp.base == refit(ctx.product, ctx.base_mdp).base
+
+
 def test_build_skips_the_probabilistic_model(tmp_path, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("build writes no probabilistic model")
 
+    on_map = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path))
+    # A model-file task parses its MDP, but build refits no product with it.
+    model = tmp_path / "desk.model"
+    model.write_text(serialize_model(load_task(on_map).base_mdp))
+    on_model = dataclasses.replace(on_map, map=None, model=str(model))
     monkeypatch.setattr(gridenv, "build_mdp", unused)
     monkeypatch.setattr(pipeline, "with_probabilities", unused)
-    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path))
-    assert [path.name for path in write_models(cfg)] == ["product.model", "ssp.model"]
+    for cfg in (on_map, on_model):
+        assert [path.name for path in write_models(cfg)] == ["product.model", "ssp.model"]
 
 
 # sha256 of the desk task's `build` output (product and SSP model files):
