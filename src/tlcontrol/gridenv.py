@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -335,15 +335,13 @@ class NoiseModel:
     switches to Monte-Carlo frequency estimates from that distribution,
     seeded per (state, action) so repeated queries agree."""
 
-    eta: float | Mapping[str, float] = 0.9
+    eta: float = 0.9
     mc_runs: int | None = None
     seed: int = 0
 
-    def success_probability(self, action: str) -> float:
-        eta = self.eta[action] if isinstance(self.eta, Mapping) else self.eta
-        if not (0.0 < eta <= 1.0):
-            raise MapError(f"success probability {eta} for {action} outside (0, 1]")
-        return float(eta)
+    def __post_init__(self):
+        if not 0.0 < self.eta <= 1.0:
+            raise MapError(f"success probability {self.eta} outside (0, 1]")
 
 
 def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel, aims: np.ndarray,
@@ -356,8 +354,8 @@ def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel, aims: np.nda
     mode, and ``aims`` its ``_aim_table``; each row's outcomes are its
     entries in ``nts``. A row with one outcome keeps probability 1
     on it; in a row with more, the intended outcome (the region its
-    control aims for) gets the success probability and the wrong ones
-    equal shares of the rest. With ``mc_runs`` a row with more outcomes
+    control aims for) gets ``noise.eta`` and the wrong ones equal shares
+    of the rest. With ``mc_runs`` a row with more outcomes
     holds the frequencies of that many draws over its (intended, wrong...)
     outcomes of positive probability, from a generator seeded with
     (``noise.seed``, pair state, action id).
@@ -367,12 +365,7 @@ def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel, aims: np.nda
     owner, entry = _expand(nts.row_ptr, rows)
     states, actions = nts.row_state[rows], nts.row_action[rows]
     multi = size > 1
-    # The success probability of each action that has a row with more
-    # outcomes, asked for in row order; a row with one outcome succeeds surely.
-    eta = np.ones(len(ACTIONS))
-    for u in dict.fromkeys(actions[multi].tolist()):
-        eta[u] = noise.success_probability(ACTIONS[u])
-    row_eta = np.where(multi, eta[actions], 1.0)
+    row_eta = np.where(multi, noise.eta, 1.0)  # one outcome succeeds surely
     slip = (1.0 - row_eta) / np.maximum(size - 1, 1)
     hit = cur[nts.succ[entry]] == aims[states, actions][owner]
     weight = np.where(hit, row_eta[owner], slip[owner])

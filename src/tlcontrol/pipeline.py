@@ -5,9 +5,10 @@ A task is either a map file (the pair-state model and its noisy motion
 probabilities are generated, probabilities lazily) or an MDP-mode model
 file, plus a Rabin automaton file sharing the proposition set. The exact
 oracles consume a fully materialized probabilistic model and are used for
-the optimal reference value and for the periodic evaluation curve; the
-actor-critic itself only ever sees the possibilistic structure and the
-lazy probability source.
+the optimal reference value and for the periodic evaluation curve, exactly
+when ``exact_reference`` is on, on either kind of task; the actor-critic
+itself only ever sees the possibilistic structure and the lazy
+probability source.
 
 ``load_task`` builds one ``TaskContext`` per invocation, and every
 subcommand reads it: the models, the product with its goal/zero sets and
@@ -177,7 +178,7 @@ def _fits(value: object, hint: object) -> bool:
 class TaskContext:
     """The task every subcommand reads, built once per invocation; the
     SSPs and the exact optimum are built on first use, and the exact
-    layer runs when ``base_mdp`` exists."""
+    layer runs when ``cfg.exact_reference`` is on."""
 
     cfg: RunConfig
     dra: RabinAutomaton
@@ -325,7 +326,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
 
     evaluator = None
     optimal = None
-    if ctx.base_mdp is not None:
+    if cfg.exact_reference:
         exact_ssp = ctx.exact_ssp
         reach = exact.ReachEvaluator(exact_ssp.base, frozenset({exact_ssp.terminal}),
                                      exact_ssp.bad)
@@ -334,8 +335,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
             policy.theta = theta
             return exact.eval_policy_reach(reach, policy.policy_rows())
 
-        if cfg.exact_reference:
-            optimal = float(ctx.optimal_values[ctx.product.base.initial])
+        optimal = float(ctx.optimal_values[ctx.product.base.initial])
 
     theta, trace = run(ssp, source, policy, cfg, evaluator=evaluator)
 
@@ -369,21 +369,19 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
 
 def compare(cfg: RunConfig) -> Report:
     """Exact optimum vs. actor-critic on the same task, with curve data."""
-    ctx = load_task(cfg)
-    if ctx.base_mdp is None:
+    if not cfg.exact_reference:
         raise ModelError("compare needs exact probabilities (enable exact_reference)")
+    ctx = load_task(cfg)
     report = synthesize(cfg, ctx)
     if ctx.early_exit is not None:
         return report
     outdir = Path(cfg.outdir)
-    values = ctx.optimal_values
-    optimal = report.optimal_probability = float(values[ctx.product.base.initial])
     with open(outdir / "values.csv", "w") as f:
-        exact.write_value_csv(f, values)
+        exact.write_value_csv(f, ctx.optimal_values)
     with open(outdir / "curve.csv", "w") as f:
         f.write("k,rsp_probability,optimal_probability\n")
         for k in sorted(report.trace.exact):
-            f.write(f"{k},{report.trace.exact[k]!r},{optimal!r}\n")
+            f.write(f"{k},{report.trace.exact[k]!r},{report.optimal_probability!r}\n")
     return report
 
 
@@ -392,9 +390,9 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
     ``exact_ssp``. The file must define the policy at every SSP state that
     is neither the terminal nor a restart state, and an error names the
     file's own state ids."""
-    ctx = load_task(cfg)
-    if ctx.base_mdp is None:
+    if not cfg.exact_reference:
         raise ModelError("eval needs exact probabilities (enable exact_reference)")
+    ctx = load_task(cfg)
     if ctx.early_exit is not None:
         return ctx.early_exit
     ssp = ctx.exact_ssp

@@ -32,6 +32,7 @@ from tlcontrol.pipeline import (
 )
 from tlcontrol.synthesis import (
     Amec,
+    SspTransitionSource,
     build_product,
     goal_and_bad_sets,
     mrp_to_ssp,
@@ -258,6 +259,104 @@ def test_exact_ssp_shares_the_ssps_rows(tiny_task, tmp_path, task):
         cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"))
     ctx = load_task(cfg)
     assert_exact_ssp_shares_the_rows(ctx.ssp, ctx.exact_ssp)
+
+
+def desk_model_task(tmp_path) -> RunConfig:
+    """The desk task with its probabilistic model serialized and read back
+    as an MDP model file."""
+    on_map = RunConfig.from_file("tasks/desk.json")
+    model = tmp_path / "desk.model"
+    model.write_text(serialize_model(load_task(on_map).base_mdp))
+    return dataclasses.replace(on_map, map=None, model=str(model), outdir=str(tmp_path / "out"))
+
+
+@pytest.mark.parametrize("task", ["desk", "desk-mc20", "lattice-k8", "lattice-k8-sure",
+                                  "desk-model"])
+def test_the_learner_samples_the_chain_the_judge_evaluates(tmp_path, task):
+    # Every row the actor-critic samples, from the lazy rows of a run
+    # without the exact reference or from the model's own, is exact_ssp's
+    # row bit for bit. At eta 1.0 the slips of probability 0 are dropped.
+    cfg = RunConfig.from_file("tasks/desk.json")
+    if task == "desk-mc20":
+        cfg = dataclasses.replace(cfg, mc_runs=20)
+    if task.startswith("lattice-k8"):
+        (tmp_path / "lattice.map").write_text(lattice_map(8))
+        cfg = dataclasses.replace(cfg, map=str(tmp_path / "lattice.map"),
+                                  eta=1.0 if task.endswith("sure") else cfg.eta)
+    if task == "desk-model":
+        cfg = desk_model_task(tmp_path)
+    ctx = load_task(cfg)
+    judged = ctx.exact_ssp.base
+    pairs = [(x, u) for x, u in judged.enabled_pairs() if x != ctx.exact_ssp.terminal]
+    assert pairs
+    lazy = load_task(dataclasses.replace(cfg, exact_reference=False))
+    for base_row in (ctx.base_row, lazy.base_row):
+        source = SspTransitionSource(ctx.ssp, ctx.product, base_row)
+        assert all(source(x, u) == judged.successors(x, u) for x, u in pairs)
+
+
+def test_no_exact_reference_builds_no_exact_layer_on_a_model_file(tmp_path, monkeypatch):
+    cfg = dataclasses.replace(desk_model_task(tmp_path), exact_reference=False,
+                              max_iters=200, min_iters=0)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a run without the exact reference builds no exact layer")
+
+    monkeypatch.setattr(pipeline, "with_probabilities", unused)
+    monkeypatch.setattr(exact, "ReachEvaluator", unused)
+    ctx = load_task(cfg)
+    report = synthesize(cfg, ctx)
+    assert report.trace.iterations and not report.trace.exact
+    assert report.final_probability is report.optimal_probability is None
+    assert "exact_ssp" not in vars(ctx)
+    keys = [line.split(":")[0] for line in
+            Path(cfg.outdir, "summary.txt").read_text().splitlines()]
+    assert "iterations" in keys
+    assert not {"final exact probability", "optimal probability", "ratio"} & set(keys)
+
+
+@pytest.mark.parametrize("task", ["map", "model"])
+def test_compare_and_eval_refuse_without_the_exact_reference_before_loading(
+        tmp_path, monkeypatch, capsys, task):
+    cfg = (dataclasses.replace(RunConfig.from_file("tasks/desk.json"),
+                               outdir=str(tmp_path / "out"))
+           if task == "map" else desk_model_task(tmp_path))
+    cfg = dataclasses.replace(cfg, exact_reference=False)
+
+    def unused(cfg):
+        raise AssertionError("a refused command loads no task")
+
+    monkeypatch.setattr(pipeline, "load_task", unused)
+    with pytest.raises(ModelError, match=r"compare needs exact probabilities"):
+        compare(cfg)
+    with pytest.raises(ModelError, match=r"eval needs exact probabilities"):
+        evaluate_policy_file(cfg, tmp_path / "absent.tsv")
+    task_flags = (["--config", "tasks/desk.json"] if task == "map"
+                  else ["--dra", cfg.dra, "--model", cfg.model])
+    for command in (["compare"], ["eval", str(tmp_path / "absent.tsv")]):
+        assert main([*command, *task_flags, "--outdir", cfg.outdir,
+                     "--no-exact-reference"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {command[0]} needs exact probabilities"), err
+        assert err.count("\n") == 1, err
+    assert not Path(cfg.outdir).exists()
+
+
+def test_model_file_compare_reports_one_optimum(tmp_path):
+    cfg = dataclasses.replace(desk_model_task(tmp_path), max_iters=200, min_iters=0)
+    report = compare(cfg)
+    ctx = load_task(cfg)
+    summary = dict(line.split(": ", 1) for line in
+                   Path(cfg.outdir, "summary.txt").read_text().splitlines())
+    values = Path(cfg.outdir, "values.csv").read_text().splitlines()[1:]
+    curve = Path(cfg.outdir, "curve.csv").read_text().splitlines()[1:]
+    initial = values[ctx.product.base.initial].split(",")
+    assert int(initial[0]) == ctx.product.base.initial
+    assert curve
+    optimal = float(summary["optimal probability"])
+    assert optimal == report.optimal_probability == float(initial[1]) > 0
+    assert all(float(row.split(",")[2]) == optimal for row in curve)
+    assert float(summary["ratio"]) == report.final_probability / optimal
 
 
 @settings(max_examples=100, deadline=None)
@@ -501,9 +600,7 @@ def test_build_skips_the_probabilistic_model(tmp_path, monkeypatch):
 
     on_map = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path))
     # A model-file task parses its MDP, but build refits no product with it.
-    model = tmp_path / "desk.model"
-    model.write_text(serialize_model(load_task(on_map).base_mdp))
-    on_model = dataclasses.replace(on_map, map=None, model=str(model))
+    on_model = desk_model_task(tmp_path)
     monkeypatch.setattr(gridenv, "build_mdp", unused)
     monkeypatch.setattr(pipeline, "with_probabilities", unused)
     for cfg in (on_map, on_model):

@@ -520,11 +520,9 @@ def test_ssp_transition_source_matches_direct_conversion(
     rows = {key: row for key, row in model_rows(want.base).items() if key[0] != want.terminal}
     for key in rows:
         source(*key)
-    # Each row, asked for or filled in by another query, is the conversion's.
+    # Each row, asked for or filled in by another query, is the conversion's, bit for bit.
     for (s, u), row in rows.items():
-        got = source(s, u)
-        assert [t for t, _w in got] == [t for t, _w in row]
-        assert all(abs(gw - ww) <= 1e-12 for (_t, gw), (_t2, ww) in zip(got, row))
+        assert source(s, u) == row
     # A probability source that leaves the possibilistic support is refused.
     for s in sorted(set(range(ssp.terminal)) - ssp.bad):
         q, u = int(product.projection[ssp.origin[s], 0]), ssp.base.enabled[s][0]
@@ -569,13 +567,11 @@ def test_ssp_source_asks_each_model_row_once():
     row = source(x, u)
     counted = source.pairs_computed
     assert source(x, u) == row and source.pairs_computed == counted
-    # Every row, asked for or filled in, is the SSP conversion's row.
+    # Every row, asked for or filled in, is the SSP conversion's row, bit for bit.
     ssp_mdp = mrp_to_ssp(ctx.product_mdp, ctx.goal, ctx.bad)
     for (s, u), want in model_rows(ssp_mdp.base).items():
         if s != ssp.terminal:
-            got = source(s, u)
-            assert [t for t, _w in got] == [t for t, _w in want]
-            assert np.allclose([w for _t, w in got], [w for _t, w in want], rtol=0, atol=1e-12)
+            assert source(s, u) == want
     assert len(asked) == len(set(asked)) == source.pairs_computed
 
 
