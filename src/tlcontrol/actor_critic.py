@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,8 +144,8 @@ class Pcg64:
 
 @dataclass
 class ActorCriticConfig:
-    """Step sizes, gates, and termination for a single run; the one
-    declaration of these settings (``pipeline.RunConfig`` extends it).
+    """The learner's step sizes, gates, and termination for a single run,
+    declared once here (``pipeline.RunConfig`` extends them).
 
     gamma_k = (1 + k)^-gamma_exponent and beta_k = beta_scale *
     (1 + k)^-beta_exponent satisfy the two-timescale requirement
@@ -165,7 +165,6 @@ class ActorCriticConfig:
     reset_trace_on_restart: bool = False
     solve_with_updated_stats: bool = False
     seed: int = 0
-    eval_every: int = 25             # exact evaluation cadence; 0 disables
 
     def gamma(self, k: int) -> float:
         return (1.0 + k) ** -self.gamma_exponent
@@ -183,10 +182,9 @@ class RunTrace:
     ``theta1``, ``theta2``, ``r1``, ``r2`` and ``costs`` are doubles: the
     theta the iteration acted with, the critic solution it read, and the
     one-step cost. ``episodes``, ``pairs`` (pairs computed so far) and
-    ``states`` (the SSP state visited) are 64-bit ints. ``exact`` (the
-    evaluator's value at the cadence points) and ``stale_solves`` (the
-    iterations past the gate whose critic solve did not refresh r) are
-    sparse.
+    ``states`` (the SSP state visited) are 64-bit ints. ``stale_solves``
+    (the iterations past the gate whose critic solve did not refresh r) is
+    sparse. The run records no exact values; ``write_csv`` takes them.
     """
 
     theta1: array = field(default_factory=lambda: array("d"))
@@ -197,7 +195,6 @@ class RunTrace:
     episodes: array = field(default_factory=lambda: array("q"))
     pairs: array = field(default_factory=lambda: array("q"))
     states: array = field(default_factory=lambda: array("q"))
-    exact: dict[int, float] = field(default_factory=dict)
     stale_solves: list[int] = field(default_factory=list)
     converged: bool = False
 
@@ -218,12 +215,12 @@ class RunTrace:
         self.pairs.append(pairs)
         self.states.append(state)
 
-    def write_csv(self, f) -> None:
-        exact = self.exact
+    def write_csv(self, f, curve: dict[int, float]) -> None:
+        """``trace.csv``, with ``curve[k]`` as row k's ``exact_prob``."""
         f.write("k,theta1,theta2,r1,r2,cost,episodes,pairs_computed,exact_prob\n")
         f.writelines(
             f"{k},{t1!r},{t2!r},{r1!r},{r2!r},{cost!r},{episodes},{pairs},"
-            f"{'' if (ex := exact.get(k)) is None else repr(ex)}\n"
+            f"{'' if (ex := curve.get(k)) is None else repr(ex)}\n"
             for k, t1, t2, r1, r2, cost, episodes, pairs in zip(
                 range(self.iterations), self.theta1, self.theta2, self.r1, self.r2,
                 self.costs, self.episodes, self.pairs))
@@ -314,18 +311,15 @@ def actor_update(a: ActorState, r: Pair, psi_next: Pair, beta_k: float,
 
 
 def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy,
-        cfg: ActorCriticConfig,
-        evaluator: Callable[[Pair], float] | None = None
-        ) -> tuple[Pair, RunTrace]:
+        cfg: ActorCriticConfig) -> tuple[Pair, RunTrace]:
     """Run the actor-critic loop until the gradient-norm EMA drops below
     epsilon (after ``min_iters``) or ``max_iters`` is hit.
 
     ``prob_source`` is queried at every step from a non-terminal state (the
     restart rule replaces the terminal's sampled successor); it memoizes the
     rows itself, and its ``pairs_computed`` count lands in every trace row.
-    ``evaluator``, when given with a positive ``eval_every``, is called on
-    the recorded theta every cadence point and its value lands in the trace
-    row.
+    The run learns from sample paths alone: the trace's theta columns hold
+    what every iteration acted with, so a caller judges the run after it.
     """
     rng = Pcg64(cfg.seed)
 
@@ -350,9 +344,6 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
     x = initial
     u = policy.sample_action(x, rng)
     for k in range(cfg.max_iters):
-        if cfg.eval_every and evaluator is not None and k % cfg.eval_every == 0:
-            trace.exact[k] = float(evaluator(actor.theta))
-
         cost = ssp.cost(x, u)
         psi_now = policy.log_policy_gradient(x, u)
         if x == terminal:

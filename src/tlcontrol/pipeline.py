@@ -3,12 +3,12 @@ the lookahead policy with the actor-critic, and report.
 
 A task is either a map file (the pair-state model and its noisy motion
 probabilities are generated, probabilities lazily) or an MDP-mode model
-file, plus a Rabin automaton file sharing the proposition set. The exact
-oracles consume a fully materialized probabilistic model and are used for
-the optimal reference value and for the periodic evaluation curve, exactly
-when ``exact_reference`` is on, on either kind of task; the actor-critic
-itself only ever sees the possibilistic structure and the lazy
-probability source.
+file, plus a Rabin automaton file sharing the proposition set. The
+actor-critic learns from the possibilistic structure and the lazy
+probability source alone; the exact layer, on when ``exact_reference`` is,
+judges after the run: the optimum, and the curve that ``synthesize`` reads
+off the trace (the theta of every ``eval_every``-th iteration, then the
+final one), on the fully materialized probabilistic model.
 
 ``load_task`` builds one ``TaskContext`` per invocation, and every
 subcommand reads it: the models, the product with its goal/zero sets and
@@ -96,6 +96,7 @@ class RunConfig(ActorCriticConfig):
     sequence_cap: int = 10_000
     # evaluation and construction
     exact_reference: bool = True
+    eval_every: int = 25             # exact evaluation cadence; 0 disables
     label_rule: str = "next"
     # map noise
     eta: float = 0.9
@@ -270,7 +271,7 @@ class Report:
     status: str
     lines: list[tuple[str, object]] = field(default_factory=list)
     trace: RunTrace | None = None
-    theta: tuple[float, float] | None = None
+    curve: dict[int, float] = field(default_factory=dict)
     final_probability: float | None = None
     optimal_probability: float | None = None
 
@@ -296,8 +297,11 @@ def _base_lines(ctx: TaskContext) -> list[tuple[str, object]]:
 
 
 def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
-    """The full pipeline; writes trace.csv, policy.tsv, and summary.txt."""
+    """The full pipeline, learn then judge; writes trace.csv, policy.tsv,
+    and summary.txt."""
     ctx = ctx or load_task(cfg)
+    if cfg.exact_reference and ctx.base_mdp is None:
+        raise ModelError("exact_reference is on, but the task was loaded without it")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     lines = _base_lines(ctx)
@@ -337,11 +341,14 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
 
         optimal = float(ctx.optimal_values[ctx.product.base.initial])
 
-    theta, trace = run(ssp, source, policy, cfg, evaluator=evaluator)
+    theta, trace = run(ssp, source, policy, cfg)
 
+    curve = {} if evaluator is None or not cfg.eval_every else {
+        k: evaluator((trace.theta1[k], trace.theta2[k]))
+        for k in range(0, trace.iterations, cfg.eval_every)}
     final_prob = evaluator(theta) if evaluator is not None else None
     with open(outdir / "trace.csv", "w") as f:
-        trace.write_csv(f)
+        trace.write_csv(f, curve)
     with open(outdir / "policy.tsv", "w") as f:
         save_policy(f, policy.policy_rows(), ssp.base)
 
@@ -360,8 +367,7 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
             lines.append(("ratio", final_prob / optimal))
     status = "converged" if trace.converged else "iteration-capped"
     report = Report(cfg=cfg, exit_code=EXIT_CONVERGED if trace.converged else EXIT_CAPPED,
-                    status=status, lines=lines, trace=trace,
-                    theta=(float(theta[0]), float(theta[1])),
+                    status=status, lines=lines, trace=trace, curve=curve,
                     final_probability=final_prob, optimal_probability=optimal)
     (outdir / "summary.txt").write_text(report.summary_text())
     return report
@@ -380,8 +386,8 @@ def compare(cfg: RunConfig) -> Report:
         exact.write_value_csv(f, ctx.optimal_values)
     with open(outdir / "curve.csv", "w") as f:
         f.write("k,rsp_probability,optimal_probability\n")
-        for k in sorted(report.trace.exact):
-            f.write(f"{k},{report.trace.exact[k]!r},{report.optimal_probability!r}\n")
+        for k, value in report.curve.items():
+            f.write(f"{k},{value!r},{report.optimal_probability!r}\n")
     return report
 
 

@@ -193,7 +193,7 @@ def test_criterion_5_end_to_end_convergence(desk_runs):
         assert r.trace.iterations <= 5000
         assert cfg.lam == 0.9 and tuple(cfg.theta0) == (5.0, -0.5) and cfg.horizon == 2
         # The periodic exact evaluations are present for curve plotting.
-        assert len(r.trace.exact) >= 10
+        assert len(r.curve) >= 10
         text = Path(r.cfg.outdir, "trace.csv").read_text()
         assert any(line.split(",")[8] for line in text.splitlines()[1:])
     assert median >= 0.7 * optimal

@@ -28,7 +28,7 @@ from dict_reference import model_rows
 def csv_text(trace):
     """The ``trace.csv`` text that ``trace.write_csv`` writes."""
     buf = io.StringIO()
-    trace.write_csv(buf)
+    trace.write_csv(buf, {})
     return buf.getvalue()
 
 
@@ -118,6 +118,9 @@ def solve_cases(draw):
 # A solution whose norm overflows: the error is measured against want's scale.
 @example(case=(np.array([[0.0, 1.79839118e-246], [1.79839118e-246, 0.0]]),
                np.array([0.0, 1.0])))
+# A solution that overflows a float (cond 1): nothing to compare.
+@example(case=(np.array([[0.0, 2.2250738585072014e-316], [2.2250738585072014e-316, 0.0]]),
+               np.array([0.0, 1.0])))
 def test_float_solve_matches_lapack_within_the_condition_bound(case):
     A, b = case
     # Both are backward-stable LU solves with partial pivoting, so each is
@@ -129,6 +132,8 @@ def test_float_solve_matches_lapack_within_the_condition_bound(case):
     if not rel < 1.0:
         return
     want = np.linalg.solve(A, b)
+    if not np.isfinite(want).all():
+        return  # the solution overflows a float: no digit to compare
     got = solve_2x2(A.tolist(), b.tolist())
     assert got is not None and all(type(x) is float for x in got)
     # Both sides divided by want's largest entry, so that no norm overflows.
@@ -434,23 +439,6 @@ def test_trace_reset_flag_changes_dynamics():
     first = [row.split(",")[:3] for row in results[0].splitlines()]
     second = [row.split(",")[:3] for row in results[1].splitlines()]
     assert first == second
-
-
-def test_eval_callback_cadence():
-    ssp = _two_route_ssp()
-    pol = LookaheadPolicy(ssp, horizon=1, theta=(0.5, -0.5))
-    source = CountingSource(model_rows(ssp.base))
-    cfg = ActorCriticConfig(max_iters=100, min_iters=10 ** 9, seed=2, eval_every=25)
-    seen = []
-
-    def evaluator(theta):
-        seen.append(tuple(theta))
-        return 0.5
-
-    _theta, trace = run(ssp, source, pol, cfg, evaluator=evaluator)
-    assert sorted(trace.exact) == [0, 25, 50, 75]
-    assert all(v == 0.5 for v in trace.exact.values())
-    assert len(seen) == 4
 
 
 def test_run_trace_keeps_at_most_80_bytes_per_iteration():

@@ -306,7 +306,7 @@ def test_no_exact_reference_builds_no_exact_layer_on_a_model_file(tmp_path, monk
     monkeypatch.setattr(exact, "ReachEvaluator", unused)
     ctx = load_task(cfg)
     report = synthesize(cfg, ctx)
-    assert report.trace.iterations and not report.trace.exact
+    assert report.trace.iterations and not report.curve
     assert report.final_probability is report.optimal_probability is None
     assert "exact_ssp" not in vars(ctx)
     keys = [line.split(":")[0] for line in
@@ -340,6 +340,84 @@ def test_compare_and_eval_refuse_without_the_exact_reference_before_loading(
         assert err.startswith(f"error: {command[0]} needs exact probabilities"), err
         assert err.count("\n") == 1, err
     assert not Path(cfg.outdir).exists()
+
+
+def test_synthesize_refuses_a_task_loaded_without_the_exact_reference(tmp_path, monkeypatch):
+    # The task holds no probabilities to judge with, so the refusal comes
+    # before any output directory is made or any step is run.
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"),
+                              outdir=str(tmp_path / "out"), max_iters=100)
+    ctx = load_task(dataclasses.replace(cfg, exact_reference=False))
+
+    def unused(*args):
+        raise AssertionError("a refused task runs no actor-critic")
+
+    monkeypatch.setattr(pipeline, "run", unused)
+    with pytest.raises(ModelError, match=r"exact_reference is on"):
+        synthesize(cfg, ctx)
+    assert not Path(cfg.outdir).exists()
+
+
+def test_curve_is_judged_after_the_run_at_the_traced_thetas(tmp_path):
+    # Every eval_every-th iteration's theta, read off the trace, judged by a
+    # fresh evaluator in the same order, gives the curve's value bit for bit.
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              seed=1, eval_every=25, max_iters=300)
+    ctx = load_task(cfg)
+    report = synthesize(cfg, ctx)
+    trace = report.trace
+    assert trace.iterations == 300
+    assert list(report.curve) == list(range(0, 300, 25))
+    ssp = ctx.exact_ssp
+    reach = exact.ReachEvaluator(ssp.base, frozenset({ssp.terminal}), ssp.bad)
+    policy = LookaheadPolicy(
+        ctx.ssp, horizon=cfg.horizon, radius=cfg.radius, theta=cfg.theta0,
+        progress_penalty=cfg.progress_penalty, sequence_cap=cfg.sequence_cap)
+    for k, value in report.curve.items():
+        policy.theta = (trace.theta1[k], trace.theta2[k])
+        assert value == exact.eval_policy_reach(reach, policy.policy_rows())
+    rows = [row.split(",") for row in (tmp_path / "trace.csv").read_text().splitlines()[1:]]
+    assert {int(row[0]): float(row[8]) for row in rows if row[8]} == report.curve
+
+    # No cadence: no curve, and a blank exact_prob column.
+    off = synthesize(dataclasses.replace(cfg, eval_every=0, outdir=str(tmp_path / "off")), ctx)
+    assert off.curve == {} and off.final_probability is not None
+    rows = (tmp_path / "off" / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 300 and all(row.endswith(",") for row in rows)
+
+    # A run that stops early is judged only at the iterations it made.
+    early = synthesize(dataclasses.replace(
+        cfg, eval_every=10, max_iters=2000, min_iters=0, epsilon=0.05,
+        outdir=str(tmp_path / "early")), ctx)
+    assert early.trace.converged and early.trace.iterations < 2000
+    assert list(early.curve) == list(range(0, early.trace.iterations, 10))
+    assert max(early.curve) < early.trace.iterations
+
+
+def test_no_exact_evaluation_happens_while_the_actor_critic_runs(tmp_path, monkeypatch):
+    # Learn, then judge: the exact layer is never called from inside the run.
+    running, judged = [], []
+    learn, judge = pipeline.run, exact.eval_policy_reach
+
+    def flagged_run(*args, **kwargs):
+        running.append(True)
+        try:
+            return learn(*args, **kwargs)
+        finally:
+            running.pop()
+
+    def guarded_judge(*args):
+        assert not running, "an exact evaluation ran inside the actor-critic loop"
+        judged.append(True)
+        return judge(*args)
+
+    monkeypatch.setattr(pipeline, "run", flagged_run)
+    monkeypatch.setattr(exact, "eval_policy_reach", guarded_judge)
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
+                              seed=1, eval_every=25, max_iters=200)
+    report = compare(cfg)
+    assert len(report.curve) == 8 and len(judged) == 9
+    assert (tmp_path / "curve.csv").read_text().count("\n") == 9
 
 
 def test_model_file_compare_reports_one_optimum(tmp_path):
@@ -423,7 +501,7 @@ def test_desk_compare_builds_two_solve_plans(tmp_path, monkeypatch):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), outdir=str(tmp_path),
                               max_iters=200, seed=1)
     report = compare(cfg)
-    assert len(report.trace.exact) > 2
+    assert len(report.curve) > 2
     assert built == [372, 372]
 
 
@@ -584,7 +662,7 @@ def test_the_task_keeps_one_probabilistic_model(tmp_path, monkeypatch):
                               max_iters=100, min_iters=0)
     ctx = load_task(cfg)
     report = synthesize(cfg, ctx)
-    assert report.trace.exact and ctx.optimal_values.size
+    assert report.curve and ctx.optimal_values.size
     gc.collect()
     assert made and ctx.n_amecs == len(made)
     assert len(refits) == 1
@@ -756,8 +834,8 @@ def test_desk_critic_flag_output_is_byte_identical(tmp_path, flag):
 
 
 # sha256 of desk `compare` output (seed 1, 2,000 iterations) with an exact
-# evaluation every 25 steps: the evaluator sets the policy's theta between
-# steps, and curve.csv records what it returned.
+# evaluation every 25 steps: after the run, the theta that trace.csv records
+# at each of those steps is evaluated, and curve.csv records the values.
 DESK_CURVE_DIGESTS = {
     "trace.csv": "8e574fa21c301df094594553ff91ff21b53077fae97d9d5e0ef5f84e012b6da0",
     "curve.csv": "dc32219f4583045fbefc19d381cc28b85a85eb11682115c9552b6781228a84d2",
