@@ -71,7 +71,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .models import LabeledModel, MDP, ModelError, _ptr
+from .models import BLOCK_ROWS, LabeledModel, MDP, ModelError, _ptr
 from .synthesis import SspModel, _closure, _distinct, _expand, _layers, _members
 
 VALUE_TOL = 1e-12
@@ -522,6 +522,9 @@ def expected_total_cost(ssp: SspModel, probs: np.ndarray) -> float:
 
 def write_value_csv(f, values: np.ndarray) -> None:
     """``state,value`` lines in the csv module's dialect (``\\r\\n`` line
-    ends), each value as its float ``repr``."""
+    ends), each value as its float ``repr``, ``BLOCK_ROWS`` states at a
+    time."""
     f.write("state,value\r\n")
-    f.writelines(f"{q},{val!r}\r\n" for q, val in enumerate(values.tolist()))
+    for lo in range(0, len(values), BLOCK_ROWS):
+        f.writelines(f"{q},{val!r}\r\n"
+                     for q, val in enumerate(values[lo:lo + BLOCK_ROWS].tolist(), lo))

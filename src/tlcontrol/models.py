@@ -68,6 +68,7 @@ NTS = "nts"
 ROW_SUM_TOL = 1e-9
 DIST_TOL = 1e-12
 MAX_PROPS = 16
+BLOCK_ROWS = 4096  # lines the policy and value writers format at a time
 
 
 class ModelError(ValueError):
@@ -608,9 +609,12 @@ def _letter_names(letter: int, props: list[str]) -> str:
 
 def save_policy(f, probs: np.ndarray, m: LabeledModel) -> None:
     """Write a policy, one probability per row of ``m``, as tab-separated
-    (state, action name, probability) lines in row order."""
-    f.writelines(f"{q}\t{m.actions[u]}\t{p!r}\n"
-                 for (q, u), p in zip(m.enabled_pairs(), probs.tolist()))
+    (state, action name, probability) lines in row order, ``BLOCK_ROWS``
+    rows at a time."""
+    for lo in range(0, len(m.row_action), BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        f.writelines(f"{q}\t{m.actions[u]}\t{p!r}\n" for q, u, p in zip(
+            m.row_state[block].tolist(), m.row_action[block].tolist(), probs[block].tolist()))
 
 
 def parse_policy(text: str, m: LabeledModel) -> np.ndarray:

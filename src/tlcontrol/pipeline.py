@@ -18,8 +18,9 @@ actor-critic, its probabilistic twin ``exact_ssp`` that the exact oracles
 read, and ``optimal_values``, the exact optimum that ``synthesize`` and
 ``compare`` read. The SSPs and the optimum are built on first use, so a
 multi-seed run computes the optimum once. ``exact_ssp`` is the one
-probabilistic model kept: the product's refit, ``product_mdp``, is
-rebuilt on every access.
+probabilistic model built: it comes straight from the product's entry
+weights, and the product's refit, ``product_mdp``, is built only when
+read.
 
 A policy lives in the SSP's row space, one probability per row of the
 SSP's model (``LookaheadPolicy.policy_rows``, ``parse_policy``). The two
@@ -64,6 +65,7 @@ from .synthesis import (
     TransitionSource,
     amecs,
     build_product,
+    entry_weights,
     goal_and_bad_sets,
     mrp_to_ssp,
     product_state_names,
@@ -217,17 +219,19 @@ class TaskContext:
     @property
     def product_mdp(self) -> ProductModel | None:
         """The product refit with ``base_mdp``'s probabilities (None without
-        an MDP), rebuilt on every access: ``exact_ssp`` reads it once, and
-        checks of the exact values read it after a run."""
+        an MDP), rebuilt on every access. No run builds it; checks of the
+        exact values read it after a run."""
         return (None if self.base_mdp is None
                 else with_probabilities(self.product, self.base_mdp))
 
     @cached_property
     def exact_ssp(self) -> SspModel:
-        """The restart SSP of ``product_mdp`` (``base_mdp`` must exist):
-        ``ssp``'s states, rows and restart set, with transition
-        probabilities. Only the SSP is kept."""
-        return mrp_to_ssp(self.product_mdp, self.goal, self.bad)
+        """``ssp`` with transition probabilities (``base_mdp`` must exist):
+        its states, rows and restart set, converted straight from the
+        product with ``base_mdp``'s entry weights; the same SSP as that
+        of ``product_mdp``, which is never built for it."""
+        return mrp_to_ssp(self.product, self.goal, self.bad,
+                          entry_weights(self.product, self.base_mdp))
 
     @cached_property
     def optimal_values(self) -> np.ndarray:

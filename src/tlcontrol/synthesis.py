@@ -10,13 +10,14 @@ zero-probability states restart at the initial state with unit cost.
 Every step works on the models' CSR arrays (see ``models``). The product is
 built forward from its initial state, as frontier joins of the model's rows
 with the automaton's ``delta`` table, so it holds only reachable states; the
-probability refit and the SSP conversion are masks, gathers and remaps; the
-end-component search holds its live rows, its live states and its removal
-cascade as masks over the arrays, with one SCC pass per round over all
-pending states. The backward closure of the goal is a numpy frontier loop,
-``_layers``, which also gives the policy evaluator its unknowns, the optimum's
-greedy extraction its attractor layers, the lookahead its goal distances
-and the expected-cost solve its closures; the end-component search's
+entry weights an MDP gives the product and the SSP conversion are masks,
+gathers and remaps; the end-component search holds its live rows, its live
+states and its removal cascade as masks over the arrays, with one SCC pass
+per round over all pending states. The backward closure of the goal is a
+numpy frontier loop, ``_layers``, which also gives the policy evaluator its
+unknowns, the optimum's greedy extraction its attractor layers, the
+lookahead its goal distances, the expected-cost solve its closures and a
+large end-component round the component it peels before Tarjan; the other
 strongly connected components come from one Tarjan routine over flat
 successor arrays, ``_strongly_connected``.
 """
@@ -40,6 +41,11 @@ from .models import (
 )
 
 TransitionSource = Callable[[int, int], Sequence[tuple[int, float]]]
+
+# Most pending states of an end-component round that go to Tarjan whole;
+# a larger round peels its pivot's component first (``_round_components``).
+# It sits near the measured crossover of the two on a 2-CPU machine.
+PEEL_ABOVE = 6000
 
 
 @dataclass(frozen=True)
@@ -215,17 +221,18 @@ def _members(states: Iterable[int], n: int) -> np.ndarray:
     return out
 
 
-def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
-    """Refit a possibilistic product with MDP weights.
+def entry_weights(p: ProductModel, m_mdp: LabeledModel) -> np.ndarray:
+    """The probability of every entry of a possibilistic product under the
+    MDP ``m_mdp``: the weight of the entry's model step, 0.0 where
+    ``m_mdp`` drops the skeleton edge.
 
     The probabilistic model must share the possibilistic support: an edge of
-    ``m_mdp`` that the product skeleton does not carry is an error, while
-    skeleton edges of probability zero are dropped. Each skeleton row must
-    reach a model state at most once, as every row ``build_product`` makes
-    does.
+    ``m_mdp`` that the product skeleton does not carry is an error. Each
+    skeleton row must reach a model state at most once, as every row
+    ``build_product`` makes does.
     """
     if m_mdp.mode != MDP:
-        raise ModelError("with_probabilities needs an MDP-mode base model")
+        raise ModelError("entry weights need an MDP-mode base model")
     sk = p.base
     model_state = p.projection[:, 0]
     n_act, n_model = len(m_mdp.actions), m_mdp.n_states
@@ -242,8 +249,10 @@ def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
     entry_keys = m_mdp.entry_row * n_model + m_mdp.succ
     want = mdp_row[sk.entry_row] * n_model + model_state[sk.succ]
     pos = np.minimum(np.searchsorted(entry_keys, want), len(entry_keys) - 1)
-    found = entry_keys[pos] == want
-    matched = np.bincount(sk.entry_row[found], minlength=len(sk.row_action))
+    dropped = entry_keys[pos] != want
+    del want
+    matched = np.diff(sk.row_ptr) - np.bincount(sk.entry_row[dropped],
+                                               minlength=len(sk.row_action))
     short = np.flatnonzero(matched < np.diff(m_mdp.row_ptr)[mdp_row])
     if short.size:
         r = int(short[0])
@@ -253,10 +262,21 @@ def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
         raise ModelError(
             f"support mismatch at ({q}, {m_mdp.actions[u]!r}): "
             f"probabilistic successors {missing} missing from the skeleton")
+    weights = m_mdp.weight[pos]
+    weights[dropped] = 0.0
+    return weights
+
+
+def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
+    """Refit a possibilistic product with MDP weights (``entry_weights``):
+    skeleton edges of probability zero are dropped."""
+    sk = p.base
+    weights = entry_weights(p, m_mdp)
+    found = weights > 0
     base = dataclasses.replace(
         sk, mode=MDP,
         row_ptr=_ptr(np.bincount(sk.entry_row[found], minlength=len(sk.row_action))),
-        succ=sk.succ[found], weight=m_mdp.weight[pos[found]])
+        succ=sk.succ[found], weight=weights[found])
     return ProductModel(
         base=base,
         projection=p.projection,
@@ -283,9 +303,10 @@ def max_end_components(
     frontier. Rows whose support leaves the candidate set die first. Each
     round then splits the pending states (alive, not yet settled) into
     strongly connected components under their live rows, in one
-    ``_strongly_connected`` pass over all of them, and kills the rows that
-    cross a border. A component of the round that lost no row is settled
-    as final; the states of the others stay pending.
+    ``_strongly_connected`` pass over all of them (a round of more than
+    ``PEEL_ABOVE`` states peels one component first, ``_round_components``),
+    and kills the rows that cross a border. A component of the round that
+    lost no row is settled as final; the states of the others stay pending.
 
     Cost: building the index and all cascades together are linear in the
     rows and their supports; each round adds one linear SCC pass over the
@@ -342,7 +363,7 @@ def _end_components(n: LabeledModel, cand: np.ndarray
         pos[members] = np.arange(k)
         entries = np.flatnonzero((live & pending[row_state])[entry_row])
         src, dst = pos[row_state[entry_row[entries]]], pos[succ[entries]]
-        count, scc = _strongly_connected(src, dst, k)
+        count, scc = _round_components(src, dst, k)
         lost = disable(_distinct(entry_row[entries[scc[src] != scc[dst]]]))
         touched = np.zeros(count, dtype=bool)
         touched[scc[pos[lost]]] = True
@@ -365,6 +386,32 @@ def _groups(items: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
     keeps the items' order."""
     order = np.argsort(keys, kind="stable")
     return np.split(items[order], np.flatnonzero(np.diff(keys[order])) + 1)
+
+
+def _round_components(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """The strongly connected components of one end-component round, as
+    ``_strongly_connected`` takes and returns them, but numbered in no
+    set order.
+
+    Above ``PEEL_ABOVE`` nodes the round peels one component first: the
+    pivot is the node of largest in-degree x out-degree, and one backward
+    and one forward ``_layers`` pass give the nodes that reach it and the
+    nodes it reaches, whose intersection is its component (Fleischer,
+    Hendrickson & Pinar's forward-backward step, with Multistep's pivot).
+    Tarjan then runs on the other nodes only, so the one giant component
+    of a large round never enters its per-node Python lists.
+    """
+    if n <= PEEL_ABOVE:
+        return _strongly_connected(src, dst, n)
+    pivot = np.zeros(n, dtype=bool)
+    pivot[np.argmax(np.bincount(src, minlength=n) * np.bincount(dst, minlength=n))] = True
+    rest = (_layers(src, dst, pivot) < 0) | (_layers(dst, src, pivot) < 0)
+    at = np.cumsum(rest) - 1
+    inner = rest[src] & rest[dst]
+    count, comp = _strongly_connected(at[src[inner]], at[dst[inner]], int(at[-1]) + 1)
+    out = np.full(n, count, dtype=np.int64)
+    out[rest] = comp
+    return count + 1, out
 
 
 def _strongly_connected(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[int, np.ndarray]:
@@ -498,13 +545,19 @@ class SspModel:
         return 1.0 if state in self.bad else 0.0
 
 
-def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> SspModel:
+def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int],
+               weights: np.ndarray | None = None) -> SspModel:
     """Convert a product with goal/zero sets into a restart SSP.
 
     Works in both modes: goal mass is redirected onto the terminal by
     summation in entry order (MDP) or by an any-successor flag (NTS).
+    ``weights``, one per entry of a possibilistic product
+    (``entry_weights``), make the SSP an MDP with those weights: entries
+    of weight 0 are dropped, so the SSP is the one that ``with_probabilities``
+    followed by this conversion gives, bit for bit.
     """
     m = p.base
+    mode, weight = (m.mode, m.weight) if weights is None else (MDP, weights)
     if m.initial in goal:
         raise ModelError("initial state is already in the goal set (trivial instance)")
     is_goal, is_bad = _members(goal, m.n_states), _members(bad, m.n_states)
@@ -523,13 +576,15 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
     # Entries of the kept rows of states that do not restart, split into
     # plain entries (remapped) and goal entries (merged onto the terminal).
     live = (rows & ~is_bad[m.row_state])[m.entry_row]
+    if weights is not None:
+        live &= weights > 0
     into_goal = is_goal[m.succ]
     plain = np.flatnonzero(live & ~into_goal)
     to_goal = np.flatnonzero(live & into_goal)
     goal_row = new_row[m.entry_row[to_goal]]
-    if m.mode == MDP:
+    if mode == MDP:
         # np.bincount adds each row's weights in entry order, as a running sum would.
-        mass = np.bincount(goal_row, weights=m.weight[to_goal], minlength=n_rows)
+        mass = np.bincount(goal_row, weights=weight[to_goal], minlength=n_rows)
     else:
         mass = (np.bincount(goal_row, minlength=n_rows) > 0).astype(float)
     merged = np.flatnonzero(mass > 0)
@@ -542,7 +597,7 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
     order = np.argsort(entry_row, kind="stable")
     succ = np.concatenate((new_id[m.succ[plain]], np.full(len(merged), terminal),
                            np.full(len(restarts), new_initial), np.full(n_act, terminal)))
-    weight = np.concatenate((m.weight[plain], mass[merged], np.ones(len(restarts) + n_act)))
+    weight = np.concatenate((weight[plain], mass[merged], np.ones(len(restarts) + n_act)))
 
     base = LabeledModel(
         n_states=terminal + 1,
@@ -550,7 +605,7 @@ def mrp_to_ssp(p: ProductModel, goal: frozenset[int], bad: frozenset[int]) -> Ss
         actions=m.actions,
         props=m.props,
         labels=np.append(m.labels[keep], 0),
-        mode=m.mode,
+        mode=mode,
         state_ptr=_ptr(np.append(np.diff(m.state_ptr)[keep], n_act)),
         row_action=np.concatenate((m.row_action[rows], np.arange(n_act))),
         row_ptr=_ptr(np.bincount(entry_row, minlength=n_rows + n_act)),

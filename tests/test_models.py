@@ -1,11 +1,15 @@
 import dataclasses
 import io
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tlcontrol.exact import write_value_csv
 from tlcontrol.models import (
+    BLOCK_ROWS,
     MDP,
     NTS,
     LabeledModel,
@@ -16,6 +20,7 @@ from tlcontrol.models import (
     parse_dra,
     parse_model,
     parse_policy,
+    _ptr,
     save_policy,
     serialize_model,
 )
@@ -317,3 +322,61 @@ def test_policy_validation_and_round_trip():
     for text, error, message in cases:
         with pytest.raises(error, match=message):
             parse_policy(text, m)
+
+
+def two_action_model(n_rows):
+    """A model with ``n_rows`` self-loop rows: every state enables actions
+    a and b, but the last enables only a when ``n_rows`` is odd."""
+    per_state = [2] * (n_rows // 2) + [1] * (n_rows % 2)
+    n = len(per_state)
+    return LabeledModel(n_states=n, initial=0, actions=("a", "b"), props=(),
+                        labels=np.zeros(n, dtype=np.int64), mode=NTS,
+                        state_ptr=_ptr(per_state),
+                        row_action=np.concatenate([np.arange(k) for k in per_state]),
+                        row_ptr=np.arange(n_rows + 1),
+                        succ=np.repeat(np.arange(n), per_state), weight=np.ones(n_rows))
+
+
+@pytest.mark.parametrize("n_rows", [0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                    3 * BLOCK_ROWS + 2])
+def test_block_writers_write_the_one_shot_bytes(n_rows):
+    # The one-shot forms the writers had before they wrote in blocks. A
+    # model has at least one row, so at 0 a one-row model gets no
+    # probabilities, and both forms write nothing.
+    rng = np.random.default_rng(n_rows)
+    m = two_action_model(max(n_rows, 1))
+    probs = rng.random(n_rows) ** 3
+    buf = io.StringIO()
+    save_policy(buf, probs, m)
+    assert buf.getvalue() == "".join(f"{q}\t{m.actions[u]}\t{p!r}\n"
+                                     for (q, u), p in zip(m.enabled_pairs(), probs.tolist()))
+    buf = io.StringIO()
+    write_value_csv(buf, probs)
+    assert buf.getvalue() == "state,value\r\n" + "".join(
+        f"{q},{val!r}\r\n" for q, val in enumerate(probs.tolist()))
+
+
+def test_block_writers_hold_one_block_at_a_time():
+    # The writers' traced peak does not grow with the row count: 20 times
+    # the rows add at most 64 KiB to it, where holding every row's Python
+    # objects at once would add megabytes.
+    def traced_peak(write, *args):
+        with open(os.devnull, "w") as f:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                write(f, *args)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n_rows in (2 * BLOCK_ROWS, 40 * BLOCK_ROWS):
+        m = two_action_model(n_rows)
+        m.row_state  # the cached index, built before tracing
+        probs = rng.random(n_rows)
+        peaks.append((traced_peak(save_policy, probs, m), traced_peak(write_value_csv, probs)))
+    (policy_1, values_1), (policy_20, values_20) = peaks
+    assert policy_20 <= policy_1 + 64 * 1024
+    assert values_20 <= values_1 + 64 * 1024

@@ -640,9 +640,9 @@ def test_load_task_builds_the_nts_once(monkeypatch):
 
 
 def test_the_task_keeps_one_probabilistic_model(tmp_path, monkeypatch):
-    # The product's probability refit and the accepting components are
-    # intermediates: once the curve and the optimum are built, the task
-    # holds neither, and the refit was built once.
+    # The accepting components are intermediates: once the curve and the
+    # optimum are built, the task holds none of them. The exact SSP comes
+    # straight from the product's entry weights, so no refit is built.
     refit, components = pipeline.with_probabilities, pipeline.amecs
     made, refits = [], []
 
@@ -665,11 +665,16 @@ def test_the_task_keeps_one_probabilistic_model(tmp_path, monkeypatch):
     assert report.curve and ctx.optimal_values.size
     gc.collect()
     assert made and ctx.n_amecs == len(made)
-    assert len(refits) == 1
-    assert all(ref() is None for ref in made + refits)
+    # Nor do compare and eval.
+    compare(dataclasses.replace(cfg, outdir=str(tmp_path / "compare")))
+    evaluate_policy_file(cfg, tmp_path / "compare" / "policy.tsv")
+    assert refits == []
+    assert all(ref() is None for ref in made)
     assert "product_mdp" not in vars(ctx)
-    # The refit is still there on request, for checks of the exact values.
+    # The refit is still there on request, for checks of the exact values,
+    # and its SSP is the exact SSP.
     assert ctx.product_mdp.base == refit(ctx.product, ctx.base_mdp).base
+    assert ctx.exact_ssp.base == mrp_to_ssp(ctx.product_mdp, ctx.goal, ctx.bad).base
 
 
 def test_build_skips_the_probabilistic_model(tmp_path, monkeypatch):
@@ -891,7 +896,8 @@ cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=300,
 synthesize(dataclasses.replace(cfg, outdir=sys.argv[1] + "/lazy", exact_reference=False, eval_every=0))
 if cfg.mc_runs is None:
     compare(dataclasses.replace(cfg, outdir=sys.argv[1] + "/compare", eval_every=100))
-print(json.dumps([m for m in ("numpy.random", "secrets", "hashlib", "statistics") if m in sys.modules]))
+print(json.dumps([m for m in ("numpy.random", "secrets", "hashlib", "statistics", "fractions",
+                              "decimal") if m in sys.modules]))
 """
 
 
@@ -899,7 +905,8 @@ def test_only_monte_carlo_rows_load_numpy_random(tmp_path):
     # The actor-critic draws from its own Pcg64, and synthesize_seeds takes
     # its median without statistics: a desk synthesize and compare load
     # neither numpy.random (nor secrets and hashlib, which it imports) nor
-    # statistics. Monte-Carlo rows still draw from numpy.random.
+    # statistics (nor fractions and decimal, which it imports). Monte-Carlo
+    # rows still draw from numpy.random.
     loaded = []
     for overrides in ({}, {"mc_runs": 200}):
         done = subprocess.run([sys.executable, "-c", FOOTPRINT, str(tmp_path),

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tlcontrol import synthesis
-from tlcontrol.models import MDP, LabeledModel, ModelError, parse_dra, parse_model
+from tlcontrol.models import MDP, NTS, LabeledModel, ModelError, parse_dra, parse_model
 from tlcontrol.synthesis import (
     Amec,
     ProductModel,
@@ -14,6 +15,7 @@ from tlcontrol.synthesis import (
     _strongly_connected,
     amecs,
     build_product,
+    entry_weights,
     goal_and_bad_sets,
     max_end_components,
     mrp_to_ssp,
@@ -244,14 +246,16 @@ def test_mec_split_four_rounds_deep(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10_000), n_states=st.integers(3, 8),
        n_actions=st.integers(1, 3), max_succ=st.integers(1, 3),
-       restrict=st.booleans())
-def test_worklist_mecs_match_brute_force(seed, n_states, n_actions, max_succ, restrict):
+       restrict=st.booleans(), peel=st.booleans())
+def test_worklist_mecs_match_brute_force(seed, n_states, n_actions, max_succ, restrict, peel):
     rng = np.random.default_rng(seed)
     n = random_nts(rng, n_states=n_states, n_actions=n_actions, max_succ=max_succ)
     within = None
     if restrict:
         within = {q for q in range(n_states) if rng.random() < 0.7}
-    got = max_end_components(n, within=within)
+    # With peel, every round peels its pivot's component before Tarjan.
+    with mock.patch.object(synthesis, "PEEL_ABOVE", 0 if peel else synthesis.PEEL_ABOVE):
+        got = max_end_components(n, within=within)
     want = brute_force_mecs(n, within=within)
     # Retained actions are compared as tuples, so their order counts too.
     assert [(s, retained(n, r)) for s, r in got] == want
@@ -340,18 +344,39 @@ def test_strongly_connected_components_come_out_sinks_first(n, edges):
     edges = [(a % n, b % n) for a, b in edges]
     src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     count, comp = _strongly_connected(src, dst, n)
+    assert_scc_partition(n, edges, count, comp)
+    # Every edge that leaves a component enters one numbered before it.
+    assert all(comp[b] <= comp[a] for a, b in edges)
+
+
+def assert_scc_partition(n, edges, count, comp):
+    """``count`` components numbered 0..count-1, and two nodes share one
+    exactly when each reaches the other."""
     assert comp.dtype == np.int64
     reach = np.eye(n, dtype=bool)
     for a, b in edges:
         reach[a, b] = True
     for _ in range(n):
         reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
-    # Two nodes share a component exactly when each reaches the other.
     same = np.equal.outer(comp, comp)
     assert (same == (reach & reach.T)).all()
     assert sorted(set(comp)) == list(range(count))
-    # Every edge that leaves a component enters one numbered before it.
-    assert all(comp[b] <= comp[a] for a, b in edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), edges=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                            max_size=40))
+@example(n=4, edges=[])  # no edges: the pivot, node 0, is alone like every node
+@example(n=3, edges=[(0, 1), (1, 2)])  # the pivot, node 1, is a singleton on a path
+@example(n=3, edges=[(0, 0), (0, 0), (0, 1), (1, 0), (1, 0), (2, 2)])  # loops, repeats
+def test_peeled_round_partition_matches_reachability(n, edges):
+    # With the round-size constant at 0, every round peels the pivot's
+    # component and runs Tarjan on the other nodes.
+    edges = [(a % n, b % n) for a, b in edges]
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    with mock.patch.object(synthesis, "PEEL_ABOVE", 0):
+        count, comp = synthesis._round_components(src, dst, n)
+    assert_scc_partition(n, edges, count, comp)
 
 
 def test_goal_and_bad_sets(rng):
@@ -494,6 +519,59 @@ def test_with_probabilities_validates_support(rng):
                                 actions=m.actions, props=m.props, labels=m.labels, mode=MDP)
     with pytest.raises(ModelError, match="support mismatch"):
         with_probabilities(skeleton, m2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), label_rule=st.sampled_from(["next", "current"]),
+       n_states=st.integers(1, 6), n_actions=st.integers(1, 3), dra_states=st.integers(1, 3))
+def test_ssp_from_entry_weights_is_the_refits(seed, label_rule, n_states, n_actions, dra_states):
+    # The skeleton carries every edge of the MDP plus random extra ones,
+    # which the MDP drops.
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=3, n_props=2)
+    rows = {key: row + tuple((s, 1.0) for s in np.flatnonzero(rng.random(n_states) < 0.4).tolist()
+                             if s not in dict(row))
+            for key, row in model_rows(nts_from_mdp(m)).items()}
+    skeleton = LabeledModel.from_rows(rows, n_states=n_states, initial=m.initial,
+                                      actions=m.actions, props=m.props, labels=m.labels,
+                                      mode=NTS)
+    product = build_product(skeleton, random_dra(rng, dra_states, PROP_NAMES[:2]), label_rule)
+    sk = product.base
+    weights = entry_weights(product, m)
+    model_state = product.projection[:, 0]
+    mdp_rows = model_rows(m)
+    assert weights.tolist() == [
+        dict(mdp_rows[int(model_state[sk.row_state[r]]), int(sk.row_action[r])]).get(
+            int(model_state[s]), 0.0) for r, s in zip(sk.entry_row, sk.succ)]
+    n = sk.n_states
+    goal = set(np.flatnonzero(rng.random(n) < 0.3).tolist()) - {sk.initial}
+    bad = set(np.flatnonzero(rng.random(n) < 0.2).tolist())
+    # A row whose goal entries all have weight 0: a dropped entry's
+    # successor joins the goal, and the row's other successors leave it.
+    dropped = [e for e in np.flatnonzero(weights == 0).tolist()
+               if sk.succ[e] not in (sk.initial, sk.row_state[sk.entry_row[e]])]
+    forced = None
+    if dropped:
+        e = dropped[int(rng.integers(len(dropped)))]
+        forced = int(sk.entry_row[e])
+        row = range(sk.row_ptr[forced], sk.row_ptr[forced + 1])
+        goal |= {int(sk.succ[e])}
+        goal -= {int(sk.succ[i]) for i in row if weights[i] > 0}
+        goal.discard(int(sk.row_state[forced]))
+        bad.discard(int(sk.row_state[forced]))
+    goal, bad = frozenset(goal), frozenset(bad - goal)
+    got = mrp_to_ssp(product, goal, bad, weights)
+    want = mrp_to_ssp(with_probabilities(product, m), goal, bad)
+    assert got.base == want.base and got.base.weight.tobytes() == want.base.weight.tobytes()
+    assert (got.terminal, got.bad) == (want.terminal, want.bad)
+    assert np.array_equal(got.origin, want.origin)
+    if forced is not None:
+        # The possibilistic SSP sends the forced row to the terminal; with
+        # the weights it does not reach the terminal.
+        x = int(np.flatnonzero(got.origin == sk.row_state[forced])[0])
+        u = int(sk.row_action[forced])
+        assert got.terminal in mrp_to_ssp(product, goal, bad).base.support(x, u)
+        assert got.terminal not in got.base.support(x, u)
 
 
 @settings(max_examples=100, deadline=None)
