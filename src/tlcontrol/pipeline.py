@@ -49,7 +49,6 @@ from .models import (
     MDP,
     LabeledModel,
     ModelError,
-    RabinAutomaton,
     nts_from_mdp,
     parse_dra,
     parse_model,
@@ -184,7 +183,6 @@ class TaskContext:
     layer runs when ``cfg.exact_reference`` is on."""
 
     cfg: RunConfig
-    dra: RabinAutomaton
     base_nts: LabeledModel
     base_mdp: LabeledModel | None
     # base_mdp's rows, or the map's lazy rows (gridenv.transition_rows) when
@@ -201,7 +199,7 @@ class TaskContext:
 
     @property
     def zero_probability(self) -> bool:
-        return not self.n_amecs or self.product.base.initial in self.bad
+        return self.product.base.initial in self.bad
 
     @property
     def early_exit(self) -> float | None:
@@ -263,7 +261,7 @@ def load_task(cfg: RunConfig) -> TaskContext:
     product = build_product(base_nts, dra, cfg.label_rule)
     amec_list = amecs(product)
     goal, bad = goal_and_bad_sets(product, amec_list)
-    return TaskContext(cfg=cfg, dra=dra, base_nts=base_nts, base_mdp=base_mdp,
+    return TaskContext(cfg=cfg, base_nts=base_nts, base_mdp=base_mdp,
                        base_row=base_row, product=product, n_amecs=len(amec_list),
                        goal=goal, bad=bad)
 
@@ -290,8 +288,8 @@ def _base_lines(ctx: TaskContext) -> list[tuple[str, object]]:
         ("task", ctx.cfg.task_name),
         ("model states", ctx.base_nts.n_states),
         ("model enabled pairs", ctx.base_nts.n_enabled_pairs()),
-        ("automaton states", ctx.dra.n_states),
-        ("accepting pairs", len(ctx.dra.pairs)),
+        ("automaton states", ctx.product.automaton.n_states),
+        ("accepting pairs", len(ctx.product.automaton.pairs)),
         ("product states (unpruned)", ctx.product.unpruned_states),
         ("product states (pruned)", ctx.product.base.n_states),
         ("amecs", ctx.n_amecs),
@@ -418,7 +416,7 @@ def write_models(cfg: RunConfig) -> list[Path]:
     ctx = load_task(dataclasses.replace(cfg, exact_reference=False))
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = product_state_names(ctx.product, ctx.base_nts.state_names)
+    names = product_state_names(ctx.product)
     paths = [outdir / "product.model"]
     paths[0].write_text(serialize_model(
         dataclasses.replace(ctx.product.base, state_names=names)))

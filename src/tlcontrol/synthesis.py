@@ -9,9 +9,12 @@ zero-probability states restart at the initial state with unit cost.
 
 Every step works on the models' CSR arrays (see ``models``). The product is
 built forward from its initial state, as frontier joins of the model's rows
-with the automaton's ``delta`` table, so it holds only reachable states; the
-entry weights an MDP gives the product and the SSP conversion are masks,
-gathers and remaps; the end-component search holds its live rows, its live
+with the automaton's ``delta`` table, so it holds only reachable states. It
+keeps its two factors and no copies derived from them: the accepting pairs
+become masks where the end-component search reads them, and the entry
+weights an MDP gives the product are gathers through the product's row
+layout (stated once, in ``ProductModel``). The SSP conversion is masks and
+remaps; the end-component search holds its live rows, its live
 states and its removal cascade as masks over the arrays, with one SCC pass
 per round over all pending states. The backward closure of the goal is a
 numpy frontier loop, ``_layers``, which also gives the policy evaluator its
@@ -50,25 +53,35 @@ PEEL_ABOVE = 6000
 
 @dataclass(frozen=True)
 class ProductModel:
-    """Synchronized product of a labeled model and a Rabin automaton.
+    """Synchronized product of the labeled model ``model`` and the Rabin
+    automaton ``automaton``, over its states reachable from the initial one.
 
     ``projection`` is an (n, 2) array holding each product state's (model
-    state, automaton state) pair; ``pairs`` are the lifted accepting pairs
-    as product-state sets. ``unpruned_states`` is the size of the full
-    product, |model states| x |automaton states|, of which ``base`` keeps
-    the reachable part. ``base`` carries no state names;
-    ``product_state_names`` formats them for a model file.
+    state, automaton state) pair, sorted; ``base`` carries no state names,
+    and ``product_state_names`` formats them for a model file.
+
+    The layout that ``build_product`` writes, and that ``entry_weights``
+    and ``SspTransitionSource`` read: a product state i over model state q
+    has q's rows in q's order, so its row r is model row
+    ``model.state_ptr[q] + (r - base.state_ptr[i])``, and each row has one
+    entry per entry of that model row, in order, the k-th stepping to a
+    product state over the model row's k-th successor.
     """
 
     base: LabeledModel
     projection: np.ndarray
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    unpruned_states: int
+    model: LabeledModel
+    automaton: RabinAutomaton
 
     def __post_init__(self):
         projection = np.asarray(self.projection, dtype=np.int64).reshape(-1, 2).view()
         projection.flags.writeable = False
         object.__setattr__(self, "projection", projection)
+
+    @property
+    def unpruned_states(self) -> int:
+        """The size of the full product, |model states| x |automaton states|."""
+        return self.model.n_states * self.automaton.n_states
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -106,10 +119,9 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
     The product is explored forward from the initial pair, one frontier of
     codes q * |S| + s at a time, each a join of the frontier's model rows
     with ``delta``. The reached codes, sorted, are the product's states, so
-    a state's number is its rank among the reached codes. Product state i
-    over model state q has the rows of q, in the same order; an entry to q'
-    lands on the state of code q' * |S| + delta(s, letter), so a row's
-    successors stay ascending.
+    a state's number is its rank among the reached codes. The rows follow
+    ``ProductModel``'s layout; an entry to q' lands on the state of code
+    q' * |S| + delta(s, letter), so a row's successors stay ascending.
     """
     if label_rule not in LABEL_RULES:
         raise ModelError(f"unknown label rule {label_rule!r}")
@@ -162,23 +174,15 @@ def build_product(m: LabeledModel, r: RabinAutomaton, label_rule: str = "next") 
         succ=new_id[succ],
         weight=m.weight[entries],
     )
-
-    def lift(dra_states: frozenset[int]) -> frozenset[int]:
-        return frozenset(np.flatnonzero(_members(dra_states, ns)[dra_state]).tolist())
-
-    return ProductModel(
-        base=base,
-        projection=np.stack((model_state, dra_state), axis=1),
-        pairs=tuple((lift(left), lift(right)) for left, right in r.pairs),
-        unpruned_states=m.n_states * ns,
-    )
+    return ProductModel(base=base, projection=np.stack((model_state, dra_state), axis=1),
+                        model=m, automaton=r)
 
 
-def product_state_names(p: ProductModel, model_names: Sequence[str] | None) -> tuple[str, ...]:
+def product_state_names(p: ProductModel) -> tuple[str, ...]:
     """Each product state's name, ``<model state name>|<automaton state>``,
     through ``projection``; a model without names names its states by
     number."""
-    name = model_names.__getitem__ if model_names else str
+    name = p.model.state_names.__getitem__ if p.model.state_names else str
     return tuple(f"{name(q)}|{s}" for q, s in zip(*p.projection.T.tolist()))
 
 
@@ -226,45 +230,43 @@ def entry_weights(p: ProductModel, m_mdp: LabeledModel) -> np.ndarray:
     MDP ``m_mdp``: the weight of the entry's model step, 0.0 where
     ``m_mdp`` drops the skeleton edge.
 
-    The probabilistic model must share the possibilistic support: an edge of
-    ``m_mdp`` that the product skeleton does not carry is an error. Each
-    skeleton row must reach a model state at most once, as every row
-    ``build_product`` makes does.
+    ``m_mdp`` must have the rows of ``p.model``, as the MDP twin of an NTS
+    (``gridenv.build_mdp``, ``nts_from_mdp``) does, and share its support:
+    an edge of ``m_mdp`` that the model does not carry, in a row the
+    product uses, is an error. Each product entry's model entry is read off
+    the layout of ``ProductModel``.
     """
     if m_mdp.mode != MDP:
         raise ModelError("entry weights need an MDP-mode base model")
-    sk = p.base
-    model_state = p.projection[:, 0]
-    n_act, n_model = len(m_mdp.actions), m_mdp.n_states
-    # The MDP row of every skeleton row; rows are sorted by (state, action).
-    mdp_keys = m_mdp.row_state * n_act + m_mdp.row_action
-    want = model_state[sk.row_state] * n_act + sk.row_action
-    mdp_row = np.minimum(np.searchsorted(mdp_keys, want), len(mdp_keys) - 1)
-    absent = np.flatnonzero(mdp_keys[mdp_row] != want)
-    if absent.size:
-        q, u = divmod(int(want[absent[0]]), n_act)
-        raise ModelError(f"no probabilistic row for ({q}, {sk.actions[u]!r})")
-    # The MDP entry of each skeleton entry's model successor in that row;
-    # entries are sorted by (row, successor).
-    entry_keys = m_mdp.entry_row * n_model + m_mdp.succ
-    want = mdp_row[sk.entry_row] * n_model + model_state[sk.succ]
-    pos = np.minimum(np.searchsorted(entry_keys, want), len(entry_keys) - 1)
-    dropped = entry_keys[pos] != want
-    del want
-    matched = np.diff(sk.row_ptr) - np.bincount(sk.entry_row[dropped],
-                                               minlength=len(sk.row_action))
-    short = np.flatnonzero(matched < np.diff(m_mdp.row_ptr)[mdp_row])
-    if short.size:
-        r = int(short[0])
-        q, u = int(model_state[sk.row_state[r]]), int(sk.row_action[r])
-        have = model_state[sk.succ[sk.row_ptr[r]:sk.row_ptr[r + 1]]].tolist()
-        missing = sorted(set(m_mdp.support(q, u)) - set(have))
-        raise ModelError(
-            f"support mismatch at ({q}, {m_mdp.actions[u]!r}): "
-            f"probabilistic successors {missing} missing from the skeleton")
-    weights = m_mdp.weight[pos]
-    weights[dropped] = 0.0
-    return weights
+    m, sk = p.model, p.base
+    if not (np.array_equal(m_mdp.state_ptr, m.state_ptr)
+            and np.array_equal(m_mdp.row_action, m.row_action)):
+        have, want = m_mdp.enabled, m.enabled
+        q = next(q for q in range(max(len(have), len(want))) if have[q:q + 1] != want[q:q + 1])
+        raise ModelError(f"probabilistic rows differ from the model's at state {q}")
+    # The model entry of each MDP entry; entries are sorted by (row, successor).
+    keys = m.entry_row * m.n_states + m.succ
+    want = m_mdp.entry_row * m.n_states + m_mdp.succ
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    outside = keys[at] != want
+    weight = np.zeros(len(keys))
+    weight[at[~outside]] = m_mdp.weight[~outside]
+    # The model row of each product row.
+    row = (np.arange(len(sk.row_action))
+           + (m.state_ptr[p.projection[:, 0]] - sk.state_ptr[:-1])[sk.row_state])
+    if outside.any():
+        leaves = np.zeros(len(m.row_action), dtype=bool)
+        leaves[m_mdp.entry_row[outside]] = True
+        short = np.flatnonzero(leaves[row])
+        if short.size:
+            r = int(row[short[0]])
+            q, u = int(m.row_state[r]), int(m.row_action[r])
+            missing = sorted(set(m_mdp.support(q, u)) - set(m.support(q, u)))
+            raise ModelError(
+                f"support mismatch at ({q}, {m_mdp.actions[u]!r}): "
+                f"probabilistic successors {missing} missing from the skeleton")
+    entry = np.arange(len(sk.succ)) + (m.row_ptr[row] - sk.row_ptr[:-1])[sk.entry_row]
+    return weight[entry]
 
 
 def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
@@ -273,16 +275,10 @@ def with_probabilities(p: ProductModel, m_mdp: LabeledModel) -> ProductModel:
     sk = p.base
     weights = entry_weights(p, m_mdp)
     found = weights > 0
-    base = dataclasses.replace(
+    return dataclasses.replace(p, base=dataclasses.replace(
         sk, mode=MDP,
         row_ptr=_ptr(np.bincount(sk.entry_row[found], minlength=len(sk.row_action))),
-        succ=sk.succ[found], weight=weights[found])
-    return ProductModel(
-        base=base,
-        projection=p.projection,
-        pairs=p.pairs,
-        unpruned_states=p.unpruned_states,
-    )
+        succ=sk.succ[found], weight=weights[found]))
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +316,13 @@ def max_end_components(
     rows, and strongly connected.
     """
     cand = np.ones(n.n_states, dtype=bool) if within is None else _members(within, n.n_states)
-    return _end_components(n, cand)
+    return [(frozenset(states.tolist()), rows) for states, rows in _end_components(n, cand)]
 
 
 def _end_components(n: LabeledModel, cand: np.ndarray
-                    ) -> list[tuple[frozenset[int], np.ndarray]]:
-    """``max_end_components`` within the states of the mask ``cand``."""
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``max_end_components`` within the states of the mask ``cand``, each
+    component's states an ascending index array."""
     if n.mode != NTS:
         raise ModelError("end components are computed on NTS-mode models")
     row_state, entry_row, succ = n.row_state, n.entry_row, n.succ
@@ -377,8 +374,7 @@ def _end_components(n: LabeledModel, cand: np.ndarray
     if not in_mec.size:
         return []
     kept = np.flatnonzero(live)
-    return [(frozenset(states.tolist()), rows) for states, rows in
-            zip(_groups(in_mec, label[in_mec]), _groups(kept, label[row_state[kept]]))]
+    return list(zip(_groups(in_mec, label[in_mec]), _groups(kept, label[row_state[kept]])))
 
 
 def _groups(items: np.ndarray, keys: np.ndarray) -> list[np.ndarray]:
@@ -484,18 +480,21 @@ class Amec:
 def amecs(p: ProductModel) -> list[Amec]:
     """Accepting maximal end components of a possibilistic product.
 
-    For each pair (L, K): the maximal end components of the product with L
-    removed that still intersect K. An empty result means no policy satisfies
-    the objective from anywhere.
+    For each pair (L, K) of the automaton, lifted to masks through the
+    product states' automaton states: the maximal end components of the
+    product with L removed that still intersect K. An empty result means no
+    policy satisfies the objective from anywhere.
     """
-    if not p.pairs:
+    r = p.automaton
+    if not r.pairs:
         raise ModelError("product has no accepting pairs")
-    m = p.base
+    dra_state = p.projection[:, 1]
     out = []
-    for i, (left, right) in enumerate(p.pairs):
-        for states, rows in _end_components(m, ~_members(left, m.n_states)):
-            if not states.isdisjoint(right):
-                out.append(Amec(states=states, rows=rows, pair_index=i))
+    for i, (left, right) in enumerate(r.pairs):
+        in_right = _members(right, r.n_states)[dra_state]
+        for states, rows in _end_components(p.base, ~_members(left, r.n_states)[dra_state]):
+            if in_right[states].any():
+                out.append(Amec(states=frozenset(states.tolist()), rows=rows, pair_index=i))
     return out
 
 
@@ -651,8 +650,8 @@ class SspTransitionSource:
     those calls, so it counts exactly the model rows ever needed.
 
     The rows are read off the product, which took every automaton step:
-    its states over q are consecutive (it numbers them by q * |S| + s), and
-    each has q's rows in q's order, with one successor per model successor.
+    its states over q are consecutive (``projection`` is sorted), and their
+    rows follow the layout of ``ProductModel``.
     """
 
     def __init__(self, ssp: SspModel, product: ProductModel, base_row: TransitionSource):

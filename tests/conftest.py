@@ -7,6 +7,7 @@ import pytest
 
 from tlcontrol.exact import _one_hot
 from tlcontrol.models import MDP, NTS, LabeledModel, ModelError, RabinAutomaton, parse_model
+from tlcontrol.synthesis import ProductModel
 from dict_reference import model_rows
 
 PROP_NAMES = ("p", "q", "r", "s")
@@ -65,6 +66,18 @@ def retained(m, rows):
     for r in rows.tolist():
         out.setdefault(int(m.row_state[r]), []).append(int(m.row_action[r]))
     return {q: tuple(actions) for q, actions in out.items()}
+
+
+def own_product(m, pairs):
+    """``m`` as its own product: product state q is model state q and
+    automaton state q, and the automaton carries only ``pairs`` (its
+    transitions are never read)."""
+    n = m.n_states
+    automaton = RabinAutomaton(n_states=n, initial=m.initial, props=m.props,
+                               delta=np.zeros((n, 1 << len(m.props)), dtype=np.int64),
+                               pairs=pairs)
+    return ProductModel(base=m, projection=np.repeat(np.arange(n), 2).reshape(n, 2),
+                        model=m, automaton=automaton)
 
 
 def random_dra(rng, n_states, props, n_pairs=None, unreachable=0):

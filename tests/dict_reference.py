@@ -3,7 +3,8 @@
 The model functions are the per-row dict implementations that the array
 code in ``tlcontrol.synthesis`` replaced, working on ``DictModel``s: a
 model as a dict (state, action) -> ((successor, weight), ...). ``of``,
-``of_product`` and ``of_ssp`` turn array results into the same form, the
+``of_product`` and ``of_ssp`` turn array results into the same form (a
+product's pairs lifted to state sets by ``lifted_pairs``), the
 product's and the SSP's state names formatted by the functions that
 format them for model files, so a test can compare the two builds
 exactly, weights bit for bit and names character for character.
@@ -76,11 +77,21 @@ def of(m, names=None) -> DictModel:
                      m.state_names if names is None else names)
 
 
-def of_product(p, model_names) -> DictProduct:
+def lifted_pairs(p) -> tuple[tuple[frozenset[int], frozenset[int]], ...]:
+    """The accepting pairs of the array product ``p``'s automaton as
+    product-state sets, through each state's automaton state."""
+    dra_state = p.projection[:, 1].tolist()
+    return tuple((frozenset(i for i, s in enumerate(dra_state) if s in left),
+                  frozenset(i for i, s in enumerate(dra_state) if s in right))
+                 for left, right in p.automaton.pairs)
+
+
+def of_product(p) -> DictProduct:
     """The array product ``p`` as a DictProduct, its states named on demand
-    (``product_state_names``) from the model's ``model_names``."""
-    return DictProduct(of(p.base, product_state_names(p, model_names)),
-                       tuple(map(tuple, p.projection.tolist())), p.pairs, p.unpruned_states)
+    (``product_state_names``) and its pairs lifted (``lifted_pairs``)."""
+    return DictProduct(of(p.base, product_state_names(p)),
+                       tuple(map(tuple, p.projection.tolist())), lifted_pairs(p),
+                       p.unpruned_states)
 
 
 def of_ssp(s, product_names) -> DictSsp:

@@ -13,9 +13,10 @@ from dict_reference import action_probability
 from tlcontrol import exact
 from tlcontrol.lookahead import LookaheadPolicy
 from tlcontrol.pipeline import RunConfig, synthesize
-from tlcontrol.synthesis import max_end_components, mrp_to_ssp, ProductModel, amecs
+from tlcontrol.synthesis import max_end_components, mrp_to_ssp, amecs
 from conftest import (
-    enumerate_policies, make_random_ssp, random_mdp, random_nts, retained, support_zeros)
+    enumerate_policies, make_random_ssp, own_product, random_mdp, random_nts, retained,
+    support_zeros)
 from test_synthesis import brute_force_mecs
 
 DESK_SEEDS = [0, 1, 2, 3, 4]
@@ -59,8 +60,7 @@ def test_criterion_2_amec_exhaustive_equivalence():
                          rng.choice(n_states, size=min(2, n_states - 1), replace=False))
         right = frozenset(int(s) for s in
                           rng.choice(n_states, size=min(2, n_states), replace=False))
-        p = ProductModel(base=n, projection=tuple((q, 0) for q in range(n_states)),
-                         pairs=((left, right),), unpruned_states=n_states)
+        p = own_product(n, ((left, right),))
         got_a = [(a.states, retained(n, a.rows)) for a in amecs(p)]
         want_a = [(s, r) for s, r in
                   brute_force_mecs(n, within=set(range(n_states)) - left) if s & right]

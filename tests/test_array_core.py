@@ -56,7 +56,7 @@ def test_array_builds_match_the_dict_reference(seed, mode, label_rule, n_states,
 
     pruned = build_product(m, dra, label_rule)
     want = ref.prune_unreachable(ref.build_product(m, dra, label_rule))
-    assert ref.of_product(pruned, m.state_names) == want
+    assert ref.of_product(pruned) == want
 
     # The probability refit, on the skeleton of the MDP twin.
     if mode == MDP:
@@ -67,7 +67,7 @@ def test_array_builds_match_the_dict_reference(seed, mode, label_rule, n_states,
                 continue
             got = outcome(with_probabilities, skeleton, mdp)
             expect = outcome(ref.with_probabilities, dict_skeleton, mdp)
-            assert (got if isinstance(got, str) else ref.of_product(got, m.state_names)) == expect
+            assert (got if isinstance(got, str) else ref.of_product(got)) == expect
 
     # Goal closure and SSP conversion for a random goal and restart set.
     n = pruned.base.n_states
@@ -96,7 +96,7 @@ def test_forward_product_matches_the_pruned_reference(seed, label_rule, n_states
     m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=2, n_props=n_props)
     dra = random_dra(rng, dra_states, PROP_NAMES[:n_props], unreachable=unreachable)
     got = build_product(m, dra, label_rule)
-    assert (ref.of_product(got, m.state_names)
+    assert (ref.of_product(got)
             == ref.prune_unreachable(ref.build_product(m, dra, label_rule)))
     assert got.unpruned_states == n_states * (dra_states + unreachable)
     assert not (set(got.projection[:, 1].tolist()) & set(range(dra_states, dra.n_states)))

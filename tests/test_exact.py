@@ -19,10 +19,10 @@ from tlcontrol.exact import (
 )
 from tlcontrol.models import MDP, LabeledModel, ModelError, parse_model
 from tlcontrol.pipeline import RunConfig, load_task
-from tlcontrol.synthesis import ProductModel, mrp_to_ssp
+from tlcontrol.synthesis import mrp_to_ssp
 from dict_reference import model_rows
 import conftest
-from conftest import enumerate_policies, lattice_map, random_mdp, support_zeros
+from conftest import enumerate_policies, lattice_map, own_product, random_mdp, support_zeros
 
 
 def test_max_reach_trivial_values():
@@ -268,8 +268,7 @@ trans 1 a 1 1.0
 trans 2 a 2 1.0
 """
     m = parse_model(text)
-    return ProductModel(base=m, projection=tuple((q, 0) for q in range(3)),
-                        pairs=((frozenset(), frozenset({1})),), unpruned_states=3)
+    return own_product(m, ((frozenset(), frozenset({1})),))
 
 
 def lowest_actions(m):
@@ -307,8 +306,7 @@ trans 1 a 1 1.0
 trans 2 a 2 1.0
 """
     m = parse_model(text)
-    product = ProductModel(base=m, projection=tuple((q, 0) for q in range(3)),
-                           pairs=((frozenset(), frozenset({1})),), unpruned_states=3)
+    product = own_product(m, ((frozenset(), frozenset({1})),))
     ssp = mrp_to_ssp(product, frozenset({1}), frozenset({2}))
     with pytest.raises(PolicyDivergence, match="diverges"):
         expected_total_cost(ssp, lowest_actions(ssp.base))
@@ -414,8 +412,7 @@ def test_dense_and_fixed_point_evaluations_agree(seed, n_states):
 
     # Restart SSP: the last state is the goal, the one before it restarts.
     m = random_mdp(rng, n_states=n_states, n_actions=3)
-    product = ProductModel(base=m, projection=tuple((q, 0) for q in range(n_states)),
-                           pairs=((frozenset(), frozenset({trap})),), unpruned_states=n_states)
+    product = own_product(m, ((frozenset(), frozenset({trap})),))
     ssp = mrp_to_ssp(product, frozenset({trap}), frozenset({trap - 1}))
     pol = _random_policy(rng, ssp.base)
     try:
@@ -541,8 +538,7 @@ def test_block_solves_match_one_dense_solve(seed):
     assert np.abs(v - want).max() <= 1e-12
 
     # The same model as a restart SSP: the target is the goal, the trap restarts.
-    product = ProductModel(base=m, projection=tuple((q, 0) for q in range(m.n_states)),
-                           pairs=((frozenset(), frozenset({0})),), unpruned_states=m.n_states)
+    product = own_product(m, ((frozenset(), frozenset({0})),))
     ssp = mrp_to_ssp(product, frozenset({0}), frozenset({1}))
     probs = _bounded_policy(rng, ssp.base)
     p = _kernel_matrix(ssp.base, probs)

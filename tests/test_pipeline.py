@@ -1182,7 +1182,7 @@ def test_config_file_takes_ints_for_floats_and_null_where_the_default_is_none(tm
 def test_mission_dra_run_enters_accepting_states_along_oracle_path():
     cfg = RunConfig.from_file("tasks/desk.json")
     ctx = load_task(cfg)
-    dra = ctx.dra
+    dra = ctx.product.automaton
     accepting = dra.pairs[0][1]
     targets = {p for p in range(ctx.product.base.n_states)
                if ctx.product.projection[p][1] in accepting}

@@ -10,7 +10,6 @@ from tlcontrol import synthesis
 from tlcontrol.models import MDP, NTS, LabeledModel, ModelError, parse_dra, parse_model
 from tlcontrol.synthesis import (
     Amec,
-    ProductModel,
     SspTransitionSource,
     _strongly_connected,
     amecs,
@@ -23,8 +22,9 @@ from tlcontrol.synthesis import (
     with_probabilities,
 )
 from tlcontrol.models import nts_from_mdp
-from dict_reference import model_rows
-from conftest import PROP_NAMES, parse_ssp_text, random_dra, random_mdp, random_nts, retained
+from dict_reference import lifted_pairs, model_rows
+from conftest import (PROP_NAMES, own_product, parse_ssp_text, random_dra, random_mdp,
+                      random_nts, retained)
 
 UNIT_DRA = """
 states 1
@@ -130,7 +130,7 @@ def test_chain_times_reachability_automaton():
     assert p.base.initial == 0
     assert p.base.successors(0, 0) == ((1, 1.0),)
     assert p.base.successors(1, 0) == ((1, 1.0),)
-    assert p.pairs == ((frozenset(), frozenset({1})),)
+    assert lifted_pairs(p) == ((frozenset(), frozenset({1})),)
 
 
 def test_proposition_mismatch():
@@ -165,6 +165,33 @@ def test_prune_keeps_reachable_and_projection(rng):
                     stack.append(s)
     assert seen == set(range(p.base.n_states))
     assert len(p.projection) == p.base.n_states
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), mode=st.sampled_from([MDP, NTS]),
+       label_rule=st.sampled_from(["next", "current"]), n_states=st.integers(1, 7),
+       n_actions=st.integers(1, 3), n_props=st.integers(1, 3), dra_states=st.integers(1, 4))
+def test_product_rows_follow_the_model_rows(seed, mode, label_rule, n_states, n_actions,
+                                            n_props, dra_states):
+    # The layout ProductModel states, which entry_weights and
+    # SspTransitionSource read: row r of a state i over q is model row
+    # state_ptr[q] + (r - base.state_ptr[i]), entry for entry.
+    rng = np.random.default_rng(seed)
+    m = random_mdp(rng, n_states=n_states, n_actions=n_actions, max_succ=4, n_props=n_props)
+    m = m if mode == MDP else nts_from_mdp(m)
+    p = build_product(m, random_dra(rng, dra_states, PROP_NAMES[:n_props]), label_rule)
+    sk, model_state = p.base, p.projection[:, 0]
+    assert p.model is m
+    for i, q in enumerate(model_state.tolist()):
+        lo, hi = sk.state_ptr[i:i + 2].tolist()
+        assert hi - lo == m.state_ptr[q + 1] - m.state_ptr[q]
+        for r in range(lo, hi):
+            mr = m.state_ptr[q] + (r - lo)
+            assert sk.row_action[r] == m.row_action[mr]
+            entries = slice(sk.row_ptr[r], sk.row_ptr[r + 1])
+            model_entries = slice(m.row_ptr[mr], m.row_ptr[mr + 1])
+            assert model_state[sk.succ[entries]].tolist() == m.succ[model_entries].tolist()
+            assert sk.weight[entries].tolist() == m.weight[model_entries].tolist()
 
 
 def test_current_label_rule_differs_on_first_letter():
@@ -264,24 +291,19 @@ def test_worklist_mecs_match_brute_force(seed, n_states, n_actions, max_succ, re
 def test_amecs_trivial_and_brute_force(rng):
     # K state absorbing and not in L: the singleton is accepting.
     n = parse_model("states 2\ninitial 0\nmode nts\ntrans 0 a 1 1\ntrans 1 a 1 1")
-    p = ProductModel(base=n, projection=((0, 0), (1, 0)),
-                     pairs=((frozenset(), frozenset({1})),),
-                     unpruned_states=2)
+    p = own_product(n, ((frozenset(), frozenset({1})),))
     found = amecs(p)
     assert len(found) == 1 and found[0].states == frozenset({1})
     # The only cycle through K also passes through L: nothing accepts.
     cyc = parse_model("states 2\ninitial 0\nmode nts\ntrans 0 a 1 1\ntrans 1 a 0 1")
-    p = ProductModel(base=cyc, projection=((0, 0), (1, 0)),
-                     pairs=((frozenset({0}), frozenset({1})),),
-                     unpruned_states=2)
+    p = own_product(cyc, ((frozenset({0}), frozenset({1})),))
     assert amecs(p) == []
     # Random products against restrict-then-enumerate.
     for _ in range(8):
         n = random_nts(rng, n_states=6, n_actions=2)
         left = frozenset(int(s) for s in rng.choice(6, size=2, replace=False))
         right = frozenset(int(s) for s in rng.choice(6, size=2, replace=False))
-        p = ProductModel(base=n, projection=tuple((q, 0) for q in range(6)),
-                         pairs=((left, right),), unpruned_states=6)
+        p = own_product(n, ((left, right),))
         got = [(a.states, retained(n, a.rows)) for a in amecs(p)]
         want = [(s, r) for s, r in brute_force_mecs(n, within=set(range(6)) - left)
                 if s & right]
@@ -303,12 +325,12 @@ def test_multi_pair_amecs_match_brute_force_pair_by_pair():
                        frozenset(np.flatnonzero(rng.random(dra.n_states) < 0.6).tolist()))
                       for _ in range(int(rng.integers(2, 4))))
         p = build_product(m, dataclasses.replace(dra, pairs=pairs))
-        n = p.base
-        if n.n_states > 10 or not all(left for left, _right in p.pairs):
+        n, lifted = p.base, lifted_pairs(p)
+        if n.n_states > 10 or not all(left for left, _right in lifted):
             continue
         instances += 1
         found = amecs(p)
-        for i, (left, right) in enumerate(p.pairs):
+        for i, (left, right) in enumerate(lifted):
             got = [(a.states, retained(n, a.rows)) for a in found if a.pair_index == i]
             want = [(states, kept) for states, kept in
                     brute_force_mecs(n, within=set(range(n.n_states)) - left)
@@ -382,22 +404,19 @@ def test_peeled_round_partition_matches_reachability(n, edges):
 def test_goal_and_bad_sets(rng):
     # All states reach the goal: empty zero set.
     n = parse_model("states 2\ninitial 0\nmode nts\ntrans 0 a 1 1\ntrans 1 a 1 1")
-    p = ProductModel(base=n, projection=((0, 0), (1, 0)),
-                     pairs=((frozenset(), frozenset({1})),), unpruned_states=2)
+    p = own_product(n, ((frozenset(), frozenset({1})),))
     goal, bad = goal_and_bad_sets(p, amecs(p))
     assert goal == frozenset({1}) and bad == frozenset()
     # A self-loop-only state outside the goal is a zero state.
     n = parse_model("states 3\ninitial 0\nmode nts\n"
                     "trans 0 a 1 1\ntrans 0 a 2 1\ntrans 1 a 1 1\ntrans 2 a 2 1")
-    p = ProductModel(base=n, projection=tuple((q, 0) for q in range(3)),
-                     pairs=((frozenset(), frozenset({1})),), unpruned_states=3)
+    p = own_product(n, ((frozenset(), frozenset({1})),))
     goal, bad = goal_and_bad_sets(p, amecs(p))
     assert 2 in bad and 0 not in bad
     # Random: complement of the boolean-matrix-power backward closure.
     for _ in range(8):
         n = random_nts(rng, n_states=7, n_actions=2)
-        p = ProductModel(base=n, projection=tuple((q, 0) for q in range(7)),
-                         pairs=((frozenset(), frozenset({0, 3})),), unpruned_states=7)
+        p = own_product(n, ((frozenset(), frozenset({0, 3})),))
         found = amecs(p)
         goal, bad = goal_and_bad_sets(p, found)
         reach = boolean_reach_matrix(n)
@@ -423,8 +442,7 @@ trans 2 a 2 1.0
 trans 3 a 3 1.0
 """
     m = parse_model(text)
-    return ProductModel(base=m, projection=tuple((q, 0) for q in range(4)),
-                        pairs=((frozenset(), frozenset({1, 2})),), unpruned_states=4)
+    return own_product(m, ((frozenset(), frozenset({1, 2})),))
 
 
 def test_ssp_sum_redirection():
@@ -446,8 +464,7 @@ def test_ssp_flag_redirection_and_support_agreement():
     p = _tiny_product({1: 0.3, 2: 0.2, 3: 0.5})
     goal, bad = frozenset({1, 2}), frozenset({3})
     ssp_mdp = mrp_to_ssp(p, goal, bad)
-    p_nts = ProductModel(base=nts_from_mdp(p.base), projection=p.projection,
-                         pairs=p.pairs, unpruned_states=4)
+    p_nts = own_product(nts_from_mdp(p.base), p.automaton.pairs)
     ssp_nts = mrp_to_ssp(p_nts, goal, bad)
     assert ssp_nts.base.successors(0, 0) == ((1, 1.0), (2, 1.0))
     for key, row in model_rows(ssp_mdp.base).items():
@@ -474,8 +491,7 @@ def test_inside_amec_policy_uniform_and_recurrent(rng):
     n = parse_model("states 3\ninitial 0\nmode nts\n"
                     "trans 0 a 1 1\ntrans 0 b 0 1\ntrans 1 a 0 1\ntrans 1 a 2 1\n"
                     "trans 2 a 0 1")
-    p = ProductModel(base=n, projection=tuple((q, 0) for q in range(3)),
-                     pairs=((frozenset(), frozenset({2})),), unpruned_states=3)
+    p = own_product(n, ((frozenset(), frozenset({2})),))
     found = amecs(p)
     assert len(found) == 1
     a = found[0]
@@ -499,7 +515,7 @@ def test_inside_amec_policy_uniform_and_recurrent(rng):
     station = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
     station = station / station.sum()
     assert (station > 1e-12).all()
-    assert any(q in a.states for q in p.pairs[a.pair_index][1])
+    assert any(q in a.states for q in lifted_pairs(p)[a.pair_index][1])
 
 
 def test_with_probabilities_validates_support(rng):
@@ -519,6 +535,42 @@ def test_with_probabilities_validates_support(rng):
                                 actions=m.actions, props=m.props, labels=m.labels, mode=MDP)
     with pytest.raises(ModelError, match="support mismatch"):
         with_probabilities(skeleton, m2)
+
+
+def test_entry_weights_need_the_model_rows():
+    # A probabilistic model that lacks a row of the product's model, or
+    # has one more, is refused, naming the state.
+    m = parse_model("states 3\ninitial 0\nmode mdp\nprops p\nlabel 2: p\n"
+                    "trans 0 a 1 1.0\ntrans 0 b 2 1.0\ntrans 1 a 1 1.0\ntrans 2 a 2 1.0")
+    product = build_product(nts_from_mdp(m), parse_dra(F_P_DRA))
+    rows = model_rows(m)
+    lacking = {key: row for key, row in rows.items() if key != (0, 1)}
+    extra = {**rows, (1, 1): ((0, 1.0),)}
+    for changed, state in ((lacking, 0), (extra, 1)):
+        mdp = LabeledModel.from_rows(changed, n_states=3, initial=0, actions=m.actions,
+                                     props=m.props, labels=m.labels, mode=MDP)
+        with pytest.raises(ModelError, match=f"differ from the model's at state {state}$"):
+            entry_weights(product, mdp)
+
+
+def test_entry_weights_of_monte_carlo_rows_are_the_refits():
+    # Desk with 20 Monte-Carlo runs per row, whose MDP drops skeleton
+    # edges: their entries weigh 0, and every weight is the reference
+    # refit's, bit for bit.
+    import dict_reference as ref
+    from tlcontrol.pipeline import RunConfig, load_task
+
+    ctx = load_task(dataclasses.replace(RunConfig.from_file("tasks/desk.json"), mc_runs=20))
+    sk = ctx.product.base
+    weights = entry_weights(ctx.product, ctx.base_mdp)
+    assert (weights == 0).sum() == 83
+    refit = ref.with_probabilities(ref.of_product(ctx.product), ctx.base_mdp).base.rows
+    want = [dict(refit[q, u]).get(s, 0.0) for q, u, s in
+            zip(sk.row_state[sk.entry_row].tolist(), sk.row_action[sk.entry_row].tolist(),
+                sk.succ.tolist())]
+    assert np.array(want).tobytes() == weights.tobytes()
+    assert (with_probabilities(ctx.product, ctx.base_mdp).base.weight.tobytes()
+            == weights[weights > 0].tobytes())
 
 
 @settings(max_examples=150, deadline=None)
