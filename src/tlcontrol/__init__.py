@@ -29,14 +29,14 @@ from .synthesis import (
     mrp_to_ssp,
 )
 from .lookahead import LookaheadPolicy, min_distances
-from .actor_critic import ActorCriticConfig, CriticState, ActorState, RunTrace, run
+from .actor_critic import ActorCriticConfig, RunTrace, run
 from .exact import ReachEvaluator, eval_policy_reach, expected_total_cost, max_reach
 from .pipeline import RunConfig, compare, synthesize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActorCriticConfig", "ActorState", "Amec", "CriticState", "LabeledModel",
+    "ActorCriticConfig", "Amec", "LabeledModel",
     "LookaheadPolicy", "ModelError", "ParseError", "ProductModel",
     "RabinAutomaton", "ReachEvaluator", "RunConfig", "RunTrace", "SspModel",
     "amecs", "build_product", "compare", "dra_step",

@@ -23,19 +23,20 @@ solve target reaches ``gate_sigma``. ``gate_open`` takes it in closed form
 and asks the SVD only when the closed form lies within a rounding band of
 the threshold, so the decision is always the SVD's.
 
-Every number of the loop (z, b, A, r, psi, the step direction, theta and
-the gradient EMA) is a Python float, and every pair a tuple: the dot
-products are formed left to right, and r comes from ``solve_2x2``, an LU
-factorization with partial pivoting written in floats, so no step depends
-on the BLAS or LAPACK kernel. The random draws come from ``Pcg64``, numpy's
-``default_rng`` stream drawn in Python, so a step asks numpy only for the
-policy's one ``np.exp`` call, and that kernel alone decides a sample path's
-bits.
+The recursion is one function of floats, ``learner_step``'s; ``run`` holds
+z, b, A, r, theta and the gradient EMA as locals and passes them through it
+once per iteration. Every number is a Python float: the dot products are
+formed left to right, and r comes from ``solve_2x2``, an LU factorization
+with partial pivoting written in floats, so no step depends on the BLAS or
+LAPACK kernel. The random draws come from ``Pcg64``, numpy's ``default_rng``
+stream drawn in Python, so a step asks numpy only for the policy's one
+``np.exp`` call, and that kernel alone decides a sample path's bits.
 
 The run's record, ``RunTrace``, is a set of typed columns (stdlib
 ``array``s of doubles and 64-bit ints), one row per iteration, so it grows
 by 64 bytes an iteration; the row index is the iteration, and text is
-formatted only when ``write_csv`` writes ``trace.csv``.
+formatted only when ``write_csv`` writes ``trace.csv``, once per run of
+equal values in a float column.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,26 +53,6 @@ from .synthesis import SspModel, SspTransitionSource
 
 
 Pair = tuple[float, float]
-
-
-class CriticState(NamedTuple):
-    """The critic's statistics (A as its two rows) and its last solution r."""
-
-    z: Pair
-    b: Pair
-    A: tuple[Pair, Pair]
-    r: Pair
-    lam: float
-
-    @classmethod
-    def zeros(cls, lam: float = 0.9) -> "CriticState":
-        return cls(z=(0.0, 0.0), b=(0.0, 0.0), A=((0.0, 0.0), (0.0, 0.0)),
-                   r=(0.0, 0.0), lam=lam)
-
-
-class ActorState(NamedTuple):
-    theta: Pair
-    grad_ema: float = 0.0
 
 
 # Decay of the gradient-norm EMA that the stopping test reads.
@@ -202,28 +183,26 @@ class RunTrace:
     def iterations(self) -> int:
         return len(self.costs)
 
-    def append(self, state: int, theta: Pair, r: Pair, cost: float,
-               episodes: int, pairs: int) -> None:
-        t1, t2 = theta
-        r1, r2 = r
-        self.theta1.append(t1)
-        self.theta2.append(t2)
-        self.r1.append(r1)
-        self.r2.append(r2)
-        self.costs.append(cost)
-        self.episodes.append(episodes)
-        self.pairs.append(pairs)
-        self.states.append(state)
-
     def write_csv(self, f, curve: dict[int, float]) -> None:
         """``trace.csv``, with ``curve[k]`` as row k's ``exact_prob``."""
         f.write("k,theta1,theta2,r1,r2,cost,episodes,pairs_computed,exact_prob\n")
         f.writelines(
-            f"{k},{t1!r},{t2!r},{r1!r},{r2!r},{cost!r},{episodes},{pairs},"
+            f"{k},{t1},{t2},{r1},{r2},{cost},{episodes},{pairs},"
             f"{'' if (ex := curve.get(k)) is None else repr(ex)}\n"
             for k, t1, t2, r1, r2, cost, episodes, pairs in zip(
-                range(self.iterations), self.theta1, self.theta2, self.r1, self.r2,
-                self.costs, self.episodes, self.pairs))
+                range(self.iterations), _reprs(self.theta1), _reprs(self.theta2),
+                _reprs(self.r1), _reprs(self.r2), _reprs(self.costs), self.episodes,
+                self.pairs))
+
+
+def _reprs(column: array) -> Iterator[str]:
+    """``repr`` of each float of ``column``, formatted once per run of equal
+    values (0.0 and -0.0 compare equal but print apart; no NaN is equal)."""
+    prev = text = None
+    for x in column:
+        if x != prev or (not x and math.copysign(1.0, x) != math.copysign(1.0, prev)):
+            prev, text = x, repr(x)
+        yield text
 
 
 # Closed-form singular values of a 2x2 matrix are within a few ulps of
@@ -266,48 +245,53 @@ def solve_2x2(A: tuple[Pair, Pair], b: Pair) -> Pair | None:
     return (b0 - a01 * x1) / a00, x1
 
 
-def critic_update(c: CriticState, psi_now: Pair, psi_next: Pair,
-                  cost: float, gamma_k: float, k: int, *,
-                  solve_with_updated_stats: bool = False,
-                  gate_iters: int = 50, gate_sigma: float = 1e-8
-                  ) -> tuple[CriticState, bool]:
-    """One critic step; returns the new state and whether r was refreshed."""
-    if gamma_k <= 0:
-        raise ValueError("critic step size must be positive")
-    lam = c.lam
-    z0, z1 = c.z
-    b0, b1 = c.b
-    (a00, a01), (a10, a11) = c.A
-    p0, p1 = psi_now
-    n0, n1 = psi_next
-    d0, d1 = n0 - p0, n1 - p1
-    z_new = (lam * z0 + p0, lam * z1 + p1)
-    b_new = (b0 + gamma_k * (cost * z0 - b0), b1 + gamma_k * (cost * z1 - b1))
-    A_new = ((a00 + gamma_k * (z0 * d0 - a00), a01 + gamma_k * (z0 * d1 - a01)),
-             (a10 + gamma_k * (z1 * d0 - a10), a11 + gamma_k * (z1 * d1 - a11)))
-    A_solve, b_solve = (A_new, b_new) if solve_with_updated_stats else (c.A, c.b)
-    r_new, solved = c.r, False
-    if k >= gate_iters and gate_open(A_solve, gate_sigma):
-        x = solve_2x2(A_solve, b_solve)
-        if x is not None:
-            r_new, solved = (-x[0], -x[1]), True
-    return CriticState(z=z_new, b=b_new, A=A_new, r=r_new, lam=lam), solved
+def learner_step(cfg: ActorCriticConfig) -> Callable[..., tuple]:
+    """The recursion of the module docstring under ``cfg``, one iteration's
+    critic and actor updates: ``step(z0, z1, b0, b1, a00, a01, a10, a11, r0,
+    r1, t0, t1, ema, psi_now, psi_next, cost, k)`` takes the 13 floats (z,
+    b, A by rows, r, theta, the gradient EMA), the iteration's psi pairs,
+    cost and k, and returns the 13 new floats and whether r was refreshed.
+    ``cfg`` and ``EMA_DECAY`` are read once, when the step is made.
+    """
+    lam, clip, gamma, beta = cfg.lam, cfg.clip, cfg.gamma, cfg.beta
+    gate_iters, gate_sigma, updated = cfg.gate_iters, cfg.gate_sigma, cfg.solve_with_updated_stats
+    decay, sqrt = EMA_DECAY, math.sqrt
+    keep = 1.0 - decay
 
+    def step(z0, z1, b0, b1, a00, a01, a10, a11, r0, r1, t0, t1, ema,
+             psi_now, psi_next, cost, k):
+        gamma_k = gamma(k)
+        if gamma_k <= 0:
+            raise ValueError("critic step size must be positive")
+        beta_k = beta(k)
+        if beta_k <= 0:
+            raise ValueError("actor step size must be positive")
+        # The actor, along (r . psi') psi' at the pre-update r, clipped by Gamma(r).
+        n0, n1 = psi_next
+        scale = r0 * n0 + r1 * n1
+        d0, d1 = scale * n0, scale * n1
+        r_norm = sqrt(r0 * r0 + r1 * r1)
+        size = beta_k * (1.0 if r_norm <= clip else clip / r_norm)
+        t0, t1 = t0 - size * d0, t1 - size * d1
+        ema = decay * ema + keep * sqrt(d0 * d0 + d1 * d1)
+        # The critic, from the pre-update z; r from the pre-update b, A unless flagged.
+        p0, p1 = psi_now
+        d0, d1 = n0 - p0, n1 - p1
+        A, rhs = ((a00, a01), (a10, a11)), (b0, b1)
+        b0, b1 = b0 + gamma_k * (cost * z0 - b0), b1 + gamma_k * (cost * z1 - b1)
+        a00, a01 = a00 + gamma_k * (z0 * d0 - a00), a01 + gamma_k * (z0 * d1 - a01)
+        a10, a11 = a10 + gamma_k * (z1 * d0 - a10), a11 + gamma_k * (z1 * d1 - a11)
+        z0, z1 = lam * z0 + p0, lam * z1 + p1
+        if updated:
+            A, rhs = ((a00, a01), (a10, a11)), (b0, b1)
+        solved = False
+        if k >= gate_iters and gate_open(A, gate_sigma):
+            x = solve_2x2(A, rhs)
+            if x is not None:
+                r0, r1, solved = -x[0], -x[1], True
+        return z0, z1, b0, b1, a00, a01, a10, a11, r0, r1, t0, t1, ema, solved
 
-def actor_update(a: ActorState, r: Pair, psi_next: Pair, beta_k: float,
-                 *, clip: float = 10.0, ema_decay: float = EMA_DECAY) -> ActorState:
-    """One actor step along (r . psi') psi', norm-clipped by Gamma(r)."""
-    if beta_k <= 0:
-        raise ValueError("actor step size must be positive")
-    r0, r1 = r
-    p0, p1 = psi_next
-    scale = r0 * p0 + r1 * p1
-    d0, d1 = scale * p0, scale * p1
-    r_norm = math.sqrt(r0 * r0 + r1 * r1)
-    step = beta_k * (1.0 if r_norm <= clip else clip / r_norm)
-    t0, t1 = a.theta
-    ema = ema_decay * a.grad_ema + (1.0 - ema_decay) * math.sqrt(d0 * d0 + d1 * d1)
-    return ActorState(theta=(t0 - step * d0, t1 - step * d1), grad_ema=ema)
+    return step
 
 
 def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy,
@@ -322,61 +306,70 @@ def run(ssp: SspModel, prob_source: SspTransitionSource, policy: LookaheadPolicy
     what every iteration acted with, so a caller judges the run after it.
     """
     rng = Pcg64(cfg.seed)
-
-    def sample(row: tuple[tuple[int, float], ...]) -> int:
-        if len(row) == 1:
-            return row[0][0]
-        x = rng.random()
-        acc = 0.0
-        for succ, w in row:
-            acc += w
-            if x < acc:
-                return succ
-        return row[-1][0]
-
-    critic = CriticState.zeros(cfg.lam)
-    actor = ActorState(theta=policy.theta)
+    step = learner_step(cfg)
+    z0 = z1 = b0 = b1 = a00 = a01 = a10 = a11 = r0 = r1 = ema = 0.0
+    t0, t1 = policy.theta
     trace = RunTrace()
+    add_t0, add_t1, add_r0, add_r1, add_cost, add_episodes, add_pairs, add_state, stale = (
+        c.append for c in (trace.theta1, trace.theta2, trace.r1, trace.r2, trace.costs,
+                           trace.episodes, trace.pairs, trace.states, trace.stale_solves))
+    bad, draw, sample_action = ssp.bad, rng.random, policy.sample_action
+    gradient = policy.log_policy_gradient
+    max_iters, min_iters, epsilon = cfg.max_iters, cfg.min_iters, cfg.epsilon
+    gate_iters, reset = cfg.gate_iters, cfg.reset_trace_on_restart
     episodes = 0
     solved_once = False
     terminal, initial = ssp.terminal, ssp.initial
 
     x = initial
-    u = policy.sample_action(x, rng)
-    for k in range(cfg.max_iters):
-        cost = ssp.cost(x, u)
-        psi_now = policy.log_policy_gradient(x, u)
+    u = sample_action(x, rng)
+    for k in range(max_iters):
+        cost = 1.0 if x in bad else 0.0  # ``SspModel.cost``
+        psi_now = gradient(x, u)
         if x == terminal:
             x_next = initial
+            if reset:
+                z0 = z1 = 0.0
         else:
-            x_next = sample(prob_source(x, u))
+            # The successor: the first whose running weight sum exceeds a
+            # draw, else the last; a one-entry row takes no draw.
+            row = prob_source(x, u)
+            x_next = row[-1][0]
+            if len(row) > 1:
+                at, acc = draw(), 0.0
+                for succ, w in row:
+                    acc += w
+                    if at < acc:
+                        x_next = succ
+                        break
         if x_next == terminal:
             episodes += 1
-        u_next = policy.sample_action(x_next, rng)
-        psi_next = policy.log_policy_gradient(x_next, u_next)
-
-        if cfg.reset_trace_on_restart and x == terminal:
-            critic = critic._replace(z=(0.0, 0.0))
-
-        r_now = critic.r
-        critic, solved = critic_update(
-            critic, psi_now, psi_next, cost, cfg.gamma(k), k,
-            solve_with_updated_stats=cfg.solve_with_updated_stats,
-            gate_iters=cfg.gate_iters, gate_sigma=cfg.gate_sigma)
+        u_next = sample_action(x_next, rng)
+        psi_next = gradient(x_next, u_next)
+        # Row k: the theta iteration k acted with and the r it reads.
+        add_t0(t0)
+        add_t1(t1)
+        add_r0(r0)
+        add_r1(r1)
+        add_cost(cost)
+        add_episodes(episodes)
+        add_pairs(prob_source.pairs_computed)
+        add_state(x)
+        z0, z1, b0, b1, a00, a01, a10, a11, r0, r1, t0, t1, ema, solved = step(
+            z0, z1, b0, b1, a00, a01, a10, a11, r0, r1, t0, t1, ema,
+            psi_now, psi_next, cost, k)
         solved_once = solved_once or solved
-        if k >= cfg.gate_iters and not solved:
-            trace.stale_solves.append(k)
-        trace.append(x, actor.theta, r_now, cost, episodes, prob_source.pairs_computed)
-        actor = actor_update(actor, r_now, psi_next, cfg.beta(k), clip=cfg.clip)
-        policy.theta = actor.theta
+        if k >= gate_iters and not solved:
+            stale(k)
+        policy.theta = t0, t1
 
         # The stopping test only arms once the critic has produced a
         # solution, or once it provably would return zero (b identically
         # zero means r = -A^{-1} b = 0 whenever it solves at all).
-        armed = solved_once or (k >= cfg.gate_iters and not any(critic.b))
-        if armed and k + 1 >= cfg.min_iters and actor.grad_ema <= cfg.epsilon:
+        if (ema <= epsilon and k + 1 >= min_iters
+                and (solved_once or (k >= gate_iters and not (b0 or b1)))):
             trace.converged = True
             break
         x, u = x_next, u_next
 
-    return actor.theta, trace
+    return (t0, t1), trace

@@ -30,12 +30,15 @@ the state's row for that action, are one contiguous group of that slice.
 At a state whose sequences all start with one action, mu_theta = 1 and
 psi = 0 exactly at every theta, so ``sample_action`` returns that action
 without a draw and ``log_policy_gradient`` returns zero without forming
-the softmax. Elsewhere a state's softmax weights exp(logits - max logit)
+the softmax. Elsewhere a visit reads the state's record, Python values
+built on its first visit, and the softmax weights exp(logits - max logit)
 are formed once per (state, theta): the policy holds the last state's
 weights, keyed on the state and theta (a pair of Python floats), and the
 gradient the actor-critic asks for right after sampling reads them. The
 logits f1 * theta1 + f2 * theta2 and the gradient's weighted sums are
-Python floats added left to right, so a step's one numpy call is ``np.exp``.
+Python floats added left to right, so a step's one numpy call is ``np.exp``,
+and none where all sequences share one feature pair (the terminal): finite
+equal logits less their maximum are 0.0, and exp(0.0) == 1.0.
 
 The action probabilities have one definition, whether one state asks
 (``action_distribution`` and ``sample_action``, in Python floats) or the
@@ -155,16 +158,17 @@ class Uniform(Protocol):
     def random(self) -> float: ...
 
 
-class _Groups(NamedTuple):
+class _Visit(NamedTuple):
     """A state's sequence table split by first action: the k-th action of
-    ``acts`` (ascending), the state's k-th row, owns the contiguous entries
-    bounds[k]:bounds[k + 1] of the feature columns ``f1`` and ``f2``."""
+    ``acts`` (ascending), the state's k-th row, owns the entries lo:hi of
+    the feature columns ``f1`` and ``f2``, and ``groups`` maps it to (lo,
+    hi). ``ones`` is 1.0 per sequence if all share one feature pair."""
 
     acts: np.ndarray  # read-only, as ``action_distribution`` returns it
-    lookup: tuple[int, ...]  # the same actions, for membership and position
-    bounds: tuple[int, ...]
+    groups: dict[int, tuple[int, int]]  # in ``acts`` order
     f1: list[float]
     f2: list[float]
+    ones: list[float] | None
 
 
 def _weighted_sums(w: list[float], f1: list[float], f2: list[float]
@@ -236,7 +240,7 @@ class LookaheadPolicy:
         self._row_seq = _ptr(np.bincount(self._seq_row, minlength=len(m.row_state)))
         self._seq_state = m.row_state[self._seq_row]
         self._state_ptr = m.state_ptr.tolist()
-        self._groups: dict[int, _Groups] = {}
+        self._visits: dict[int, _Visit] = {}
         # The last state's softmax weights, keyed on (state, theta).
         self._held_key: tuple[int, tuple[float, float]] | None = None
         self._held_w: list[float] = []
@@ -248,49 +252,52 @@ class LookaheadPolicy:
 
     @theta.setter
     def theta(self, value: Iterable[float]) -> None:
-        theta = tuple(map(float, value))
-        if len(theta) != 2:
-            raise ModelError("theta must have exactly two components")
-        self._theta = theta
+        try:
+            t1, t2 = value
+        except ValueError:
+            raise ModelError("theta must have exactly two components") from None
+        self._theta = float(t1), float(t2)
 
     # -- score tables -------------------------------------------------------
 
-    def _groups_of(self, state: int) -> _Groups:
-        groups = self._groups.get(state)
-        if groups is None:
-            r0, r1 = self._state_ptr[state], self._state_ptr[state + 1]
-            bounds = self._row_seq[r0:r1 + 1]
-            feats = self._feats[bounds[0]:bounds[-1]]
-            acts = self.model.row_action[r0:r1]
-            groups = self._groups[state] = _Groups(
-                acts, tuple(acts.tolist()), tuple((bounds - bounds[0]).tolist()),
-                feats[:, 0].tolist(), feats[:, 1].tolist())
-        return groups
+    def _visit(self, state: int) -> _Visit:
+        """Build the state's record; read it as ``_visits.get(state) or _visit(state)``."""
+        r0, r1 = self._state_ptr[state], self._state_ptr[state + 1]
+        bounds = (self._row_seq[r0:r1 + 1] - self._row_seq[r0]).tolist()
+        feats = self._feats[self._row_seq[r0]:self._row_seq[r1]]
+        acts = self.model.row_action[r0:r1]
+        f1, f2 = feats[:, 0].tolist(), feats[:, 1].tolist()
+        visit = self._visits[state] = _Visit(
+            acts, dict(zip(acts.tolist(), zip(bounds, bounds[1:]))), f1, f2,
+            [1.0] * len(f1) if (feats == feats[0]).all() else None)
+        return visit
 
-    def _weights(self, state: int) -> list[float]:
+    def _weights(self, state: int, visit: _Visit) -> list[float]:
         """exp(logits - max logit), one weight per sequence of ``state`` at
         the current theta; the last state's are held."""
         key = (state, self._theta)
         if key != self._held_key:
-            groups = self._groups_of(state)
             t1, t2 = self._theta
-            logits = [a * t1 + b * t2 for a, b in zip(groups.f1, groups.f2)]
-            top = max(logits)
-            self._held_w = np.exp([x - top for x in logits]).tolist()
+            f1, f2 = visit.f1, visit.f2
+            # Finite equal logits less their maximum are 0.0: exp(0.0) == 1.0.
+            if visit.ones is not None and (top := f1[0] * t1 + f2[0] * t2) - top == 0.0:
+                self._held_w = visit.ones
+            else:
+                logits = [a * t1 + b * t2 for a, b in zip(f1, f2)]
+                top = max(logits)
+                self._held_w = np.exp([x - top for x in logits]).tolist()
             self._held_key = key
         return self._held_w
 
-    def _probabilities(self, state: int) -> tuple[_Groups, list[float]]:
-        """A state's groups and its action probabilities at the current
-        theta, as Python floats in ``acts`` order."""
-        groups = self._groups_of(state)
-        w = self._weights(state)
-        bounds = groups.bounds
+    def _probabilities(self, state: int, visit: _Visit) -> list[float]:
+        """A state's action probabilities at the current theta, as Python
+        floats in ``acts`` order."""
+        w = self._weights(state, visit)
         # Plain left-to-right sums from 0.0, as np.bincount adds (the
         # built-in sum compensates rounding from Python 3.12 on).
-        masses = [reduce(add, w[lo:hi], 0.0) for lo, hi in zip(bounds, bounds[1:])]
+        masses = [reduce(add, w[lo:hi], 0.0) for lo, hi in visit.groups.values()]
         total = reduce(add, masses, 0.0)
-        return groups, [mass / total for mass in masses]
+        return [mass / total for mass in masses]
 
     # -- distributions ------------------------------------------------------
 
@@ -298,8 +305,8 @@ class LookaheadPolicy:
         """(action ids, probabilities), actions sorted ascending. The action
         ids are a read-only view of the model's rows: every call shares
         them."""
-        groups, probs = self._probabilities(state)
-        return groups.acts, np.array(probs)
+        visit = self._visits.get(state) or self._visit(state)
+        return visit.acts, np.array(self._probabilities(state, visit))
 
     def policy_rows(self) -> np.ndarray:
         """The whole policy at the current theta: one probability per row
@@ -320,17 +327,15 @@ class LookaheadPolicy:
     def log_policy_gradient(self, state: int, action: int) -> tuple[float, float]:
         """Gradient of ln mu_theta(state, action) with respect to theta."""
         r0 = self._state_ptr[state]
-        if self._state_ptr[state + 1] - r0 == 1:
-            # One first action: it has probability 1 and psi = 0 exactly.
-            if action != self.model.row_action[r0]:
-                raise ModelError(f"action {action} has zero probability at state {state}")
-            return 0.0, 0.0
-        _acts, lookup, bounds, f1, f2 = self._groups_of(state)
-        w = self._weights(state)
+        if self._state_ptr[state + 1] - r0 == 1 and action == self.model.row_action[r0]:
+            return 0.0, 0.0  # the one first action: probability 1 and psi = 0 exactly
+        visit = self._visits.get(state) or self._visit(state)
+        group = visit.groups.get(action)
         wu = 0.0
-        if action in lookup:
-            k = lookup.index(action)
-            lo, hi = bounds[k], bounds[k + 1]
+        if group is not None:
+            w = self._weights(state, visit)
+            lo, hi = group
+            f1, f2 = visit.f1, visit.f2
             wu, wu1, wu2 = _weighted_sums(w[lo:hi], f1[lo:hi], f2[lo:hi])
         if wu <= 0.0:
             raise ModelError(f"action {action} has zero probability at state {state}")
@@ -345,12 +350,13 @@ class LookaheadPolicy:
         r0 = self._state_ptr[state]
         if self._state_ptr[state + 1] - r0 == 1:
             return int(self.model.row_action[r0])
-        groups, probs = self._probabilities(state)
+        visit = self._visits.get(state) or self._visit(state)
+        probs = self._probabilities(state, visit)
         x = rng.random()
         acc = 0.0
-        for u, p in zip(groups.lookup, probs):
+        for u, p in zip(visit.groups, probs):
             acc += p
             # x < acc, except that a NaN sum sorts above x, as in np.searchsorted.
             if not acc <= x:
-                return u
-        return groups.lookup[-1]
+                break
+        return u

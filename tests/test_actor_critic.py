@@ -1,7 +1,10 @@
 import dataclasses
 import gc
 import io
+import math
 import tracemalloc
+from array import array
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from tlcontrol import actor_critic
 from tlcontrol.actor_critic import (
     ActorCriticConfig,
-    ActorState,
-    CriticState,
     Pcg64,
-    actor_update,
-    critic_update,
+    RunTrace,
     gate_open,
+    learner_step,
     run,
     solve_2x2,
 )
@@ -32,19 +33,37 @@ def csv_text(trace):
     return buf.getvalue()
 
 
+def floats(z=(0.0, 0.0), b=(0.0, 0.0), A=((0.0, 0.0), (0.0, 0.0)), r=(0.0, 0.0),
+           theta=(0.0, 0.0), ema=0.0):
+    """The 13 floats of ``learner_step``, from the pairs they make up."""
+    (a00, a01), (a10, a11) = A
+    return (*z, *b, a00, a01, a10, a11, *r, *theta, ema)
+
+
+def stepped(state, psi_now, psi_next, cost, k, **settings):
+    """One ``learner_step`` under ``ActorCriticConfig(**settings)``: the new
+    z, b, A, r, theta and EMA, named, and whether r was refreshed. The step
+    sizes come from k: gamma(k) = (1 + k)^-gamma_exponent is 1.0 at k = 0,
+    0.25 at k = 3 with exponent 1 and 0.1 at k = 99 with exponent 0.5, and
+    beta(k) = beta_scale at k = 0."""
+    step = learner_step(ActorCriticConfig(**settings))
+    *out, solved = step(*state, tuple(psi_now), tuple(psi_next), cost, k)
+    z0, z1, b0, b1, a00, a01, a10, a11, r0, r1, t0, t1, ema = out
+    return SimpleNamespace(z=(z0, z1), b=(b0, b1), A=((a00, a01), (a10, a11)), r=(r0, r1),
+                           theta=(t0, t1), ema=ema, floats=tuple(out)), solved
+
+
 def test_critic_decay_only():
-    c = CriticState(z=np.zeros(2), b=np.array([1.0, 2.0]), A=np.zeros((2, 2)),
-                    r=np.zeros(2), lam=0.0)
-    out, _ = critic_update(c, np.zeros(2), np.zeros(2), 0.0, gamma_k=0.25, k=0)
+    c = floats(b=(1.0, 2.0))
+    out, _ = stepped(c, (0.0, 0.0), (0.0, 0.0), 0.0, k=3, lam=0.0, gamma_exponent=1.0)
     assert np.allclose(out.z, 0.0)
     assert np.allclose(out.b, 0.75 * np.array([1.0, 2.0]))
 
 
 def test_critic_first_step_uses_pre_update_trace():
-    c = CriticState.zeros(lam=0.9)
     psi_now = np.array([1.0, 0.0])
     psi_next = np.array([0.0, 1.0])
-    out, solved = critic_update(c, psi_now, psi_next, cost=1.0, gamma_k=1.0, k=0)
+    out, solved = stepped(floats(), psi_now, psi_next, cost=1.0, k=0, lam=0.9)
     assert np.allclose(out.z, psi_now)
     # cost * z uses the pre-update (zero) trace, so b stays zero.
     assert np.allclose(out.b, 0.0)
@@ -66,34 +85,43 @@ def test_critic_matches_straight_line_replay(rng):
         b_new = b + gammas[k] * (costs[k] * z - b)
         A_new = A + gammas[k] * (np.outer(z, psis[k + 1] - psis[k]) - A)
         z, b, A = z_new, b_new, A_new
-    c = CriticState.zeros(lam=lam)
+    c = floats()
     for k in range(n):
-        c, _ = critic_update(c, psis[k], psis[k + 1], costs[k], gammas[k], k,
-                             gate_iters=10 ** 9)
-    assert np.allclose(c.z, z) and np.allclose(c.b, b) and np.allclose(c.A, A)
+        out, _ = stepped(c, psis[k].tolist(), psis[k + 1].tolist(), float(costs[k]), k,
+                         lam=lam, gamma_exponent=0.6, gate_iters=10 ** 9)
+        c = out.floats
+    assert np.allclose(out.z, z) and np.allclose(out.b, b) and np.allclose(out.A, A)
 
 
 def test_critic_gate_and_indexing_flag():
-    c = CriticState(z=np.array([1.0, 2.0]), b=np.array([0.5, -0.5]),
-                    A=np.array([[2.0, 0.0], [0.0, 1.0]]), r=np.array([9.0, 9.0]),
-                    lam=0.9)
-    psi_now, psi_next = np.array([0.3, 0.1]), np.array([0.2, 0.4])
+    A, b = np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([0.5, -0.5])
+    c = floats(z=(1.0, 2.0), b=tuple(b), A=tuple(map(tuple, A)), r=(9.0, 9.0))
+    psi_now, psi_next = (0.3, 0.1), (0.2, 0.4)
+    at_gamma = dict(lam=0.9, gamma_exponent=0.5)
     # Literal indexing: r from the pre-update statistics.
-    out, solved = critic_update(c, psi_now, psi_next, 1.0, 0.1, k=100)
+    out, solved = stepped(c, psi_now, psi_next, 1.0, k=99, **at_gamma)
     assert solved
-    assert np.allclose(out.r, -np.linalg.solve(c.A, c.b))
+    assert np.allclose(out.r, -np.linalg.solve(A, b))
     # Flagged: r from the post-update statistics.
-    out2, solved2 = critic_update(c, psi_now, psi_next, 1.0, 0.1, k=100,
-                                  solve_with_updated_stats=True)
+    out2, solved2 = stepped(c, psi_now, psi_next, 1.0, k=99, solve_with_updated_stats=True,
+                            **at_gamma)
     assert solved2
     assert np.allclose(out2.r, -np.linalg.solve(out2.A, out2.b))
     # Before the gate opens, r is carried over unchanged.
-    out3, solved3 = critic_update(c, psi_now, psi_next, 1.0, 0.1, k=10)
-    assert not solved3 and np.allclose(out3.r, c.r)
+    out3, solved3 = stepped(c, psi_now, psi_next, 1.0, k=10, **at_gamma)
+    assert not solved3 and np.allclose(out3.r, (9.0, 9.0))
     # A singular solve target also carries r over.
-    sing = CriticState(z=c.z, b=c.b, A=np.zeros((2, 2)), r=c.r, lam=0.9)
-    out4, solved4 = critic_update(sing, psi_now, psi_next, 1.0, 0.1, k=100)
-    assert not solved4 and np.allclose(out4.r, c.r)
+    sing = floats(z=(1.0, 2.0), b=tuple(b), r=(9.0, 9.0))
+    out4, solved4 = stepped(sing, psi_now, psi_next, 1.0, k=99, **at_gamma)
+    assert not solved4 and np.allclose(out4.r, (9.0, 9.0))
+
+
+def test_step_sizes_must_be_positive():
+    # gamma(1) = 2^-1e308 underflows to 0.0; beta(k) = 0 with beta_scale 0.
+    for settings, which in ((dict(gamma_exponent=1e308), "critic"),
+                            (dict(beta_scale=0.0), "actor")):
+        with pytest.raises(ValueError, match=f"{which} step size must be positive"):
+            stepped(floats(), (0.0, 0.0), (0.0, 0.0), 0.0, k=1, **settings)
 
 
 @st.composite
@@ -146,8 +174,9 @@ def test_exactly_singular_solve_leaves_r_stale():
     # A zero first column (a zero pivot) and an exactly zero u11.
     for A in (((0.0, 1.0), (0.0, 2.0)), ((2.0, 3.0), (4.0, 6.0)), ((4.0, 6.0), (2.0, 3.0))):
         assert solve_2x2(A, (1.0, 1.0)) is None
-        c = CriticState(z=(0.0, 0.0), b=(1.0, -1.0), A=A, r=(9.0, 9.0), lam=0.9)
-        out, solved = critic_update(c, (0.0, 0.0), (0.0, 0.0), 0.0, 0.1, k=100, gate_sigma=0.0)
+        c = floats(b=(1.0, -1.0), A=A, r=(9.0, 9.0))
+        out, solved = stepped(c, (0.0, 0.0), (0.0, 0.0), 0.0, k=99, lam=0.9, gamma_exponent=0.5,
+                              gate_sigma=0.0)
         assert not solved and out.r == (9.0, 9.0)
     # In a run: every state has one action, so psi = 0, A stays zero and the
     # open gate finds it singular at every iteration past gate_iters.
@@ -177,20 +206,21 @@ def test_desk_run_never_calls_the_lapack_solve(tmp_path, monkeypatch):
 
 
 def test_actor_update_trivial_cases():
-    a = ActorState(theta=np.array([5.0, -0.5]), grad_ema=0.0)
-    same = actor_update(a, np.array([1.0, 1.0]), np.zeros(2), 0.1)
-    assert np.allclose(same.theta, a.theta)
-    orth = actor_update(a, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1)
-    assert np.allclose(orth.theta, a.theta)
-    moved = actor_update(a, np.array([1.0, 0.0]), np.array([1.0, 1.0]), 0.1)
+    def actor(r, psi_next):
+        out, _ = stepped(floats(r=r, theta=(5.0, -0.5)), (0.0, 0.0), psi_next, 0.0, 0,
+                         beta_scale=0.1)
+        return out.theta
+
+    assert np.allclose(actor((1.0, 1.0), (0.0, 0.0)), (5.0, -0.5))
+    assert np.allclose(actor((1.0, 0.0), (0.0, 1.0)), (5.0, -0.5))
     # r . psi = 1 and ||r|| <= C, so theta decreases by 0.1 * (1, 1).
-    assert np.allclose(moved.theta, a.theta - 0.1 * np.array([1.0, 1.0]))
+    assert np.allclose(actor((1.0, 0.0), (1.0, 1.0)),
+                       np.array([5.0, -0.5]) - 0.1 * np.array([1.0, 1.0]))
 
 
 def test_actor_clip_bounds_large_r():
-    a = ActorState(theta=np.zeros(2), grad_ema=0.0)
-    r = np.array([1000.0, 0.0])
-    out = actor_update(a, r, np.array([1.0, 0.0]), beta_k=1.0, clip=10.0)
+    out, _ = stepped(floats(r=(1000.0, 0.0)), (0.0, 0.0), (1.0, 0.0), 0.0, 0,
+                     beta_scale=1.0, clip=10.0)
     # Gamma(r) = 10 / 1000 rescales the raw direction (1000, 0).
     assert np.allclose(out.theta, -np.array([10.0, 0.0]))
 
@@ -267,11 +297,14 @@ def test_gate_falls_back_to_the_svd_on_non_finite_input():
 def _ema_after(magnitudes, decay=0.99):
     """The actor's gradient EMA after one step per magnitude: with r = (m, 0)
     and psi' = (1, 0), the update direction (r . psi') psi' has norm m."""
-    a = ActorState(theta=np.zeros(2))
-    for m in magnitudes:
-        a = actor_update(a, np.array([m, 0.0]), np.array([1.0, 0.0]), 0.01,
-                         clip=1e9, ema_decay=decay)
-    return a.grad_ema
+    ema = 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(actor_critic, "EMA_DECAY", decay)
+        for m in magnitudes:
+            out, _ = stepped(floats(r=(m, 0.0), ema=ema), (0.0, 0.0), (1.0, 0.0), 0.0, 0,
+                             beta_scale=0.01, clip=1e9)
+            ema = out.ema
+    return ema
 
 
 def test_gradient_norm_estimate():
@@ -439,6 +472,145 @@ def test_trace_reset_flag_changes_dynamics():
     first = [row.split(",")[:3] for row in results[0].splitlines()]
     second = [row.split(",")[:3] for row in results[1].splitlines()]
     assert first == second
+
+
+def replay(trace, psis, cfg, theta0, terminal):
+    """The module docstring's recursion in plain Python floats, fed the
+    run's own psi pairs (two per iteration: psi(x_k, u_k), then
+    psi(x_{k+1}, u_{k+1})) and costs: the theta and r of every iteration,
+    the stale solves, and whether the stopping rule fired."""
+    z, b, A = [0.0, 0.0], [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]
+    r, theta, ema = (0.0, 0.0), theta0, 0.0
+    thetas, rs, stale, solved_once = [], [], [], False
+    decay = actor_critic.EMA_DECAY
+    for k in range(trace.iterations):
+        psi, nxt = psis[2 * k], psis[2 * k + 1]
+        cost = trace.costs[k]
+        thetas.append(theta)
+        rs.append(r)
+        if cfg.reset_trace_on_restart and trace.states[k] == terminal:
+            z = [0.0, 0.0]
+        gamma = (1.0 + k) ** -cfg.gamma_exponent
+        beta = cfg.beta_scale * (1.0 + k) ** -cfg.beta_exponent
+        # Critic: every update reads the pre-update z.
+        b_new = [b[i] + gamma * (cost * z[i] - b[i]) for i in range(2)]
+        A_new = [[A[i][j] + gamma * (z[i] * (nxt[j] - psi[j]) - A[i][j]) for j in range(2)]
+                 for i in range(2)]
+        z = [cfg.lam * z[i] + psi[i] for i in range(2)]
+        A_s, b_s = (A_new, b_new) if cfg.solve_with_updated_stats else (A, b)
+        r_new = None
+        if (k >= cfg.gate_iters
+                and np.linalg.svd(np.array(A_s), compute_uv=False)[-1] >= cfg.gate_sigma):
+            x = solve_2x2(A_s, b_s)
+            r_new = None if x is None else (-x[0], -x[1])
+        if k >= cfg.gate_iters and r_new is None:
+            stale.append(k)
+        # Actor: along (r . psi') psi' with the pre-update r, clipped.
+        scale = r[0] * nxt[0] + r[1] * nxt[1]
+        d = (scale * nxt[0], scale * nxt[1])
+        norm = math.sqrt(r[0] * r[0] + r[1] * r[1])
+        size = beta * (1.0 if norm <= cfg.clip else cfg.clip / norm)
+        theta = (theta[0] - size * d[0], theta[1] - size * d[1])
+        ema = decay * ema + (1.0 - decay) * math.sqrt(d[0] * d[0] + d[1] * d[1])
+        b, A = b_new, A_new
+        if r_new is not None:
+            r, solved_once = r_new, True
+        armed = solved_once or (k >= cfg.gate_iters and b == [0.0, 0.0])
+        if armed and k + 1 >= cfg.min_iters and ema <= cfg.epsilon:
+            return thetas, rs, stale, True
+    return thetas, rs, stale, False
+
+
+def recorded_run(ssp, source, policy, cfg):
+    """``run``, with every psi pair it asks the policy for, in order."""
+    psis, gradient = [], policy.log_policy_gradient
+
+    def recording(state, action):
+        psis.append(gradient(state, action))
+        return psis[-1]
+
+    policy.log_policy_gradient = recording
+    theta0 = policy.theta
+    return theta0, psis, run(ssp, source, policy, cfg)
+
+
+def columns(pairs):
+    return (array("d", [p[0] for p in pairs]).tobytes(),
+            array("d", [p[1] for p in pairs]).tobytes())
+
+
+@pytest.mark.parametrize("flag", [None, "solve_with_updated_stats", "reset_trace_on_restart"])
+def test_run_is_the_published_recursion_bit_for_bit(flag):
+    """The loop, replayed in test code on desk (seeds 1-3, 2,000 iterations;
+    the digests pin only the default flags) and on the cost-free two-route
+    instance, where the stopping rule fires: theta and r columns,
+    stale_solves and converged are equal bit for bit."""
+    from tlcontrol.pipeline import RunConfig, load_task
+    from tlcontrol.synthesis import SspTransitionSource
+
+    flags = {flag: True} if flag else {}
+    desk = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), exact_reference=False,
+                               eval_every=0, max_iters=2000, **flags)
+    ctx = load_task(desk)
+    cases = [(ctx.ssp, lambda: SspTransitionSource(ctx.ssp, ctx.product, ctx.base_row),
+              lambda: LookaheadPolicy(ctx.ssp, horizon=desk.horizon, radius=desk.radius,
+                                      theta=desk.theta0, progress_penalty=desk.progress_penalty,
+                                      sequence_cap=desk.sequence_cap),
+              dataclasses.replace(desk, seed=seed)) for seed in (1, 2, 3)]
+    cost_free = _two_route_ssp()
+    cases.append((cost_free, lambda: CountingSource(model_rows(cost_free.base)),
+                  lambda: LookaheadPolicy(cost_free, horizon=1, theta=(0.5, -0.5)),
+                  ActorCriticConfig(max_iters=4000, seed=3, **flags)))
+    for ssp, source, policy, cfg in cases:
+        theta0, psis, (theta, trace) = recorded_run(ssp, source(), policy(), cfg)
+        assert len(psis) == 2 * trace.iterations
+        thetas, rs, stale, converged = replay(trace, psis, cfg, theta0, ssp.terminal)
+        assert columns(thetas) == (trace.theta1.tobytes(), trace.theta2.tobytes())
+        assert columns(rs) == (trace.r1.tobytes(), trace.r2.tobytes())
+        assert trace.stale_solves == stale
+        assert trace.converged == converged
+        assert trace.iterations == (cfg.max_iters if not converged else len(thetas))
+    assert converged and trace.iterations < 4000  # the cost-free run stops
+
+
+def one_shot_csv(trace, curve):
+    """``trace.csv`` formatted the plain way, every value in its own row."""
+    return "k,theta1,theta2,r1,r2,cost,episodes,pairs_computed,exact_prob\n" + "".join(
+        f"{k},{t1!r},{t2!r},{r1!r},{r2!r},{cost!r},{episodes},{pairs},"
+        f"{repr(curve[k]) if k in curve else ''}\n"
+        for k, t1, t2, r1, r2, cost, episodes, pairs in zip(
+            range(trace.iterations), trace.theta1, trace.theta2, trace.r1, trace.r2,
+            trace.costs, trace.episodes, trace.pairs))
+
+
+csv_floats = st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                        5.0, 0.1]), st.floats())
+
+
+@st.composite
+def repeating_traces(draw):
+    """A trace whose float columns hold runs of repeats, with 0.0, -0.0, NaN
+    and both infinities among their values, and a sparse curve."""
+    n = draw(st.integers(0, 40))
+
+    def column(kind, values):
+        runs = draw(st.lists(st.tuples(values, st.integers(1, 4)), min_size=1, max_size=12))
+        cells = [x for x, times in runs for _ in range(times)]
+        return array(kind, (cells * n)[:n])
+
+    trace = RunTrace(*(column("d", csv_floats) for _ in range(5)),
+                     *(column("q", st.integers(0, 2 ** 40)) for _ in range(3)))
+    curve = draw(st.dictionaries(st.integers(0, n), csv_floats, max_size=5))
+    return trace, curve
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=repeating_traces())
+def test_trace_csv_matches_a_one_shot_writer(case):
+    trace, curve = case
+    buf = io.StringIO()
+    trace.write_csv(buf, curve)
+    assert buf.getvalue() == one_shot_csv(trace, curve)
 
 
 def test_run_trace_keeps_at_most_80_bytes_per_iteration():

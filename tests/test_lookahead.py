@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -523,6 +524,11 @@ def test_records_match_a_fresh_policy(task, ops):
             assert _call(pol, op, state) == _call(fresh, op, state)
 
 
+def held_weights(pol, state):
+    """The policy's softmax weights at ``state`` and its theta."""
+    return pol._weights(state, pol._visits.get(state) or pol._visit(state))
+
+
 def test_weights_are_held_for_the_last_state_at_the_current_theta():
     ssp = desk_ssp()
     pol = LookaheadPolicy(ssp, horizon=2, theta=(5.0, -0.5))
@@ -534,20 +540,54 @@ def test_weights_are_held_for_the_last_state_at_the_current_theta():
     assert ssp.terminal == ssp.base.n_states - 1
     assert pol._held_key == (ssp.terminal, pol.theta)
     state = next(s for s in states if len(pol.action_distribution(s)[0]) > 1)
-    w = pol._weights(state)
-    assert pol._weights(state) is w
+    w = held_weights(pol, state)
+    assert held_weights(pol, state) is w
     # A new theta is a new key, and the weights are rebuilt.
     pol.theta = (pol.theta[0] + 1.0, pol.theta[1])
-    rebuilt = pol._weights(state)
+    rebuilt = held_weights(pol, state)
     assert rebuilt is not w
     fresh = LookaheadPolicy(ssp, horizon=2, theta=pol.theta)
-    assert np.array(rebuilt).tobytes() == np.array(fresh._weights(state)).tobytes()
+    assert np.array(rebuilt).tobytes() == np.array(held_weights(fresh, state)).tobytes()
     # Single-action states neither form weights nor replace the held ones.
     single = next(s for s in states if len(pol.action_distribution(s)[0]) == 1)
-    pol._weights(state)
+    held_weights(pol, state)
     u = pol.sample_action(single, np.random.default_rng(0))
     pol.log_policy_gradient(single, u)
     assert pol._held_key == (state, pol.theta)
+
+
+def test_a_state_of_one_feature_pair_takes_no_exp_call():
+    """On desk the terminal's sequences (one per row) all have zero
+    features, so at a finite theta its weights are exactly 1.0: no np.exp
+    call forms them, and its answers match policy_rows bit for bit."""
+    ssp = desk_ssp()
+    pol = LookaheadPolicy(ssp, horizon=2)
+    t = ssp.terminal
+    lo, hi = ssp.base.state_ptr[t:t + 2]
+    assert hi - lo > 1
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("np.exp called at the terminal")
+
+    for theta in ((5.0, -0.5), (0.0, 0.0), (-30.0, 12.5), (1e300, -1e300)):
+        pol.theta = theta
+        want = pol.policy_rows()[lo:hi]
+        draws, ref = np.random.default_rng(7), np.random.default_rng(7)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "exp", no_exp)
+            acts, probs = pol.action_distribution(t)
+            psis = [pol.log_policy_gradient(t, u) for u in acts.tolist()]
+            sampled = [pol.sample_action(t, draws) for _ in range(20)]
+        assert probs.tobytes() == want.tobytes()
+        assert all(psi == (0.0, 0.0) and np.array(psi).tobytes() == bytes(16) for psi in psis)
+        cdf = np.cumsum(want)
+        assert sampled == [int(acts[min(int(np.searchsorted(cdf, ref.random(), side="right")),
+                                        len(acts) - 1)]) for _ in range(20)]
+    # A non-finite logit takes the exp path, as policy_rows does.
+    pol.theta = (math.inf, 0.0)
+    with np.errstate(invalid="ignore"):
+        want = pol.policy_rows()[lo:hi]
+    assert np.isnan(want).all() and np.isnan(pol.action_distribution(t)[1]).all()
 
 
 # -- single-action states and the sampler ---------------------------------------
