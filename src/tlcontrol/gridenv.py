@@ -333,7 +333,8 @@ class NoiseModel:
     """Closed-form control noise: the intended outcome with probability eta,
     the rest split uniformly over the other feasible outcomes. ``mc_runs``
     switches to Monte-Carlo frequency estimates from that distribution,
-    seeded per (state, action) so repeated queries agree."""
+    seeded per (state, action) so repeated queries agree; it must be at
+    least 1, and None keeps the closed form."""
 
     eta: float = 0.9
     mc_runs: int | None = None
@@ -342,6 +343,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
             raise MapError(f"success probability {self.eta} outside (0, 1]")
+        if self.mc_runs is not None and self.mc_runs < 1:
+            raise MapError(f"Monte-Carlo run count {self.mc_runs} is below 1")
 
 
 def _row_weights(env: EnvMap, noise: NoiseModel, nts: LabeledModel, aims: np.ndarray,

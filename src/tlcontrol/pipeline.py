@@ -5,21 +5,22 @@ A task is either a map file (the pair-state model and its noisy motion
 probabilities are generated, probabilities lazily) or an MDP-mode model
 file, plus a Rabin automaton file sharing the proposition set. The
 actor-critic learns from the possibilistic structure and the lazy
-probability source alone; the exact layer, on when ``exact_reference`` is,
-judges after the run: the optimum, and the curve that ``synthesize`` reads
-off the trace (the theta of every ``eval_every``-th iteration, then the
-final one), on the fully materialized probabilistic model.
+probability source alone (a map's ``gridenv.transition_rows``, a model
+file's own MDP). ``exact_reference`` switches only the judge, which runs
+after the run: the optimum, and the curve that ``synthesize`` reads off the
+trace (the theta of every ``eval_every``-th iteration, then the final
+one), on the fully materialized probabilistic model.
 
-``load_task`` builds one ``TaskContext`` per invocation, and every
-subcommand reads it: the models, the product with its goal/zero sets and
-the number of its accepting components, ``early_exit`` (the satisfaction
-probability when no policy choice matters), the restart SSP handed to the
-actor-critic, its probabilistic twin ``exact_ssp`` that the exact oracles
-read, and ``optimal_values``, the exact optimum that ``synthesize`` and
-``compare`` read. The SSPs and the optimum are built on first use, so a
-multi-seed run computes the optimum once. ``exact_ssp`` is the one
-probabilistic model built: it comes straight from the product's entry
-weights, and the product's refit, ``product_mdp``, is built only when
+``load_task`` builds one ``TaskContext`` per invocation, the same in both
+modes, and every subcommand reads it: the models, the product with its
+goal/zero sets and the number of its accepting components, ``early_exit``
+(the satisfaction probability when no policy choice matters), the restart
+SSP handed to the actor-critic, its probabilistic twin ``exact_ssp`` with
+its evaluator ``reach``, and ``optimal_values``, the exact optimum. A
+map's MDP ``base_mdp``, the SSPs, the evaluator and the optimum are built
+by their first reader, so any loaded task can be judged and a multi-seed
+run builds each once. ``exact_ssp`` comes straight from the product's
+entry weights; the product's refit, ``product_mdp``, is built only when
 read.
 
 A policy lives in the SSP's row space, one probability per row of the
@@ -96,7 +97,7 @@ class RunConfig(ActorCriticConfig):
     progress_penalty: float | None = None
     sequence_cap: int = 10_000
     # evaluation and construction
-    exact_reference: bool = True
+    exact_reference: bool = True     # switches the judge only; load_task ignores it
     eval_every: int = 25             # exact evaluation cadence; 0 disables
     label_rule: str = "next"
     # map noise
@@ -145,8 +146,8 @@ class RunConfig(ActorCriticConfig):
             raise ModelError("theta0 must be finite")
         if not all(0 < e < math.inf for e in (self.gamma_exponent, self.beta_exponent)):
             raise ModelError("gamma_exponent and beta_exponent must be positive and finite")
-        if self.mc_runs is not None and self.mc_runs < 0:
-            raise ModelError("mc_runs must not be negative")
+        if self.mc_runs is not None and self.mc_runs < 1:
+            raise ModelError("mc_runs must not be negative or 0 (null: no Monte-Carlo rows)")
         if self.seed < 0 or self.noise_seed < 0:
             raise ModelError("seed and noise_seed must not be negative")
         if min(self.max_iters, self.min_iters, self.gate_iters) < 0:
@@ -178,20 +179,30 @@ def _fits(value: object, hint: object) -> bool:
 
 @dataclass
 class TaskContext:
-    """The task every subcommand reads, built once per invocation; the
-    SSPs and the exact optimum are built on first use, and the exact
-    layer runs when ``cfg.exact_reference`` is on."""
+    """The task every subcommand reads, built once per invocation whatever
+    ``cfg.exact_reference`` says; what the judge reads is built by its
+    first reader."""
 
     cfg: RunConfig
-    base_nts: LabeledModel
-    base_mdp: LabeledModel | None
-    # base_mdp's rows, or the map's lazy rows (gridenv.transition_rows) when
-    # no MDP is built
+    task_input: gridenv.EnvMap | LabeledModel  # the parsed map, or the model file's MDP
+    # the learner's rows: the map's lazy rows (gridenv.transition_rows), or
+    # the model file's MDP's own
     base_row: TransitionSource
     product: ProductModel
     n_amecs: int
     goal: frozenset[int]
     bad: frozenset[int]
+
+    @property
+    def base_nts(self) -> LabeledModel:
+        return self.product.model
+
+    @cached_property
+    def base_mdp(self) -> LabeledModel:
+        """The model file's MDP, or the map's ``gridenv.build_mdp``, whose
+        rows are those ``base_row`` gives, bit for bit."""
+        return (gridenv.build_mdp(self.task_input, _noise(self.cfg), self.base_nts)
+                if isinstance(self.task_input, gridenv.EnvMap) else self.task_input)
 
     @property
     def trivial(self) -> bool:
@@ -215,21 +226,27 @@ class TaskContext:
         return mrp_to_ssp(self.product, self.goal, self.bad)
 
     @property
-    def product_mdp(self) -> ProductModel | None:
-        """The product refit with ``base_mdp``'s probabilities (None without
-        an MDP), rebuilt on every access. No run builds it; checks of the
-        exact values read it after a run."""
-        return (None if self.base_mdp is None
-                else with_probabilities(self.product, self.base_mdp))
+    def product_mdp(self) -> ProductModel:
+        """The product refit with ``base_mdp``'s probabilities, rebuilt on
+        every access. No run builds it; checks of the exact values read it
+        after a run."""
+        return with_probabilities(self.product, self.base_mdp)
 
     @cached_property
     def exact_ssp(self) -> SspModel:
-        """``ssp`` with transition probabilities (``base_mdp`` must exist):
-        its states, rows and restart set, converted straight from the
-        product with ``base_mdp``'s entry weights; the same SSP as that
-        of ``product_mdp``, which is never built for it."""
+        """``ssp`` with transition probabilities: its states, rows and
+        restart set, converted straight from the product with
+        ``base_mdp``'s entry weights; the same SSP as that of
+        ``product_mdp``, which is never built for it."""
         return mrp_to_ssp(self.product, self.goal, self.bad,
                           entry_weights(self.product, self.base_mdp))
+
+    @cached_property
+    def reach(self) -> exact.ReachEvaluator:
+        """The one evaluator of row policies on ``exact_ssp`` (target the
+        terminal, zeros the restart states): every seed shares its plan."""
+        ssp = self.exact_ssp
+        return exact.ReachEvaluator(ssp.base, frozenset({ssp.terminal}), ssp.bad)
 
     @cached_property
     def optimal_values(self) -> np.ndarray:
@@ -243,27 +260,28 @@ class TaskContext:
         return values
 
 
+def _noise(cfg: RunConfig) -> gridenv.NoiseModel:
+    return gridenv.NoiseModel(eta=cfg.eta, mc_runs=cfg.mc_runs, seed=cfg.noise_seed)
+
+
 def load_task(cfg: RunConfig) -> TaskContext:
     cfg.validate()
     dra = parse_dra(Path(cfg.dra).read_text())
     if cfg.map:
-        env = gridenv.parse_map(Path(cfg.map).read_text())
-        noise = gridenv.NoiseModel(eta=cfg.eta, mc_runs=cfg.mc_runs, seed=cfg.noise_seed)
-        base_nts = gridenv.build_nts(env, cfg.confusion)
-        base_mdp = gridenv.build_mdp(env, noise, base_nts) if cfg.exact_reference else None
+        task_input = gridenv.parse_map(Path(cfg.map).read_text())
+        base_nts = gridenv.build_nts(task_input, cfg.confusion)
+        base_row = gridenv.transition_rows(task_input, _noise(cfg), base_nts)
     else:
-        base_mdp = parse_model(Path(cfg.model).read_text())
-        if base_mdp.mode != MDP:
+        task_input = parse_model(Path(cfg.model).read_text())
+        if task_input.mode != MDP:
             raise ModelError("model-file tasks need an MDP-mode model")
-        base_nts = nts_from_mdp(base_mdp)
-    base_row = (base_mdp.successors if base_mdp is not None
-                else gridenv.transition_rows(env, noise, base_nts))
+        base_nts = nts_from_mdp(task_input)
+        base_row = task_input.successors
     product = build_product(base_nts, dra, cfg.label_rule)
     amec_list = amecs(product)
     goal, bad = goal_and_bad_sets(product, amec_list)
-    return TaskContext(cfg=cfg, base_nts=base_nts, base_mdp=base_mdp,
-                       base_row=base_row, product=product, n_amecs=len(amec_list),
-                       goal=goal, bad=bad)
+    return TaskContext(cfg=cfg, task_input=task_input, base_row=base_row, product=product,
+                       n_amecs=len(amec_list), goal=goal, bad=bad)
 
 
 @dataclass
@@ -302,8 +320,6 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
     """The full pipeline, learn then judge; writes trace.csv, policy.tsv,
     and summary.txt."""
     ctx = ctx or load_task(cfg)
-    if cfg.exact_reference and ctx.base_mdp is None:
-        raise ModelError("exact_reference is on, but the task was loaded without it")
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     lines = _base_lines(ctx)
@@ -330,16 +346,11 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
         progress_penalty=cfg.progress_penalty, sequence_cap=cfg.sequence_cap)
     source = SspTransitionSource(ssp, ctx.product, ctx.base_row)
 
-    evaluator = None
-    optimal = None
+    evaluator = optimal = None
     if cfg.exact_reference:
-        exact_ssp = ctx.exact_ssp
-        reach = exact.ReachEvaluator(exact_ssp.base, frozenset({exact_ssp.terminal}),
-                                     exact_ssp.bad)
-
         def evaluator(theta):
             policy.theta = theta
-            return exact.eval_policy_reach(reach, policy.policy_rows())
+            return exact.eval_policy_reach(ctx.reach, policy.policy_rows())
 
         optimal = float(ctx.optimal_values[ctx.product.base.initial])
 
@@ -361,11 +372,9 @@ def synthesize(cfg: RunConfig, ctx: TaskContext | None = None) -> Report:
         ("pairs computed", trace.pairs[-1] if trace.pairs else 0),
         ("theta", list(map(float, theta))),
     ]
-    if final_prob is not None:
-        lines.append(("final exact probability", final_prob))
-    if optimal is not None:
-        lines.append(("optimal probability", optimal))
-        if final_prob is not None and optimal > 0:
+    if evaluator is not None:
+        lines += [("final exact probability", final_prob), ("optimal probability", optimal)]
+        if optimal > 0:
             lines.append(("ratio", final_prob / optimal))
     status = "converged" if trace.converged else "iteration-capped"
     report = Report(cfg=cfg, exit_code=EXIT_CONVERGED if trace.converged else EXIT_CAPPED,
@@ -403,17 +412,15 @@ def evaluate_policy_file(cfg: RunConfig, policy_path: str | Path) -> float:
     ctx = load_task(cfg)
     if ctx.early_exit is not None:
         return ctx.early_exit
-    ssp = ctx.exact_ssp
-    probs = parse_policy(Path(policy_path).read_text(), ssp.base)
-    reach = exact.ReachEvaluator(ssp.base, frozenset({ssp.terminal}), ssp.bad)
-    return exact.eval_policy_reach(reach, probs)
+    probs = parse_policy(Path(policy_path).read_text(), ctx.exact_ssp.base)
+    return exact.eval_policy_reach(ctx.reach, probs)
 
 
 def write_models(cfg: RunConfig) -> list[Path]:
     """Emit the (reachable) product and its SSP conversion as model files,
     their state names formatted here (the models in memory carry none).
     Both are possibilistic, so no probabilistic model is built."""
-    ctx = load_task(dataclasses.replace(cfg, exact_reference=False))
+    ctx = load_task(cfg)
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     names = product_state_names(ctx.product)

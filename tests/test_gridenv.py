@@ -454,6 +454,13 @@ def test_build_mdp_checks_the_success_probability():
         build_mdp(env, NoiseModel(eta=1.5), nts)
 
 
+def test_noise_model_takes_no_zero_run_count():
+    # None is the closed form; a run count must be at least 1.
+    for runs in (0, -3):
+        with pytest.raises(MapError, match="below 1"):
+            NoiseModel(mc_runs=runs)
+
+
 # The array partition against the per-cell reference parse.
 
 LEGEND = ("a: up", "é: un vd", "q: ri")  # "é" is not ASCII; "q" marks no cell

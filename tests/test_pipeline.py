@@ -273,9 +273,10 @@ def desk_model_task(tmp_path) -> RunConfig:
 @pytest.mark.parametrize("task", ["desk", "desk-mc20", "lattice-k8", "lattice-k8-sure",
                                   "desk-model"])
 def test_the_learner_samples_the_chain_the_judge_evaluates(tmp_path, task):
-    # Every row the actor-critic samples, from the lazy rows of a run
-    # without the exact reference or from the model's own, is exact_ssp's
-    # row bit for bit. At eta 1.0 the slips of probability 0 are dropped.
+    # Every row the actor-critic samples, from a map's lazy rows or from
+    # the model file's own, is exact_ssp's row bit for bit, as is the row
+    # lifted from the MDP that the judge builds. At eta 1.0 the slips of
+    # probability 0 are dropped.
     cfg = RunConfig.from_file("tasks/desk.json")
     if task == "desk-mc20":
         cfg = dataclasses.replace(cfg, mc_runs=20)
@@ -289,8 +290,7 @@ def test_the_learner_samples_the_chain_the_judge_evaluates(tmp_path, task):
     judged = ctx.exact_ssp.base
     pairs = [(x, u) for x, u in judged.enabled_pairs() if x != ctx.exact_ssp.terminal]
     assert pairs
-    lazy = load_task(dataclasses.replace(cfg, exact_reference=False))
-    for base_row in (ctx.base_row, lazy.base_row):
+    for base_row in (ctx.base_row, ctx.base_mdp.successors):
         source = SspTransitionSource(ctx.ssp, ctx.product, base_row)
         assert all(source(x, u) == judged.successors(x, u) for x, u in pairs)
 
@@ -342,20 +342,66 @@ def test_compare_and_eval_refuse_without_the_exact_reference_before_loading(
     assert not Path(cfg.outdir).exists()
 
 
-def test_synthesize_refuses_a_task_loaded_without_the_exact_reference(tmp_path, monkeypatch):
-    # The task holds no probabilities to judge with, so the refusal comes
-    # before any output directory is made or any step is run.
-    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"),
-                              outdir=str(tmp_path / "out"), max_iters=100)
-    ctx = load_task(dataclasses.replace(cfg, exact_reference=False))
+def test_a_task_loaded_without_the_exact_reference_is_judged_as_one_loaded_with_it(tmp_path):
+    # load_task is the same in both modes, so the setting switches only
+    # the judge: the same bytes and the same curve either way.
+    cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), seed=2, max_iters=300)
+    runs = []
+    for loaded_with in (True, False):
+        run_cfg = dataclasses.replace(cfg, outdir=str(tmp_path / str(loaded_with)))
+        ctx = load_task(dataclasses.replace(run_cfg, exact_reference=loaded_with))
+        report = synthesize(run_cfg, ctx)
+        assert report.curve and report.final_probability is not None
+        runs.append((report.curve, [Path(run_cfg.outdir, name).read_bytes()
+                                    for name in ("summary.txt", "trace.csv", "policy.tsv")]))
+    assert runs[0] == runs[1]
 
-    def unused(*args):
-        raise AssertionError("a refused task runs no actor-critic")
 
-    monkeypatch.setattr(pipeline, "run", unused)
-    with pytest.raises(ModelError, match=r"exact_reference is on"):
-        synthesize(cfg, ctx)
-    assert not Path(cfg.outdir).exists()
+def test_load_task_builds_no_mdp_and_its_first_reader_builds_it_once(monkeypatch):
+    calls, lazy = [], []
+    build_mdp, transition_rows = gridenv.build_mdp, gridenv.transition_rows
+
+    def counting(*args):
+        calls.append(args)
+        return build_mdp(*args)
+
+    def marked(*args):
+        lazy.append(transition_rows(*args))
+        return lazy[-1]
+
+    monkeypatch.setattr(gridenv, "build_mdp", counting)
+    monkeypatch.setattr(gridenv, "transition_rows", marked)
+    # The learner reads the map's lazy rows whatever exact_reference says.
+    for on in (False, True):
+        ctx = load_task(dataclasses.replace(RunConfig.from_file("tasks/desk.json"),
+                                            exact_reference=on))
+        assert ctx.base_row is lazy[-1]
+        assert ctx.base_nts is ctx.product.model
+    assert not calls
+    assert "base_mdp" not in vars(ctx)
+    assert ctx.exact_ssp.base.mode == "mdp" and len(calls) == 1
+    assert ctx.reach and ctx.optimal_values.size and ctx.product_mdp
+    assert len(calls) == 1 and ctx.base_mdp.mode == "mdp"
+
+
+@pytest.mark.parametrize("task", ["desk", "desk-model"])
+def test_exact_reference_switches_only_the_judge(tmp_path, task):
+    # With the judge off, the run learns the same: every trace.csv column
+    # but exact_prob, the policy and the pairs computed are equal.
+    cfg = (RunConfig.from_file("tasks/desk.json") if task == "desk"
+           else desk_model_task(tmp_path))
+    cfg = dataclasses.replace(cfg, seed=1, max_iters=2000)
+    runs = []
+    for on in (True, False):
+        run_cfg = dataclasses.replace(cfg, exact_reference=on, outdir=str(tmp_path / str(on)))
+        report = synthesize(run_cfg)
+        trace = [line.rsplit(",", 1)[0] for line in
+                 Path(run_cfg.outdir, "trace.csv").read_text().splitlines()]
+        runs.append((trace, Path(run_cfg.outdir, "policy.tsv").read_bytes(),
+                     dict(report.lines)["pairs computed"]))
+    assert runs[0][0][0] == "k,theta1,theta2,r1,r2,cost,episodes,pairs_computed"
+    assert len(runs[0][0]) == 2001
+    assert runs[0] == runs[1]
 
 
 def test_curve_is_judged_after_the_run_at_the_traced_thetas(tmp_path):
@@ -956,20 +1002,32 @@ def test_multi_seed_run_loads_the_task_once(tmp_path, monkeypatch):
         return max_reach(*args)
 
     monkeypatch.setattr(exact, "max_reach", counting_solve)
+    judges = []
+    eval_policy_reach = exact.eval_policy_reach
+
+    def recording_judge(evaluator, probs):
+        judges.append(evaluator)
+        return eval_policy_reach(evaluator, probs)
+
+    monkeypatch.setattr(exact, "eval_policy_reach", recording_judge)
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), max_iters=300,
                               eval_every=100)
     reports = synthesize_seeds(dataclasses.replace(cfg, outdir=str(tmp_path / "multi")), [1, 2])
     assert len(loads) == 1
-    # The optimum depends only on the task: one exact solve serves both seeds.
-    assert len(solves) == 1
+    # The optimum depends only on the task: one exact solve serves both
+    # seeds, and one evaluator judges both.
+    assert len(solves) == 1 and len({id(e) for e in judges}) == 1 and len(judges) == 8
     assert reports[0].optimal_probability == reports[1].optimal_probability is not None
-    # Each seed still gets a fresh policy, source and evaluator.
-    for seed in (1, 2):
+    # Each seed gets a fresh policy and source; its outputs and its curve
+    # are those of a run alone, with an evaluator of its own.
+    for seed, report in zip((1, 2), reports):
         alone = tmp_path / f"alone{seed}"
-        synthesize(dataclasses.replace(cfg, seed=seed, outdir=str(alone)))
-        for name in ("trace.csv", "policy.tsv"):
+        assert synthesize(dataclasses.replace(cfg, seed=seed, outdir=str(alone))).curve == \
+            report.curve
+        for name in ("trace.csv", "policy.tsv", "summary.txt"):
             assert (tmp_path / "multi" / f"seed{seed}" / name).read_bytes() == \
                 (alone / name).read_bytes()
+    assert len({id(e) for e in judges}) == 3
 
 
 def test_cli_main_exit_codes(tiny_task, tmp_path):
@@ -1031,6 +1089,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ({"sequence_cap": 0}, "radius .when set. and sequence_cap must be >= 1"),
     ({"label_rule": "bogus"}, "label_rule must be one of"),
     ({"confusion": "bogus"}, "confusion must be one of"),
+    ({"mc_runs": 0}, "mc_runs must not be negative or 0"),
 ])
 def test_config_rejects_invalid_actor_critic_settings(bad, message):
     cfg = dataclasses.replace(RunConfig.from_file("tasks/desk.json"), **bad)
@@ -1101,6 +1160,7 @@ def test_cli_exits_with_an_error_on_invalid_actor_critic_settings(tmp_path, caps
     ("--radius", "0"),
     ("--seed", "x"),
     ("--theta0", "1"),
+    ("--mc-runs", "0"),
 ])
 def test_cli_reports_bad_inputs_in_one_error_line(tmp_path, capsys, flag):
     code = main(["synthesize", "--config", "tasks/desk.json", "--outdir", str(tmp_path),
